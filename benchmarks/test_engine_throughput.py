@@ -68,32 +68,6 @@ def test_event_queue_throughput(benchmark):
 
 
 @pytest.mark.benchmark(group="engine")
-def test_event_queue_throughput_no_freelist(benchmark):
-    """The same workload with the event freelist disabled.
-
-    ``event_pool_size=0`` allocates a fresh Event per scheduling and
-    routes execution through the general loop -- the before/after
-    comparison for the freelist + specialized-loop optimizations.
-    """
-
-    def run_engine():
-        return _self_rescheduling_run(Simulator(event_pool_size=0))
-
-    executed = benchmark.pedantic(run_engine, rounds=1, iterations=1)
-    assert 200_000 <= executed <= 200_008
-    seconds = benchmark.stats.stats.mean
-    record_engine_bench(
-        "event_queue_throughput_no_freelist",
-        {
-            "events": executed,
-            "seconds": seconds,
-            "events_per_sec": executed / seconds,
-            "freelist": False,
-        },
-    )
-
-
-@pytest.mark.benchmark(group="engine")
 def test_simulation_event_rate(benchmark):
     """Events per wall-second for a 4x4 torus at 30% load."""
 

@@ -5,9 +5,7 @@ Runs the same workloads as ``benchmarks/test_engine_throughput.py``
 without the pytest harness, so a perf data point costs seconds and can
 be taken on every PR:
 
-* ``event_queue_throughput``: 200k self-rescheduling events, freelist on.
-* ``event_queue_throughput_no_freelist``: the same with the event pool
-  disabled (the before/after comparison for the engine optimizations).
+* ``event_queue_throughput``: 200k self-rescheduling events.
 * ``simulation_event_rate``: a full flit-level simulation (4x4 torus,
   IQ routers, 30% load) -- the headline model-layer metric; wall time
   includes network construction, matching the benchmarks/ methodology.
@@ -73,8 +71,8 @@ def record(name: str, payload: dict) -> None:
     BENCH_FILE.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
-def event_queue_throughput(pool_size: int, target: int = 200_000):
-    simulator = Simulator(event_pool_size=pool_size)
+def event_queue_throughput(target: int = 200_000):
+    simulator = Simulator()
     count = [0]
 
     def handler(event):
@@ -91,27 +89,23 @@ def event_queue_throughput(pool_size: int, target: int = 200_000):
 
 
 def bench_event_queue(rounds: int) -> None:
-    for name, pool_size in (
-        ("event_queue_throughput", 8192),
-        ("event_queue_throughput_no_freelist", 0),
-    ):
-        best, events = min(
-            (event_queue_throughput(pool_size) for _ in range(rounds)),
-            key=lambda pair: pair[0],
-        )
-        rate = events / best
-        record(
-            name,
-            {
-                "events": events,
-                "seconds": best,
-                "events_per_sec": rate,
-                "freelist": pool_size > 0,
-                "rounds": rounds,
-            },
-        )
-        print(f"{name}: {events} events in {best * 1000:.1f} ms "
-              f"({rate / 1000:.0f}k events/s)")
+    best, events = min(
+        (event_queue_throughput() for _ in range(rounds)),
+        key=lambda pair: pair[0],
+    )
+    rate = events / best
+    record(
+        "event_queue_throughput",
+        {
+            "events": events,
+            "seconds": best,
+            "events_per_sec": rate,
+            "freelist": True,
+            "rounds": rounds,
+        },
+    )
+    print(f"event_queue_throughput: {events} events in {best * 1000:.1f} ms "
+          f"({rate / 1000:.0f}k events/s)")
 
 
 def _simulation_workloads():

@@ -63,17 +63,13 @@ fi
 run_gate "sslint (examples + builtin configs)" \
     python -m repro.tools.sslint examples/ --builtin all --format json
 
-# 5. sslint rule catalog stays importable (registration smoke check).
-run_gate "sslint --list-rules" \
-    python -m repro.tools.sslint --list-rules
-
-# 6. Sanitizer smoke tier: every built-in config runs briefly under the
+# 5. Sanitizer smoke tier: every built-in config runs briefly under the
 #    runtime sanitizers (credit/flit/event conservation, determinism
 #    hashing).  See docs/SANITIZERS.md.
 run_gate "sanitize smoke (builtin configs)" \
     python scripts/sanitize_smoke.py
 
-# 7. Partition gate: every builtin config must plan a 4-way partition
+# 6. Partition gate: every builtin config must plan a 4-way partition
 #    with zero unexpected P/S-errors, lookahead >= 1, byte-identical
 #    manifests, and a structurally valid SARIF export; every builtin
 #    model class must keep its expected shard-purity classification
@@ -86,7 +82,7 @@ else
         python scripts/partition_gate.py
 fi
 
-# 8. Perf-regression smoke: simulation_event_rate must stay within 25%
+# 7. Perf-regression smoke: simulation_event_rate must stay within 25%
 #    of the latest BENCH_engine.json entry.  SUPERSIM_SKIP_PERF=1 opts
 #    out on machines not comparable to the recorded history.
 if [ "${SUPERSIM_SKIP_PERF:-0}" != "0" ]; then
@@ -96,7 +92,7 @@ else
         python scripts/perf_smoke.py
 fi
 
-# 9. Perf-lint gate: the hot-path H-rules (static perf audit, see
+# 8. Perf-lint gate: the hot-path H-rules (static perf audit, see
 #    docs/LINTING.md) run over src/repro against the committed
 #    fingerprint baseline; only NEW hazards fail.  Refresh the
 #    baseline deliberately with --write-baseline after fixing or

@@ -36,9 +36,9 @@ Performance notes (see ``docs/PERFORMANCE.md`` for the full story):
 * The executer batch-drains runs of events that share one timestamp:
   the clock and the executed-event counter are written once per run of
   equal-time events instead of once per event.
-* ``run()`` dispatches to specialized inner loops so the common cases
-  (no limits at all, or only ``max_time``) pay no per-event limit
-  bookkeeping.
+* ``run()`` has two executer loops: a fast one (at most a ``max_time``
+  limit: one packed-key comparison per event) and an instrumented one
+  (event/wall-clock budgets, sanitizer hooks).
 * Lazy-deleted (cancelled) queue entries are counted, and the heap is
   compacted in place when the dead fraction crosses a threshold, so
   cancellation-heavy workloads cannot grow the queue unboundedly.
@@ -71,6 +71,10 @@ _EPS_MASK = EPSILON_LIMIT - 1
 #: heap comparisons on CPython's fast machine-word path.  Larger ticks
 #: stay *correct* (Python ints never wrap) but compare slower.
 TICK_FAST_LIMIT = 1 << (63 - EPSILON_BITS)
+#: maximum number of fired events parked in the freelist across runs.
+EVENT_POOL_SIZE = 8192
+#: limit key of an unbounded run: every packed key compares below it.
+_NO_LIMIT = 1 << 4096
 
 
 class SimulationError(RuntimeError):
@@ -91,13 +95,6 @@ class Simulator:
             Read-only by convention (plain attribute for speed).
         epsilon: the epsilon component of the current simulation time.
             Read-only by convention (plain attribute for speed).
-
-    Args:
-        event_pool_size: maximum number of fired events kept for reuse
-            across runs.  ``0`` disables the freelist entirely and
-            routes execution through the general (unspecialized) loop --
-            the pre-optimization behaviour, mainly useful for
-            benchmarking the optimizations themselves.
     """
 
     __slots__ = (
@@ -111,7 +108,6 @@ class Simulator:
         "_cancelled_pending",
         "_compactions",
         "_event_pool",
-        "_event_pool_size",
         "_components",
         "_observers",
         "_sanitizer",
@@ -121,7 +117,7 @@ class Simulator:
     #: cancelled AND they make up more than half of the queue.
     COMPACT_MIN_CANCELLED = 64
 
-    def __init__(self, event_pool_size: int = 8192):
+    def __init__(self):
         self._queue: List[Tuple[int, int, Event]] = []
         self._seq = _count()
         self.tick = 0
@@ -132,13 +128,12 @@ class Simulator:
         self._cancelled_pending = 0
         self._compactions = 0
         self._event_pool: List[Event] = []
-        self._event_pool_size = event_pool_size
         self._components: Dict[str, "Component"] = {}
         self._observers: List[Callable[["Simulator"], None]] = []
         # Runtime sanitizer suite (repro.sanitize).  None in normal runs:
         # the only cost of the hook is one attribute test per run() call,
-        # never per event.  When set, run() routes through the
-        # instrumented executer so the suite sees every event.
+        # never per event.  When set, run() takes the instrumented loop
+        # with the suite's hooks so the suite sees every event.
         self._sanitizer = None
 
     # -- time ---------------------------------------------------------------
@@ -347,11 +342,15 @@ class Simulator:
         Returns the final simulation time.
         """
         if max_time is None:
-            limit_tick, limit_epsilon = None, 0
+            limit_key = _NO_LIMIT
         elif isinstance(max_time, TimeStep):
-            limit_tick, limit_epsilon = max_time.tick, max_time.epsilon
+            limit_key = (max_time.tick << EPSILON_BITS) | max_time.epsilon
         else:
-            limit_tick, limit_epsilon = int(max_time), 0
+            limit_key = int(max_time) << EPSILON_BITS
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"max_events must be >= 0, got {max_events}")
+        if max_seconds is not None and max_seconds < 0:
+            raise SimulationError(f"max_seconds must be >= 0, got {max_seconds}")
         deadline = (
             _wallclock.monotonic() + max_seconds if max_seconds is not None else None
         )
@@ -364,19 +363,10 @@ class Simulator:
         if gc_was_enabled:
             _gc.disable()
         try:
-            if self._sanitizer is not None:
-                self._run_sanitized(limit_tick, limit_epsilon, max_events, deadline)
-            elif (
-                max_events is None
-                and deadline is None
-                and self._event_pool_size > 0
-            ):
-                if limit_tick is None:
-                    self._run_unbounded()
-                else:
-                    self._run_time_limited(limit_tick, limit_epsilon)
+            if self._sanitizer is None and max_events is None and deadline is None:
+                self._run_fast(limit_key)
             else:
-                self._run_general(limit_tick, limit_epsilon, max_events, deadline)
+                self._run_instrumented(limit_key, max_events, deadline)
         finally:
             self._running = False
             if gc_was_enabled:
@@ -437,11 +427,13 @@ class Simulator:
             )
         return self.call_at(tick, handler, data, epsilon)
 
-    def _run_unbounded(self) -> None:
-        """Drain the queue with no limit checks (the common case).
+    def _run_fast(self, limit_key) -> None:
+        """Drain the queue up to ``limit_key``; no budgets, no hooks.
 
-        The loop terminates through ``heappop`` raising ``IndexError``
-        on the empty queue, which saves an emptiness test per event; an
+        One packed-key comparison per event implements the whole limit
+        test (an unbounded run passes ``_NO_LIMIT``).  The loop
+        terminates through ``heappop`` raising ``IndexError`` on the
+        empty queue, which saves an emptiness test per event; an
         ``IndexError`` escaping a *handler* is told apart by its
         traceback (the handler adds a frame) and re-raised.
         """
@@ -460,6 +452,10 @@ class Simulator:
                         event.cancelled = False
                         pool.append(event)
                     continue
+                if entry_key > limit_key:
+                    # Put it back; the caller may resume later.
+                    _heappush(queue, (entry_key, _seq, event))
+                    break
                 if entry_key != key:
                     # New (tick, epsilon) batch: write the clock and the
                     # event counter once for the whole run of equal-time
@@ -480,155 +476,47 @@ class Simulator:
                 raise
         finally:
             self._executed_events = executed
-            del pool[self._event_pool_size :]
+            del pool[EVENT_POOL_SIZE:]
 
-    def _run_time_limited(self, limit_tick: int, limit_epsilon: int) -> None:
-        """Drain up to (limit_tick, limit_epsilon); no event/clock limits.
-
-        One packed-key comparison per event implements the whole limit
-        test.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        pool = self._event_pool
-        refs = _getrefcount
-        executed = self._executed_events
-        limit_key = (limit_tick << EPSILON_BITS) | limit_epsilon
-        key = -1
-        try:
-            while True:
-                entry_key, _seq, event = pop(queue)
-                if event.cancelled:
-                    self._cancelled_pending -= 1
-                    if refs(event) == 2:
-                        event.cancelled = False
-                        pool.append(event)
-                    continue
-                if entry_key > limit_key:
-                    # Put it back; the caller may resume later.
-                    heapq.heappush(queue, (entry_key, _seq, event))
-                    break
-                if entry_key != key:
-                    key = entry_key
-                    self.tick = key >> EPSILON_BITS
-                    self.epsilon = key & _EPS_MASK
-                    self._now_key = key
-                    self._executed_events = executed
-                event.fired = True
-                event.handler(event)
-                executed += 1
-                if refs(event) == 2:
-                    pool.append(event)
-        except IndexError:
-            if queue or _raised_from_handler():
-                raise
-        finally:
-            self._executed_events = executed
-            del pool[self._event_pool_size :]
-
-    def _run_general(
-        self,
-        limit_tick: Optional[int],
-        limit_epsilon: int,
-        max_events: Optional[int],
-        deadline: Optional[float],
+    def _run_instrumented(
+        self, limit_key, max_events: Optional[int], deadline: Optional[float]
     ) -> None:
-        """Full-featured loop: any combination of time/event/clock limits.
+        """Full-featured loop: time/event/clock limits plus sanitizer hooks.
 
-        Both the ``max_events`` budget and the wall-clock check cadence
+        Same execution order and recycling discipline as
+        :meth:`_run_fast`.  Both the ``max_events`` budget (tested
+        *before* an event is popped) and the wall-clock check cadence
         are based on the number of events executed *in this call*, so a
         resumed run gets a fresh budget and checks the clock on a steady
-        1024-event cadence regardless of history.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        pool = self._event_pool
-        pool_max = self._event_pool_size
-        refs = _getrefcount
-        executed_this_run = 0
-        check_mask = 0x3FF  # test wall clock every 1024 events
-        limit_key = (
-            None
-            if limit_tick is None
-            else (limit_tick << EPSILON_BITS) | limit_epsilon
-        )
-        while queue:
-            entry_key, _seq, event = pop(queue)
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                if refs(event) == 2 and len(pool) < pool_max:
-                    event.cancelled = False
-                    pool.append(event)
-                continue
-            if limit_key is not None and entry_key > limit_key:
-                # Put it back; the caller may resume later.
-                heapq.heappush(queue, (entry_key, _seq, event))
-                break
-            self.tick = entry_key >> EPSILON_BITS
-            self.epsilon = entry_key & _EPS_MASK
-            self._now_key = entry_key
-            event.fired = True
-            event.handler(event)
-            self._executed_events += 1
-            executed_this_run += 1
-            if refs(event) == 2 and len(pool) < pool_max:
-                pool.append(event)
-            if max_events is not None and executed_this_run >= max_events:
-                break
-            if (
-                deadline is not None
-                and (executed_this_run & check_mask) == 0
-                and _wallclock.monotonic() > deadline
-            ):
-                break
-
-    def _run_sanitized(
-        self,
-        limit_tick: Optional[int],
-        limit_epsilon: int,
-        max_events: Optional[int],
-        deadline: Optional[float],
-    ) -> None:
-        """The instrumented executer used when a sanitizer suite is
-        attached (see :mod:`repro.sanitize`).
-
-        Semantically identical to :meth:`_run_general` -- same limits,
-        same recycling discipline, same execution order -- but invokes
-        the suite's hooks: ``pre_event_hooks`` right before each handler
-        runs (with the clock already advanced) and ``recycle_hooks``
-        right before an event object is parked in the freelist (so
-        :class:`~repro.sanitize.EventSan` can poison it).  The ordinary
-        loops never pay for any of this: ``run()`` only dispatches here
-        while ``_sanitizer`` is set.
+        1024-event cadence regardless of history.  With a sanitizer
+        suite attached (see :mod:`repro.sanitize`) its ``pre_hooks`` run
+        right before each handler (clock already advanced) and its
+        ``recycle_hooks`` right before an event object is parked in the
+        freelist (so :class:`~repro.sanitize.EventSan` can poison it);
+        both tuples are empty otherwise.
         """
         suite = self._sanitizer
-        pre_hooks = tuple(suite.pre_event_hooks)
-        recycle_hooks = tuple(suite.recycle_hooks)
+        pre_hooks = () if suite is None else tuple(suite.pre_event_hooks)
+        recycle_hooks = () if suite is None else tuple(suite.recycle_hooks)
         queue = self._queue
         pop = heapq.heappop
         pool = self._event_pool
-        pool_max = self._event_pool_size
         refs = _getrefcount
         executed_this_run = 0
         check_mask = 0x3FF  # test wall clock every 1024 events
-        limit_key = (
-            None
-            if limit_tick is None
-            else (limit_tick << EPSILON_BITS) | limit_epsilon
-        )
-        while queue:
+        while queue and executed_this_run != max_events:
             entry_key, _seq, event = pop(queue)
             if event.cancelled:
                 self._cancelled_pending -= 1
-                if refs(event) == 2 and len(pool) < pool_max:
+                if refs(event) == 2 and len(pool) < EVENT_POOL_SIZE:
                     event.cancelled = False
                     for hook in recycle_hooks:
                         hook(event)
                     pool.append(event)
                 continue
-            if limit_key is not None and entry_key > limit_key:
+            if entry_key > limit_key:
                 # Put it back; the caller may resume later.
-                heapq.heappush(queue, (entry_key, _seq, event))
+                _heappush(queue, (entry_key, _seq, event))
                 break
             self.tick = entry_key >> EPSILON_BITS
             self.epsilon = entry_key & _EPS_MASK
@@ -639,12 +527,10 @@ class Simulator:
             event.handler(event)
             self._executed_events += 1
             executed_this_run += 1
-            if refs(event) == 2 and len(pool) < pool_max:
+            if refs(event) == 2 and len(pool) < EVENT_POOL_SIZE:
                 for hook in recycle_hooks:
                     hook(event)
                 pool.append(event)
-            if max_events is not None and executed_this_run >= max_events:
-                break
             if (
                 deadline is not None
                 and (executed_this_run & check_mask) == 0

@@ -580,7 +580,7 @@ class Heat:
     docs/PERFORMANCE.md), and heat propagates along call edges without
     attenuation -- a helper called from a per-event handler runs just
     as often as the handler.  ``path`` is the evidence chain from the
-    hottest entry point (``_step -> _drain_staging -> ...``).
+    hottest entry point (``_step -> _run_crossbar -> ...``).
     """
 
     __slots__ = ("weight", "path", "conds")

@@ -96,7 +96,6 @@ HEAT_ENTRIES: Dict[str, Dict[str, float]] = {
     "channel": {
         "send_flit": 1.0,
         "send_credit": 1.0,
-        "_deliver": 1.0,
         "_deliver_batch": 1.0,  # one per busy-tick per channel
         "_deliver_item": 1.0,   # per-item hook inside the batch
     },

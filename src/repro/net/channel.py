@@ -21,19 +21,15 @@ no Event handle is retained, so the engine freelist stays free to
 recycle).  Dues are nondecreasing by construction -- simulation time is
 monotone and the latency per channel is fixed -- so the FIFO never
 needs sorting.  Heap traffic drops from O(items) to O(busy-ticks per
-channel), and every per-item hook (sanitizers, delivery digests)
-attaches to :meth:`_deliver_item`, which both delivery paths funnel
-through.
-
-The pre-coalescing one-event-per-item path is kept behind
-:func:`set_legacy_delivery` (or ``SUPERSIM_LEGACY_DELIVERY=1`` in the
-environment) so determinism tests can prove the two paths produce
-identical simulations.
+channel), and every per-item hook (sanitizers, delivery digests, the
+sharded runtime's ingress landing) attaches to ``_deliver_item``.  The
+FIFO, the batch event and the sink wiring are identical for flits and
+credits and live in :class:`_Link`; :class:`Channel` and
+:class:`CreditChannel` add their own ``send_*`` and ``_deliver_item``.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -47,36 +43,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.simulator import Simulator
     from repro.net.device import PortedDevice
 
-#: When True, channels schedule one heap event per item (the
-#: pre-coalescing behaviour).  Channels capture the flag at
-#: construction, so toggle it before building a network.
-_LEGACY_DELIVERY = os.environ.get("SUPERSIM_LEGACY_DELIVERY", "") not in (
-    "", "0", "false", "no",
-)
-
-
-def legacy_delivery_enabled() -> bool:
-    """True when new channels will use the one-event-per-item path."""
-    return _LEGACY_DELIVERY
-
-
-def set_legacy_delivery(enabled: bool) -> bool:
-    """Select the delivery path for channels built from now on.
-
-    Returns the previous setting so tests can restore it.
-    """
-    global _LEGACY_DELIVERY
-    previous = _LEGACY_DELIVERY
-    _LEGACY_DELIVERY = bool(enabled)
-    return previous
-
 
 class ChannelError(RuntimeError):
     """Raised on channel protocol violations (overdriving, no sink)."""
 
 
-class Channel(Component):
-    """A unidirectional flit link with latency and one-flit-per-cycle pacing."""
+class _Link(Component):
+    """What flit and credit links share: latency, sink wiring and the
+    coalesced in-flight FIFO with its one batch delivery event."""
 
     #: True on channels cut by a shard partition: the sharded runtime
     #: (:mod:`repro.partition.runtime`) replaces one endpoint with a
@@ -92,24 +66,17 @@ class Channel(Component):
         name: str,
         parent: Optional[Component],
         latency: int,
-        period: int = 1,
     ):
         super().__init__(simulator, name, parent)
         if latency < 1:
             raise ValueError(f"channel latency must be >= 1 tick, got {latency}")
-        if period < 1:
-            raise ValueError(f"channel period must be >= 1 tick, got {period}")
         self.latency = latency
-        self.period = period
         self._sink: Optional["PortedDevice"] = None
         self._sink_port: Optional[int] = None
-        self._next_free_tick = 0
-        self.flits_carried = 0
-        # Coalesced delivery state: FIFO of (due_tick, flit) plus the due
-        # tick of the one pending delivery event (-1 = none pending).
+        # FIFO of (due_tick, item) plus the due tick of the one pending
+        # delivery event (-1 = none pending).
         self._inflight = deque()
         self._head_due = -1
-        self._legacy = _LEGACY_DELIVERY
 
     def connect_sink(self, sink: "PortedDevice", port: int) -> None:
         if self._sink is not None:
@@ -125,6 +92,48 @@ class Channel(Component):
     def sink_port(self) -> Optional[int]:
         return self._sink_port
 
+    def inflight_items(self) -> int:
+        """Items currently on the wire."""
+        return len(self._inflight)
+
+    def _deliver_batch(self, event: Event) -> None:
+        inflight = self._inflight
+        now = self.simulator.tick
+        deliver_item = self._deliver_item
+        while inflight and inflight[0][0] == now:
+            deliver_item(inflight.popleft()[1])
+        if inflight:
+            due = inflight[0][0]
+            self._head_due = due
+            self.simulator.call_at(
+                due, self._deliver_batch, epsilon=EPS_DELIVER
+            )
+        else:
+            self._head_due = -1
+
+    def _deliver_item(self, item) -> None:
+        """Hand one landed item to the sink (sanitizer hookpoint)."""
+        raise NotImplementedError
+
+
+class Channel(_Link):
+    """A unidirectional flit link with latency and one-flit-per-cycle pacing."""
+
+    def __init__(
+        self,
+        simulator: "Simulator",
+        name: str,
+        parent: Optional[Component],
+        latency: int,
+        period: int = 1,
+    ):
+        super().__init__(simulator, name, parent, latency)
+        if period < 1:
+            raise ValueError(f"channel period must be >= 1 tick, got {period}")
+        self.period = period
+        self._next_free_tick = 0
+        self.flits_carried = 0
+
     def can_send(self) -> bool:
         """True when the channel is free this cycle."""
         return self.simulator.tick >= self._next_free_tick
@@ -132,10 +141,6 @@ class Channel(Component):
     def next_send_tick(self) -> int:
         """Earliest tick at which the channel accepts the next flit."""
         return max(self._next_free_tick, self.simulator.tick)
-
-    def inflight_items(self) -> int:
-        """Items currently on the wire (either delivery path)."""
-        return len(self._inflight)
 
     def send_flit(self, flit: Flit) -> None:
         """Transmit ``flit``; it arrives at the sink after ``latency``."""
@@ -150,36 +155,12 @@ class Channel(Component):
         self._next_free_tick = now + self.period
         self.flits_carried += 1
         due = now + self.latency
-        if self._legacy:
-            self._inflight.append((due, flit))
-            self.simulator.call_at(due, self._deliver, data=flit, epsilon=EPS_DELIVER)
-            return
         self._inflight.append((due, flit))
         if self._head_due < 0:
             self._head_due = due
             self.simulator.call_at(
                 due, self._deliver_batch, epsilon=EPS_DELIVER
             )
-
-    def _deliver(self, event: Event) -> None:
-        # Legacy one-event-per-item path (see module docstring).
-        self._inflight.popleft()
-        self._deliver_item(event.data)
-
-    def _deliver_batch(self, event: Event) -> None:
-        inflight = self._inflight
-        now = self.simulator.tick
-        deliver_item = self._deliver_item
-        while inflight and inflight[0][0] == now:
-            deliver_item(inflight.popleft()[1])
-        if inflight:
-            due = inflight[0][0]
-            self._head_due = due
-            self.simulator.call_at(
-                due, self._deliver_batch, epsilon=EPS_DELIVER
-            )
-        else:
-            self._head_due = -1
 
     def _deliver_item(self, flit: Flit) -> None:
         """Hand one landed flit to the sink (sanitizer hookpoint)."""
@@ -193,16 +174,13 @@ class Channel(Component):
         return self.flits_carried / cycles
 
 
-class CreditChannel(Component):
+class CreditChannel(_Link):
     """A unidirectional credit link with latency (no pacing).
 
     Several credits may be sent within one tick (different VCs of the
-    same link free slots in the same cycle); the coalesced path delivers
-    all of them from a single event.
+    same link free slots in the same cycle); all of them are delivered
+    from a single event.
     """
-
-    #: see :attr:`Channel.shard_proxy`.
-    shard_proxy = False
 
     def __init__(
         self,
@@ -211,72 +189,20 @@ class CreditChannel(Component):
         parent: Optional[Component],
         latency: int,
     ):
-        super().__init__(simulator, name, parent)
-        if latency < 1:
-            raise ValueError(f"credit latency must be >= 1 tick, got {latency}")
-        self.latency = latency
-        self._sink: Optional["PortedDevice"] = None
-        self._sink_port: Optional[int] = None
+        super().__init__(simulator, name, parent, latency)
         self.credits_carried = 0
-        self._inflight = deque()
-        self._head_due = -1
-        self._legacy = _LEGACY_DELIVERY
-
-    def connect_sink(self, sink: "PortedDevice", port: int) -> None:
-        if self._sink is not None:
-            raise ChannelError(f"{self.full_name}: sink already connected")
-        self._sink = sink
-        self._sink_port = port
-
-    @property
-    def sink(self) -> Optional["PortedDevice"]:
-        return self._sink
-
-    @property
-    def sink_port(self) -> Optional[int]:
-        return self._sink_port
-
-    def inflight_items(self) -> int:
-        """Credits currently on the wire (either delivery path)."""
-        return len(self._inflight)
 
     def send_credit(self, credit: Credit) -> None:
         if self._sink is None:
             raise ChannelError(f"{self.full_name}: no sink connected")
         self.credits_carried += 1
         due = self.simulator.tick + self.latency
-        if self._legacy:
-            self._inflight.append((due, credit))
-            self.simulator.call_at(
-                due, self._deliver, data=credit, epsilon=EPS_DELIVER
-            )
-            return
         self._inflight.append((due, credit))
         if self._head_due < 0:
             self._head_due = due
             self.simulator.call_at(
                 due, self._deliver_batch, epsilon=EPS_DELIVER
             )
-
-    def _deliver(self, event: Event) -> None:
-        # Legacy one-event-per-item path (see module docstring).
-        self._inflight.popleft()
-        self._deliver_item(event.data)
-
-    def _deliver_batch(self, event: Event) -> None:
-        inflight = self._inflight
-        now = self.simulator.tick
-        deliver_item = self._deliver_item
-        while inflight and inflight[0][0] == now:
-            deliver_item(inflight.popleft()[1])
-        if inflight:
-            due = inflight[0][0]
-            self._head_due = due
-            self.simulator.call_at(
-                due, self._deliver_batch, epsilon=EPS_DELIVER
-            )
-        else:
-            self._head_due = -1
 
     def _deliver_item(self, credit: Credit) -> None:
         """Hand one landed credit to the sink (sanitizer hookpoint)."""

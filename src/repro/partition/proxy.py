@@ -15,7 +15,7 @@ treatment:
 * On the **ingress** side (the worker owning the sink device) records
   are landed between synchronization windows as one injected event per
   record, each calling the channel's ``_deliver_item`` -- the per-item
-  hook both normal delivery paths funnel through -- at
+  hook ordinary batch delivery funnels through -- at
   ``(due_tick, EPS_DELIVER)``.  Sanitizer shims and DetSan's delivery
   digest therefore observe a sharded delivery exactly as they observe a
   single-process one.

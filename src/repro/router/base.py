@@ -16,7 +16,9 @@ share:
   events.
 
 Concrete architectures implement ``_step_cycle`` (one core-clock cycle
-of allocation and transmission) and ``_has_work``.
+of allocation and transmission) and ``_has_work``, which the shared
+``_step`` event handler drives (OQ, IOQ) -- or replace ``_step`` itself
+with a fused cycle (IQ, where the per-stage dispatch was measurable).
 """
 
 from __future__ import annotations
@@ -279,9 +281,6 @@ class Router(PortedDevice):
 
     def _has_work(self) -> bool:
         raise NotImplementedError
-
-    def _any_input_flits(self) -> bool:
-        return bool(self._occupied_inputs)
 
     # -- shared input-VC machinery ------------------------------------------------------
 

@@ -63,7 +63,7 @@ class InputQueuedRouter(Router):
         self._staging: List[Deque[Flit]] = [deque() for _ in range(self.num_ports)]
         # Committed staging slots per port: staged + in flight through core.
         self._staging_committed = [0] * self.num_ports
-        # Sum over _staging_committed, so _has_work is O(1).
+        # Sum over _staging_committed, so _step's work test is O(1).
         self._committed_total = 0
         # Flits actually sitting in staging registers (vs. in the core):
         # lets the drain stage skip its port scan entirely when zero.
@@ -81,23 +81,13 @@ class InputQueuedRouter(Router):
 
     # -- per-cycle behaviour ---------------------------------------------------
 
-    def _step_cycle(self) -> None:
-        self._drain_staging()
-        self._update_input_vcs()
-        self._allocate_vcs()
-        self._run_crossbar()
-
-    def _has_work(self) -> bool:
-        return bool(self._occupied_inputs) or self._committed_total > 0
-
     def _step(self, event: Event) -> None:
-        """Fused per-cycle hot path.
+        """One core-clock cycle: drain -> route -> allocate -> crossbar.
 
-        Same stage order as :meth:`_step_cycle` (drain -> route ->
-        allocate -> crossbar) with the stage dispatch, the scheduler
-        round-trip for uncontested flit-buffer grants, and the input-pop
-        bookkeeping all inlined.  ``_step_cycle`` stays as the readable
-        specification (and the path unit tests drive directly).
+        Replaces :meth:`Router._step` outright (no ``_step_cycle`` /
+        ``_has_work`` round trip): the staging drain is inlined here and
+        each later stage is entered only when its worklist is non-empty.
+        ``tests/router/test_iq_step_order.py`` pins the stage order.
         """
         simulator = self.simulator
         now = simulator.tick
@@ -147,32 +137,6 @@ class InputQueuedRouter(Router):
             simulator.call_at(tick, self._step, None, EPS_STEP)
         else:
             self._step_scheduled = False
-
-    def _drain_staging(self) -> None:
-        if self._staged_total == 0:
-            return
-        committed = self._staging_committed
-        flit_out = self._flit_out
-        staging_regs = self._staging
-        tick = self.simulator.tick
-        keep = self._staged_ports_spare
-        ports = self._staged_ports
-        for port in ports:
-            staging = staging_regs[port]
-            channel = flit_out[port]
-            if tick >= channel._next_free_tick:
-                committed[port] -= 1
-                self._committed_total -= 1
-                self._staged_total -= 1
-                # Credit was taken at grant time: send without re-taking.
-                channel.send_flit(staging.popleft())
-                self.flits_sent += 1
-                if not staging:
-                    continue
-            keep.append(port)
-        ports.clear()
-        self._staged_ports_spare = ports
-        self._staged_ports = keep
 
     def _run_crossbar(self) -> None:
         input_vcs = self._input_vcs

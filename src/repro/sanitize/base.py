@@ -11,11 +11,12 @@ Design constraints, in priority order:
 
 1. **~0 cost when disabled.**  No sanitizer leaves any trace in the hot
    path unless attached: checks are installed by *replacing class
-   methods with wrappers* (:class:`MethodPatch`) and by routing the
-   executer through :meth:`Simulator._run_sanitized`, both only while a
-   suite is attached.  A simulation that never attaches a suite
-   executes byte-for-byte the same code as before this subsystem
-   existed (one attribute test per ``run()`` call aside).
+   methods with wrappers* (:class:`MethodPatch`) and by handing the
+   suite's hooks to :meth:`Simulator._run_instrumented` (the loop that
+   also serves ``max_events``/``max_seconds`` budgets), both only while
+   a suite is attached.  A simulation that never attaches a suite
+   stays on the hook-free fast loop (one attribute test per ``run()``
+   call aside).
 2. **Individually toggleable.**  Each sanitizer registers with the
    object factory under a short name (``credit``, ``flit``, ``event``,
    ``det``), exactly like router architectures, so
@@ -123,7 +124,7 @@ class Sanitizer:
         """Build state and append :class:`MethodPatch` objects."""
         raise NotImplementedError
 
-    # -- executer hooks (used by Simulator._run_sanitized) ------------------
+    # -- executer hooks (used by Simulator._run_instrumented) ---------------
 
     def pre_event_hook(self):
         """Callable ``hook(entry_key, event)`` run before each handler,

@@ -24,8 +24,8 @@ flit reaches the wire), a flit on the wire, a buffered flit, or a
 credit on its way home.
 
 The four terms move only inside six shimmed methods
-(``CreditTracker.take``/``give``, ``Channel.send_flit``/``_deliver``,
-``CreditChannel.send_credit``/``_deliver``), and the equation is
+(``CreditTracker.take``/``give``, ``Channel.send_flit``/``_deliver_item``,
+``CreditChannel.send_credit``/``_deliver_item``), and the equation is
 checked after each of them -- the exact instants at which it is stable,
 because devices mutate tracker/buffer/channel state atomically within
 one handler.  :meth:`finish` sweeps every link once more, catching
@@ -155,9 +155,9 @@ class CreditSan(Sanitizer):
             return send_flit
 
         def wrap_deliver_flit(original):
-            # `_deliver_item` is the per-item landing hook shared by the
-            # coalesced and legacy delivery paths, so the accounting below
-            # is per flit regardless of how many land in one event.
+            # `_deliver_item` is the per-item landing hook, so the
+            # accounting below is per flit regardless of how many land
+            # in one batch event.
             def _deliver_item(channel, flit):
                 link = by_flit.get(id(channel))
                 if link is None:

@@ -15,18 +15,20 @@ runs parted ways -- far more actionable than "the final latencies
 differ".
 
 DetSan keeps a second, *delivery* digest alongside the event digest.
-Coalesced channel delivery (``repro.net.channel``) merges per-item
-delivery events into per-channel batches, so the executed event stream
-legitimately differs from the legacy one-event-per-item stream even
-though the simulations are identical.  The delivery digest hashes the
+How deliveries are packed into events is not part of a simulation's
+meaning: coalesced channel delivery (``repro.net.channel``) batches
+them per channel, the sharded runtime lands one injected event per
+cut-channel record, and the retired one-event-per-item path scheduled
+one each.  The delivery digest hashes the
 *items* landing at each ``(tick, epsilon)``: item fingerprints within
 one time key are folded commutatively (count + XOR + sum), then the
 per-key bucket is chained in key order.  Two runs produce the same
 delivery digest iff every flit and credit lands on the same channel at
 the same time carrying the same identity -- regardless of how the
-deliveries were packed into events.  This is the cross-path equality
-the golden tests assert; the order-sensitive event digest remains the
-right tool for comparing two runs of the *same* code path.
+deliveries were packed into events.  This is the equality the golden
+tests assert (pinned one-event-per-item digests, sharded vs
+single-process); the order-sensitive event digest remains the right
+tool for comparing two runs of the *same* code path.
 
 CRC32 is deliberate: this is a fast fingerprint for diffing two runs
 the user controls, not a collision-resistant digest, and it keeps the

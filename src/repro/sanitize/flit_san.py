@@ -87,8 +87,7 @@ class FlitSan(Sanitizer):
             return send_flit
 
         def wrap_deliver(original):
-            # Per-item landing hook: shared by the coalesced and legacy
-            # delivery paths, and the flit is removed from the in-network
+            # Per-item landing hook: the flit is removed from the in-network
             # map *before* the interface consumes (and possibly recycles)
             # it, so the id() key is read while it is still unambiguous.
             def _deliver_item(channel, flit):

@@ -105,8 +105,7 @@ def _execute_sweep_job(
     max_time: Optional[int],
     collect: CollectFn,
 ) -> Any:
-    """Build and run one sweep job from plain data; the worker-side half
-    of a parallel sweep.
+    """Build and run one sweep job from plain data.
 
     Module-level (and fed only picklable arguments) so it ships to a
     spawned worker process: the ``Simulation`` is constructed *inside*
@@ -188,13 +187,6 @@ class Sweep:
     def settings_for(self, job: SweepJob) -> Settings:
         return Settings.from_dict(self.base_config, overrides=job.overrides)
 
-    def _run_job(self, job: SweepJob) -> Any:
-        settings = self.settings_for(job)
-        simulation = Simulation(settings)
-        results = simulation.run(max_time=self.max_time)
-        job.result = self.collect(results)
-        return job.result
-
     def run(
         self,
         observer: Optional[Callable[[SweepJob], None]] = None,
@@ -204,58 +196,48 @@ class Sweep:
         """Execute every job; ``workers > 1`` fans out across processes.
 
         ``workers`` defaults to the sweep's ``num_workers`` (itself 1 by
-        default).  With one worker, jobs run serially in this process.
-        With more, each job is shipped to a spawned worker process via
-        :class:`~repro.tools.taskrun.ParallelTaskManager`: the worker
-        rebuilds the ``Simulation`` from the resolved config dict and
-        returns only the collected result, so nothing unpicklable ever
-        crosses the process boundary.  Job results land in cross-product
-        order either way -- ``to_rows()`` output is identical for any
-        worker count (simulations are independently seeded from their
-        settings).
+        default).  Every job is one :func:`_execute_sweep_job` task, run
+        in this process (:class:`~repro.tools.taskrun.TaskManager`) or,
+        with more workers, in spawned worker processes
+        (:class:`~repro.tools.taskrun.ParallelTaskManager`) that rebuild
+        the ``Simulation`` from the resolved config dict and return only
+        the collected result; a ``collect`` that does not pickle makes
+        its jobs run inline.  Results and ``observer`` calls land in
+        cross-product order, each once every earlier job has ended, and
+        ``to_rows()`` is identical for any worker count (simulations are
+        independently seeded from their settings).
 
-        ``job_timeout`` (seconds, parallel mode only) fails any single
-        job that runs too long instead of hanging the sweep.
+        ``job_timeout`` (seconds) fails any job that runs too long
+        instead of hanging the sweep (only a worker process is actually
+        stopped; an in-process job is abandoned).
         """
         if not self.jobs:
             self.generate_jobs()
         if workers is None:
             workers = self.num_workers
-        if workers <= 1:
-            self._run_serial(observer)
-        else:
-            self._run_parallel(observer, workers, job_timeout)
+        workers = max(workers, 1)
+        pairs: List[Tuple[FunctionTask, SweepJob]] = []
+        reported: List[SweepJob] = []
 
-    def _run_serial(self, observer: Optional[Callable[[SweepJob], None]]) -> None:
-        manager = TaskManager(resources={"sim": 1}, num_workers=1)
-        for job in self.jobs:
-            def run_one(job=job):
-                result = self._run_job(job)
+        def report_finished(_task) -> None:
+            # Called at every task end; releases the finished prefix.
+            while len(reported) < len(pairs) and pairs[len(reported)][0].done:
+                task, job = pairs[len(reported)]
+                if task.state == TaskState.SUCCEEDED:
+                    job.result = task.result
+                else:
+                    job.error = job.format_error(
+                        task.error or f"job ended in state {task.state.value}"
+                    )
+                reported.append(job)
                 if observer is not None:
                     observer(job)
-                return result
 
-            manager.add_task(
-                FunctionTask(f"{self.name}:{job.job_id}", run_one,
-                             resources={"sim": 1})
-            )
-        manager.run()
-        for task in manager.failures():
-            job_id = task.name.split(":", 1)[1]
-            for job in self.jobs:
-                if job.job_id == job_id:
-                    job.error = job.format_error(task.error)
-
-    def _run_parallel(
-        self,
-        observer: Optional[Callable[[SweepJob], None]],
-        workers: int,
-        job_timeout: Optional[float],
-    ) -> None:
-        manager = ParallelTaskManager(
-            resources={"sim": workers}, num_workers=workers
+        manager_class = ParallelTaskManager if workers > 1 else TaskManager
+        manager = manager_class(
+            resources={"sim": workers}, num_workers=workers,
+            observer=report_finished,
         )
-        pairs = []
         for job in self.jobs:
             task = FunctionTask(
                 f"{self.name}:{job.job_id}",
@@ -264,24 +246,8 @@ class Sweep:
                 resources={"sim": 1},
                 timeout=job_timeout,
             )
-            manager.add_task(task)
-            pairs.append((task, job))
+            pairs.append((manager.add_task(task), job))
         manager.run()
-        # Results attach to jobs in cross-product order, independent of
-        # completion order; observers likewise fire in job order (after
-        # the fact -- per-job progress streaming is a serial-mode
-        # nicety).
-        for task, job in pairs:
-            if task.state == TaskState.SUCCEEDED:
-                job.result = task.result
-            elif task.error is not None:
-                job.error = job.format_error(task.error)
-            else:
-                job.error = job.format_error(
-                    f"job ended in state {task.state.value}"
-                )
-            if observer is not None:
-                observer(job)
 
     # -- sanitized smoke run ------------------------------------------------------------
 

@@ -18,15 +18,19 @@ Core concepts:
   exists").
 * :class:`ResourceManager` -- named capacities; a task runs only when
   all its demands fit, and returns them on completion.
-* :class:`TaskManager` -- topological scheduling with a worker pool.
+* :class:`TaskManager` -- topological scheduling over in-process
+  threads; :class:`ParallelTaskManager` -- the same scheduler over a
+  pool of spawned worker processes.
 
-Failure semantics: a failed task marks all transitive dependents as
+Failure semantics: a failed task (its function, its command, its
+condition, or its ``timeout``) marks all transitive dependents as
 cancelled; independent subgraphs keep running.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import os
 import pickle
 import subprocess
@@ -52,8 +56,9 @@ class TaskState(enum.Enum):
     FAILED = "failed"
     CANCELLED = "cancelled"
 
-_TERMINAL = (TaskState.SUCCEEDED, TaskState.SKIPPED, TaskState.FAILED,
-             TaskState.CANCELLED)
+_SATISFIED = (TaskState.SUCCEEDED, TaskState.SKIPPED)
+_BLOCKED = (TaskState.FAILED, TaskState.CANCELLED)
+_TERMINAL = _SATISFIED + _BLOCKED
 
 
 class TaskError(RuntimeError):
@@ -256,13 +261,106 @@ class ResourceManager:
                     )
 
 
-class TaskManager:
-    """Builds and executes a task DAG.
+class TaskTimeout(RuntimeError):
+    """A task exceeded its ``timeout``."""
 
-    ``num_workers`` > 1 uses a thread pool (appropriate for process
-    tasks and IO-heavy function tasks; CPython-bound function tasks
-    still serialize on the GIL, matching TaskRun's role as an
-    orchestrator rather than a parallel compute engine).
+
+class _ThreadExecutor:
+    """Runs each task's ``execute()`` on its own daemon thread.
+
+    For process tasks and IO-heavy function tasks; CPU-bound Python
+    still serializes on the GIL.  Daemon threads, because a timed-out
+    task cannot be interrupted and must not keep the interpreter alive.
+    """
+
+    def submit(self, task: Task):
+        import concurrent.futures as cf
+
+        future = cf.Future()
+        # Running from the start: cancel() then always reports "too
+        # late" and a timed-out task is abandoned, never half-cancelled.
+        future.set_running_or_notify_cancel()
+
+        def work() -> None:
+            try:
+                future.set_result(task.execute())
+            except BaseException as exc:  # noqa: BLE001 - handed to the scheduler
+                future.set_exception(exc)
+
+        threading.Thread(target=work, daemon=True).start()
+        return future
+
+    def store(self, task: Task, value: Any) -> None:
+        task.result = value
+
+    def shutdown(self, abandoned: bool) -> None:
+        pass
+
+
+class _ProcessExecutor:
+    """Ships each task's :meth:`Task.payload` to a spawned worker process.
+
+    A task whose payload is ``None`` or does not pickle (e.g. a closure
+    over live objects) is declined -- ``submit`` returns ``None`` and
+    the scheduler runs it inline in the parent process.  Workers are
+    started with the ``spawn`` method: forking a process that holds live
+    simulator state is a rich source of latent bugs, and spawn behaves
+    identically across platforms.
+    """
+
+    def __init__(self, num_workers: int):
+        import concurrent.futures as cf
+        import multiprocessing
+
+        self._pool = cf.ProcessPoolExecutor(
+            max_workers=num_workers,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+
+    def submit(self, task: Task):
+        payload = task.payload()
+        if payload is None:
+            return None
+        try:
+            pickle.dumps(payload)
+        except Exception:  # noqa: BLE001 - any pickling failure means inline
+            return None
+        func, args, kwargs = payload
+        return self._pool.submit(func, *args, **kwargs)
+
+    def store(self, task: Task, value: Any) -> None:
+        task.apply_result(value)
+
+    def shutdown(self, abandoned: bool) -> None:
+        if abandoned:
+            # Workers still chewing on timed-out payloads would block a
+            # clean shutdown indefinitely; everything we still care
+            # about has completed, so put them down first -- the pool
+            # notices the dead workers, marks itself broken, and
+            # shutdown returns promptly.
+            for proc in list((getattr(self._pool, "_processes", None) or {}).values()):
+                proc.terminate()
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+
+class TaskManager:
+    """Builds and executes a task DAG on in-process worker threads.
+
+    One scheduler loop (:meth:`run`) serves this class and
+    :class:`ParallelTaskManager`; they differ only in the executor that
+    carries a ready task's work:
+
+    * Tasks start in insertion order as their dependencies succeed (or
+      are skipped), their condition holds, one of ``num_workers`` is
+      free and their resource demands fit.
+    * A false condition SKIPs the task; a failing condition, work or
+      ``timeout`` FAILs it (``task.error`` set) and CANCELs its
+      transitive dependents.
+    * An overdue task fails with :class:`TaskTimeout` and its worker is
+      abandoned (running work cannot be interrupted portably; the late
+      result is discarded).
+    * The returned ``{name: state}`` dict and all task results are in
+      task-insertion order regardless of completion order.
     """
 
     def __init__(
@@ -284,10 +382,6 @@ class TaskManager:
         self.resource_manager.validate(task)
         self.tasks.append(task)
         return task
-
-    def function_task(self, name: str, func, *args, **kwargs) -> FunctionTask:
-        task = FunctionTask(name, func, args, kwargs)
-        return self.add_task(task)
 
     def _check_acyclic(self) -> List[Task]:
         """Kahn's algorithm; returns a topological order or raises."""
@@ -317,91 +411,115 @@ class TaskManager:
 
     # -- execution -----------------------------------------------------------------
 
+    def _executor(self):
+        return _ThreadExecutor()
+
     def run(self) -> Dict[str, TaskState]:
         """Execute the graph; returns {task name: final state}."""
+        # Imported where used (here and in the executors): importing
+        # repro.tools for ssparse alone should not pay ~1.6 MB for them.
+        import concurrent.futures as cf
+
         self._check_acyclic()
-        lock = threading.Lock()
-        ready_cv = threading.Condition(lock)
-        remaining = [t for t in self.tasks]
+        resources = self.resource_manager
+        # future -> (task, monotonic deadline; inf without a timeout)
+        running: Dict[Any, Tuple[Task, float]] = {}
+        abandoned: set = set()  # timed-out futures whose results we drop
 
-        def dependencies_satisfied(task: Task) -> bool:
-            return all(
-                d.state in (TaskState.SUCCEEDED, TaskState.SKIPPED)
-                for d in task.dependencies
-            )
+        def settle(task, state, error=None, held=True) -> None:
+            """Record a final state; ``held``: the task acquired resources."""
+            task.state, task.error = state, error
+            if held:
+                resources.release(task)
+            if self._observer is not None:
+                self._observer(task)
 
-        def cancel_dependents(task: Task) -> None:
-            for dependent in task.dependents:
-                if not dependent.done:
-                    dependent.state = TaskState.CANCELLED
-                    self._notify(dependent)
-                    cancel_dependents(dependent)
-
-        def next_task() -> Optional[Task]:
-            # Called with the lock held.
-            for task in remaining:
-                if task.done or task.state == TaskState.RUNNING:
-                    continue
-                if any(d.state in (TaskState.FAILED, TaskState.CANCELLED)
-                       for d in task.dependencies):
-                    task.state = TaskState.CANCELLED
-                    self._notify(task)
-                    cancel_dependents(task)
-                    continue
-                if not dependencies_satisfied(task):
-                    continue
-                if task.condition is not None and not task.condition():
-                    task.state = TaskState.SKIPPED
-                    self._notify(task)
-                    ready_cv.notify_all()
-                    continue
-                if self.resource_manager.try_acquire(task):
-                    task.state = TaskState.RUNNING
-                    return task
-            return None
-
-        def all_done() -> bool:
-            return all(t.done for t in self.tasks)
-
-        def worker() -> None:
+        executor = self._executor()
+        try:
             while True:
-                with ready_cv:
-                    task = next_task()
-                    while task is None:
-                        if all_done():
-                            ready_cv.notify_all()
-                            return
-                        # A task may be blocked on resources or deps.
-                        if not ready_cv.wait(timeout=0.05):
-                            pass
-                        task = next_task()
-                try:
-                    task.result = task.execute()
-                    task.state = TaskState.SUCCEEDED
-                except BaseException as exc:  # noqa: BLE001 - report and contain
-                    task.error = exc
-                    task.state = TaskState.FAILED
-                finally:
-                    self.resource_manager.release(task)
-                with ready_cv:
-                    if task.state == TaskState.FAILED:
-                        cancel_dependents(task)
-                    self._notify(task)
-                    ready_cv.notify_all()
-
-        threads = [
-            threading.Thread(target=worker, daemon=True)
-            for _ in range(self.num_workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+                # Launch every task that became ready and cancel every task
+                # a failure cut off, until a scan changes nothing (a skip, a
+                # cancellation or an inline run can unblock others).
+                progressed = True
+                while progressed:
+                    progressed = False
+                    for task in self.tasks:
+                        if task.state is not TaskState.PENDING:
+                            continue
+                        if any(d.state in _BLOCKED for d in task.dependencies):
+                            settle(task, TaskState.CANCELLED, held=False)
+                            progressed = True
+                            continue
+                        if not all(d.state in _SATISFIED for d in task.dependencies):
+                            continue
+                        if task.condition is not None:
+                            try:
+                                wanted = task.condition()
+                            except Exception as exc:  # noqa: BLE001 - the task fails
+                                settle(task, TaskState.FAILED, exc, held=False)
+                                progressed = True
+                                continue
+                            if not wanted:
+                                settle(task, TaskState.SKIPPED, held=False)
+                                progressed = True
+                                continue
+                        if len(running) >= self.num_workers:
+                            continue
+                        if not resources.try_acquire(task):
+                            continue
+                        task.state = TaskState.RUNNING
+                        progressed = True
+                        future = executor.submit(task)
+                        if future is None:
+                            # Declined by the executor: run inline.
+                            try:
+                                task.result = task.execute()
+                            except Exception as exc:  # noqa: BLE001 - the task fails
+                                settle(task, TaskState.FAILED, exc)
+                            else:
+                                settle(task, TaskState.SUCCEEDED)
+                            continue
+                        running[future] = (task, time.monotonic() + (
+                            math.inf if task.timeout is None else task.timeout
+                        ))
+                if not running:
+                    if all(t.done for t in self.tasks):
+                        break
+                    # Nothing running, nothing launchable: deadlock
+                    # (shouldn't happen with validated resources).
+                    stuck = [t.name for t in self.tasks if not t.done]
+                    raise TaskError(f"no runnable tasks among {stuck}")
+                # Wait for a completion (or the nearest deadline).
+                nearest = min(deadline for _, deadline in running.values())
+                done, _ = cf.wait(
+                    set(running) | abandoned,
+                    timeout=None if nearest == math.inf
+                    else max(0.0, nearest - time.monotonic()),
+                    return_when=cf.FIRST_COMPLETED,
+                )
+                for future in done:
+                    if future in abandoned:
+                        abandoned.discard(future)
+                        continue
+                    task, _ = running.pop(future)
+                    try:
+                        executor.store(task, future.result())
+                    except BaseException as exc:  # noqa: BLE001 - the task's own
+                        settle(task, TaskState.FAILED, exc)
+                    else:
+                        settle(task, TaskState.SUCCEEDED)
+                now = time.monotonic()
+                for future, (task, deadline) in list(running.items()):
+                    if now > deadline:
+                        del running[future]
+                        if not future.cancel():
+                            abandoned.add(future)
+                        settle(task, TaskState.FAILED, TaskTimeout(
+                            f"task {task.name!r} exceeded {task.timeout}s"
+                        ))
+        finally:
+            executor.shutdown(bool(abandoned))
         return {task.name: task.state for task in self.tasks}
-
-    def _notify(self, task: Task) -> None:
-        if self._observer is not None:
-            self._observer(task)
 
     # -- reporting ---------------------------------------------------------------------
 
@@ -409,45 +527,18 @@ class TaskManager:
         return [t for t in self.tasks if t.state == TaskState.FAILED]
 
     def succeeded(self) -> bool:
-        return all(
-            t.state in (TaskState.SUCCEEDED, TaskState.SKIPPED) for t in self.tasks
-        )
-
-
-class TaskTimeout(RuntimeError):
-    """A task exceeded its ``timeout`` under :class:`ParallelTaskManager`."""
+        return all(t.state in _SATISFIED for t in self.tasks)
 
 
 class ParallelTaskManager(TaskManager):
-    """Dependency-ordered execution across a pool of worker *processes*.
+    """:class:`TaskManager` over a pool of worker *processes*.
 
-    Unlike :class:`TaskManager`'s thread pool (which serializes
-    CPU-bound Python on the GIL), this manager ships each ready task's
-    :meth:`Task.payload` to a ``ProcessPoolExecutor`` worker and applies
-    the returned value to the parent-side task.  This is the engine
-    behind ``Sweep.run(workers=N)``: each simulation runs in its own
-    process and only the collected result rows travel back.
-
-    Semantics:
-
-    * Dependency edges, conditions, resources, and failure propagation
-      match :class:`TaskManager` exactly.
-    * A task whose payload is ``None`` or does not pickle (e.g. a
-      closure over live objects) runs *inline* in the parent process --
-      the graph still completes, it just doesn't parallelize that task.
-    * ``task.timeout`` is enforced by deadline: an overdue task is
-      marked FAILED with :class:`TaskTimeout` and its future abandoned
-      (a running worker cannot be interrupted portably mid-payload; the
-      late result is discarded, and any worker still chewing on an
-      abandoned payload is terminated once the rest of the graph is
-      done).
-    * The returned ``{name: state}`` dict and all task results are in
-      task-insertion order regardless of completion order, so parallel
-      runs are observationally deterministic.
-
-    Workers are started with the ``spawn`` method: forking a process
-    that holds live simulator state is a rich source of latent bugs,
-    and spawn behaves identically across platforms.
+    Each ready task's :meth:`Task.payload` runs in a spawned worker and
+    the returned value is applied to the parent-side task; tasks without
+    a picklable payload run inline in the parent.  This is the engine
+    behind ``Sweep.run(workers=N)``.  Scheduling semantics are
+    :meth:`TaskManager.run`'s; once the graph is done, workers still
+    busy with timed-out payloads are terminated.
     """
 
     def __init__(
@@ -460,139 +551,5 @@ class ParallelTaskManager(TaskManager):
             num_workers = os.cpu_count() or 1
         super().__init__(resources, num_workers, observer)
 
-    def run(self) -> Dict[str, TaskState]:
-        import concurrent.futures as cf
-        import multiprocessing
-
-        self._check_acyclic()
-        mp_context = multiprocessing.get_context("spawn")
-
-        def cancel_dependents(task: Task) -> None:
-            for dependent in task.dependents:
-                if not dependent.done:
-                    dependent.state = TaskState.CANCELLED
-                    self._notify(dependent)
-                    cancel_dependents(dependent)
-
-        def finish(task: Task, state: TaskState) -> None:
-            task.state = state
-            self.resource_manager.release(task)
-            if state == TaskState.FAILED:
-                cancel_dependents(task)
-            self._notify(task)
-
-        running: Dict[Any, Task] = {}  # future -> task
-        deadlines: Dict[Any, float] = {}  # future -> monotonic deadline
-        abandoned: set = set()  # timed-out futures whose results we drop
-
-        pool = cf.ProcessPoolExecutor(
-            max_workers=self.num_workers, mp_context=mp_context
-        )
-        try:
-            while True:
-                # Launch every task that became ready.
-                progressed = True
-                while progressed:
-                    progressed = False
-                    for task in self.tasks:
-                        if task.done or task.state == TaskState.RUNNING:
-                            continue
-                        if any(
-                            d.state in (TaskState.FAILED, TaskState.CANCELLED)
-                            for d in task.dependencies
-                        ):
-                            task.state = TaskState.CANCELLED
-                            self._notify(task)
-                            cancel_dependents(task)
-                            progressed = True
-                            continue
-                        if not all(
-                            d.state in (TaskState.SUCCEEDED, TaskState.SKIPPED)
-                            for d in task.dependencies
-                        ):
-                            continue
-                        if task.condition is not None and not task.condition():
-                            task.state = TaskState.SKIPPED
-                            self._notify(task)
-                            progressed = True
-                            continue
-                        if not self.resource_manager.try_acquire(task):
-                            continue
-                        task.state = TaskState.RUNNING
-                        progressed = True
-                        payload = task.payload()
-                        if payload is not None:
-                            try:
-                                pickle.dumps(payload)
-                            except Exception:
-                                payload = None
-                        if payload is None:
-                            # Not parallelizable: run inline.
-                            try:
-                                task.result = task.execute()
-                                finish(task, TaskState.SUCCEEDED)
-                            except BaseException as exc:  # noqa: BLE001
-                                task.error = exc
-                                finish(task, TaskState.FAILED)
-                            continue
-                        func, args, kwargs = payload
-                        future = pool.submit(func, *args, **kwargs)
-                        running[future] = task
-                        if task.timeout is not None:
-                            deadlines[future] = time.monotonic() + task.timeout
-
-                if not running:
-                    if all(t.done for t in self.tasks):
-                        break
-                    if not any(t.state == TaskState.RUNNING for t in self.tasks):
-                        # Nothing running, nothing launchable: deadlock
-                        # (shouldn't happen with validated resources).
-                        stuck = [t.name for t in self.tasks if not t.done]
-                        raise TaskError(f"no runnable tasks among {stuck}")
-
-                # Wait for a completion (or the nearest deadline).
-                wait_timeout = None
-                if deadlines:
-                    wait_timeout = max(
-                        0.0, min(deadlines.values()) - time.monotonic()
-                    )
-                done, _ = cf.wait(
-                    set(running) | abandoned,
-                    timeout=wait_timeout,
-                    return_when=cf.FIRST_COMPLETED,
-                )
-                for future in done:
-                    if future in abandoned:
-                        abandoned.discard(future)
-                        continue
-                    task = running.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        task.apply_result(future.result())
-                        finish(task, TaskState.SUCCEEDED)
-                    except BaseException as exc:  # noqa: BLE001
-                        task.error = exc
-                        finish(task, TaskState.FAILED)
-                now = time.monotonic()
-                for future, deadline in list(deadlines.items()):
-                    if now > deadline and future in running:
-                        task = running.pop(future)
-                        deadlines.pop(future, None)
-                        if not future.cancel():
-                            abandoned.add(future)
-                        task.error = TaskTimeout(
-                            f"task {task.name!r} exceeded {task.timeout}s"
-                        )
-                        finish(task, TaskState.FAILED)
-        finally:
-            if abandoned:
-                # Workers still chewing on timed-out payloads would
-                # block a clean shutdown indefinitely; everything we
-                # still care about has completed, so put them down
-                # first -- the pool notices the dead workers, marks
-                # itself broken, and shutdown returns promptly.
-                for proc in list((getattr(pool, "_processes", None) or {}).values()):
-                    proc.terminate()
-            pool.shutdown(wait=True, cancel_futures=True)
-
-        return {task.name: task.state for task in self.tasks}
+    def _executor(self):
+        return _ProcessExecutor(self.num_workers)

@@ -237,6 +237,42 @@ def test_max_events_budget_is_per_run(simulator):
     assert order == [1, 2, 3, 4, 5, 6]
 
 
+@pytest.fixture(params=["plain", "sanitized"])
+def engine(request):
+    """A bare engine, alone and with EventSan's hooks attached: budgeted
+    runs take the one instrumented loop either way."""
+    simulator = Simulator()
+    if request.param == "plain":
+        yield simulator
+        return
+    from types import SimpleNamespace
+
+    from repro.sanitize import attach_sanitizers
+
+    with attach_sanitizers(SimpleNamespace(simulator=simulator), "event"):
+        assert simulator._sanitizer is not None
+        yield simulator
+
+
+def test_max_events_zero_executes_nothing(engine):
+    fired = []
+    engine.call_at(1, lambda e: fired.append(1))
+    engine.run(max_events=0)
+    assert fired == []
+    assert engine.executed_events == 0
+    assert engine.pending_events == 1
+    engine.run(max_events=1)
+    assert fired == [1]
+
+
+@pytest.mark.parametrize("limits", [{"max_events": -1}, {"max_seconds": -0.5}])
+def test_negative_budget_rejected(engine, limits):
+    engine.call_at(1, lambda e: None)
+    with pytest.raises(SimulationError, match="must be >= 0"):
+        engine.run(**limits)
+    assert engine.executed_events == 0
+
+
 def test_max_seconds_generous_deadline_completes(simulator):
     for tick in range(1, 5):
         simulator.call_at(tick, lambda e: None)
@@ -257,15 +293,6 @@ def test_epsilon_beyond_packed_limit_rejected(simulator):
         simulator.add_event(Event(lambda e: None), 1, epsilon=EPSILON_LIMIT)
 
 
-def test_pool_disabled_never_recycles():
-    simulator = Simulator(event_pool_size=0)
-    for i in range(10):
-        simulator.call_at(i + 1, lambda e: None)
-    simulator.run()
-    assert simulator.recycled_events == 0
-    assert simulator.executed_events == 10
-
-
 def test_index_error_in_handler_propagates(simulator):
     def bad(event):
         [].pop()
@@ -282,3 +309,49 @@ def test_index_error_in_handler_propagates_with_max_time(simulator):
     simulator.call_at(1, bad)
     with pytest.raises(IndexError, match="from handler"):
         simulator.run(max_time=100)
+
+
+# -- run_until windows over the fast loop --------------------------------------
+
+
+def test_run_until_windows_are_resumable(simulator):
+    fired = []
+    for tick, epsilon in [(1, 0), (4, 7), (5, 0), (5, 3), (9, 0)]:
+        simulator.call_at(
+            tick, lambda e: fired.append((e.tick, e.epsilon)), epsilon=epsilon
+        )
+    # Window [0, 5): every epsilon of tick 4 runs, nothing of tick 5;
+    # the first event past the limit was popped and must be put back.
+    assert simulator.run_until(5) == 2
+    assert fired == [(1, 0), (4, 7)]
+    assert simulator.now == TimeStep(4, 7)
+    assert simulator.executed_events == 2
+    assert simulator.pending_events == 3
+    # An empty window executes nothing and leaves the clock alone.
+    assert simulator.run_until(5) == 0
+    assert simulator.now == TimeStep(4, 7)
+    # Injection between windows lands in order with the put-back event.
+    simulator.inject(5, lambda e: fired.append("injected"), epsilon=1)
+    assert simulator.run_until(6) == 3
+    assert fired[2:] == [(5, 0), "injected", (5, 3)]
+    assert simulator.now == TimeStep(5, 3)
+    assert simulator.executed_events == 5
+    # A plain run() resumes from the same queue state.
+    simulator.run()
+    assert fired[-1] == (9, 0)
+    assert simulator.executed_events == 6
+    assert simulator.pending_events == 0
+
+
+def test_run_until_propagates_index_error_from_handler(simulator):
+    def bad(event):
+        raise IndexError("from handler")
+
+    simulator.call_at(2, bad)
+    simulator.call_at(3, lambda e: None)
+    with pytest.raises(IndexError, match="from handler"):
+        simulator.run_until(10)
+    # The failing event still counts as popped, not executed; the rest
+    # of the queue is intact.
+    assert simulator.now == TimeStep(2, 0)
+    assert simulator.pending_events == 1

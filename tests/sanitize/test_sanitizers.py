@@ -196,9 +196,9 @@ def test_detach_restores_patched_methods():
 
     originals = (
         Channel.send_flit,
-        Channel._deliver,
+        Channel._deliver_item,
         CreditChannel.send_credit,
-        CreditChannel._deliver,
+        CreditChannel._deliver_item,
         CreditTracker.take,
         CreditTracker.give,
         Event.cancel,
@@ -214,9 +214,9 @@ def test_detach_restores_patched_methods():
                    zip(patched, (originals[0], originals[4], originals[6])))
     assert (
         Channel.send_flit,
-        Channel._deliver,
+        Channel._deliver_item,
         CreditChannel.send_credit,
-        CreditChannel._deliver,
+        CreditChannel._deliver_item,
         CreditTracker.take,
         CreditTracker.give,
         Event.cancel,

@@ -61,3 +61,16 @@ def test_parallel_sweep_captures_per_job_failure():
     assert bad.error is not None and bad.result is None
     rows = sweep.to_rows()
     assert "error" in rows[1] and "error" not in rows[0]
+
+
+def test_unpicklable_collect_runs_inline_with_identical_rows():
+    """One job path for every worker count: a ``collect`` that cannot be
+    shipped to a worker makes its jobs run inline, not fail."""
+    def run(workers):
+        sweep = _make_sweep()
+        sweep.collect = lambda results: {"end": results.end_tick}
+        sweep.run(workers=workers)
+        assert all(job.error is None for job in sweep.jobs)
+        return sweep.to_rows()
+
+    assert run(1) == run(2)

@@ -1,5 +1,13 @@
-"""taskrun: dependency ordering, resources, conditions, failures."""
+"""taskrun: dependency ordering, resources, conditions, failures.
 
+The scheduler is one loop behind two executors (``TaskManager``:
+in-process threads, ``ParallelTaskManager``: spawned processes); the
+``manager_class`` tests run against both.  Their payloads are
+module-level functions so they really cross the process boundary --
+lambdas only pickle nowhere and would run inline.
+"""
+
+import sys
 import threading
 import time
 
@@ -7,13 +15,146 @@ import pytest
 
 from repro.tools.taskrun import (
     FunctionTask,
+    ParallelTaskManager,
     ProcessTask,
     ResourceManager,
-    Task,
     TaskError,
     TaskManager,
     TaskState,
+    TaskTimeout,
 )
+
+
+def _square(x):
+    return x * x
+
+
+def _boom():
+    raise ValueError("boom")
+
+
+def _sleep_forever():
+    time.sleep(300)
+    return "too late"
+
+
+@pytest.fixture(params=[TaskManager, ParallelTaskManager],
+                ids=["threads", "processes"])
+def manager_class(request):
+    return request.param
+
+
+# -- semantics shared by both executors ---------------------------------------
+
+
+def test_results_in_insertion_order(manager_class):
+    manager = manager_class(num_workers=2)
+    tasks = [
+        manager.add_task(FunctionTask(f"sq{i}", _square, (i,)))
+        for i in range(5)
+    ]
+    states = manager.run()
+    assert all(s == TaskState.SUCCEEDED for s in states.values())
+    assert [t.result for t in tasks] == [0, 1, 4, 9, 16]
+    # Result ordering follows task insertion order, not completion order.
+    assert list(states) == [f"sq{i}" for i in range(5)]
+
+
+def test_dependencies_honored(manager_class):
+    manager = manager_class(num_workers=2)
+    a = manager.add_task(FunctionTask("a", _square, (2,)))
+    b = manager.add_task(FunctionTask("b", _square, (3,)))
+    b.depends_on(a)
+    states = manager.run()
+    assert states == {"a": TaskState.SUCCEEDED, "b": TaskState.SUCCEEDED}
+
+
+def test_failure_cancels_dependents_but_not_siblings(manager_class):
+    manager = manager_class(num_workers=2)
+    bad = manager.add_task(FunctionTask("bad", _boom))
+    child = manager.add_task(FunctionTask("child", _square, (1,)))
+    grandchild = manager.add_task(FunctionTask("grandchild", _square, (1,)))
+    other = manager.add_task(FunctionTask("other", _square, (5,)))
+    child.depends_on(bad)
+    grandchild.depends_on(child)
+    states = manager.run()
+    assert states["bad"] == TaskState.FAILED
+    assert isinstance(bad.error, ValueError)
+    assert states["child"] == TaskState.CANCELLED
+    assert states["grandchild"] == TaskState.CANCELLED
+    assert child.result is None and grandchild.result is None
+    # Independent subgraphs keep running.
+    assert states["other"] == TaskState.SUCCEEDED
+    assert other.result == 25
+    assert not manager.succeeded()
+    assert [t.name for t in manager.failures()] == ["bad"]
+
+
+def test_condition_skips_task_but_runs_dependents(manager_class):
+    manager = manager_class(num_workers=2)
+    skipped = manager.add_task(
+        FunctionTask("skipped", _square, (1,), condition=lambda: False)
+    )
+    dependent = manager.add_task(FunctionTask("dependent", _square, (3,)))
+    dependent.depends_on(skipped)
+    states = manager.run()
+    assert states["skipped"] == TaskState.SKIPPED
+    assert skipped.result is None
+    assert states["dependent"] == TaskState.SUCCEEDED
+    assert dependent.result == 9
+    assert manager.succeeded()
+
+
+def test_raising_condition_fails_the_task_only(manager_class):
+    def broken_condition():
+        raise KeyError("condition blew up")
+
+    manager = manager_class(num_workers=2)
+    broken = manager.add_task(
+        FunctionTask("broken", _square, (1,), condition=broken_condition)
+    )
+    child = manager.add_task(FunctionTask("child", _square, (2,)))
+    other = manager.add_task(FunctionTask("other", _square, (5,)))
+    child.depends_on(broken)
+    states = manager.run()
+    assert states["broken"] == TaskState.FAILED
+    assert isinstance(broken.error, KeyError)
+    assert broken.result is None
+    assert states["child"] == TaskState.CANCELLED
+    assert states["other"] == TaskState.SUCCEEDED
+    assert other.result == 25
+    assert [t.name for t in manager.failures()] == ["broken"]
+
+
+def test_process_task_captures_output(manager_class):
+    manager = manager_class(num_workers=2)
+    task = manager.add_task(
+        ProcessTask("echo", [sys.executable, "-c", "print('hi')"])
+    )
+    states = manager.run()
+    assert states["echo"] == TaskState.SUCCEEDED
+    assert task.result == 0
+    assert task.stdout.strip() == "hi"
+
+
+def test_timeout_fails_task(manager_class):
+    manager = manager_class(num_workers=2)
+    slow = manager.add_task(
+        FunctionTask("slow", _sleep_forever, timeout=0.3)
+    )
+    quick = manager.add_task(FunctionTask("quick", _square, (6,)))
+    start = time.monotonic()
+    states = manager.run()
+    elapsed = time.monotonic() - start
+    assert states["slow"] == TaskState.FAILED
+    assert isinstance(slow.error, TaskTimeout)
+    assert states["quick"] == TaskState.SUCCEEDED
+    assert quick.result == 36
+    # The abandoned worker must not hold the run hostage for 300s.
+    assert elapsed < 60
+
+
+# -- in-process specifics (closures over test state) --------------------------
 
 
 def test_dependency_order():
@@ -43,58 +184,6 @@ def test_diamond_dependencies():
     assert order[0] == "top"
     assert order[-1] == "bottom"
     assert set(order[1:3]) == {"left", "right"}
-
-
-def test_results_propagate():
-    manager = TaskManager()
-    task = manager.add_task(FunctionTask("compute", lambda x: x * 2, args=(21,)))
-    manager.run()
-    assert task.result == 42
-
-
-def test_failure_cancels_dependents_but_not_siblings():
-    ran = []
-    manager = TaskManager()
-
-    def boom():
-        raise RuntimeError("nope")
-
-    failing = manager.add_task(FunctionTask("failing", boom))
-    child = manager.add_task(FunctionTask("child", lambda: ran.append("child")))
-    grandchild = manager.add_task(
-        FunctionTask("grandchild", lambda: ran.append("grandchild"))
-    )
-    independent = manager.add_task(
-        FunctionTask("independent", lambda: ran.append("independent"))
-    )
-    child.depends_on(failing)
-    grandchild.depends_on(child)
-    states = manager.run()
-    assert states["failing"] == TaskState.FAILED
-    assert states["child"] == TaskState.CANCELLED
-    assert states["grandchild"] == TaskState.CANCELLED
-    assert states["independent"] == TaskState.SUCCEEDED
-    assert ran == ["independent"]
-    assert not manager.succeeded()
-    assert [t.name for t in manager.failures()] == ["failing"]
-
-
-def test_condition_skips_task_but_runs_dependents():
-    ran = []
-    manager = TaskManager()
-    skipped = manager.add_task(
-        FunctionTask("skipped", lambda: ran.append("skipped"),
-                     condition=lambda: False)
-    )
-    dependent = manager.add_task(
-        FunctionTask("dependent", lambda: ran.append("dependent"))
-    )
-    dependent.depends_on(skipped)
-    states = manager.run()
-    assert states["skipped"] == TaskState.SKIPPED
-    assert states["dependent"] == TaskState.SUCCEEDED
-    assert ran == ["dependent"]
-    assert manager.succeeded()
 
 
 def test_condition_true_runs():

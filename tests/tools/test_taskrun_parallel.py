@@ -1,54 +1,24 @@
-"""ParallelTaskManager: process fan-out, dependencies, timeouts, fallback.
+"""ParallelTaskManager specifics: process fan-out and the inline fallback.
 
-Worker payloads must be module-level functions -- spawned processes
-pickle the ``(func, args, kwargs)`` triple.  Anything unpicklable (the
-lambdas the serial manager happily runs) must fall back to inline
-execution rather than fail.
+Scheduling semantics shared with ``TaskManager`` (ordering, failures,
+conditions, timeouts) are covered once, over both executors, in
+``test_taskrun.py``.  Worker payloads must be module-level functions --
+spawned processes pickle the ``(func, args, kwargs)`` triple.  Anything
+unpicklable (the lambdas the thread executor happily runs) must fall
+back to inline execution rather than fail.
 """
 
 import os
-import sys
-import time
 
-import pytest
-
-from repro.tools.taskrun import (
-    FunctionTask,
-    ParallelTaskManager,
-    ProcessTask,
-    TaskState,
-    TaskTimeout,
-)
+from repro.tools.taskrun import FunctionTask, ParallelTaskManager, TaskState
 
 
 def _square(x):
     return x * x
 
 
-def _boom():
-    raise ValueError("boom")
-
-
-def _sleep_forever():
-    time.sleep(300)
-    return "too late"
-
-
 def _pid():
     return os.getpid()
-
-
-def test_parallel_function_tasks_return_results():
-    manager = ParallelTaskManager(num_workers=2)
-    tasks = [
-        manager.add_task(FunctionTask(f"sq{i}", _square, (i,)))
-        for i in range(5)
-    ]
-    states = manager.run()
-    assert all(s == TaskState.SUCCEEDED for s in states.values())
-    assert [t.result for t in tasks] == [0, 1, 4, 9, 16]
-    # Result ordering follows task insertion order, not completion order.
-    assert list(states) == [f"sq{i}" for i in range(5)]
 
 
 def test_parallel_runs_in_worker_processes():
@@ -58,30 +28,6 @@ def test_parallel_runs_in_worker_processes():
     for task in tasks:
         assert task.state == TaskState.SUCCEEDED
         assert task.result != os.getpid()
-
-
-def test_parallel_dependencies_honored():
-    manager = ParallelTaskManager(num_workers=2)
-    a = manager.add_task(FunctionTask("a", _square, (2,)))
-    b = manager.add_task(FunctionTask("b", _square, (3,)))
-    b.depends_on(a)
-    states = manager.run()
-    assert states == {"a": TaskState.SUCCEEDED, "b": TaskState.SUCCEEDED}
-
-
-def test_parallel_failure_cancels_dependents():
-    manager = ParallelTaskManager(num_workers=2)
-    bad = manager.add_task(FunctionTask("bad", _boom))
-    child = manager.add_task(FunctionTask("child", _square, (1,)))
-    other = manager.add_task(FunctionTask("other", _square, (5,)))
-    child.depends_on(bad)
-    states = manager.run()
-    assert states["bad"] == TaskState.FAILED
-    assert isinstance(bad.error, ValueError)
-    assert states["child"] == TaskState.CANCELLED
-    # Independent subgraphs keep running.
-    assert states["other"] == TaskState.SUCCEEDED
-    assert other.result == 25
 
 
 def test_unpicklable_payload_falls_back_inline():
@@ -95,39 +41,3 @@ def test_unpicklable_payload_falls_back_inline():
     assert states["closure"] == TaskState.SUCCEEDED
     assert captured == [1]
     assert picklable.result == 16
-
-
-def test_parallel_condition_skips():
-    manager = ParallelTaskManager(num_workers=2)
-    manager.add_task(FunctionTask("skipme", _square, (1,),
-                                  condition=lambda: False))
-    states = manager.run()
-    assert states["skipme"] == TaskState.SKIPPED
-
-
-def test_parallel_process_task():
-    manager = ParallelTaskManager(num_workers=2)
-    task = manager.add_task(
-        ProcessTask("echo", [sys.executable, "-c", "print('hi')"])
-    )
-    states = manager.run()
-    assert states["echo"] == TaskState.SUCCEEDED
-    assert task.result == 0
-    assert task.stdout.strip() == "hi"
-
-
-def test_parallel_timeout_fails_task():
-    manager = ParallelTaskManager(num_workers=2)
-    slow = manager.add_task(
-        FunctionTask("slow", _sleep_forever, timeout=0.3)
-    )
-    quick = manager.add_task(FunctionTask("quick", _square, (6,)))
-    start = time.monotonic()
-    states = manager.run()
-    elapsed = time.monotonic() - start
-    assert states["slow"] == TaskState.FAILED
-    assert isinstance(slow.error, TaskTimeout)
-    assert states["quick"] == TaskState.SUCCEEDED
-    assert quick.result == 36
-    # The abandoned worker must not hold the run hostage for 300s.
-    assert elapsed < 60
