@@ -2,20 +2,25 @@
 """Perf-regression smoke check for the CI gate.
 
 Re-measures ``simulation_event_rate`` (the headline model-layer
-metric, see docs/PERFORMANCE.md) and fails when the rate drops more
-than ``--tolerance`` (default 25%) below the most recent entry of the
-same name in ``BENCH_engine.json``.  The check never *writes* the
-history -- appending honest numbers is ``scripts/bench_report.py``'s
-job -- so a slow machine cannot silently lower the bar for the next
-run.
+workload, see docs/PERFORMANCE.md) and fails when its flit-hops per
+second drop more than ``--tolerance`` (default 25%) below the most
+recent entry of the same name in ``BENCH_engine.json`` that recorded
+``flit_hops_per_sec``.  Flit-hops are simulated work and repeat
+exactly; events per second are not comparable across commits that
+change how many events a flit-hop costs, so entries that recorded only
+``events_per_sec`` are not compared against.  The check never *writes*
+the history -- appending honest numbers is
+``scripts/bench_report.py``'s job -- so a slow machine cannot silently
+lower the bar for the next run.
 
 Opt-outs:
 
 * ``SUPERSIM_SKIP_PERF=1`` skips the check entirely (exit 0) -- for
   containers whose performance is not comparable to the recorded
   history (shared CI runners, laptops on battery, ...).
-* no ``simulation_event_rate`` entry in the history: the check reports
-  that and passes (nothing to compare against).
+* no ``simulation_event_rate`` entry with ``flit_hops_per_sec`` in the
+  history: the check reports that and passes (nothing to compare
+  against).
 
 Usage::
 
@@ -48,8 +53,8 @@ def latest_recorded_rate() -> float | None:
     except (ValueError, KeyError, OSError):
         return None
     for entry in reversed(history):
-        if entry.get("name") == METRIC and "events_per_sec" in entry:
-            return float(entry["events_per_sec"])
+        if entry.get("name") == METRIC and "flit_hops_per_sec" in entry:
+            return float(entry["flit_hops_per_sec"])
     return None
 
 
@@ -67,22 +72,22 @@ def main() -> int:
         return 0
     recorded = latest_recorded_rate()
     if recorded is None:
-        print(f"perf_smoke: no {METRIC!r} entry in {BENCH_FILE.name}; "
-              "nothing to compare against")
+        print(f"perf_smoke: no {METRIC!r} entry with flit_hops_per_sec "
+              f"in {BENCH_FILE.name}; nothing to compare against")
         return 0
 
     name, config, max_time = next(
         w for w in _simulation_workloads() if w[0] == METRIC
     )
-    best, events = min(
+    best, _events, flit_hops = min(
         (_timed_simulation(config, max_time) for _ in range(args.rounds)),
-        key=lambda pair: pair[0],
+        key=lambda timing: timing[0],
     )
-    rate = events / best
+    rate = flit_hops / best
     floor = recorded * (1.0 - args.tolerance)
     verdict = "OK" if rate >= floor else "REGRESSION"
-    print(f"perf_smoke: {name} = {rate / 1000:.0f}k events/s "
-          f"(recorded {recorded / 1000:.0f}k, floor {floor / 1000:.0f}k "
+    print(f"perf_smoke: {name} = {rate / 1000:.1f}k flit-hops/s "
+          f"(recorded {recorded / 1000:.1f}k, floor {floor / 1000:.1f}k "
           f"at -{args.tolerance:.0%}): {verdict}")
     if rate < floor:
         print("perf_smoke: if this machine is legitimately slower than the "

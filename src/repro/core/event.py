@@ -81,7 +81,7 @@ class Event:
         handler ran there is nothing left to stop, and the object may
         since have been recycled for an unrelated scheduling (see the
         ``generation`` counter).  The simulator tracks how many pending
-        queue entries are cancelled and compacts the heap when the dead
+        queue entries are cancelled and compacts the queue when the dead
         fraction grows too large.
         """
         if self.cancelled or self.fired:

@@ -9,9 +9,16 @@ simulation is over when the event queue runs empty.
 
 Performance notes (see ``docs/PERFORMANCE.md`` for the full story):
 
+* The event queue is a *timestamp-bucket queue*: a dict ``packed time
+  key -> events scheduled there, in scheduling order`` plus a heap of
+  the *distinct* keys.  Events are ordered by ``(tick, epsilon)`` and
+  nothing else and a flit-level run has ~100 per timestamp, so
+  scheduling is a dict probe and a list append, the executer pays one
+  heap pop per *timestamp*, and ties break in scheduling order because
+  a bucket is drained front to back.
 * Time is carried as a single packed integer key through the hot path:
   ``key = (tick << 20) | epsilon``.  One machine comparison orders two
-  timestamps, heap entries are 3-tuples, and the causality check is a
+  timestamps, one hash finds a bucket, and the causality check is a
   single ``<=``.  Epsilon is therefore bounded at ``2**20 - 1``, far
   above the single-digit epsilons the component conventions use
   (:mod:`repro.net.phases`); every scheduling entry point guards the
@@ -31,15 +38,20 @@ Performance notes (see ``docs/PERFORMANCE.md`` for the full story):
 * Fired :class:`Event` objects are recycled through a freelist instead
   of being reallocated millions of times per run.  Recycling is gated
   on the executer holding the sole reference (checked via the CPython
-  reference count), so an event the caller kept a handle to is never
-  reused and external handles are never aliased.
-* The executer batch-drains runs of events that share one timestamp:
-  the clock and the executed-event counter are written once per run of
-  equal-time events instead of once per event.
-* ``run()`` has two executer loops: a fast one (at most a ``max_time``
-  limit: one packed-key comparison per event) and an instrumented one
-  (event/wall-clock budgets, sanitizer hooks).
-* Lazy-deleted (cancelled) queue entries are counted, and the heap is
+  reference count; the bucket gives its reference up when the event is
+  popped), so an event the caller kept a handle to is never reused and
+  external handles are never aliased.
+* The clock and the executed-event counter are written once per
+  timestamp -- when its first live event fires; a bucket of cancelled
+  events never moves the clock -- instead of once per event.
+* ``run()`` has two executer loops over the one queue: a fast one (at
+  most a ``max_time`` limit: one packed-key comparison per timestamp)
+  and an instrumented one (event/wall-clock budgets, sanitizer hooks).
+  A loop that stops inside a bucket (budget, raising handler) leaves
+  the unfired tail parked under its key in scheduling order, so a later
+  ``run`` resumes exactly there.
+* Cancellation is lazy: a cancelled event stays in its bucket and is
+  skipped when reached.  Dead entries are counted, and the buckets are
   compacted in place when the dead fraction crosses a threshold, so
   cancellation-heavy workloads cannot grow the queue unboundedly.
 * ``Simulator`` declares ``__slots__``: attribute access shows up on
@@ -53,9 +65,8 @@ import gc as _gc
 import heapq
 import time as _wallclock
 from heapq import heappush as _heappush
-from itertools import count as _count
 from sys import getrefcount as _getrefcount
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.event import Event
 from repro.core.simtime import MAX_EPSILON, TimeStep
@@ -68,8 +79,9 @@ EPSILON_BITS = 20
 EPSILON_LIMIT = 1 << EPSILON_BITS
 _EPS_MASK = EPSILON_LIMIT - 1
 #: ticks up to (exclusive) this bound pack into a 63-bit key, keeping
-#: heap comparisons on CPython's fast machine-word path.  Larger ticks
-#: stay *correct* (Python ints never wrap) but compare slower.
+#: key comparisons and hashes on CPython's fast machine-word path.
+#: Larger ticks stay *correct* (Python ints never wrap) but compare
+#: slower.
 TICK_FAST_LIMIT = 1 << (63 - EPSILON_BITS)
 #: maximum number of fired events parked in the freelist across runs.
 EVENT_POOL_SIZE = 8192
@@ -84,11 +96,12 @@ class SimulationError(RuntimeError):
 class Simulator:
     """Global event queue, executer, and component registry.
 
-    The queue holds ``(key, seq, event)`` tuples where ``key`` packs
-    ``(tick, epsilon)`` into one integer and ``seq`` is a monotonically
-    increasing sequence number, making execution order fully
-    deterministic for events scheduled at identical times: ties break in
-    scheduling order.
+    The queue is a dict of *buckets* -- ``key -> [event, ...]`` where
+    ``key`` packs ``(tick, epsilon)`` into one integer and the list is in
+    scheduling order -- plus a heap of the distinct keys, so execution
+    order is fully deterministic: timestamps in key order, equal times
+    in scheduling order.  Every key in the heap has exactly one bucket;
+    an empty one is dropped when the executer reaches it.
 
     Attributes:
         tick: the tick component of the current simulation time.
@@ -98,8 +111,8 @@ class Simulator:
     """
 
     __slots__ = (
-        "_queue",
-        "_seq",
+        "_buckets",
+        "_keys",
         "tick",
         "epsilon",
         "_now_key",
@@ -118,8 +131,8 @@ class Simulator:
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self):
-        self._queue: List[Tuple[int, int, Event]] = []
-        self._seq = _count()
+        self._buckets: Dict[int, List[Event]] = {}
+        self._keys: List[int] = []
         self.tick = 0
         self.epsilon = 0
         self._now_key = 0
@@ -148,8 +161,8 @@ class Simulator:
         """Total number of events executed so far.
 
         Exact between runs and at every ``(tick, epsilon)`` boundary;
-        within a batch-drained run of equal-time events the counter is
-        updated once for the whole run, not per event.
+        while a timestamp's bucket drains the counter is updated once
+        for the whole bucket, not per event.
         """
         return self._executed_events
 
@@ -224,7 +237,12 @@ class Simulator:
         event.epsilon = epsilon
         event.fired = False
         event._sim = self
-        _heappush(self._queue, (key, next(self._seq), event))
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [event]
+            _heappush(self._keys, key)
+        else:
+            bucket.append(event)
         if event.cancelled:
             # Scheduling an already-cancelled event still occupies a
             # queue slot; account for it so pending_events stays honest.
@@ -269,28 +287,38 @@ class Simulator:
             event._sim = self
         event.tick = tick
         event.epsilon = epsilon
-        _heappush(self._queue, (key, next(self._seq), event))
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            # First event of this timestamp: the only heap operation.
+            self._buckets[key] = [event]
+            _heappush(self._keys, key)
+        else:
+            bucket.append(event)
         return event
 
     @property
     def queue_size(self) -> int:
         """Raw queue length, *including* lazily-cancelled entries.
 
-        Cancelled events stay in the heap until popped or compacted, so
-        this over-reports the true backlog; use :attr:`pending_events`
-        for the number of events that will actually execute.
+        Cancelled events stay in their bucket until reached or
+        compacted, so this over-reports the true backlog; use
+        :attr:`pending_events` for the number of events that will
+        actually execute.  Counted on demand (one ``len`` per pending
+        timestamp) so scheduling and firing carry no size bookkeeping;
+        exact also from a handler: the event being fired is out, the
+        unfired rest of its timestamp is in.
         """
-        return len(self._queue)
+        return sum(map(len, self._buckets.values()))
 
     @property
     def pending_events(self) -> int:
         """Number of queued events that are not cancelled."""
-        return len(self._queue) - self._cancelled_pending
+        return self.queue_size - self._cancelled_pending
 
     # -- cancellation accounting / compaction -----------------------------------
 
     def _note_cancel(self) -> None:
-        """Called by Event.cancel(); counts dead entries, compacts the heap.
+        """Called by Event.cancel(); counts dead entries, compacts the queue.
 
         Compaction runs when at least ``COMPACT_MIN_CANCELLED`` entries
         are dead and they outnumber the live ones, bounding the memory a
@@ -299,24 +327,33 @@ class Simulator:
         self._cancelled_pending += 1
         if (
             self._cancelled_pending >= self.COMPACT_MIN_CANCELLED
-            and self._cancelled_pending * 2 > len(self._queue)
+            and self._cancelled_pending * 2 > self.queue_size
         ):
             self.compact()
 
     def compact(self) -> int:
         """Drop cancelled entries from the queue; returns how many.
 
-        Mutates the heap list in place (the executer holds a reference
-        to it across a run), then re-heapifies.  Heap order among the
-        survivors is rebuilt from the same (key, seq) entries, so
-        execution order is unaffected.
+        Safe to call from a handler: every container is mutated in
+        place (the executer holds references to them across a run),
+        filtering keeps each bucket's scheduling order -- also that of
+        the bucket being drained, which the executer holds reversed --
+        and the head key keeps its bucket even when it empties, because
+        a run loop may be in the middle of it.
         """
-        queue = self._queue
-        before = len(queue)
-        queue[:] = [entry for entry in queue if not entry[2].cancelled]
-        dropped = before - len(queue)
+        buckets = self._buckets
+        dropped = 0
+        for bucket in buckets.values():
+            before = len(bucket)
+            bucket[:] = [event for event in bucket if not event.cancelled]
+            dropped += before - len(bucket)
         if dropped:
-            heapq.heapify(queue)
+            keys = self._keys
+            head = keys[0]
+            for key in [k for k, b in buckets.items() if not b and k != head]:
+                del buckets[key]
+            keys[:] = buckets
+            heapq.heapify(keys)
             self._compactions += 1
         self._cancelled_pending = 0
         return dropped
@@ -430,51 +467,60 @@ class Simulator:
     def _run_fast(self, limit_key) -> None:
         """Drain the queue up to ``limit_key``; no budgets, no hooks.
 
-        One packed-key comparison per event implements the whole limit
-        test (an unbounded run passes ``_NO_LIMIT``).  The loop
-        terminates through ``heappop`` raising ``IndexError`` on the
-        empty queue, which saves an emptiness test per event; an
-        ``IndexError`` escaping a *handler* is told apart by its
-        traceback (the handler adds a frame) and re-raised.
+        One packed-key comparison per *timestamp* implements the whole
+        limit test (an unbounded run passes ``_NO_LIMIT``).  The head
+        key is peeked, its bucket reversed and drained by ``pop()``, so
+        the bucket is always exactly the unfired tail (``queue_size``
+        stays exact, a cancelled later sibling is seen when reached,
+        ``compact()`` can filter it) and holds no reference to the event
+        at the freelist's sole-reference test; key and bucket are
+        dropped once it is empty.
         """
-        queue = self._queue
-        pop = heapq.heappop
+        keys = self._keys
+        buckets = self._buckets
+        pop_key = heapq.heappop
         pool = self._event_pool
         refs = _getrefcount
         executed = self._executed_events
-        key = -1
+        now = -1
+        bucket = None
         try:
-            while True:
-                entry_key, _seq, event = pop(queue)
-                if event.cancelled:
-                    self._cancelled_pending -= 1
-                    if refs(event) == 2:
-                        event.cancelled = False
-                        pool.append(event)
-                    continue
-                if entry_key > limit_key:
-                    # Put it back; the caller may resume later.
-                    _heappush(queue, (entry_key, _seq, event))
+            while keys:
+                key = keys[0]
+                if key > limit_key:
                     break
-                if entry_key != key:
-                    # New (tick, epsilon) batch: write the clock and the
-                    # event counter once for the whole run of equal-time
-                    # events.  Causality forbids scheduling *into* the
-                    # current timestamp, so a batch only shrinks.
-                    key = entry_key
-                    self.tick = key >> EPSILON_BITS
-                    self.epsilon = key & _EPS_MASK
-                    self._now_key = key
-                    self._executed_events = executed
-                event.fired = True
-                event.handler(event)
-                executed += 1
-                if refs(event) == 2:
-                    pool.append(event)
-        except IndexError:
-            if queue or _raised_from_handler():
-                raise
+                bucket = buckets[key]
+                bucket.reverse()
+                while bucket:
+                    event = bucket.pop()
+                    if event.cancelled:
+                        self._cancelled_pending -= 1
+                        if refs(event) == 2:
+                            event.cancelled = False
+                            pool.append(event)
+                        continue
+                    if key != now:
+                        # First live event of this timestamp: write the
+                        # clock and the event counter once for the whole
+                        # bucket (causality forbids scheduling *into* it,
+                        # so a draining bucket only shrinks).
+                        now = key
+                        self.tick = key >> EPSILON_BITS
+                        self.epsilon = key & _EPS_MASK
+                        self._now_key = key
+                        self._executed_events = executed
+                    event.fired = True
+                    event.handler(event)
+                    executed += 1
+                    if refs(event) == 2:
+                        pool.append(event)
+                pop_key(keys)
+                del buckets[key]
         finally:
+            if bucket:
+                # A handler raised: re-park the unfired tail in
+                # scheduling order (key and bucket are still in place).
+                bucket.reverse()
             self._executed_events = executed
             del pool[EVENT_POOL_SIZE:]
 
@@ -483,60 +529,75 @@ class Simulator:
     ) -> None:
         """Full-featured loop: time/event/clock limits plus sanitizer hooks.
 
-        Same execution order and recycling discipline as
+        Same queue, execution order and recycling discipline as
         :meth:`_run_fast`.  Both the ``max_events`` budget (tested
         *before* an event is popped) and the wall-clock check cadence
         are based on the number of events executed *in this call*, so a
         resumed run gets a fresh budget and checks the clock on a steady
-        1024-event cadence regardless of history.  With a sanitizer
-        suite attached (see :mod:`repro.sanitize`) its ``pre_hooks`` run
-        right before each handler (clock already advanced) and its
-        ``recycle_hooks`` right before an event object is parked in the
-        freelist (so :class:`~repro.sanitize.EventSan` can poison it);
-        both tuples are empty otherwise.
+        1024-event cadence regardless of history.  Either budget may
+        stop the run *inside* a bucket; the unfired tail is re-parked in
+        scheduling order and the next run resumes with it.  With a
+        sanitizer suite attached (see :mod:`repro.sanitize`) its
+        ``pre_hooks`` run right before each handler (clock already
+        advanced) and its ``recycle_hooks`` right before an event object
+        is parked in the freelist (so :class:`~repro.sanitize.EventSan`
+        can poison it); both tuples are empty otherwise.
         """
         suite = self._sanitizer
         pre_hooks = () if suite is None else tuple(suite.pre_event_hooks)
         recycle_hooks = () if suite is None else tuple(suite.recycle_hooks)
-        queue = self._queue
-        pop = heapq.heappop
+        keys = self._keys
+        buckets = self._buckets
         pool = self._event_pool
         refs = _getrefcount
         executed_this_run = 0
         check_mask = 0x3FF  # test wall clock every 1024 events
-        while queue and executed_this_run != max_events:
-            entry_key, _seq, event = pop(queue)
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                if refs(event) == 2 and len(pool) < EVENT_POOL_SIZE:
-                    event.cancelled = False
-                    for hook in recycle_hooks:
-                        hook(event)
-                    pool.append(event)
-                continue
-            if entry_key > limit_key:
-                # Put it back; the caller may resume later.
-                _heappush(queue, (entry_key, _seq, event))
-                break
-            self.tick = entry_key >> EPSILON_BITS
-            self.epsilon = entry_key & _EPS_MASK
-            self._now_key = entry_key
-            for hook in pre_hooks:
-                hook(entry_key, event)
-            event.fired = True
-            event.handler(event)
-            self._executed_events += 1
-            executed_this_run += 1
-            if refs(event) == 2 and len(pool) < EVENT_POOL_SIZE:
-                for hook in recycle_hooks:
-                    hook(event)
-                pool.append(event)
-            if (
-                deadline is not None
-                and (executed_this_run & check_mask) == 0
-                and _wallclock.monotonic() > deadline
-            ):
-                break
+        bucket = None
+        try:
+            while keys:
+                key = keys[0]
+                if key > limit_key:
+                    break
+                bucket = buckets[key]
+                bucket.reverse()
+                while bucket:
+                    if executed_this_run == max_events:
+                        return
+                    event = bucket.pop()
+                    if event.cancelled:
+                        self._cancelled_pending -= 1
+                        if refs(event) == 2 and len(pool) < EVENT_POOL_SIZE:
+                            event.cancelled = False
+                            for hook in recycle_hooks:
+                                hook(event)
+                            pool.append(event)
+                        continue
+                    self.tick = key >> EPSILON_BITS
+                    self.epsilon = key & _EPS_MASK
+                    self._now_key = key
+                    for hook in pre_hooks:
+                        hook(key, event)
+                    event.fired = True
+                    event.handler(event)
+                    self._executed_events += 1
+                    executed_this_run += 1
+                    if refs(event) == 2 and len(pool) < EVENT_POOL_SIZE:
+                        for hook in recycle_hooks:
+                            hook(event)
+                        pool.append(event)
+                    if (
+                        deadline is not None
+                        and (executed_this_run & check_mask) == 0
+                        and _wallclock.monotonic() > deadline
+                    ):
+                        return
+                heapq.heappop(keys)
+                del buckets[key]
+        finally:
+            if bucket:
+                # Stopped inside a bucket (budget, raising handler or
+                # hook): re-park the unfired tail in scheduling order.
+                bucket.reverse()
 
     def add_run_observer(self, observer: Callable[["Simulator"], None]) -> None:
         """Register a callable invoked after each :meth:`run` completes."""
@@ -544,23 +605,9 @@ class Simulator:
 
     def __repr__(self):
         return (
-            f"Simulator(now={self.now}, queued={len(self._queue)}, "
+            f"Simulator(now={self.now}, queued={self.queue_size}, "
             f"executed={self._executed_events})"
         )
-
-
-def _raised_from_handler() -> bool:
-    """Was the in-flight IndexError raised inside a handler frame?
-
-    ``heappop`` is a C function: an IndexError it raises on an empty
-    queue carries only the executer's own frame.  An IndexError from a
-    handler carries at least one more Python frame below the executer.
-    """
-    import sys
-
-    exc = sys.exc_info()[1]
-    tb = exc.__traceback__
-    return tb is not None and tb.tb_next is not None
 
 
 # Imported at the bottom to avoid a cycle: Component type is only needed

@@ -576,7 +576,7 @@ class Heat:
     """How hot one method is and the hottest way it is reached.
 
     ``weight`` is in *events per flit-hop* units: the entry-point
-    weights encode the measured event census (~4 events per flit-hop,
+    weights encode the measured event census (~3 events per flit-hop,
     docs/PERFORMANCE.md), and heat propagates along call edges without
     attenuation -- a helper called from a per-event handler runs just
     as often as the handler.  ``path`` is the evidence chain from the

@@ -20,7 +20,7 @@ The contracts, and who enforces them at runtime:
   ``repro/workload/application.py``).
 * **Epsilon discipline** (E003 warning, E004 error) -- scheduling at
   the current tick requires a strictly increasing epsilon, and epsilon
-  must stay below 2**20 (it packs into the heap key;
+  must stay below 2**20 (it packs into the time key;
   ``core/simulator.py``).  E003 flags ``*.tick``-based same-tick
   scheduling with a default/zero epsilon; E004 flags constants outside
   the packed range, which raise :class:`SimulationError` at runtime.
@@ -348,7 +348,7 @@ class SameTickEpsilonRule(_DataflowRule):
 @factory.register(LintRule, "E004")
 class EpsilonRangeRule(_DataflowRule):
     rule_id = "E004"
-    description = ("Epsilon outside [0, 2**20): overflows the packed heap "
+    description = ("Epsilon outside [0, 2**20): overflows the packed time "
                    "key bound enforced by the simulator")
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:

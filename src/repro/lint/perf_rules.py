@@ -12,7 +12,7 @@ The analysis reuses the interprocedural call-graph engine built for
 shard purity (:mod:`repro.lint.callgraph`): starting from the known
 per-event entry points (router ``_step``/``receive_flit``, channel
 delivery, interface injection, congestion-sensor records), a *heat*
-weight scaled by the measured ~4-events-per-flit-hop census propagates
+weight scaled by the measured ~3-events-per-flit-hop census propagates
 through each class's call graph (:func:`~repro.lint.callgraph
 .propagate_heat`).  Hazards are flagged **only on provably hot
 methods**, each with a ``Class.entry -> helper -> method`` evidence
@@ -74,15 +74,16 @@ from repro.lint.findings import Finding, Severity
 from repro.lint.rules import PERF_LAYER, LintContext, LintRule
 
 #: Per-event entry points per model kind, weighted by the measured
-#: event census (docs/PERFORMANCE.md: ~4 events per flit-hop on the
+#: event census (docs/PERFORMANCE.md: ~3 events per flit-hop on the
 #: benchmark workload).  Weights are relative execution frequencies in
 #: "events per flit-hop" units -- they rank, they don't time.
 HEAT_ENTRIES: Dict[str, Dict[str, float]] = {
     "router": {
-        "_step": 4.0,           # drain + route + allocate + crossbar
+        # land core arrivals (the in-core FIFO drain, formerly one
+        # event per flit) + drain + route + allocate + crossbar
+        "_step": 5.0,
         "receive_flit": 1.0,    # one per flit-hop
         "receive_credit": 1.0,  # one per returned credit
-        "_core_arrival": 1.0,   # flit lands in output staging
         "send_flit_out": 1.0,
         "send_credit": 1.0,
     },

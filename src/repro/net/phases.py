@@ -8,7 +8,8 @@ epsilon   what runs there
 ========  =======================================================
 0         channel deliveries: flits and credits arrive
 1         terminal traffic generation (new messages appear)
-2         internal pipeline arrivals (crossbar traversal done)
+2         internal pipeline arrivals (free for user components: the
+          packaged routers land core arrivals inside their step)
 3         router / interface cycle step (allocation, transmission)
 5         workload state machine transitions
 7         monitors and statistics sampling

@@ -12,6 +12,9 @@ share:
 * output VC ownership (wormhole: one packet streams on a given
   (output port, VC) at a time),
 * a congestion sensor fed by credit/occupancy changes,
+* the in-core pipeline FIFO: flits traversing the core for
+  ``core_latency`` ticks wait in one per-router FIFO that the step
+  drains, not in one engine event each,
 * per-core-cycle stepping with sleep/wake so idle routers consume no
   events.
 
@@ -23,7 +26,8 @@ with a fused cycle (IQ, where the per-stage dispatch was measurable).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import factory
 from repro.core.clock import Clock
@@ -140,6 +144,14 @@ class Router(PortedDevice):
             num_vcs,
             sensor_settings,
         )
+
+        # In-core pipeline: flits traversing the core, in grant order as
+        # (arrival_tick, flit, out_port, out_vc); core_latency is constant,
+        # so the FIFO is sorted by arrival tick.  Every architecture must
+        # keep stepping on each core edge while it is non-empty: the step
+        # lands the due entries before its first stage (what a per-flit
+        # event at EPS_PIPELINE < EPS_STEP would do), at no engine event.
+        self._core_fifo: Deque[Tuple[int, Flit, int, int]] = deque()
 
         self._step_scheduled = False
         self._finalized = False
@@ -266,6 +278,8 @@ class Router(PortedDevice):
 
     def _step(self, event: Event) -> None:
         self._step_scheduled = False
+        if self._core_fifo:
+            self._land_core_arrivals()
         self._step_cycle()
         if self._has_work():
             self._step_scheduled = True
@@ -275,6 +289,22 @@ class Router(PortedDevice):
             else:
                 tick = self.core_clock.following_edge(simulator.tick)
             simulator.call_at(tick, self._step, None, EPS_STEP)
+
+    def _land_core_arrivals(self) -> None:
+        """Move every flit whose core traversal is over (arrival tick
+        ``<= now``, which also covers ``core_latency = 0`` and core
+        clocks slower than the tick) into its output stage."""
+        fifo = self._core_fifo
+        now = self.simulator.tick
+        land = self._land
+        while fifo and fifo[0][0] <= now:
+            _arrival, flit, out_port, out_vc = fifo.popleft()
+            land(flit, out_port, out_vc)
+
+    def _land(self, flit: Flit, out_port: int, out_vc: int) -> None:
+        """Architecture hook: a flit leaves the core for ``out_port``'s
+        staging register / output queue."""
+        raise NotImplementedError
 
     def _step_cycle(self) -> None:
         raise NotImplementedError

@@ -23,10 +23,9 @@ from __future__ import annotations
 from typing import List
 
 from repro import factory
-from repro.core.event import Event
 from repro.net.buffer import FlitBuffer
 from repro.net.credit import CreditTracker
-from repro.net.phases import EPS_PIPELINE
+from repro.net.flit import Flit
 from repro.router.arbiter import Arbiter, RoundRobinArbiter, create_arbiter
 from repro.router.base import Router
 from repro.router.congestion import SOURCE_OUTPUT
@@ -81,7 +80,6 @@ class InputOutputQueuedRouter(Router):
         # Flit-buffer flow control never locks, which unlocks a slim
         # uncontested-grant path in _run_crossbar.
         self._fb_mode = self.scheduler.flow_control == FLIT_BUFFER
-        self._in_flight = 0
         # Flits sitting in output queues per port (drain-stage fast path).
         self._queued_count = [0] * self.num_ports
         # Sum over _queued_count, so _has_work is O(1).
@@ -109,7 +107,7 @@ class InputOutputQueuedRouter(Router):
     def _has_work(self) -> bool:
         return (
             bool(self._occupied_inputs)
-            or self._in_flight > 0
+            or bool(self._core_fifo)
             or self._queued_total > 0
         )
 
@@ -162,8 +160,7 @@ class InputOutputQueuedRouter(Router):
         locks = scheduler._locks
         if not bidders and not locks:
             return
-        simulator = self.simulator
-        now = simulator.tick
+        now = self.simulator.tick
         oq_credits = self._oq_credits
         if len(bidders) == 1 and not locks and self._fb_mode:
             # Uncontested flit-buffer grant: same decision the scheduler
@@ -199,25 +196,15 @@ class InputOutputQueuedRouter(Router):
                 return
         pop_input_flit = self._pop_input_flit
         sensor_record = self.sensor.record
-        call_at = simulator.call_at
-        core_arrival = self._core_arrival
-        core_latency = self.core_latency
-        if core_latency:
-            arrival_tick, arrival_eps = now + core_latency, EPS_PIPELINE
-        else:
-            arrival_tick = now
-            arrival_eps = max(EPS_PIPELINE, simulator.epsilon + 1)
+        enter_core = self._core_fifo.append
+        arrival_tick = now + self.core_latency
         for in_port, in_vc, out_port, out_vc in grants:
             flit = pop_input_flit(in_port, in_vc)
             oq_credits[out_port].take(out_vc)
             sensor_record(SOURCE_OUTPUT, out_port, out_vc, +1)
-            self._in_flight += 1
-            call_at(arrival_tick, core_arrival, (flit, out_port, out_vc), arrival_eps)
+            enter_core((arrival_tick, flit, out_port, out_vc))
 
-    def _core_arrival(self, event: Event) -> None:
-        flit, out_port, out_vc = event.data
+    def _land(self, flit: Flit, out_port: int, out_vc: int) -> None:
         self._queues[out_port][out_vc].push(flit)
         self._queued_count[out_port] += 1
         self._queued_total += 1
-        self._in_flight -= 1
-        self._wake()

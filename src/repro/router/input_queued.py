@@ -12,9 +12,10 @@ study (``flit_buffer`` / ``packet_buffer`` / ``winner_take_all``,
 §VI-C) via the ``crossbar_scheduler`` settings block.
 
 Flits that win the crossbar consume their downstream credit at grant
-time, traverse the core in ``core_latency`` ticks, and land in a small
-per-port output staging register that drains onto the channel at the
-channel clock rate.
+time, traverse the core in ``core_latency`` ticks (waiting in the
+router's in-core pipeline FIFO), and land in a small per-port output
+staging register that drains onto the channel at the channel clock
+rate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Deque, List
 from repro import factory
 from repro.core.event import Event
 from repro.net.flit import Flit
-from repro.net.phases import EPS_PIPELINE, EPS_STEP
+from repro.net.phases import EPS_STEP
 from repro.router.base import Router
 from repro.router.congestion import SOURCE_DOWNSTREAM
 from repro.router.arbiter import RoundRobinArbiter
@@ -82,7 +83,8 @@ class InputQueuedRouter(Router):
     # -- per-cycle behaviour ---------------------------------------------------
 
     def _step(self, event: Event) -> None:
-        """One core-clock cycle: drain -> route -> allocate -> crossbar.
+        """One core-clock cycle: land core arrivals -> drain -> route ->
+        allocate -> crossbar.
 
         Replaces :meth:`Router._step` outright (no ``_step_cycle`` /
         ``_has_work`` round trip): the staging drain is inlined here and
@@ -91,6 +93,10 @@ class InputQueuedRouter(Router):
         """
         simulator = self.simulator
         now = simulator.tick
+
+        fifo = self._core_fifo
+        if fifo and fifo[0][0] <= now:
+            self._land_core_arrivals()
 
         # Drain staging registers onto free channels.
         if self._staged_total:
@@ -164,18 +170,11 @@ class InputQueuedRouter(Router):
         locks = scheduler._locks
         if not bidders and not locks:
             return
-        simulator = self.simulator
-        now = simulator.tick
+        now = self.simulator.tick
         trackers = self._output_credits
         sensor_record = self.sensor.record
-        call_at = simulator.call_at
-        core_arrival = self._core_arrival
-        core_latency = self.core_latency
-        if core_latency:
-            arrival_tick, arrival_eps = now + core_latency, EPS_PIPELINE
-        else:
-            arrival_tick = now
-            arrival_eps = max(EPS_PIPELINE, simulator.epsilon + 1)
+        enter_core = self._core_fifo.append
+        arrival_tick = now + self.core_latency
         if contested or locks or not self._fb_mode:
             # Contested outputs (or locking flow control): the full
             # scheduler decides.
@@ -196,7 +195,7 @@ class InputQueuedRouter(Router):
                 sensor_record(SOURCE_DOWNSTREAM, out_port, out_vc, +1)
                 committed[out_port] += 1
                 self._committed_total += 1
-                call_at(arrival_tick, core_arrival, (flit, out_port), arrival_eps)
+                enter_core((arrival_tick, flit, out_port, out_vc))
             return
         # Flit-buffer flow control with every bidder targeting a distinct
         # output: each output arbiter sees exactly one request, so every
@@ -246,14 +245,11 @@ class InputQueuedRouter(Router):
             sensor_record(SOURCE_DOWNSTREAM, out_port, out_vc, +1)
             committed[out_port] += 1
             self._committed_total += 1
-            call_at(arrival_tick, core_arrival, (flit, out_port), arrival_eps)
+            enter_core((arrival_tick, flit, out_port, out_vc))
 
-    def _core_arrival(self, event: Event) -> None:
-        flit, out_port = event.data
+    def _land(self, flit: Flit, out_port: int, out_vc: int) -> None:
         staging = self._staging[out_port]
         staging.append(flit)
         if len(staging) == 1:
             self._staged_ports.append(out_port)
         self._staged_total += 1
-        if not self._step_scheduled:
-            self._wake()

@@ -27,10 +27,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import factory
-from repro.core.event import Event
 from repro.net.buffer import FlitBuffer
 from repro.net.flit import Flit
-from repro.net.phases import EPS_PIPELINE
 from repro.router.arbiter import Arbiter, RoundRobinArbiter, create_arbiter
 from repro.router.base import Router
 from repro.router.congestion import SOURCE_OUTPUT
@@ -176,16 +174,8 @@ class OutputQueuedRouter(Router):
         depth = self.output_queue_depth
         pop_input_flit = self._pop_input_flit
         sensor_record = self.sensor.record
-        simulator = self.simulator
-        call_at = simulator.call_at
-        core_arrival = self._core_arrival
-        core_latency = self.core_latency
-        if core_latency:
-            arrival_tick = simulator.tick + core_latency
-            arrival_eps = EPS_PIPELINE
-        else:
-            arrival_tick = simulator.tick
-            arrival_eps = max(EPS_PIPELINE, simulator.epsilon + 1)
+        enter_core = self._core_fifo.append
+        arrival_tick = self.simulator.tick + self.core_latency
         admit = self._admit
         for port, vc in order:
             state = input_vcs[port][vc]
@@ -214,13 +204,11 @@ class OutputQueuedRouter(Router):
             committed[out_port][out_vc] += 1
             self._committed_total += 1
             sensor_record(SOURCE_OUTPUT, out_port, out_vc, +1)
-            call_at(arrival_tick, core_arrival, (flit, out_port, out_vc), arrival_eps)
+            enter_core((arrival_tick, flit, out_port, out_vc))
 
-    def _core_arrival(self, event: Event) -> None:
-        flit, out_port, out_vc = event.data
+    def _land(self, flit: Flit, out_port: int, out_vc: int) -> None:
         self._queues[out_port][out_vc].push(flit)
         self._queued_count[out_port] += 1
-        self._wake()
 
     # -- introspection ------------------------------------------------------------
 

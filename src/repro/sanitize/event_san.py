@@ -13,7 +13,7 @@ stay silent:
   design, but almost always means the model believes it stopped
   something it did not;
 * mutating engine-owned fields (``tick``/``epsilon``) after
-  scheduling -- the heap key was computed at scheduling time, so the
+  scheduling -- the bucket key was computed at scheduling time, so the
   event silently fires at the *old* time.
 
 EventSan makes all three loud.  Pooled events are *poisoned* (handler

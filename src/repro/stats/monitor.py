@@ -74,7 +74,9 @@ class ProgressMonitor(Component):
             )
         # Keep sampling only while other work remains: if the monitor is
         # the only event source left, the queue would never drain.
-        if self.simulator.queue_size > 0:
+        # Cancelled entries (a killed terminal's far-future injection)
+        # are not work.
+        if self.simulator.pending_events > 0:
             self.schedule(self._sample, self.period, epsilon=EPS_MONITOR)
 
     def event_rate(self) -> float:

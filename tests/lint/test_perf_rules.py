@@ -59,8 +59,12 @@ def test_entry_points_seed_the_heat_map():
     heat = propagate_heat(
         ClassGraph(InputQueuedRouter), HEAT_ENTRIES["router"]
     )
-    assert heat["_step"].weight == 4.0
+    assert heat["_step"].weight == 5.0
     assert heat["_step"].path == ("_step",)
+    # The core traversal is no entry point any more: its landing is hot
+    # because the step calls it, on every architecture.
+    assert "_core_arrival" not in HEAT_ENTRIES["router"]
+    assert heat["_land"].path == ("_step", "_land_core_arrivals", "_land")
     assert heat["receive_flit"].weight == 1.0
 
 
@@ -73,7 +77,7 @@ def test_helpers_inherit_heat_interprocedurally():
     # _run_crossbar is reached from the hottest entry; the evidence
     # path must start at that entry.
     crossbar = heat["_run_crossbar"]
-    assert crossbar.weight == 4.0
+    assert crossbar.weight == 5.0
     assert crossbar.path[0] == "_step"
     assert crossbar.path[-1] == "_run_crossbar"
 

@@ -140,4 +140,4 @@ class TestInputOutputQueued:
         simulation, results = run_config(self._config())
         for router in simulation.network.routers:
             assert all(count == 0 for count in router._queued_count)
-            assert router._in_flight == 0
+            assert not router._core_fifo

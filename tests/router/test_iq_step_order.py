@@ -2,13 +2,16 @@
 ``_step`` event handler.
 
 ``InputQueuedRouter._step`` is the only implementation of an IQ cycle:
-drain staging registers onto free channels -> route new head packets ->
-allocate output VCs -> run the crossbar.  The order is semantics, not
-style: draining first frees a staging slot the same cycle's crossbar
-may refill, and routing before allocation before the crossbar is what
-lets a head flit traverse in its arrival cycle.  This test drives the
-middle router of a 3-router chain through a crossbar-contested cycle
-and a staging-stall cycle and asserts the order on every cycle.
+land the flits whose core traversal is over in their staging registers
+-> drain staging registers onto free channels -> route new head packets
+-> allocate output VCs -> run the crossbar.  The order is semantics, not
+style: landing first is what a per-flit arrival event before the step
+used to do, draining next frees a staging slot the same cycle's
+crossbar may refill, and routing before allocation before the crossbar
+is what lets a head flit traverse in its arrival cycle.  This test
+drives the middle router of a 3-router chain through a
+crossbar-contested cycle and a staging-stall cycle and asserts the
+order on every cycle.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.router.input_queued import InputQueuedRouter
 
-STAGES = ("drain", "route", "alloc", "xbar")
+STAGES = ("land", "drain", "route", "alloc", "xbar")
 
 
 def build_chain(simulator: Simulator) -> Network:
@@ -56,6 +59,7 @@ class StepTrace:
     def __init__(self, router: InputQueuedRouter, out_port: int):
         self.router = router
         self.steps = []  # [{"tick", "staged_at_entry", "stages", "bids"}]
+        self._tap(router, "_land_core_arrivals", "land")
         self._tap(router._flit_out[out_port], "send_flit", "drain")
         self._tap(router, "_update_input_vcs", "route")
         self._tap(router, "_allocate_vcs", "alloc")
@@ -74,9 +78,13 @@ class StepTrace:
         # The engine looks `router._step` up at every (re)schedule, so
         # this shim sees each cycle and hands it to the real handler.
         def traced_step(event):
+            now = router.simulator.tick
             self.steps.append({
-                "tick": router.simulator.tick,
-                "staged_at_entry": router._staged_total,
+                "tick": now,
+                # Staged once the step has landed its core arrivals.
+                "staged_at_entry": router._staged_total + sum(
+                    arrival <= now for arrival, *_ in router._core_fifo
+                ),
                 "stages": [],
                 "bids": None,
             })
@@ -114,6 +122,7 @@ def test_iq_step_stage_order_through_contested_and_stalled_cycles():
     assert delivered == [from_chain, from_local]
     assert router.flits_sent == 8
     assert not router._step_scheduled and router._committed_total == 0
+    assert not router._core_fifo
     assert trace.steps, "router 1 never stepped"
 
     for step in trace.steps:
@@ -145,4 +154,8 @@ def test_iq_step_stage_order_through_contested_and_stalled_cycles():
     for index in stalls:
         following = trace.steps[index + 1]
         assert following["tick"] == trace.steps[index]["tick"] + 1
-        assert following["stages"][0] == "drain", following
+        assert [s for s in following["stages"] if s != "land"][0] == "drain", (
+            following
+        )
+    # Every flit crossed the core through the FIFO, none through an event.
+    assert sum(s["stages"].count("land") for s in trace.steps) > 0

@@ -44,6 +44,28 @@ def test_monitor_does_not_prevent_drain():
     assert simulation.simulator.queue_size <= 1  # at most the last sample
 
 
+def test_cancelled_events_do_not_keep_the_monitor_sampling():
+    """Regression: a queue holding only lazily-cancelled entries (every
+    blast terminal's next injection after ``on_kill``) is not work; the
+    monitor used to test ``queue_size``, kept sampling until the dead
+    entry's tick and stretched the reported end tick."""
+    from types import SimpleNamespace
+
+    from repro.core.simulator import Simulator
+    from repro.stats.monitor import ProgressMonitor
+
+    simulator = Simulator()
+    network = SimpleNamespace(interfaces=[])
+    monitor = ProgressMonitor(simulator, "monitor", network, 100)
+    simulator.call_at(150, lambda e: None)
+    simulator.call_at(1_000_000, lambda e: None).cancel()
+    end = simulator.run()
+    # Samples at 100 (work pending at 150) and 200 (nothing live left).
+    assert [sample.tick for sample in monitor.history] == [100, 200]
+    assert end.tick == 200
+    assert simulator.pending_events == 0
+
+
 def test_no_monitor_by_default():
     simulation = Simulation(Settings.from_dict(small_torus_config()))
     assert simulation.monitor is None
