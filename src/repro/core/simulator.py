@@ -12,10 +12,9 @@ Performance notes (see ``docs/PERFORMANCE.md`` for the full story):
 * The event queue is a *timestamp-bucket queue*: a dict ``packed time
   key -> events scheduled there, in scheduling order`` plus a heap of
   the *distinct* keys.  Events are ordered by ``(tick, epsilon)`` and
-  nothing else and a flit-level run has ~100 per timestamp, so
-  scheduling is a dict probe and a list append, the executer pays one
-  heap pop per *timestamp*, and ties break in scheduling order because
-  a bucket is drained front to back.
+  nothing else, so scheduling is a dict probe and a list append, the
+  executer pays one heap pop per *timestamp*, and ties break in
+  scheduling order because a bucket is drained front to back.
 * Time is carried as a single packed integer key through the hot path:
   ``key = (tick << 20) | epsilon``.  One machine comparison orders two
   timestamps, one hash finds a bucket, and the causality check is a
@@ -70,6 +69,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.event import Event
 from repro.core.simtime import MAX_EPSILON, TimeStep
+from repro.core.wheel import PhaseWheel
 
 TimeLike = Union[TimeStep, int]
 
@@ -122,6 +122,7 @@ class Simulator:
         "_compactions",
         "_event_pool",
         "_components",
+        "_wheels",
         "_observers",
         "_sanitizer",
     )
@@ -142,6 +143,7 @@ class Simulator:
         self._compactions = 0
         self._event_pool: List[Event] = []
         self._components: Dict[str, "Component"] = {}
+        self._wheels: Dict[int, PhaseWheel] = {}
         self._observers: List[Callable[["Simulator"], None]] = []
         # Runtime sanitizer suite (repro.sanitize).  None in normal runs:
         # the only cost of the hook is one attribute test per run() call,
@@ -196,6 +198,19 @@ class Simulator:
     @property
     def num_components(self) -> int:
         return len(self._components)
+
+    def wheel(self, epsilon: int, kind: type = PhaseWheel) -> PhaseWheel:
+        """This simulator's one phase wheel at ``epsilon``, made as a
+        ``kind`` on first use."""
+        wheel = self._wheels.get(epsilon)
+        if wheel is None:
+            wheel = self._wheels[epsilon] = kind(self, epsilon)
+        elif type(wheel) is not kind:
+            raise SimulationError(
+                f"the wheel at epsilon {epsilon} is a {type(wheel).__name__}, "
+                f"not a {kind.__name__}"
+            )
+        return wheel
 
     # -- scheduling -----------------------------------------------------------
 
@@ -371,10 +386,11 @@ class Simulator:
         Optional safety limits stop a runaway simulation:
 
         * ``max_time``: stop before executing any event past this tick.
-        * ``max_events``: stop after executing this many events *in this
-          call* (resumed runs get a fresh budget).
-        * ``max_seconds``: stop after this much wall-clock time, counted
-          from this call.
+        * ``max_events``: stop after executing this many *engine*
+          events in this call (resumed runs get a fresh budget).  A
+          phase wheel's whole phase is one engine event.
+        * ``max_seconds``: stop at the first timestamp boundary after
+          this much wall-clock time, counted from this call.
 
         Returns the final simulation time.
         """
@@ -430,39 +446,6 @@ class Simulator:
         before = self._executed_events
         self.run(max_time=TimeStep(end_tick - 1, MAX_EPSILON))
         return self._executed_events - before
-
-    def inject(
-        self,
-        tick: int,
-        handler: Callable[["Event"], None],
-        data: Any = None,
-        epsilon: int = 0,
-    ) -> Event:
-        """Schedule an event from *outside* the event loop.
-
-        External injection surface for cross-shard traffic: a PDES
-        ingress proxy materializes records between windows and lands
-        them here.  Unlike ``call_at`` (whose causality check only
-        guards the running loop), this refuses to schedule at or before
-        the last executed timestamp even while the simulator is paused
-        -- a record due inside an already-executed window is a lookahead
-        violation, not a scheduling convenience.
-        """
-        if self._running:
-            raise SimulationError(
-                "inject() is for paused simulators; use call_at/schedule "
-                "from inside event handlers"
-            )
-        if tick < 0 or epsilon < 0 or epsilon >= EPSILON_LIMIT:
-            raise self._bad_time(tick, epsilon)
-        key = (tick << EPSILON_BITS) | epsilon
-        if self._executed_events and key <= self._now_key:
-            raise SimulationError(
-                f"inject at ({tick}, {epsilon}) is causally illegal: "
-                f"events through ({self.tick}, {self.epsilon}) already "
-                "executed"
-            )
-        return self.call_at(tick, handler, data, epsilon)
 
     def _run_fast(self, limit_key) -> None:
         """Drain the queue up to ``limit_key``; no budgets, no hooks.
@@ -530,13 +513,13 @@ class Simulator:
         """Full-featured loop: time/event/clock limits plus sanitizer hooks.
 
         Same queue, execution order and recycling discipline as
-        :meth:`_run_fast`.  Both the ``max_events`` budget (tested
-        *before* an event is popped) and the wall-clock check cadence
-        are based on the number of events executed *in this call*, so a
-        resumed run gets a fresh budget and checks the clock on a steady
-        1024-event cadence regardless of history.  Either budget may
-        stop the run *inside* a bucket; the unfired tail is re-parked in
-        scheduling order and the next run resumes with it.  With a
+        :meth:`_run_fast`.  The ``max_events`` budget (tested *before*
+        an event is popped) counts events executed *in this call*, so a
+        resumed run gets a fresh budget; it may stop the run *inside* a
+        bucket, whose unfired tail is re-parked in scheduling order for
+        the next run.  The wall clock is tested once per timestamp --
+        one event can be a whole network phase (:mod:`repro.core.wheel`),
+        so an event-count cadence would overshoot.  With a
         sanitizer suite attached (see :mod:`repro.sanitize`) its
         ``pre_hooks`` run right before each handler (clock already
         advanced) and its ``recycle_hooks`` right before an event object
@@ -551,7 +534,6 @@ class Simulator:
         pool = self._event_pool
         refs = _getrefcount
         executed_this_run = 0
-        check_mask = 0x3FF  # test wall clock every 1024 events
         bucket = None
         try:
             while keys:
@@ -585,14 +567,10 @@ class Simulator:
                         for hook in recycle_hooks:
                             hook(event)
                         pool.append(event)
-                    if (
-                        deadline is not None
-                        and (executed_this_run & check_mask) == 0
-                        and _wallclock.monotonic() > deadline
-                    ):
-                        return
                 heapq.heappop(keys)
                 del buckets[key]
+                if deadline is not None and _wallclock.monotonic() > deadline:
+                    return
         finally:
             if bucket:
                 # Stopped inside a bucket (budget, raising handler or

@@ -73,10 +73,11 @@ from repro.lint.callgraph import (
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import PERF_LAYER, LintContext, LintRule
 
-#: Per-event entry points per model kind, weighted by the measured
-#: event census (docs/PERFORMANCE.md: ~3 events per flit-hop on the
-#: benchmark workload).  Weights are relative execution frequencies in
-#: "events per flit-hop" units -- they rank, they don't time.
+#: Hot entry points per model kind, weighted by the measured handler
+#: census (docs/PERFORMANCE.md: ~2 landings and ~0.9 steps per flit-hop
+#: on the benchmark workload).  Weights are relative execution
+#: frequencies in "calls per flit-hop" units -- they rank, they don't
+#: time.
 HEAT_ENTRIES: Dict[str, Dict[str, float]] = {
     "router": {
         # land core arrivals (the in-core FIFO drain, formerly one
@@ -97,8 +98,14 @@ HEAT_ENTRIES: Dict[str, Dict[str, float]] = {
     "channel": {
         "send_flit": 1.0,
         "send_credit": 1.0,
-        "_deliver_batch": 1.0,  # one per busy-tick per channel
-        "_deliver_item": 1.0,   # per-item hook inside the batch
+        "_launch": 2.0,         # one per flit and one per credit
+        "_deliver_item": 1.0,   # per-item hook the landing wheel calls
+    },
+    "wheel": {
+        # One engine event per phase, but the loops run once per item:
+        # the landing wheel's per flit and per credit, the step wheel's
+        # per device step.
+        "_drain": 2.0,
     },
     "sensor": {
         "record": 2.0,          # every credit take/give reports here
@@ -685,9 +692,13 @@ def _model_bases() -> Dict[str, type]:
 
 
 def _framework_classes() -> List[Tuple[str, type]]:
-    from repro.net.channel import Channel, CreditChannel
+    from repro.core.wheel import PhaseWheel
+    from repro.net.channel import Channel, CreditChannel, _LandingWheel
 
-    return [("channel", Channel), ("channel", CreditChannel)]
+    return [
+        ("channel", Channel), ("channel", CreditChannel),
+        ("wheel", PhaseWheel), ("wheel", _LandingWheel),
+    ]
 
 
 def analyze_class_perf(cls: type, kind: str) -> List[PerfHazard]:
@@ -741,10 +752,10 @@ class PerfAnalysis:
     """Memoized hot-path audit for one lint run.
 
     With settings, the *configured* model classes are audited (plus the
-    framework channel classes every simulation runs).  With source
-    paths instead, every registered model class defined in one of the
-    files is audited -- plus the framework classes when their defining
-    file is among the paths.  ``ctx.profile_path`` switches on
+    framework channel and wheel classes every simulation runs).  With
+    source paths instead, every registered model class defined in one
+    of the files is audited -- plus the framework classes when their
+    defining file is among the paths.  ``ctx.profile_path`` switches on
     correlation mode.
     """
 

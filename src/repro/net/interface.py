@@ -119,6 +119,7 @@ class StandardInterface(Interface):
         self._next_flit_index = 0
         self._next_vc_choice = 0
         self._step_scheduled = False
+        self._step_wheel = simulator.wheel(EPS_STEP)
         # Unit-period channel clocks (the common case) take arithmetic
         # fast paths instead of Clock edge calls in the injection loop.
         self._chan_period1 = channel_clock.period == 1 and channel_clock.phase == 0
@@ -179,7 +180,7 @@ class StandardInterface(Interface):
             tick = self.channel_clock.next_edge(now_tick)
             if tick == now_tick and simulator.epsilon >= EPS_STEP:
                 tick = self.channel_clock.following_edge(now_tick)
-        simulator.call_at(tick, self._inject_step, None, EPS_STEP)
+        self._step_wheel.add(tick, self._inject_step)
 
     def _inject_step(self, event: Event) -> None:
         self._step_scheduled = False
@@ -193,8 +194,7 @@ class StandardInterface(Interface):
             tracker = self._tracker0 = self.output_credit_tracker(0)
             self._channel0 = self.output_channel(0)
         channel = self._channel0
-        simulator = self.simulator
-        now = simulator.tick
+        now = self.simulator.tick
         if tracker._credits[vc] > 0 and now >= channel._next_free_tick:
             flit = packet.flits[self._next_flit_index]
             handle = flit._handle
@@ -229,7 +229,7 @@ class StandardInterface(Interface):
                         self.channel_clock.following_edge(now),
                         self.channel_clock.next_edge(channel.next_send_tick()),
                     )
-                simulator.call_at(tick, self._inject_step, None, EPS_STEP)
+                self._step_wheel.add(tick, self._inject_step)
 
     def receive_credit(self, port: int, credit: Credit) -> None:
         self.output_credit_tracker(port).give(credit.vc)

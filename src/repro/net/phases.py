@@ -19,6 +19,14 @@ A component is free to use other epsilons, but sticking to these makes
 cross-component ordering predictable: everything that arrives at tick T
 is visible to the allocation step of tick T, and statistics observe the
 post-step state.
+
+Epsilons 0 and 3 are *phases* in the literal sense: the packaged
+channels, routers and interfaces register on the simulator's phase
+wheels (:mod:`repro.core.wheel`), which run all landings of a tick from
+one engine event and all steps from another, in registration order.  A
+user component may still ``call_at`` either epsilon; its order relative
+to the packaged devices *within* that ``(tick, epsilon)`` is not a
+contract (and never was).
 """
 
 EPS_DELIVER = 0

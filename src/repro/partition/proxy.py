@@ -13,12 +13,12 @@ treatment:
   proxy must leave the same fingerprints -- but serialize the send as a
   plain-tuple record instead of delivering locally.
 * On the **ingress** side (the worker owning the sink device) records
-  are landed between synchronization windows as one injected event per
-  record, each calling the channel's ``_deliver_item`` -- the per-item
-  hook ordinary batch delivery funnels through -- at
-  ``(due_tick, EPS_DELIVER)``.  Sanitizer shims and DetSan's delivery
-  digest therefore observe a sharded delivery exactly as they observe a
-  single-process one.
+  are put, between synchronization windows, onto the channel's own
+  in-flight FIFO with their due tick, and the channel is registered on
+  the landing wheel like any sending channel; they land through
+  ``_deliver_item`` at ``(due_tick, EPS_DELIVER)``.  Sanitizer shims and
+  DetSan's delivery digest therefore observe a sharded delivery exactly
+  as they observe a single-process one.
 
 Flits reference packets reference messages, and none of those objects
 exist on the sink side of a cut, so the head-flit record carries a full

@@ -8,8 +8,9 @@ sequences must match the single-process run bit-for-bit -- but only its
 own shard's routers are finalized and driven.  Channels crossing the
 cut are replaced by proxy endpoints (:mod:`repro.partition.proxy`) that
 serialize sends into plain-tuple records; the coordinator routes the
-records to the sink shards between windows, where they are injected
-through the channels' ordinary ``_deliver_item`` surface.
+records to the sink shards between windows, where they go onto the
+ingress channels' own in-flight FIFOs and land through the ordinary
+landing wheel and ``_deliver_item`` surface.
 
 Synchronization is conservative (no rollback).  The lookahead ``L`` is
 the manifest's global minimum cut-channel latency: a record produced in
@@ -75,7 +76,6 @@ from repro.config.settings import Settings
 from repro.net.credit import Credit
 from repro.net.flit import FLIT_SLAB
 from repro.net.network import shard_build_scope
-from repro.net.phases import EPS_DELIVER
 from repro.partition.manifest import config_fingerprint
 from repro.partition.proxy import (
     FLIT_RECORD,
@@ -238,17 +238,6 @@ def _static_stop_schedule(config: dict) -> Tuple[int, int]:
 # -- shard worker ------------------------------------------------------------
 
 
-def _land(event) -> None:
-    """Injected ingress event: deliver one materialized item.
-
-    Calls ``_deliver_item`` through the channel's class so sanitizer
-    method patches (DetSan's delivery digest, CreditSan) observe the
-    landing exactly as they observe a single-process delivery.
-    """
-    channel, item = event.data
-    channel._deliver_item(item)
-
-
 def _muted_done() -> None:
     """Replaces ``app.done`` in workers: the coordinator decides Kill."""
 
@@ -350,6 +339,7 @@ class ShardWorker:
             interface.message_delivered_listeners.append(self._on_delivered)
         self._ingress_counts: Dict[int, int] = {}
         self.windows_run = 0
+        self._executed_end = 0  # exclusive end of the last window run
 
     # -- delivery capture --------------------------------------------------
 
@@ -390,7 +380,6 @@ class ShardWorker:
         self.registry.release_delivered(delivered_ids)
         if kill_tick is not None:
             self._apply_kill(kill_tick)
-        inject = self.simulator.inject
         counts = self._ingress_counts
         for record in records:
             index = record[1]
@@ -400,13 +389,24 @@ class ShardWorker:
                     f"shard {self.shard_id}: received a record for cut "
                     f"{index}, whose sink is not in this shard"
                 )
+            due = record[2]
+            if due < self._executed_end:
+                raise PartitionRuntimeError(
+                    f"shard {self.shard_id}: record for cut {index} "
+                    f"({channel.full_name}) is due at tick {due}, inside "
+                    f"the window already executed up to tick "
+                    f"{self._executed_end}: lookahead violation"
+                )
             counts[index] = counts.get(index, 0) + 1
             if record[0] == FLIT_RECORD:
                 item = self.registry.materialize_flit(record)
             else:
                 item = Credit.of(record[3])
-            inject(record[2], _land, data=(channel, item), epsilon=EPS_DELIVER)
+            # Onto the ingress link's own wire: the landing wheel
+            # delivers it through ``_deliver_item`` like a local item.
+            channel._launch(due, item)
         executed = self.simulator.run_until(end)
+        self._executed_end = end
         self.windows_run += 1
 
         out = list(self.outbox)

@@ -15,13 +15,16 @@ share:
 * the in-core pipeline FIFO: flits traversing the core for
   ``core_latency`` ticks wait in one per-router FIFO that the step
   drains, not in one engine event each,
-* per-core-cycle stepping with sleep/wake so idle routers consume no
-  events.
+* per-core-cycle stepping with sleep/wake: an awake router registers
+  its ``_step`` on the simulator's ``EPS_STEP`` phase wheel
+  (:mod:`repro.core.wheel`) for its next core edge -- one engine event
+  steps every awake router of a tick -- and an idle one registers
+  nothing.
 
 Concrete architectures implement ``_step_cycle`` (one core-clock cycle
 of allocation and transmission) and ``_has_work``, which the shared
-``_step`` event handler drives (OQ, IOQ) -- or replace ``_step`` itself
-with a fused cycle (IQ, where the per-stage dispatch was measurable).
+``_step`` handler drives (OQ, IOQ) -- or replace ``_step`` itself with
+a fused cycle (IQ, where the per-stage dispatch was measurable).
 """
 
 from __future__ import annotations
@@ -154,6 +157,7 @@ class Router(PortedDevice):
         self._core_fifo: Deque[Tuple[int, Flit, int, int]] = deque()
 
         self._step_scheduled = False
+        self._step_wheel = simulator.wheel(EPS_STEP)
         self._finalized = False
         self._alloc_rotor = 0  # rotating start for VC allocation fairness
         # (port, vc) pairs whose input buffer holds at least one flit;
@@ -274,7 +278,7 @@ class Router(PortedDevice):
             tick = self.core_clock.next_edge(tick)
             if tick == simulator.tick and simulator.epsilon >= EPS_STEP:
                 tick = self.core_clock.following_edge(tick)
-        simulator.call_at(tick, self._step, None, EPS_STEP)
+        self._step_wheel.add(tick, self._step)
 
     def _step(self, event: Event) -> None:
         self._step_scheduled = False
@@ -288,7 +292,7 @@ class Router(PortedDevice):
                 tick = simulator.tick + 1
             else:
                 tick = self.core_clock.following_edge(simulator.tick)
-            simulator.call_at(tick, self._step, None, EPS_STEP)
+            self._step_wheel.add(tick, self._step)
 
     def _land_core_arrivals(self) -> None:
         """Move every flit whose core traversal is over (arrival tick

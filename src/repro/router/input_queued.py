@@ -26,7 +26,6 @@ from typing import Deque, List
 from repro import factory
 from repro.core.event import Event
 from repro.net.flit import Flit
-from repro.net.phases import EPS_STEP
 from repro.router.base import Router
 from repro.router.congestion import SOURCE_DOWNSTREAM
 from repro.router.arbiter import RoundRobinArbiter
@@ -91,8 +90,7 @@ class InputQueuedRouter(Router):
         each later stage is entered only when its worklist is non-empty.
         ``tests/router/test_iq_step_order.py`` pins the stage order.
         """
-        simulator = self.simulator
-        now = simulator.tick
+        now = self.simulator.tick
 
         fifo = self._core_fifo
         if fifo and fifo[0][0] <= now:
@@ -140,7 +138,7 @@ class InputQueuedRouter(Router):
                 tick = now + 1
             else:
                 tick = self.core_clock.following_edge(now)
-            simulator.call_at(tick, self._step, None, EPS_STEP)
+            self._step_wheel.add(tick, self._step)
         else:
             self._step_scheduled = False
 

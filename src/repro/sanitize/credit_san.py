@@ -157,7 +157,7 @@ class CreditSan(Sanitizer):
         def wrap_deliver_flit(original):
             # `_deliver_item` is the per-item landing hook, so the
             # accounting below is per flit regardless of how many land
-            # in one batch event.
+            # in one landing phase.
             def _deliver_item(channel, flit):
                 link = by_flit.get(id(channel))
                 if link is None:

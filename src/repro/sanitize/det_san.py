@@ -8,18 +8,21 @@ containers); DetSan catches the dynamic residue -- two same-seed runs
 whose event streams diverge anywhere, for any reason.
 
 Each executed event folds ``(packed time key, owning component, handler
-name)`` into a chained CRC32.  The per-event ``(key, digest)`` pairs
-are kept in a bounded trace; :func:`first_divergence` diffs two traces
-to the first divergent event, i.e. the exact tick and handler where the
+name)`` into a chained CRC32 -- and so does every registrant a phase
+wheel (:mod:`repro.core.wheel`) runs from its one event per phase, so a
+link's landing and a router's step keep their own entries.  The
+per-entry ``(key, digest, component, handler)`` tuples are kept in a
+bounded trace; :func:`first_divergence` diffs two traces to the first
+divergent entry, i.e. the exact tick, component and handler where the
 runs parted ways -- far more actionable than "the final latencies
 differ".
 
 DetSan keeps a second, *delivery* digest alongside the event digest.
 How deliveries are packed into events is not part of a simulation's
-meaning: coalesced channel delivery (``repro.net.channel``) batches
-them per channel, the sharded runtime lands one injected event per
-cut-channel record, and the retired one-event-per-item path scheduled
-one each.  The delivery digest hashes the
+meaning: the landing wheel (``repro.net.channel``) drains every link
+due at a tick from one event, the per-channel batch events it replaced
+scheduled one per busy link, and the retired one-event-per-item path
+one per item.  The delivery digest hashes the
 *items* landing at each ``(tick, epsilon)``: item fingerprints within
 one time key are folded commutatively (count + XOR + sum), then the
 per-key bucket is chained in key order.  Two runs produce the same
@@ -41,11 +44,12 @@ import zlib
 from typing import List, Optional, Tuple
 
 from repro import factory
+from repro.core.wheel import PhaseWheel
 from repro.net.channel import Channel, CreditChannel
 from repro.sanitize.base import MethodPatch, Sanitizer
 
-#: (packed time key, chained digest after this event)
-TraceEntry = Tuple[int, int]
+#: (packed time key, chained digest after this entry, component, handler)
+TraceEntry = Tuple[int, int, str, str]
 
 #: one flushed delivery bucket: (packed key, count, xor, sum)
 DeliveryBucket = Tuple[int, int, int, int]
@@ -175,9 +179,22 @@ class DetSan(Sanitizer):
 
             return _deliver_item
 
+        fold_call = self._fold_call
+
+        def wrap_fire(original):
+            def _fire(wheel, event):
+                if wheel.simulator is sim:
+                    key = (event.tick << EPSILON_BITS) | event.epsilon
+                    for registrant in wheel._slots[event.tick]:
+                        fold_call(key, registrant)
+                original(wheel, event)
+
+            return _fire
+
         self._patches = [
             MethodPatch(Channel, "_deliver_item", wrap_deliver_flit),
             MethodPatch(CreditChannel, "_deliver_item", wrap_deliver_credit),
+            MethodPatch(PhaseWheel, "_fire", wrap_fire),
         ]
 
     def _fold_item(self, key: int, item_crc: int) -> None:
@@ -213,33 +230,32 @@ class DetSan(Sanitizer):
     def finish(self) -> None:
         self._flush_bucket()
 
+    def _fold_call(self, key: int, handler) -> None:
+        """Fold one handler invocation: an engine event's handler or a
+        wheel registrant (a bound method, or a link the landing wheel
+        drains itself)."""
+        self.checks += 1
+        owner = getattr(handler, "__self__", handler)
+        owner_name = getattr(owner, "full_name", "")
+        name = getattr(handler, "__qualname__", type(handler).__name__)
+        self.digest = zlib.crc32(
+            f"{key}|{owner_name}|{name}".encode(), self.digest
+        )
+        if len(self.trace) < self.max_trace:
+            self.trace.append((key, self.digest, owner_name, name))
+        else:
+            self.trace_truncated = True
+
     def pre_event_hook(self):
-        crc32 = zlib.crc32
-        trace = self.trace
-        max_trace = self.max_trace
-
-        def fold(entry_key, event):
-            self.checks += 1
-            handler = event.handler
-            owner = getattr(handler, "__self__", None)
-            owner_name = getattr(owner, "full_name", "")
-            name = getattr(handler, "__qualname__", "?")
-            self.digest = crc32(
-                f"{entry_key}|{owner_name}|{name}".encode(), self.digest
-            )
-            if len(trace) < max_trace:
-                trace.append((entry_key, self.digest))
-            else:
-                self.trace_truncated = True
-
-        return fold
+        fold_call = self._fold_call
+        return lambda entry_key, event: fold_call(entry_key, event.handler)
 
     def diff(self, other: "DetSan") -> Optional[dict]:
         """Compare against another run's DetSan; None when identical.
 
-        Returns a dict locating the first divergent event: its index,
-        and each run's (tick, epsilon, digest) at that index (None past
-        the end of a shorter trace).
+        Returns a dict locating the first divergent entry: its index,
+        and each run's (tick, epsilon, digest, component, handler) at
+        that index (None past the end of a shorter trace).
         """
         index = first_divergence(self.trace, other.trace)
         if index is None:
@@ -265,11 +281,13 @@ class DetSan(Sanitizer):
 
         if index >= len(self.trace):
             return None
-        key, digest = self.trace[index]
+        key, digest, component, handler = self.trace[index]
         return {
             "tick": key >> EPSILON_BITS,
             "epsilon": key & (EPSILON_LIMIT - 1),
             "digest": digest,
+            "component": component,
+            "handler": handler,
         }
 
     def report(self):

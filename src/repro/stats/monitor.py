@@ -65,12 +65,12 @@ class ProgressMonitor(Component):
         if self.callback is not None:
             self.callback(sample)
         if self.print_samples:
-            rate = sample.executed_events / max(sample.wall_seconds, 1e-9)
+            rate = sample.flits_ejected / max(sample.wall_seconds, 1e-9)
             print(
                 f"[progress] tick={sample.tick} "
                 f"events={sample.executed_events} "
                 f"flits={sample.flits_ejected} "
-                f"({rate / 1000:.0f}k events/s)"
+                f"({rate / 1000:.1f}k flits/s)"
             )
         # Keep sampling only while other work remains: if the monitor is
         # the only event source left, the queue would never drain.
@@ -80,7 +80,9 @@ class ProgressMonitor(Component):
             self.schedule(self._sample, self.period, epsilon=EPS_MONITOR)
 
     def event_rate(self) -> float:
-        """Mean executed events per wall second so far."""
+        """Mean executed *engine* events per wall second so far: phases
+        (:mod:`repro.core.wheel` runs all landings of a tick from one
+        event, all steps from another), not handler calls."""
         if not self.history:
             return 0.0
         last = self.history[-1]

@@ -9,7 +9,7 @@ special case for: scheduling into existing and new timestamps, cancel
 before fire, cancel of a same-timestamp sibling from a handler,
 compaction from a handler (explicit and through the cancel threshold),
 ``max_events`` budgets that stop inside a bucket and resume,
-``run_until`` / ``max_time`` windows, and ``inject`` while paused.  Fire
+``run_until`` / ``max_time`` windows, and scheduling while paused.  Fire
 order, ``executed_events``, ``pending_events`` and ``queue_size`` must
 agree at every handler and every pause, with and without EventSan (which
 moves unbudgeted runs onto the instrumented loop and poisons the
@@ -43,8 +43,6 @@ class ReferenceQueue:
 
     def schedule(self, tick, epsilon, ident, keep_handle):
         self.log.append([(tick, epsilon), ident, False])
-
-    inject = schedule
 
     def cancel(self, ident):
         next(e for e in self.log if e[1] == ident)[2] = True
@@ -88,13 +86,10 @@ class EngineQueue:
         self.handles.pop(event.data, None)
         self.on_fire(event.data)
 
-    def schedule(self, tick, epsilon, ident, keep_handle, entry="call_at"):
-        event = getattr(self.simulator, entry)(tick, self._fire, ident, epsilon)
+    def schedule(self, tick, epsilon, ident, keep_handle):
+        event = self.simulator.call_at(tick, self._fire, ident, epsilon)
         if keep_handle:
             self.handles[ident] = event
-
-    def inject(self, tick, epsilon, ident, keep_handle):
-        self.schedule(tick, epsilon, ident, keep_handle, entry="inject")
 
     def cancel(self, ident):
         self.handles.pop(ident).cancel()
@@ -189,9 +184,9 @@ def run_program(make_queue, seed):
         for _ in range(rng.randrange(3)):
             ahead = rng.randrange(3)
             if ahead:
-                spawn(queue.inject, tick + ahead, rng.randrange(3))
+                spawn(queue.schedule, tick + ahead, rng.randrange(3))
             else:
-                spawn(queue.inject, tick, epsilon + 1 + rng.randrange(2))
+                spawn(queue.schedule, tick, epsilon + 1 + rng.randrange(2))
         if cancellable and rng.random() < 0.3:
             cancel_one(prefer=None)
         if rng.random() < 0.1:

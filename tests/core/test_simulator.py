@@ -330,8 +330,8 @@ def test_run_until_windows_are_resumable(simulator):
     # An empty window executes nothing and leaves the clock alone.
     assert simulator.run_until(5) == 0
     assert simulator.now == TimeStep(4, 7)
-    # Injection between windows lands in order with the put-back event.
-    simulator.inject(5, lambda e: fired.append("injected"), epsilon=1)
+    # Scheduling between windows lands in order with the put-back event.
+    simulator.call_at(5, lambda e: fired.append("injected"), epsilon=1)
     assert simulator.run_until(6) == 3
     assert fired[2:] == [(5, 0), "injected", (5, 3)]
     assert simulator.now == TimeStep(5, 3)

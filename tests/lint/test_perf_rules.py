@@ -68,6 +68,25 @@ def test_entry_points_seed_the_heat_map():
     assert heat["receive_flit"].weight == 1.0
 
 
+def test_wheel_loops_are_audited_per_item():
+    """One engine event fires a wheel per phase, but its loop runs once
+    per landed item / device step, so it is seeded like a per-item
+    handler -- and the per-link batch handler it replaced is gone."""
+    from repro.core.wheel import PhaseWheel
+    from repro.lint.perf_rules import _framework_classes
+    from repro.net.channel import _LandingWheel
+
+    assert "_deliver_batch" not in HEAT_ENTRIES["channel"]
+    assert {("wheel", PhaseWheel), ("wheel", _LandingWheel)} <= set(
+        _framework_classes()
+    )
+    for cls in (PhaseWheel, _LandingWheel):
+        heat = propagate_heat(ClassGraph(cls), HEAT_ENTRIES["wheel"])
+        assert heat["_drain"].weight == 2.0
+    # The landing loop re-registers links: add() is hot through it.
+    assert heat["add"].path == ("_drain", "add")
+
+
 def test_helpers_inherit_heat_interprocedurally():
     from repro.router.input_queued import InputQueuedRouter
 

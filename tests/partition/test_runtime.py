@@ -99,6 +99,32 @@ def test_proxy_records_never_late():
     assert credit_records > 0, "no credits crossed the cut"
 
 
+@pytest.mark.parametrize("lateness", [0, 1, 3])
+def test_record_due_inside_an_executed_window_is_refused(lateness):
+    """The ingress puts records straight onto the cut link's wire, so the
+    worker itself must refuse one that is due at or before the last
+    executed timestamp -- landing it would deliver it late, silently."""
+    config = _small_config()
+    manifest = plan_partition(Settings.from_dict(config), 2)
+    index, entry = next(
+        (index, entry)
+        for index, entry in enumerate(manifest["cut_channels"])
+        if entry["kind"] == "credit"
+    )
+    handle = _InProcessHandle(config, manifest, entry["sink_shard"], "", False)
+    end = 40
+    handle.window(end, [], [], None)
+    last_executed = handle.worker.simulator.tick
+    assert 0 < last_executed < end
+    late = (CREDIT_RECORD, index, last_executed - lateness, 0)
+    with pytest.raises(PartitionRuntimeError) as excinfo:
+        handle.window(end + 1, [late], [], None)
+    message = str(excinfo.value)
+    assert f"shard {entry['sink_shard']}" in message
+    assert f"cut {index} ({entry['name']})" in message
+    assert "lookahead violation" in message
+
+
 def test_registry_rejects_body_before_head():
     registry = ShardRegistry()
     body = (FLIT_RECORD, 0, 10, 0, 8, 42, 1, None)

@@ -28,6 +28,9 @@ import repro.net.packet as packet_mod
 from repro import Settings, Simulation
 from repro.core.clock import Clock
 from repro.core.simulator import Simulator
+from repro.core.wheel import PhaseWheel
+from repro.net.channel import _LandingWheel, _Link
+from repro.net.interface import Interface
 from repro.net.packet import preserve_packet_ids
 from repro.router.base import Router
 from repro.sanitize import attach_sanitizers
@@ -103,15 +106,19 @@ def test_delivery_digest_matches_per_flit_event_pins(
 
 @pytest.mark.parametrize("architecture", sorted(ARCHITECTURES))
 def test_core_traversal_schedules_no_engine_event(architecture, monkeypatch):
-    """Engine census: the only handler a router ever schedules is its
-    ``_step``; nothing named ``_core_arrival`` exists to be scheduled."""
+    """Engine census: routers, links and interfaces schedule *no* engine
+    event -- core traversal waits in ``_core_fifo``, landings and steps
+    ride the two phase wheels -- so a busy tick costs the engine two
+    wheel events plus whatever the workload schedules."""
     census = Counter()
+    wheel_ticks = Counter()
     real_call_at = Simulator.call_at
 
     def counting_call_at(self, time, handler, data=None, epsilon=0):
         owner = getattr(handler, "__self__", None)
-        kind = "router" if isinstance(owner, Router) else "other"
-        census[kind, handler.__name__] += 1
+        census[type(owner), handler.__name__] += 1
+        if isinstance(owner, PhaseWheel):
+            wheel_ticks[time] += 1
         return real_call_at(self, time, handler, data, epsilon)
 
     monkeypatch.setattr(Simulator, "call_at", counting_call_at)
@@ -119,7 +126,15 @@ def test_core_traversal_schedules_no_engine_event(architecture, monkeypatch):
     results = simulation.run(max_time=20_000)
     assert results.drained
     assert sum(r.flits_sent for r in simulation.network.routers) > 1000
-    assert {name for kind, name in census if kind == "router"} == {"_step"}
-    assert not any("core_arrival" in name for _kind, name in census)
+    assert not [
+        (owner, name) for owner, name in census
+        if issubclass(owner, (Router, _Link, Interface))
+    ]
+    assert {
+        (owner, name) for owner, name in census
+        if issubclass(owner, PhaseWheel)
+    } == {(PhaseWheel, "_fire"), (_LandingWheel, "_fire")}
+    assert max(wheel_ticks.values()) == 2
+    assert simulation.simulator.executed_events < 4 * len(wheel_ticks)
     assert not hasattr(Router, "_core_arrival")
     assert all(not router._core_fifo for router in simulation.network.routers)

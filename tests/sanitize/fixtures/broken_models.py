@@ -68,6 +68,35 @@ class FlitDroppingRouter(InputQueuedRouter):
         super().receive_flit(port, flit)
 
 
+@factory.register(Router, "restless")
+class RestlessRouter(InputQueuedRouter):
+    """Determinism leak inside one router's ``_step``: consults state
+    outside the simulation (``RESTLESS_AFTER``, standing in for a wall
+    clock or an unseeded RNG) and, the first time router
+    ``RESTLESS_ROUTER`` goes to sleep at or after that tick, wakes it for
+    one extra idle step.  Results are unaffected -- only the step
+    wheel's registrant sequence can tell."""
+
+    RESTLESS_ROUTER = 5
+    RESTLESS_AFTER = None  # tick; None = behave
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.extra_step_tick = None
+
+    def _step(self, event: Event) -> None:
+        super()._step(event)
+        if (
+            self.router_id == self.RESTLESS_ROUTER
+            and self.RESTLESS_AFTER is not None
+            and self.extra_step_tick is None
+            and self.simulator.tick >= self.RESTLESS_AFTER
+            and not self._step_scheduled
+        ):
+            self._wake()
+            self.extra_step_tick = self.simulator.tick + 1
+
+
 @factory.register(Interface, "head_resend")
 class HeadResendInterface(StandardInterface):
     """Stream-order corruption: re-sends the head flit in place of body 1.

@@ -132,6 +132,32 @@ def test_det_san_catches_unseeded_randomness():
     assert digests[0] != digests[1]
 
 
+@pytest.mark.mutation
+def test_det_san_locates_divergence_inside_one_routers_step(monkeypatch):
+    """Steps ride one engine event per tick (the step wheel), yet DetSan
+    folds every registrant: a divergence seeded in one router's ``_step``
+    is located to that router and tick, not to "the wheel"."""
+    runs = []
+    for restless_after in (None, 600):
+        monkeypatch.setattr(
+            broken_models.RestlessRouter, "RESTLESS_AFTER", restless_after
+        )
+        simulation = torus_simulation(**{"router.architecture": "restless"})
+        with attach_sanitizers(simulation, "det") as suite:
+            simulation.run()
+            suite.finish()
+            runs.append((simulation, suite.sanitizers[0]))
+    (_, clean), (simulation, restless) = runs
+    router = simulation.network.routers[
+        broken_models.RestlessRouter.RESTLESS_ROUTER
+    ]
+    assert router.extra_step_tick is not None
+    located = clean.diff(restless)["other"]
+    assert located["component"] == router.full_name
+    assert located["handler"].endswith("._step")
+    assert (located["tick"], located["epsilon"]) == (router.extra_step_tick, 3)
+
+
 # -- and the unbroken equivalents run clean ------------------------------------
 
 
@@ -175,12 +201,13 @@ def test_det_san_diff_locates_divergence():
 
     run_a = DetSan()
     run_b = DetSan()
-    run_a.trace = [(1, 10), (2, 20), (3, 30)]
-    run_b.trace = [(1, 10), (2, 21), (3, 31)]
+    run_a.trace = [(1, 10, "a", "h"), (2, 20, "b", "h"), (3, 30, "c", "h")]
+    run_b.trace = [(1, 10, "a", "h"), (2, 21, "x", "h"), (3, 31, "c", "h")]
     assert first_divergence(run_a.trace, run_b.trace) == 1
     diff = run_a.diff(run_b)
     assert diff["index"] == 1
     assert diff["self"]["tick"] == 0 and diff["self"]["epsilon"] == 2
+    assert (diff["self"]["component"], diff["other"]["component"]) == ("b", "x")
     run_b.trace = list(run_a.trace)
     run_b.digest = run_a.digest
     assert run_a.diff(run_b) is None

@@ -66,6 +66,26 @@ def test_cancelled_events_do_not_keep_the_monitor_sampling():
     assert simulator.pending_events == 0
 
 
+def test_progress_line_reports_flits_per_wall_second(capsys):
+    """Engine events are phases now (thousands per run, not hundreds of
+    thousands), so the printed rate is flits ejected per wall second;
+    the engine-event count stays in the sample."""
+    config = small_torus_config()
+    config["simulator"]["monitor"] = {"period": 500, "print": True}
+    simulation = Simulation(Settings.from_dict(config))
+    simulation.run(max_time=100_000)
+    lines = capsys.readouterr().out.splitlines()
+    history = simulation.monitor.history
+    assert len(lines) == len(history)
+    last = history[-1]
+    assert lines[-1].startswith(
+        f"[progress] tick={last.tick} events={last.executed_events} "
+        f"flits={last.flits_ejected} ("
+    )
+    assert lines[-1].endswith("k flits/s)")
+    assert "events/s" not in lines[-1]
+
+
 def test_no_monitor_by_default():
     simulation = Simulation(Settings.from_dict(small_torus_config()))
     assert simulation.monitor is None
