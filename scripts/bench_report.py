@@ -103,7 +103,6 @@ def bench_event_queue(rounds: int) -> None:
             "events": events,
             "seconds": best,
             "events_per_sec": rate,
-            "freelist": True,
             "rounds": rounds,
         },
     )

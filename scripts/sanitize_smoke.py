@@ -8,8 +8,8 @@ Run as a CI gate (scripts/ci_check.sh) or by hand::
 
 Each built-in benchmark config is simulated for a short tick budget
 with ``repro.sanitize`` fully attached (credit, flit, event, det).
-Any invariant violation -- a credit leak, an out-of-order flit, a
-recycled event executing -- fails the gate with the sanitizer's
+Any invariant violation -- a credit leak, an out-of-order flit, an
+event firing twice -- fails the gate with the sanitizer's
 message.  A clean pass prints per-config check counts, which should
 be comfortably non-zero: a sanitizer that made zero checks is wired
 to nothing.

@@ -10,15 +10,10 @@ Events are created by components and pushed into the simulator's global
 priority queue.  The executer pops them in time order and calls
 ``handler(event)``.
 
-Performance note -- recycling and generations: the simulator keeps a
-freelist of fired events (see ``docs/PERFORMANCE.md``) so the hot path
-does not allocate one object per event.  An event is only recycled when
-the executer holds the *sole* reference to it, so no live handle can
-alias a reused event.  ``generation`` counts how many times the object
-has been handed out; it increments on every reuse, letting tests and
-tools detect recycling, and ``cancel()`` refuses to act once the event
-has fired, so a stale cancel of an already-executed handle is a no-op
-instead of a landmine.
+Every scheduling allocates its own :class:`Event`, so a handle the
+caller keeps refers to that one logical event for good: it still shows
+its ``handler`` and ``data`` after firing, and ``cancel()`` on it is a
+no-op once the handler has run.
 """
 
 from __future__ import annotations
@@ -38,9 +33,7 @@ class Event:
             simulator when the event is scheduled.
         data: arbitrary component-specific payload.
         cancelled: if set before the event fires, the executer drops it.
-        generation: incremented each time the simulator reuses this
-            object from its freelist; a handle whose generation changed
-            refers to a different logical event.
+        fired: set by the executer right before the handler runs.
     """
 
     __slots__ = (
@@ -49,9 +42,7 @@ class Event:
         "epsilon",
         "data",
         "cancelled",
-        "generation",
         "fired",
-        "_sim",
     )
 
     def __init__(self, handler: Callable[["Event"], None], data: Any = None):
@@ -60,9 +51,7 @@ class Event:
         self.epsilon: int = 0
         self.data = data
         self.cancelled = False
-        self.generation = 0
         self.fired = False
-        self._sim = None
 
     @property
     def time(self) -> Optional[TimeStep]:
@@ -76,20 +65,11 @@ class Event:
 
         Cancellation is O(1): the event stays in the queue but its handler
         is not invoked.  This mirrors the common DES lazy-delete idiom.
-
         Cancelling an event that already fired is a no-op: once the
-        handler ran there is nothing left to stop, and the object may
-        since have been recycled for an unrelated scheduling (see the
-        ``generation`` counter).  The simulator tracks how many pending
-        queue entries are cancelled and compacts the queue when the dead
-        fraction grows too large.
+        handler ran there is nothing left to stop.
         """
-        if self.cancelled or self.fired:
-            return
-        self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            sim._note_cancel()
+        if not self.fired:
+            self.cancelled = True
 
     def __repr__(self):
         name = getattr(self.handler, "__qualname__", repr(self.handler))

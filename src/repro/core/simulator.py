@@ -34,25 +34,16 @@ Performance notes (see ``docs/PERFORMANCE.md`` for the full story):
 * ``tick`` and ``epsilon`` are plain attributes (not properties):
   handlers read them millions of times per run.  Treat them as
   read-only.
-* Fired :class:`Event` objects are recycled through a freelist instead
-  of being reallocated millions of times per run.  Recycling is gated
-  on the executer holding the sole reference (checked via the CPython
-  reference count; the bucket gives its reference up when the event is
-  popped), so an event the caller kept a handle to is never reused and
-  external handles are never aliased.
-* The clock and the executed-event counter are written once per
-  timestamp -- when its first live event fires; a bucket of cancelled
-  events never moves the clock -- instead of once per event.
-* ``run()`` has two executer loops over the one queue: a fast one (at
-  most a ``max_time`` limit: one packed-key comparison per timestamp)
-  and an instrumented one (event/wall-clock budgets, sanitizer hooks).
-  A loop that stops inside a bucket (budget, raising handler) leaves
-  the unfired tail parked under its key in scheduling order, so a later
-  ``run`` resumes exactly there.
+* ``run()`` has one executer loop: the ``max_time`` limit is one
+  packed-key comparison per timestamp, the ``max_events`` budget one
+  comparison per event, the wall clock is read once per timestamp, and
+  a sanitizer suite's hooks run before each handler.  A run that stops
+  inside a bucket (budget, raising handler) leaves the unfired tail
+  parked under its key in scheduling order, so a later ``run`` resumes
+  exactly there.
 * Cancellation is lazy: a cancelled event stays in its bucket and is
-  skipped when reached.  Dead entries are counted, and the buckets are
-  compacted in place when the dead fraction crosses a threshold, so
-  cancellation-heavy workloads cannot grow the queue unboundedly.
+  skipped when reached; a bucket of cancelled events never moves the
+  clock.
 * ``Simulator`` declares ``__slots__``: attribute access shows up on
   every scheduled event, and slot access is measurably faster than a
   dict lookup.
@@ -64,7 +55,6 @@ import gc as _gc
 import heapq
 import time as _wallclock
 from heapq import heappush as _heappush
-from sys import getrefcount as _getrefcount
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.event import Event
@@ -83,8 +73,6 @@ _EPS_MASK = EPSILON_LIMIT - 1
 #: Larger ticks stay *correct* (Python ints never wrap) but compare
 #: slower.
 TICK_FAST_LIMIT = 1 << (63 - EPSILON_BITS)
-#: maximum number of fired events parked in the freelist across runs.
-EVENT_POOL_SIZE = 8192
 #: limit key of an unbounded run: every packed key compares below it.
 _NO_LIMIT = 1 << 4096
 
@@ -118,18 +106,11 @@ class Simulator:
         "_now_key",
         "_running",
         "_executed_events",
-        "_cancelled_pending",
-        "_compactions",
-        "_event_pool",
         "_components",
         "_wheels",
         "_observers",
         "_sanitizer",
     )
-
-    #: compaction threshold: compact when at least this many entries are
-    #: cancelled AND they make up more than half of the queue.
-    COMPACT_MIN_CANCELLED = 64
 
     def __init__(self):
         self._buckets: Dict[int, List[Event]] = {}
@@ -139,16 +120,12 @@ class Simulator:
         self._now_key = 0
         self._running = False
         self._executed_events = 0
-        self._cancelled_pending = 0
-        self._compactions = 0
-        self._event_pool: List[Event] = []
         self._components: Dict[str, "Component"] = {}
         self._wheels: Dict[int, PhaseWheel] = {}
         self._observers: List[Callable[["Simulator"], None]] = []
-        # Runtime sanitizer suite (repro.sanitize).  None in normal runs:
-        # the only cost of the hook is one attribute test per run() call,
-        # never per event.  When set, run() takes the instrumented loop
-        # with the suite's hooks so the suite sees every event.
+        # Runtime sanitizer suite (repro.sanitize), None in normal runs.
+        # When set, the executer calls the suite's hooks before every
+        # handler.
         self._sanitizer = None
 
     # -- time ---------------------------------------------------------------
@@ -160,23 +137,8 @@ class Simulator:
 
     @property
     def executed_events(self) -> int:
-        """Total number of events executed so far.
-
-        Exact between runs and at every ``(tick, epsilon)`` boundary;
-        while a timestamp's bucket drains the counter is updated once
-        for the whole bucket, not per event.
-        """
+        """Total number of events executed so far."""
         return self._executed_events
-
-    @property
-    def compactions(self) -> int:
-        """Number of times the event queue was compacted (stats)."""
-        return self._compactions
-
-    @property
-    def recycled_events(self) -> int:
-        """Number of Event objects currently parked in the freelist."""
-        return len(self._event_pool)
 
     # -- component registry --------------------------------------------------
 
@@ -251,17 +213,12 @@ class Simulator:
         event.tick = tick
         event.epsilon = epsilon
         event.fired = False
-        event._sim = self
         bucket = self._buckets.get(key)
         if bucket is None:
             self._buckets[key] = [event]
             _heappush(self._keys, key)
         else:
             bucket.append(event)
-        if event.cancelled:
-            # Scheduling an already-cancelled event still occupies a
-            # queue slot; account for it so pending_events stays honest.
-            self._cancelled_pending += 1
         return event
 
     def call_at(
@@ -271,12 +228,7 @@ class Simulator:
         data: Any = None,
         epsilon: int = 0,
     ) -> Event:
-        """Convenience: create and schedule an event in one call.
-
-        This is the hot scheduling path: the event object comes from the
-        freelist when one is available (its ``generation`` increments on
-        reuse) and a fresh allocation otherwise.
-        """
+        """Convenience: create and schedule an event in one call."""
         if type(time) is int:
             tick = time
         elif isinstance(time, TimeStep):
@@ -290,16 +242,7 @@ class Simulator:
         key = (tick << EPSILON_BITS) | epsilon
         if self._running and key <= self._now_key:
             raise self._bad_time(tick, epsilon)
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.handler = handler
-            event.data = data
-            event.fired = False
-            event.generation += 1
-        else:
-            event = Event(handler, data)
-            event._sim = self
+        event = Event(handler, data)
         event.tick = tick
         event.epsilon = epsilon
         bucket = self._buckets.get(key)
@@ -315,63 +258,25 @@ class Simulator:
     def queue_size(self) -> int:
         """Raw queue length, *including* lazily-cancelled entries.
 
-        Cancelled events stay in their bucket until reached or
-        compacted, so this over-reports the true backlog; use
-        :attr:`pending_events` for the number of events that will
-        actually execute.  Counted on demand (one ``len`` per pending
-        timestamp) so scheduling and firing carry no size bookkeeping;
-        exact also from a handler: the event being fired is out, the
-        unfired rest of its timestamp is in.
+        Cancelled events stay in their bucket until reached, so this
+        over-reports the true backlog; use :attr:`pending_events` for
+        the number of events that will actually execute.  Counted on
+        demand (one ``len`` per pending timestamp) so scheduling and
+        firing carry no size bookkeeping; exact also from a handler:
+        the event being fired is out, the unfired rest of its timestamp
+        is in.
         """
         return sum(map(len, self._buckets.values()))
 
     @property
     def pending_events(self) -> int:
-        """Number of queued events that are not cancelled."""
-        return self.queue_size - self._cancelled_pending
-
-    # -- cancellation accounting / compaction -----------------------------------
-
-    def _note_cancel(self) -> None:
-        """Called by Event.cancel(); counts dead entries, compacts the queue.
-
-        Compaction runs when at least ``COMPACT_MIN_CANCELLED`` entries
-        are dead and they outnumber the live ones, bounding the memory a
-        cancel-heavy workload can waste at ~2x the live queue.
-        """
-        self._cancelled_pending += 1
-        if (
-            self._cancelled_pending >= self.COMPACT_MIN_CANCELLED
-            and self._cancelled_pending * 2 > self.queue_size
-        ):
-            self.compact()
-
-    def compact(self) -> int:
-        """Drop cancelled entries from the queue; returns how many.
-
-        Safe to call from a handler: every container is mutated in
-        place (the executer holds references to them across a run),
-        filtering keeps each bucket's scheduling order -- also that of
-        the bucket being drained, which the executer holds reversed --
-        and the head key keeps its bucket even when it empties, because
-        a run loop may be in the middle of it.
-        """
-        buckets = self._buckets
-        dropped = 0
-        for bucket in buckets.values():
-            before = len(bucket)
-            bucket[:] = [event for event in bucket if not event.cancelled]
-            dropped += before - len(bucket)
-        if dropped:
-            keys = self._keys
-            head = keys[0]
-            for key in [k for k, b in buckets.items() if not b and k != head]:
-                del buckets[key]
-            keys[:] = buckets
-            heapq.heapify(keys)
-            self._compactions += 1
-        self._cancelled_pending = 0
-        return dropped
+        """Number of queued events that are not cancelled (counted on
+        demand, like :attr:`queue_size`)."""
+        return sum(
+            not event.cancelled
+            for bucket in self._buckets.values()
+            for event in bucket
+        )
 
     # -- execution --------------------------------------------------------------
 
@@ -392,8 +297,15 @@ class Simulator:
         * ``max_seconds``: stop at the first timestamp boundary after
           this much wall-clock time, counted from this call.
 
-        Returns the final simulation time.
+        Returns the final simulation time.  Calling ``run`` (or
+        ``run_until``) from a handler is an error: the executer is not
+        re-entrant.
         """
+        if self._running:
+            raise SimulationError(
+                "run() called from inside a handler; the executer is "
+                "not re-entrant"
+            )
         if max_time is None:
             limit_key = _NO_LIMIT
         elif isinstance(max_time, TimeStep):
@@ -416,10 +328,7 @@ class Simulator:
         if gc_was_enabled:
             _gc.disable()
         try:
-            if self._sanitizer is None and max_events is None and deadline is None:
-                self._run_fast(limit_key)
-            else:
-                self._run_instrumented(limit_key, max_events, deadline)
+            self._execute(limit_key, max_events, deadline)
         finally:
             self._running = False
             if gc_was_enabled:
@@ -447,93 +356,28 @@ class Simulator:
         self.run(max_time=TimeStep(end_tick - 1, MAX_EPSILON))
         return self._executed_events - before
 
-    def _run_fast(self, limit_key) -> None:
-        """Drain the queue up to ``limit_key``; no budgets, no hooks.
-
-        One packed-key comparison per *timestamp* implements the whole
-        limit test (an unbounded run passes ``_NO_LIMIT``).  The head
-        key is peeked, its bucket reversed and drained by ``pop()``, so
-        the bucket is always exactly the unfired tail (``queue_size``
-        stays exact, a cancelled later sibling is seen when reached,
-        ``compact()`` can filter it) and holds no reference to the event
-        at the freelist's sole-reference test; key and bucket are
-        dropped once it is empty.
-        """
-        keys = self._keys
-        buckets = self._buckets
-        pop_key = heapq.heappop
-        pool = self._event_pool
-        refs = _getrefcount
-        executed = self._executed_events
-        now = -1
-        bucket = None
-        try:
-            while keys:
-                key = keys[0]
-                if key > limit_key:
-                    break
-                bucket = buckets[key]
-                bucket.reverse()
-                while bucket:
-                    event = bucket.pop()
-                    if event.cancelled:
-                        self._cancelled_pending -= 1
-                        if refs(event) == 2:
-                            event.cancelled = False
-                            pool.append(event)
-                        continue
-                    if key != now:
-                        # First live event of this timestamp: write the
-                        # clock and the event counter once for the whole
-                        # bucket (causality forbids scheduling *into* it,
-                        # so a draining bucket only shrinks).
-                        now = key
-                        self.tick = key >> EPSILON_BITS
-                        self.epsilon = key & _EPS_MASK
-                        self._now_key = key
-                        self._executed_events = executed
-                    event.fired = True
-                    event.handler(event)
-                    executed += 1
-                    if refs(event) == 2:
-                        pool.append(event)
-                pop_key(keys)
-                del buckets[key]
-        finally:
-            if bucket:
-                # A handler raised: re-park the unfired tail in
-                # scheduling order (key and bucket are still in place).
-                bucket.reverse()
-            self._executed_events = executed
-            del pool[EVENT_POOL_SIZE:]
-
-    def _run_instrumented(
+    def _execute(
         self, limit_key, max_events: Optional[int], deadline: Optional[float]
     ) -> None:
-        """Full-featured loop: time/event/clock limits plus sanitizer hooks.
+        """The executer loop: drain the queue up to ``limit_key``.
 
-        Same queue, execution order and recycling discipline as
-        :meth:`_run_fast`.  The ``max_events`` budget (tested *before*
-        an event is popped) counts events executed *in this call*, so a
-        resumed run gets a fresh budget; it may stop the run *inside* a
-        bucket, whose unfired tail is re-parked in scheduling order for
-        the next run.  The wall clock is tested once per timestamp --
-        one event can be a whole network phase (:mod:`repro.core.wheel`),
-        so an event-count cadence would overshoot.  With a
-        sanitizer suite attached (see :mod:`repro.sanitize`) its
-        ``pre_hooks`` run right before each handler (clock already
-        advanced) and its ``recycle_hooks`` right before an event object
-        is parked in the freelist (so :class:`~repro.sanitize.EventSan`
-        can poison it); both tuples are empty otherwise.
+        The head key is peeked, its bucket reversed and drained by
+        ``pop()``, so the bucket is always exactly the unfired tail
+        (``queue_size`` stays exact, a cancelled later sibling is seen
+        when reached); key and bucket are dropped once it is empty.
+        The ``max_events`` budget is tested *before* an event is popped
+        and counts events executed in this call; the wall clock is
+        tested once per timestamp -- one event can be a whole network
+        phase (:mod:`repro.core.wheel`), so an event-count cadence
+        would overshoot.  With a sanitizer suite attached (see
+        :mod:`repro.sanitize`) its ``pre_event_hooks`` run right before
+        each handler, clock already advanced.
         """
         suite = self._sanitizer
-        pre_hooks = () if suite is None else tuple(suite.pre_event_hooks)
-        recycle_hooks = () if suite is None else tuple(suite.recycle_hooks)
+        hooks = () if suite is None else tuple(suite.pre_event_hooks)
         keys = self._keys
         buckets = self._buckets
-        pool = self._event_pool
-        refs = _getrefcount
-        executed_this_run = 0
+        executed = 0
         bucket = None
         try:
             while keys:
@@ -543,30 +387,20 @@ class Simulator:
                 bucket = buckets[key]
                 bucket.reverse()
                 while bucket:
-                    if executed_this_run == max_events:
+                    if executed == max_events:
                         return
                     event = bucket.pop()
                     if event.cancelled:
-                        self._cancelled_pending -= 1
-                        if refs(event) == 2 and len(pool) < EVENT_POOL_SIZE:
-                            event.cancelled = False
-                            for hook in recycle_hooks:
-                                hook(event)
-                            pool.append(event)
                         continue
                     self.tick = key >> EPSILON_BITS
                     self.epsilon = key & _EPS_MASK
                     self._now_key = key
-                    for hook in pre_hooks:
+                    for hook in hooks:
                         hook(key, event)
                     event.fired = True
                     event.handler(event)
                     self._executed_events += 1
-                    executed_this_run += 1
-                    if refs(event) == 2 and len(pool) < EVENT_POOL_SIZE:
-                        for hook in recycle_hooks:
-                            hook(event)
-                        pool.append(event)
+                    executed += 1
                 heapq.heappop(keys)
                 del buckets[key]
                 if deadline is not None and _wallclock.monotonic() > deadline:

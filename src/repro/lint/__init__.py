@@ -12,9 +12,9 @@ Three layers of checks, all runnable without simulating a single tick:
 * **determinism** (D001..D005) -- AST checks over workload/model
   source files (unseeded randomness, wall-clock reads, module-global
   mutation) plus a runtime pickling check of parallel-sweep payloads.
-* **dataflow** (E001..E006) -- AST checks for model-contract
-  violations: event handles retained past firing, epsilon-discipline
-  breaches, credit counts mutated outside the ``repro.net.credit``
+* **dataflow** (E001, E003..E006) -- AST checks for model-contract
+  violations: epsilon-discipline breaches, engine-owned event fields
+  written by models, credit counts mutated outside the ``repro.net.credit``
   API.  The static counterparts of the ``repro.sanitize`` runtime
   sanitizers.
 * **partition** (P001..P008) -- shard-safety checks of a partition

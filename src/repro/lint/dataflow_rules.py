@@ -1,4 +1,4 @@
-"""Dataflow-layer lint (E001..E006): model-contract checks over source.
+"""Dataflow-layer lint (E001, E003..E006): model-contract checks over source.
 
 The runtime sanitizers (:mod:`repro.sanitize`) catch contract
 violations *while they corrupt a run*; the E-rules catch the same
@@ -11,13 +11,8 @@ uses) for zero-setup coverage of user model code.
 
 The contracts, and who enforces them at runtime:
 
-* **Event handles** (E001/E002, warning) -- an :class:`Event` returned
-  by a scheduling call is only meaningful until it fires; afterwards
-  the object may be recycled for an unrelated event (its ``generation``
-  changes).  Storing the handle on ``self`` or in a container is the
-  use-after-reuse setup EventSan flags at runtime.  Legitimate
-  retain-to-cancel code must clear the handle inside the handler (see
-  ``repro/workload/application.py``).
+* **Parse errors** (E001, warning) -- a source file the layer could
+  not parse is reported and skipped.
 * **Epsilon discipline** (E003 warning, E004 error) -- scheduling at
   the current tick requires a strictly increasing epsilon, and epsilon
   must stay below 2**20 (it packs into the time key;
@@ -28,9 +23,9 @@ The contracts, and who enforces them at runtime:
   ``CreditTracker.take``/``give``; poking ``_credits``/``_capacity``
   from outside the tracker is exactly the silent accounting gap
   CreditSan exists to catch.
-* **Event engine fields** (E006, error) -- ``fired``, ``cancelled``,
-  and ``generation`` belong to the engine; models writing them corrupt
-  the freelist lifecycle EventSan polices.
+* **Event engine fields** (E006, error) -- ``fired`` and ``cancelled``
+  belong to the engine; models writing them corrupt the event
+  lifecycle EventSan polices.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from repro import factory
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import DATAFLOW_LAYER, LintContext, LintRule
 
-#: methods whose return value is a live Event handle.
+#: the scheduling methods whose time arguments E003/E004 check.
 SCHED_METHODS = {"call_at", "schedule", "schedule_at", "add_event"}
 #: positional index of the absolute-time argument (``schedule`` takes a
 #: relative delay and auto-bumps epsilon at delay 0, so it is exempt
@@ -57,7 +52,7 @@ _EPSILON_LIMIT = 1 << 20  # mirrors core/simulator.py EPSILON_BITS
 
 #: CreditTracker internals (E005) and Event engine fields (E006).
 _CREDIT_INTERNALS = {"_credits", "_capacity"}
-_EVENT_ENGINE_FIELDS = {"fired", "cancelled", "generation"}
+_EVENT_ENGINE_FIELDS = {"fired", "cancelled"}
 
 
 def _sched_method(node: ast.expr) -> Optional[str]:
@@ -129,10 +124,6 @@ class DataflowScan:
     def __init__(self, path: str):
         self.path = path
         self.parse_error: Optional[str] = None
-        #: (line, target, method) sched result assigned to a self attribute.
-        self.handle_on_self: List[Tuple[int, str, str]] = []
-        #: (line, description) sched result pushed into a container.
-        self.handle_in_container: List[Tuple[int, str]] = []
         #: (line, method, time expression) same-tick scheduling with
         #: default/zero epsilon.
         self.same_tick_zero_eps: List[Tuple[int, str, str]] = []
@@ -156,37 +147,12 @@ class DataflowScan:
     def _scan(self, tree: ast.AST) -> None:
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign):
-                self._scan_assign(node.targets, node.value, node.lineno)
+                for target in node.targets:
+                    self._scan_protected_write(target, node.lineno)
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-                value = node.value
-                self._scan_assign(targets, value, node.lineno)
+                self._scan_protected_write(node.target, node.lineno)
             elif isinstance(node, ast.Call):
                 self._scan_call(node)
-
-    def _scan_assign(
-        self,
-        targets: List[ast.expr],
-        value: Optional[ast.expr],
-        line: int,
-    ) -> None:
-        method = _sched_method(value) if value is not None else None
-        for target in targets:
-            if method is not None:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    self.handle_on_self.append(
-                        (line, _unparse(target), method)
-                    )
-                elif isinstance(target, ast.Subscript):
-                    self.handle_in_container.append(
-                        (line, f"{method}() result stored into "
-                               f"{_unparse(target)}")
-                    )
-            self._scan_protected_write(target, line)
 
     def _scan_protected_write(self, target: ast.expr, line: int) -> None:
         """E005/E006: the written location reaches a protected field."""
@@ -209,21 +175,6 @@ class DataflowScan:
             self.event_field_writes.append((line, _unparse(target)))
 
     def _scan_call(self, call: ast.Call) -> None:
-        # Containers: list.append(self.schedule(...)) and friends.
-        if isinstance(call.func, ast.Attribute) and call.func.attr in (
-            "append",
-            "appendleft",
-            "add",
-            "insert",
-        ):
-            for arg in call.args:
-                method = _sched_method(arg)
-                if method is not None:
-                    self.handle_in_container.append(
-                        (call.lineno,
-                         f"{method}() result passed to "
-                         f"{_unparse(call.func)}()")
-                    )
         method = _sched_method(call)
         if method is None:
             return
@@ -264,60 +215,20 @@ class _DataflowRule(LintRule):
 
 
 @factory.register(LintRule, "E001")
-class HandleOnSelfRule(_DataflowRule):
+class ParseErrorRule(_DataflowRule):
     rule_id = "E001"
-    description = ("Event handle stored on `self`: stale after the event "
-                   "fires (the object is recycled); clear it in the handler "
-                   "or don't retain it")
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        findings = []
-        for scan in ctx.dataflow_scans():
-            if scan.parse_error is not None:
-                findings.append(
-                    Finding(
-                        "E001",
-                        Severity.WARNING,
-                        f"could not parse source file (skipped): "
-                        f"{scan.parse_error}",
-                        location=scan.path,
-                    )
-                )
-                continue
-            for line, target, method in scan.handle_on_self:
-                findings.append(
-                    Finding(
-                        "E001",
-                        Severity.WARNING,
-                        f"{method}() handle stored on `{target}`; after the "
-                        f"event fires the object may be recycled for an "
-                        f"unrelated event (generation changes), so the "
-                        f"handle must be cleared inside the handler before "
-                        f"any later cancel()",
-                        location=f"{scan.path}:{line}",
-                    )
-                )
-        return findings
-
-
-@factory.register(LintRule, "E002")
-class HandleInContainerRule(_DataflowRule):
-    rule_id = "E002"
-    description = ("Event handle stored in a container: entries outlive "
-                   "their firing and alias recycled events")
+    description = "Source file could not be parsed; the dataflow layer skipped it"
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
         return [
             Finding(
-                "E002",
+                "E001",
                 Severity.WARNING,
-                f"{description}; container entries are not cleared when the "
-                f"event fires, so they go stale and may alias a recycled "
-                f"event object",
-                location=f"{scan.path}:{line}",
+                f"could not parse source file (skipped): {scan.parse_error}",
+                location=scan.path,
             )
-            for scan in self._clean_scans(ctx)
-            for line, description in scan.handle_in_container
+            for scan in ctx.dataflow_scans()
+            if scan.parse_error is not None
         ]
 
 
@@ -392,9 +303,8 @@ class CreditInternalsRule(_DataflowRule):
 @factory.register(LintRule, "E006")
 class EventEngineFieldsRule(_DataflowRule):
     rule_id = "E006"
-    description = ("Event engine-owned field (fired/cancelled/generation) "
-                   "written by model code; use Event.cancel() and fresh "
-                   "schedules")
+    description = ("Event engine-owned field (fired/cancelled) written by "
+                   "model code; use Event.cancel() and fresh schedules")
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
         return [
@@ -402,8 +312,8 @@ class EventEngineFieldsRule(_DataflowRule):
                 "E006",
                 Severity.ERROR,
                 f"write to `{target}` corrupts the event lifecycle the "
-                f"engine's freelist depends on; cancel with Event.cancel() "
-                f"and schedule a new event instead of resurrecting this one",
+                f"executer depends on; cancel with Event.cancel() and "
+                f"schedule a new event instead of resurrecting this one",
                 location=f"{scan.path}:{line}",
             )
             for scan in self._clean_scans(ctx)

@@ -5,36 +5,28 @@ A flit is the smallest unit of resource allocation in a router (paper
 flits; a packet is a sequence of flits (one head, zero or more body, one
 tail -- a single-flit packet is both head and tail).
 
-Flit state lives in a process-wide :class:`repro.net.slab.FlitSlab`:
-the :class:`Flit` objects routers pass around are thin views over the
-slab's structure-of-arrays columns, permanently bound to one slab
-handle each and recycled (object and all) when a delivered message's
-flits are released.  ``packet`` and ``index`` stay ordinary slots --
-they are rebound on every recycle anyway and are the hottest reads.
+A :class:`Flit` is a plain ``__slots__`` record: its
+:class:`~repro.net.packet.Packet` builds one object per flit when the
+message is packetized, routers rewrite ``vc`` hop by hop, and the
+objects die with their message.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.net.slab import FLIT_HANDLE_SLOTS, FlitSlab
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
 
-#: Process-wide slab backing all Flit instances.  Sweep workers run in
-#: spawned processes, so each owns an independent slab.
-FLIT_SLAB = FlitSlab()
-
 
 class Flit:
-    """One flow control digit of a packet (a view into :data:`FLIT_SLAB`).
+    """One flow control digit of a packet.
 
     Attributes:
         packet: the owning packet.
         index: position of this flit within the packet (0 = head).
-        head: True for the first flit of the packet (read-only).
-        tail: True for the last flit of the packet (read-only).
+        head: True for the first flit of the packet.
+        tail: True for the last flit of the packet.
         vc: the virtual channel this flit currently occupies.  Rewritten
             hop by hop as the packet claims VCs.
         send_tick: tick at which this flit first entered the network
@@ -43,51 +35,21 @@ class Flit:
             interface.
     """
 
-    __slots__ = ("packet", "index") + FLIT_HANDLE_SLOTS
+    __slots__ = (
+        "packet", "index", "head", "tail", "vc", "send_tick", "receive_tick"
+    )
 
     def __init__(self, packet: "Packet", index: int, head: bool, tail: bool):
-        # Direct construction (tests, ad-hoc models) binds a fresh slab
-        # handle; packetization goes through FLIT_SLAB.acquire, which
-        # recycles handles and their pooled views.
-        FLIT_SLAB.adopt(self, packet, index, head, tail)
-
-    @property
-    def vc(self) -> int:
-        return self._vc[self._handle]
-
-    @vc.setter
-    def vc(self, value: int) -> None:
-        self._vc[self._handle] = value
-
-    @property
-    def head(self) -> bool:
-        return self._flags[self._handle] & 1 != 0
-
-    @property
-    def tail(self) -> bool:
-        return self._flags[self._handle] & 2 != 0
-
-    @property
-    def send_tick(self) -> Optional[int]:
-        return self._send[self._handle]
-
-    @send_tick.setter
-    def send_tick(self, value: Optional[int]) -> None:
-        self._send[self._handle] = value
-
-    @property
-    def receive_tick(self) -> Optional[int]:
-        return self._recv[self._handle]
-
-    @receive_tick.setter
-    def receive_tick(self, value: Optional[int]) -> None:
-        self._recv[self._handle] = value
+        self.packet = packet
+        self.index = index
+        self.head = head
+        self.tail = tail
+        self.vc = 0
+        self.send_tick: Optional[int] = None
+        self.receive_tick: Optional[int] = None
 
     def __repr__(self):
         kind = "H" if self.head else ("T" if self.tail else "B")
         if self.head and self.tail:
             kind = "HT"
         return f"Flit(pkt={self.packet.global_id}, i={self.index}, {kind}, vc={self.vc})"
-
-
-FLIT_SLAB.bind_view_type(Flit)

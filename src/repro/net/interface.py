@@ -23,7 +23,7 @@ from repro.core.component import Component
 from repro.core.event import Event
 from repro.net.credit import Credit
 from repro.net.device import PortedDevice
-from repro.net.flit import FLIT_SLAB, Flit
+from repro.net.flit import Flit
 from repro.net.message import Message
 from repro.net.packet import Packet
 from repro.net.phases import EPS_STEP
@@ -197,10 +197,9 @@ class StandardInterface(Interface):
         now = self.simulator.tick
         if tracker._credits[vc] > 0 and now >= channel._next_free_tick:
             flit = packet.flits[self._next_flit_index]
-            handle = flit._handle
-            flit._vc[handle] = vc
-            flit._send[handle] = now
-            if flit._flags[handle] & 1:  # head
+            flit.vc = vc
+            flit.send_tick = now
+            if flit.head:
                 packet.injection_tick = now
             # Via the public hook: subclasses (and fault-injection
             # models) override send_flit to intercept injection.
@@ -246,10 +245,9 @@ class StandardInterface(Interface):
                 f"{self.full_name}: flit for terminal {message.destination} "
                 f"arrived at interface {self.interface_id}: {flit!r}"
             )
-        handle = flit._handle
-        vc = flit._vc[handle]
+        vc = flit.vc
         # §IV-D: right order within the packet, no interleaving within a VC.
-        if flit._flags[handle] & 1:  # head
+        if flit.head:
             if vc in self._reassembly:
                 other = self._reassembly[vc][0]
                 raise InterfaceError(
@@ -269,11 +267,11 @@ class StandardInterface(Interface):
                 f"packet {expected_packet.global_id} flit {expected_index}, "
                 f"got {flit!r}"
             )
-        flit._recv[handle] = self.simulator.tick
+        flit.receive_tick = self.simulator.tick
         self.flits_ejected += 1
         # The ejection buffer consumes the flit immediately: return credit.
         self.send_credit(port, vc)
-        if flit._flags[handle] & 2:  # tail
+        if flit.tail:
             del self._reassembly[vc]
             self._packet_done(packet)
         else:
@@ -290,10 +288,5 @@ class StandardInterface(Interface):
             self._packets_remaining.pop(message.id, None)
             self.messages_delivered += 1
             self._deliver_message(message)
-            # Delivery listeners (statistics) have copied what they
-            # need; recycle the message's flit slab handles.
-            release_packet = FLIT_SLAB.release_packet
-            for delivered in message.packets:
-                release_packet(delivered)
         else:
             self._packets_remaining[message.id] = remaining

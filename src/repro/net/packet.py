@@ -12,7 +12,7 @@ import contextlib
 import itertools
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
-from repro.net.flit import FLIT_SLAB, Flit
+from repro.net.flit import Flit
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
@@ -80,12 +80,9 @@ class Packet:
         self.message = message
         self.id = packet_id
         self.global_id = next(_global_packet_ids)
-        # Acquire views from the slab: steady state recycles the flit
-        # objects of already-delivered messages instead of allocating.
-        acquire = FLIT_SLAB.acquire
         last = num_flits - 1
         self.flits: List[Flit] = [
-            acquire(self, i, i == 0, i == last) for i in range(num_flits)
+            Flit(self, i, i == 0, i == last) for i in range(num_flits)
         ]
         self.hop_count = 0
         self.non_minimal = False

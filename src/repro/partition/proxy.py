@@ -24,8 +24,8 @@ Flits reference packets reference messages, and none of those objects
 exist on the sink side of a cut, so the head-flit record carries a full
 snapshot of the message- and packet-level state and the
 :class:`ShardRegistry` rebuilds real :class:`~repro.net.message.Message`
-/ :class:`~repro.net.packet.Packet` objects around slab-backed flit
-views.  Reconstruction goes through ``__new__`` -- the id counters were
+/ :class:`~repro.net.packet.Packet` objects and their flits.
+Reconstruction goes through ``__new__`` -- the id counters were
 already advanced by the phantom-terminal replay (see
 :func:`make_phantom_interface`), so consuming them again would desync
 every subsequent id.  Wormhole routing guarantees the head flit crosses
@@ -48,11 +48,11 @@ leaves them, after the head already crossed -- and on head flits::
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.net.channel import Channel, ChannelError, CreditChannel
 from repro.net.credit import Credit
-from repro.net.flit import FLIT_SLAB, Flit
+from repro.net.flit import Flit
 from repro.net.interface import Interface
 from repro.net.message import Message
 from repro.net.packet import Packet
@@ -93,10 +93,9 @@ class _ProxyFlitChannel(Channel):
         self._next_free_tick = now + self.period
         self.flits_carried += 1
         due = now + self.latency
-        handle = flit._handle
         packet = flit.packet
         head: Any = None
-        if flit._flags[handle] & 1:  # head: snapshot message+packet state
+        if flit.head:  # snapshot message+packet state
             self._shard_registry.note_egress(packet)
             message = packet.message
             head = (
@@ -117,7 +116,7 @@ class _ProxyFlitChannel(Channel):
                 packet.intermediate,
                 dict(packet.routing_state),
             )
-        elif flit._flags[handle] & 2:
+        elif flit.tail:
             # Tail: routers bump ``hop_count`` as the tail leaves them,
             # i.e. *after* the head (and its snapshot) already crossed,
             # so the tail carries the post-increment count for the
@@ -132,8 +131,8 @@ class _ProxyFlitChannel(Channel):
             FLIT_RECORD,
             self._cut_index,
             due,
-            flit._vc[handle],
-            flit._send[handle],
+            flit.vc,
+            flit.send_tick,
             packet.global_id,
             flit.index,
             head,
@@ -179,22 +178,18 @@ class ShardRegistry:
 
     Entries come from two sides: :meth:`note_egress` registers locally
     created objects whose head flit left the shard (they may re-enter
-    later, and their slab handles must be released once the message is
-    delivered elsewhere), and :meth:`materialize_flit` registers
-    reconstructions of remotely created objects.  Either way the maps
-    are the single source of truth: a flit re-entering the shard binds
-    to the same objects it left.
+    later), and :meth:`materialize_flit` registers reconstructions of
+    remotely created objects.  Either way the maps are the single
+    source of truth: a flit re-entering the shard binds to the same
+    objects it left.
 
     The coordinator broadcasts delivered message ids at every barrier;
-    :meth:`release_delivered` frees the slab handles of any registered
-    message that was *not* delivered by a local interface (local
-    deliveries release through the interface's normal path).
+    :meth:`release_delivered` drops the entries of those messages.
     """
 
     def __init__(self) -> None:
         self.messages: Dict[int, Message] = {}
         self.packets: Dict[int, Packet] = {}
-        self.locally_delivered: Set[int] = set()
 
     # -- egress side -------------------------------------------------------
 
@@ -237,9 +232,8 @@ class ShardRegistry:
             # this packet can only happen after this tail lands.
             packet.hop_count = head
         flit = packet.flits[index]
-        handle = flit._handle
-        flit._vc[handle] = vc
-        flit._send[handle] = send_tick
+        flit.vc = vc
+        flit.send_tick = send_tick
         return flit
 
     def _materialize_packet(self, gid: int, head: Tuple[Any, ...]) -> Packet:
@@ -277,10 +271,9 @@ class ShardRegistry:
         packet.message = message
         packet.id = packet_id
         packet.global_id = gid
-        acquire = FLIT_SLAB.acquire
         last = pkt_flits - 1
         packet.flits = [
-            acquire(packet, i, i == 0, i == last) for i in range(pkt_flits)
+            Flit(packet, i, i == 0, i == last) for i in range(pkt_flits)
         ]
         packet.injection_tick = injection_tick
         packet.hop_count = hop_count
@@ -293,29 +286,15 @@ class ShardRegistry:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def note_local_delivery(self, message: Message) -> None:
-        self.locally_delivered.add(message.id)
-
     def release_delivered(self, message_ids) -> None:
-        """Free registered state for messages delivered network-wide.
-
-        Messages delivered by a *local* interface already had every slab
-        handle released by the interface's delivery path; for those only
-        the map entries are dropped.
-        """
+        """Drop registered state for messages delivered network-wide."""
         for msg_id in message_ids:
             message = self.messages.pop(msg_id, None)
             if message is None:
-                self.locally_delivered.discard(msg_id)
                 continue
-            release_handles = msg_id not in self.locally_delivered
-            self.locally_delivered.discard(msg_id)
             for packet in message.packets:
-                if packet is None:
-                    continue
-                self.packets.pop(packet.global_id, None)
-                if release_handles:
-                    FLIT_SLAB.release_packet(packet)
+                if packet is not None:
+                    self.packets.pop(packet.global_id, None)
 
     @property
     def outstanding(self) -> int:
@@ -334,21 +313,15 @@ def make_phantom_interface(interface: Interface) -> None:
     destination, message size) and the global message/packet id counters
     advance in exactly the creation order of the single-process run.
     Terminals attached to foreign interfaces must therefore packetize
-    (consuming packet ids and slab handles, immediately returned) but
-    must not enqueue, wake the injection pipeline, or touch the local
-    network.
+    (consuming packet ids) but must not enqueue, wake the injection
+    pipeline, or touch the local network.
     """
 
     def phantom_send_message(message: Message) -> None:
         if message.created_tick is None:
             message.created_tick = interface.simulator.tick
         interface.messages_sent += 1
-        injection_vcs = interface.injection_vcs
-        for packet in message.packetize(interface.max_packet_size):
-            vc = injection_vcs[interface._next_vc_choice % len(injection_vcs)]
-            interface._next_vc_choice += 1
-            packet.routing_state["injection_vc"] = vc
-            FLIT_SLAB.release_packet(packet)
+        message.packetize(interface.max_packet_size)
 
     interface.send_message = phantom_send_message
     interface.shard_phantom = True

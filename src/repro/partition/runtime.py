@@ -74,7 +74,6 @@ import repro.net.message as _message_mod
 import repro.net.packet as _packet_mod
 from repro.config.settings import Settings
 from repro.net.credit import Credit
-from repro.net.flit import FLIT_SLAB
 from repro.net.network import shard_build_scope
 from repro.partition.manifest import config_fingerprint
 from repro.partition.proxy import (
@@ -259,7 +258,6 @@ class ShardWorker:
         shard_id: int,
         sanitize: str = "",
         crash_mode: Optional[str] = None,
-        check_slab: bool = True,
     ):
         validate_sharded_scope(config, sanitize)
         fingerprint = config_fingerprint(config)
@@ -271,8 +269,6 @@ class ShardWorker:
             )
         self.shard_id = shard_id
         self._crash_mode = crash_mode
-        self._check_slab = check_slab
-        self._slab_baseline = FLIT_SLAB.live
         self.local_names = frozenset(
             manifest["shards"][shard_id]["components"]
         )
@@ -344,7 +340,6 @@ class ShardWorker:
     # -- delivery capture --------------------------------------------------
 
     def _on_delivered(self, message) -> None:
-        self.registry.note_local_delivery(message)
         self._delivered.append((
             message.id,
             message.application_id,
@@ -507,12 +502,6 @@ class ShardWorker:
         if self.suite is not None:
             self.suite.finish()
             reports = self.suite.report()
-        if strict and self._check_slab \
-                and FLIT_SLAB.live != self._slab_baseline:
-            errors.append(
-                f"flit slab leak: {FLIT_SLAB.live - self._slab_baseline} "
-                f"live handles above the pre-build baseline"
-            )
         if errors:
             raise PartitionRuntimeError(
                 f"shard {self.shard_id} failed finish checks:\n  - "
@@ -597,7 +586,6 @@ class _InProcessHandle:
                 shard_id,
                 sanitize=sanitize,
                 crash_mode="raise" if crash else None,
-                check_slab=False,  # slab is shared; coordinator checks it
             )
         self.hello = self.worker.hello()
 
@@ -638,7 +626,6 @@ def _worker_main(conn, payload) -> None:
             payload["shard"],
             sanitize=payload["sanitize"],
             crash_mode="exit" if payload["crash"] else None,
-            check_slab=True,
         )
         conn.send(("ok", worker.hello()))
     except Exception:
@@ -788,7 +775,6 @@ def run_sharded(
         _factory.lookup(_Application, app["type"]).shard_delivery_target
         for app in config["workload"]["applications"]
     ]
-    slab_baseline = FLIT_SLAB.live
 
     handles: List[Any] = []
     reports = None
@@ -949,13 +935,6 @@ def run_sharded(
             raise PartitionRuntimeError(
                 f"cut-record conservation violated: produced "
                 f"{produced_counts}, injected {injected_counts}"
-            )
-        if not shard_workers and not truncated \
-                and FLIT_SLAB.live != slab_baseline:
-            raise PartitionRuntimeError(
-                f"flit slab leak across shards: "
-                f"{FLIT_SLAB.live - slab_baseline} live handles above the "
-                f"pre-run baseline"
             )
         return ShardedResults(
             manifest=manifest,

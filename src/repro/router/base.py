@@ -227,8 +227,7 @@ class Router(PortedDevice):
 
     def receive_flit(self, port: int, flit: Flit) -> None:
         self.flits_received += 1
-        handle = flit._handle
-        vc = flit._vc[handle]
+        vc = flit.vc
         state = self._input_vcs[port][vc]
         buffer = state.buffer
         flits = buffer._flits
@@ -236,7 +235,7 @@ class Router(PortedDevice):
             buffer.push(flit)  # raises BufferOverrunError with context
         flits.append(flit)
         self._occupied_inputs.add((port, vc))
-        if flit._flags[handle] & 1 or state.packet is None:
+        if flit.head or state.packet is None:
             # A new packet may now be at the buffer front (or a protocol
             # violation needs flagging); either way the routing stage
             # must look at this input.
@@ -475,12 +474,11 @@ class Router(PortedDevice):
         empty = not flits
         if empty:
             self._occupied_inputs.discard((port, vc))
-        handle = flit._handle
-        flit._vc[handle] = state.out_vc
+        flit.vc = state.out_vc
         # Via the public hook: subclasses (and fault-injection models)
         # override send_credit to intercept the upstream credit return.
         self.send_credit(port, vc)
-        if flit._flags[handle] & 2:  # tail
+        if flit.tail:
             owner_key = (state.out_port, state.out_vc)
             owner = self._output_vc_owner.get(owner_key)
             if owner != (port, vc):

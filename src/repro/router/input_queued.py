@@ -221,10 +221,9 @@ class InputQueuedRouter(Router):
             flit = flits.popleft()
             if not flits:
                 occupied.discard((port, vc))
-            handle = flit._handle
-            flit._vc[handle] = out_vc
+            flit.vc = out_vc
             send_credit(port, vc)
-            if flit._flags[handle] & 2:  # tail: release the output VC
+            if flit.tail:  # release the output VC
                 owner_key = (out_port, out_vc)
                 owner = owner_table.get(owner_key)
                 if owner != (port, vc):

@@ -6,8 +6,8 @@ See ``docs/SANITIZERS.md`` for the user guide.  The built-ins:
   per-link/per-VC credit conservation.
 * ``flit`` -- :class:`~repro.sanitize.flit_san.FlitSan`: end-to-end
   flit conservation and wormhole stream ordering on every channel.
-* ``event`` -- :class:`~repro.sanitize.event_san.EventSan`: freelist
-  use-after-reuse, double fires, stale cancels, time-field mutation.
+* ``event`` -- :class:`~repro.sanitize.event_san.EventSan`: double
+  fires, stale cancels, time-field mutation.
 * ``det`` -- :class:`~repro.sanitize.det_san.DetSan`: chained hash of
   the event stream for diffing two same-seed runs.
 

@@ -5,18 +5,16 @@ simulation.  SuperSim's built-in error detection (paper §IV-D) raises
 on protocol violations that devices can see locally; sanitizers close
 the remaining gap -- bugs that type-check, run, and produce plausible
 numbers while silently corrupting results (the paper's case-study bug
-classes, plus the hazards the freelist engine rewrite introduced).
+classes, plus event-lifecycle misuse the engine tolerates).
 
 Design constraints, in priority order:
 
 1. **~0 cost when disabled.**  No sanitizer leaves any trace in the hot
    path unless attached: checks are installed by *replacing class
    methods with wrappers* (:class:`MethodPatch`) and by handing the
-   suite's hooks to :meth:`Simulator._run_instrumented` (the loop that
-   also serves ``max_events``/``max_seconds`` budgets), both only while
-   a suite is attached.  A simulation that never attaches a suite
-   stays on the hook-free fast loop (one attribute test per ``run()``
-   call aside).
+   suite's hooks to the executer (:meth:`Simulator.run`), both only
+   while a suite is attached.  A simulation that never attaches a
+   suite pays one iteration over an empty tuple per engine event.
 2. **Individually toggleable.**  Each sanitizer registers with the
    object factory under a short name (``credit``, ``flit``, ``event``,
    ``det``), exactly like router architectures, so
@@ -124,16 +122,11 @@ class Sanitizer:
         """Build state and append :class:`MethodPatch` objects."""
         raise NotImplementedError
 
-    # -- executer hooks (used by Simulator._run_instrumented) ---------------
+    # -- executer hook (used by Simulator.run) ------------------------------
 
     def pre_event_hook(self):
         """Callable ``hook(entry_key, event)`` run before each handler,
         or ``None`` when this sanitizer does not observe events."""
-        return None
-
-    def recycle_hook(self):
-        """Callable ``hook(event)`` run before an event is parked in
-        the freelist, or ``None``."""
         return None
 
     # -- results ------------------------------------------------------------
@@ -184,7 +177,6 @@ class SanitizerSuite:
         self.sanitizers = sanitizers
         self.simulation: Any = None
         self.pre_event_hooks: List[Callable] = []
-        self.recycle_hooks: List[Callable] = []
 
     @property
     def names(self) -> List[str]:
@@ -203,12 +195,7 @@ class SanitizerSuite:
             for sanitizer in self.sanitizers
             if (hook := sanitizer.pre_event_hook()) is not None
         ]
-        self.recycle_hooks = [
-            hook
-            for sanitizer in self.sanitizers
-            if (hook := sanitizer.recycle_hook()) is not None
-        ]
-        if self.pre_event_hooks or self.recycle_hooks:
+        if self.pre_event_hooks:
             simulation.simulator._sanitizer = self
         return self
 

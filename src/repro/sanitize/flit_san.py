@@ -88,7 +88,7 @@ class FlitSan(Sanitizer):
 
         def wrap_deliver(original):
             # Per-item landing hook: the flit is removed from the in-network
-            # map *before* the interface consumes (and possibly recycles)
+            # map *before* the interface consumes (and possibly frees)
             # it, so the id() key is read while it is still unambiguous.
             def _deliver_item(channel, flit):
                 channel_id = id(channel)

@@ -46,50 +46,33 @@ def test_cancel_after_fire_is_noop():
     assert not handle.cancelled
 
 
-def test_freelist_reuse_increments_generation():
-    simulator = Simulator()
-    seen = []
-
-    def handler(event):
-        seen.append((id(event), event.generation))
-
-    simulator.call_at(1, handler)
-    simulator.run()
-    assert simulator.recycled_events == 1
-    simulator.call_at(2, handler)
-    # The pooled object was handed back out...
-    assert simulator.recycled_events == 0
-    simulator.run()
-    # ...same object, next generation.
-    assert seen[1][0] == seen[0][0]
-    assert seen[1][1] == seen[0][1] + 1
-
-
-def test_stale_cancel_cannot_kill_unrelated_reuse():
-    """Regression: a stale handle's cancel() must never cancel a later
-    scheduling.
-
-    Recycling is refcount-gated, so an event we still hold a handle to
-    is never reused -- and cancel() on the fired handle is a no-op.
-    """
+def test_retained_handle_keeps_its_event_after_firing():
+    """Every scheduling allocates its own Event: a handle the caller
+    kept still shows that event's handler and data after it fired, a
+    later scheduling never aliases it, and cancel() on it is a no-op."""
     simulator = Simulator()
     runs = []
-    handle = simulator.call_at(1, lambda e: runs.append("a"))
+
+    def first(event):
+        runs.append(event.data)
+
+    handle = simulator.call_at(1, first, data="a")
     simulator.run()
-    # We hold `handle`, so the engine refused to recycle it:
-    fresh = simulator.call_at(2, lambda e: runs.append("b"))
+    fresh = simulator.call_at(2, lambda e: runs.append(e.data), data="b")
     assert fresh is not handle
+    assert handle.fired and handle.handler is first and handle.data == "a"
     handle.cancel()  # stale cancel of the fired event: no-op
-    assert not fresh.cancelled
+    assert not handle.cancelled and not fresh.cancelled
     simulator.run()
     assert runs == ["a", "b"]
+    assert handle.handler is first and handle.data == "a"
 
 
-def test_cancel_before_fire_still_works_with_freelist():
+def test_cancel_before_fire_skips_only_that_event():
     simulator = Simulator()
     runs = []
     simulator.call_at(1, lambda e: runs.append("warm"))
-    simulator.run()  # park one event in the pool
+    simulator.run()
     victim = simulator.call_at(2, lambda e: runs.append("victim"))
     victim.cancel()
     simulator.call_at(3, lambda e: runs.append("kept"))

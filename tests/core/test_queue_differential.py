@@ -6,14 +6,12 @@ and nothing else: a schedule log in scheduling order whose next entry is
 always the first minimal one -- the head of a stable sort.  A seeded
 random program drives both through everything the bucket queue has a
 special case for: scheduling into existing and new timestamps, cancel
-before fire, cancel of a same-timestamp sibling from a handler,
-compaction from a handler (explicit and through the cancel threshold),
-``max_events`` budgets that stop inside a bucket and resume,
-``run_until`` / ``max_time`` windows, and scheduling while paused.  Fire
-order, ``executed_events``, ``pending_events`` and ``queue_size`` must
-agree at every handler and every pause, with and without EventSan (which
-moves unbudgeted runs onto the instrumented loop and poisons the
-freelist).
+before fire, cancel of a same-timestamp sibling from a handler (the
+dead entry keeps its queue slot until it is reached), ``max_events``
+budgets that stop inside a bucket and resume, ``run_until`` /
+``max_time`` windows, and scheduling while paused.  Fire order,
+``executed_events``, ``pending_events`` and ``queue_size`` must agree at
+every handler and every pause, with and without EventSan's hooks.
 """
 
 from __future__ import annotations
@@ -27,9 +25,6 @@ import pytest
 from repro.core.simtime import MAX_EPSILON
 from repro.core.simulator import Simulator
 from repro.sanitize import attach_sanitizers
-
-#: lowered from 64 so the random programs cross the threshold often.
-COMPACT_MIN_CANCELLED = 3
 
 
 class ReferenceQueue:
@@ -46,12 +41,6 @@ class ReferenceQueue:
 
     def cancel(self, ident):
         next(e for e in self.log if e[1] == ident)[2] = True
-        dead = sum(e[2] for e in self.log)
-        if dead >= COMPACT_MIN_CANCELLED and dead * 2 > len(self.log):
-            self.compact()
-
-    def compact(self):
-        self.log = [e for e in self.log if not e[2]]
 
     def run(self, limit=None, max_events=None):
         fired = 0
@@ -62,9 +51,9 @@ class ReferenceQueue:
             self.log.remove(entry)
             if not entry[2]:
                 fired += 1
-                self.executed += 1
                 self.now = entry[0]
                 self.on_fire(entry[1])
+                self.executed += 1
 
     def counters(self):
         """(executed, pending, queue size)"""
@@ -80,9 +69,6 @@ class EngineQueue:
         self.handles = {}
 
     def _fire(self, event):
-        # Drop our handle first, as a model does with a timer that
-        # fired: the executer then holds the sole reference and may
-        # recycle the object.
         self.handles.pop(event.data, None)
         self.on_fire(event.data)
 
@@ -93,9 +79,6 @@ class EngineQueue:
 
     def cancel(self, ident):
         self.handles.pop(ident).cancel()
-
-    def compact(self):
-        self.simulator.compact()
 
     def run(self, limit=None, max_events=None):
         if limit is not None and limit[1] == MAX_EPSILON:
@@ -158,11 +141,7 @@ def run_program(make_queue, seed):
                 spawn(queue.schedule, tick, epsilon + 1 + rng.randrange(2))
         if cancellable and rng.random() < 0.4:
             cancel_one(prefer=(tick, epsilon))
-        if rng.random() < 0.05:
-            trace.append(("compact",))
-            queue.compact()
-        # executed_events is exact at timestamp boundaries only.
-        trace.append(("in handler",) + queue.counters()[1:])
+        trace.append(("in handler",) + queue.counters())
 
     queue = make_queue(on_fire)
     for _ in range(12):
@@ -189,9 +168,6 @@ def run_program(make_queue, seed):
                 spawn(queue.schedule, tick, epsilon + 1 + rng.randrange(2))
         if cancellable and rng.random() < 0.3:
             cancel_one(prefer=None)
-        if rng.random() < 0.1:
-            trace.append(("compact",))
-            queue.compact()
         trace.append(("resumed", queue.now) + queue.counters())
     queue.run()
     trace.append(("drained", queue.now) + queue.counters())
@@ -199,10 +175,9 @@ def run_program(make_queue, seed):
 
 
 @pytest.mark.parametrize("sanitized", [False, True], ids=["plain", "eventsan"])
-def test_bucket_queue_matches_reference_model(sanitized, monkeypatch):
-    monkeypatch.setattr(Simulator, "COMPACT_MIN_CANCELLED", COMPACT_MIN_CANCELLED)
-    seen = {"sibling cancel": 0, "stop inside a bucket": 0, "compaction": 0,
-            "recycled": 0, "poisoned": 0}
+def test_bucket_queue_matches_reference_model(sanitized):
+    seen = {"sibling cancel": 0, "stop inside a bucket": 0,
+            "dead entries at a pause": 0}
     for seed in range(60):
         expected, _ = run_program(ReferenceQueue, seed)
 
@@ -231,10 +206,6 @@ def test_bucket_queue_matches_reference_model(sanitized, monkeypatch):
         )
         seen["sibling cancel"] += sum(
             step[0] == "cancel" and step[2] for step in expected)
-        seen["compaction"] += engine.simulator.compactions
-        seen["recycled"] += engine.simulator.recycled_events
-        if sanitized:
-            seen["poisoned"] += suites[0].report()["event"]["poisoned"]
-    if not sanitized:
-        del seen["poisoned"]
+        seen["dead entries at a pause"] += sum(
+            step[0] == "paused" and step[3] < step[4] for step in expected)
     assert all(seen.values()), f"program never exercised: {seen}"

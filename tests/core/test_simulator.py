@@ -180,7 +180,7 @@ def test_run_observer_called(simulator):
     assert calls == [4]
 
 
-# -- pending_events / compaction (lazy-delete accounting) ---------------------
+# -- pending_events (lazy-delete accounting) ----------------------------------
 
 
 def test_pending_events_excludes_cancelled(simulator):
@@ -191,33 +191,52 @@ def test_pending_events_excludes_cancelled(simulator):
     assert simulator.pending_events == 2
 
 
-def test_compaction_triggers_on_cancel_threshold():
-    simulator = Simulator()
+def test_cancelled_entries_stay_queued_until_reached(simulator):
+    """Lazy cancellation, no compaction: dead entries keep their queue
+    slot (however many there are) and are skipped when reached."""
     keep = [simulator.call_at(1000 + i, lambda e: None) for i in range(10)]
-    victims = [
-        simulator.call_at(i + 1, lambda e: None)
-        for i in range(Simulator.COMPACT_MIN_CANCELLED + 10)
-    ]
+    victims = [simulator.call_at(i + 1, lambda e: None) for i in range(200)]
     for victim in victims:
         victim.cancel()
-    # The threshold crossing compacted the heap mid-way through.
-    assert simulator.compactions == 1
+    dead_on_arrival = Event(lambda e: None)
+    dead_on_arrival.cancel()
+    simulator.add_event(dead_on_arrival, 5)
+    assert simulator.queue_size == len(keep) + len(victims) + 1
     assert simulator.pending_events == len(keep)
-    assert simulator.queue_size < len(keep) + len(victims)
+    simulator.run(max_time=500)
+    # Cancelled buckets never move the clock or the event counter.
+    assert simulator.now == TimeStep(0, 0)
+    assert simulator.executed_events == 0
+    assert simulator.queue_size == simulator.pending_events == len(keep)
     simulator.run()
     assert simulator.executed_events == len(keep)
 
 
-def test_manual_compact_reports_dropped(simulator):
-    events = [simulator.call_at(i + 1, lambda e: None) for i in range(6)]
-    for event in events[:3]:
-        event.cancel()
-    dropped = simulator.compact()
-    assert dropped == 3
-    assert simulator.queue_size == 3
-    assert simulator.pending_events == 3
+@pytest.mark.parametrize("reenter", [
+    lambda simulator: simulator.run(),
+    lambda simulator: simulator.run(max_events=1),
+    lambda simulator: simulator.run_until(50),
+])
+def test_run_from_a_handler_is_rejected(simulator, reenter):
+    """The executer is not re-entrant: a nested run would re-reverse
+    the bucket being drained and switch the causality check off."""
+    order = []
+
+    def nested(event):
+        order.append("nested")
+        reenter(simulator)
+
+    simulator.call_at(3, nested)
+    simulator.call_at(3, lambda e: order.append("sibling"))
+    simulator.call_at(4, lambda e: order.append("later"))
+    with pytest.raises(SimulationError, match="not re-entrant"):
+        simulator.run()
+    # The outer run stopped like on any raising handler: the unfired
+    # tail is parked in order and a fresh run resumes it.
+    assert order == ["nested"]
+    assert simulator.pending_events == 2
     simulator.run()
-    assert simulator.executed_events == 3
+    assert order == ["nested", "sibling", "later"]
 
 
 # -- per-run limit semantics ---------------------------------------------------
@@ -239,8 +258,8 @@ def test_max_events_budget_is_per_run(simulator):
 
 @pytest.fixture(params=["plain", "sanitized"])
 def engine(request):
-    """A bare engine, alone and with EventSan's hooks attached: budgeted
-    runs take the one instrumented loop either way."""
+    """A bare engine, alone and with EventSan's hooks attached: both go
+    through the one executer loop."""
     simulator = Simulator()
     if request.param == "plain":
         yield simulator
@@ -311,7 +330,7 @@ def test_index_error_in_handler_propagates_with_max_time(simulator):
         simulator.run(max_time=100)
 
 
-# -- run_until windows over the fast loop --------------------------------------
+# -- run_until windows ----------------------------------------------------------
 
 
 def test_run_until_windows_are_resumable(simulator):

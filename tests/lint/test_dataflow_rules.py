@@ -1,4 +1,4 @@
-"""Dataflow-layer rules E001..E006: each catches its seeded mutation."""
+"""Dataflow-layer rules E001, E003..E006: each catches its seeded mutation."""
 
 from __future__ import annotations
 
@@ -10,20 +10,6 @@ from repro.lint import lint_sources
 
 #: one file per rule: the minimal model fragment that must trip it.
 MUTATIONS = {
-    "E001": """
-        class RetainingModel:
-            def arm(self):
-                self.pending = self.simulator.call_at(10, self.fire)
-        """,
-    "E002": """
-        class CollectingModel:
-            def arm_all(self, ticks):
-                self.handles = {}
-                for tick in ticks:
-                    self.handles[tick] = self.schedule_at(self.fire, tick)
-                self.extra = []
-                self.extra.append(self.schedule(self.fire, 5))
-        """,
     "E003": """
         class SameTickModel:
             def kick(self):
@@ -48,7 +34,6 @@ MUTATIONS = {
             def retry(self, event):
                 event.fired = False
                 event.cancelled = False
-                event.generation += 1
         """,
 }
 
@@ -58,8 +43,14 @@ CLEAN_SOURCE = """
 
     class WellBehavedModel:
         def arm(self):
-            # Handle used immediately, not retained.
             self.schedule(self.fire, 5, epsilon=EPS_STEP)
+            # Every scheduling owns its Event: retaining a handle, on
+            # self or in a container, is fine.
+            self.pending = self.simulator.call_at(10, self.fire)
+            self.handles = {7: self.schedule_at(self.fire, 7)}
+            self.handles[9] = self.schedule_at(self.fire, 9)
+            self.extra = [self.pending]
+            self.extra.append(self.schedule(self.fire, 5))
             self.schedule_at(self.fire, self.simulator.tick + 1)
             # delay-0 schedule() auto-bumps epsilon: allowed.
             self.schedule(self.fire, 0)
@@ -113,10 +104,8 @@ def test_severities_match_the_contract(tmp_path):
     by_rule = {}
     for finding in report.findings:
         by_rule.setdefault(finding.rule_id, set()).add(finding.severity.value)
-    # Handle-retention and same-tick patterns have legitimate uses:
-    # warnings.  API bypass and range overflow always break: errors.
-    assert by_rule["E001"] == {"warning"}
-    assert by_rule["E002"] == {"warning"}
+    # The same-tick pattern has legitimate uses: a warning.  API bypass
+    # and range overflow always break: errors.
     assert by_rule["E003"] == {"warning"}
     assert by_rule["E004"] == {"error"}
     assert by_rule["E005"] == {"error"}
@@ -144,7 +133,7 @@ def test_rule_catalog_includes_dataflow_layer():
     from repro.lint import DATAFLOW_LAYER, all_rule_ids, rule_catalog
 
     ids = all_rule_ids(DATAFLOW_LAYER)
-    assert ids == ["E001", "E002", "E003", "E004", "E005", "E006"]
+    assert ids == ["E001", "E003", "E004", "E005", "E006"]
     catalog = rule_catalog()
     for rule_id in ids:
         assert catalog[rule_id]["layer"] == DATAFLOW_LAYER
@@ -153,7 +142,7 @@ def test_rule_catalog_includes_dataflow_layer():
 
 def test_shipped_sanitize_and_router_sources_are_dataflow_clean():
     """The packaged model code must obey its own contracts (errors only;
-    E001-style warnings are legitimate for retain-to-cancel patterns)."""
+    E003 warnings have legitimate uses)."""
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"

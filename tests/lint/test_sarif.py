@@ -26,7 +26,7 @@ HAZARD = """
             return random.random()
 
         def arm(self):
-            self.pending = self.simulator.call_at(10, self.fire)
+            self.simulator.call_at(self.simulator.tick, self.fire)
     """
 
 
@@ -46,7 +46,7 @@ def test_sarif_log_shape(hazard_path):
     results = run["results"]
     assert results, "hazard file should produce findings"
     rule_ids = {r["ruleId"] for r in results}
-    assert "D001" in rule_ids and "E001" in rule_ids
+    assert "D001" in rule_ids and "E003" in rule_ids
     declared = {r["id"] for r in run["tool"]["driver"]["rules"]}
     assert rule_ids <= declared
     for result in results:
@@ -115,7 +115,7 @@ def test_fingerprint_is_line_insensitive_but_content_sensitive():
                 location="model.py:99")
     c = Finding("E001", Severity.WARNING, "handle retained",
                 location="other.py:10")
-    d = Finding("E002", Severity.WARNING, "handle retained",
+    d = Finding("E003", Severity.WARNING, "handle retained",
                 location="model.py:10")
     assert fingerprint(a) == fingerprint(b)
     assert fingerprint(a) != fingerprint(c)

@@ -73,3 +73,11 @@ def test_credit_message():
     assert credit.vc == 3
     with pytest.raises(ValueError):
         Credit(-1)
+
+
+def test_credit_interning_singletons():
+    # Per-VC singletons; identity is not load-bearing.
+    assert Credit.of(3) is Credit.of(3)
+    assert Credit.of(0).vc == 0 and Credit.of(3).vc == 3
+    fresh = Credit(3)
+    assert fresh is not Credit.of(3) and fresh.vc == 3

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.flit import Flit
 from repro.net.message import Message
 from repro.net.packet import Packet
 
@@ -89,6 +90,41 @@ class TestFlits:
         packet = Message(0, 0, 1, 3).packetize(3)[0]
         assert packet.head_flit is packet.flits[0]
         assert packet.tail_flit is packet.flits[-1]
+
+    @pytest.mark.parametrize("num_flits", [1, 2, 7])
+    def test_packet_builds_its_flits(self, num_flits):
+        packet = Packet(Message(0, 0, 1, num_flits), 0, num_flits)
+        assert len(packet.flits) == num_flits
+        assert all(type(flit) is Flit for flit in packet.flits)
+        assert all(flit.packet is packet for flit in packet.flits)
+        assert [flit.head for flit in packet.flits].count(True) == 1
+        assert [flit.tail for flit in packet.flits].count(True) == 1
+        assert packet.flits[0].head and packet.flits[-1].tail
+
+    def test_plain_record_defaults(self):
+        packet = Message(0, 0, 1, 2).packetize(2)[0]
+        flit = Flit(packet, 1, False, True)
+        assert Flit.__slots__ == (
+            "packet", "index", "head", "tail", "vc", "send_tick",
+            "receive_tick",
+        )
+        assert not hasattr(flit, "__dict__")
+        assert (flit.packet, flit.index, flit.head, flit.tail) == (
+            packet, 1, False, True)
+        assert flit.vc == 0
+        assert flit.send_tick is None and flit.receive_tick is None
+        flit.vc, flit.send_tick, flit.receive_tick = 3, 10, 25
+        assert (flit.vc, flit.send_tick, flit.receive_tick) == (3, 10, 25)
+
+    def test_repr_names_packet_position_and_vc(self):
+        packet = Message(0, 0, 1, 3).packetize(3)[0]
+        gid = packet.global_id
+        packet.flits[1].vc = 2
+        assert repr(packet.flits[0]) == f"Flit(pkt={gid}, i=0, H, vc=0)"
+        assert repr(packet.flits[1]) == f"Flit(pkt={gid}, i=1, B, vc=2)"
+        assert repr(packet.flits[2]) == f"Flit(pkt={gid}, i=2, T, vc=0)"
+        single = Message(0, 0, 1, 1).packetize(1)[0]
+        assert repr(single.flits[0]).endswith("i=0, HT, vc=0)")
 
 
 class TestPacketState:

@@ -48,9 +48,7 @@ def test_proxy_records_never_late():
     The lookahead (minimum cut-channel latency) must make this
     impossible by construction.
 
-    The workers are driven directly and abandoned mid-run (no drain),
-    which leaks a few slab handles; slab accounting tests use deltas,
-    so this is harmless.
+    The workers are driven directly and abandoned mid-run (no drain).
     """
     config = _small_config()
     manifest = plan_partition(Settings.from_dict(config), 2)
@@ -130,6 +128,29 @@ def test_registry_rejects_body_before_head():
     body = (FLIT_RECORD, 0, 10, 0, 8, 42, 1, None)
     with pytest.raises(ProxyError, match="wormhole"):
         registry.materialize_flit(body)
+
+
+def test_unreleased_cross_shard_message_fails_the_finish_check(monkeypatch):
+    """Every message that crossed a cut must be reported delivered and
+    dropped from the registry by the end of a drained run; one left
+    registered (``registry.outstanding != 0``) fails the shard."""
+    dropped = []
+
+    def forgetful_release(registry, message_ids):
+        message_ids = list(message_ids)
+        registered = [i for i in message_ids if i in registry.messages]
+        if not dropped and registered:
+            dropped.append(registered[0])
+            message_ids.remove(registered[0])
+        release_delivered(registry, message_ids)
+
+    release_delivered = ShardRegistry.release_delivered
+    monkeypatch.setattr(ShardRegistry, "release_delivered", forgetful_release)
+    with pytest.raises(
+        PartitionRuntimeError, match=r"never\s+reported delivered \(leak\)"
+    ):
+        run_sharded(_small_config(), k=2)
+    assert dropped
 
 
 # -- sanitized sharded runs --------------------------------------------------

@@ -139,7 +139,7 @@ class DoubleScheduleModel(Component):
     """Event-lifecycle misuse: queues the same Event object twice.
 
     Both queue entries point at one object; the second firing executes a
-    logically dead event (and can alias freelist state in larger runs).
+    logically dead event.
     """
 
     def __init__(self, simulator, name="double_schedule", parent=None):

@@ -100,20 +100,23 @@ def test_event_san_catches_time_field_mutation():
 
 
 @pytest.mark.mutation
-def test_event_san_catches_recycled_carcass_reschedule():
+@pytest.mark.parametrize("run", [
+    lambda simulator: simulator.run(max_events=1_000),
+    lambda simulator: simulator.run_until(1_000),
+], ids=["budgeted", "windowed"])
+@pytest.mark.parametrize("model, violation", [
+    (broken_models.StaleCancelModel, "stale cancel"),
+    (broken_models.DoubleScheduleModel, "double fire"),
+])
+def test_event_san_checks_ride_every_run_mode(model, violation, run):
+    """One executer loop: the lifecycle fixtures are caught in budgeted
+    and windowed runs exactly as in the plain runs above."""
     simulator = Simulator()
-    fired = []
-    simulator.call_at(5, lambda event: fired.append(simulator.tick))
-    with attach_sanitizers(BareSimulation(simulator), "event"):
-        simulator.run()
-        assert fired == [5]
-        # The fired event was pooled and poisoned; a stale handle that
-        # re-schedules the carcass must be caught at its firing.
-        assert simulator.recycled_events == 1
-        carcass = simulator._event_pool[-1]
-        simulator.add_event(carcass, 50)
-        with pytest.raises(SanitizerError, match="recycled event executed"):
-            simulator.run()
+    model(simulator)
+    with attach_sanitizers(BareSimulation(simulator), "event") as suite:
+        with pytest.raises(SanitizerError, match=violation):
+            run(simulator)
+        assert suite.report() == {"event": {"checks": 2}}
 
 
 @pytest.mark.mutation
