@@ -57,11 +57,13 @@ else
     skip_gate "mypy" "not installed"
 fi
 
-# 4. sslint: every example script (determinism layer) and every
-#    built-in benchmark config (config + graph layers).  sslint exits
-#    non-zero on any error-severity finding.
-run_gate "sslint (examples + builtin configs)" \
-    python -m repro.tools.sslint examples/ --builtin all --format json
+# 4. sslint: every example script and every packaged source file
+#    (determinism, dataflow and shard-isolation source layers) and
+#    every built-in benchmark config (config + graph layers).  sslint
+#    exits non-zero on any error-severity finding.
+run_gate "sslint (examples + src/repro + builtin configs)" \
+    python -m repro.tools.sslint examples/ src/repro --builtin all \
+    --format json
 
 # 5. Sanitizer smoke tier: every built-in config runs briefly under the
 #    runtime sanitizers (credit/flit/event conservation, determinism
@@ -74,13 +76,8 @@ run_gate "sanitize smoke (builtin configs)" \
 #    manifests, and a structurally valid SARIF export; every builtin
 #    model class must keep its expected shard-purity classification
 #    (S-rules, see docs/LINTING.md).  See docs/PARTITIONING.md.
-if [ "${SUPERSIM_SKIP_PARTITION:-0}" != "0" ]; then
-    skip_gate "partition gate (builtin configs @ k=4)" \
-        "SUPERSIM_SKIP_PARTITION set"
-else
-    run_gate "partition gate (builtin configs @ k=4)" \
-        python scripts/partition_gate.py
-fi
+run_gate "partition gate (builtin configs @ k=4)" \
+    python scripts/partition_gate.py
 
 # 7. Perf-regression smoke: simulation_event_rate must stay within 25%
 #    of the latest BENCH_engine.json entry.  SUPERSIM_SKIP_PERF=1 opts
@@ -96,13 +93,9 @@ fi
 #    docs/LINTING.md) run over src/repro against the committed
 #    fingerprint baseline; only NEW hazards fail.  Refresh the
 #    baseline deliberately with --write-baseline after fixing or
-#    accepting findings.  SUPERSIM_SKIP_PERFLINT=1 opts out.
-if [ "${SUPERSIM_SKIP_PERFLINT:-0}" != "0" ]; then
-    skip_gate "perf lint (H-rules vs baseline)" "SUPERSIM_SKIP_PERFLINT set"
-else
-    run_gate "perf lint (H-rules vs baseline)" \
-        python scripts/perf_lint_gate.py
-fi
+#    accepting findings.
+run_gate "perf lint (H-rules vs baseline)" \
+    python scripts/perf_lint_gate.py
 
 echo
 if [ "${FAILURES}" -ne 0 ]; then

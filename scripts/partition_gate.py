@@ -19,13 +19,11 @@ runs the full P-rule layer over the planned manifest, and fails on:
   hazard going undetected breaks the analyzer).
 
 Run directly (``python scripts/partition_gate.py``) or via
-``scripts/ci_check.sh``; set SUPERSIM_SKIP_PARTITION=1 to skip either
-way.
+``scripts/ci_check.sh``.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 
 K = 4
@@ -172,10 +170,6 @@ def main() -> int:
     from repro.lint import lint_partition
     from repro.lint.sarif import to_sarif
     from repro.partition import to_canonical_json
-
-    if os.environ.get("SUPERSIM_SKIP_PARTITION", "0") != "0":
-        print("partition gate: skipped (SUPERSIM_SKIP_PARTITION set)")
-        return 0
 
     names = sorted(
         attr for attr in dir(builders)

@@ -16,8 +16,6 @@ refreshing the baseline::
     PYTHONPATH=src python -m repro.tools.sslint src/repro --layer perf \
         --write-baseline lint-perf-baseline.json
 
-Opt-out: ``SUPERSIM_SKIP_PERFLINT=1`` skips the gate (exit 0).
-
 Usage::
 
     PYTHONPATH=src python scripts/perf_lint_gate.py
@@ -28,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import pathlib
 import sys
 
@@ -40,9 +37,6 @@ SOURCES = REPO_ROOT / "src" / "repro"
 
 
 def main() -> int:
-    if os.environ.get("SUPERSIM_SKIP_PERFLINT", "0") != "0":
-        print("perf-lint gate: skipped (SUPERSIM_SKIP_PERFLINT set)")
-        return 0
     if not BASELINE.exists():
         print(f"perf-lint gate: missing baseline {BASELINE}", file=sys.stderr)
         return 1

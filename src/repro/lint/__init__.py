@@ -1,6 +1,6 @@
 """repro.lint: static analysis of experiments before they run.
 
-Three layers of checks, all runnable without simulating a single tick:
+Seven layers of checks, all runnable without simulating a single tick:
 
 * **config** (C001..C009) -- validates the Settings tree against a
   declarative schema (types, ranges, unknown keys with did-you-mean)
@@ -10,17 +10,24 @@ Three layers of checks, all runnable without simulating a single tick:
   event-free), checks port wiring, and traces the channel dependency
   graph of the routing algorithm to detect deadlock-prone cycles.
 * **determinism** (D001..D005) -- AST checks over workload/model
-  source files (unseeded randomness, wall-clock reads, module-global
-  mutation) plus a runtime pickling check of parallel-sweep payloads.
+  source files (unseeded randomness, wall-clock reads, module-level
+  state written from functions) plus a runtime pickling check of
+  parallel-sweep payloads.
 * **dataflow** (E001, E003..E006) -- AST checks for model-contract
   violations: epsilon-discipline breaches, engine-owned event fields
   written by models, credit counts mutated outside the ``repro.net.credit``
   API.  The static counterparts of the ``repro.sanitize`` runtime
   sanitizers.
-* **partition** (P001..P008) -- shard-safety checks of a partition
-  manifest (planned by :mod:`repro.partition` or hand-written) against
-  the constructed network, plus AST scans for code that would break
-  under partitioned simulation.  See docs/PARTITIONING.md.
+* **partition** (P001..P006, P008) -- shard-safety checks of a
+  partition manifest (planned by :mod:`repro.partition` or
+  hand-written) against the constructed network, plus AST checks for
+  code that reaches across a shard boundary without a channel.  See
+  docs/PARTITIONING.md.
+
+The source layers above share one parsed-and-walked model of each file
+(:mod:`repro.lint.source_rules`); the class-level layers below share
+one call-graph core and model-target discovery (:mod:`.callgraph`).
+
 * **shard** (S001..S005) -- interprocedural shard-purity analysis of
   the registered model classes a configuration selects (or of model
   classes defined in given source files): per-class call graphs from
@@ -51,6 +58,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
+from repro import factory
 from repro.config.settings import Settings, SettingsError
 from repro.lint.findings import Finding, LintReport, Severity
 from repro.lint.rules import (
@@ -230,7 +238,15 @@ def lint_sources(
         else list(SOURCE_LAYERS)
     )
     ctx = LintContext(source_paths=list(paths), profile_path=profile_path)
-    return run_rules(ctx, wanted, subject=subject)
+    source_layers = set(wanted) & set(SOURCE_LAYERS)
+    if source_layers:
+        # First: a class-level layer's call graphs reuse these trees.
+        ctx.sources()
+    report = run_rules(ctx, wanted, subject=subject)
+    if source_layers and DATAFLOW_LAYER not in source_layers:
+        # Every source layer skips an unparseable file, so each says so.
+        report.extend(factory.create(LintRule, "E001").check(ctx))
+    return report
 
 
 def lint_sweep(

@@ -17,10 +17,14 @@ builds that picture from source, one class at a time:
   method that the event loop will invoke later, so a bare Load of
   ``self._check`` is an edge too ("Escape from Callback Hell": the
   handler chain is the real control flow).
-* :func:`reachable` runs a shortest-condition-first search from a set
-  of entry points and returns, per reached method, the evidence path
+* :func:`propagate_heat` relaxes weighted entry points along the call
+  edges and returns, per reached method, its heat, the evidence path
   (``on_init -> _warmup_check``) and the smallest set of evaluable
-  configuration conditions guarding it.
+  configuration conditions guarding it; :func:`reachable` is its
+  unit-weight case.
+* :func:`model_targets` resolves which model classes a lint run is
+  about -- the ones a configuration selects, or the registered ones
+  defined in given source files -- for both class-level layers.
 
 Conditions are deliberately modest: only comparisons of a
 settings-derived ``self`` attribute against a literal are captured
@@ -34,9 +38,18 @@ fewest conditions is kept for the same reason.
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
+import os
+import sys
+import weakref
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, List, MutableMapping, NamedTuple, Optional, Sequence,
+    Set, Tuple,
+)
+
+from repro import factory
 
 #: sentinel: a settings key with no recorded literal default.
 MISSING = object()
@@ -53,6 +66,17 @@ MUTATORS = frozenset({
 MUTABLE_FACTORIES = frozenset({
     "Counter", "OrderedDict", "defaultdict", "deque", "dict", "list",
     "set",
+})
+
+#: whole-network component registries: a shard owns only its part, and
+#: indexing one reaches into a peer (``network.routers[j].buffer``).
+REGISTRY_ATTRS = frozenset({"routers", "interfaces"})
+
+#: construction-time methods, never driven by the event loop: wiring
+#: code there legitimately touches every component.
+CONSTRUCTION_METHODS = frozenset({
+    "__init__", "__post_init__", "_build", "_build_terminal",
+    "_terminal_ids", "finalize", "setup",
 })
 
 _OPS = {
@@ -139,29 +163,59 @@ def render_conds(conds: Sequence[Cond]) -> str:
     return "[when " + " and ".join(c.render() for c in conds) + "]"
 
 
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``self.simulator.tick`` for a Name-rooted attribute chain."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def unparse(node: ast.AST) -> str:
+    """Source text of ``node`` for a message; best-effort."""
+    try:
+        return ast.unparse(node)
+    except Exception:  # pragma: no cover - unparse of exotic nodes
+        return ast.dump(node)
+
+
 # -- module parsing ----------------------------------------------------------
 
 
-_module_cache: Dict[str, Optional[Tuple[ast.Module, str]]] = {}
+#: real path -> parsed file, for as long as somebody holds the tree:
+#: the run that lints the file as a target, or :func:`module_tree`.
+_trees: MutableMapping[str, ast.Module] = weakref.WeakValueDictionary()
 
 
+def parse_source(path: str, reuse: bool) -> ast.Module:
+    """The one place lint opens and parses a Python file: a lint target
+    afresh on every run (it may have been edited), the module behind an
+    imported class reusing (``reuse``) the run's parse of that target.
+    """
+    key = os.path.realpath(path)
+    tree = _trees.get(key) if reuse else None
+    if tree is None:
+        with open(path, "r", encoding="utf-8") as handle:
+            tree = _trees[key] = ast.parse(handle.read(), filename=path)
+    return tree
+
+
+@functools.lru_cache(maxsize=None)
 def module_tree(module_name: str) -> Optional[Tuple[ast.Module, str]]:
     """(AST, filename) of an imported module; None when unreadable."""
-    if module_name not in _module_cache:
-        import sys
-
-        result = None
-        module = sys.modules.get(module_name)
-        if module is not None:
-            try:
-                filename = inspect.getsourcefile(module)
-                if filename:
-                    with open(filename, "r", encoding="utf-8") as handle:
-                        result = (ast.parse(handle.read()), filename)
-            except (OSError, TypeError, SyntaxError):
-                result = None
-        _module_cache[module_name] = result
-    return _module_cache[module_name]
+    module = sys.modules.get(module_name)
+    if module is not None:
+        try:
+            filename = inspect.getsourcefile(module)
+            if filename:
+                return parse_source(filename, reuse=True), filename
+        except (OSError, TypeError, SyntaxError, ValueError):
+            pass
+    return None
 
 
 class ModuleState:
@@ -201,16 +255,10 @@ class ModuleState:
                         self.mutables.add(target.id)
 
 
-_module_state_cache: Dict[str, ModuleState] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def module_state(module_name: str) -> Optional[ModuleState]:
-    if module_name not in _module_state_cache:
-        parsed = module_tree(module_name)
-        _module_state_cache[module_name] = (
-            ModuleState(parsed[0]) if parsed is not None else None
-        )
-    return _module_state_cache[module_name]
+    parsed = module_tree(module_name)
+    return ModuleState(parsed[0]) if parsed is not None else None
 
 
 def _find_class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
@@ -409,15 +457,10 @@ class MethodScan:
                                 func.attr, conds, node.lineno, "call"
                             ))
                     else:
+                        # super().m() lands here too: it stays within
+                        # the merged MRO view (first definition wins),
+                        # so it is a recorded call but adds no edge.
                         self.method_calls.append((func.attr, site))
-                        if (isinstance(owner, ast.Call)
-                                and isinstance(owner.func, ast.Name)
-                                and owner.func.id == "super"
-                                and func.attr in self._sibling_methods):
-                            # super().m() stays within the merged MRO
-                            # view (first definition wins), so it adds
-                            # no edge -- but is recorded as a call.
-                            pass
                         # container mutation of a module-level name
                         if (func.attr in MUTATORS
                                 and isinstance(owner, ast.Name)
@@ -562,89 +605,39 @@ class ClassGraph:
                     self.settings_attrs[attr] = (key, default)
 
 
-class Reach:
-    """How one method is reached: evidence path + guard conditions."""
-
-    __slots__ = ("path", "conds")
-
-    def __init__(self, path: Tuple[str, ...], conds: Tuple[Cond, ...]):
-        self.path = path
-        self.conds = conds
-
-
-class Heat:
+class Heat(NamedTuple):
     """How hot one method is and the hottest way it is reached.
 
-    ``weight`` is in *events per flit-hop* units: the entry-point
-    weights encode the measured event census (~3 events per flit-hop,
-    docs/PERFORMANCE.md), and heat propagates along call edges without
-    attenuation -- a helper called from a per-event handler runs just
-    as often as the handler.  ``path`` is the evidence chain from the
-    hottest entry point (``_step -> _run_crossbar -> ...``).
+    ``weight`` is in *calls per flit-hop* units: the entry-point
+    weights encode the measured handler census (docs/PERFORMANCE.md),
+    and heat propagates along call edges without attenuation -- a
+    helper called from a per-item handler runs just as often as the
+    handler.  ``path`` is the evidence chain from the hottest entry
+    point (``_step -> _run_crossbar -> ...``), ``conds`` the guard
+    conditions along it.
     """
 
-    __slots__ = ("weight", "path", "conds")
-
-    def __init__(self, weight: float, path: Tuple[str, ...],
-                 conds: Tuple[Cond, ...]):
-        self.weight = weight
-        self.path = path
-        self.conds = conds
+    weight: float
+    path: Tuple[str, ...]
+    conds: Tuple[Cond, ...]
 
 
-def reachable(
-    graph: ClassGraph, entries: Sequence[str]
-) -> Dict[str, Reach]:
-    """Methods reachable from ``entries`` with best paths.
-
-    "Best" minimizes (number of guard conditions, path length): of all
-    ways to reach a method, the least-conditional one decides whether a
-    hazard inside it applies to a given configuration.
-    """
-    best: Dict[str, Reach] = {}
-    queue: deque = deque()
-    for entry in entries:
-        if entry in graph.methods:
-            best[entry] = Reach((entry,), ())
-            queue.append(entry)
-    while queue:
-        name = queue.popleft()
-        base = best[name]
-        for edge in graph.scans[name].edges:
-            conds = merge_conds(base.conds, edge.conds)
-            path = base.path + (edge.target,)
-            current = best.get(edge.target)
-            if current is None or (
-                (len(conds), len(path))
-                < (len(current.conds), len(current.path))
-            ):
-                best[edge.target] = Reach(path, conds)
-                queue.append(edge.target)
-    return best
-
-
-def propagate_heat(
-    graph: ClassGraph, entry_weights: Dict[str, float]
+def _relax(
+    graph: ClassGraph, seeds: Sequence[Tuple[str, float]]
 ) -> Dict[str, Heat]:
-    """Per-method heat from weighted entry points.
+    """Worklist over the call edges from weighted ``seeds``.
 
-    Every method reachable from an entry point inherits that entry's
-    weight undiminished (it executes once per entry invocation on the
-    evidence path); a method reachable from several entries gets the
-    *maximum* weight, with ties broken toward the shortest evidence
-    path.  Methods not reachable from any entry (construction helpers,
-    diagnostics) are absent from the result -- provably cold.
-
-    All entries are seeded first (an entry's own heat is its declared
-    weight, never a longer path through another entry), then a
-    worklist relaxes call edges until no method can be made hotter or
-    reached by a strictly better path.
+    All entries are seeded first, in the order given (an entry's own
+    heat is its declared weight, never a longer path through another
+    entry), then call edges are relaxed until no method can be made
+    hotter or reached by a strictly better path: fewer guard
+    conditions, then shorter -- the least-conditional way to reach a
+    method decides whether a hazard in it applies to a configuration.
     """
+    entry_weights = dict(seeds)
     heat: Dict[str, Heat] = {}
     queue: deque = deque()
-    for entry, weight in sorted(
-        entry_weights.items(), key=lambda item: (-item[1], item[0])
-    ):
+    for entry, weight in seeds:
         if entry in graph.methods:
             heat[entry] = Heat(weight, (entry,), ())
             queue.append(entry)
@@ -655,7 +648,7 @@ def propagate_heat(
             target = edge.target
             if target in entry_weights and target in heat:
                 # Entries keep their seeded identity.
-                if entry_weights.get(target, 0.0) >= base.weight:
+                if entry_weights[target] >= base.weight:
                     continue
             current = heat.get(target)
             path = base.path + (target,)
@@ -669,3 +662,140 @@ def propagate_heat(
                 heat[target] = Heat(base.weight, path, conds)
                 queue.append(target)
     return heat
+
+
+def propagate_heat(
+    graph: ClassGraph, entry_weights: Dict[str, float]
+) -> Dict[str, Heat]:
+    """Per-method heat from weighted entry points.
+
+    Every method reachable from an entry point inherits that entry's
+    weight undiminished (it executes once per entry invocation on the
+    evidence path); a method reachable from several entries gets the
+    *maximum* weight, with ties broken toward the shortest evidence
+    path.  Methods not reachable from any entry (construction helpers,
+    diagnostics) are absent from the result -- provably cold.
+    """
+    return _relax(graph, sorted(
+        entry_weights.items(), key=lambda item: (-item[1], item[0])
+    ))
+
+
+def reachable(
+    graph: ClassGraph, entries: Sequence[str]
+) -> Dict[str, Heat]:
+    """Methods reachable from ``entries`` with their best paths: every
+    entry weighs the same, so only conditions and path length rank."""
+    return _relax(graph, [(entry, 1.0) for entry in entries])
+
+
+# -- model-target discovery --------------------------------------------------
+
+
+class ModelTarget(NamedTuple):
+    """One model class a class-level layer (shard, perf) inspects."""
+
+    kind: str
+    origin: str
+    name: str
+    cls: type
+    #: the model's configuration block; None without a configuration.
+    block: Optional[dict]
+
+
+def model_bases() -> Dict[str, type]:
+    """Factory base class of each model kind a configuration selects
+    (with every packaged model registered under it)."""
+    import repro.models
+    from repro.net.interface import Interface
+    from repro.router.base import Router
+    from repro.routing.base import RoutingAlgorithm
+    from repro.workload.application import Application
+
+    repro.models.load_all()
+    return {
+        "application": Application,
+        "routing": RoutingAlgorithm,
+        "router": Router,
+        "interface": Interface,
+    }
+
+
+#: where a configuration selects each one-per-network model kind:
+#: (kind, dotted path of its block, selecting key, model when omitted).
+_SELECTIONS = (
+    ("routing", "network.routing", "algorithm", None),
+    ("router", "network.router", "architecture", None),
+    ("interface", "network.interface", "type", "standard"),
+    ("sensor", "network.router.congestion_sensor", "type", "credit"),
+)
+
+
+def _defining_files(cls: type) -> Set[str]:
+    """Real paths of the files holding ``cls`` and its live methods."""
+    files = {
+        os.path.realpath(filename)
+        for (_n, _m, filename, _o) in ClassGraph(cls).methods.values()
+    }
+    defining = getattr(sys.modules.get(cls.__module__), "__file__", None)
+    if defining is not None:
+        files.add(os.path.realpath(defining))
+    return files
+
+
+def model_targets(
+    ctx,
+    bases: Dict[str, type],
+    framework: Iterable[Tuple[str, type]] = (),
+) -> List[ModelTarget]:
+    """The model classes one lint run is about.
+
+    With settings, the models the configuration selects among the
+    kinds in ``bases``, each with its configuration block (unknown
+    model names are the config layer's to report).  With source paths
+    instead, every model registered under ``bases`` that is defined in
+    one of the files.  ``framework`` lists ``(kind, class)`` pairs no
+    configuration names but every simulation runs: targets with
+    settings, and with source paths when defined in one of them.
+    """
+    from repro.factory.registry import FactoryError
+
+    always_run = [
+        ModelTarget(kind, "framework", cls.__name__, cls, None)
+        for kind, cls in framework
+    ]
+    if ctx.settings is None:
+        wanted = {os.path.realpath(path) for path in ctx.source_paths}
+        registered = [
+            ModelTarget(kind, f"registered:{kind}", name,
+                        factory.lookup(base, name), None)
+            for kind, base in bases.items()
+            for name in factory.names(base)
+        ]
+        return [
+            target for target in registered + always_run
+            if wanted and _defining_files(target.cls) & wanted
+        ]
+    raw = ctx.raw
+    selected = [
+        ("application", f"workload.applications[{index}]", app,
+         app.get("type"))
+        for index, app in enumerate(
+            raw.get("workload", {}).get("applications", ())
+        )
+    ]
+    for kind, path, key, default in _SELECTIONS:
+        block = raw
+        for part in path.split("."):
+            block = block.get(part, {})
+        selected.append((kind, f"{path}.{key}", block,
+                         block.get(key, default)))
+    targets = []
+    for kind, origin, block, name in selected:
+        if kind in bases and isinstance(name, str):
+            try:
+                cls = factory.lookup(bases[kind], name)
+            except FactoryError:
+                continue
+            targets.append(ModelTarget(kind, origin, name, cls, block))
+    return targets + always_run

@@ -1,4 +1,4 @@
-"""Partition-layer lint (P001..P008): shard-safety static analysis.
+"""Partition-layer lint (P001..P005): manifest shard-safety analysis.
 
 A partition manifest (:mod:`repro.partition.manifest`) claims that a
 network can be split into k shards that communicate *only* through
@@ -6,9 +6,7 @@ latency-bearing channels, so a conservative PDES runtime can advance
 each shard by the manifest's lookahead without violating causality.
 The P-rules verify that claim -- for planned manifests (catching
 planner bugs before a runtime trusts them) and for hand-written ones
-(catching humans).  Two groups:
-
-**Manifest rules** (P001..P005) check a manifest against the network
+(catching humans).  P001..P005 check a manifest against the network
 the config actually constructs, via the same no-simulate constructor
 the G-rules use.  The ground truth is the live component/channel graph
 -- channel latencies are read off the constructed ``Channel`` objects
@@ -31,29 +29,13 @@ the G-rules use.  The ground truth is the live component/channel graph
   set: a component in no shard, in multiple shards, or unknown to the
   network (also reports structurally malformed manifests).
 
-**Shard-isolation AST rules** (P006..P008, warnings) scan model source
-files for code that would break under partitioning even with a perfect
-manifest -- state reached across a shard boundary without a channel.
-Like the D/E layers they are heuristic pattern matches over names and
-shapes; the scanned code is never imported or executed.
-
-* P006 -- a handler reads/writes a peer component through a direct
-  reference (``channel.sink.attr``, ``self.peer.buffer``,
-  ``self.network.routers[j].anything``) instead of sending on a
-  channel.  In one process this works; across shards the peer is a
-  different process and the reference is a stale copy.
-* P007 -- module-level mutable state written from component methods
-  (``global`` rebinding or mutating a module-level container).  Each
-  shard process gets its own copy; writes silently diverge.
-* P008 -- an event scheduled onto another component's handler
-  (``simulator.call_at(t, peer.handler)``).  Cross-shard scheduling
-  must travel as a channel message, not a direct event insertion.
+The layer's per-file rules (P006, P008: code reaching across a shard
+boundary without a channel) live in :mod:`repro.lint.source_rules`.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro import factory
 from repro.lint.findings import Finding, Severity
@@ -160,193 +142,6 @@ class PartitionAnalysis:
     def channel_map(self):
         assert self.graph is not None
         return {record.name: record for record in self.graph.channels}
-
-
-# ---------------------------------------------------------------------------
-# shard-isolation AST scan (P006..P008)
-# ---------------------------------------------------------------------------
-
-#: Attribute names that conventionally hold a *peer component*
-#: reference; reading past them reaches across a shard boundary.
-_PEER_ATTRS = {"sink", "peer", "neighbor", "downstream", "upstream",
-               "remote"}
-
-#: Component-registry attributes; subscripting them and touching the
-#: result is the classic reach-across (``network.routers[j].buffer``).
-_REGISTRY_ATTRS = {"routers", "interfaces"}
-
-#: Methods that run at construction time, before any shard boundary
-#: exists -- wiring code legitimately touches every component there.
-_CONSTRUCTION_METHODS = {"__init__", "__post_init__", "_build",
-                         "finalize", "setup"}
-
-#: Container methods that mutate in place (P007).
-_MUTATORS = {"append", "appendleft", "add", "update", "extend", "insert",
-             "setdefault", "pop", "popleft", "clear", "remove", "discard"}
-
-#: Constructor calls whose module-level result counts as mutable state.
-_MUTABLE_FACTORIES = {"list", "dict", "set", "deque", "defaultdict",
-                      "Counter", "OrderedDict"}
-
-#: Scheduling methods and the position of their handler argument.
-_SCHED_HANDLER_POS = {"call_at": 1, "schedule": 0, "schedule_at": 0}
-
-
-def _unparse(node: ast.expr) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - best-effort context
-        return "<expr>"
-
-
-def _is_self(node: ast.expr) -> bool:
-    return isinstance(node, ast.Name) and node.id == "self"
-
-
-class PartitionScan:
-    """One parsed source file plus its shard-isolation hazards."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.parse_error: Optional[str] = None
-        #: (line, expression) peer-reference reads/writes (P006).
-        self.peer_access: List[Tuple[int, str]] = []
-        #: (line, description) module-state writes from methods (P007).
-        self.module_state_writes: List[Tuple[int, str]] = []
-        #: (line, expression) handlers of another component (P008).
-        self.foreign_schedules: List[Tuple[int, str]] = []
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            tree = ast.parse(source, filename=path)
-        except (OSError, SyntaxError, ValueError) as exc:
-            self.parse_error = str(exc)
-            return
-        self._module_mutables = self._collect_module_mutables(tree)
-        self._scan(tree)
-
-    # -- scanning ------------------------------------------------------------
-
-    @staticmethod
-    def _collect_module_mutables(tree: ast.Module) -> Set[str]:
-        names: Set[str] = set()
-        for node in tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            mutable = isinstance(value, (ast.List, ast.Dict, ast.Set))
-            if isinstance(value, ast.Call):
-                func = value.func
-                callee = (
-                    func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute)
-                    else None
-                )
-                mutable = callee in _MUTABLE_FACTORIES
-            if not mutable:
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        return names
-
-    def _scan(self, tree: ast.Module) -> None:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for item in node.body:
-                if not isinstance(
-                    item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    continue
-                if item.name in _CONSTRUCTION_METHODS:
-                    continue
-                if not item.args.args or item.args.args[0].arg != "self":
-                    continue
-                self._scan_method(item)
-
-    def _scan_method(self, method: ast.FunctionDef) -> None:
-        for node in ast.walk(method):
-            if isinstance(node, ast.Attribute):
-                self._scan_attribute(node)
-            elif isinstance(node, ast.Global):
-                self.module_state_writes.append((
-                    node.lineno,
-                    f"`global {', '.join(node.names)}` inside "
-                    f"{method.name}()",
-                ))
-            elif isinstance(node, ast.Call):
-                self._scan_call(node)
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    self._scan_store(target)
-
-    def _scan_attribute(self, node: ast.Attribute) -> None:
-        # P006a: <expr>.<peer_attr>.<anything>
-        inner = node.value
-        if isinstance(inner, ast.Attribute) and inner.attr in _PEER_ATTRS:
-            self.peer_access.append((node.lineno, _unparse(node)))
-            return
-        # P006b: <expr>.routers[j].<anything> / .interfaces[j].<anything>
-        if isinstance(inner, ast.Subscript):
-            base = inner.value
-            if (
-                isinstance(base, ast.Attribute)
-                and base.attr in _REGISTRY_ATTRS
-            ):
-                self.peer_access.append((node.lineno, _unparse(node)))
-
-    def _scan_call(self, call: ast.Call) -> None:
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return
-        # P007: mutating a module-level container.
-        if (
-            func.attr in _MUTATORS
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self._module_mutables
-        ):
-            self.module_state_writes.append((
-                call.lineno,
-                f"{func.value.id}.{func.attr}() mutates module-level "
-                f"state",
-            ))
-        # P008: scheduling another component's bound method.
-        position = _SCHED_HANDLER_POS.get(func.attr)
-        if position is None:
-            return
-        handler: Optional[ast.expr] = None
-        for keyword in call.keywords:
-            if keyword.arg == "handler":
-                handler = keyword.value
-        if handler is None and position < len(call.args):
-            handler = call.args[position]
-        if isinstance(handler, ast.Attribute) and not _is_self(
-            handler.value
-        ):
-            self.foreign_schedules.append(
-                (call.lineno, _unparse(handler))
-            )
-
-    def _scan_store(self, target: ast.expr) -> None:
-        # P007: `MODULE_THING[key] = ...` from a method.
-        node = target
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        if (
-            node is not target
-            and isinstance(node, ast.Name)
-            and node.id in self._module_mutables
-        ):
-            self.module_state_writes.append((
-                target.lineno,
-                f"subscript write to module-level `{node.id}`",
-            ))
 
 
 # ---------------------------------------------------------------------------
@@ -695,85 +490,3 @@ class PartitionCoverageRule(_PartitionRule):
                 config_path="partition.shards",
             ))
         return findings
-
-
-# ---------------------------------------------------------------------------
-# shard-isolation AST rules (P006..P008)
-# ---------------------------------------------------------------------------
-
-
-class _IsolationRule(_PartitionRule):
-    def _clean_scans(self, ctx: LintContext):
-        return [
-            scan for scan in ctx.partition_scans()
-            if scan.parse_error is None
-        ]
-
-
-@factory.register(LintRule, "P006")
-class PeerReferenceRule(_IsolationRule):
-    rule_id = "P006"
-    description = ("Handler reaches into a peer component by direct "
-                   "reference (channel.sink.*, self.peer.*, "
-                   "network.routers[j].*) instead of sending on a channel")
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        return [
-            Finding(
-                "P006",
-                Severity.WARNING,
-                f"`{expression}` touches a peer component through a "
-                f"direct reference; under partitioned simulation the "
-                f"peer lives in another shard and this reads/writes a "
-                f"stale local copy -- send on a channel instead",
-                location=f"{scan.path}:{line}",
-            )
-            for scan in self._clean_scans(ctx)
-            for line, expression in scan.peer_access
-        ]
-
-
-@factory.register(LintRule, "P007")
-class ModuleStateRule(_IsolationRule):
-    rule_id = "P007"
-    description = ("Module-level mutable state written from component "
-                   "methods; each shard process gets its own copy and "
-                   "the writes silently diverge")
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        return [
-            Finding(
-                "P007",
-                Severity.WARNING,
-                f"{description}; module globals are per-process, so "
-                f"under partitioned simulation each shard sees a "
-                f"different value -- keep the state on a component or "
-                f"derive it from settings",
-                location=f"{scan.path}:{line}",
-            )
-            for scan in self._clean_scans(ctx)
-            for line, description in scan.module_state_writes
-        ]
-
-
-@factory.register(LintRule, "P008")
-class ForeignScheduleRule(_IsolationRule):
-    rule_id = "P008"
-    description = ("Event scheduled onto another component's handler; "
-                   "cross-shard work must travel as a channel message, "
-                   "not a direct event insertion")
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        return [
-            Finding(
-                "P008",
-                Severity.WARNING,
-                f"schedules `{expression}`, a handler bound to another "
-                f"component; if that component lands in another shard "
-                f"the event fires on the wrong process -- send a flit/"
-                f"credit on a channel and let the peer schedule itself",
-                location=f"{scan.path}:{line}",
-            )
-            for scan in self._clean_scans(ctx)
-            for line, expression in scan.foreign_schedules
-        ]

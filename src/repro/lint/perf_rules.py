@@ -12,7 +12,7 @@ The analysis reuses the interprocedural call-graph engine built for
 shard purity (:mod:`repro.lint.callgraph`): starting from the known
 per-event entry points (router ``_step``/``receive_flit``, channel
 delivery, interface injection, congestion-sensor records), a *heat*
-weight scaled by the measured ~3-events-per-flit-hop census propagates
+weight in calls per flit-hop (the measured handler census) propagates
 through each class's call graph (:func:`~repro.lint.callgraph
 .propagate_heat`).  Hazards are flagged **only on provably hot
 methods**, each with a ``Class.entry -> helper -> method`` evidence
@@ -61,17 +61,27 @@ from __future__ import annotations
 import ast
 import os
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro import factory
 from repro.lint.callgraph import (
     ClassGraph,
     Heat,
     MethodScan,
+    ModelTarget,
+    dotted_name,
+    model_bases,
+    model_targets,
     propagate_heat,
+    unparse,
 )
 from repro.lint.findings import Finding, Severity
-from repro.lint.rules import PERF_LAYER, LintContext, LintRule
+from repro.lint.rules import (
+    PERF_LAYER,
+    TARGET_FRAME,
+    LintContext,
+    LintRule,
+    declare_rules,
+)
 
 #: Hot entry points per model kind, weighted by the measured handler
 #: census (docs/PERFORMANCE.md: ~2 landings and ~0.9 steps per flit-hop
@@ -149,25 +159,6 @@ _PURE_NODES = (
     ast.Subscript, ast.Name, ast.Constant, ast.operator, ast.unaryop,
     ast.boolop, ast.cmpop, ast.expr_context, ast.Load,
 )
-
-
-def _render_chain(node: ast.AST) -> Optional[str]:
-    """``self.simulator.tick`` for a Name-rooted attribute chain."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def _unparse(node: ast.AST) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse of exotic nodes
-        return ast.dump(node)
 
 
 class PerfSite:
@@ -414,7 +405,7 @@ class PerfScan(ast.NodeVisitor):
             elif name in ("isinstance", "hasattr") and not self._raise_depth:
                 target = ""
                 if name == "isinstance" and len(node.args) == 2:
-                    target = _render_chain(node.args[1]) or ""
+                    target = dotted_name(node.args[1]) or ""
                 self.sites["H007"].append(PerfSite(
                     node,
                     f"{name}() dispatch on a hot path",
@@ -444,7 +435,7 @@ class PerfScan(ast.NodeVisitor):
                 ))
             elif func.attr in _LOG_METHOD_CALLS and not self._raise_depth \
                     and not self._guard_depth:
-                chain = _render_chain(func) or func.attr
+                chain = dotted_name(func) or func.attr
                 root = chain.split(".")[0]
                 if root in ("logging", "logger", "log") or ".log." in chain \
                         or chain.startswith("self.log"):
@@ -498,7 +489,7 @@ class PerfScan(ast.NodeVisitor):
     def _record_chain(self, node: ast.Attribute) -> None:
         if not self._loop_chain_stack:
             return
-        chain = _render_chain(node)
+        chain = dotted_name(node)
         if chain is None:
             return
         # Record in the innermost loop only; outer loops see the inner
@@ -544,7 +535,7 @@ class PerfScan(ast.NodeVisitor):
         for sub in ast.walk(node):
             if not isinstance(sub, _PURE_NODES):
                 return False
-        rendered = _unparse(node)
+        rendered = unparse(node)
         self._pure_counts.setdefault(rendered, []).append(node)
         # Walk children exactly once: generic_visit still records H003
         # chains, while _in_pure keeps nested pure nodes from being
@@ -663,35 +654,8 @@ def load_profile_times(path: str) -> Tuple[Dict[Tuple[str, str], float], float]:
     return times, total
 
 
-class PerfTarget:
-    """One model class the perf layer audits."""
-
-    __slots__ = ("kind", "origin", "name", "cls")
-
-    def __init__(self, kind: str, origin: str, name: str, cls: type):
-        self.kind = kind
-        self.origin = origin
-        self.name = name
-        self.cls = cls
-
-
-def _model_bases() -> Dict[str, type]:
-    from repro.net.interface import Interface
-    from repro.router.base import Router
-    from repro.router.congestion import CongestionSensor
-    from repro.routing.base import RoutingAlgorithm
-    from repro.workload.application import Application
-
-    return {
-        "application": Application,
-        "routing": RoutingAlgorithm,
-        "router": Router,
-        "interface": Interface,
-        "sensor": CongestionSensor,
-    }
-
-
 def _framework_classes() -> List[Tuple[str, type]]:
+    """Classes no configuration names but every simulation runs."""
     from repro.core.wheel import PhaseWheel
     from repro.net.channel import Channel, CreditChannel, _LandingWheel
 
@@ -749,112 +713,31 @@ def _resolve_h005(site: PerfSite, scan: MethodScan) -> Optional[PerfSite]:
 
 
 class PerfAnalysis:
-    """Memoized hot-path audit for one lint run.
-
-    With settings, the *configured* model classes are audited (plus the
-    framework channel and wheel classes every simulation runs).  With
-    source paths instead, every registered model class defined in one
-    of the files is audited -- plus the framework classes when their
-    defining file is among the paths.  ``ctx.profile_path`` switches on
-    correlation mode.
+    """Memoized hot-path audit of one lint run's model targets (the
+    configured or in-path registered models, congestion sensors and
+    framework classes); ``ctx.profile_path`` switches on correlation
+    mode.
     """
 
     def __init__(self, ctx: LintContext):
-        self.targets: List[PerfTarget] = []
+        from repro.router.congestion import CongestionSensor
+
+        bases = {**model_bases(), "sensor": CongestionSensor}
+        self.targets = model_targets(ctx, bases, _framework_classes())
         self.profile_path = ctx.profile_path
-        if ctx.settings is not None:
-            self._from_config(ctx.raw)
-        elif ctx.source_paths:
-            self._from_sources(ctx.source_paths)
-        self._hazards: Optional[List[Tuple[PerfTarget, PerfHazard]]] = None
-        self._ranked: Optional[List[Tuple[PerfTarget, PerfHazard, int]]] = None
-
-    # -- target discovery --------------------------------------------------
-
-    def _lookup(self, kind: str, name: str) -> Optional[type]:
-        import repro.models
-        from repro.factory.registry import FactoryError
-
-        repro.models.load_all()
-        try:
-            return factory.lookup(_model_bases()[kind], name)
-        except FactoryError:
-            return None  # unknown model names belong to the config layer
-
-    def _from_config(self, raw: dict) -> None:
-        workload = raw.get("workload", {})
-        for index, app in enumerate(workload.get("applications", ())):
-            kind = app.get("type")
-            if isinstance(kind, str):
-                cls = self._lookup("application", kind)
-                if cls is not None:
-                    self.targets.append(PerfTarget(
-                        "application", f"workload.applications[{index}]",
-                        kind, cls,
-                    ))
-        network = raw.get("network", {})
-        selections = (
-            ("routing", "network.routing.algorithm",
-             network.get("routing", {}).get("algorithm")),
-            ("router", "network.router.architecture",
-             network.get("router", {}).get("architecture")),
-            ("interface", "network.interface.type",
-             network.get("interface", {}).get("type", "standard")),
-            ("sensor", "network.router.congestion_sensor.type",
-             network.get("router", {})
-             .get("congestion_sensor", {}).get("type", "credit")),
-        )
-        for kind, origin, name in selections:
-            if isinstance(name, str):
-                cls = self._lookup(kind, name)
-                if cls is not None:
-                    self.targets.append(PerfTarget(kind, origin, name, cls))
-        for kind, cls in _framework_classes():
-            self.targets.append(PerfTarget(
-                kind, "framework", cls.__name__, cls,
-            ))
-
-    def _from_sources(self, paths: Sequence[str]) -> None:
-        import repro.models
-
-        repro.models.load_all()
-        wanted = {os.path.realpath(p) for p in paths}
-
-        def defined_in_wanted(cls: type) -> bool:
-            graph = ClassGraph(cls)
-            files = {
-                os.path.realpath(filename)
-                for (_n, _m, filename, _o) in graph.methods.values()
-            }
-            module = sys.modules.get(cls.__module__)
-            defining = getattr(module, "__file__", None)
-            if defining is not None:
-                files.add(os.path.realpath(defining))
-            return bool(files & wanted)
-
-        for kind, base in _model_bases().items():
-            for name in factory.names(base):
-                cls = factory.lookup(base, name)
-                if defined_in_wanted(cls):
-                    self.targets.append(PerfTarget(
-                        kind, f"registered:{kind}", name, cls,
-                    ))
-        for kind, cls in _framework_classes():
-            if defined_in_wanted(cls):
-                self.targets.append(PerfTarget(
-                    kind, "framework", cls.__name__, cls,
-                ))
+        self._hazards: Optional[List[Tuple[ModelTarget, PerfHazard]]] = None
+        self._ranked: Optional[List[Tuple[ModelTarget, PerfHazard, int]]] = None
 
     # -- hazard collection + ranking ---------------------------------------
 
-    def hazards(self) -> List[Tuple[PerfTarget, PerfHazard]]:
+    def hazards(self) -> List[Tuple[ModelTarget, PerfHazard]]:
         if self._hazards is None:
             seen_classes: Set[Tuple[type, str]] = set()
             #: one finding per (rule, defining class, method, token) --
             #: a base-class method inherited by N registered subclasses
             #: is one hazard, attributed to the hottest/shortest chain.
             best: Dict[Tuple[str, str, str, str],
-                       Tuple[PerfTarget, PerfHazard]] = {}
+                       Tuple[ModelTarget, PerfHazard]] = {}
             for target in self.targets:
                 cls_key = (target.cls, target.kind)
                 if cls_key in seen_classes:
@@ -883,7 +766,7 @@ class PerfAnalysis:
             self._hazards = collected
         return self._hazards
 
-    def ranked(self) -> List[Tuple[PerfTarget, PerfHazard, int]]:
+    def ranked(self) -> List[Tuple[ModelTarget, PerfHazard, int]]:
         """Hazards ordered hottest-first with their 1-based rank.
 
         Without a profile the static heat ranks; with one, measured
@@ -908,23 +791,25 @@ class PerfAnalysis:
             ]
         return self._ranked
 
-    def findings(self, rule_id: str) -> List[Finding]:
+    def findings(self, rule: LintRule) -> List[Finding]:
         ranked = self.ranked()
         total = len(ranked)
         findings: List[Finding] = []
         for target, hazard, rank in ranked:
-            if hazard.rule_id != rule_id:
+            if hazard.rule_id != rule.rule_id:
                 continue
             demoted = (
                 hazard.measured is not None
                 and hazard.measured < COLD_FRACTION
             )
-            severity = Severity.INFO if demoted else Severity.WARNING
-            prefix = "measured cold here: " if demoted else ""
             findings.append(Finding(
-                rule_id, severity,
-                f"[{target.origin}={target.name}] {prefix}"
-                f"{hazard.render(rank, total)}",
+                rule.rule_id,
+                Severity.INFO if demoted else rule.severity,
+                rule.template.format(
+                    origin=target.origin, name=target.name,
+                    prefix="measured cold here: " if demoted else "",
+                    hazard=hazard.render(rank, total),
+                ),
                 config_path=hazard.fingerprint_path,
                 location=hazard.location,
             ))
@@ -934,80 +819,24 @@ class PerfAnalysis:
 # -- lint-layer integration --------------------------------------------------
 
 
-class _PerfRule(LintRule):
-    layer = PERF_LAYER
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        return ctx.perf().findings(self.rule_id)
-
-
-@factory.register(LintRule, "H001")
-class EscapingAllocationRule(_PerfRule):
-    rule_id = "H001"
-    description = (
-        "container allocated per event escapes the call (stored, "
-        "returned, or passed on) -- one garbage object per event"
+declare_rules(PERF_LAYER, lambda rule, ctx: ctx.perf().findings(rule), [
+    (rule_id, Severity.WARNING, description, TARGET_FRAME)
+    for rule_id, description in (
+        ("H001", "container allocated per event escapes the call (stored, "
+                 "returned, or passed on) -- one garbage object per event"),
+        ("H002", "closure or lambda created per call on a hot path (fresh "
+                 "function object per event)"),
+        ("H003", "same attribute chain loaded repeatedly inside a hot loop "
+                 "body; bind it to a local before the loop"),
+        ("H004", "unguarded f-string/%-format/.format()/logging on a hot "
+                 "path (raise/assert and conditional branches are exempt)"),
+        ("H005", "class instantiated on a hot path lacks __slots__ in its "
+                 "MRO; every instance allocates an attribute dict"),
+        ("H006", "try/except inside a hot loop body, or `global` in a hot "
+                 "method"),
+        ("H007", "isinstance()/hasattr() dispatch on a hot path; hoist the "
+                 "branch when the registry proves the site monomorphic"),
+        ("H008", "same pure subexpression recomputed 3+ times in one hot "
+                 "method; compute it once into a local"),
     )
-
-
-@factory.register(LintRule, "H002")
-class PerEventClosureRule(_PerfRule):
-    rule_id = "H002"
-    description = (
-        "closure or lambda created per call on a hot path (fresh "
-        "function object per event)"
-    )
-
-
-@factory.register(LintRule, "H003")
-class LoopAttributeChainRule(_PerfRule):
-    rule_id = "H003"
-    description = (
-        "same attribute chain loaded repeatedly inside a hot loop "
-        "body; bind it to a local before the loop"
-    )
-
-
-@factory.register(LintRule, "H004")
-class UnguardedFormattingRule(_PerfRule):
-    rule_id = "H004"
-    description = (
-        "unguarded f-string/%-format/.format()/logging on a hot path "
-        "(raise/assert and conditional branches are exempt)"
-    )
-
-
-@factory.register(LintRule, "H005")
-class MissingSlotsRule(_PerfRule):
-    rule_id = "H005"
-    description = (
-        "class instantiated on a hot path lacks __slots__ in its MRO; "
-        "every instance allocates an attribute dict"
-    )
-
-
-@factory.register(LintRule, "H006")
-class HotLoopTryGlobalRule(_PerfRule):
-    rule_id = "H006"
-    description = (
-        "try/except inside a hot loop body, or `global` in a hot "
-        "method"
-    )
-
-
-@factory.register(LintRule, "H007")
-class MonomorphicDispatchRule(_PerfRule):
-    rule_id = "H007"
-    description = (
-        "isinstance()/hasattr() dispatch on a hot path; hoist the "
-        "branch when the registry proves the site monomorphic"
-    )
-
-
-@factory.register(LintRule, "H008")
-class RecomputedPureExprRule(_PerfRule):
-    rule_id = "H008"
-    description = (
-        "same pure subexpression recomputed 3+ times in one hot "
-        "method; compute it once into a local"
-    )
+])

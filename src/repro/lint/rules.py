@@ -11,19 +11,21 @@ router architectures or traffic patterns (paper §III-D)::
 
 so dropping a new rule module into the code base requires zero changes
 to existing files, and ``sslint`` enumerates every rule through
-``factory.names(LintRule)``.
+``factory.names(LintRule)``.  Rules that differ only in id, severity
+and wording (one shared analysis reports facts per rule id) are rows of
+a table; :func:`declare_rules` registers one such class per row.
 
 Each rule belongs to one *layer*:
 
 * ``config`` -- validates the ``Settings`` tree declaratively.
 * ``graph`` -- inspects the constructed (never-run) network graph.
 * ``determinism`` -- AST checks over workload/model source files.
-* ``dataflow`` -- AST checks for model-contract violations (event
-  handle lifetimes, epsilon discipline, credit-API bypasses) -- the
+* ``dataflow`` -- AST checks for model-contract violations (epsilon
+  discipline, engine-owned event fields, credit-API bypasses) -- the
   static counterparts of the :mod:`repro.sanitize` runtime checks.
 * ``partition`` -- shard-safety checks of a partition manifest
   (planned or hand-written) against the constructed network, plus AST
-  scans for shard-isolation hazards in model code.
+  checks for shard-isolation hazards in model code.
 * ``shard`` -- interprocedural shard-purity analysis (S-rules) of the
   registered model classes a configuration selects: per-class call
   graphs from the framework entry points, attribute-reach dataflow,
@@ -37,25 +39,26 @@ Each rule belongs to one *layer*:
 
 A :class:`LintContext` carries the inputs and memoizes the expensive
 shared work (the schema walk, the network construction and channel
-dependency trace, the parsed ASTs) so each layer pays its cost once no
-matter how many rules consume it.
+dependency trace, the parsed and fact-walked source files) so each
+layer pays its cost once no matter how many rules consume it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple,
+)
 
 from repro import factory
 from repro.config.settings import Settings
-from repro.lint.findings import Finding, LintReport
+from repro.lint.findings import Finding, LintReport, Severity
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.lint.ast_rules import SourceScan
-    from repro.lint.dataflow_rules import DataflowScan
+    from repro.lint.callgraph import ModelTarget
     from repro.lint.graph import GraphAnalysis
-    from repro.lint.partition_rules import PartitionAnalysis, PartitionScan
+    from repro.lint.partition_rules import PartitionAnalysis
     from repro.lint.perf_rules import PerfAnalysis
-    from repro.lint.shard_rules import ShardAnalysis
+    from repro.lint.source_rules import SourceFile
 
 CONFIG_LAYER = "config"
 GRAPH_LAYER = "graph"
@@ -75,9 +78,38 @@ class LintRule:
     layer: str = CONFIG_LAYER
     #: One-line description (surfaced by ``sslint --list-rules`` and docs).
     description: str = ""
+    #: Table-declared rules only: the severity of a finding that is not
+    #: demoted, and the ``str.format`` template of its message.
+    severity: Severity = Severity.WARNING
+    template: str = ""
 
     def check(self, ctx: "LintContext") -> Iterable[Finding]:
         raise NotImplementedError
+
+
+#: message frame of the class-level layers (shard, perf): where the
+#: model was selected, then the hazard with its evidence chain.
+TARGET_FRAME = "[{origin}={name}] {prefix}{hazard}"
+
+
+def declare_rules(
+    layer: str,
+    check: Callable[[LintRule, "LintContext"], Iterable[Finding]],
+    table: Iterable[Tuple[str, Severity, str, str]],
+) -> None:
+    """Register one rule class per ``(rule id, severity, description,
+    message template)`` row; all of them run ``check``, which reads the
+    row back off the rule instance it is handed."""
+    for rule_id, severity, description, template in table:
+        rule_cls = type(f"Rule{rule_id}", (LintRule,), {
+            "rule_id": rule_id,
+            "layer": layer,
+            "severity": severity,
+            "description": description,
+            "template": template,
+            "check": check,
+        })
+        factory.register(LintRule, rule_id)(rule_cls)
 
 
 class LintContext:
@@ -111,11 +143,9 @@ class LintContext:
         self.profile_path = profile_path
         self._schema_findings: Optional[List[Finding]] = None
         self._graph: Optional["GraphAnalysis"] = None
-        self._scans: Optional[List["SourceScan"]] = None
-        self._dataflow_scans: Optional[List["DataflowScan"]] = None
+        self._sources: Optional[List["SourceFile"]] = None
         self._partition: Optional["PartitionAnalysis"] = None
-        self._partition_scans: Optional[List["PartitionScan"]] = None
-        self._shard: Optional["ShardAnalysis"] = None
+        self._shard: Optional[List["ModelTarget"]] = None
         self._perf: Optional["PerfAnalysis"] = None
 
     # -- memoized analyses ---------------------------------------------------
@@ -140,23 +170,13 @@ class LintContext:
             self._graph = GraphAnalysis(self.settings, max_pairs=self.max_pairs)
         return self._graph
 
-    def source_scans(self) -> List["SourceScan"]:
-        """Parsed-AST scans of every requested source file."""
-        if self._scans is None:
-            from repro.lint.ast_rules import SourceScan
+    def sources(self) -> List["SourceFile"]:
+        """Every requested source file, parsed and fact-walked once."""
+        if self._sources is None:
+            from repro.lint.source_rules import SourceFile
 
-            self._scans = [SourceScan(path) for path in self.source_paths]
-        return self._scans
-
-    def dataflow_scans(self) -> List["DataflowScan"]:
-        """Dataflow-hazard AST scans of every requested source file."""
-        if self._dataflow_scans is None:
-            from repro.lint.dataflow_rules import DataflowScan
-
-            self._dataflow_scans = [
-                DataflowScan(path) for path in self.source_paths
-            ]
-        return self._dataflow_scans
+            self._sources = [SourceFile(path) for path in self.source_paths]
+        return self._sources
 
     def partition(self) -> "PartitionAnalysis":
         """Component graph + manifest (planned or provided) + checks."""
@@ -166,22 +186,12 @@ class LintContext:
             self._partition = PartitionAnalysis(self)
         return self._partition
 
-    def partition_scans(self) -> List["PartitionScan"]:
-        """Shard-isolation AST scans of every requested source file."""
-        if self._partition_scans is None:
-            from repro.lint.partition_rules import PartitionScan
-
-            self._partition_scans = [
-                PartitionScan(path) for path in self.source_paths
-            ]
-        return self._partition_scans
-
-    def shard(self) -> "ShardAnalysis":
-        """Shard-purity verdicts for the configured model classes."""
+    def shard(self) -> List["ModelTarget"]:
+        """The model classes the shard layer classifies."""
         if self._shard is None:
-            from repro.lint.shard_rules import ShardAnalysis
+            from repro.lint.callgraph import model_bases, model_targets
 
-            self._shard = ShardAnalysis(self)
+            self._shard = model_targets(self, model_bases())
         return self._shard
 
     def perf(self) -> "PerfAnalysis":
@@ -195,13 +205,12 @@ class LintContext:
 
 def all_rule_ids(layer: Optional[str] = None) -> List[str]:
     """Every registered rule id, optionally restricted to one layer."""
-    import repro.lint.ast_rules  # noqa: F401 - registration side effects
-    import repro.lint.config_rules  # noqa: F401
-    import repro.lint.dataflow_rules  # noqa: F401
+    import repro.lint.config_rules  # noqa: F401 - registration side effects
     import repro.lint.graph  # noqa: F401
     import repro.lint.partition_rules  # noqa: F401
     import repro.lint.perf_rules  # noqa: F401
     import repro.lint.shard_rules  # noqa: F401
+    import repro.lint.source_rules  # noqa: F401
 
     ids = factory.names(LintRule)
     if layer is None:

@@ -45,21 +45,30 @@ Consumers: ``validate_sharded_scope`` (runtime preflight), the
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import factory
 from repro.lint.callgraph import (
+    CONSTRUCTION_METHODS,
+    REGISTRY_ATTRS,
     ClassGraph,
     Cond,
+    Heat,
     MethodScan,
-    Reach,
     merge_conds,
+    model_bases,
     module_state,
     reachable,
     render_conds,
 )
 from repro.lint.findings import Finding, Severity
-from repro.lint.rules import SHARD_LAYER, LintContext, LintRule
+from repro.lint.rules import (
+    SHARD_LAYER,
+    TARGET_FRAME,
+    LintContext,
+    LintRule,
+    declare_rules,
+)
 
 SHARD_SAFE = "shard-safe"
 SHARD_UNSAFE = "shard-unsafe"
@@ -80,20 +89,11 @@ CONTROL_CALLS = frozenset({
 #: calls that create or schedule new activity (any receiver).
 ACTIVITY_CALLS = frozenset({"schedule", "send_message"})
 
-#: whole-network registries a shard only partially owns (S003).
-REGISTRY_ATTRS = frozenset({"routers", "interfaces"})
-
 #: RNG draw method names (S005).
 RNG_DRAWS = frozenset({
     "choice", "exponential", "integers", "normal", "permutation",
     "poisson", "randint", "random", "randrange", "sample", "shuffle",
     "standard_normal", "uniform",
-})
-
-#: construction-time methods, never driven by the event loop.
-CONSTRUCTION_METHODS = frozenset({
-    "__init__", "__post_init__", "_build", "_build_terminal",
-    "_terminal_ids", "finalize", "setup",
 })
 
 #: framework entry points per model kind.
@@ -194,7 +194,7 @@ def _entries(graph: ClassGraph, kind: str) -> Tuple[str, ...]:
 
 
 def _delivery_written_attrs(
-    graph: ClassGraph, delivery_reach: Dict[str, Reach]
+    graph: ClassGraph, delivery_reach: Dict[str, Heat]
 ) -> Dict[str, str]:
     """self attributes written on the delivery path -> writing method."""
     written: Dict[str, str] = {}
@@ -382,28 +382,9 @@ def analyze_class(cls: type, kind: str) -> ClassVerdict:
     return verdict
 
 
-def _model_bases() -> Dict[str, type]:
-    from repro.net.interface import Interface
-    from repro.router.base import Router
-    from repro.routing.base import RoutingAlgorithm
-    from repro.workload.application import Application
-
-    return {
-        "application": Application,
-        "routing": RoutingAlgorithm,
-        "router": Router,
-        "interface": Interface,
-    }
-
-
 def analyze_registered(kind: str, name: str) -> ClassVerdict:
     """Classify the factory-registered model ``name`` of ``kind``."""
-    import repro.models
-
-    repro.models.load_all()
-    base = _model_bases()[kind]
-    cls = factory.lookup(base, name)
-    return analyze_class(cls, kind)
+    return analyze_class(factory.lookup(model_bases()[kind], name), kind)
 
 
 def classify_registered(
@@ -411,217 +392,76 @@ def classify_registered(
                             "interface"),
 ) -> Dict[str, Dict[str, ClassVerdict]]:
     """Verdicts for every registered model, keyed by kind then name."""
-    import repro.models
-
-    repro.models.load_all()
-    bases = _model_bases()
-    table: Dict[str, Dict[str, ClassVerdict]] = {}
-    for kind in kinds:
-        base = bases[kind]
-        table[kind] = {
-            name: analyze_class(factory.lookup(base, name), kind)
-            for name in factory.names(base)
+    bases = model_bases()
+    return {
+        kind: {
+            name: analyze_class(factory.lookup(bases[kind], name), kind)
+            for name in factory.names(bases[kind])
         }
-    return table
+        for kind in kinds
+    }
 
 
 # -- lint-layer integration --------------------------------------------------
 
 
-class ShardTarget:
-    """One (model class, config block) pair the shard layer inspects."""
-
-    __slots__ = ("kind", "origin", "name", "verdict", "block")
-
-    def __init__(self, kind: str, origin: str, name: str,
-                 verdict: Optional[ClassVerdict], block: Optional[dict]):
-        self.kind = kind
-        self.origin = origin
-        self.name = name
-        self.verdict = verdict
-        self.block = block
-
-
-class ShardAnalysis:
-    """Memoized shard-purity analysis for one lint run.
-
-    With settings, the *configured* models are classified and hazard
-    conditions are evaluated against their configuration blocks
-    (dormant hazards demote to INFO).  With source paths instead, every
-    factory-registered model class defined in one of the files is
-    classified and conditional hazards demote to WARNING (no config to
-    evaluate them against).
+def _findings(rule: LintRule, ctx: LintContext) -> List[Finding]:
+    """``rule``'s findings over the run's model targets.  Hazard
+    conditions are evaluated against each configured model's block
+    (dormant hazards demote to INFO); with source paths there is no
+    config to evaluate, so conditional hazards demote to WARNING.
     """
-
-    def __init__(self, ctx: LintContext):
-        self.targets: List[ShardTarget] = []
-        if ctx.settings is not None:
-            self._from_config(ctx.raw)
-        elif ctx.source_paths:
-            self._from_sources(ctx.source_paths)
-
-    def _resolve(self, kind: str, name: str) -> Optional[ClassVerdict]:
-        from repro.factory.registry import FactoryError
-
-        try:
-            return analyze_registered(kind, name)
-        except FactoryError:
-            return None  # unknown model names belong to the config layer
-
-    def _from_config(self, raw: dict) -> None:
-        workload = raw.get("workload", {})
-        for index, app in enumerate(workload.get("applications", ())):
-            kind = app.get("type")
-            if not isinstance(kind, str):
-                continue
-            self.targets.append(ShardTarget(
-                "application", f"workload.applications[{index}]", kind,
-                self._resolve("application", kind), app,
-            ))
-        network = raw.get("network", {})
-        routing = network.get("routing", {})
-        algorithm = routing.get("algorithm")
-        if isinstance(algorithm, str):
-            self.targets.append(ShardTarget(
-                "routing", "network.routing.algorithm", algorithm,
-                self._resolve("routing", algorithm), routing,
-            ))
-        router = network.get("router", {})
-        architecture = router.get("architecture")
-        if isinstance(architecture, str):
-            self.targets.append(ShardTarget(
-                "router", "network.router.architecture", architecture,
-                self._resolve("router", architecture), router,
-            ))
-        interface = network.get("interface", {})
-        interface_kind = interface.get("type", "standard")
-        if isinstance(interface_kind, str):
-            self.targets.append(ShardTarget(
-                "interface", "network.interface.type", interface_kind,
-                self._resolve("interface", interface_kind), interface,
-            ))
-
-    def _from_sources(self, paths: Sequence[str]) -> None:
-        import os
-
-        import repro.models
-
-        repro.models.load_all()
-        wanted = {os.path.realpath(p) for p in paths}
-        for kind, base in _model_bases().items():
-            for name in factory.names(base):
-                cls = factory.lookup(base, name)
-                graph = ClassGraph(cls)
-                files = {
-                    os.path.realpath(filename)
-                    for (_n, _m, filename, _o) in graph.methods.values()
-                }
-                defining = module_file(cls)
-                if defining is not None:
-                    files.add(os.path.realpath(defining))
-                if files & wanted:
-                    self.targets.append(ShardTarget(
-                        kind, f"registered:{kind}", name,
-                        analyze_class(cls, kind), None,
-                    ))
-
-    def findings(self, rule_id: str) -> List[Finding]:
-        findings: List[Finding] = []
-        for target in self.targets:
-            verdict = target.verdict
-            if verdict is None:
-                continue
-            if verdict.classification == UNKNOWN:
-                if rule_id == "S001":  # report unknowns exactly once
-                    findings.append(Finding(
-                        "S001", Severity.WARNING,
-                        f"[{target.origin}={target.name}] source of "
-                        f"{verdict.class_name} is unavailable; cannot "
-                        f"prove shard-safety",
-                        config_path=f"{verdict.class_name}:unknown",
-                    ))
-                continue
-            for hazard in verdict.hazards:
-                if hazard.rule_id != rule_id:
-                    continue
-                applicable = hazard.applicable(target.block)
-                if target.block is not None:
-                    severity = (Severity.ERROR if applicable
-                                else Severity.INFO)
-                    prefix = "" if applicable else "dormant here: "
-                else:
-                    severity = (Severity.ERROR if not hazard.conditions
-                                else Severity.WARNING)
-                    prefix = ""
+    findings: List[Finding] = []
+    for target in ctx.shard():
+        verdict = analyze_class(target.cls, target.kind)
+        if verdict.classification == UNKNOWN:
+            if rule.rule_id == "S001":  # report unknowns exactly once
                 findings.append(Finding(
-                    rule_id, severity,
-                    f"[{target.origin}={target.name}] "
-                    f"{prefix}{hazard.render()}",
-                    config_path=(
-                        f"{hazard.class_name}:"
-                        + "->".join(hazard.path)
-                    ),
-                    location=hazard.location,
+                    "S001", Severity.WARNING,
+                    f"[{target.origin}={target.name}] source of "
+                    f"{verdict.class_name} is unavailable; cannot "
+                    f"prove shard-safety",
+                    config_path=f"{verdict.class_name}:unknown",
                 ))
-        return findings
+            continue
+        for hazard in verdict.hazards:
+            if hazard.rule_id != rule.rule_id:
+                continue
+            severity, prefix = rule.severity, ""
+            if target.block is None:
+                if hazard.conditions:
+                    severity = Severity.WARNING
+            elif not hazard.applicable(target.block):
+                severity, prefix = Severity.INFO, "dormant here: "
+            findings.append(Finding(
+                rule.rule_id, severity,
+                rule.template.format(
+                    origin=target.origin, name=target.name,
+                    prefix=prefix, hazard=hazard.render(),
+                ),
+                config_path=(
+                    f"{hazard.class_name}:" + "->".join(hazard.path)
+                ),
+                location=hazard.location,
+            ))
+    return findings
 
 
-def module_file(cls: type) -> Optional[str]:
-    import inspect
-
-    try:
-        return inspect.getsourcefile(cls)
-    except TypeError:
-        return None
-
-
-class _ShardRule(LintRule):
-    layer = SHARD_LAYER
-
-    def check(self, ctx: LintContext):
-        return ctx.shard().findings(self.rule_id)
-
-
-@factory.register(LintRule, "S001")
-class HeadTimeTailStateRule(_ShardRule):
-    rule_id = "S001"
-    description = (
-        "VC/route selection reads tail-bumped packet state "
-        "(packet.hop_count) at head time; diverges across shards"
+declare_rules(SHARD_LAYER, _findings, [
+    (rule_id, Severity.ERROR, description, TARGET_FRAME)
+    for rule_id, description in (
+        ("S001", "VC/route selection reads tail-bumped packet state "
+                 "(packet.hop_count) at head time; diverges across shards"),
+        ("S002", "workload control (Ready/Complete/scheduling/injection) "
+                 "decided from locally observed deliveries or delivery-fed "
+                 "state"),
+        ("S003", "handler path reads the whole-network .routers/"
+                 ".interfaces registries, which a shard only partially "
+                 "owns"),
+        ("S004", "handler path touches module-level mutable state or "
+                 "unscoped global id counters (per-process, diverges "
+                 "across shards)"),
+        ("S005", "RNG draw on a delivery-handler path; local delivery "
+                 "order reorders shared-stream draws across shards"),
     )
-
-
-@factory.register(LintRule, "S002")
-class DeliveryFeedbackControlRule(_ShardRule):
-    rule_id = "S002"
-    description = (
-        "workload control (Ready/Complete/scheduling/injection) decided "
-        "from locally observed deliveries or delivery-fed state"
-    )
-
-
-@factory.register(LintRule, "S003")
-class WholeNetworkReadRule(_ShardRule):
-    rule_id = "S003"
-    description = (
-        "handler path reads the whole-network .routers/.interfaces "
-        "registries, which a shard only partially owns"
-    )
-
-
-@factory.register(LintRule, "S004")
-class ModuleGlobalStateRule(_ShardRule):
-    rule_id = "S004"
-    description = (
-        "handler path touches module-level mutable state or unscoped "
-        "global id counters (per-process, diverges across shards)"
-    )
-
-
-@factory.register(LintRule, "S005")
-class LocalEventRngRule(_ShardRule):
-    rule_id = "S005"
-    description = (
-        "RNG draw on a delivery-handler path; local delivery order "
-        "reorders shared-stream draws across shards"
-    )
+])

@@ -84,12 +84,50 @@ def test_clean_file_has_no_findings(tmp_path):
 def test_unparseable_file_is_reported_not_raised(tmp_path):
     path = tmp_path / "broken.py"
     path.write_text("def broken(:\n")
-    report = lint_sources([str(path)])
-    # One parse finding per AST layer (determinism D001, dataflow E001),
-    # not one per rule.
-    assert _ids(report) == ["D001", "E001"]
-    for finding in report.findings:
+    # One E001 per broken file, whichever source layers were asked for:
+    # not one per layer, not one per rule, and never silence.
+    for layers in (None, ["determinism"], ["dataflow"], ["partition"],
+                   ["determinism", "partition"]):
+        report = lint_sources([str(path)], layers=layers)
+        (finding,) = report.findings
+        assert finding.rule_id == "E001"
+        assert finding.location == str(path)
         assert "could not parse" in finding.message
+
+
+def test_each_target_is_parsed_once_per_run(hazard_path, monkeypatch):
+    """Every source layer plus both class-level layers share one parse
+    of each target -- including the files that define registered model
+    classes, which the call-graph core reads too."""
+    import ast
+    import collections
+    import pathlib
+
+    from tests.lint.fixtures import perf_hazards, shard_hazards  # noqa: F401
+
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    paths = [
+        hazard_path,
+        str(fixtures / "perf_hazards.py"),
+        str(fixtures / "shard_hazards.py"),
+    ]
+    parsed = collections.Counter()
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed[str(filename)] += 1
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    layers = ["determinism", "dataflow", "partition", "shard", "perf"]
+    for _run in range(2):
+        parsed.clear()
+        report = lint_sources(paths, layers=layers)
+        assert {path: parsed[path] for path in paths} == dict.fromkeys(
+            paths, 1
+        )
+    # The class-level layers did run over those trees.
+    assert {"S", "H"} <= {f.rule_id[0] for f in report.findings}
 
 
 def test_unpicklable_collect_fails_d005():

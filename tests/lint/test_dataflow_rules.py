@@ -120,13 +120,46 @@ def test_clean_model_has_no_dataflow_findings(tmp_path):
 
 
 def test_parse_error_reported_once_not_per_rule(tmp_path):
-    path = tmp_path / "broken.py"
-    path.write_text("def broken(:\n")
-    report = lint_sources([str(path)])
-    e_findings = [f for f in report.findings if f.rule_id.startswith("E")]
-    assert len(e_findings) == 1
-    assert e_findings[0].rule_id == "E001"
-    assert "could not parse" in e_findings[0].message
+    broken = tmp_path / "broken.py"
+    broken.write_text("def broken(:\n")
+    also_broken = tmp_path / "also_broken.py"
+    also_broken.write_text("class (\n")
+    fine = _write(tmp_path, "fine", CLEAN_SOURCE)
+    report = lint_sources([str(broken), fine, str(also_broken)])
+    # One E001 per broken file, and nothing else about it.
+    assert [(f.rule_id, f.location) for f in report.findings] == [
+        ("E001", str(broken)),
+        ("E001", str(also_broken)),
+    ]
+    for finding in report.findings:
+        assert "could not parse" in finding.message
+
+
+def test_engine_package_owns_the_event_fields(tmp_path):
+    """E006 polices *model* code: the engine's own writes to
+    ``event.fired`` are the lifecycle the rule protects."""
+    import pathlib
+
+    engine = tmp_path / "repro" / "core"
+    engine.mkdir(parents=True)
+    model = tmp_path / "repro" / "router"
+    model.mkdir()
+    for directory in (engine, model):
+        (directory / "loop.py").write_text(
+            textwrap.dedent(MUTATIONS["E006"])
+        )
+    report = lint_sources([str(engine / "loop.py"), str(model / "loop.py")])
+    hits = [f for f in report.findings if f.rule_id == "E006"]
+    assert hits and all(
+        f.location.startswith(str(model)) for f in hits
+    ), report.render_text()
+    # The shipped engine: clean at the parent commit only by omission.
+    simulator = (
+        pathlib.Path(__file__).resolve().parents[2]
+        / "src" / "repro" / "core" / "simulator.py"
+    )
+    assert "event.fired = " in simulator.read_text()
+    assert not lint_sources([str(simulator)]).has_errors()
 
 
 def test_rule_catalog_includes_dataflow_layer():

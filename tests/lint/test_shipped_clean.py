@@ -2,7 +2,8 @@
 
 Zero error-severity findings over every built-in benchmark config
 (config + graph layers), every Table I full-scale config (config
-layer), and every example script (determinism layer).
+layer), every example script and every packaged source file (the
+source layers).
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ def test_example_scripts_have_zero_errors():
     assert not report.has_errors(), report.render_text()
 
 
-def test_packaged_workload_sources_have_zero_errors():
-    sources = sorted((REPO_ROOT / "src" / "repro" / "workload").glob("*.py"))
+def test_packaged_sources_have_zero_errors():
+    sources = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+    assert len(sources) > 50, "src/repro is missing"
     report = lint_sources([str(path) for path in sources])
     assert not report.has_errors(), report.render_text()

@@ -2,9 +2,10 @@
 
 The manifest rules (P001..P005) are exercised by planning a known-good
 manifest for a builtin config, tampering with one aspect, and asserting
-that exactly the right rule fires.  The shard-isolation AST rules
-(P006..P008) are exercised DataflowScan-style: small source snippets,
-one hazard each, checked for the expected rule id.
+that exactly the right rule fires.  The shard-isolation source rules
+(P006, P008, and D003's module-state half, which absorbed the old
+per-file module-state rule) are exercised mutation-style: small source
+snippets, one hazard each, checked for the expected rule id.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def test_no_partition_request_runs_no_p_rules(settings):
     assert not any(f.rule_id.startswith("P") for f in report.findings)
 
 
-# -- shard-isolation AST rules (P006..P008) ----------------------------------
+# -- shard-isolation source rules (P006, P008, D003) -------------------------
 
 HAZARDS = {
     "P006_sink_reach": """
@@ -219,7 +220,7 @@ HAZARDS = {
             def occupancy(self, j):
                 return self.network.routers[j].input_occupancy(0, 0)
         """,
-    "P007_global_statement": """
+    "D003_global_statement": """
         COUNT = 0
 
         class Counter:
@@ -227,15 +228,31 @@ HAZARDS = {
                 global COUNT
                 COUNT += 1
         """,
-    "P007_container_mutation": """
+    "D003_container_mutation": """
         SEEN = []
 
         class Tracker:
             def track(self, flit):
                 SEEN.append(flit.id)
         """,
-    "P007_subscript_write": """
+    "D003_subscript_write": """
         TABLE = {}
+
+        class Cache:
+            def put(self, key, value):
+                TABLE[key] = value
+        """,
+    "D003_annotated_container": """
+        from typing import List
+
+        SEEN: List[int] = []
+
+        class Tracker:
+            def track(self, flit):
+                SEEN.append(flit.id)
+        """,
+    "D003_comprehension_container": """
+        TABLE = {k: 0 for k in range(4)}
 
         class Cache:
             def put(self, key, value):
@@ -294,7 +311,7 @@ CLEAN = {
 def _scan_snippet(tmp_path, name, source):
     path = tmp_path / f"{name}.py"
     path.write_text(textwrap.dedent(source))
-    report = lint_sources([str(path)], layers=["partition"])
+    report = lint_sources([str(path)])  # the default source layers
     return {f.rule_id for f in report.findings}
 
 
@@ -307,6 +324,29 @@ def test_hazard_snippets_fire_expected_rule(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(CLEAN))
 def test_clean_snippets_stay_silent(tmp_path, name):
     assert _scan_snippet(tmp_path, name, CLEAN[name]) == set()
+
+
+def test_global_in_a_method_is_one_finding_on_its_line(tmp_path):
+    path = tmp_path / "counter.py"
+    path.write_text(textwrap.dedent(HAZARDS["D003_global_statement"]))
+    report = lint_sources([str(path)])
+    assert [(f.rule_id, f.location) for f in report.findings] == [
+        ("D003", f"{path}:6"),
+    ]
+
+
+def test_one_module_state_finding_per_line(tmp_path):
+    path = tmp_path / "shuffle.py"
+    path.write_text(textwrap.dedent("""
+        QUEUE = []
+        TABLE = {}
+
+        class Mover:
+            def move(self, key):
+                TABLE[key] = QUEUE.pop()
+        """))
+    report = lint_sources([str(path)])
+    assert [f.location for f in report.findings] == [f"{path}:7"]
 
 
 def test_isolation_findings_are_warnings_with_locations(tmp_path):
