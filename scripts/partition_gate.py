@@ -10,9 +10,12 @@ runs the full P-rule layer over the planned manifest, and fails on:
 * a manifest that is not byte-identical when planned twice (the
   determinism contract of docs/PARTITIONING.md),
 * a SARIF export that is structurally invalid,
-* a sharded k=2 run (in-process workers) whose merged delivery digest
-  differs from the single-process run of the same config -- the
-  execution-equivalence contract of the PDES runtime,
+* a sharded k=2 run whose merged delivery digest differs from the
+  single-process run of the same config -- the execution-equivalence
+  contract of the PDES runtime -- once with in-process workers (folded
+  Clos) and once with two spawned worker processes (small torus), where
+  ``timing()["peak_in_flight"]`` must also be 2: the deterministic guard
+  that a later edit cannot quietly re-serialise the workers,
 * a shard-purity classification of any builtin model class that
   deviates from EXPECTED_CLASSIFICATIONS (a silent analyzer or model
   regression either way: a model going unsafe breaks sharding, a
@@ -119,13 +122,12 @@ def check_sarif(log: dict) -> list:
     return problems
 
 
-def runtime_smoke() -> list:
+def runtime_smoke(config: dict, shard_workers: int) -> list:
     """Sharded k=2 execution must reproduce the single-process digest."""
     import itertools
 
     import repro.net.message as message_mod
     import repro.net.packet as packet_mod
-    from repro import configs as builders
     from repro.config.settings import Settings
     from repro.net.packet import preserve_packet_ids
     from repro.partition.runtime import PartitionRuntimeError, run_sharded
@@ -133,9 +135,6 @@ def runtime_smoke() -> list:
     from repro.sim import Simulation
 
     max_time = 2_000
-    config = builders.latent_congestion_config(
-        injection_rate=0.15, warmup=50, window=150, half_radix=2
-    )
     # Shard workers count ids from zero like a fresh process; the
     # reference run must too (packet ids feed routing decisions).
     with preserve_packet_ids():
@@ -150,7 +149,9 @@ def runtime_smoke() -> list:
         return ["single-process reference run did not drain"]
     config.setdefault("simulator", {})["max_time"] = max_time
     try:
-        sharded = run_sharded(config, k=2, sanitize="det")
+        sharded = run_sharded(
+            config, k=2, shard_workers=shard_workers, sanitize="det"
+        )
     except PartitionRuntimeError as exc:
         return [f"sharded run failed: {exc}"]
     problems = []
@@ -160,6 +161,13 @@ def runtime_smoke() -> list:
         problems.append(
             f"sharded delivery digest {sharded.delivery_digest} != "
             f"single-process {digest}"
+        )
+    in_flight = sharded.timing()["peak_in_flight"]
+    if in_flight != (shard_workers or 1):
+        problems.append(
+            f"peak_in_flight is {in_flight}, expected {shard_workers or 1}: "
+            f"the shards are not being run "
+            f"{'concurrently' if shard_workers else 'round-robin'}"
         )
     return problems
 
@@ -241,15 +249,23 @@ def main() -> int:
     else:
         print("ok   sarif export validates")
 
-    smoke_problems = runtime_smoke()
-    if smoke_problems:
-        failures += 1
-        print("FAIL sharded runtime smoke (k=2):")
-        for problem in smoke_problems:
-            print(f"  {problem}")
-    else:
-        print("ok   sharded runtime smoke: k=2 digest matches "
-              "single-process")
+    smokes = [
+        ("in-process", 0, builders.latent_congestion_config(
+            injection_rate=0.15, warmup=50, window=150, half_radix=2)),
+        ("2 spawned workers", 2, builders.flow_control_config(
+            message_size=4, injection_rate=0.2, warmup=30, window=70)),
+    ]
+    for label, shard_workers, config in smokes:
+        smoke_problems = runtime_smoke(config, shard_workers)
+        if smoke_problems:
+            failures += 1
+            print(f"FAIL sharded runtime smoke (k=2, {label}):")
+            for problem in smoke_problems:
+                print(f"  {problem}")
+        else:
+            print(f"ok   sharded runtime smoke (k=2, {label}): digest "
+                  f"matches single-process, peak_in_flight "
+                  f"{shard_workers or 1}")
 
     if failures:
         print(f"partition gate: {failures} failure(s)")

@@ -233,6 +233,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not args.quiet:
             json.dump(summary, sys.stdout, indent=2)
             sys.stdout.write("\n")
+            # Host time, so stderr: stdout stays comparable across runs.
+            timing = results.timing()
+            shards = "; ".join(
+                "shard {shard}: compute {compute_s:.3f} s, serialize "
+                "{serialize_s:.3f} s, wait {wait_s:.3f} s".format(**shard)
+                for shard in timing["shards"]
+            )
+            print(
+                "supersim: --partition: startup {startup_s:.3f} s, "
+                "{windows} windows {windows_s:.3f} s (critical-path compute "
+                "{critical_compute_s:.3f} s), finish {finish_s:.3f} s, "
+                "peak in flight {peak_in_flight}; ".format(**timing) + shards,
+                file=sys.stderr,
+            )
         return 0 if results.drained else 1
     simulation = Simulation(settings)
     if args.pstats_out and not args.profile:

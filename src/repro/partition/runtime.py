@@ -48,26 +48,45 @@ with ``DetSan(retain_buckets=True)``, and the merged per-shard delivery
 digests (:func:`repro.sanitize.det_san.merge_delivery_digests`) must
 equal the single-process delivery digest for the same seed.
 
-Two executors share all of the above:
+Two executors share all of the above, and one coordinator loop drives
+both through the same two-phase handle protocol: ``post(command)``
+hands a shard its next command and returns without waiting;
+:func:`_gather` then collects one reply per shard and lists them by
+shard id, so the merge order -- and with it every digest -- does not
+depend on which shard answered first.  Every step is scatter, then
+gather: all ``k`` workers are started before the first hello is read,
+every window is posted to all shards before any reply is read, and the
+``finish`` reports are requested together.
 
-* ``shard_workers=0`` hosts every worker in the calling process and
-  round-robins the windows -- no IPC, deterministic, the mode the
-  digest-equality goldens run in.  Global id counters are virtualized
-  per worker (:class:`_IdScope`) so each worker sees the counters start
-  from zero exactly as a fresh process would.
+* ``shard_workers=0`` hosts every worker in the calling process; its
+  ``post`` runs the command inline, so the windows execute round-robin
+  -- no IPC, deterministic, the mode the digest-equality goldens run
+  in.  Global id counters are virtualized per worker
+  (:class:`_IdScope`) so each worker sees the counters start from zero
+  exactly as a fresh process would.
 * ``shard_workers=k`` spawns one OS process per shard
   (``multiprocessing`` spawn context) and exchanges commands over
-  pipes.  A worker crash is detected via the process sentinel and
-  surfaces as a :class:`PartitionRuntimeError` naming the shard -- the
-  coordinator never hangs on a dead worker.
+  pipes; between scatter and gather the shards compute at the same
+  time.  :func:`_gather` waits on every outstanding pipe *and* process
+  sentinel at once, so a worker that raises or dies -- while the others
+  are mid-window, or blocked writing a large report -- ends the run at
+  once with a :class:`PartitionRuntimeError` naming that shard (the
+  lowest id if several failed); the surviving workers are terminated,
+  not asked to close.
+
+:meth:`ShardedResults.timing` reports where the wall time went: start-up,
+and per shard the seconds computing windows, serializing replies, and
+keeping the coordinator blocked at the barrier.
 """
 
 from __future__ import annotations
 
 import itertools
+import pickle
 import traceback
 from multiprocessing import connection as _mp_connection
 from multiprocessing import get_context as _mp_get_context
+from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 import repro.net.message as _message_mod
@@ -95,6 +114,10 @@ class PartitionRuntimeError(RuntimeError):
 
 #: drain windows after Kill before declaring the run wedged.
 MAX_DRAIN_ROUNDS = 10_000
+
+#: seconds a closing worker process gets to exit before it is terminated
+#: (and a terminated one to be reaped).
+JOIN_TIMEOUT_S = 10.0
 
 
 # -- scope validation --------------------------------------------------------
@@ -249,6 +272,11 @@ class ShardWorker:
     windowed run protocol.  ``crash_mode`` is test-only fault
     injection: ``"raise"`` raises and ``"exit"`` hard-exits the process
     on the second window, exercising the coordinator's crash handling.
+
+    The configuration must already have passed
+    :func:`validate_sharded_scope` (:func:`run_sharded` and
+    :class:`_InProcessHandle` see to it); the worker itself only checks
+    that the manifest was planned for this configuration.
     """
 
     def __init__(
@@ -259,7 +287,6 @@ class ShardWorker:
         sanitize: str = "",
         crash_mode: Optional[str] = None,
     ):
-        validate_sharded_scope(config, sanitize)
         fingerprint = config_fingerprint(config)
         if fingerprint != manifest["config_fingerprint"]:
             raise PartitionRuntimeError(
@@ -336,6 +363,9 @@ class ShardWorker:
         self._ingress_counts: Dict[int, int] = {}
         self.windows_run = 0
         self._executed_end = 0  # exclusive end of the last window run
+        #: seconds spent building window replies (and, in a spawned
+        #: worker, pickling them: ``_worker_main`` adds that share).
+        self.serialize_s = 0.0
 
     # -- delivery capture --------------------------------------------------
 
@@ -372,6 +402,7 @@ class ShardWorker:
             raise RuntimeError(
                 f"injected crash in shard {self.shard_id} worker"
             )
+        started = perf_counter()
         self.registry.release_delivered(delivered_ids)
         if kill_tick is not None:
             self._apply_kill(kill_tick)
@@ -401,6 +432,7 @@ class ShardWorker:
             # delivers it through ``_deliver_item`` like a local item.
             channel._launch(due, item)
         executed = self.simulator.run_until(end)
+        computed = perf_counter()
         self._executed_end = end
         self.windows_run += 1
 
@@ -417,9 +449,11 @@ class ShardWorker:
             "tick": self.simulator.tick,
             "start_tick": workload.start_tick,
             "stop_tick": workload.stop_tick,
+            "compute_s": computed - started,
         }
         if workload.stop_tick is not None:
             response["targets"] = self._targets()
+        self.serialize_s += perf_counter() - computed
         return response
 
     def _targets(self) -> Dict[int, Tuple[str, int]]:
@@ -531,6 +565,7 @@ class ShardWorker:
             "stop_tick": workload.stop_tick,
             "kill_tick": workload.kill_tick,
             "sanitizers": reports,
+            "serialize_s": self.serialize_s,
         }
         if self._det is not None:
             report["delivery_buckets"] = list(self._det.delivery_buckets)
@@ -571,12 +606,30 @@ class _IdScope:
         _packet_mod._global_packet_ids = self._saved_packet
 
 
+def _serve(worker: ShardWorker, command: tuple) -> dict:
+    """Execute one coordinator command against ``worker``."""
+    op = command[0]
+    if op == "window":
+        return worker.run_window(*command[1:])
+    if op == "finish":
+        return worker.finish(*command[1:])
+    raise PartitionRuntimeError(f"unknown command {op!r}")
+
+
 class _InProcessHandle:
-    """Hosts one ShardWorker in the coordinating process."""
+    """Hosts one ShardWorker in the coordinating process.
+
+    ``post`` runs the command before it returns, so there is never
+    anything to wait on and at most one shard is ever at work.
+    """
 
     mode = "in-process"
+    waitables = ()
 
     def __init__(self, config, manifest, shard_id, sanitize, crash):
+        # Memoised per model class, so free after run_sharded's own call;
+        # keeps a directly built handle refusing an out-of-scope config.
+        validate_sharded_scope(config, sanitize)
         self.shard_id = shard_id
         self._scope = _IdScope()
         with self._scope:
@@ -587,30 +640,30 @@ class _InProcessHandle:
                 sanitize=sanitize,
                 crash_mode="raise" if crash else None,
             )
-        self.hello = self.worker.hello()
+        self._reply = self.worker.hello()
 
-    def window(self, end, records, delivered_ids, kill_tick):
+    def post(self, command: tuple) -> None:
         try:
             with self._scope:
-                return self.worker.run_window(
-                    end, records, delivered_ids, kill_tick
-                )
+                self._reply = _serve(self.worker, command)
         except PartitionRuntimeError:
             raise
         except Exception as exc:
+            if command[0] == "finish":
+                raise  # a sanitizer's closing verdict keeps its own type
             raise PartitionRuntimeError(
                 f"shard {self.shard_id} worker failed: {exc}"
             ) from exc
 
-    def finish(self, delivered_ids, strict=True):
-        with self._scope:
-            return self.worker.finish(delivered_ids, strict)
+    def collect(self) -> dict:
+        reply, self._reply = self._reply, None
+        return reply
 
     @property
     def suite(self):
         return self.worker.suite
 
-    def close(self) -> None:
+    def close(self, abort: bool) -> None:
         pass
 
 
@@ -618,7 +671,11 @@ class _InProcessHandle:
 
 
 def _worker_main(conn, payload) -> None:
-    """Spawned-process entry: build one ShardWorker, serve commands."""
+    """Spawned-process entry: build one ShardWorker, serve commands.
+
+    The coordinator validated the scope of the very config it ships, so
+    the worker is built directly.
+    """
     try:
         worker = ShardWorker(
             payload["config"],
@@ -636,27 +693,25 @@ def _worker_main(conn, payload) -> None:
             command = conn.recv()
         except EOFError:
             return
+        if command[0] == "close":
+            return
         try:
-            op = command[0]
-            if op == "window":
-                _, end, records, delivered_ids, kill_tick = command
-                reply = worker.run_window(end, records, delivered_ids, kill_tick)
-            elif op == "finish":
-                reply = worker.finish(command[1], command[2])
-            elif op == "close":
-                return
-            else:
-                raise PartitionRuntimeError(f"unknown command {op!r}")
-            conn.send(("ok", reply))
+            reply = _serve(worker, command)
+            pickling = perf_counter()
+            body = pickle.dumps(("ok", reply), pickle.HIGHEST_PROTOCOL)
+            worker.serialize_s += perf_counter() - pickling
         except Exception:
-            conn.send(("error", traceback.format_exc()))
+            body = pickle.dumps(("error", traceback.format_exc()))
+        conn.send_bytes(body)
 
 
 class _ProcessHandle:
     """One spawned worker process plus its command pipe.
 
-    Every receive waits on the pipe *and* the process sentinel, so a
-    worker that dies without a reply (crash, ``os._exit``) produces an
+    Constructing the handle starts the process and returns; the hello is
+    the first reply :func:`_gather` collects.  ``waitables`` holds the
+    pipe *and* the process sentinel, so a worker that dies without a
+    reply (crash, ``os._exit``) wakes the gather and produces an
     immediate :class:`PartitionRuntimeError` naming the shard instead
     of a hang.
     """
@@ -683,50 +738,93 @@ class _ProcessHandle:
         )
         self._proc.start()
         child_conn.close()
-        self.hello = self._receive()
+        self.waitables = (self._conn, self._proc.sentinel)
 
-    def _receive(self):
-        ready = _mp_connection.wait([self._conn, self._proc.sentinel])
-        if self._conn in ready:
-            try:
-                status, value = self._conn.recv()
-            except EOFError:
-                self._died()
-            if status == "error":
-                raise PartitionRuntimeError(
-                    f"shard {self.shard_id} worker failed:\n{value}"
-                )
-            return value
-        self._died()
+    def post(self, command: tuple) -> None:
+        self._conn.send(command)
 
-    def _died(self):
-        self._proc.join(timeout=5)
-        raise PartitionRuntimeError(
-            f"shard {self.shard_id} worker process died (exit code "
-            f"{self._proc.exitcode}) without reporting an error"
-        )
-
-    def window(self, end, records, delivered_ids, kill_tick):
-        self._conn.send(("window", end, records, delivered_ids, kill_tick))
-        return self._receive()
-
-    def finish(self, delivered_ids, strict=True):
-        self._conn.send(("finish", delivered_ids, strict))
-        return self._receive()
-
-    def close(self) -> None:
+    def collect(self) -> dict:
+        """The reply :func:`_gather` found ready; a dead worker raises."""
         try:
-            self._conn.send(("close",))
-        except (BrokenPipeError, OSError):
-            pass
-        self._proc.join(timeout=10)
+            # Never blocks: a dead worker's end of the pipe is closed, so
+            # a wake-up by the sentinel alone reads EOF at once.
+            status, value = self._conn.recv()
+        except (EOFError, OSError):
+            self._proc.join(timeout=JOIN_TIMEOUT_S)
+            raise PartitionRuntimeError(
+                f"shard {self.shard_id} worker process died (exit code "
+                f"{self._proc.exitcode}) without reporting an error"
+            ) from None
+        if status == "error":
+            raise PartitionRuntimeError(
+                f"shard {self.shard_id} worker failed:\n{value}"
+            )
+        return value
+
+    def close(self, abort: bool) -> None:
+        """Reap the process: ask it to exit, or (``abort``) terminate it."""
+        if not abort:
+            try:
+                self._conn.send(("close",))
+            except OSError:
+                pass
+            self._proc.join(timeout=JOIN_TIMEOUT_S)
         if self._proc.is_alive():
             self._proc.terminate()
-            self._proc.join(timeout=5)
+            self._proc.join(timeout=JOIN_TIMEOUT_S)
         self._conn.close()
 
 
 # -- coordinator -------------------------------------------------------------
+
+
+class _Clock:
+    """Where the coordinator's wall time went during one phase."""
+
+    def __init__(self, k: int) -> None:
+        #: per shard: seconds the coordinator sat blocked in
+        #: :func:`_gather` while that shard's reply was outstanding.
+        self.wait_s = [0.0] * k
+        #: most replies ever awaited at once; 1 when every ``post`` ran
+        #: its command inline (one shard at work at a time).
+        self.peak_in_flight = 0
+
+
+def _gather(handles: List[Any], clock: _Clock) -> List[dict]:
+    """Collect the reply every handle owes; replies listed by shard id.
+
+    Blocks on all outstanding pipes and process sentinels at once, so
+    replies are read in completion order but returned in shard order.
+    The first ``collect`` that raises stops the reading: the error of
+    the lowest failed shard propagates and the caller aborts the rest.
+    """
+    replies: Dict[int, dict] = {}
+    failures: Dict[int, PartitionRuntimeError] = {}
+    pending = {handle.shard_id: handle for handle in handles}
+    while pending and not failures:
+        owners = {
+            waitable: shard_id
+            for shard_id, handle in pending.items()
+            for waitable in handle.waitables
+        }
+        awaited = set(owners.values())
+        clock.peak_in_flight = max(clock.peak_in_flight, len(awaited) or 1)
+        if owners:
+            blocked = perf_counter()
+            ready = {owners[w] for w in _mp_connection.wait(list(owners))}
+            blocked = perf_counter() - blocked
+            for shard_id in awaited:
+                clock.wait_s[shard_id] += blocked
+        else:
+            ready = set(pending)
+        for shard_id in sorted(ready):
+            try:
+                replies[shard_id] = pending.pop(shard_id).collect()
+            except PartitionRuntimeError as exc:
+                failures[shard_id] = exc
+    if failures:
+        raise failures[min(failures)]
+    return [replies[shard_id] for shard_id in sorted(replies)]
 
 
 def run_sharded(
@@ -741,7 +839,8 @@ def run_sharded(
     """Run ``config`` sharded ``k`` ways; returns merged results.
 
     ``shard_workers=0`` executes all shards in this process (windows
-    round-robin); ``shard_workers=k`` spawns one process per shard.
+    round-robin); ``shard_workers=k`` spawns one process per shard and
+    runs the shards' windows concurrently.
     ``manifest`` skips re-planning when the caller already has one.
     ``_crash_shard`` is test-only fault injection.
     """
@@ -777,8 +876,9 @@ def run_sharded(
     ]
 
     handles: List[Any] = []
-    reports = None
+    clean = False
     try:
+        started = perf_counter()
         if shard_workers:
             ctx = _mp_get_context("spawn")
             for shard_id in range(k):
@@ -792,13 +892,15 @@ def run_sharded(
                     config, manifest, shard_id, sanitize,
                     shard_id == _crash_shard,
                 ))
-        num_terminals = handles[0].hello["num_terminals"]
-        channel_period = handles[0].hello["channel_period"]
-        for handle in handles:
-            if handle.hello["num_terminals"] != num_terminals:
+        hellos = _gather(handles, _Clock(k))
+        windows_started = perf_counter()
+        num_terminals = hellos[0]["num_terminals"]
+        channel_period = hellos[0]["channel_period"]
+        for shard_id, hello in enumerate(hellos):
+            if hello["num_terminals"] != num_terminals:
                 raise PartitionRuntimeError(
-                    f"shard {handle.shard_id} built a different network "
-                    f"({handle.hello['num_terminals']} terminals, expected "
+                    f"shard {shard_id} built a different network "
+                    f"({hello['num_terminals']} terminals, expected "
                     f"{num_terminals})"
                 )
 
@@ -819,6 +921,9 @@ def run_sharded(
         records_exchanged = 0
         drain_rounds = 0
         produced_counts: Dict[int, int] = {}
+        clock = _Clock(k)
+        compute_s = [0.0] * k
+        critical_compute_s = 0.0
 
         while True:
             kill_arg = None
@@ -870,11 +975,15 @@ def run_sharded(
                     )
                     end = executed_bound + window
 
-            responses = []
             for shard_id, handle in enumerate(handles):
-                responses.append(handle.window(
-                    end, inboxes[shard_id], delivered_broadcast, kill_arg
+                handle.post((
+                    "window", end, inboxes[shard_id], delivered_broadcast,
+                    kill_arg,
                 ))
+            responses = _gather(handles, clock)
+            for shard_id, response in enumerate(responses):
+                compute_s[shard_id] += response["compute_s"]
+            critical_compute_s += max(r["compute_s"] for r in responses)
             windows += 1
             executed_bound = end
             inboxes = [[] for _ in range(k)]
@@ -917,10 +1026,11 @@ def run_sharded(
                     and all(r["pending"] == 0 for r in responses):
                 break
 
-        reports = [
-            handle.finish(delivered_broadcast, not truncated)
-            for handle in handles
-        ]
+        finish_started = perf_counter()
+        for handle in handles:
+            handle.post(("finish", delivered_broadcast, not truncated))
+        reports = _gather(handles, _Clock(k))
+        finished = perf_counter()
 
         # Cross-cut conservation: every record routed must have been
         # injected exactly once at its sink shard.
@@ -936,6 +1046,7 @@ def run_sharded(
                 f"cut-record conservation violated: produced "
                 f"{produced_counts}, injected {injected_counts}"
             )
+        clean = True
         return ShardedResults(
             manifest=manifest,
             mode="spawn" if shard_workers else "in-process",
@@ -949,6 +1060,23 @@ def run_sharded(
             stop_tick=t_stop,
             kill_tick=kill_tick,
             truncated=truncated,
+            timing={
+                "startup_s": windows_started - started,
+                "windows_s": finish_started - windows_started,
+                "finish_s": finished - finish_started,
+                "windows": windows,
+                "peak_in_flight": clock.peak_in_flight,
+                "critical_compute_s": critical_compute_s,
+                "shards": [
+                    {
+                        "shard": shard_id,
+                        "compute_s": compute_s[shard_id],
+                        "serialize_s": reports[shard_id]["serialize_s"],
+                        "wait_s": clock.wait_s[shard_id],
+                    }
+                    for shard_id in range(k)
+                ],
+            },
         )
     finally:
         # In-process sanitizer suites stack method patches on shared
@@ -956,8 +1084,10 @@ def run_sharded(
         for handle in reversed(handles):
             if handle.suite is not None:
                 handle.suite.detach()
+        # After a failure the survivors may be mid-window or blocked
+        # writing a report nobody will read: terminate, do not ask.
         for handle in handles:
-            handle.close()
+            handle.close(abort=not clean)
 
 
 # -- merged results ----------------------------------------------------------
@@ -980,7 +1110,9 @@ class ShardedResults:
         stop_tick: int,
         kill_tick: Optional[int],
         truncated: bool,
+        timing: dict,
     ):
+        self._timing = timing
         self.manifest = manifest
         self.mode = mode
         self.reports = reports
@@ -1077,6 +1209,24 @@ class ShardedResults:
             for counters in report["counters"].values()
         )
         return delivered / created if created else float("nan")
+
+    def timing(self) -> dict:
+        """Where the host's wall time went (seconds; not simulated time).
+
+        ``startup_s`` runs from the first worker's creation to the last
+        hello, ``windows_s`` over the window loop and ``finish_s`` over
+        the report gather.  Per shard: ``compute_s`` (ingress
+        materialise + ``run_until``), ``serialize_s`` (building and, in
+        spawn mode, pickling the window replies) and ``wait_s`` (the
+        coordinator blocked at the barrier with that shard's reply
+        outstanding).  ``critical_compute_s`` sums the slowest shard's
+        ``compute_s`` over the windows -- what the barriers cannot hide;
+        ``windows_s`` minus it is barrier and IPC cost.
+        ``peak_in_flight`` is the most shards ever at work at once: k
+        spawned, 1 in-process.  Kept out of :meth:`summary`, which is
+        comparable with a single-process summary.
+        """
+        return self._timing
 
     def summary(self) -> Dict[str, object]:
         latency = self.latency()

@@ -18,8 +18,12 @@ modeled explicitly here:
   are the subject of case study B.
 
 The sensor is event-free: pending updates are kept in a FIFO (latency is
-constant, so visibility order equals record order) and drained lazily on
-every query.
+constant, so visibility order equals record order) and folded into the
+visible counts lazily -- on every query, and from ``record()`` once the
+FIFO passes ``PENDING_LIMIT`` entries, so a sensor nothing ever queries
+(dimension-order routing) holds a bounded FIFO rather than one entry per
+recorded flit-hop.  Folding early is exact: what is visible at tick T
+depends only on records due at or before T.
 """
 
 from __future__ import annotations
@@ -45,6 +49,11 @@ GRANULARITY_PORT = "port"
 
 #: Normalization depth used for infinite queues (see CreditSensor._value_for).
 _INFINITE_REFERENCE_DEPTH = 64.0
+
+#: FIFO length past which ``record()`` folds the entries already due.
+#: Entries younger than the propagation latency cannot be folded, so the
+#: FIFO holds at most this many plus the records of ``latency`` ticks.
+PENDING_LIMIT = 64
 
 
 class CongestionSensor(Component):
@@ -113,13 +122,19 @@ class CreditSensor(CongestionSensor):
             self._tracked = (SOURCE_OUTPUT, SOURCE_DOWNSTREAM)
         else:
             self._tracked = (self.source,)
-        # visible occupancy per (source, port, vc)
-        self._visible: Dict[Tuple[str, int, int], int] = {}
-        # capacity per (source, port, vc); None = infinite
-        self._capacity: Dict[Tuple[str, int, int], Optional[int]] = {}
-        self._ports_with: Dict[str, set] = {SOURCE_OUTPUT: set(), SOURCE_DOWNSTREAM: set()}
-        # pending (visible_tick, (source, port, vc), delta), FIFO by visible_tick
-        self._pending: Deque[Tuple[int, Tuple[str, int, int], int]] = deque()
+        # Flat per-slot state: slot = _base[source] + port * num_vcs + vc,
+        # tracked sources only.  _visible is the visible occupancy (None
+        # until init_port declares the slot), _capacity the credit
+        # capacity (None = infinite).
+        self._base: Dict[str, int] = {
+            source: index * num_ports * num_vcs
+            for index, source in enumerate(self._tracked)
+        }
+        slots = len(self._tracked) * num_ports * num_vcs
+        self._visible: List[Optional[int]] = [None] * slots
+        self._capacity: List[Optional[int]] = [None] * slots
+        # pending (visible_tick, slot, delta), FIFO by visible_tick
+        self._pending: Deque[Tuple[int, int, int]] = deque()
         # Per-tick memo: visible values only change when pending entries
         # cross `now`, which cannot happen twice within one tick when the
         # propagation latency is >= 1, so repeated status() queries in the
@@ -145,44 +160,61 @@ class CreditSensor(CongestionSensor):
         output_capacity: Optional[List[int]] = None,
         downstream_capacity: Optional[List[int]] = None,
     ) -> None:
-        if output_capacity is not None:
-            self._ports_with[SOURCE_OUTPUT].add(port)
-            for vc, cap in enumerate(output_capacity):
-                self._visible[(SOURCE_OUTPUT, port, vc)] = 0
-                self._capacity[(SOURCE_OUTPUT, port, vc)] = cap
-        if downstream_capacity is not None:
-            self._ports_with[SOURCE_DOWNSTREAM].add(port)
-            for vc, cap in enumerate(downstream_capacity):
-                self._visible[(SOURCE_DOWNSTREAM, port, vc)] = 0
-                self._capacity[(SOURCE_DOWNSTREAM, port, vc)] = cap
+        for source, capacities in (
+            (SOURCE_OUTPUT, output_capacity),
+            (SOURCE_DOWNSTREAM, downstream_capacity),
+        ):
+            base = self._base.get(source)
+            if capacities is None or base is None:
+                continue
+            if not 0 <= port < self.num_ports or len(capacities) > self.num_vcs:
+                raise ValueError(
+                    f"{self.full_name}: port {port} with {len(capacities)} "
+                    f"VCs does not fit {self.num_ports} ports x "
+                    f"{self.num_vcs} VCs"
+                )
+            first = base + port * self.num_vcs
+            for vc, cap in enumerate(capacities):
+                self._visible[first + vc] = 0
+                self._capacity[first + vc] = cap
 
     # -- updates -----------------------------------------------------------------
 
     def record(self, source: str, port: int, vc: int, delta: int) -> None:
-        if source not in self._tracked:
+        base = self._base.get(source)
+        if base is None:
             return
-        key = (source, port, vc)
-        if key not in self._visible:
-            raise KeyError(f"{self.full_name}: record for uninitialized {key}")
-        self._pending.append((self.simulator.tick + self.latency, key, delta))
+        num_vcs = self.num_vcs
+        slot = base + port * num_vcs + vc
+        if not (0 <= vc < num_vcs and 0 <= port < self.num_ports) \
+                or self._visible[slot] is None:
+            raise KeyError(
+                f"{self.full_name}: record for uninitialized "
+                f"{(source, port, vc)}"
+            )
+        pending = self._pending
+        pending.append((self.simulator.tick + self.latency, slot, delta))
+        if len(pending) > PENDING_LIMIT:
+            self._drain()
 
     def _drain(self) -> None:
         now = self.simulator.tick
         pending = self._pending
         visible = self._visible
         while pending and pending[0][0] <= now:
-            _tick, key, delta = pending.popleft()
-            visible[key] += delta
+            _tick, slot, delta = pending.popleft()
+            visible[slot] += delta
 
     # -- queries ------------------------------------------------------------------
 
     def _value_for(self, source: str, port: int, vc: int) -> Tuple[float, float]:
         """(occupancy, capacity) for one key; capacity 0 when untracked."""
-        key = (source, port, vc)
-        if key not in self._visible:
+        slot = self._base[source] + port * self.num_vcs + vc
+        occupancy = self._visible[slot]
+        if occupancy is None:
             return (0.0, 0.0)
-        occupancy = float(self._visible[key])
-        capacity = self._capacity[key]
+        occupancy = float(occupancy)
+        capacity = self._capacity[slot]
         if capacity is None:
             # Infinite queue: normalize against a fixed reference depth so
             # values remain monotone in occupancy (they may exceed 1.0,
@@ -222,4 +254,7 @@ class CreditSensor(CongestionSensor):
     def raw_occupancy(self, source: str, port: int, vc: int) -> int:
         """Undelayed *visible* flit count (after draining due updates)."""
         self._drain()
-        return self._visible.get((source, port, vc), 0)
+        base = self._base.get(source)
+        if base is None:
+            return 0
+        return self._visible[base + port * self.num_vcs + vc] or 0

@@ -4,11 +4,14 @@ Digest-level equivalence with single-process runs is covered by
 ``test_sharded_golden.py``; this module tests the machinery itself:
 the conservative window protocol (no record may land inside the window
 that produced it), cross-shard object reconstruction, credit
-conservation under CreditSan, scope validation, and the crash path of
-the process executor.
+conservation under CreditSan, scope validation, the scatter-then-gather
+order of the coordinator (proved from recorded calls, not from a clock),
+and the failure paths of both executors.
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
@@ -20,9 +23,11 @@ from repro.partition.proxy import (
     ProxyError,
     ShardRegistry,
 )
+from repro.partition import runtime
 from repro.partition.runtime import (
     PartitionRuntimeError,
     _InProcessHandle,
+    _ProcessHandle,
     run_sharded,
     validate_sharded_scope,
 )
@@ -68,9 +73,10 @@ def test_proxy_records_never_late():
         end = cursor + lookahead
         produced = []
         for handle in handles:
-            reply = handle.window(end, inboxes[handle.shard_id], [], None)
+            handle.post(("window", end, inboxes[handle.shard_id], [], None))
             inboxes[handle.shard_id] = []
-            produced.extend(reply["records"])
+        for handle in handles:
+            produced.extend(handle.collect()["records"])
         for record in produced:
             kind, cut_index, due = record[0], record[1], record[2]
             assert due >= end, (
@@ -111,12 +117,12 @@ def test_record_due_inside_an_executed_window_is_refused(lateness):
     )
     handle = _InProcessHandle(config, manifest, entry["sink_shard"], "", False)
     end = 40
-    handle.window(end, [], [], None)
+    handle.post(("window", end, [], [], None))
     last_executed = handle.worker.simulator.tick
     assert 0 < last_executed < end
     late = (CREDIT_RECORD, index, last_executed - lateness, 0)
     with pytest.raises(PartitionRuntimeError) as excinfo:
-        handle.window(end + 1, [late], [], None)
+        handle.post(("window", end + 1, [late], [], None))
     message = str(excinfo.value)
     assert f"shard {entry['sink_shard']}" in message
     assert f"cut {index} ({entry['name']})" in message
@@ -216,20 +222,270 @@ def test_run_sharded_rejects_partial_worker_count():
         run_sharded(_small_config(), k=2, shard_workers=1)
 
 
-# -- process executor faults -------------------------------------------------
+def test_directly_built_handle_refuses_out_of_scope_config():
+    """Spawned workers skip the scope check (the coordinator ran it on
+    the very dict it ships); a handle built by hand still gets it."""
+    config = _small_config()
+    manifest = plan_partition(Settings.from_dict(config), 2)
+    config["workload"]["applications"][0]["type"] = "stencil"
+    with pytest.raises(PartitionRuntimeError, match="time-driven"):
+        _InProcessHandle(config, manifest, 0, "", False)
 
 
-def test_worker_crash_surfaces_clean_error():
+# -- scatter, then gather ----------------------------------------------------
+
+
+def _recording(base, log):
+    """``base`` with every protocol call appended to ``log``."""
+
+    class Recording(base):
+        def __init__(self, *args):
+            # (..., shard_id, sanitize, crash) for both handle classes.
+            log.append(("start", args[-3]))
+            super().__init__(*args)
+
+        def post(self, command):
+            log.append(("post", self.shard_id, command[0]))
+            super().post(command)
+
+        def collect(self):
+            log.append(("collect", self.shard_id))
+            return super().collect()
+
+    return Recording
+
+
+def _rounds(log):
+    """Split a call log into one list per gather: posts, then collects."""
+    rounds, current = [], []
+    for entry in log:
+        if entry[0] != "collect" and current and current[-1][0] == "collect":
+            rounds.append(current)
+            current = []
+        current.append(entry)
+    rounds.append(current)
+    return rounds
+
+
+def test_spawned_shards_are_posted_together_then_gathered(monkeypatch):
+    """All k processes start before the first hello is read, and every
+    window (and the finish) is posted to every shard before any reply
+    is collected -- the shards run at the same time."""
+    log = []
+    monkeypatch.setattr(
+        runtime, "_ProcessHandle", _recording(_ProcessHandle, log)
+    )
+    results = run_sharded(_small_config(), k=2, shard_workers=2)
+    rounds = _rounds(log)
+    assert [entry[:2] for entry in rounds[0][:2]] == [("start", 0), ("start", 1)]
+    assert len(rounds) == results.windows + 2  # hellos, windows, finish
+    for index, calls in enumerate(rounds):
+        posts = [entry for entry in calls if entry[0] != "collect"]
+        collects = [entry[1] for entry in calls if entry[0] == "collect"]
+        assert calls == posts + [("collect", shard) for shard in collects]
+        assert [entry[1] for entry in posts] == [0, 1]
+        assert sorted(collects) == [0, 1]  # in whatever order they finished
+        if 0 < index <= results.windows:
+            assert {entry[2] for entry in posts} == {"window"}
+    assert {entry[2] for entry in rounds[-1][:2]} == {"finish"}
+    assert results.timing()["peak_in_flight"] == 2
+
+
+def test_in_process_windows_stay_round_robin(monkeypatch):
+    log = []
+    monkeypatch.setattr(
+        runtime, "_InProcessHandle", _recording(_InProcessHandle, log)
+    )
+    results = run_sharded(_small_config(), k=2)
+    window_rounds = _rounds(log)[1:-1]
+    assert len(window_rounds) == results.windows
+    assert all(
+        calls == [("post", 0, "window"), ("post", 1, "window"),
+                  ("collect", 0), ("collect", 1)]
+        for calls in window_rounds
+    )
+    assert results.timing()["peak_in_flight"] == 1
+
+
+def test_replies_collected_out_of_order_merge_in_shard_order(monkeypatch):
+    """Stand-in handles whose replies become ready highest shard first:
+    the gather reads them in that order, and the merged run is still
+    identical to the plain in-process one."""
+    config = _small_config()
+    expected = run_sharded(config, k=2, sanitize="det")
+    collected = []
+    peers = {}
+
+    class ReadyInReverse(_InProcessHandle):
+        """Shard 1 announces each reply through a pipe at once; shard
+        0's is announced only when shard 1's has been collected."""
+
+        def __init__(self, *args):
+            self._ready, self._announce = multiprocessing.Pipe(duplex=False)
+            self.waitables = (self._ready,)
+            super().__init__(*args)
+            peers[self.shard_id] = self
+            self.post(None)  # the hello is a reply too
+
+        def post(self, command):
+            if command is not None:
+                super().post(command)
+            if self.shard_id == 1:
+                self._announce.send(None)
+
+        def collect(self):
+            self._ready.recv()
+            collected.append(self.shard_id)
+            if self.shard_id == 1:
+                peers[0]._announce.send(None)
+            return super().collect()
+
+    monkeypatch.setattr(runtime, "_InProcessHandle", ReadyInReverse)
+    results = run_sharded(config, k=2, sanitize="det")
+    assert collected == [1, 0] * (results.windows + 2)
+    assert results.delivery_digest == expected.delivery_digest
+    assert [r.to_dict() for r in results.records] \
+        == [r.to_dict() for r in expected.records]
+    assert results.windows == expected.windows
+    assert results.records_exchanged == expected.records_exchanged
+    assert results.timing()["peak_in_flight"] == 2
+
+
+def test_timing_reports_the_per_shard_split():
+    results = run_sharded(_small_config(), k=2)
+    timing = results.timing()
+    assert timing["windows"] == results.windows
+    assert timing["startup_s"] > 0 and timing["windows_s"] > 0
+    assert [shard["shard"] for shard in timing["shards"]] == [0, 1]
+    for shard in timing["shards"]:
+        assert shard["compute_s"] > 0 and shard["serialize_s"] > 0
+        assert shard["wait_s"] == 0  # in-process: nothing to wait on
+    slowest = max(shard["compute_s"] for shard in timing["shards"])
+    total = sum(shard["compute_s"] for shard in timing["shards"])
+    assert slowest <= timing["critical_compute_s"] <= total
+    # Host time stays out of the summary, which tests compare against
+    # the single-process one.
+    assert "timing" not in results.summary()["partition"]
+
+
+# -- failures with replies outstanding ---------------------------------------
+
+
+@pytest.fixture
+def reaped(monkeypatch):
+    """Spawned handles that note every ``join``; after the test no join
+    may have returned with its process still running (a waited-out
+    timeout) and no worker may be left alive."""
+    monkeypatch.setattr(runtime, "JOIN_TIMEOUT_S", 0.5)
+    handles = []
+    timed_out = []
+
+    class Reaped(_ProcessHandle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            handles.append(self)
+            join = self._proc.join
+
+            def noted_join(timeout=None):
+                join(timeout)
+                timed_out.append(self._proc.is_alive())
+
+            self._proc.join = noted_join
+
+    yield Reaped
+    assert handles and not any(timed_out)
+    assert all(handle._proc.exitcode is not None for handle in handles)
+
+
+def _is_nth(log, command, op, nth):
+    """Note ``command`` in ``log``; True when it is the ``nth`` ``op``."""
+    log.append(command[0])
+    return command[0] == op and log.count(op) == nth
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_worker_crash_surfaces_clean_error(monkeypatch, reaped, failing):
     """A dying worker process raises a shard-naming error, not a hang.
 
-    The fault injection makes shard 1 ``os._exit`` inside its second
-    window; the coordinator's receive loop waits on the process
-    sentinel alongside the pipe, so the death is observed immediately.
+    The fault injection makes one shard ``os._exit`` inside its second
+    window.  The other shard never even receives that window here, so
+    its reply stays outstanding for good: the gather must raise on the
+    dead shard's sentinel instead of waiting for the live one, and the
+    survivor is terminated rather than asked to close.
     """
-    with pytest.raises(PartitionRuntimeError, match=r"shard 1.*died"):
-        run_sharded(_small_config(), k=2, shard_workers=2, _crash_shard=1)
+
+    class SurvivorNeverReplies(reaped):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._ops = []
+
+        def post(self, command):
+            if self.shard_id != failing \
+                    and _is_nth(self._ops, command, "window", 2):
+                return
+            super().post(command)
+
+    monkeypatch.setattr(runtime, "_ProcessHandle", SurvivorNeverReplies)
+    with pytest.raises(
+        PartitionRuntimeError, match=rf"shard {failing}.*died"
+    ):
+        run_sharded(
+            _small_config(), k=2, shard_workers=2, _crash_shard=failing
+        )
 
 
-def test_worker_exception_names_shard_in_process():
+@pytest.mark.parametrize("op", ["window", "finish"])
+@pytest.mark.parametrize("mode", ["raise", "exit"])
+def test_spawned_worker_failure_names_the_shard(monkeypatch, reaped, op, mode):
+    """Shard 1 fails -- replying with an error, or dying -- on its second
+    window or on ``finish``, while shard 0 was posted the real command
+    and its reply is unread (for ``finish``: the whole report)."""
+    nth = 2 if op == "window" else 1
+
+    class FailsOnCommand(reaped):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._ops = []
+
+        def post(self, command):
+            if self.shard_id == 1 and _is_nth(self._ops, command, op, nth):
+                if mode == "exit":
+                    self._proc.kill()
+                    return
+                command = ("no-such-command",)
+            super().post(command)
+
+    monkeypatch.setattr(runtime, "_ProcessHandle", FailsOnCommand)
+    expected = r"shard 1.*died" if mode == "exit" \
+        else r"(?s)shard 1 worker failed.*no-such-command"
+    with pytest.raises(PartitionRuntimeError, match=expected):
+        run_sharded(_small_config(), k=2, shard_workers=2)
+
+
+def test_gather_raises_for_the_lowest_failed_shard():
+    class Replied:
+        waitables = ()
+
+        def __init__(self, shard_id, fails):
+            self.shard_id, self.fails = shard_id, fails
+
+        def collect(self):
+            if self.fails:
+                raise PartitionRuntimeError(f"shard {self.shard_id} failed")
+            return {}
+
+    handles = [Replied(0, False), Replied(2, True), Replied(1, True)]
+    with pytest.raises(PartitionRuntimeError, match="shard 1 failed"):
+        runtime._gather(handles, runtime._Clock(3))
+
+
+def test_worker_exception_names_shard_in_process(monkeypatch):
+    """In-process ``raise`` mode: shard 1 raises in its second window,
+    inline in ``post``, with shard 0's reply for that window unread."""
+    log = []
+    monkeypatch.setattr(
+        runtime, "_InProcessHandle", _recording(_InProcessHandle, log)
+    )
     with pytest.raises(PartitionRuntimeError, match=r"shard 1"):
         run_sharded(_small_config(), k=2, shard_workers=0, _crash_shard=1)
+    assert log[-2:] == [("post", 0, "window"), ("post", 1, "window")]

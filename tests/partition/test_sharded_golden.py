@@ -105,15 +105,21 @@ def test_sharded_matches_single_process(name, config, max_time):
     assert merged == base["records"], f"{name}: message logs diverged"
 
 
-def test_sharded_spawn_matches_single_process():
+@pytest.mark.parametrize("seed", [17, 777])
+def test_sharded_spawn_matches_single_process(seed):
+    """Real worker processes computing their windows at the same time:
+    replies arrive in whatever order the shards finish, the merge is by
+    shard id, so the log is the single-process one at any seed."""
     config = _torus_config()
+    config["simulator"]["seed"] = seed
     base = _single_process(config, 50_000)
-    config.setdefault("simulator", {})["max_time"] = 50_000
+    config["simulator"]["max_time"] = 50_000
     results = run_sharded(config, k=2, shard_workers=2, sanitize="det")
     assert results.mode == "spawn"
     assert results.drained
     assert results.delivery_digest == base["digest"]
-    assert len(results.records) == len(base["records"])
+    assert [r.to_dict() for r in results.records] == base["records"]
+    assert results.timing()["peak_in_flight"] == 2
 
 
 def test_custom_registered_app_runs_sharded():
@@ -178,6 +184,7 @@ def test_sharded_summary_shape():
     partition = summary["partition"]
     assert partition["k"] == 2
     assert partition["mode"] == "in-process"
+    assert results.timing()["peak_in_flight"] == 1
     assert partition["windows"] == results.windows
     assert len(partition["shards"]) == 2
     delivered = sum(s["messages_delivered"] for s in partition["shards"])

@@ -7,6 +7,7 @@ from repro.core.component import Component
 from repro.core.simulator import Simulator
 from repro.router.congestion import (
     GRANULARITY_PORT,
+    PENDING_LIMIT,
     SOURCE_BOTH,
     SOURCE_DOWNSTREAM,
     SOURCE_OUTPUT,
@@ -177,3 +178,97 @@ def test_raw_occupancy(sim):
     sim.call_at(5, lambda e: out.update(v=sensor.raw_occupancy(SOURCE_DOWNSTREAM, 0, 0)))
     sim.run()
     assert out["v"] == 3
+
+
+# -- the bounded FIFO ----------------------------------------------------------
+
+
+def test_unqueried_sensor_stays_bounded_over_a_dor_run():
+    """Dimension-order routing never queries the sensor; its FIFO must
+    not keep one entry per recorded flit-hop for the whole run."""
+    from tests.conftest import run_config, small_torus_config
+
+    simulation, results = run_config(small_torus_config())
+    assert results.drained
+    routers = simulation.network.routers
+    hops = sum(c.flits_carried for c in simulation.network.flit_channels)
+    for router in routers:
+        sensor = router.sensor
+        # Past the limit only entries younger than the latency remain:
+        # at most one flit out and one credit in per port per tick.
+        bound = PENDING_LIMIT + 2 * sensor.num_ports * max(sensor.latency, 1)
+        assert len(sensor._pending) <= bound
+    # Not vacuous: the run recorded far more than the FIFOs now hold.
+    assert hops > 20 * len(routers) * PENDING_LIMIT
+
+
+@pytest.mark.parametrize("latency", [0, 1, 7])
+@pytest.mark.parametrize("granularity", ["vc", "port"])
+@pytest.mark.parametrize("source", [SOURCE_OUTPUT, SOURCE_DOWNSTREAM, SOURCE_BOTH])
+def test_early_folding_matches_a_drain_on_query_reference(
+        sim, latency, granularity, source):
+    """Seeded random record/query program against an oracle that keeps
+    every record and evaluates a query from the whole log: folding due
+    entries from ``record()`` must never change a visible value."""
+    import random
+
+    rng = random.Random(f"{latency}/{granularity}/{source}")
+    ports, vcs = 3, 2
+    sensor = make_sensor(sim, latency=latency, granularity=granularity,
+                         source=source, num_ports=ports, num_vcs=vcs)
+    capacity = {}
+    for port in range(ports):
+        out_caps = [rng.choice([None, 4, 8]) for _ in range(vcs)]
+        down_caps = [rng.choice([6, 16]) for _ in range(vcs)]
+        sensor.init_port(port, output_capacity=out_caps,
+                         downstream_capacity=down_caps)
+        for vc in range(vcs):
+            capacity[(SOURCE_OUTPUT, port, vc)] = out_caps[vc]
+            capacity[(SOURCE_DOWNSTREAM, port, vc)] = down_caps[vc]
+    tracked = [SOURCE_OUTPUT, SOURCE_DOWNSTREAM] if source == SOURCE_BOTH \
+        else [source]
+    log = {key: [] for key in capacity}  # key -> (due, delta): never folded
+
+    def visible(key, now):
+        return sum(delta for due, delta in log[key] if due <= now)
+
+    def expected_status(port, vc, now):
+        occupancy = total = 0.0
+        for src in tracked:
+            for v in (range(vcs) if granularity == "port" else [vc]):
+                occupancy += visible((src, port, v), now)
+                cap = capacity[(src, port, v)]
+                total += 64.0 if cap is None else cap
+        return occupancy / total
+
+    checked = []
+    longest = [0]
+
+    def step(event):
+        now = sim.tick
+        # Mostly quiet ticks, some bursts well past the limit, and long
+        # stretches without any query so the FIFO has to fold by itself.
+        for _ in range(rng.choice([0, 1, 3, 3 * PENDING_LIMIT])):
+            src = rng.choice([SOURCE_OUTPUT, SOURCE_DOWNSTREAM])
+            key = (src, rng.randrange(ports), rng.randrange(vcs))
+            delta = rng.choice([+1, -1])
+            sensor.record(*key, delta)
+            if src in tracked:
+                log[key].append((now + latency, delta))
+        longest[0] = max(longest[0], len(sensor._pending))
+        if rng.random() < 0.15:
+            for _ in range(rng.randrange(1, 6)):
+                port, vc = rng.randrange(ports), rng.randrange(vcs)
+                assert sensor.status(port, vc) == expected_status(port, vc, now)
+                src = rng.choice([SOURCE_OUTPUT, SOURCE_DOWNSTREAM])
+                want = visible((src, port, vc), now) if src in tracked else 0
+                assert sensor.raw_occupancy(src, port, vc) == want
+                checked.append(now)
+
+    for tick in range(400):
+        sim.call_at(tick, step, epsilon=1)
+    sim.run()
+    recorded = sum(len(entries) for entries in log.values())
+    assert len(checked) > 50 and recorded > 20 * PENDING_LIMIT
+    # Bursts within one latency cannot be folded yet; everything older is.
+    assert longest[0] <= PENDING_LIMIT + 3 * PENDING_LIMIT * max(latency, 1)
