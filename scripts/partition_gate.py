@@ -13,9 +13,11 @@ runs the full P-rule layer over the planned manifest, and fails on:
 * a sharded k=2 run whose merged delivery digest differs from the
   single-process run of the same config -- the execution-equivalence
   contract of the PDES runtime -- once with in-process workers (folded
-  Clos) and once with two spawned worker processes (small torus), where
-  ``timing()["peak_in_flight"]`` must also be 2: the deterministic guard
-  that a later edit cannot quietly re-serialise the workers,
+  Clos) and once with two worker processes (small torus), where
+  ``timing()["peak_in_flight"]`` must also be 2 (the deterministic guard
+  that a later edit cannot quietly re-serialise the workers) and the
+  reported mode must be the start method the runtime picks here
+  (``fork`` on Linux),
 * a shard-purity classification of any builtin model class that
   deviates from EXPECTED_CLASSIFICATIONS (a silent analyzer or model
   regression either way: a model going unsafe breaks sharding, a
@@ -122,6 +124,13 @@ def check_sarif(log: dict) -> list:
     return problems
 
 
+def smoke_mode(shard_workers: int) -> str:
+    """The ``ShardedResults.mode`` a smoke run must report."""
+    from repro.partition.runtime import _start_method
+
+    return _start_method() if shard_workers else "in-process"
+
+
 def runtime_smoke(config: dict, shard_workers: int) -> list:
     """Sharded k=2 execution must reproduce the single-process digest."""
     import itertools
@@ -162,6 +171,9 @@ def runtime_smoke(config: dict, shard_workers: int) -> list:
             f"sharded delivery digest {sharded.delivery_digest} != "
             f"single-process {digest}"
         )
+    mode = smoke_mode(shard_workers)
+    if sharded.mode != mode:
+        problems.append(f"ran in mode {sharded.mode!r}, expected {mode!r}")
     in_flight = sharded.timing()["peak_in_flight"]
     if in_flight != (shard_workers or 1):
         problems.append(
@@ -252,7 +264,7 @@ def main() -> int:
     smokes = [
         ("in-process", 0, builders.latent_congestion_config(
             injection_rate=0.15, warmup=50, window=150, half_radix=2)),
-        ("2 spawned workers", 2, builders.flow_control_config(
+        ("2 worker processes", 2, builders.flow_control_config(
             message_size=4, injection_rate=0.2, warmup=30, window=70)),
     ]
     for label, shard_workers, config in smokes:
@@ -265,7 +277,7 @@ def main() -> int:
         else:
             print(f"ok   sharded runtime smoke (k=2, {label}): digest "
                   f"matches single-process, peak_in_flight "
-                  f"{shard_workers or 1}")
+                  f"{shard_workers or 1}, mode {smoke_mode(shard_workers)}")
 
     if failures:
         print(f"partition gate: {failures} failure(s)")

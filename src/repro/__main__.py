@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         default=0,
         help="worker processes for --partition: 0 (default) executes "
-        "every shard in-process, K spawns one process per shard",
+        "every shard in-process, K starts one process per shard "
+        "(forked on Linux, else spawned)",
     )
     parser.add_argument(
         "--sanitize",
@@ -140,7 +141,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.partition is not None:
+        # Refused rather than dropped: a sweep runs every point
+        # single-process, and the sharded path runs no profiler.
+        if args.sweep:
+            parser.error("--partition cannot be combined with --sweep")
+        if args.profile is not None or args.pstats_out:
+            parser.error(
+                "--partition cannot be combined with --profile/--pstats-out"
+            )
     if args.sweep:
         # Delegate to the sssweep CLI: one simulation per value combo,
         # fanned out across --workers processes.

@@ -18,7 +18,7 @@ works.  This package owns planning and execution:
 * :mod:`repro.partition.runtime` -- the sharded executor itself:
   conservative barrier windows of ``lookahead`` ticks, proxy channel
   endpoints serializing cut traffic as record streams
-  (:mod:`repro.partition.proxy`), in-process or spawned workers, and
+  (:mod:`repro.partition.proxy`), in-process or worker processes, and
   merged results that are digest-equal to the single-process run.
   Imported lazily (``from repro.partition.runtime import run_sharded``)
   so planning stays dependency-free.

@@ -61,18 +61,25 @@ every window is posted to all shards before any reply is read, and the
 * ``shard_workers=0`` hosts every worker in the calling process; its
   ``post`` runs the command inline, so the windows execute round-robin
   -- no IPC, deterministic, the mode the digest-equality goldens run
-  in.  Global id counters are virtualized per worker
-  (:class:`_IdScope`) so each worker sees the counters start from zero
-  exactly as a fresh process would.
-* ``shard_workers=k`` spawns one OS process per shard
-  (``multiprocessing`` spawn context) and exchanges commands over
-  pipes; between scatter and gather the shards compute at the same
-  time.  :func:`_gather` waits on every outstanding pipe *and* process
+  in.
+* ``shard_workers=k`` starts one OS process per shard and exchanges
+  commands over pipes; between scatter and gather the shards compute at
+  the same time.  The processes are forked where that is safe (Linux,
+  and no other thread in the coordinator: :func:`_start_method`) and
+  spawned otherwise.  A forked worker inherits the already imported
+  ``repro`` instead of importing it again; it closes the pipe ends it
+  inherited from the coordinator, and the coordinator freezes its heap
+  around the forks so the workers' collectors do not copy it page by
+  page.  :func:`_gather` waits on every outstanding pipe *and* process
   sentinel at once, so a worker that raises or dies -- while the others
   are mid-window, or blocked writing a large report -- ends the run at
   once with a :class:`PartitionRuntimeError` naming that shard (the
   lowest id if several failed); the surviving workers are terminated,
   not asked to close.
+
+Every worker, under either executor, is built and served inside its own
+:class:`_IdScope`, so it sees the global message and packet id counters
+start from zero whatever the coordinator's counters read.
 
 :meth:`ShardedResults.timing` reports where the wall time went: start-up,
 and per shard the seconds computing windows, serializing replies, and
@@ -81,8 +88,11 @@ keeping the coordinator blocked at the barrier.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import pickle
+import sys
+import threading
 import traceback
 from multiprocessing import connection as _mp_connection
 from multiprocessing import get_context as _mp_get_context
@@ -363,8 +373,8 @@ class ShardWorker:
         self._ingress_counts: Dict[int, int] = {}
         self.windows_run = 0
         self._executed_end = 0  # exclusive end of the last window run
-        #: seconds spent building window replies (and, in a spawned
-        #: worker, pickling them: ``_worker_main`` adds that share).
+        #: seconds spent building window replies (and, in a worker
+        #: process, pickling them: ``_worker_main`` adds that share).
         self.serialize_s = 0.0
 
     # -- delivery capture --------------------------------------------------
@@ -578,12 +588,14 @@ class ShardWorker:
 class _IdScope:
     """Virtualizes the global message/packet id counters per worker.
 
-    In-process workers share one interpreter, but each must observe the
-    id sequences a fresh process would: starting at zero and advancing
-    only with its own (identical) replay.  Entering the scope installs
-    the worker's private counters; leaving records their position and
-    restores whatever was installed before, so the surrounding session
-    (and the other workers) are unaffected.
+    Every worker must observe the id sequences of a fresh interpreter:
+    starting at zero and advancing only with its own (identical)
+    replay.  In-process workers share one interpreter and a forked one
+    inherits the coordinator's counters, wherever earlier simulations
+    left them.  Entering the scope installs the worker's private
+    counters; leaving records their position and restores whatever was
+    installed before, so the surrounding session (and the other
+    workers) are unaffected.
     """
 
     def __init__(self) -> None:
@@ -670,58 +682,90 @@ class _InProcessHandle:
 # -- process executor --------------------------------------------------------
 
 
-def _worker_main(conn, payload) -> None:
-    """Spawned-process entry: build one ShardWorker, serve commands.
+def _start_method() -> str:
+    """How :func:`run_sharded` starts its worker processes.
 
-    The coordinator validated the scope of the very config it ships, so
-    the worker is built directly.
+    ``"fork"`` on Linux while the coordinator runs no other thread: a
+    forked worker starts with ``repro`` and numpy already imported.  A
+    thread may hold a lock at the moment of the fork, which the child
+    would inherit held forever, so with other threads running -- and on
+    platforms without a safe ``fork`` -- the workers are spawned.
     """
-    try:
-        worker = ShardWorker(
-            payload["config"],
-            payload["manifest"],
-            payload["shard"],
-            sanitize=payload["sanitize"],
-            crash_mode="exit" if payload["crash"] else None,
-        )
-        conn.send(("ok", worker.hello()))
-    except Exception:
-        conn.send(("error", traceback.format_exc()))
-        return
-    while True:
+    if sys.platform.startswith("linux") and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
+
+
+def _worker_main(conn, payload, inherited) -> None:
+    """Worker-process entry: build one ShardWorker, serve commands.
+
+    ``inherited`` lists the coordinator's pipe ends a forked worker got
+    with the coordinator's memory (its own shard's and those of the
+    shards started before it; empty when spawned).  They are closed
+    first: a worker holding a copy of another shard's coordinator end
+    would keep that shard from reading EOF when the coordinator goes.
+    The worker is built and served inside a fresh :class:`_IdScope`, so
+    its ids do not depend on what the coordinator simulated before.
+    The coordinator validated the scope of the very config it hands
+    over, so the worker is built directly.
+    """
+    for end in inherited:
+        end.close()
+    with _IdScope():
         try:
-            command = conn.recv()
-        except EOFError:
-            return
-        if command[0] == "close":
-            return
-        try:
-            reply = _serve(worker, command)
-            pickling = perf_counter()
-            body = pickle.dumps(("ok", reply), pickle.HIGHEST_PROTOCOL)
-            worker.serialize_s += perf_counter() - pickling
+            worker = ShardWorker(
+                payload["config"],
+                payload["manifest"],
+                payload["shard"],
+                sanitize=payload["sanitize"],
+                crash_mode="exit" if payload["crash"] else None,
+            )
+            conn.send(("ok", worker.hello()))
         except Exception:
-            body = pickle.dumps(("error", traceback.format_exc()))
-        conn.send_bytes(body)
+            conn.send(("error", traceback.format_exc()))
+            return
+        while True:
+            try:
+                command = conn.recv()
+            except EOFError:
+                return
+            if command[0] == "close":
+                return
+            try:
+                reply = _serve(worker, command)
+                pickling = perf_counter()
+                body = pickle.dumps(("ok", reply), pickle.HIGHEST_PROTOCOL)
+                worker.serialize_s += perf_counter() - pickling
+            except Exception:
+                body = pickle.dumps(("error", traceback.format_exc()))
+            conn.send_bytes(body)
 
 
 class _ProcessHandle:
-    """One spawned worker process plus its command pipe.
+    """One worker process plus its command pipe.
 
-    Constructing the handle starts the process and returns; the hello is
-    the first reply :func:`_gather` collects.  ``waitables`` holds the
+    Constructing the handle starts the process -- with ``ctx``'s start
+    method, reported as ``mode`` -- and returns; the hello is the first
+    reply :func:`_gather` collects.  ``siblings`` are the handles of the
+    shards already started, whose coordinator pipe ends a forked child
+    inherits and closes (:func:`_worker_main`).  ``waitables`` holds the
     pipe *and* the process sentinel, so a worker that dies without a
     reply (crash, ``os._exit``) wakes the gather and produces an
     immediate :class:`PartitionRuntimeError` naming the shard instead
     of a hang.
     """
 
-    mode = "spawn"
     suite = None  # sanitizers live (and detach) inside the process
 
-    def __init__(self, ctx, config, manifest, shard_id, sanitize, crash):
+    def __init__(
+        self, ctx, siblings, config, manifest, shard_id, sanitize, crash
+    ):
         self.shard_id = shard_id
+        self.mode = ctx.get_start_method()
         self._conn, child_conn = ctx.Pipe()
+        inherited = []
+        if self.mode == "fork":
+            inherited = [self._conn] + [peer._conn for peer in siblings]
         self._proc = ctx.Process(
             target=_worker_main,
             args=(
@@ -733,6 +777,7 @@ class _ProcessHandle:
                     "sanitize": sanitize,
                     "crash": crash,
                 },
+                inherited,
             ),
             daemon=True,
         )
@@ -839,8 +884,9 @@ def run_sharded(
     """Run ``config`` sharded ``k`` ways; returns merged results.
 
     ``shard_workers=0`` executes all shards in this process (windows
-    round-robin); ``shard_workers=k`` spawns one process per shard and
-    runs the shards' windows concurrently.
+    round-robin); ``shard_workers=k`` starts one process per shard
+    (forked or spawned, :func:`_start_method`) and runs the shards'
+    windows concurrently.
     ``manifest`` skips re-planning when the caller already has one.
     ``_crash_shard`` is test-only fault injection.
     """
@@ -880,12 +926,19 @@ def run_sharded(
     try:
         started = perf_counter()
         if shard_workers:
-            ctx = _mp_get_context("spawn")
-            for shard_id in range(k):
-                handles.append(_ProcessHandle(
-                    ctx, config, manifest, shard_id, sanitize,
-                    shard_id == _crash_shard,
-                ))
+            ctx = _mp_get_context(_start_method())
+            # Frozen objects are invisible to the collector, so a forked
+            # worker's collections never touch -- and copy -- the pages
+            # it shares with the coordinator.
+            gc.freeze()
+            try:
+                for shard_id in range(k):
+                    handles.append(_ProcessHandle(
+                        ctx, handles, config, manifest, shard_id, sanitize,
+                        shard_id == _crash_shard,
+                    ))
+            finally:
+                gc.unfreeze()
         else:
             for shard_id in range(k):
                 handles.append(_InProcessHandle(
@@ -1049,7 +1102,7 @@ def run_sharded(
         clean = True
         return ShardedResults(
             manifest=manifest,
-            mode="spawn" if shard_workers else "in-process",
+            mode=handles[0].mode,
             reports=reports,
             windows=windows,
             records_exchanged=records_exchanged,
@@ -1217,13 +1270,13 @@ class ShardedResults:
         hello, ``windows_s`` over the window loop and ``finish_s`` over
         the report gather.  Per shard: ``compute_s`` (ingress
         materialise + ``run_until``), ``serialize_s`` (building and, in
-        spawn mode, pickling the window replies) and ``wait_s`` (the
+        a worker process, pickling the window replies) and ``wait_s`` (the
         coordinator blocked at the barrier with that shard's reply
         outstanding).  ``critical_compute_s`` sums the slowest shard's
         ``compute_s`` over the windows -- what the barriers cannot hide;
         ``windows_s`` minus it is barrier and IPC cost.
         ``peak_in_flight`` is the most shards ever at work at once: k
-        spawned, 1 in-process.  Kept out of :meth:`summary`, which is
+        worker processes, 1 in-process.  Kept out of :meth:`summary`, which is
         comparable with a single-process summary.
         """
         return self._timing

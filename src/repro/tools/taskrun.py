@@ -303,8 +303,15 @@ class _ProcessExecutor:
     A task whose payload is ``None`` or does not pickle (e.g. a closure
     over live objects) is declined -- ``submit`` returns ``None`` and
     the scheduler runs it inline in the parent process.  Workers are
-    started with the ``spawn`` method: forking a process that holds live
-    simulator state is a rich source of latent bugs, and spawn behaves
+    started with the ``spawn`` method, unlike the sharded runtime's
+    shard workers, which are forked.  A shard worker is forked while
+    its coordinator runs no other thread, and it uses nothing it
+    inherited but the imported modules and the config and manifest it
+    builds from.  This pool is
+    long-lived, runs its own management thread, and may be created in
+    a process that holds live simulations (a notebook, a test session,
+    ``Sweep.run`` after other runs), whose state its workers would then
+    share: a rich source of latent bugs.  Spawn also behaves
     identically across platforms.
     """
 

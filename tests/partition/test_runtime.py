@@ -462,6 +462,34 @@ def test_spawned_worker_failure_names_the_shard(monkeypatch, reaped, op, mode):
         run_sharded(_small_config(), k=2, shard_workers=2)
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+def test_closing_a_shards_pipe_ends_that_worker_alone():
+    """Shard 1 is forked holding a copy of shard 0's coordinator pipe
+    end (and each worker one of its own).  Both copies must be closed in
+    the workers, or shard 0 never reads EOF when the coordinator closes
+    its end, and lives on until it is terminated."""
+    config = _small_config()
+    manifest = plan_partition(Settings.from_dict(config), 2)
+    ctx = multiprocessing.get_context("fork")
+    handles = []
+    try:
+        for shard in (0, 1):
+            handles.append(
+                _ProcessHandle(ctx, handles, config, manifest, shard, "", False)
+            )
+        runtime._gather(handles, runtime._Clock(2))  # both built, serving
+        handles[0]._conn.close()
+        handles[0]._proc.join(runtime.JOIN_TIMEOUT_S)
+        assert handles[0]._proc.exitcode == 0
+        assert handles[1]._proc.is_alive()
+    finally:
+        for handle in handles:
+            handle.close(abort=True)
+
+
 def test_gather_raises_for_the_lowest_failed_shard():
     class Replied:
         waitables = ()

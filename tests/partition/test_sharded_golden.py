@@ -9,8 +9,8 @@ the merged message log is compared record-for-record on top.
 
 Covered on torus/IQ and folded-Clos/OQ (disjoint router send paths),
 with a mixed blast+pulse workload (exercises the coordinator's static
-stop schedule and delivery-driven kill replay), and once in spawn mode
-(real worker processes, pickled record streams).
+stop schedule and delivery-driven kill replay), and with real worker
+processes (pickled record streams), forked and spawned.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import repro.net.packet as packet_mod
 from repro import Settings, Simulation
 from repro.configs import latent_congestion_config
 from repro.net.packet import preserve_packet_ids
+from repro.partition import runtime
 from repro.partition.runtime import run_sharded
 from repro.sanitize import attach_sanitizers
 
@@ -58,9 +59,9 @@ def _blast_pulse_config() -> dict:
 def _single_process(config: dict, max_time: int) -> dict:
     """Reference run; id counters forced to zero like a fresh process.
 
-    Shard workers count message/packet ids from zero (spawn mode
-    trivially, in-process mode via the id scope), and packet ids feed
-    routing decisions, so the baseline must too.
+    Shard workers count message/packet ids from zero (each inside its
+    own id scope), and packet ids feed routing decisions, so the
+    baseline must too.
     """
     with preserve_packet_ids():
         packet_mod._global_packet_ids = itertools.count(0)
@@ -106,20 +107,42 @@ def test_sharded_matches_single_process(name, config, max_time):
 
 
 @pytest.mark.parametrize("seed", [17, 777])
-def test_sharded_spawn_matches_single_process(seed):
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_sharded_spawn_matches_single_process(monkeypatch, start_method, seed):
     """Real worker processes computing their windows at the same time:
     replies arrive in whatever order the shards finish, the merge is by
-    shard id, so the log is the single-process one at any seed."""
+    shard id, so the log is the single-process one at any seed -- with
+    the workers forked or spawned."""
+    monkeypatch.setattr(runtime, "_start_method", lambda: start_method)
     config = _torus_config()
     config["simulator"]["seed"] = seed
     base = _single_process(config, 50_000)
     config["simulator"]["max_time"] = 50_000
     results = run_sharded(config, k=2, shard_workers=2, sanitize="det")
-    assert results.mode == "spawn"
+    assert results.mode == start_method
+    assert results.summary()["partition"]["mode"] == start_method
     assert results.drained
     assert results.delivery_digest == base["digest"]
     assert [r.to_dict() for r in results.records] == base["records"]
     assert results.timing()["peak_in_flight"] == 2
+
+
+def test_forked_workers_ignore_the_coordinators_id_counters(monkeypatch):
+    """A forked worker inherits the coordinator's global message and
+    packet counters, wherever earlier simulations in the session left
+    them; packet ids feed routing, so it must still count from zero."""
+    monkeypatch.setattr(runtime, "_start_method", lambda: "fork")
+    config = _torus_config()
+    base = _single_process(config, 50_000)
+    with preserve_packet_ids():
+        Simulation(Settings.from_dict(_torus_config())).run(max_time=50_000)
+        assert next(packet_mod._global_packet_ids) > 0
+        assert next(message_mod._global_message_ids) > 0
+        config["simulator"]["max_time"] = 50_000
+        results = run_sharded(config, k=2, shard_workers=2, sanitize="det")
+    assert results.mode == "fork"
+    assert results.delivery_digest == base["digest"]
+    assert [r.to_dict() for r in results.records] == base["records"]
 
 
 def test_custom_registered_app_runs_sharded():

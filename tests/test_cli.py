@@ -65,6 +65,28 @@ def test_max_time_flag_truncates(config_file):
     assert code == 1
 
 
+def test_partition_refuses_profile(config_file, capsys):
+    """The sharded path runs no profiler; it used to skip it silently."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(config_file), "--partition", "2", "--profile"])
+    assert excinfo.value.code == 2
+    assert "--partition cannot be combined with --profile" \
+        in capsys.readouterr().err
+
+
+def test_partition_refuses_sweep(config_file, capsys):
+    """A sweep runs every point single-process; it used to drop
+    ``--partition`` silently."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            str(config_file), "--partition", "2",
+            "--sweep", "R=workload.applications.0.injection_rate=float=0.1",
+        ])
+    assert excinfo.value.code == 2
+    assert "--partition cannot be combined with --sweep" \
+        in capsys.readouterr().err
+
+
 def test_missing_config_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         main([str(tmp_path / "nope.json")])
