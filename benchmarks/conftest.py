@@ -14,11 +14,8 @@ evaluation (§VI).  Conventions:
 
 from __future__ import annotations
 
-import datetime
-import json
 import os
 import pathlib
-import platform
 
 import pytest
 
@@ -27,39 +24,6 @@ from repro import Settings, Simulation
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 FULL_SCALE = os.environ.get("REPRO_FULL_SCALE", "") not in ("", "0")
-
-#: engine-throughput history shared with scripts/bench_report.py
-BENCH_ENGINE_FILE = pathlib.Path(__file__).parent.parent / "BENCH_engine.json"
-
-
-def record_engine_bench(name: str, payload: dict, source: str = "benchmarks") -> None:
-    """Append one engine-throughput measurement to BENCH_engine.json.
-
-    The file keeps a flat history so the perf trajectory is visible
-    across PRs; every entry is stamped with enough machine context to
-    judge comparability.
-    """
-    data: dict = {"history": []}
-    if BENCH_ENGINE_FILE.exists():
-        try:
-            data = json.loads(BENCH_ENGINE_FILE.read_text(encoding="utf-8"))
-        except (ValueError, OSError):
-            pass
-    data.setdefault("history", []).append(
-        {
-            "name": name,
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-                timespec="seconds"
-            ),
-            "source": source,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            **payload,
-        }
-    )
-    BENCH_ENGINE_FILE.write_text(
-        json.dumps(data, indent=2) + "\n", encoding="utf-8"
-    )
 
 
 def run_sim(config: dict, max_time: int = 60_000):

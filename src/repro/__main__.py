@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PSTATS",
         help="run under cProfile and print the hottest functions to "
         "stderr; with an argument, also dump the raw pstats data "
-        "to that path (inspect with scripts/profile_sim.py or "
+        "to that path, like --pstats-out (inspect with "
         "python -m pstats)",
     )
     parser.add_argument(

@@ -44,11 +44,10 @@ chain:
   method.
 
 **Profile correlation.**  ``sslint --layer perf --profile out.pstats``
-consumes a cProfile dump (``scripts/profile_sim.py`` writes one by
-default; ``supersim --pstats-out`` too) and re-ranks findings by
-measured cumulative time: statically-hot-but-measured-cold findings
-demote to INFO, so the layer reports *ranked, evidenced optimization
-targets*, not style noise.
+consumes a cProfile dump (``supersim --pstats-out`` writes one) and
+re-ranks findings by measured cumulative time:
+statically-hot-but-measured-cold findings demote to INFO, so the layer
+reports *ranked, evidenced optimization targets*, not style noise.
 
 Fingerprints (docs/LINTING.md "Baselines") hash the evidence chain
 plus a per-hazard token, never the message or line number, so a

@@ -40,7 +40,8 @@ conditions against a concrete configuration block.
 
 Consumers: ``validate_sharded_scope`` (runtime preflight), the
 ``shard`` lint layer (``sslint --layer shard``, ``lint_partition``,
-``sssweep --partition``), and ``scripts/partition_gate.py``.
+``sssweep --partition``), and the tier-1 classification test
+(``tests/lint/test_shard_rules.py``).
 """
 
 from __future__ import annotations

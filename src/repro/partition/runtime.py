@@ -911,6 +911,9 @@ def run_sharded(
     cut_sinks = [entry["sink_shard"] for entry in manifest["cut_channels"]]
     t_start, t_stop = _static_stop_schedule(config)
     max_time = config.get("simulator", {}).get("max_time")
+    # Single-process run() executes no event past max_time; no pre-kill
+    # window may end beyond it either.
+    time_cap = sys.maxsize if max_time is None else max_time + 1
     from repro import factory as _factory
     from repro.models import load_all as _load_all
     from repro.workload.application import Application as _Application
@@ -989,10 +992,10 @@ def run_sharded(
                         f"post-kill windows; records or events are stuck"
                     )
             elif targets is None:
-                if max_time is not None and executed_bound > max_time:
+                if executed_bound >= time_cap:
                     truncated = True
                     break
-                end = min(executed_bound + lookahead, t_stop + 1)
+                end = min(executed_bound + lookahead, t_stop + 1, time_cap)
                 if end <= executed_bound:
                     raise PartitionRuntimeError(
                         "stop tick passed without workers reporting "
@@ -1019,14 +1022,14 @@ def run_sharded(
                     kill_sent = True
                     end = executed_bound + lookahead
                 else:
-                    if max_time is not None and executed_bound > max_time:
+                    if executed_bound >= time_cap:
                         truncated = True
                         break
                     window = min(
                         lookahead,
                         max(1, -(-remaining // num_terminals)),
                     )
-                    end = executed_bound + window
+                    end = min(executed_bound + window, time_cap)
 
             for shard_id, handle in enumerate(handles):
                 handle.post((

@@ -235,7 +235,7 @@ def sslint_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--profile", metavar="PSTATS", default=None,
         help="correlate perf-layer findings with this cProfile dump "
-        "(scripts/profile_sim.py or supersim --pstats-out write one); "
+        "(supersim --pstats-out writes one); "
         "statically-hot-but-measured-cold findings demote to info",
     )
     parser.add_argument(

@@ -15,7 +15,11 @@ on the router whose mixed-radix digits (dimension 0 least significant)
 are its coordinates, and each dimension costs the shorter way round its
 ring; in an ``n``-level folded Clos of half-radix ``k``, a message climbs
 to the lowest level ``l`` at which source and destination share the
-subtree ``t // k**l``, crossing ``2l - 1`` routers.
+subtree ``t // k**l``, crossing ``2l - 1`` routers; in a HyperX,
+dimension-order routing crosses one router per coordinate in which the
+source and destination routers differ, plus one.  The HyperX runs IOQ
+routers with a 2x channel clock: a 1-tick core under 2-tick channels
+adds no offset at zero load, so its closed form is exact as well.
 
 No message may beat the closed form, and at least 99 % must equal it
 (the rest met another message on the way).  Asserted for single-process
@@ -28,7 +32,11 @@ from __future__ import annotations
 import pytest
 
 from repro import Settings, Simulation
-from repro.configs import flow_control_config, latent_congestion_config
+from repro.configs import (
+    credit_accounting_config,
+    flow_control_config,
+    latent_congestion_config,
+)
 from repro.partition import runtime
 from repro.partition.runtime import run_sharded
 
@@ -54,6 +62,17 @@ def _clos_config() -> dict:
     return config
 
 
+def _hyperx_config() -> dict:
+    """1-D HyperX of 8 routers x 4 terminals, IOQ routers, 2x channel
+    clock, dimension-order routing.  Injection is per channel cycle, so
+    the window is twice as long for the same message count."""
+    config = credit_accounting_config(
+        injection_rate=RATE, warmup=1000, window=80_000
+    )
+    config["network"]["routing"] = {"algorithm": "hyperx_dimension_order"}
+    return config
+
+
 def _torus_routers(network: dict, source: int, destination: int) -> int:
     assert network["concentration"] == 1
     hops = 0
@@ -73,7 +92,22 @@ def _clos_routers(network: dict, source: int, destination: int) -> int:
     raise AssertionError(f"terminals {source} and {destination} unconnected")
 
 
-ROUTERS = {"torus": _torus_routers, "folded_clos": _clos_routers}
+def _hyperx_routers(network: dict, source: int, destination: int) -> int:
+    source //= network["concentration"]
+    destination //= network["concentration"]
+    differing = 0
+    for width in network["dimension_widths"]:
+        differing += source % width != destination % width
+        source //= width
+        destination //= width
+    return differing + 1
+
+
+ROUTERS = {
+    "torus": _torus_routers,
+    "folded_clos": _clos_routers,
+    "hyperx": _hyperx_routers,
+}
 
 
 def closed_form(network: dict, record) -> int:
@@ -90,7 +124,9 @@ def closed_form(network: dict, record) -> int:
 
 @pytest.mark.parametrize("sharded", [False, True], ids=["single", "forked-k2"])
 @pytest.mark.parametrize(
-    "build", [_torus_config, _clos_config], ids=["torus_iq", "folded_clos_oq"]
+    "build",
+    [_torus_config, _clos_config, _hyperx_config],
+    ids=["torus_iq", "folded_clos_oq", "hyperx_ioq"],
 )
 def test_zero_load_latency_equals_the_closed_form(monkeypatch, build, sharded):
     config = build()

@@ -22,7 +22,7 @@ import pathlib
 
 import pytest
 
-from repro import Settings
+from repro import Settings, factory
 from repro.configs import credit_accounting_config
 from repro.lint import SHARD_LAYER, lint_settings
 from repro.lint.findings import Finding, Severity
@@ -34,6 +34,7 @@ from repro.lint.shard_rules import (
     analyze_class,
     analyze_registered,
     classify_registered,
+    model_bases,
 )
 from repro.partition.runtime import (
     PartitionRuntimeError,
@@ -88,6 +89,15 @@ def test_builtin_classifications_match_expectations():
         assert actual.get(key) == expected, (
             f"{key}: expected {expected}, got {actual.get(key)}"
         )
+    # A new builtin model that is not shard-safe must be listed above.
+    bases = model_bases()
+    unlisted = [
+        key for key, classification in actual.items()
+        if key not in BUILTIN_EXPECTATIONS and classification != SHARD_SAFE
+        and factory.lookup(bases[key[0]], key[1]).__module__.startswith(
+            "repro.")
+    ]
+    assert not unlisted, f"unlisted builtin models not shard-safe: {unlisted}"
 
 
 def test_hop_adaptive_routing_carries_evidence_chain():

@@ -3,12 +3,17 @@
 Zero error-severity findings over every built-in benchmark config
 (config + graph layers), every Table I full-scale config (config
 layer), every example script and every packaged source file (the
-source layers).
+source layers); and no hot-path hazard (H-rules) in ``src/repro`` that
+``lint-perf-baseline.json`` does not record.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -49,3 +54,26 @@ def test_packaged_sources_have_zero_errors():
     assert len(sources) > 50, "src/repro is missing"
     report = lint_sources([str(path) for path in sources])
     assert not report.has_errors(), report.render_text()
+
+
+def test_packaged_sources_have_no_new_perf_hazards():
+    """Run in a fresh interpreter: the perf layer audits every registered
+    model with a method in ``src/repro``, and other tests register
+    hazard fixtures.  Accept a new hazard deliberately by refreshing the
+    baseline with ``sslint src/repro --layer perf --write-baseline
+    lint-perf-baseline.json``.
+    """
+    run = subprocess.run(
+        [sys.executable, "-m", "repro.tools.sslint", "src/repro",
+         "--layer", "perf", "--baseline", "lint-perf-baseline.json",
+         "--format", "json"],
+        cwd=REPO_ROOT, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert run.returncode == 0, run.stderr
+    new = [
+        finding["message"]
+        for report in json.loads(run.stdout)["reports"]
+        for finding in report["findings"]
+    ]
+    assert not new, "\n".join(new)

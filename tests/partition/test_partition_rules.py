@@ -15,9 +15,11 @@ import textwrap
 
 import pytest
 
+from repro import configs
 from repro.config.settings import Settings
 from repro.configs import blast_pulse_config
 from repro.lint import lint_partition, lint_sources
+from repro.partition import to_canonical_json
 
 # -- manifest rules (P001..P005) ---------------------------------------------
 
@@ -199,6 +201,30 @@ def test_no_partition_request_runs_no_p_rules(settings):
     ctx = LintContext(settings=settings)
     report = run_rules(ctx, [GRAPH_LAYER, PARTITION_LAYER])
     assert not any(f.rule_id.startswith("P") for f in report.findings)
+
+
+#: Builtin configs that select a shard-unsafe model on purpose:
+#: credit_accounting routes with hyperx_ugal, whose hop-count VC choice
+#: S001 rejects; its plan is still produced and checked.
+EXPECTED_UNSAFE = {"credit_accounting_config": ["S001"]}
+
+
+@pytest.mark.parametrize("name", sorted(
+    attr for attr in dir(configs)
+    if attr.endswith("_config") and callable(getattr(configs, attr))
+))
+def test_builtin_config_partitions_cleanly_at_k4(name):
+    report, manifest = lint_partition(
+        Settings.from_dict(getattr(configs, name)()), k=4
+    )
+    assert _error_ids(report) == EXPECTED_UNSAFE.get(name, []), [
+        f.render() for f in report.errors
+    ]
+    assert manifest["lookahead"]["global"] >= 1
+    _, again = lint_partition(
+        Settings.from_dict(getattr(configs, name)()), k=4
+    )
+    assert to_canonical_json(manifest) == to_canonical_json(again)
 
 
 # -- shard-isolation source rules (P006, P008, D003) -------------------------

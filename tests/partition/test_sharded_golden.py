@@ -22,7 +22,7 @@ import pytest
 import repro.net.message as message_mod
 import repro.net.packet as packet_mod
 from repro import Settings, Simulation
-from repro.configs import latent_congestion_config
+from repro.configs import flow_control_config, latent_congestion_config
 from repro.net.packet import preserve_packet_ids
 from repro.partition import runtime
 from repro.partition.runtime import run_sharded
@@ -104,6 +104,21 @@ def test_sharded_matches_single_process(name, config, max_time):
     )
     merged = [r.to_dict() for r in results.records]
     assert merged == base["records"], f"{name}: message logs diverged"
+
+
+@pytest.mark.parametrize("max_time", [1000, 1001, 1003])
+def test_sharded_run_stops_at_max_time(max_time):
+    """A run truncated by max_time executes no tick past it, as in
+    single-process: no window may end beyond max_time, whatever the
+    lookahead (5 here)."""
+    config = flow_control_config(
+        message_size=4, injection_rate=0.2, warmup=30, window=5000
+    )
+    base = _single_process(config, max_time)
+    config["simulator"]["max_time"] = max_time
+    results = run_sharded(config, k=2)
+    assert [r.to_dict() for r in results.records] == base["records"]
+    assert results.summary()["end_tick"] == max_time
 
 
 @pytest.mark.parametrize("seed", [17, 777])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Settings, Simulation
+from repro import Settings, Simulation, configs
 from repro.core.simulator import Simulator
 from repro.sanitize import (
     SANITIZER_NAMES,
@@ -186,6 +186,22 @@ def test_sanitizers_clean_across_router_architectures(architecture):
         simulation.run()
         suite.finish()
     assert simulation.workload.drained
+
+
+@pytest.mark.parametrize("name", [
+    "blast_pulse_config",
+    "credit_accounting_config",
+    "flow_control_config",
+    "latent_congestion_config",
+])
+def test_sanitizers_clean_on_builtin_configs(name):
+    simulation = Simulation(Settings.from_dict(getattr(configs, name)()))
+    with attach_sanitizers(simulation, "all") as suite:
+        simulation.run(max_time=300)
+        suite.finish()
+        report = suite.report()
+    for sanitizer in SANITIZER_NAMES:
+        assert report[sanitizer]["checks"] > 0, f"{sanitizer} checked nothing"
 
 
 def test_det_san_same_seed_runs_match():
