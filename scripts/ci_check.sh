@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# CI gate.  Five gates:
+# CI gate.  Six gates:
 #   1. tier-1    pytest over tests/ (the behavioural gate; see ROADMAP.md)
 #   2. ruff      style over the cleaned packages (SKIPPED when absent)
 #   3. mypy      types over the packages pyproject declares (SKIPPED when absent)
 #   4. sslint    examples, src/repro and the builtin configs: no error finding
 #   5. bench     one short torus_iq_uniform run must reproduce bench/pins.json
+#   6. bench     one short clos_oq_adaptive run must reproduce bench/pins.json
+#                (the OQ router, adaptive routing and congestion sensor path)
 #
 # Usage: scripts/ci_check.sh [--fast]
-#   --fast  run only sslint and the bench smoke
+#   --fast  run only sslint and the two bench smokes
 #
 # Exit status is non-zero if any executed gate fails.  ruff and mypy
 # are optional: their configuration lives in pyproject.toml and applies
@@ -60,6 +62,8 @@ run_gate "sslint (examples + src/repro + builtin configs)" \
 # the pinned SHA-256; its rates are reported, not judged.
 run_gate "bench smoke (torus_iq_uniform pins)" \
     python3 bench/run.py --workload torus_iq_uniform --reps 1 --seconds 2
+run_gate "bench smoke (clos_oq_adaptive pins)" \
+    python3 bench/run.py --workload clos_oq_adaptive --reps 1 --seconds 2
 
 echo
 if [ "${FAILURES}" -ne 0 ]; then

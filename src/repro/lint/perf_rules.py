@@ -94,7 +94,6 @@ HEAT_ENTRIES: Dict[str, Dict[str, float]] = {
         "_step": 5.0,
         "receive_flit": 1.0,    # one per flit-hop
         "receive_credit": 1.0,  # one per returned credit
-        "send_flit_out": 1.0,
         "send_credit": 1.0,
     },
     "interface": {

@@ -59,6 +59,7 @@ class _LandingWheel(PhaseWheel):
     def _drain(self, links, event) -> None:
         now = event.tick
         add = self.add
+        slots = self._slots
         for link in links:
             inflight = link._inflight
             deliver_item = link._deliver_item
@@ -66,7 +67,11 @@ class _LandingWheel(PhaseWheel):
                 deliver_item(inflight.popleft()[1])
             if inflight:
                 due = link._head_due = inflight[0][0]
-                add(due, link)
+                slot = slots.get(due)  # add() inlined, as in _launch
+                if slot is None:
+                    add(due, link)
+                else:
+                    slot.append(link)
             else:
                 link._head_due = -1
 
@@ -126,7 +131,12 @@ class _Link(Component):
         self._inflight.append((due, item))
         if self._head_due < 0:
             self._head_due = due
-            self._wheel.add(due, self)
+            # Inlined PhaseWheel.add for a tick already scheduled.
+            slot = self._wheel._slots.get(due)
+            if slot is None:
+                self._wheel.add(due, self)
+            else:
+                slot.append(self)
 
     def _deliver_item(self, item) -> None:
         """Hand one landed item to the sink (sanitizer hookpoint)."""

@@ -11,7 +11,8 @@ share:
   output VC, stream, release at the tail,
 * output VC ownership (wormhole: one packet streams on a given
   (output port, VC) at a time),
-* a congestion sensor fed by credit/occupancy changes,
+* a congestion sensor fed through its delay line: slots resolved at
+  ``finalize``, ``(due, slot, delta)`` appended by the hot paths,
 * the in-core pipeline FIFO: flits traversing the core for
   ``core_latency`` ticks wait in one per-router FIFO that the step
   drains, not in one engine event each,
@@ -21,16 +22,17 @@ share:
   steps every awake router of a tick -- and an idle one registers
   nothing.
 
-Concrete architectures implement ``_step_cycle`` (one core-clock cycle
-of allocation and transmission) and ``_has_work``, which the shared
-``_step`` handler drives (OQ, IOQ) -- or replace ``_step`` itself with
-a fused cycle (IQ, where the per-stage dispatch was measurable).
+Each architecture implements ``_step``, one core-clock cycle as flat
+per-phase code (land -> drain -> route -> allocate/move -> fold the
+sensor -> reschedule), from the stages shared here and its own.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from collections import defaultdict, deque
+from typing import (
+    TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro import factory
 from repro.core.clock import Clock
@@ -61,14 +63,14 @@ class InputVcState:
     def __init__(self, buffer: FlitBuffer):
         self.buffer = buffer
         self.packet: Optional[Packet] = None
-        self.candidates: List[Tuple[int, int]] = []
+        self.candidates: Sequence[Tuple[int, int]] = ()
         self.allocated = False
         self.out_port = -1
         self.out_vc = -1
 
     def reset(self) -> None:
         self.packet = None
-        self.candidates = []
+        self.candidates = ()
         self.allocated = False
         self.out_port = -1
         self.out_vc = -1
@@ -84,6 +86,9 @@ class Router(PortedDevice):
         ``congestion_sensor`` -- sub-block for the sensor model
             (``type`` defaults to ``"credit"``).
     """
+
+    #: One fused core-clock cycle, defined by each architecture.
+    _step: Callable[[Event], None]
 
     def __init__(
         self,
@@ -120,8 +125,10 @@ class Router(PortedDevice):
             for p in range(num_ports)
         ]
 
-        # Routing engines, one per input port (created in finalize()).
+        # Routing engines, one per input port (created in finalize()),
+        # and a memo they share, bounded by network size.
         self._routing: List[Optional[RoutingAlgorithm]] = [None] * num_ports
+        self.route_cache: Dict[Any, Any] = {}
 
         # Wormhole output VC ownership: (port, vc) -> owner (in_port, in_vc).
         self._output_vc_owner: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -133,6 +140,8 @@ class Router(PortedDevice):
             "arbiter", default={}
         )
         self._vc_arbiters: Dict[Tuple[int, int], "Arbiter"] = {}
+        # Recycled arbitration request list (arbiters never retain it).
+        self._vc_requests: list = []
 
         # Congestion sensor.
         sensor_settings = settings.child("congestion_sensor", default={})
@@ -147,6 +156,11 @@ class Router(PortedDevice):
             num_vcs,
             sensor_settings,
         )
+        # The sensor's delay line; _down_slots[port][vc] is the downstream
+        # source's slot, resolved at finalize (None: not tracked).
+        self._sensed = self.sensor._pending
+        self._sense_latency = self.sensor.latency
+        self._down_slots: Optional[List[Optional[List[int]]]] = None
 
         # In-core pipeline: flits traversing the core, in grant order as
         # (arrival_tick, flit, out_port, out_vc); core_latency is constant,
@@ -207,21 +221,29 @@ class Router(PortedDevice):
                     ],
                 )
         self._finalize_arch()
+        self._down_slots = self._sensor_slots(SOURCE_DOWNSTREAM)
 
     def _finalize_arch(self) -> None:
         """Architecture hook: register extra sensor sources, queues, ..."""
+
+    def _sensor_slots(self, source: str) -> Optional[List[Optional[List[int]]]]:
+        """Per wired port, the sensor slot of each VC for ``source``
+        (``KeyError`` for an undeclared one); None when untracked."""
+        sensor = self.sensor
+        rows: List[Optional[List[int]]] = [None] * self.num_ports
+        tracked = False
+        for port in range(self.num_ports):
+            if self.port_is_wired(port):
+                row = [sensor.slot(source, port, vc) for vc in range(self.num_vcs)]
+                tracked = tracked or row[0] is not None
+                rows[port] = row  # type: ignore[assignment]
+        return rows if tracked else None
 
     def routing_algorithm(self, port: int) -> RoutingAlgorithm:
         algorithm = self._routing[port]
         if algorithm is None:
             raise RoutingError(f"{self.full_name}: input port {port} is not wired")
         return algorithm
-
-    # -- congestion ---------------------------------------------------------------
-
-    def congestion_status(self, port: int, vc: int) -> float:
-        """The (delayed) congestion value routing engines consult."""
-        return self.sensor.status(port, vc)
 
     # -- flit / credit reception -----------------------------------------------------
 
@@ -245,22 +267,19 @@ class Router(PortedDevice):
 
     def receive_credit(self, port: int, credit: Credit) -> None:
         vc = credit.vc
-        # Trackers are wired before the first credit can arrive; the
-        # give() call itself stays (CreditSan patches it).
-        self._output_credits[port].give(vc)
-        self.sensor.record(SOURCE_DOWNSTREAM, port, vc, -1)
+        # Inlined CreditTracker.give: a landed credit is an increment.
+        tracker = self._output_credits[port]
+        credits = tracker._credits
+        if credits[vc] >= tracker._capacity[vc]:
+            tracker.give(vc)  # raises CreditError with context
+        credits[vc] += 1
+        slots = self._down_slots
+        if slots is not None:
+            self._sensed.append(
+                (self.simulator.tick + self._sense_latency, slots[port][vc], -1)
+            )
         if not self._step_scheduled:
             self._wake()
-
-    def send_flit_out(self, port: int, flit: Flit) -> None:
-        """Transmit downstream, consuming a credit and notifying the sensor."""
-        # Inlined PortedDevice.send_flit: the take-then-send order is the
-        # contract CreditSan's conservation check relies on.
-        vc = flit.vc
-        self._output_credits[port].take(vc)
-        self._flit_out[port].send_flit(flit)
-        self.sensor.record(SOURCE_DOWNSTREAM, port, vc, +1)
-        self.flits_sent += 1
 
     # -- stepping --------------------------------------------------------------------
 
@@ -278,42 +297,6 @@ class Router(PortedDevice):
             if tick == simulator.tick and simulator.epsilon >= EPS_STEP:
                 tick = self.core_clock.following_edge(tick)
         self._step_wheel.add(tick, self._step)
-
-    def _step(self, event: Event) -> None:
-        self._step_scheduled = False
-        if self._core_fifo:
-            self._land_core_arrivals()
-        self._step_cycle()
-        if self._has_work():
-            self._step_scheduled = True
-            simulator = self.simulator
-            if self._core_period1:
-                tick = simulator.tick + 1
-            else:
-                tick = self.core_clock.following_edge(simulator.tick)
-            self._step_wheel.add(tick, self._step)
-
-    def _land_core_arrivals(self) -> None:
-        """Move every flit whose core traversal is over (arrival tick
-        ``<= now``, which also covers ``core_latency = 0`` and core
-        clocks slower than the tick) into its output stage."""
-        fifo = self._core_fifo
-        now = self.simulator.tick
-        land = self._land
-        while fifo and fifo[0][0] <= now:
-            _arrival, flit, out_port, out_vc = fifo.popleft()
-            land(flit, out_port, out_vc)
-
-    def _land(self, flit: Flit, out_port: int, out_vc: int) -> None:
-        """Architecture hook: a flit leaves the core for ``out_port``'s
-        staging register / output queue."""
-        raise NotImplementedError
-
-    def _step_cycle(self) -> None:
-        raise NotImplementedError
-
-    def _has_work(self) -> bool:
-        raise NotImplementedError
 
     # -- shared input-VC machinery ------------------------------------------------------
 
@@ -387,10 +370,9 @@ class Router(PortedDevice):
                 continue
             routable.append((port, vc, state))
         if not routable:
-            self._alloc_pending = []
+            pending.clear()
             return
         owner_table = self._output_vc_owner
-        admit = self._admit
         if len(routable) == 1:
             # One claimant: no arbitration possible; take the first free
             # candidate directly (identical to the general path below).
@@ -399,29 +381,27 @@ class Router(PortedDevice):
                 key = (out_port, out_vc)
                 if key in owner_table:
                     continue
-                if not admit(out_port, out_vc, state.packet):
-                    continue
                 owner_table[key] = (port, vc)
                 state.allocated = True
                 state.out_port = out_port
                 state.out_vc = out_vc
-                self._on_vc_allocated(port, vc, state)
-                self._alloc_pending = []
+                pending.clear()
                 return
-            self._alloc_pending = [(port, vc)]
+            pending.clear()
+            pending.append((port, vc))
             return
-        requests: Dict[Tuple[int, int], list] = {}
+        requests: Dict[Tuple[int, int], list] = defaultdict(list)
         for port, vc, state in routable:
             for out_port, out_vc in state.candidates:
                 key = (out_port, out_vc)
                 if key in owner_table:
                     continue
-                if not admit(out_port, out_vc, state.packet):
-                    continue
-                requests.setdefault(key, []).append((port, vc, state))
+                requests[key].append((port, vc, state))
                 break  # one request per input VC per cycle
+        pending.clear()
         if not requests:
-            self._alloc_pending = [(port, vc) for port, vc, _ in routable]
+            for port, vc, _state in routable:
+                pending.append((port, vc))
             return
         now = self.simulator.tick
         num_vcs = self.num_vcs
@@ -441,29 +421,20 @@ class Router(PortedDevice):
                     in_port * num_vcs + in_vc: (in_port, in_vc, in_state)
                     for in_port, in_vc, in_state in claimants
                 }
-                winner = arbiter.arbitrate(
-                    [(index, entry[2].packet) for index, entry
-                     in flat.items()],
-                    now,
-                )
-                port, vc, state = flat[winner]
+                arbitrated = self._vc_requests
+                arbitrated.clear()
+                for index, entry in flat.items():
+                    arbitrated.append((index, entry[2].packet))
+                port, vc, state = flat[arbiter.arbitrate(arbitrated, now)]
             out_port, out_vc = key
             owner_table[key] = (port, vc)
             state.allocated = True
             state.out_port = out_port
             state.out_vc = out_vc
-            self._on_vc_allocated(port, vc, state)
         # Winners leave the queue; losers retry next cycle.
-        self._alloc_pending = [
-            (port, vc) for port, vc, state in routable if not state.allocated
-        ]
-
-    def _admit(self, out_port: int, out_vc: int, packet: Packet) -> bool:
-        """Architecture hook: extra admission checks at VC allocation."""
-        return True
-
-    def _on_vc_allocated(self, port: int, vc: int, state: InputVcState) -> None:
-        """Architecture hook: bookkeeping when a packet claims an output VC."""
+        for port, vc, state in routable:
+            if not state.allocated:
+                pending.append((port, vc))
 
     def _pop_input_flit(self, port: int, vc: int) -> Flit:
         """Dequeue the front flit, return its credit upstream, and manage

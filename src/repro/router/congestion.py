@@ -17,13 +17,17 @@ modeled explicitly here:
   downstream (next-hop) queues, or both (§VI-B).  The six combinations
   are the subject of case study B.
 
-The sensor is event-free: pending updates are kept in a FIFO (latency is
-constant, so visibility order equals record order) and folded into the
-visible counts lazily -- on every query, and from ``record()`` once the
-FIFO passes ``PENDING_LIMIT`` entries, so a sensor nothing ever queries
-(dimension-order routing) holds a bounded FIFO rather than one entry per
-recorded flit-hop.  Folding early is exact: what is visible at tick T
-depends only on records due at or before T.
+The sensor is event-free.  Its *delay line* is one FIFO ``_pending`` of
+``(due_tick, slot, delta)`` entries (latency is constant, so visibility
+order equals record order); a *slot* is one tracked (source, port, VC).
+Routers resolve their slots once, at ``finalize`` (:meth:`slot`), and
+append to the FIFO from their hot paths; an untracked source costs one
+attribute test.  Entries fold into the visible counts lazily: on every
+query, and once per router step when the FIFO has passed
+``PENDING_LIMIT`` entries (``record()`` does the same for tests and
+tools), so a sensor nothing queries (dimension-order routing) holds a
+bounded FIFO.  Folding early is exact: what is visible at tick T depends
+only on entries due at or before T.
 """
 
 from __future__ import annotations
@@ -47,22 +51,25 @@ SOURCE_BOTH = "both"
 GRANULARITY_VC = "vc"
 GRANULARITY_PORT = "port"
 
-#: Normalization depth used for infinite queues (see CreditSensor._value_for).
+#: Normalization depth used for infinite queues (see CreditSensor.init_port).
 _INFINITE_REFERENCE_DEPTH = 64.0
 
-#: FIFO length past which ``record()`` folds the entries already due.
-#: Entries younger than the propagation latency cannot be folded, so the
-#: FIFO holds at most this many plus the records of ``latency`` ticks.
+#: FIFO length past which a router step (or ``record()``) folds the
+#: entries already due: the FIFO holds at most this many plus the
+#: records of ``latency`` ticks.
 PENDING_LIMIT = 64
 
 
 class CongestionSensor(Component):
-    """Abstract congestion sensor API."""
+    """Congestion sensor API around the delay line ``_pending``."""
 
-    def __init__(self, simulator, name, parent, num_ports: int, num_vcs: int):
+    def __init__(self, simulator, name, parent, num_ports: int, num_vcs: int,
+                 latency: int = 0):
         super().__init__(simulator, name, parent)
         self.num_ports = num_ports
         self.num_vcs = num_vcs
+        self.latency = latency
+        self._pending: Deque[Tuple[int, int, int]] = deque()
 
     def init_port(
         self,
@@ -73,8 +80,23 @@ class CongestionSensor(Component):
         """Declare the credit capacities backing ``port``'s values."""
         raise NotImplementedError
 
+    def slot(self, source: str, port: int, vc: int) -> Optional[int]:
+        """The slot of one (source, port, VC); None when ``source`` is
+        untracked, ``KeyError`` when :meth:`init_port` never declared it."""
+        raise NotImplementedError
+
     def record(self, source: str, port: int, vc: int, delta: int) -> None:
         """Record an occupancy change (+1 flit entered, -1 left)."""
+        slot = self.slot(source, port, vc)
+        if slot is None:
+            return
+        pending = self._pending
+        pending.append((self.simulator.tick + self.latency, slot, delta))
+        if len(pending) > PENDING_LIMIT:
+            self.fold()
+
+    def fold(self) -> None:
+        """Fold every entry due at or before now into the visible state."""
         raise NotImplementedError
 
     def status(self, port: int, vc: int) -> float:
@@ -108,49 +130,43 @@ class CreditSensor(CongestionSensor):
         num_vcs: int,
         settings: "Settings",
     ):
-        super().__init__(simulator, name, parent, num_ports, num_vcs)
-        self.latency = settings.get_uint("latency", 1)
+        super().__init__(simulator, name, parent, num_ports, num_vcs,
+                         settings.get_uint("latency", 1))
         self.granularity = settings.get_str("granularity", GRANULARITY_VC)
         if self.granularity not in (GRANULARITY_VC, GRANULARITY_PORT):
             raise ValueError(f"bad congestion granularity {self.granularity!r}")
         self.source = settings.get_str("source", SOURCE_DOWNSTREAM)
         if self.source not in (SOURCE_OUTPUT, SOURCE_DOWNSTREAM, SOURCE_BOTH):
             raise ValueError(f"bad congestion source {self.source!r}")
-        # Sources never queried under this configuration are not tracked:
-        # their records are dropped on arrival (pure overhead otherwise).
+        # Sources never queried under this configuration have no slots.
         if self.source == SOURCE_BOTH:
-            self._tracked = (SOURCE_OUTPUT, SOURCE_DOWNSTREAM)
+            tracked: Tuple[str, ...] = (SOURCE_OUTPUT, SOURCE_DOWNSTREAM)
         else:
-            self._tracked = (self.source,)
-        # Flat per-slot state: slot = _base[source] + port * num_vcs + vc,
-        # tracked sources only.  _visible is the visible occupancy (None
-        # until init_port declares the slot), _capacity the credit
-        # capacity (None = infinite).
+            tracked = (self.source,)
+        # Flat per-slot state, slot = _base[source] + port * num_vcs + vc:
+        # visible occupancy (None until declared) and float capacity.
+        keys = num_ports * num_vcs
         self._base: Dict[str, int] = {
-            source: index * num_ports * num_vcs
-            for index, source in enumerate(self._tracked)
+            source: index * keys for index, source in enumerate(tracked)
         }
-        slots = len(self._tracked) * num_ports * num_vcs
-        self._visible: List[Optional[int]] = [None] * slots
-        self._capacity: List[Optional[int]] = [None] * slots
-        # pending (visible_tick, slot, delta), FIFO by visible_tick
-        self._pending: Deque[Tuple[int, int, int]] = deque()
-        # Per-tick memo: visible values only change when pending entries
-        # cross `now`, which cannot happen twice within one tick when the
-        # propagation latency is >= 1, so repeated status() queries in the
-        # same tick (adaptive routing fans over many ports) hit the cache.
-        self._memo_tick = -1
-        self._memo: Dict[Tuple[int, int], float] = {}
-        # Hoisted query iterables: _status_uncached runs on the routing
-        # hot path (adaptive algorithms fan over every port), so the
-        # source list and the per-granularity VC views are built once
-        # here instead of per call (per-event H001/H003).
-        if self.granularity == GRANULARITY_PORT:
-            self._vc_views: Tuple[Tuple[int, ...], ...] = tuple(
-                tuple(range(num_vcs)) for _ in range(num_vcs)
+        self._visible: List[Optional[int]] = [None] * (len(tracked) * keys)
+        self._capacity: List[float] = [0.0] * (len(tracked) * keys)
+        # Per key port * num_vcs + vc, the slots status() sums: every
+        # tracked source, over the VC or (port granularity) the port.
+        self._query: List[Tuple[int, ...]] = [
+            tuple(
+                base + port * num_vcs + v
+                for base in self._base.values()
+                for v in (range(num_vcs) if self.granularity == GRANULARITY_PORT
+                          else (vc,))
             )
-        else:
-            self._vc_views = tuple((v,) for v in range(num_vcs))
+            for port in range(num_ports)
+            for vc in range(num_vcs)
+        ]
+        # Per-key memo of the value at tick _memo_at[key]: with latency
+        # >= 1 nothing recorded in a tick is visible in it (0: no memo).
+        self._memo_at: List[int] = [-1] * keys
+        self._memo: List[float] = [0.0] * keys
 
     # -- setup ----------------------------------------------------------------
 
@@ -176,14 +192,15 @@ class CreditSensor(CongestionSensor):
             first = base + port * self.num_vcs
             for vc, cap in enumerate(capacities):
                 self._visible[first + vc] = 0
-                self._capacity[first + vc] = cap
+                # Infinite queues normalize against a reference depth.
+                self._capacity[first + vc] = (
+                    _INFINITE_REFERENCE_DEPTH if cap is None else float(cap)
+                )
 
-    # -- updates -----------------------------------------------------------------
-
-    def record(self, source: str, port: int, vc: int, delta: int) -> None:
+    def slot(self, source: str, port: int, vc: int) -> Optional[int]:
         base = self._base.get(source)
         if base is None:
-            return
+            return None
         num_vcs = self.num_vcs
         slot = base + port * num_vcs + vc
         if not (0 <= vc < num_vcs and 0 <= port < self.num_ports) \
@@ -192,68 +209,44 @@ class CreditSensor(CongestionSensor):
                 f"{self.full_name}: record for uninitialized "
                 f"{(source, port, vc)}"
             )
-        pending = self._pending
-        pending.append((self.simulator.tick + self.latency, slot, delta))
-        if len(pending) > PENDING_LIMIT:
-            self._drain()
+        return slot
 
-    def _drain(self) -> None:
+    def fold(self) -> None:
         now = self.simulator.tick
         pending = self._pending
         visible = self._visible
         while pending and pending[0][0] <= now:
-            _tick, slot, delta = pending.popleft()
-            visible[slot] += delta
+            _due, slot, delta = pending.popleft()
+            visible[slot] += delta  # type: ignore[operator]
 
     # -- queries ------------------------------------------------------------------
 
-    def _value_for(self, source: str, port: int, vc: int) -> Tuple[float, float]:
-        """(occupancy, capacity) for one key; capacity 0 when untracked."""
-        slot = self._base[source] + port * self.num_vcs + vc
-        occupancy = self._visible[slot]
-        if occupancy is None:
-            return (0.0, 0.0)
-        occupancy = float(occupancy)
-        capacity = self._capacity[slot]
-        if capacity is None:
-            # Infinite queue: normalize against a fixed reference depth so
-            # values remain monotone in occupancy (they may exceed 1.0,
-            # which is fine -- routing only compares relative magnitudes).
-            return (occupancy, _INFINITE_REFERENCE_DEPTH)
-        return (occupancy, float(capacity))
-
     def status(self, port: int, vc: int) -> float:
-        if self.latency >= 1:
-            now = self.simulator.tick
-            if now != self._memo_tick:
-                self._memo_tick = now
-                self._memo.clear()
-            cached = self._memo.get((port, vc))
-            if cached is not None:
-                return cached
-        value = self._status_uncached(port, vc)
-        if self.latency >= 1:
-            self._memo[(port, vc)] = value
+        now = self.simulator.tick
+        key = port * self.num_vcs + vc
+        if self._memo_at[key] == now:
+            return self._memo[key]
+        pending = self._pending
+        if pending and pending[0][0] <= now:
+            self.fold()
+        visible = self._visible
+        capacity = self._capacity
+        occupancy = 0
+        total = 0.0
+        for slot in self._query[key]:
+            count = visible[slot]
+            if count is not None:  # an undeclared slot counts 0 of 0
+                occupancy += count
+                total += capacity[slot]
+        value = occupancy / total if total > 0.0 else 0.0
+        if self.latency:
+            self._memo_at[key] = now
+            self._memo[key] = value
         return value
 
-    def _status_uncached(self, port: int, vc: int) -> float:
-        self._drain()
-        sources = self._tracked
-        vcs = self._vc_views[vc]
-        occupancy = 0.0
-        capacity = 0.0
-        for source in sources:
-            for v in vcs:
-                occ, cap = self._value_for(source, port, v)
-                occupancy += occ
-                capacity += cap
-        if capacity <= 0.0:
-            return 0.0
-        return occupancy / capacity
-
     def raw_occupancy(self, source: str, port: int, vc: int) -> int:
-        """Undelayed *visible* flit count (after draining due updates)."""
-        self._drain()
+        """Undelayed *visible* flit count (after folding due entries)."""
+        self.fold()
         base = self._base.get(source)
         if base is None:
             return 0

@@ -20,21 +20,21 @@ cycle, which is what gives the architecture its output speedup.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro import factory
-from repro.net.buffer import FlitBuffer
-from repro.net.credit import CreditTracker
-from repro.net.flit import Flit
-from repro.router.arbiter import Arbiter, RoundRobinArbiter, create_arbiter
+from repro.core.event import Event
+from repro.net.buffer import BufferOverrunError
+from repro.router.arbiter import RoundRobinArbiter
 from repro.router.base import Router
-from repro.router.congestion import SOURCE_OUTPUT
+from repro.router.congestion import PENDING_LIMIT
 from repro.router.crossbar_scheduler import FLIT_BUFFER, Bid, CrossbarScheduler
+from repro.router.output_queued import OutputQueuedRouter
 
 
 @factory.register(Router, "input_output_queued")
-class InputOutputQueuedRouter(Router):
-    """The combined input/output queued router model.
+class InputOutputQueuedRouter(OutputQueuedRouter):
+    """The combined input/output queued router model: output queues,
+    their landing and their drain are the OQ router's; VC allocation and
+    a crossbar scheduler replace its conflict-free move.
 
     Extra settings:
         ``output_queue_depth`` -- per-(port, VC) output queue capacity
@@ -55,95 +55,45 @@ class InputOutputQueuedRouter(Router):
             scheduler_settings,
             credits_available=self._output_queue_credits,
         )
-        self._queues: List[List[FlitBuffer]] = [
-            [
-                FlitBuffer(
-                    self.output_queue_depth, f"{self.full_name}.oq{p}.vc{v}"
-                )
-                for v in range(self.num_vcs)
-            ]
-            for p in range(self.num_ports)
-        ]
-        # Internal credits for output-queue slots (queued + in flight).
-        self._oq_credits: List[CreditTracker] = [
-            CreditTracker(
-                [self.output_queue_depth] * self.num_vcs,
-                owner_name=f"{self.full_name}.oqcredits{p}",
-            )
-            for p in range(self.num_ports)
-        ]
-        arbiter_settings = self.settings.child("output_arbiter", default={})
-        self._output_arbiters: List[Arbiter] = [
-            create_arbiter(arbiter_settings, self.num_vcs)
-            for _ in range(self.num_ports)
-        ]
         # Flit-buffer flow control never locks, which unlocks a slim
         # uncontested-grant path in _run_crossbar.
         self._fb_mode = self.scheduler.flow_control == FLIT_BUFFER
-        # Flits sitting in output queues per port (drain-stage fast path).
-        self._queued_count = [0] * self.num_ports
-        # Sum over _queued_count, so _has_work is O(1).
-        self._queued_total = 0
+        # Recycled single-request list (arbiters never retain it).
+        self._one_request: list = [None]
 
     def _output_queue_credits(self, out_port: int, out_vc: int) -> int:
-        return self._oq_credits[out_port].available(out_vc)
-
-    def _finalize_arch(self) -> None:
-        for port in range(self.num_ports):
-            if self.port_is_wired(port):
-                self.sensor.init_port(
-                    port,
-                    output_capacity=[self.output_queue_depth] * self.num_vcs,
-                )
+        """Free output-queue slots (not queued, not in the core)."""
+        return self.output_queue_depth - self._committed[out_port][out_vc]
 
     # -- per-cycle behaviour ------------------------------------------------------
 
-    def _step_cycle(self) -> None:
-        self._drain_outputs()
-        self._update_input_vcs()
-        self._allocate_vcs()
-        self._run_crossbar()
-
-    def _has_work(self) -> bool:
-        return (
-            bool(self._occupied_inputs)
-            or bool(self._core_fifo)
-            or self._queued_total > 0
-        )
-
-    def _drain_outputs(self) -> None:
-        """Per channel cycle, send one flit per port downstream."""
-        queued_count = self._queued_count
-        if self._queued_total == 0:
-            return
-        flit_out = self._flit_out
-        queues = self._queues
-        trackers = self._output_credits
-        oq_credits = self._oq_credits
-        arbiters = self._output_arbiters
-        sensor_record = self.sensor.record
+    def _step(self, event: Event) -> None:
+        """One core-clock cycle: land -> drain -> route -> allocate ->
+        crossbar -> fold the sensor's delay line -> reschedule while work
+        remains (``tests/router/test_oq_ioq_step_order.py``)."""
         now = self.simulator.tick
-        for port in range(self.num_ports):
-            if queued_count[port] == 0:
-                continue
-            channel = flit_out[port]
-            if now < channel._next_free_tick:
-                continue
-            credits = trackers[port]._credits
-            requests = []
-            for vc, queue in enumerate(queues[port]):
-                flits = queue._flits
-                if flits and credits[vc] > 0:
-                    requests.append((vc, flits[0].packet))
-            if not requests:
-                continue
-            vc = arbiters[port].arbitrate(requests, now)
-            flit = queues[port][vc].pop()
-            queued_count[port] -= 1
-            self._queued_total -= 1
-            oq_credits[port].give(vc)
-            sensor_record(SOURCE_OUTPUT, port, vc, -1)
-            self.send_flit_out(port, flit)
+        fifo = self._core_fifo
+        if fifo and fifo[0][0] <= now:
+            self._land_core_arrivals()
+        if self._queued_ports:
+            self._drain_output_queues(now)
+        if self._route_pending:
+            self._update_input_vcs()
+        if self._alloc_pending:
+            self._allocate_vcs()
+        occupied = self._occupied_inputs
+        if occupied or self.scheduler._locks:
+            self._run_crossbar()
+        if len(self._sensed) > PENDING_LIMIT:
+            self.sensor.fold()
+        if occupied or self._committed_total:
+            if self._core_period1:
+                tick = now + 1
+            else:
+                tick = self.core_clock.following_edge(now)
+            self._step_wheel.add(tick, self._step)
+        else:
+            self._step_scheduled = False
 
     def _run_crossbar(self) -> None:
         bidders = []
@@ -161,7 +111,7 @@ class InputOutputQueuedRouter(Router):
         if not bidders and not locks:
             return
         now = self.simulator.tick
-        oq_credits = self._oq_credits
+        committed = self._committed
         if len(bidders) == 1 and not locks and self._fb_mode:
             # Uncontested flit-buffer grant: same decision the scheduler
             # would make, without Bid/schedule overhead.  The output
@@ -169,7 +119,7 @@ class InputOutputQueuedRouter(Router):
             # bit-identical with the general path.
             port, vc, state, flit = bidders[0]
             out_port, out_vc = state.out_port, state.out_vc
-            if oq_credits[out_port]._credits[out_vc] < 1:
+            if committed[out_port][out_vc] >= self.output_queue_depth:
                 return
             # The arbiter still rotates exactly as its single-request
             # path would, without the per-event request-list allocation.
@@ -179,9 +129,9 @@ class InputOutputQueuedRouter(Router):
                     port * scheduler.num_vcs + vc + 1
                 ) % arbiter.size
             else:
-                arbiter.arbitrate(
-                    [(port * scheduler.num_vcs + vc, state.packet)], now
-                )
+                request = self._one_request
+                request[0] = (port * scheduler.num_vcs + vc, state.packet)
+                arbiter.arbitrate(request, now)
             grants = ((port, vc, out_port, out_vc),)
         else:
             bids = [
@@ -195,16 +145,19 @@ class InputOutputQueuedRouter(Router):
             if not grants:
                 return
         pop_input_flit = self._pop_input_flit
-        sensor_record = self.sensor.record
+        out_slots = self._out_slots
+        sensed = self._sensed
+        due = now + self._sense_latency
         enter_core = self._core_fifo.append
         arrival_tick = now + self.core_latency
         for in_port, in_vc, out_port, out_vc in grants:
+            if committed[out_port][out_vc] >= self.output_queue_depth:
+                raise BufferOverrunError(  # §IV-D: queues never overrun
+                    f"{self.full_name}.oq{out_port}.vc{out_vc}: buffer overrun"
+                )
             flit = pop_input_flit(in_port, in_vc)
-            oq_credits[out_port].take(out_vc)
-            sensor_record(SOURCE_OUTPUT, out_port, out_vc, +1)
+            committed[out_port][out_vc] += 1
+            self._committed_total += 1
+            if out_slots is not None:
+                sensed.append((due, out_slots[out_port][out_vc], +1))
             enter_core((arrival_tick, flit, out_port, out_vc))
-
-    def _land(self, flit: Flit, out_port: int, out_vc: int) -> None:
-        self._queues[out_port][out_vc].push(flit)
-        self._queued_count[out_port] += 1
-        self._queued_total += 1

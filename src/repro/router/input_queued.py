@@ -27,7 +27,7 @@ from repro import factory
 from repro.core.event import Event
 from repro.net.flit import Flit
 from repro.router.base import Router
-from repro.router.congestion import SOURCE_DOWNSTREAM
+from repro.router.congestion import PENDING_LIMIT
 from repro.router.arbiter import RoundRobinArbiter
 from repro.router.crossbar_scheduler import FLIT_BUFFER, Bid, CrossbarScheduler
 
@@ -82,14 +82,10 @@ class InputQueuedRouter(Router):
     # -- per-cycle behaviour ---------------------------------------------------
 
     def _step(self, event: Event) -> None:
-        """One core-clock cycle: land core arrivals -> drain -> route ->
-        allocate -> crossbar.
-
-        Replaces :meth:`Router._step` outright (no ``_step_cycle`` /
-        ``_has_work`` round trip): the staging drain is inlined here and
-        each later stage is entered only when its worklist is non-empty.
-        ``tests/router/test_iq_step_order.py`` pins the stage order.
-        """
+        """One core-clock cycle: land core arrivals -> drain (inlined) ->
+        route -> allocate -> crossbar -> fold the sensor's delay line,
+        each stage entered only when its worklist is non-empty
+        (``tests/router/test_iq_step_order.py`` pins the order)."""
         now = self.simulator.tick
 
         fifo = self._core_fifo
@@ -132,6 +128,9 @@ class InputQueuedRouter(Router):
         if occupied or scheduler._locks:
             self._run_crossbar()
 
+        if len(self._sensed) > PENDING_LIMIT:
+            self.sensor.fold()
+
         # Reschedule while work remains, else sleep until woken.
         if occupied or self._committed_total:
             if self._core_period1:
@@ -170,7 +169,9 @@ class InputQueuedRouter(Router):
             return
         now = self.simulator.tick
         trackers = self._output_credits
-        sensor_record = self.sensor.record
+        down_slots = self._down_slots
+        sensed = self._sensed
+        due = now + self._sense_latency
         enter_core = self._core_fifo.append
         arrival_tick = now + self.core_latency
         if contested or locks or not self._fb_mode:
@@ -190,7 +191,8 @@ class InputQueuedRouter(Router):
                 flit = pop_input_flit(g.in_port, g.in_vc)
                 # Consume the downstream credit now; the flit is prepaid.
                 trackers[out_port].take(out_vc)
-                sensor_record(SOURCE_DOWNSTREAM, out_port, out_vc, +1)
+                if down_slots is not None:
+                    sensed.append((due, down_slots[out_port][out_vc], +1))
                 committed[out_port] += 1
                 self._committed_total += 1
                 enter_core((arrival_tick, flit, out_port, out_vc))
@@ -239,10 +241,20 @@ class InputQueuedRouter(Router):
                     self._route_pending.append((port, vc))
             # Consume the downstream credit now; the flit is prepaid.
             tracker.take(out_vc)
-            sensor_record(SOURCE_DOWNSTREAM, out_port, out_vc, +1)
+            if down_slots is not None:
+                sensed.append((due, down_slots[out_port][out_vc], +1))
             committed[out_port] += 1
             self._committed_total += 1
             enter_core((arrival_tick, flit, out_port, out_vc))
+
+    def _land_core_arrivals(self) -> None:
+        """Stage every flit whose core traversal is over."""
+        fifo = self._core_fifo
+        now = self.simulator.tick
+        land = self._land
+        while fifo and fifo[0][0] <= now:
+            _arrival, flit, out_port, out_vc = fifo.popleft()
+            land(flit, out_port, out_vc)
 
     def _land(self, flit: Flit, out_port: int, out_vc: int) -> None:
         staging = self._staging[out_port]

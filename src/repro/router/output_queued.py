@@ -24,52 +24,56 @@ resident in the output queues" that Singh's UGAL work used.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, List, Optional
 
 from repro import factory
-from repro.net.buffer import FlitBuffer
+from repro.config.settings import SettingsError
+from repro.core.event import Event
 from repro.net.flit import Flit
 from repro.router.arbiter import Arbiter, RoundRobinArbiter, create_arbiter
 from repro.router.base import Router
-from repro.router.congestion import SOURCE_OUTPUT
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
+from repro.router.congestion import PENDING_LIMIT, SOURCE_OUTPUT
 
 
 @factory.register(Router, "output_queued")
 class OutputQueuedRouter(Router):
-    """The idealized OQ router model."""
+    """The idealized OQ router model (and the output-queue stages the
+    IOQ router inherits)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         depth = self.settings.get("output_queue_depth", None)
-        if depth is not None and (not isinstance(depth, int) or depth < 1):
-            raise ValueError(f"output_queue_depth must be a positive int or null")
+        # bool is an int subclass: ``true`` would act as a depth of 1.
+        if depth is not None and (
+            isinstance(depth, bool) or not isinstance(depth, int) or depth < 1
+        ):
+            raise SettingsError(
+                f"output_queue_depth: setting must be a non-negative integer, "
+                f"got {depth!r} (minimum 1; null = infinite)"
+            )
         self.output_queue_depth: Optional[int] = depth
-        self._queues: List[List[FlitBuffer]] = [
-            [
-                FlitBuffer(None, f"{self.full_name}.oq{p}.vc{v}")
-                for v in range(self.num_vcs)
-            ]
-            for p in range(self.num_ports)
+        # Output queues are unbounded deques: _committed enforces the depth.
+        self._queues: List[List[Deque[Flit]]] = [
+            [deque() for _ in range(self.num_vcs)] for _ in range(self.num_ports)
         ]
         # Committed slots per (port, vc): queued + in flight through the core.
         self._committed: List[List[int]] = [
             [0] * self.num_vcs for _ in range(self.num_ports)
         ]
-        # Flits actually sitting in queues per port (drain-stage fast path).
-        self._queued_count = [0] * self.num_ports
-        # Sum over _committed, so _has_work is O(1).
+        # Sum over _committed: work remains while it is non-zero.
         self._committed_total = 0
+        # Flits sitting in queues per port; bitmask of the non-zero ports.
+        self._queued_count = [0] * self.num_ports
+        self._queued_ports = 0
         arbiter_settings = self.settings.child("output_arbiter", default={})
         self._output_arbiters: List[Arbiter] = [
             create_arbiter(arbiter_settings, self.num_vcs)
             for _ in range(self.num_ports)
         ]
-        # Recycled request list for the drain stage (per-event H001:
-        # arbiters never retain the list they arbitrate over).
+        # Recycled drain request list (arbiters never retain it).
         self._drain_requests: list = []
+        self._out_slots: Optional[List[Optional[List[int]]]] = None
 
     def _finalize_arch(self) -> None:
         for port in range(self.num_ports):
@@ -78,69 +82,112 @@ class OutputQueuedRouter(Router):
                     port,
                     output_capacity=[self.output_queue_depth] * self.num_vcs,
                 )
+        self._out_slots = self._sensor_slots(SOURCE_OUTPUT)
 
     # -- per-cycle behaviour -----------------------------------------------------
 
-    def _step_cycle(self) -> None:
-        self._drain_outputs()
-        self._update_input_vcs()
-        # OQ allocates in its own fused pass below; drop the queue the
-        # routing stage feeds for _allocate_vcs-based architectures.
-        self._alloc_pending.clear()
-        self._allocate_and_move()
+    def _step(self, event: Event) -> None:
+        """One core-clock cycle: land -> drain -> route -> claim and move
+        -> fold the sensor's delay line -> reschedule while work remains.
+        Each stage runs only when its worklist is non-empty
+        (``tests/router/test_oq_ioq_step_order.py`` pins the order)."""
+        now = self.simulator.tick
+        fifo = self._core_fifo
+        if fifo and fifo[0][0] <= now:
+            self._land_core_arrivals()
+        if self._queued_ports:
+            self._drain_output_queues(now)
+        if self._route_pending:
+            self._update_input_vcs()
+            self._alloc_pending.clear()  # OQ claims in its own fused pass
+        occupied = self._occupied_inputs
+        if occupied:
+            self._allocate_and_move()
+        if len(self._sensed) > PENDING_LIMIT:
+            self.sensor.fold()
+        if occupied or self._committed_total:
+            if self._core_period1:
+                tick = now + 1
+            else:
+                tick = self.core_clock.following_edge(now)
+            self._step_wheel.add(tick, self._step)
+        else:
+            self._step_scheduled = False
 
-    def _has_work(self) -> bool:
-        return bool(self._occupied_inputs) or self._committed_total > 0
-
-    def _drain_outputs(self) -> None:
-        """Send one flit per port per channel cycle, credits permitting."""
-        queued_count = self._queued_count
-        if not any(queued_count):
-            return
+    def _drain_output_queues(self, now: int) -> None:
+        """Send one flit per port per channel cycle, credits permitting,
+        over the ports with queued flits in ascending port order."""
+        mask = self._queued_ports
         flit_out = self._flit_out
         queues = self._queues
+        queued_count = self._queued_count
         committed = self._committed
         trackers = self._output_credits
         arbiters = self._output_arbiters
-        sensor_record = self.sensor.record
-        now = self.simulator.tick
+        out_slots = self._out_slots
+        down_slots = self._down_slots
+        sensed = self._sensed
+        due = now + self._sense_latency
         single_vc = self.num_vcs == 1
-        for port in range(self.num_ports):
-            if queued_count[port] == 0:
-                continue
+        requests = self._drain_requests
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            port = low.bit_length() - 1
             channel = flit_out[port]
             if now < channel._next_free_tick:
                 continue
-            credits = trackers[port]._credits
+            tracker = trackers[port]
+            credits = tracker._credits
             port_queues = queues[port]
             if single_vc:
-                # One VC: the only possible request either exists with
-                # credit or the port stalls; the single-entry arbitration
-                # is forced (and leaves a round-robin pointer unmoved).
+                # One VC: the single-entry arbitration is forced (and
+                # leaves a round-robin pointer unmoved).
                 if credits[0] < 1:
                     continue
                 vc = 0
-                flits = port_queues[0]._flits
+                flits = port_queues[0]
                 arbiter = arbiters[port]
                 if type(arbiter) is not RoundRobinArbiter:
-                    arbiter.arbitrate([(0, flits[0].packet)], now)
-                flit = flits.popleft()
+                    requests.clear()
+                    requests.append((0, flits[0].packet))
+                    arbiter.arbitrate(requests, now)
             else:
-                requests = self._drain_requests
                 requests.clear()
-                for vc, queue in enumerate(port_queues):
-                    flits = queue._flits
+                for vc, flits in enumerate(port_queues):
                     if flits and credits[vc] > 0:
                         requests.append((vc, flits[0].packet))
                 if not requests:
                     continue
                 vc = arbiters[port].arbitrate(requests, now)
-                flit = port_queues[vc].pop()
+                flits = port_queues[vc]
+            flit = flits.popleft()
             committed[port][vc] -= 1
-            queued_count[port] -= 1
             self._committed_total -= 1
-            sensor_record(SOURCE_OUTPUT, port, vc, -1)
-            self.send_flit_out(port, flit)
+            queued_count[port] -= 1
+            if not queued_count[port]:
+                self._queued_ports ^= low
+            if out_slots is not None:
+                sensed.append((due, out_slots[port][vc], -1))
+            tracker.take(vc)  # take, then send: CreditSan's contract
+            channel.send_flit(flit)
+            if down_slots is not None:
+                sensed.append((due, down_slots[port][vc], +1))
+            self.flits_sent += 1
+
+    def _land_core_arrivals(self) -> None:
+        """Queue every flit whose core traversal is over."""
+        fifo = self._core_fifo
+        now = self.simulator.tick
+        queues = self._queues
+        queued_count = self._queued_count
+        mask = self._queued_ports
+        while fifo and fifo[0][0] <= now:
+            _arrival, flit, out_port, out_vc = fifo.popleft()
+            queues[out_port][out_vc].append(flit)
+            queued_count[out_port] += 1
+            mask |= 1 << out_port
+        self._queued_ports = mask
 
     def _allocate_and_move(self) -> None:
         """Claim output VCs and move one flit per input VC into its
@@ -157,8 +204,6 @@ class OutputQueuedRouter(Router):
         atomicity per VC.
         """
         occupied = self._occupied_inputs
-        if not occupied:
-            return
         if len(occupied) == 1:
             # Rotation over one element is the identity; skip the sort.
             self._alloc_rotor += 1
@@ -172,11 +217,13 @@ class OutputQueuedRouter(Router):
         input_vcs = self._input_vcs
         committed = self._committed
         depth = self.output_queue_depth
-        pop_input_flit = self._pop_input_flit
-        sensor_record = self.sensor.record
+        send_credit = self.send_credit
+        out_slots = self._out_slots
+        sensed = self._sensed
+        due = self.simulator.tick + self._sense_latency
         enter_core = self._core_fifo.append
         arrival_tick = self.simulator.tick + self.core_latency
-        admit = self._admit
+        moved = 0
         for port, vc in order:
             state = input_vcs[port][vc]
             if state.packet is None:
@@ -186,8 +233,6 @@ class OutputQueuedRouter(Router):
                     key = (out_port, out_vc)
                     if key in owner_table:
                         continue
-                    if not admit(out_port, out_vc, state.packet):
-                        continue
                     owner_table[key] = (port, vc)
                     state.allocated = True
                     state.out_port = out_port
@@ -195,20 +240,36 @@ class OutputQueuedRouter(Router):
                     break
                 else:
                     continue
-            if not state.buffer._flits:
+            flits = state.buffer._flits
+            if not flits:
                 continue
             out_port, out_vc = state.out_port, state.out_vc
             if depth is not None and committed[out_port][out_vc] >= depth:
                 continue  # finite queue full: flit waits in the input
-            flit = pop_input_flit(port, vc)
+            flit = flits.popleft()  # inlined _pop_input_flit
+            if not flits:
+                occupied.discard((port, vc))
+            flit.vc = out_vc
+            send_credit(port, vc)
+            if flit.tail:
+                owner_key = (out_port, out_vc)
+                owner = owner_table.get(owner_key)
+                if owner != (port, vc):
+                    raise RuntimeError(
+                        f"{self.full_name}: tail flit released VC {owner_key} "
+                        f"owned by {owner}, expected ({port}, {vc})"
+                    )
+                del owner_table[owner_key]
+                flit.packet.hop_count += 1
+                state.reset()
+                if flits:  # the next packet's head is at the front
+                    self._route_pending.append((port, vc))
             committed[out_port][out_vc] += 1
-            self._committed_total += 1
-            sensor_record(SOURCE_OUTPUT, out_port, out_vc, +1)
+            moved += 1
+            if out_slots is not None:
+                sensed.append((due, out_slots[out_port][out_vc], +1))
             enter_core((arrival_tick, flit, out_port, out_vc))
-
-    def _land(self, flit: Flit, out_port: int, out_vc: int) -> None:
-        self._queues[out_port][out_vc].push(flit)
-        self._queued_count[out_port] += 1
+        self._committed_total += moved
 
     # -- introspection ------------------------------------------------------------
 

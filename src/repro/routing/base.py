@@ -14,11 +14,14 @@ and the topology/routing pair stay independent (§IV-B).
 Error detection (§IV-D): the base class validates every response --
 ports must be wired, VCs must be inside the set registered to the
 algorithm -- so a buggy user algorithm fails loudly and immediately.
+An algorithm that hands the same response object out again (from a
+route cache) passes it through :meth:`RoutingAlgorithm.validated` once;
+``respond()`` then recognises it by identity instead of re-checking.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
@@ -60,6 +63,9 @@ class RoutingAlgorithm:
         # (port, vc) pairs already validated; validity is static per
         # algorithm instance, so each pair is checked exactly once.
         self._validated: set = set()
+        # Responses validated by identity, id -> object (held so the id
+        # cannot be reused); as large as the caller's route cache.
+        self._validated_responses: Dict[int, Sequence[Candidate]] = {}
 
     # -- VC registration ---------------------------------------------------------
 
@@ -71,6 +77,7 @@ class RoutingAlgorithm:
                 raise RoutingError(f"registered VC {vc} out of range")
         self._registered_vcs = vcs
         self._validated.clear()
+        self._validated_responses.clear()
 
     @property
     def registered_vcs(self) -> frozenset:
@@ -88,38 +95,55 @@ class RoutingAlgorithm:
         """
         return list(range(num_vcs))
 
-    def route(self, packet: "Packet", input_vc: int) -> List[Candidate]:
+    def route(self, packet: "Packet", input_vc: int) -> Sequence[Candidate]:
         """Produce admissible (port, vc) candidates, best first."""
         raise NotImplementedError
 
     # -- validated entry point used by routers ---------------------------------------
 
-    def respond(self, packet: "Packet", input_vc: int) -> List[Candidate]:
+    def respond(self, packet: "Packet", input_vc: int) -> Sequence[Candidate]:
         response = self.route(packet, input_vc)
+        if id(response) in self._validated_responses:
+            return response
+        return self._check(response, packet)
+
+    def validated(
+        self, response: Sequence[Candidate], packet: Optional["Packet"] = None
+    ) -> Sequence[Candidate]:
+        """Check ``response`` now; :meth:`respond` then passes the same
+        object unchecked (for responses an algorithm hands out again)."""
+        self._check(response, packet)
+        self._validated_responses[id(response)] = response
+        return response
+
+    def _check(
+        self, response: Sequence[Candidate], packet: Optional["Packet"]
+    ) -> Sequence[Candidate]:
         if not response:
             raise RoutingError(
                 f"{type(self).__name__} at {self.router.full_name}.in"
                 f"{self.input_port} produced no route for {packet!r}"
             )
+        router = self.router
         validated = self._validated
         for candidate in response:
             if candidate in validated:
                 continue
             port, vc = candidate
-            if not 0 <= port < self.router.num_ports:
+            if not 0 <= port < router.num_ports:
                 raise RoutingError(
                     f"routing response port {port} out of range at "
-                    f"{self.router.full_name}"
+                    f"{router.full_name}"
                 )
-            if not self.router.port_is_wired(port):
+            if not router.port_is_wired(port):
                 raise RoutingError(
                     f"routing response targets unused output port {port} at "
-                    f"{self.router.full_name} for {packet!r}"
+                    f"{router.full_name} for {packet!r}"
                 )
             if vc not in self._registered_vcs:
                 raise RoutingError(
                     f"routing response VC {vc} not registered to "
-                    f"{type(self).__name__} at {self.router.full_name}"
+                    f"{type(self).__name__} at {router.full_name}"
                 )
             validated.add(candidate)
         return response
@@ -128,11 +152,12 @@ class RoutingAlgorithm:
 
     def congestion(self, port: int, vc: int) -> float:
         """Sensed congestion for a candidate (delayed view, §VI-A)."""
-        return self.router.congestion_status(port, vc)
+        return self.router.sensor.status(port, vc)
 
     def port_congestion(self, port: int, vcs: Sequence[int]) -> float:
         """Mean sensed congestion across ``vcs`` of ``port``."""
         vcs = list(vcs)
         if not vcs:
             return 0.0
-        return sum(self.router.congestion_status(port, vc) for vc in vcs) / len(vcs)
+        status = self.router.sensor.status
+        return sum(status(port, vc) for vc in vcs) / len(vcs)

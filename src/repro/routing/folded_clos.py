@@ -24,7 +24,7 @@ admissible everywhere and packets may inject on any VC.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Sequence, Tuple
 
 from repro import factory
 from repro.routing.base import Candidate, RoutingAlgorithm
@@ -38,27 +38,40 @@ class _ClosRoutingBase(RoutingAlgorithm):
         self.level, self.index = router.address
         self.half_radix = network.half_radix
         self.num_levels = network.num_levels
-        # The down-routing decision is static per destination for a given
-        # router: cache (is_ancestor, down_candidates) per terminal id.
-        self._down_cache: dict = {}
+        # Down routing is static per destination at a router: one cache
+        # per router maps a terminal id to its down port (-1: route up).
+        self._down_ports: Dict[int, int] = router.route_cache.setdefault(
+            "clos_down_ports", {}
+        )
+        # Per output port, its candidate on every VC: responses are built
+        # from these, and a down response is one, validated here once.
+        self._port_candidates: List[Tuple[Candidate, ...]] = [
+            tuple((port, vc) for vc in range(router.num_vcs))
+            for port in range(router.num_ports)
+        ]
+        for port, candidates in enumerate(self._port_candidates):
+            if router.port_is_wired(port):
+                self.validated(candidates)
 
-    def route(self, packet, input_vc: int) -> List[Candidate]:
+    def route(self, packet, input_vc: int) -> Sequence[Candidate]:
         dst = packet.destination
-        down = self._down_cache.get(dst)
-        if down is None:
-            num_vcs = self.router.num_vcs
-            if self.network.is_ancestor(self.level, self.index, dst):
+        port = self._down_ports.get(dst)
+        if port is None:
+            network = self.network
+            if network.is_ancestor(self.level, self.index, dst):
                 # Descend (or eject at level 0): down port = dst digit.
-                down_port = self.network.terminal_digits(dst)[self.level]
-                down = [(down_port, vc) for vc in range(num_vcs)]
+                port = network.terminal_digits(dst)[self.level]
             else:
-                down = []
-            self._down_cache[dst] = down
-        if down:
-            return down
-        num_vcs = self.router.num_vcs
-        up_ports = self._ordered_up_ports(packet)
-        return [(port, vc) for port in up_ports for vc in range(num_vcs)]
+                port = -1
+            self._down_ports[dst] = port
+        if port >= 0:
+            return self._port_candidates[port]
+        candidates = self._port_candidates
+        return [
+            candidate
+            for port in self._ordered_up_ports(packet)
+            for candidate in candidates[port]
+        ]
 
     def _ordered_up_ports(self, packet) -> List[int]:
         raise NotImplementedError
@@ -85,17 +98,16 @@ class ClosAdaptiveRouting(_ClosRoutingBase):
 
     def _ordered_up_ports(self, packet) -> List[int]:
         k = self.half_radix
-        num_vcs = self.router.num_vcs
         # Rotate the tie-break origin per packet so equal sensed values
         # spread uniformly instead of herding onto the lowest port.
         rotation = packet.global_id % k
-        congestion_status = self.router.congestion_status
+        status = self.router.sensor.status
         scored = []
         for i in range(k):
-            up = (rotation + i) % k
-            port = k + up
+            port = k + (rotation + i) % k
             # The sensor's configured granularity already aggregates VCs
             # for port-level accounting; query VC 0 as the representative.
-            scored.append((congestion_status(port, 0), port))
-        scored.sort(key=lambda pair: pair[0])  # stable: rotation breaks ties
-        return [port for _congestion, port in scored]
+            # i breaks ties: a stable sort by congestion.
+            scored.append((status(port, 0), i, port))
+        scored.sort()
+        return [port for _congestion, _i, port in scored]

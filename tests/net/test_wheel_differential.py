@@ -27,8 +27,9 @@ from repro.core.wheel import PhaseWheel
 from repro.net.channel import Channel, CreditChannel
 from repro.net.interface import StandardInterface
 from repro.net.packet import preserve_packet_ids
-from repro.router.base import Router
+from repro.router.input_output_queued import InputOutputQueuedRouter
 from repro.router.input_queued import InputQueuedRouter
+from repro.router.output_queued import OutputQueuedRouter
 from repro.sanitize import attach_sanitizers
 
 from tests.conftest import small_torus_config
@@ -37,8 +38,9 @@ from tests.conftest import small_torus_config
 HANDLERS = [
     (Channel, "_deliver_item"),
     (CreditChannel, "_deliver_item"),
-    (Router, "_step"),
     (InputQueuedRouter, "_step"),
+    (OutputQueuedRouter, "_step"),
+    (InputOutputQueuedRouter, "_step"),
     (StandardInterface, "_inject_step"),
 ]
 

@@ -183,6 +183,18 @@ def test_raw_occupancy(sim):
 # -- the bounded FIFO ----------------------------------------------------------
 
 
+def test_router_resolves_its_sensor_slots_at_finalize(monkeypatch):
+    """Routers append to the delay line without a per-record check, so
+    a slot the sensor never declared fails when the network is built,
+    with record()'s KeyError, instead of corrupting a neighbour slot."""
+    from repro import Simulation
+    from tests.conftest import small_torus_config
+
+    monkeypatch.setattr(CreditSensor, "init_port", lambda self, port, **_: None)
+    with pytest.raises(KeyError, match="record for uninitialized"):
+        Simulation(Settings.from_dict(small_torus_config()))
+
+
 def test_unqueried_sensor_stays_bounded_over_a_dor_run():
     """Dimension-order routing never queries the sensor; its FIFO must
     not keep one entry per recorded flit-hop for the whole run."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Settings, Simulation
+from repro.config.settings import SettingsError
 from repro.router.congestion import SOURCE_OUTPUT
 from tests.conftest import run_config
 
@@ -59,6 +60,14 @@ class TestOutputQueued:
     def test_invalid_output_queue_depth(self):
         config = clos_oq_config(depth=0)
         with pytest.raises(Exception):
+            Simulation(Settings.from_dict(config))
+
+    def test_bool_output_queue_depth_is_rejected(self):
+        """``true`` is an int subclass: the router must refuse it as the
+        linter does (C002), not build queues of depth 1."""
+        config = clos_oq_config(depth=True)
+        with pytest.raises(SettingsError,
+                           match="must be a non-negative integer, got True"):
             Simulation(Settings.from_dict(config))
 
     def test_multiple_inputs_enqueue_same_output_in_one_cycle(self):
@@ -132,9 +141,9 @@ class TestInputOutputQueued:
         assert results.drained
         for router in simulation.network.routers:
             for port in range(router.num_ports):
-                tracker = router._oq_credits[port]
-                for vc in range(tracker.num_vcs):
-                    assert tracker.available(vc) == tracker.capacity(vc)
+                for vc in range(router.num_vcs):
+                    assert router.output_queue_occupancy(port, vc) == 0
+                    assert router._output_queue_credits(port, vc) == 16
 
     def test_queued_counts_zero_after_drain(self):
         simulation, results = run_config(self._config())

@@ -46,7 +46,7 @@ class TestUpDown:
         network = build()
         # Terminal 1 lives on leaf router 0 at down port 1.
         _p, candidates = respond_at(network, 0, 0, 0, 1)
-        assert candidates == [(1, 0)]
+        assert candidates == ((1, 0),)
 
     def test_leaf_goes_up_for_remote_terminal(self):
         network = build(half_radix=2)
@@ -62,7 +62,7 @@ class TestUpDown:
         for dst in range(8):
             digits = network.terminal_digits(dst)
             _p, candidates = respond_at(network, 2, 0, 0, dst)
-            assert candidates == [(digits[2], 0)]
+            assert candidates == ((digits[2], 0),)
 
     def test_mid_level_descends_when_ancestor(self):
         network = build(half_radix=2, num_levels=3)
@@ -73,7 +73,7 @@ class TestUpDown:
         for index in range(4):
             if network.is_ancestor(1, index, dst):
                 _p, candidates = respond_at(network, 1, index, 0, dst)
-                assert candidates == [(digits[1], 0)]
+                assert candidates == ((digits[1], 0),)
                 break
         else:
             pytest.fail("no level-1 ancestor found")
