@@ -112,16 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PSTATS",
         help="run under cProfile and print the hottest functions to "
         "stderr; with an argument, also dump the raw pstats data "
-        "to that path, like --pstats-out (inspect with "
-        "python -m pstats)",
-    )
-    parser.add_argument(
-        "--pstats-out",
-        metavar="PATH",
-        default=None,
-        help="dump raw pstats data to PATH (implies --profile); feed "
-        "it to sslint --layer perf --profile for the static perf "
-        "audit (docs/PERFORMANCE.md)",
+        "to that path (inspect with python -m pstats)",
     )
     parser.add_argument(
         "--sweep",
@@ -148,10 +139,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # single-process, and the sharded path runs no profiler.
         if args.sweep:
             parser.error("--partition cannot be combined with --sweep")
-        if args.profile is not None or args.pstats_out:
-            parser.error(
-                "--partition cannot be combined with --profile/--pstats-out"
-            )
+        if args.profile is not None:
+            parser.error("--partition cannot be combined with --profile")
     if args.sweep:
         # Delegate to the sssweep CLI: one simulation per value combo,
         # fanned out across --workers processes.
@@ -260,8 +249,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         return 0 if results.drained else 1
     simulation = Simulation(settings)
-    if args.pstats_out and not args.profile:
-        args.profile = args.pstats_out
     profiler = None
     if args.profile is not None:
         import cProfile

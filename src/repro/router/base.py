@@ -182,8 +182,9 @@ class Router(PortedDevice):
         # _update_input_vcs, so the routing stage touches only inputs
         # with actual state changes instead of rescanning every cycle.
         self._route_pending: List[Tuple[int, int]] = []
-        # Recycled by _update_input_vcs (per-event H001: the drained
-        # list is reused instead of reallocated every routing pass).
+        # Recycled by _update_input_vcs: the drained list is reused
+        # instead of reallocated every routing pass (no per-event
+        # list garbage).
         self._route_pending_spare: List[Tuple[int, int]] = []
         # (port, vc) pairs routed but not yet granted an output VC;
         # losers stay queued for the next allocation cycle.

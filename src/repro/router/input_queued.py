@@ -71,7 +71,7 @@ class InputQueuedRouter(Router):
         # Ports with a non-empty staging register (drain worklist);
         # a port appears exactly once while its register is non-empty.
         self._staged_ports: List[int] = []
-        # Recycled by the drain stage (per-event list churn, cf. H001).
+        # Recycled by the drain stage: no per-event list garbage.
         self._staged_ports_spare: List[int] = []
         # Crossbar-bidder scratch; consumed within _run_crossbar only.
         self._xbar_bidders: list = []

@@ -1,6 +1,7 @@
 """The command line entry point (paper Listing 1)."""
 
 import json
+import pstats
 
 import pytest
 
@@ -63,6 +64,14 @@ def test_max_time_flag_truncates(config_file):
     code = main([str(config_file), "--max-time=100", "--quiet"])
     # 100 ticks is inside warmup: nothing drained -> exit code 1.
     assert code == 1
+
+
+def test_profile_writes_loadable_pstats_dump(tmp_path, config_file, capsys):
+    dump = tmp_path / "out.pstats"
+    main([str(config_file), "--max-time", "100", "--profile", str(dump)])
+    assert f"pstats dump written to {dump}" in capsys.readouterr().err
+    stats = pstats.Stats(str(dump))
+    assert any(func[2] == "run" for func in stats.stats)
 
 
 def test_partition_refuses_profile(config_file, capsys):
