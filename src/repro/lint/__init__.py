@@ -1,6 +1,6 @@
 """repro.lint: static analysis of experiments before they run.
 
-Six layers of checks, all runnable without simulating a single tick:
+Seven layers of checks, all runnable without simulating a single tick:
 
 * **config** (C001..C009) -- validates the Settings tree against a
   declarative schema (types, ranges, unknown keys with did-you-mean)
@@ -25,8 +25,8 @@ Six layers of checks, all runnable without simulating a single tick:
   docs/PARTITIONING.md.
 
 The source layers above share one parsed-and-walked model of each file
-(:mod:`repro.lint.source_rules`); the class-level layer below runs on
-the call-graph core and model-target discovery of :mod:`.callgraph`.
+(:mod:`repro.lint.source_rules`); the class-level layers below share
+one call-graph core and model-target discovery (:mod:`.callgraph`).
 
 * **shard** (S001..S005) -- interprocedural shard-purity analysis of
   the registered model classes a configuration selects (or of model
@@ -37,6 +37,17 @@ the call-graph core and model-target discovery of :mod:`.callgraph`.
   --partition-plan``, and ``sssweep --partition`` all gate on it) and
   on demand via ``--layer shard``; it is not part of the default
   source layers.
+* **perf** (H001..H008) -- interprocedural hot-path audit of the model
+  classes a configuration selects (or defined in given source files):
+  heat weights propagated from the per-event entry points through each
+  class's call graph, flagging per-event allocation, repeated
+  attribute-chain loads in loops, unguarded formatting, missing
+  ``__slots__``, try/except in hot loops, monomorphic-dispatchable
+  ``isinstance``, and recomputed pure subexpressions -- only on
+  provably hot paths, each with an evidence chain.  ``--profile
+  out.pstats`` re-ranks by measured cumulative time.  Opt-in like
+  shard (``--layer perf``).  See docs/LINTING.md and
+  docs/PERFORMANCE.md "Profiling workflow".
 
 Entry points: ``sslint`` (CLI), ``supersim --lint`` /
 ``--partition-plan``, and ``sssweep``'s pre-fan-out gate.  See
@@ -56,6 +67,7 @@ from repro.lint.rules import (
     DETERMINISM_LAYER,
     GRAPH_LAYER,
     PARTITION_LAYER,
+    PERF_LAYER,
     SHARD_LAYER,
     LintContext,
     LintRule,
@@ -71,6 +83,7 @@ ALL_LAYERS = (
     DATAFLOW_LAYER,
     PARTITION_LAYER,
     SHARD_LAYER,
+    PERF_LAYER,
 )
 
 #: Layers that run over Python source files (vs. config trees).  The
@@ -86,6 +99,7 @@ __all__ = [
     "DETERMINISM_LAYER",
     "GRAPH_LAYER",
     "PARTITION_LAYER",
+    "PERF_LAYER",
     "SHARD_LAYER",
     "SOURCE_LAYERS",
     "Finding",
@@ -110,6 +124,7 @@ def lint_settings(
     max_pairs: int = 512,
     subject: Optional[str] = None,
     layers: Optional[Iterable[str]] = None,
+    profile_path: Optional[str] = None,
 ) -> LintReport:
     """Lint a resolved Settings tree (config layer, optionally graph).
 
@@ -120,7 +135,9 @@ def lint_settings(
     config-errors-gate-graph rule still applies within the subset.
     """
     wanted = set(layers) if layers is not None else {CONFIG_LAYER, GRAPH_LAYER}
-    ctx = LintContext(settings=settings, max_pairs=max_pairs)
+    ctx = LintContext(
+        settings=settings, max_pairs=max_pairs, profile_path=profile_path
+    )
     report = LintReport(subject=subject)
     if CONFIG_LAYER in wanted:
         report.merge(run_rules(ctx, [CONFIG_LAYER], subject=subject))
@@ -128,6 +145,8 @@ def lint_settings(
         report.merge(run_rules(ctx, [GRAPH_LAYER], subject=subject))
     if SHARD_LAYER in wanted and not report.has_errors():
         report.merge(run_rules(ctx, [SHARD_LAYER], subject=subject))
+    if PERF_LAYER in wanted and not report.has_errors():
+        report.merge(run_rules(ctx, [PERF_LAYER], subject=subject))
     return report
 
 
@@ -201,21 +220,24 @@ def lint_sources(
     paths: Iterable[str],
     subject: Optional[str] = None,
     layers: Optional[Iterable[str]] = None,
+    profile_path: Optional[str] = None,
 ) -> LintReport:
     """Run the source-file AST layers (determinism/dataflow/partition).
 
     ``layers`` restricts the run; non-source layers in it are ignored.
-    The shard layer joins only on explicit request (``--layer shard``)
-    -- it classifies registered model classes defined in the files, so
-    the caller must have imported them (``sslint --import``).
+    The shard and perf layers join only on explicit request (``--layer
+    shard`` / ``--layer perf``) -- they classify registered model
+    classes defined in the files, so the caller must have imported
+    them (``sslint --import``).  ``profile_path`` feeds the perf
+    layer's measured-time correlation mode.
     """
-    source_ok = SOURCE_LAYERS + (SHARD_LAYER,)
+    source_ok = SOURCE_LAYERS + (SHARD_LAYER, PERF_LAYER)
     wanted = (
         [layer for layer in source_ok if layer in set(layers)]
         if layers is not None
         else list(SOURCE_LAYERS)
     )
-    ctx = LintContext(source_paths=list(paths))
+    ctx = LintContext(source_paths=list(paths), profile_path=profile_path)
     source_layers = set(wanted) & set(SOURCE_LAYERS)
     if source_layers:
         # First: a class-level layer's call graphs reuse these trees.

@@ -17,13 +17,14 @@ builds that picture from source, one class at a time:
   method that the event loop will invoke later, so a bare Load of
   ``self._check`` is an edge too ("Escape from Callback Hell": the
   handler chain is the real control flow).
-* :func:`reachable` walks the call edges from the entry points and
-  returns, per reached method, the evidence path (``on_init ->
-  _warmup_check``) and the smallest set of evaluable configuration
-  conditions guarding it.
+* :func:`propagate_heat` relaxes weighted entry points along the call
+  edges and returns, per reached method, its heat, the evidence path
+  (``on_init -> _warmup_check``) and the smallest set of evaluable
+  configuration conditions guarding it; :func:`reachable` is its
+  unit-weight case.
 * :func:`model_targets` resolves which model classes a lint run is
   about -- the ones a configuration selects, or the registered ones
-  defined in given source files.
+  defined in given source files -- for both class-level layers.
 
 Conditions are deliberately modest: only comparisons of a
 settings-derived ``self`` attribute against a literal are captured
@@ -604,59 +605,95 @@ class ClassGraph:
                     self.settings_attrs[attr] = (key, default)
 
 
-class Reach(NamedTuple):
-    """The best way one method is reached from the entry points:
-    ``path`` is the evidence chain (``on_init -> _warmup_check``),
-    ``conds`` the guard conditions along it."""
+class Heat(NamedTuple):
+    """How hot one method is and the hottest way it is reached.
 
+    ``weight`` is in *calls per flit-hop* units: the entry-point
+    weights encode the measured handler census (docs/PERFORMANCE.md),
+    and heat propagates along call edges without attenuation -- a
+    helper called from a per-item handler runs just as often as the
+    handler.  ``path`` is the evidence chain from the hottest entry
+    point (``_step -> _run_crossbar -> ...``), ``conds`` the guard
+    conditions along it.
+    """
+
+    weight: float
     path: Tuple[str, ...]
     conds: Tuple[Cond, ...]
 
 
-def reachable(
-    graph: ClassGraph, entries: Sequence[str]
-) -> Dict[str, Reach]:
-    """Methods reachable from ``entries`` with their best paths.
+def _relax(
+    graph: ClassGraph, seeds: Sequence[Tuple[str, float]]
+) -> Dict[str, Heat]:
+    """Worklist over the call edges from weighted ``seeds``.
 
-    Every entry is seeded first, in the order given (an entry is reached
-    by itself, never by a longer path through another entry), then call
-    edges are relaxed until no method can be reached by a strictly
-    better path: fewer guard conditions, then shorter -- the
-    least-conditional way to reach a method decides whether a hazard in
-    it applies to a configuration.  Methods not reachable from any
-    entry are absent from the result.
+    All entries are seeded first, in the order given (an entry's own
+    heat is its declared weight, never a longer path through another
+    entry), then call edges are relaxed until no method can be made
+    hotter or reached by a strictly better path: fewer guard
+    conditions, then shorter -- the least-conditional way to reach a
+    method decides whether a hazard in it applies to a configuration.
     """
-    entry_set = set(entries)
-    reach: Dict[str, Reach] = {}
+    entry_weights = dict(seeds)
+    heat: Dict[str, Heat] = {}
     queue: deque = deque()
-    for entry in entries:
+    for entry, weight in seeds:
         if entry in graph.methods:
-            reach[entry] = Reach((entry,), ())
+            heat[entry] = Heat(weight, (entry,), ())
             queue.append(entry)
     while queue:
         name = queue.popleft()
-        base = reach[name]
+        base = heat[name]
         for edge in graph.scans[name].edges:
             target = edge.target
-            current = reach.get(target)
-            if target in entry_set and current is not None:
-                continue  # entries keep their seeded identity
+            if target in entry_weights and target in heat:
+                # Entries keep their seeded identity.
+                if entry_weights[target] >= base.weight:
+                    continue
+            current = heat.get(target)
             path = base.path + (target,)
             conds = merge_conds(base.conds, edge.conds)
             if current is None or (
-                (len(conds), len(path))
-                < (len(current.conds), len(current.path))
+                current.weight < base.weight
+                or (current.weight == base.weight
+                    and (len(conds), len(path))
+                    < (len(current.conds), len(current.path)))
             ):
-                reach[target] = Reach(path, conds)
+                heat[target] = Heat(base.weight, path, conds)
                 queue.append(target)
-    return reach
+    return heat
+
+
+def propagate_heat(
+    graph: ClassGraph, entry_weights: Dict[str, float]
+) -> Dict[str, Heat]:
+    """Per-method heat from weighted entry points.
+
+    Every method reachable from an entry point inherits that entry's
+    weight undiminished (it executes once per entry invocation on the
+    evidence path); a method reachable from several entries gets the
+    *maximum* weight, with ties broken toward the shortest evidence
+    path.  Methods not reachable from any entry (construction helpers,
+    diagnostics) are absent from the result -- provably cold.
+    """
+    return _relax(graph, sorted(
+        entry_weights.items(), key=lambda item: (-item[1], item[0])
+    ))
+
+
+def reachable(
+    graph: ClassGraph, entries: Sequence[str]
+) -> Dict[str, Heat]:
+    """Methods reachable from ``entries`` with their best paths: every
+    entry weighs the same, so only conditions and path length rank."""
+    return _relax(graph, [(entry, 1.0) for entry in entries])
 
 
 # -- model-target discovery --------------------------------------------------
 
 
 class ModelTarget(NamedTuple):
-    """One model class the class-level shard layer inspects."""
+    """One model class a class-level layer (shard, perf) inspects."""
 
     kind: str
     origin: str

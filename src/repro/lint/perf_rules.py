@@ -44,7 +44,7 @@ chain:
   method.
 
 **Profile correlation.**  ``sslint --layer perf --profile out.pstats``
-consumes a cProfile dump (``supersim --pstats-out`` writes one) and
+consumes a cProfile dump (``supersim --profile PATH`` writes one) and
 re-ranks findings by measured cumulative time:
 statically-hot-but-measured-cold findings demote to INFO, so the layer
 reports *ranked, evidenced optimization targets*, not style noise.

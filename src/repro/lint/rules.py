@@ -30,6 +30,12 @@ Each rule belongs to one *layer*:
   registered model classes a configuration selects: per-class call
   graphs from the framework entry points, attribute-reach dataflow,
   and a shard-safe/shard-unsafe/unknown verdict with evidence chains.
+* ``perf`` -- interprocedural hot-path audit (H-rules): heat weights
+  propagated from the per-event entry points through each model
+  class's call graph, flagging per-event allocation, repeated
+  attribute-chain loads, unguarded formatting, missing ``__slots__``
+  and friends only on provably hot paths -- optionally re-ranked by a
+  measured cProfile dump (``--profile``).
 
 A :class:`LintContext` carries the inputs and memoizes the expensive
 shared work (the schema walk, the network construction and channel
@@ -51,6 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.callgraph import ModelTarget
     from repro.lint.graph import GraphAnalysis
     from repro.lint.partition_rules import PartitionAnalysis
+    from repro.lint.perf_rules import PerfAnalysis
     from repro.lint.source_rules import SourceFile
 
 CONFIG_LAYER = "config"
@@ -59,6 +66,7 @@ DETERMINISM_LAYER = "determinism"
 DATAFLOW_LAYER = "dataflow"
 PARTITION_LAYER = "partition"
 SHARD_LAYER = "shard"
+PERF_LAYER = "perf"
 
 
 class LintRule:
@@ -79,7 +87,7 @@ class LintRule:
         raise NotImplementedError
 
 
-#: message frame of the class-level shard layer: where the
+#: message frame of the class-level layers (shard, perf): where the
 #: model was selected, then the hazard with its evidence chain.
 TARGET_FRAME = "[{origin}={name}] {prefix}{hazard}"
 
@@ -117,6 +125,7 @@ class LintContext:
         manifest: Optional[dict] = None,
         partition_tolerance: Optional[float] = None,
         lookahead_threshold: int = 1,
+        profile_path: Optional[str] = None,
     ):
         self.settings = settings
         self.source_paths = list(source_paths or [])
@@ -129,11 +138,15 @@ class LintContext:
         self.manifest = manifest
         self.partition_tolerance = partition_tolerance
         self.lookahead_threshold = lookahead_threshold
+        #: Path to a cProfile ``.pstats`` dump; switches the perf layer
+        #: into measured-time correlation mode.
+        self.profile_path = profile_path
         self._schema_findings: Optional[List[Finding]] = None
         self._graph: Optional["GraphAnalysis"] = None
         self._sources: Optional[List["SourceFile"]] = None
         self._partition: Optional["PartitionAnalysis"] = None
         self._shard: Optional[List["ModelTarget"]] = None
+        self._perf: Optional["PerfAnalysis"] = None
 
     # -- memoized analyses ---------------------------------------------------
 
@@ -181,12 +194,21 @@ class LintContext:
             self._shard = model_targets(self, model_bases())
         return self._shard
 
+    def perf(self) -> "PerfAnalysis":
+        """Hot-path hazard audit of the configured model classes."""
+        if self._perf is None:
+            from repro.lint.perf_rules import PerfAnalysis
+
+            self._perf = PerfAnalysis(self)
+        return self._perf
+
 
 def all_rule_ids(layer: Optional[str] = None) -> List[str]:
     """Every registered rule id, optionally restricted to one layer."""
     import repro.lint.config_rules  # noqa: F401 - registration side effects
     import repro.lint.graph  # noqa: F401
     import repro.lint.partition_rules  # noqa: F401
+    import repro.lint.perf_rules  # noqa: F401
     import repro.lint.shard_rules  # noqa: F401
     import repro.lint.source_rules  # noqa: F401
 

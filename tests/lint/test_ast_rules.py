@@ -96,18 +96,19 @@ def test_unparseable_file_is_reported_not_raised(tmp_path):
 
 
 def test_each_target_is_parsed_once_per_run(hazard_path, monkeypatch):
-    """Every source layer plus the class-level shard layer share one
-    parse of each target -- including the files that define registered model
+    """Every source layer plus both class-level layers share one parse
+    of each target -- including the files that define registered model
     classes, which the call-graph core reads too."""
     import ast
     import collections
     import pathlib
 
-    from tests.lint.fixtures import shard_hazards  # noqa: F401
+    from tests.lint.fixtures import perf_hazards, shard_hazards  # noqa: F401
 
     fixtures = pathlib.Path(__file__).parent / "fixtures"
     paths = [
         hazard_path,
+        str(fixtures / "perf_hazards.py"),
         str(fixtures / "shard_hazards.py"),
     ]
     parsed = collections.Counter()
@@ -118,15 +119,15 @@ def test_each_target_is_parsed_once_per_run(hazard_path, monkeypatch):
         return real_parse(source, filename, *args, **kwargs)
 
     monkeypatch.setattr(ast, "parse", counting_parse)
-    layers = ["determinism", "dataflow", "partition", "shard"]
+    layers = ["determinism", "dataflow", "partition", "shard", "perf"]
     for _run in range(2):
         parsed.clear()
         report = lint_sources(paths, layers=layers)
         assert {path: parsed[path] for path in paths} == dict.fromkeys(
             paths, 1
         )
-    # The class-level layer did run over those trees.
-    assert {"S"} <= {f.rule_id[0] for f in report.findings}
+    # The class-level layers did run over those trees.
+    assert {"S", "H"} <= {f.rule_id[0] for f in report.findings}
 
 
 def test_unpicklable_collect_fails_d005():
