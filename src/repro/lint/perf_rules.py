@@ -106,7 +106,7 @@ HEAT_ENTRIES: Dict[str, Dict[str, float]] = {
     "channel": {
         "send_flit": 1.0,
         "send_credit": 1.0,
-        "_launch": 2.0,         # one per flit and one per credit
+        "_launch": 2.0,         # sharded ingress (sends inline it)
         "_deliver_item": 1.0,   # per-item hook the landing wheel calls
     },
     "wheel": {

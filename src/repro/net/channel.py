@@ -23,10 +23,13 @@ due tick.  Dues are nondecreasing by construction -- simulation time is
 monotone and the latency per channel is fixed -- so the FIFO never
 needs sorting.  The engine sees O(busy ticks) landing events for the
 whole network, and every per-item hook (sanitizers, delivery digests,
-the sharded runtime's ingress landing) attaches to ``_deliver_item``.
+the sharded runtime's ingress landing) attaches to ``send_*`` or
+``_deliver_item``.
 The FIFO, the wheel registration and the sink wiring are identical for
 flits and credits and live in :class:`_Link`; :class:`Channel` and
 :class:`CreditChannel` add their own ``send_*`` and ``_deliver_item``.
+Sends launch inline (they call out only to register an idle link);
+:meth:`_Link._launch` is the sharded runtime's ingress entry only.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class _LandingWheel(PhaseWheel):
                 deliver_item(inflight.popleft()[1])
             if inflight:
                 due = link._head_due = inflight[0][0]
-                slot = slots.get(due)  # add() inlined, as in _launch
+                slot = slots.get(due)  # add() inlined
                 if slot is None:
                     add(due, link)
                 else:
@@ -126,17 +129,12 @@ class _Link(Component):
         return len(self._inflight)
 
     def _launch(self, due: int, item) -> None:
-        """Put ``item`` on the wire, to land at tick ``due`` (sends, and
-        the sharded ingress for records that crossed a cut)."""
+        """Put ``item`` on the wire, to land at tick ``due``: the sharded
+        ingress for records that crossed a cut (sends inline this)."""
         self._inflight.append((due, item))
         if self._head_due < 0:
             self._head_due = due
-            # Inlined PhaseWheel.add for a tick already scheduled.
-            slot = self._wheel._slots.get(due)
-            if slot is None:
-                self._wheel.add(due, self)
-            else:
-                slot.append(self)
+            self._wheel.add(due, self)
 
     def _deliver_item(self, item) -> None:
         """Hand one landed item to the sink (sanitizer hookpoint)."""
@@ -181,7 +179,11 @@ class Channel(_Link):
             )
         self._next_free_tick = now + self.period
         self.flits_carried += 1
-        self._launch(now + self.latency, flit)
+        due = now + self.latency
+        self._inflight.append((due, flit))  # _launch, inlined
+        if self._head_due < 0:
+            self._head_due = due
+            self._wheel.add(due, self)
 
     def _deliver_item(self, flit: Flit) -> None:
         """Hand one landed flit to the sink (sanitizer hookpoint)."""
@@ -217,7 +219,11 @@ class CreditChannel(_Link):
         if self._sink is None:
             raise ChannelError(f"{self.full_name}: no sink connected")
         self.credits_carried += 1
-        self._launch(self.simulator.tick + self.latency, credit)
+        due = self.simulator.tick + self.latency
+        self._inflight.append((due, credit))  # _launch, inlined
+        if self._head_due < 0:
+            self._head_due = due
+            self._wheel.add(due, self)
 
     def _deliver_item(self, credit: Credit) -> None:
         """Hand one landed credit to the sink (sanitizer hookpoint)."""

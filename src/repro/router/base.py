@@ -12,7 +12,8 @@ share:
 * output VC ownership (wormhole: one packet streams on a given
   (output port, VC) at a time),
 * a congestion sensor fed through its delay line: slots resolved at
-  ``finalize``, ``(due, slot, delta)`` appended by the hot paths,
+  ``finalize``, ``(due, slot, delta)`` appended by the hot paths -- only
+  when one of the router's routing engines reads congestion,
 * the in-core pipeline FIFO: flits traversing the core for
   ``core_latency`` ticks wait in one per-router FIFO that the step
   drains, not in one engine event each,
@@ -221,6 +222,9 @@ class Router(PortedDevice):
                         tracker.capacity(v) for v in range(tracker.num_vcs)
                     ],
                 )
+        self._sensor_fed = any(e and e.reads_congestion for e in self._routing)
+        if not self._sensor_fed:
+            self.sensor.mark_unfed()
         self._finalize_arch()
         self._down_slots = self._sensor_slots(SOURCE_DOWNSTREAM)
 
@@ -229,7 +233,8 @@ class Router(PortedDevice):
 
     def _sensor_slots(self, source: str) -> Optional[List[Optional[List[int]]]]:
         """Per wired port, the sensor slot of each VC for ``source``
-        (``KeyError`` for an undeclared one); None when untracked."""
+        (``KeyError`` for an undeclared one); None when untracked or
+        when no engine reads the sensor, so the hot paths feed nothing."""
         sensor = self.sensor
         rows: List[Optional[List[int]]] = [None] * self.num_ports
         tracked = False
@@ -238,7 +243,7 @@ class Router(PortedDevice):
                 row = [sensor.slot(source, port, vc) for vc in range(self.num_vcs)]
                 tracked = tracked or row[0] is not None
                 rows[port] = row  # type: ignore[assignment]
-        return rows if tracked else None
+        return rows if tracked and self._sensor_fed else None
 
     def routing_algorithm(self, port: int) -> RoutingAlgorithm:
         algorithm = self._routing[port]

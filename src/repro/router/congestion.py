@@ -25,9 +25,10 @@ append to the FIFO from their hot paths; an untracked source costs one
 attribute test.  Entries fold into the visible counts lazily: on every
 query, and once per router step when the FIFO has passed
 ``PENDING_LIMIT`` entries (``record()`` does the same for tests and
-tools), so a sensor nothing queries (dimension-order routing) holds a
-bounded FIFO.  Folding early is exact: what is visible at tick T depends
-only on entries due at or before T.
+tools).  Folding early is exact: what is visible at tick T depends only
+on entries due at or before T.  A sensor no routing engine reads
+(``reads_congestion = False``, e.g. dimension-order routing) is not fed
+at all: it holds nothing, and a query raises :class:`UnfedSensorError`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ _INFINITE_REFERENCE_DEPTH = 64.0
 #: entries already due: the FIFO holds at most this many plus the
 #: records of ``latency`` ticks.
 PENDING_LIMIT = 64
+
+
+class UnfedSensorError(RuntimeError):
+    """Raised when a sensor its router does not feed is queried."""
 
 
 class CongestionSensor(Component):
@@ -98,6 +103,15 @@ class CongestionSensor(Component):
     def fold(self) -> None:
         """Fold every entry due at or before now into the visible state."""
         raise NotImplementedError
+
+    def mark_unfed(self) -> None:
+        """Nothing feeds this sensor: its queries raise (per instance, so
+        fed sensors pay no check)."""
+        self.status = self.raw_occupancy = self._unfed
+
+    def _unfed(self, *_args) -> float:
+        raise UnfedSensorError(f"{self.full_name}: no engine of its router "
+                               "reads_congestion, so nothing feeds it")
 
     def status(self, port: int, vc: int) -> float:
         """The congestion value routing algorithms see *now*.

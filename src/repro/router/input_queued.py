@@ -128,7 +128,7 @@ class InputQueuedRouter(Router):
         if occupied or scheduler._locks:
             self._run_crossbar()
 
-        if len(self._sensed) > PENDING_LIMIT:
+        if self._sensed and len(self._sensed) > PENDING_LIMIT:
             self.sensor.fold()
 
         # Reschedule while work remains, else sleep until woken.
@@ -137,7 +137,12 @@ class InputQueuedRouter(Router):
                 tick = now + 1
             else:
                 tick = self.core_clock.following_edge(now)
-            self._step_wheel.add(tick, self._step)
+            wheel = self._step_wheel
+            slot = wheel._slots.get(tick)  # PhaseWheel.add, inlined
+            if slot is None:
+                wheel.add(tick, self._step)
+            else:
+                slot.append(self._step)
         else:
             self._step_scheduled = False
 
@@ -251,14 +256,14 @@ class InputQueuedRouter(Router):
         """Stage every flit whose core traversal is over."""
         fifo = self._core_fifo
         now = self.simulator.tick
-        land = self._land
+        staging_regs = self._staging
+        staged_ports = self._staged_ports
+        landed = 0
         while fifo and fifo[0][0] <= now:
-            _arrival, flit, out_port, out_vc = fifo.popleft()
-            land(flit, out_port, out_vc)
-
-    def _land(self, flit: Flit, out_port: int, out_vc: int) -> None:
-        staging = self._staging[out_port]
-        staging.append(flit)
-        if len(staging) == 1:
-            self._staged_ports.append(out_port)
-        self._staged_total += 1
+            _arrival, flit, out_port, _out_vc = fifo.popleft()
+            staging = staging_regs[out_port]
+            if not staging:
+                staged_ports.append(out_port)
+            staging.append(flit)
+            landed += 1
+        self._staged_total += landed

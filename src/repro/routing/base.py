@@ -46,6 +46,10 @@ class RoutingAlgorithm:
     #: network's compatibility check.
     topology: Optional[str] = None
 
+    #: False declares that :meth:`route` never queries the congestion
+    #: sensor; a router whose engines all say so does not feed it.
+    reads_congestion = True
+
     def __init__(
         self,
         network,
@@ -60,12 +64,15 @@ class RoutingAlgorithm:
         # The VCs this algorithm has registered itself to use.  Responses
         # using other VCs are rejected (§IV-D).
         self._registered_vcs = frozenset(range(router.num_vcs))
-        # (port, vc) pairs already validated; validity is static per
-        # algorithm instance, so each pair is checked exactly once.
-        self._validated: set = set()
-        # Responses validated by identity, id -> object (held so the id
-        # cannot be reused); as large as the caller's route cache.
-        self._validated_responses: Dict[int, Sequence[Candidate]] = {}
+        # (port, vc) pairs already validated, and responses validated by
+        # identity (id -> object, held so the id cannot be reused).
+        # Validity depends only on the router and the registered VCs, so
+        # the router's engines share both until one registers other VCs.
+        self._validated: set
+        self._validated_responses: Dict[int, Sequence[Candidate]]
+        self._validated, self._validated_responses = router.route_cache.setdefault(
+            "validated", (set(), {})
+        )
 
     # -- VC registration ---------------------------------------------------------
 
@@ -76,8 +83,7 @@ class RoutingAlgorithm:
             if not 0 <= vc < self.router.num_vcs:
                 raise RoutingError(f"registered VC {vc} out of range")
         self._registered_vcs = vcs
-        self._validated.clear()
-        self._validated_responses.clear()
+        self._validated, self._validated_responses = set(), {}
 
     @property
     def registered_vcs(self) -> frozenset:

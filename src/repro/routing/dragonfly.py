@@ -71,6 +71,7 @@ class _DragonflyRoutingBase(RoutingAlgorithm):
 @factory.register(RoutingAlgorithm, "dragonfly_minimal")
 class DragonflyMinimalRouting(_DragonflyRoutingBase):
     """l-g-l minimal routing."""
+    reads_congestion = False
 
     def route(self, packet, input_vc: int) -> List[Candidate]:
         dst_router = self.network.terminal_router(packet.destination)
@@ -117,6 +118,7 @@ class _TwoPhaseDragonflyRouting(_DragonflyRoutingBase):
 @factory.register(RoutingAlgorithm, "dragonfly_valiant")
 class DragonflyValiantRouting(_TwoPhaseDragonflyRouting):
     """Always detour through a random intermediate group."""
+    reads_congestion = False
 
     def route(self, packet, input_vc: int) -> List[Candidate]:
         state = packet.routing_state

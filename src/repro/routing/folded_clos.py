@@ -44,14 +44,18 @@ class _ClosRoutingBase(RoutingAlgorithm):
             "clos_down_ports", {}
         )
         # Per output port, its candidate on every VC: responses are built
-        # from these, and a down response is one, validated here once.
-        self._port_candidates: List[Tuple[Candidate, ...]] = [
-            tuple((port, vc) for vc in range(router.num_vcs))
-            for port in range(router.num_ports)
-        ]
-        for port, candidates in enumerate(self._port_candidates):
-            if router.port_is_wired(port):
-                self.validated(candidates)
+        # from these, and a down response is one, validated once per router.
+        self._port_candidates: List[Tuple[Candidate, ...]] = router.route_cache.get(
+            "clos_port_candidates"
+        )
+        if self._port_candidates is None:
+            self._port_candidates = router.route_cache["clos_port_candidates"] = [
+                tuple((port, vc) for vc in range(router.num_vcs))
+                for port in range(router.num_ports)
+            ]
+            for port, candidates in enumerate(self._port_candidates):
+                if router.port_is_wired(port):
+                    self.validated(candidates)
 
     def route(self, packet, input_vc: int) -> Sequence[Candidate]:
         dst = packet.destination
@@ -80,6 +84,7 @@ class _ClosRoutingBase(RoutingAlgorithm):
 @factory.register(RoutingAlgorithm, "clos_deterministic")
 class ClosDeterministicRouting(_ClosRoutingBase):
     """Hash-based deterministic uprouting (in-order per src/dst pair)."""
+    reads_congestion = False
 
     def _ordered_up_ports(self, packet) -> List[int]:
         k = self.half_radix

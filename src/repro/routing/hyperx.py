@@ -66,6 +66,7 @@ class _HyperXRoutingBase(RoutingAlgorithm):
 @factory.register(RoutingAlgorithm, "hyperx_dimension_order")
 class HyperXDimensionOrderRouting(_HyperXRoutingBase):
     """Minimal dimension order routing."""
+    reads_congestion = False
 
     def route(self, packet, input_vc: int) -> List[Candidate]:
         dst_router = self.network.terminal_router(packet.destination)
@@ -116,6 +117,7 @@ class _TwoPhaseHyperXRouting(_HyperXRoutingBase):
 @factory.register(RoutingAlgorithm, "hyperx_valiant")
 class HyperXValiantRouting(_TwoPhaseHyperXRouting):
     """Valiant load balancing: always via a random intermediate."""
+    reads_congestion = False
 
     def route(self, packet, input_vc: int) -> List[Candidate]:
         state = packet.routing_state

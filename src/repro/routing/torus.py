@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 from repro import factory
 from repro.routing.base import Candidate, RoutingAlgorithm, RoutingError
-from repro.topology.util import ring_distance
+from repro.topology.util import product, ring_distance
 
 
 class _TorusRoutingBase(RoutingAlgorithm):
@@ -33,27 +33,19 @@ class _TorusRoutingBase(RoutingAlgorithm):
         self.coords = router.address
         self.widths = network.widths
         self.concentration = network.concentration
-        # terminal port -> shared ejection candidate list (iterated only).
-        self._eject_cache: dict = {}
-
-    def _ejection_candidates(self, packet) -> List[Candidate]:
-        port = self.network.terminal_port(packet.destination)
-        candidates = self._eject_cache.get(port)
-        if candidates is None:
-            candidates = [(port, vc) for vc in range(self.router.num_vcs)]
-            self._eject_cache[port] = candidates
-        return candidates
+        # Terminal port -> its ejection response: one per router, validated once.
+        self._eject = router.route_cache.get("torus_eject")
+        if self._eject is None:
+            self._eject = router.route_cache["torus_eject"] = [
+                self.validated([(port, vc) for vc in range(router.num_vcs)])
+                for port in range(self.concentration)
+            ]
 
     def _first_differing_dimension(self, dst_coords) -> int:
         for dim, (own, dst) in enumerate(zip(self.coords, dst_coords)):
             if own != dst:
                 return dim
         raise RoutingError("no differing dimension at a non-destination router")
-
-    def _dst_coords(self, packet):
-        return self.network.router_coords(
-            self.network.terminal_router(packet.destination)
-        )
 
     def _dateline_class(self, packet, dim: int, direction: int) -> int:
         """0 before the dateline, 1 at or after the wrap hop.
@@ -81,35 +73,45 @@ class _TorusRoutingBase(RoutingAlgorithm):
 
 @factory.register(RoutingAlgorithm, "torus_dimension_order")
 class TorusDimensionOrderRouting(_TorusRoutingBase):
-    """Deterministic DOR with dateline VC classes."""
+    """Deterministic DOR with dateline VC classes.
+
+    The first mixed-radix digit of the destination router index that
+    differs from this router's coordinate names the dimension, its ring
+    offset the direction; every response is prebuilt and validated at
+    construction, so ``route`` keeps no per-destination state.
+    """
+    reads_congestion = False
 
     def __init__(self, network, router, input_port, settings):
         super().__init__(network, router, input_port, settings)
-        if router.num_vcs < 2 or router.num_vcs % 2 != 0:
+        num_vcs = router.num_vcs
+        if num_vcs < 2 or num_vcs % 2 != 0:
             raise RoutingError(
                 "torus_dimension_order needs an even number of VCs >= 2 "
-                f"for the dateline scheme, got {router.num_vcs}"
+                f"for the dateline scheme, got {num_vcs}"
             )
-        # The geometric decision (dimension, direction, output port) for
-        # a destination router is a pure function of this router's fixed
-        # coordinates, so it is memoized per destination.  Only the
-        # dateline class (which reads and updates packet routing state)
-        # must be recomputed per packet.
-        self._dor_memo: dict = {}
-        # Dateline class -> rotation -> VC preference order.
-        half = router.num_vcs // 2
-        self._class_rotations = tuple(
-            tuple(
-                tuple(vcs[rot:] + vcs[:rot]) for rot in range(half)
-            )
-            for vcs in (
-                [vc for vc in range(router.num_vcs) if vc % 2 == parity]
-                for parity in (0, 1)
-            )
+        # (dimension, digit stride, width, own digit), in routing order.
+        self._digits = tuple(
+            (dim, product(self.widths[:dim]), width, own)
+            for dim, (width, own) in enumerate(zip(self.widths, self.coords))
         )
-        # (port, vc_class, rotation) -> shared candidate list.  Callers
-        # only iterate candidates, never mutate them.
-        self._candidate_cache: dict = {}
+        # _candidates[2 * dim + (direction == -1)][dateline class][rotation]:
+        # even VCs form class 0, odd VCs class 1, rotated per packet.  It
+        # depends only on the port layout: one per router, validated once.
+        half = self._rotations = num_vcs // 2
+        table = router.route_cache.get("torus_dor")
+        if table is None:
+            table = router.route_cache["torus_dor"] = tuple(
+                tuple(
+                    tuple(self.validated([(port, vc) for vc in vcs[rot:] + vcs[:rot]])
+                          for rot in range(half))
+                    for vcs in (list(range(0, num_vcs, 2)),
+                                list(range(1, num_vcs, 2)))
+                )
+                for dim in range(len(self.widths))
+                for port in (network.port_for(dim, +1), network.port_for(dim, -1))
+            )
+        self._candidates = table
 
     @classmethod
     def injection_vcs(cls, num_vcs: int) -> List[int]:
@@ -117,31 +119,20 @@ class TorusDimensionOrderRouting(_TorusRoutingBase):
         return [vc for vc in range(num_vcs) if vc % 2 == 0]
 
     def route(self, packet, input_vc: int) -> List[Candidate]:
-        dst_router = self.network.terminal_router(packet.destination)
-        if dst_router == self.router.router_id:
-            return self._ejection_candidates(packet)
-        memo = self._dor_memo.get(dst_router)
-        if memo is None:
-            dst_coords = self.network.router_coords(dst_router)
-            dim = self._first_differing_dimension(dst_coords)
-            width = self.widths[dim]
-            _hops, direction = ring_distance(
-                self.coords[dim], dst_coords[dim], width
-            )
-            port = self.network.port_for(dim, direction)
-            memo = (dim, direction, port)
-            self._dor_memo[dst_router] = memo
-        dim, direction, port = memo
+        destination = packet.message.destination
+        dst_router = destination // self.concentration
+        for dim, stride, width, own in self._digits:
+            offset = (dst_router // stride - own) % width
+            if offset:
+                break
+        else:
+            return self._eject[destination % self.concentration]
+        # Shortest way round; a tie (exactly half way) goes positive.
+        direction = 1 if offset + offset <= width else -1
         vc_class = self._dateline_class(packet, dim, direction)
-
-        rotations = self._class_rotations[vc_class]
-        rotation = packet.global_id % len(rotations)
-        key = (port, vc_class, rotation)
-        candidates = self._candidate_cache.get(key)
-        if candidates is None:
-            candidates = [(port, vc) for vc in rotations[rotation]]
-            self._candidate_cache[key] = candidates
-        return candidates
+        return self._candidates[dim + dim + (direction < 0)][vc_class][
+            packet.global_id % self._rotations
+        ]
 
 
 @factory.register(RoutingAlgorithm, "torus_minimal_adaptive")
@@ -169,8 +160,8 @@ class TorusMinimalAdaptiveRouting(_TorusRoutingBase):
     def route(self, packet, input_vc: int) -> List[Candidate]:
         dst_router = self.network.terminal_router(packet.destination)
         if dst_router == self.router.router_id:
-            return self._ejection_candidates(packet)
-        dst_coords = self._dst_coords(packet)
+            return self._eject[self.network.terminal_port(packet.destination)]
+        dst_coords = self.network.router_coords(dst_router)
 
         # Adaptive candidates: every profitable dimension, least
         # congested first, on the adaptive (upper-half) VCs.

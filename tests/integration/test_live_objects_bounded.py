@@ -13,10 +13,13 @@ OQ hot path keeps must sit inside their network-size bounds.
 from __future__ import annotations
 
 import gc
+import os
 import types
 
+import pytest
+
 from repro import Settings, Simulation
-from repro.configs import latent_congestion_config
+from repro.configs import flow_control_config, latent_congestion_config
 from repro.router.congestion import PENDING_LIMIT
 
 #: Objects the census does not walk into: code, classes and modules are
@@ -67,3 +70,44 @@ def test_census_does_not_grow_with_simulated_time():
         sensor = router.sensor
         assert len(sensor._pending) <= PENDING_LIMIT + 2 * router.num_ports * sensor.latency
         assert len(sensor._memo) == router.num_ports * router.num_vcs
+
+
+# -- torus: dimension-order routing keeps no per-destination state -----------
+
+
+def engine_entries(engine) -> int:
+    """What a routing engine caches: the entries of every dict it holds
+    (for DOR, the validated candidate and ejection lists)."""
+    return sum(len(v) for v in vars(engine).values() if isinstance(v, dict))
+
+
+def torus_census(config: dict, max_time: int) -> list:
+    """Per DOR engine, its cached entries after ``max_time`` ticks, each
+    checked against 2 x ports x VCs of its router."""
+    simulation = Simulation(Settings.from_dict(config))
+    simulation.run(max_time=max_time)
+    assert sum(c.flits_carried for c in simulation.network.flit_channels)
+    entries = []
+    for router in simulation.network.routers:
+        bound = 2 * router.num_ports * router.num_vcs
+        for engine in router._routing:
+            assert not hasattr(engine, "_dor_memo")
+            count = engine_entries(engine)
+            assert 0 < count <= bound, (router.full_name, count, bound)
+            entries.append(count)
+    return entries
+
+
+def test_dor_engine_state_is_linear_in_ports_not_destinations():
+    config = flow_control_config(injection_rate=0.3)
+    assert config["network"]["dimension_widths"] == [4, 4, 4]
+    assert torus_census(config, 200) == torus_census(config, 800)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.environ.get("REPRO_FULL_SCALE"),
+                    reason="paper-size network; set REPRO_FULL_SCALE=1")
+def test_dor_engine_state_is_linear_at_full_scale():
+    """The 8^4 torus of Table I, where a per-destination memo reached
+    millions of entries."""
+    torus_census(flow_control_config(full_scale=True), 60)

@@ -64,7 +64,7 @@ def test_entry_points_seed_the_heat_map():
     # The core traversal is no entry point any more: its landing is hot
     # because the step calls it, on every architecture.
     assert "_core_arrival" not in HEAT_ENTRIES["router"]
-    assert heat["_land"].path == ("_step", "_land_core_arrivals", "_land")
+    assert heat["_land_core_arrivals"].path == ("_step", "_land_core_arrivals")
     assert heat["receive_flit"].weight == 1.0
 
 
