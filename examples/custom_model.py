@@ -52,7 +52,9 @@ class TorusRandomDirectionRouting(TorusDimensionOrderRouting):
     """DOR that breaks half-way direction ties randomly instead of
     always going positive (spreads load on even-radix rings)."""
 
-    topology = "torus"  # declare compatibility (user extension hook)
+    # Compatibility is declared the way every packaged algorithm does;
+    # a subclass inherits it, so this line restates the parent's.
+    topology = "torus"
 
     def __init__(self, network, router, input_port, settings):
         super().__init__(network, router, input_port, settings)

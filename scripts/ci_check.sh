@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate.  Six gates:
+# CI gate.  Seven gates:
 #   1. tier-1    pytest over tests/ (the behavioural gate; see ROADMAP.md)
 #   2. ruff      style over the cleaned packages (SKIPPED when absent)
 #   3. mypy      types over the packages pyproject declares (SKIPPED when absent)
@@ -7,9 +7,11 @@
 #   5. bench     one short torus_iq_uniform run must reproduce bench/pins.json
 #   6. bench     one short clos_oq_adaptive run must reproduce bench/pins.json
 #                (the OQ router, adaptive routing and congestion sensor path)
+#   7. bench     one short sweep16_hyperx_ioq run must reproduce bench/pins.json
+#                (IOQ routers, hyperx_ugal and the 2x channel clock)
 #
 # Usage: scripts/ci_check.sh [--fast]
-#   --fast  run only sslint and the two bench smokes
+#   --fast  run only sslint and the three bench smokes
 #
 # Exit status is non-zero if any executed gate fails.  ruff and mypy
 # are optional: their configuration lives in pyproject.toml and applies
@@ -64,6 +66,8 @@ run_gate "bench smoke (torus_iq_uniform pins)" \
     python3 bench/run.py --workload torus_iq_uniform --reps 1 --seconds 2
 run_gate "bench smoke (clos_oq_adaptive pins)" \
     python3 bench/run.py --workload clos_oq_adaptive --reps 1 --seconds 2
+run_gate "bench smoke (sweep16_hyperx_ioq pins)" \
+    python3 bench/run.py --workload sweep16_hyperx_ioq --reps 1 --seconds 2
 
 echo
 if [ "${FAILURES}" -ne 0 ]; then

@@ -18,7 +18,6 @@ from repro.config.suggest import closest
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import CONFIG_LAYER, LintContext, LintRule
 from repro.lint.schema import (
-    TOPOLOGY_ROUTING,
     BlockSpec,
     KeySpec,
     factory_base,
@@ -312,7 +311,7 @@ class RoutingTopologyRule(LintRule):
                    "topology")
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
-        from repro.routing.base import RoutingAlgorithm
+        from repro.routing.base import RoutingAlgorithm, topology_mismatch
 
         raw = ctx.raw
         topology = _value(raw, "network", "topology")
@@ -322,24 +321,11 @@ class RoutingTopologyRule(LintRule):
         models.load_all()
         if not factory.is_registered(RoutingAlgorithm, algorithm):
             return []  # C005 covers it
-        if algorithm in TOPOLOGY_ROUTING.get(topology, ()):
+        problem = topology_mismatch(algorithm, topology)
+        if problem is None:
             return []
-        declared = getattr(
-            factory.lookup(RoutingAlgorithm, algorithm), "topology", None
-        )
-        if declared is not None and declared in ("*", topology):
-            return []
-        expected = TOPOLOGY_ROUTING.get(topology)
-        return [
-            Finding(
-                "C006",
-                Severity.ERROR,
-                f"routing algorithm {algorithm!r} is not compatible with "
-                f"topology {topology!r}"
-                + (f"; expected one of {list(expected)}" if expected else ""),
-                config_path="network.routing.algorithm",
-            )
-        ]
+        return [Finding("C006", Severity.ERROR, problem,
+                        config_path="network.routing.algorithm")]
 
 
 @factory.register(LintRule, "C007")

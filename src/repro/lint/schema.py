@@ -134,19 +134,6 @@ def factory_base(name: str) -> type:
     }[name]
 
 
-#: Packaged topology -> routing algorithm compatibility (mirrors each
-#: Network subclass's ``compatible_routing`` property; user algorithms
-#: additionally declare a ``topology`` class attribute, which
-#: :func:`repro.lint.config_rules` honors).
-TOPOLOGY_ROUTING: Dict[str, Tuple[str, ...]] = {
-    "torus": ("torus_dimension_order", "torus_minimal_adaptive"),
-    "hyperx": ("hyperx_dimension_order", "hyperx_valiant", "hyperx_ugal"),
-    "folded_clos": ("clos_deterministic", "clos_adaptive"),
-    "dragonfly": ("dragonfly_minimal", "dragonfly_valiant", "dragonfly_ugal"),
-    "parking_lot": ("chain",),
-}
-
-
 # ---------------------------------------------------------------------------
 # the schema tree
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.net.channel import Channel, CreditChannel
 from repro.net.device import PortedDevice
 from repro.net.interface import Interface, StandardInterface
 from repro.router.base import Router
-from repro.routing.base import RoutingAlgorithm
+from repro.routing.base import RoutingAlgorithm, topology_mismatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
@@ -149,10 +149,13 @@ class Network(Component):
         self.router_settings = settings.child("router")
         self.interface_settings = settings.child("interface", default={})
         self.routing_settings = settings.child("routing")
+        algorithm = self.routing_settings.get_str("algorithm")
         self.routing_class: Type[RoutingAlgorithm] = factory.lookup(
-            RoutingAlgorithm, self.routing_settings.get_str("algorithm")
+            RoutingAlgorithm, algorithm
         )
-        self._check_routing_compatible()
+        problem = topology_mismatch(algorithm, settings.get_str("topology", None))
+        if problem is not None:
+            raise NetworkError(problem)
 
         self.routers: List[Router] = []
         self.interfaces: List[Interface] = []
@@ -172,33 +175,11 @@ class Network(Component):
         """Create routers and interfaces and wire them together."""
         raise NotImplementedError
 
-    @property
-    def compatible_routing(self) -> Tuple[str, ...]:
-        """Routing algorithm names usable on this topology."""
-        raise NotImplementedError
-
     def minimal_hops(self, src_terminal: int, dst_terminal: int) -> int:
         """Router-to-router hops on a minimal path (for analyses)."""
         raise NotImplementedError
 
     # -- helpers for subclasses -----------------------------------------------------
-
-    def _check_routing_compatible(self) -> None:
-        algorithm = self.routing_settings.get_str("algorithm")
-        if algorithm in self.compatible_routing:
-            return
-        # User-defined algorithms (§III-D) declare their topology on the
-        # class instead of editing the packaged compatibility lists.
-        declared = getattr(self.routing_class, "topology", None)
-        topology = self.settings.get_str("topology", None)
-        if declared is not None and declared in ("*", topology):
-            return
-        raise NetworkError(
-            f"routing algorithm {algorithm!r} is not compatible with "
-            f"{type(self).__name__}; expected one of "
-            f"{self.compatible_routing}, or a class declaring "
-            f"topology={topology!r}"
-        )
 
     def _next_link_index(self) -> int:
         index = self._link_count

@@ -127,7 +127,7 @@ class Router(PortedDevice):
         ]
 
         # Routing engines, one per input port (created in finalize()),
-        # and a memo they share, bounded by network size.
+        # and the prebuilt responses they share, O(ports x VCs) entries.
         self._routing: List[Optional[RoutingAlgorithm]] = [None] * num_ports
         self.route_cache: Dict[Any, Any] = {}
 

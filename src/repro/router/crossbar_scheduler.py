@@ -122,9 +122,6 @@ class CrossbarScheduler:
     def locked_owner(self, out_port: int) -> Optional[Tuple[int, int]]:
         return self._locks.get(out_port)
 
-    def _flat(self, in_port: int, in_vc: int) -> int:
-        return in_port * self.num_vcs + in_vc
-
     # -- the per-cycle decision ---------------------------------------------------
 
     def schedule(self, bids: List[Bid], now_tick: int) -> List[Bid]:
@@ -212,13 +209,6 @@ class CrossbarScheduler:
         if self.flow_control in (PACKET_BUFFER, WINNER_TAKE_ALL):
             self._locks[out_port] = winner.key()
         return self._grant(out_port, winner)
-
-    def _eligible(self, out_port: int, bid: Bid) -> bool:
-        credits = self.credits_available(out_port, bid.out_vc)
-        if self.flow_control == PACKET_BUFFER:
-            # Enough space for the whole remaining packet up front.
-            return credits >= bid.remaining_flits
-        return credits >= 1
 
     def _grant(self, out_port: int, bid: Bid) -> Bid:
         if bid.is_tail and self._locks.get(out_port) == bid.key():

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro import factory
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
     from repro.net.packet import Packet
@@ -39,11 +41,10 @@ class RoutingError(RuntimeError):
 class RoutingAlgorithm:
     """Base class for per-input-port routing engines."""
 
-    #: User-defined algorithms declare the topology factory name they
-    #: support here (e.g. ``"torus"``; ``"*"`` = any topology).  The
-    #: packaged algorithms are instead listed in each Network's
-    #: ``compatible_routing`` property; either mechanism satisfies the
-    #: network's compatibility check.
+    #: The topology factory name this algorithm runs on (e.g.
+    #: ``"torus"``; ``"*"`` = any topology).  Packaged and user
+    #: algorithms declare it the same way and subclasses inherit it;
+    #: :func:`topology_mismatch` is its only reader.
     topology: Optional[str] = None
 
     #: False declares that :meth:`route` never queries the congestion
@@ -167,3 +168,24 @@ class RoutingAlgorithm:
             return 0.0
         status = self.router.sensor.status
         return sum(status(port, vc) for vc in vcs) / len(vcs)
+
+
+def topology_mismatch(algorithm: str, topology: Optional[str]) -> Optional[str]:
+    """Why the registered routing ``algorithm`` cannot run on
+    ``topology``, or None if it can.
+
+    The network build and lint rule C006 both ask here, so the
+    algorithms' ``topology`` declarations are the one compatibility
+    statement; the expected list is read from the factory registry.
+    """
+    def runs_on(name: str) -> bool:
+        declared = factory.lookup(RoutingAlgorithm, name).topology
+        return declared is not None and declared in ("*", topology)
+
+    if runs_on(algorithm):
+        return None
+    expected = [name for name in factory.names(RoutingAlgorithm) if runs_on(name)]
+    return (
+        f"routing algorithm {algorithm!r} is not compatible with topology "
+        f"{topology!r}" + (f"; expected one of {expected}" if expected else "")
+    )

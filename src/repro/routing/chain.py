@@ -18,6 +18,8 @@ from repro.routing.base import Candidate, RoutingAlgorithm
 class ChainRouting(RoutingAlgorithm):
     """Left/right routing on a bidirectional chain."""
 
+    topology = "parking_lot"
+
     def route(self, packet, input_vc: int) -> List[Candidate]:
         network = self.network
         own = self.router.address[0]

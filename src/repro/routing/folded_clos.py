@@ -24,7 +24,7 @@ admissible everywhere and packets may inject on any VC.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro import factory
 from repro.routing.base import Candidate, RoutingAlgorithm
@@ -33,16 +33,19 @@ from repro.routing.base import Candidate, RoutingAlgorithm
 class _ClosRoutingBase(RoutingAlgorithm):
     """Shared up*/down* structure; subclasses order the up ports."""
 
+    topology = "folded_clos"
+
     def __init__(self, network, router, input_port, settings):
         super().__init__(network, router, input_port, settings)
         self.level, self.index = router.address
-        self.half_radix = network.half_radix
+        self.half_radix = k = network.half_radix
         self.num_levels = network.num_levels
-        # Down routing is static per destination at a router: one cache
-        # per router maps a terminal id to its down port (-1: route up).
-        self._down_ports: Dict[int, int] = router.route_cache.setdefault(
-            "clos_down_ports", {}
-        )
+        # This router is an ancestor of terminal t iff
+        # t // k**(level + 1) == index // k**level, and then descends
+        # (or ejects at level 0) on port (t // k**level) % k.
+        self._stride = k**self.level
+        self._subtree = k * self._stride
+        self._subtree_id = self.index // self._stride
         # Per output port, its candidate on every VC: responses are built
         # from these, and a down response is one, validated once per router.
         self._port_candidates: List[Tuple[Candidate, ...]] = router.route_cache.get(
@@ -58,19 +61,10 @@ class _ClosRoutingBase(RoutingAlgorithm):
                     self.validated(candidates)
 
     def route(self, packet, input_vc: int) -> Sequence[Candidate]:
-        dst = packet.destination
-        port = self._down_ports.get(dst)
-        if port is None:
-            network = self.network
-            if network.is_ancestor(self.level, self.index, dst):
-                # Descend (or eject at level 0): down port = dst digit.
-                port = network.terminal_digits(dst)[self.level]
-            else:
-                port = -1
-            self._down_ports[dst] = port
-        if port >= 0:
-            return self._port_candidates[port]
+        dst = packet.message.destination
         candidates = self._port_candidates
+        if dst // self._subtree == self._subtree_id:
+            return candidates[dst // self._stride % self.half_radix]
         return [
             candidate
             for port in self._ordered_up_ports(packet)

@@ -28,6 +28,8 @@ from repro.topology.util import product, ring_distance
 class _TorusRoutingBase(RoutingAlgorithm):
     """Shared coordinate helpers for torus routing."""
 
+    topology = "torus"
+
     def __init__(self, network, router, input_port, settings):
         super().__init__(network, router, input_port, settings)
         self.coords = router.address

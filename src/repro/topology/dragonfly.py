@@ -36,10 +36,6 @@ from repro.net.network import Network, wire
 class DragonflyNetwork(Network):
     """Balanced dragonfly with single global channels between groups."""
 
-    @property
-    def compatible_routing(self):
-        return ("dragonfly_minimal", "dragonfly_valiant", "dragonfly_ugal")
-
     def _build(self) -> None:
         self.group_size = self.settings.get_uint("group_size")
         self.global_links = self.settings.get_uint("global_links")

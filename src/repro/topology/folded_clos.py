@@ -36,10 +36,6 @@ from repro.net.network import Network
 class FoldedClosNetwork(Network):
     """k-ary n-tree folded Clos."""
 
-    @property
-    def compatible_routing(self):
-        return ("clos_deterministic", "clos_adaptive")
-
     def _build(self) -> None:
         self.half_radix = self.settings.get_uint("half_radix")
         self.num_levels = self.settings.get_uint("num_levels")

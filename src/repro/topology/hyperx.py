@@ -35,10 +35,6 @@ from repro.topology.util import coords_to_index, index_to_coords, product
 class HyperXNetwork(Network):
     """n-dimensional HyperX / flattened butterfly."""
 
-    @property
-    def compatible_routing(self):
-        return ("hyperx_dimension_order", "hyperx_valiant", "hyperx_ugal")
-
     def _build(self) -> None:
         self.widths = self.settings.get_int_list("dimension_widths")
         if not self.widths or any(w < 2 for w in self.widths):

@@ -25,10 +25,6 @@ from repro.net.network import Network
 class ParkingLotNetwork(Network):
     """A bidirectional chain of routers."""
 
-    @property
-    def compatible_routing(self):
-        return ("chain",)
-
     def _build(self) -> None:
         self.length = self.settings.get_uint("length")
         if self.length < 2:

@@ -35,10 +35,6 @@ from repro.topology.util import (
 class TorusNetwork(Network):
     """k-ary n-cube with wrap-around links."""
 
-    @property
-    def compatible_routing(self):
-        return ("torus_dimension_order", "torus_minimal_adaptive")
-
     def _build(self) -> None:
         self.widths = self.settings.get_int_list("dimension_widths")
         if not self.widths or any(w < 2 for w in self.widths):

@@ -138,6 +138,20 @@ CONFIGS = {
         },
         "workload": base_workload(),
     },
+    "dragonfly_valiant": {
+        "network": {
+            "topology": "dragonfly",
+            "group_size": 4, "global_links": 1, "concentration": 1,
+            "num_vcs": 5,
+            "channel_latency": 2,
+            "global_latency": 6,
+            "router": {"architecture": "input_queued",
+                       "input_queue_depth": 8, "core_latency": 1},
+            "interface": {"max_packet_size": 2},
+            "routing": {"algorithm": "dragonfly_valiant"},
+        },
+        "workload": base_workload(),
+    },
     "dragonfly_ugal": {
         "network": {
             "topology": "dragonfly",

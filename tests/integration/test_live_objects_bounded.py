@@ -7,7 +7,9 @@ the sensors' delay lines and per-key memos, queues, channels -- except
 the message log, which keeps one record per delivered message by
 design.  Run the same folded Clos of OQ routers for two horizons, one
 four times longer: the census must not grow with it, and the caches the
-OQ hot path keeps must sit inside their network-size bounds.
+OQ hot path keeps must sit inside their network-size bounds.  Every
+routing engine, torus and folded Clos alike, holds at most
+2 x ports x VCs cached entries, the same at both horizons.
 """
 
 from __future__ import annotations
@@ -60,10 +62,8 @@ def test_census_does_not_grow_with_simulated_time():
     assert len(long.message_log) > 3 * len(short.message_log)
     assert census(long) <= 1.1 * census(short)
 
-    network = long.network
-    terminals = len(network.interfaces)
-    for router in network.routers:
-        assert len(router.route_cache["clos_down_ports"]) <= terminals
+    assert engine_census(short) == engine_census(long)
+    for router in long.network.routers:
         for engine in router._routing:
             if engine is not None:
                 assert len(engine._validated_responses) <= router.num_ports
@@ -72,7 +72,7 @@ def test_census_does_not_grow_with_simulated_time():
         assert len(sensor._memo) == router.num_ports * router.num_vcs
 
 
-# -- torus: dimension-order routing keeps no per-destination state -----------
+# -- routing engines keep no per-destination state --------------------------
 
 
 def engine_entries(engine) -> int:
@@ -81,12 +81,9 @@ def engine_entries(engine) -> int:
     return sum(len(v) for v in vars(engine).values() if isinstance(v, dict))
 
 
-def torus_census(config: dict, max_time: int) -> list:
-    """Per DOR engine, its cached entries after ``max_time`` ticks, each
-    checked against 2 x ports x VCs of its router."""
-    simulation = Simulation(Settings.from_dict(config))
-    simulation.run(max_time=max_time)
-    assert sum(c.flits_carried for c in simulation.network.flit_channels)
+def engine_census(simulation) -> list:
+    """Per routing engine, its cached entries, each checked against
+    2 x ports x VCs of its router."""
     entries = []
     for router in simulation.network.routers:
         bound = 2 * router.num_ports * router.num_vcs
@@ -98,10 +95,18 @@ def torus_census(config: dict, max_time: int) -> list:
     return entries
 
 
+def routing_census(config: dict, max_time: int) -> list:
+    """``engine_census`` after ``max_time`` ticks of ``config``."""
+    simulation = Simulation(Settings.from_dict(config))
+    simulation.run(max_time=max_time)
+    assert sum(c.flits_carried for c in simulation.network.flit_channels)
+    return engine_census(simulation)
+
+
 def test_dor_engine_state_is_linear_in_ports_not_destinations():
     config = flow_control_config(injection_rate=0.3)
     assert config["network"]["dimension_widths"] == [4, 4, 4]
-    assert torus_census(config, 200) == torus_census(config, 800)
+    assert routing_census(config, 200) == routing_census(config, 800)
 
 
 @pytest.mark.slow
@@ -110,4 +115,24 @@ def test_dor_engine_state_is_linear_in_ports_not_destinations():
 def test_dor_engine_state_is_linear_at_full_scale():
     """The 8^4 torus of Table I, where a per-destination memo reached
     millions of entries."""
-    torus_census(flow_control_config(full_scale=True), 60)
+    routing_census(flow_control_config(full_scale=True), 60)
+
+
+# -- folded Clos: down routes come from digit arithmetic ---------------------
+
+
+def test_clos_engine_state_is_linear_in_ports_not_destinations():
+    """The folded Clos of the benchmark, where a per-destination down-port
+    cache grew with the terminals each router had routed to."""
+    config = latent_congestion_config(
+        injection_rate=0.4, warmup=50, window=100, seed=12345)
+    assert routing_census(config, 200) == routing_census(config, 800)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.environ.get("REPRO_FULL_SCALE"),
+                    reason="paper-size network; set REPRO_FULL_SCALE=1")
+def test_clos_engine_state_is_linear_at_full_scale():
+    """The 4 096-terminal folded Clos of Table I, where the down-port
+    cache reached 743 k entries."""
+    routing_census(latent_congestion_config(full_scale=True), 60)

@@ -104,11 +104,12 @@ def test_hop_adaptive_routing_carries_evidence_chain():
     verdict = analyze_registered("routing", "dragonfly_ugal")
     assert verdict.classification == SHARD_UNSAFE
     (hazard,) = [h for h in verdict.hazards if h.rule_id == "S001"]
-    # The read happens two helpers deep; the chain must show the path
-    # from the framework entry point to the offending method.
-    assert hazard.path == ("route", "_decide", "_hop_vc")
+    # The read happens in a helper of the two-phase core the class
+    # inherits; the chain must show the path from the framework entry
+    # point to the offending method, and the location its file.
+    assert hazard.path == ("route", "_hop_vc")
     assert "hop_count" in hazard.detail
-    assert "dragonfly.py" in hazard.location
+    assert "two_phase.py" in hazard.location
     assert not hazard.conditions  # unconditional: fires for any config
 
 

@@ -12,6 +12,11 @@ digest legitimately depends on how deliveries are packed into events).
 Covered on torus/IQ, folded-Clos/OQ/adaptive and HyperX/IOQ/UGAL with
 the 2x channel clock -- the three router architectures exercise
 disjoint send paths, and only the last paces channels at period 2.
+
+The two-phase (Valiant/UGAL) cells on HyperX and dragonfly were
+recorded at cdd43b6, where each topology still had its own two-phase
+implementation: they pin the random intermediate draws and the UGAL
+source decisions of the shared core.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ from repro.net.packet import preserve_packet_ids
 from repro.sanitize import attach_sanitizers
 
 from tests.conftest import small_torus_config
+from tests.integration.test_delivery_invariants import CONFIGS
+
+
+def _invariants_cell(name: str) -> dict:
+    return {"simulator": {"seed": 23}, **CONFIGS[name]}
 
 
 def _digest_run(config: dict, max_time: int) -> dict:
@@ -89,6 +99,26 @@ def _pin(digest, deliveries, flits, messages, hops) -> dict:
             credit_accounting_config(warmup=100, window=300), 5_000,
             _pin("b4455a96", 30862, 5256, 5256, 10175),
             id="hyperx_ioq_2x_channel_clock",
+        ),
+        pytest.param(
+            _invariants_cell("hyperx_2d_valiant"), 400_000,
+            _pin("986a5c12", 18996, 2046, 1023, 7452),
+            id="hyperx_valiant",
+        ),
+        pytest.param(
+            _invariants_cell("hyperx_ioq_ugal"), 400_000,
+            _pin("8f51a60c", 25652, 3712, 3712, 9114),
+            id="hyperx_ugal",
+        ),
+        pytest.param(
+            _invariants_cell("dragonfly_valiant"), 400_000,
+            _pin("c2304c6b", 52324, 4648, 2324, 21514),
+            id="dragonfly_valiant",
+        ),
+        pytest.param(
+            _invariants_cell("dragonfly_ugal"), 400_000,
+            _pin("6b9147e9", 24296, 3028, 1514, 9120),
+            id="dragonfly_ugal",
         ),
     ],
 )

@@ -65,18 +65,26 @@ class TestUpDown:
             assert candidates == ((digits[2], 0),)
 
     def test_mid_level_descends_when_ancestor(self):
-        network = build(half_radix=2, num_levels=3)
-        # Level-1 router with index digits matching dst's upper digit.
-        dst = 5  # digits (1, 0, 1)
-        digits = network.terminal_digits(dst)
-        # Find a level-1 ancestor: its digit[1] must equal dst digit[2].
-        for index in range(4):
-            if network.is_ancestor(1, index, dst):
-                _p, candidates = respond_at(network, 1, index, 0, dst)
-                assert candidates == ((digits[1], 0),)
-                break
-        else:
-            pytest.fail("no level-1 ancestor found")
+        """Every (level, index, terminal) at half_radix 2 and 3 with 2 to
+        4 levels, against the digit-list reference ``is_ancestor`` /
+        ``terminal_digits``: an ancestor descends on the destination's
+        digit at its level, any other router offers only its up ports."""
+        for half_radix in (2, 3):
+            for num_levels in (2, 3, 4):
+                network = build(half_radix=half_radix, num_levels=num_levels)
+                up_ports = set(range(half_radix, 2 * half_radix))
+                for level in range(num_levels):
+                    for index in range(network.routers_per_level):
+                        for dst in range(half_radix**num_levels):
+                            _p, candidates = respond_at(
+                                network, level, index, 0, dst)
+                            where = (half_radix, num_levels, level, index, dst)
+                            if network.is_ancestor(level, index, dst):
+                                digit = network.terminal_digits(dst)[level]
+                                assert candidates == ((digit, 0),), where
+                            else:
+                                ports = [port for port, _vc in candidates]
+                                assert sorted(ports) == sorted(up_ports), where
 
     def test_full_path_walk(self):
         """Walk a packet hop by hop from source to destination."""
