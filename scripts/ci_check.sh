@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
-# CI gate.  Seven gates:
+# CI gate.  Eight gates:
 #   1. tier-1    pytest over tests/ (the behavioural gate; see ROADMAP.md)
 #   2. ruff      style over the cleaned packages (SKIPPED when absent)
 #   3. mypy      types over the packages pyproject declares (SKIPPED when absent)
 #   4. sslint    examples, src/repro and the builtin configs: no error finding
 #   5. bench     one short torus_iq_uniform run must reproduce bench/pins.json
-#   6. bench     one short clos_oq_adaptive run must reproduce bench/pins.json
+#   6. bench     one short torus_iq_saturated run must reproduce bench/pins.json
+#                (the only workload the contested crossbar grants carry)
+#   7. bench     one short clos_oq_adaptive run must reproduce bench/pins.json
 #                (the OQ router, adaptive routing and congestion sensor path)
-#   7. bench     one short sweep16_hyperx_ioq run must reproduce bench/pins.json
+#   8. bench     one short sweep16_hyperx_ioq run must reproduce bench/pins.json
 #                (IOQ routers, hyperx_ugal and the 2x channel clock)
 #
 # Usage: scripts/ci_check.sh [--fast]
-#   --fast  run only sslint and the three bench smokes
+#   --fast  run only sslint and the four bench smokes (~7 s on 2 cores)
 #
 # Exit status is non-zero if any executed gate fails.  ruff and mypy
 # are optional: their configuration lives in pyproject.toml and applies
@@ -64,6 +66,8 @@ run_gate "sslint (examples + src/repro + builtin configs)" \
 # the pinned SHA-256; its rates are reported, not judged.
 run_gate "bench smoke (torus_iq_uniform pins)" \
     python3 bench/run.py --workload torus_iq_uniform --reps 1 --seconds 2
+run_gate "bench smoke (torus_iq_saturated pins)" \
+    python3 bench/run.py --workload torus_iq_saturated --reps 1 --seconds 2
 run_gate "bench smoke (clos_oq_adaptive pins)" \
     python3 bench/run.py --workload clos_oq_adaptive --reps 1 --seconds 2
 run_gate "bench smoke (sweep16_hyperx_ioq pins)" \

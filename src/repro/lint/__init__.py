@@ -44,8 +44,7 @@ one call-graph core and model-target discovery (:mod:`.callgraph`).
   attribute-chain loads in loops, unguarded formatting, missing
   ``__slots__``, try/except in hot loops, monomorphic-dispatchable
   ``isinstance``, and recomputed pure subexpressions -- only on
-  provably hot paths, each with an evidence chain.  ``--profile
-  out.pstats`` re-ranks by measured cumulative time.  Opt-in like
+  provably hot paths, each with an evidence chain.  Opt-in like
   shard (``--layer perf``).  See docs/LINTING.md and
   docs/PERFORMANCE.md "Profiling workflow".
 
@@ -124,7 +123,6 @@ def lint_settings(
     max_pairs: int = 512,
     subject: Optional[str] = None,
     layers: Optional[Iterable[str]] = None,
-    profile_path: Optional[str] = None,
 ) -> LintReport:
     """Lint a resolved Settings tree (config layer, optionally graph).
 
@@ -135,9 +133,7 @@ def lint_settings(
     config-errors-gate-graph rule still applies within the subset.
     """
     wanted = set(layers) if layers is not None else {CONFIG_LAYER, GRAPH_LAYER}
-    ctx = LintContext(
-        settings=settings, max_pairs=max_pairs, profile_path=profile_path
-    )
+    ctx = LintContext(settings=settings, max_pairs=max_pairs)
     report = LintReport(subject=subject)
     if CONFIG_LAYER in wanted:
         report.merge(run_rules(ctx, [CONFIG_LAYER], subject=subject))
@@ -220,7 +216,6 @@ def lint_sources(
     paths: Iterable[str],
     subject: Optional[str] = None,
     layers: Optional[Iterable[str]] = None,
-    profile_path: Optional[str] = None,
 ) -> LintReport:
     """Run the source-file AST layers (determinism/dataflow/partition).
 
@@ -228,8 +223,7 @@ def lint_sources(
     The shard and perf layers join only on explicit request (``--layer
     shard`` / ``--layer perf``) -- they classify registered model
     classes defined in the files, so the caller must have imported
-    them (``sslint --import``).  ``profile_path`` feeds the perf
-    layer's measured-time correlation mode.
+    them (``sslint --import``).
     """
     source_ok = SOURCE_LAYERS + (SHARD_LAYER, PERF_LAYER)
     wanted = (
@@ -237,7 +231,7 @@ def lint_sources(
         if layers is not None
         else list(SOURCE_LAYERS)
     )
-    ctx = LintContext(source_paths=list(paths), profile_path=profile_path)
+    ctx = LintContext(source_paths=list(paths))
     source_layers = set(wanted) & set(SOURCE_LAYERS)
     if source_layers:
         # First: a class-level layer's call graphs reuse these trees.

@@ -43,22 +43,15 @@ chain:
   attribute loads) recomputed three or more times inside one hot
   method.
 
-**Profile correlation.**  ``sslint --layer perf --profile out.pstats``
-consumes a cProfile dump (``supersim --profile PATH`` writes one) and
-re-ranks findings by measured cumulative time:
-statically-hot-but-measured-cold findings demote to INFO, so the layer
-reports *ranked, evidenced optimization targets*, not style noise.
-
-Fingerprints (docs/LINTING.md "Baselines") hash the evidence chain
-plus a per-hazard token, never the message or line number, so a
-committed baseline survives analyzer evolution and measured-time
-drift.
+Findings are ranked hottest-first by static heat.  Fingerprints
+(docs/LINTING.md "Baselines") hash the evidence chain plus a per-hazard
+token, never the message or line number, so a committed baseline
+survives analyzer evolution.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 import sys
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -134,10 +127,6 @@ HEAT_ENTRIES: Dict[str, Dict[str, float]] = {
 #: never appear in the heat map at all; this threshold only matters if
 #: entry weights below it are ever added).
 HOT_THRESHOLD = 0.25
-
-#: Measured cumulative-time fraction below which a statically-hot
-#: finding demotes to INFO under ``--profile`` correlation.
-COLD_FRACTION = 0.01
 
 #: Constructor names whose calls allocate a container (H001).
 _CONTAINER_CALLS = frozenset({
@@ -570,8 +559,7 @@ class PerfHazard:
     """One H-rule hazard on a provably hot path."""
 
     __slots__ = ("rule_id", "class_name", "owner", "path", "location",
-                 "detail", "token", "heat", "method", "filename",
-                 "measured")
+                 "detail", "token", "heat", "method", "filename")
 
     def __init__(self, rule_id: str, class_name: str, owner: str,
                  heat: Heat, method: str, filename: str, site: PerfSite):
@@ -587,9 +575,6 @@ class PerfHazard:
         self.location = f"{filename}:{site.lineno}"
         self.detail = site.detail
         self.token = site.token
-        #: measured cumulative-time fraction under --profile (None when
-        #: no profile was given; 0.0 when absent from the profile).
-        self.measured: Optional[float] = None
 
     @property
     def chain(self) -> str:
@@ -606,11 +591,8 @@ class PerfHazard:
     def render(self, rank: int, total: int) -> str:
         text = (
             f"{self.rule_id} {self.chain}: {self.detail} "
-            f"[heat {self.heat:g} ev/hop"
+            f"[heat {self.heat:g} ev/hop, rank {rank}/{total}]"
         )
-        if self.measured is not None:
-            text += f", measured {self.measured * 100:.1f}% cum"
-        text += f", rank {rank}/{total}]"
         if self.location:
             text += f" ({self.location})"
         return text
@@ -630,26 +612,6 @@ def _missing_slots(cls: type) -> bool:
         for klass in cls.__mro__
         if klass is not object
     )
-
-
-def load_profile_times(path: str) -> Tuple[Dict[Tuple[str, str], float], float]:
-    """cProfile dump -> ({(basename, funcname): cumtime}, total time).
-
-    Keys use the file's basename so a profile recorded from an
-    installed package still matches source checked out elsewhere.
-    """
-    import pstats
-
-    stats = pstats.Stats(path)
-    total = 0.0
-    times: Dict[Tuple[str, str], float] = {}
-    for (filename, _lineno, funcname), row in stats.stats.items():
-        _cc, _nc, tt, ct, _callers = row
-        total += tt
-        key = (os.path.basename(filename), funcname)
-        if ct > times.get(key, -1.0):
-            times[key] = ct
-    return times, total
 
 
 def _framework_classes() -> List[Tuple[str, type]]:
@@ -713,8 +675,7 @@ def _resolve_h005(site: PerfSite, scan: MethodScan) -> Optional[PerfSite]:
 class PerfAnalysis:
     """Memoized hot-path audit of one lint run's model targets (the
     configured or in-path registered models, congestion sensors and
-    framework classes); ``ctx.profile_path`` switches on correlation
-    mode.
+    framework classes).
     """
 
     def __init__(self, ctx: LintContext):
@@ -722,7 +683,6 @@ class PerfAnalysis:
 
         bases = {**model_bases(), "sensor": CongestionSensor}
         self.targets = model_targets(ctx, bases, _framework_classes())
-        self.profile_path = ctx.profile_path
         self._hazards: Optional[List[Tuple[ModelTarget, PerfHazard]]] = None
         self._ranked: Optional[List[Tuple[ModelTarget, PerfHazard, int]]] = None
 
@@ -750,33 +710,16 @@ class PerfAnalysis:
                         and len(hazard.path) < len(held[1].path)
                     ):
                         best[key] = (target, hazard)
-            collected = list(best.values())
-            if self.profile_path:
-                times, total = load_profile_times(self.profile_path)
-                for _target, hazard in collected:
-                    cum = times.get(
-                        (os.path.basename(hazard.filename), hazard.method)
-                    )
-                    if cum is None or total <= 0.0:
-                        hazard.measured = 0.0
-                    else:
-                        hazard.measured = min(cum / total, 1.0)
-            self._hazards = collected
+            self._hazards = list(best.values())
         return self._hazards
 
     def ranked(self) -> List[Tuple[ModelTarget, PerfHazard, int]]:
-        """Hazards ordered hottest-first with their 1-based rank.
-
-        Without a profile the static heat ranks; with one, measured
-        cumulative time does (heat breaks ties).
-        """
+        """Hazards ordered hottest-first with their 1-based rank."""
         if self._ranked is None:
             hazards = self.hazards()
             ordered = sorted(
                 hazards,
                 key=lambda pair: (
-                    -(pair[1].measured if pair[1].measured is not None
-                      else 0.0),
                     -pair[1].heat,
                     pair[1].rule_id,
                     pair[1].chain,
@@ -796,16 +739,11 @@ class PerfAnalysis:
         for target, hazard, rank in ranked:
             if hazard.rule_id != rule.rule_id:
                 continue
-            demoted = (
-                hazard.measured is not None
-                and hazard.measured < COLD_FRACTION
-            )
             findings.append(Finding(
                 rule.rule_id,
-                Severity.INFO if demoted else rule.severity,
+                rule.severity,
                 rule.template.format(
-                    origin=target.origin, name=target.name,
-                    prefix="measured cold here: " if demoted else "",
+                    origin=target.origin, name=target.name, prefix="",
                     hazard=hazard.render(rank, total),
                 ),
                 config_path=hazard.fingerprint_path,

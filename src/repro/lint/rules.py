@@ -34,8 +34,7 @@ Each rule belongs to one *layer*:
   propagated from the per-event entry points through each model
   class's call graph, flagging per-event allocation, repeated
   attribute-chain loads, unguarded formatting, missing ``__slots__``
-  and friends only on provably hot paths -- optionally re-ranked by a
-  measured cProfile dump (``--profile``).
+  and friends only on provably hot paths.
 
 A :class:`LintContext` carries the inputs and memoizes the expensive
 shared work (the schema walk, the network construction and channel
@@ -125,7 +124,6 @@ class LintContext:
         manifest: Optional[dict] = None,
         partition_tolerance: Optional[float] = None,
         lookahead_threshold: int = 1,
-        profile_path: Optional[str] = None,
     ):
         self.settings = settings
         self.source_paths = list(source_paths or [])
@@ -138,9 +136,6 @@ class LintContext:
         self.manifest = manifest
         self.partition_tolerance = partition_tolerance
         self.lookahead_threshold = lookahead_threshold
-        #: Path to a cProfile ``.pstats`` dump; switches the perf layer
-        #: into measured-time correlation mode.
-        self.profile_path = profile_path
         self._schema_findings: Optional[List[Finding]] = None
         self._graph: Optional["GraphAnalysis"] = None
         self._sources: Optional[List["SourceFile"]] = None

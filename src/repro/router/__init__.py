@@ -22,7 +22,6 @@ from repro.router.crossbar_scheduler import (
     FLIT_BUFFER,
     PACKET_BUFFER,
     WINNER_TAKE_ALL,
-    Bid,
     CrossbarScheduler,
 )
 from repro.router.input_output_queued import InputOutputQueuedRouter
@@ -32,7 +31,6 @@ from repro.router.output_queued import OutputQueuedRouter
 __all__ = [
     "AgeBasedArbiter",
     "Arbiter",
-    "Bid",
     "CongestionSensor",
     "CreditSensor",
     "CrossbarScheduler",

@@ -13,7 +13,9 @@ object factory so router models can be configured with any of them:
 * ``fixed_priority`` -- lowest index wins; useful in tests.
 
 A request is ``(index, packet_or_None)``; ``arbitrate`` returns the
-winning index or ``None`` when there are no requests.
+winning index or ``None`` when there are no requests.  ``forced``
+records an uncontested grant: it leaves the arbiter in the state a
+one-request ``arbitrate`` would.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
+    from repro.core.rng import RandomManager
 
 Request = Tuple[int, Optional[Packet]]
 
@@ -43,6 +46,10 @@ class Arbiter:
         """Pick a winner among ``requests``; None when empty."""
         raise NotImplementedError
 
+    def forced(self, index: int, packet: Optional[Packet], now_tick: int) -> None:
+        """Record a grant to the only requester ``index``."""
+        self.arbitrate([(index, packet)], now_tick)
+
     @staticmethod
     def _check(requests: List[Request], size: int) -> None:
         for index, _meta in requests:
@@ -50,11 +57,14 @@ class Arbiter:
                 raise ValueError(f"request index {index} out of range [0, {size})")
 
 
-def create_arbiter(settings: "Settings", size: int, rng=None) -> Arbiter:
-    """Build an arbiter from a settings block with a ``type`` key."""
+def create_arbiter(
+    settings: "Settings", size: int, random: "RandomManager", label: str
+) -> Arbiter:
+    """Build an arbiter from a settings block with a ``type`` key; a
+    random arbiter draws from the run's ``label`` stream."""
     kind = settings.get_str("type", "round_robin")
     if kind == "random":
-        return factory.create(Arbiter, kind, size, rng)
+        return factory.create(Arbiter, kind, size, random.generator(label))
     return factory.create(Arbiter, kind, size)
 
 
@@ -70,7 +80,7 @@ class RoundRobinArbiter(Arbiter):
         if not requests:
             return None
         if len(requests) == 1:
-            # Forced winner; the pointer still rotates exactly as the
+            # One requester wins; the pointer rotates exactly as the
             # general path would set it.
             best = requests[0][0]
             if not 0 <= best < self.size:
@@ -88,6 +98,9 @@ class RoundRobinArbiter(Arbiter):
                 best, best_rank = index, rank
         self._pointer = (best + 1) % size
         return best
+
+    def forced(self, index: int, packet: Optional[Packet], now_tick: int) -> None:
+        self._pointer = (index + 1) % self.size
 
 
 @factory.register(Arbiter, "age_based")
@@ -113,11 +126,11 @@ class AgeBasedArbiter(Arbiter):
 
 @factory.register(Arbiter, "random")
 class RandomArbiter(Arbiter):
-    """Uniformly random winner; requires a numpy Generator."""
+    """Uniformly random winner, drawn from the given numpy Generator."""
 
-    def __init__(self, size: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, size: int, rng: np.random.Generator):
         super().__init__(size)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng
 
     def arbitrate(self, requests: List[Request], now_tick: int = 0) -> Optional[int]:
         if not requests:

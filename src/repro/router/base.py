@@ -30,7 +30,7 @@ sensor -> reschedule), from the stages shared here and its own.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from typing import (
     TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple,
 )
@@ -51,6 +51,7 @@ from repro.routing.base import RoutingAlgorithm, RoutingError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
+    from repro.core.rng import RandomManager
     from repro.core.simulator import Simulator
 
 RoutingFactory = Callable[["Router", int], RoutingAlgorithm]
@@ -111,6 +112,9 @@ class Router(PortedDevice):
         self.core_clock = core_clock
         self.channel_clock = channel_clock
         self.address: Optional[Tuple[int, ...]] = None  # set by the network
+        # The network's named random streams: a random arbiter draws from
+        # one per router, role and port.
+        self.random: "RandomManager" = parent.random  # type: ignore[union-attr]
 
         self.input_queue_depth = settings.get_uint("input_queue_depth", 16)
         self.core_latency = settings.get_uint("core_latency", 1)
@@ -369,46 +373,25 @@ class Router(PortedDevice):
         # the next cycle.  Most cycles the list is empty and the whole
         # stage is one truth test.
         input_vcs = self._input_vcs
+        owner_table = self._output_vc_owner
         routable = []
+        requests: Dict[Tuple[int, int], list] = {}
         for port, vc in pending:
             state = input_vcs[port][vc]
             if state.packet is None or state.allocated:
                 continue
             routable.append((port, vc, state))
-        if not routable:
-            pending.clear()
-            return
-        owner_table = self._output_vc_owner
-        if len(routable) == 1:
-            # One claimant: no arbitration possible; take the first free
-            # candidate directly (identical to the general path below).
-            port, vc, state = routable[0]
             for out_port, out_vc in state.candidates:
                 key = (out_port, out_vc)
                 if key in owner_table:
                     continue
-                owner_table[key] = (port, vc)
-                state.allocated = True
-                state.out_port = out_port
-                state.out_vc = out_vc
-                pending.clear()
-                return
-            pending.clear()
-            pending.append((port, vc))
-            return
-        requests: Dict[Tuple[int, int], list] = defaultdict(list)
-        for port, vc, state in routable:
-            for out_port, out_vc in state.candidates:
-                key = (out_port, out_vc)
-                if key in owner_table:
-                    continue
-                requests[key].append((port, vc, state))
+                claimants = requests.get(key)
+                if claimants is None:
+                    requests[key] = [(port, vc, state)]
+                else:
+                    claimants.append((port, vc, state))
                 break  # one request per input VC per cycle
         pending.clear()
-        if not requests:
-            for port, vc, _state in routable:
-                pending.append((port, vc))
-            return
         now = self.simulator.tick
         num_vcs = self.num_vcs
         for key in sorted(requests):
@@ -421,17 +404,18 @@ class Router(PortedDevice):
                     arbiter = create_arbiter(
                         self._vc_arbiter_settings,
                         self.num_ports * num_vcs,
+                        self.random,
+                        f"{self.full_name}.vc_scheduler.out{key[0]}.vc{key[1]}",
                     )
                     self._vc_arbiters[key] = arbiter
-                flat = {
-                    in_port * num_vcs + in_vc: (in_port, in_vc, in_state)
-                    for in_port, in_vc, in_state in claimants
-                }
                 arbitrated = self._vc_requests
                 arbitrated.clear()
-                for index, entry in flat.items():
-                    arbitrated.append((index, entry[2].packet))
-                port, vc, state = flat[arbiter.arbitrate(arbitrated, now)]
+                for in_port, in_vc, in_state in claimants:
+                    arbitrated.append((in_port * num_vcs + in_vc, in_state.packet))
+                index = arbiter.arbitrate(arbitrated, now)
+                port, vc, state = next(
+                    c for c in claimants if c[0] * num_vcs + c[1] == index
+                )
             out_port, out_vc = key
             owner_table[key] = (port, vc)
             state.allocated = True

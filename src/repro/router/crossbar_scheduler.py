@@ -19,21 +19,25 @@ Towles [11]:
   flit has not arrived -- the lock is released and other packets with
   available credits take over.
 
-The scheduler is microarchitecture-agnostic: the owning router supplies
-a ``credits_available(out_port, out_vc)`` callback, which is downstream
-credits for the IQ router and output-queue credits for the IOQ router.
+The scheduler is the only code that grants a crossbar slot, and it is
+microarchitecture-agnostic.  Each cycle the owning router calls
+``grant`` with its bidders -- ``(in_port, in_vc, state)`` for each input
+VC whose front flit may move, ``state`` being its ``InputVcState`` --
+and a free-space table ``free[out_port][out_vc]``: downstream credits
+for the IQ router, free output-queue slots for the IOQ router.  The
+router pops the flits of the bidders it gets back.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.net.flit import Flit
-from repro.net.packet import Packet
 from repro.router.arbiter import Arbiter, create_arbiter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
+    from repro.core.rng import RandomManager
+    from repro.router.base import InputVcState
 
 FLIT_BUFFER = "flit_buffer"
 PACKET_BUFFER = "packet_buffer"
@@ -41,45 +45,8 @@ WINNER_TAKE_ALL = "winner_take_all"
 
 _FLOW_CONTROL_MODES = (FLIT_BUFFER, PACKET_BUFFER, WINNER_TAKE_ALL)
 
-
-class Bid:
-    """One input VC's request to move its front flit through the crossbar."""
-
-    __slots__ = ("in_port", "in_vc", "packet", "flit", "out_port", "out_vc")
-
-    def __init__(
-        self,
-        in_port: int,
-        in_vc: int,
-        packet: Packet,
-        flit: Flit,
-        out_port: int,
-        out_vc: int,
-    ):
-        self.in_port = in_port
-        self.in_vc = in_vc
-        self.packet = packet
-        self.flit = flit
-        self.out_port = out_port
-        self.out_vc = out_vc
-
-    @property
-    def remaining_flits(self) -> int:
-        """Flits of the packet not yet through the crossbar (incl. this one)."""
-        return self.packet.num_flits - self.flit.index
-
-    @property
-    def is_tail(self) -> bool:
-        return self.flit.tail
-
-    def key(self) -> Tuple[int, int]:
-        return (self.in_port, self.in_vc)
-
-    def __repr__(self):
-        return (
-            f"Bid(in={self.in_port}.{self.in_vc} -> "
-            f"out={self.out_port}.{self.out_vc}, {self.flit!r})"
-        )
+#: One input VC's request to move its front flit: (in_port, in_vc, state).
+Bidder = Tuple[int, int, "InputVcState"]
 
 
 class CrossbarScheduler:
@@ -89,7 +56,8 @@ class CrossbarScheduler:
         ``flow_control`` -- one of ``flit_buffer`` (default),
             ``packet_buffer``, ``winner_take_all``.
         ``arbiter`` -- sub-block for the per-output arbiter
-            (``type`` defaults to ``round_robin``).
+            (``type`` defaults to ``round_robin``); a random arbiter of
+            output ``p`` draws from the ``{label}.out{p}`` stream.
     """
 
     def __init__(
@@ -97,8 +65,8 @@ class CrossbarScheduler:
         num_ports: int,
         num_vcs: int,
         settings: "Settings",
-        credits_available: Callable[[int, int], int],
-        rng=None,
+        random: "RandomManager",
+        label: str,
     ):
         self.num_ports = num_ports
         self.num_vcs = num_vcs
@@ -108,11 +76,13 @@ class CrossbarScheduler:
                 f"unknown flow control {self.flow_control!r}; "
                 f"expected one of {_FLOW_CONTROL_MODES}"
             )
-        self.credits_available = credits_available
+        self._locking = self.flow_control != FLIT_BUFFER
         arbiter_settings = settings.child("arbiter", default={})
         self._arbiters: List[Arbiter] = [
-            create_arbiter(arbiter_settings, num_ports * num_vcs, rng)
-            for _ in range(num_ports)
+            create_arbiter(
+                arbiter_settings, num_ports * num_vcs, random, f"{label}.out{port}"
+            )
+            for port in range(num_ports)
         ]
         # Lock table: out_port -> (in_port, in_vc) of the streaming owner.
         self._locks: Dict[int, Tuple[int, int]] = {}
@@ -124,93 +94,101 @@ class CrossbarScheduler:
 
     # -- the per-cycle decision ---------------------------------------------------
 
-    def schedule(self, bids: List[Bid], now_tick: int) -> List[Bid]:
-        """Grant at most one bid per output port; return the winners."""
-        by_output: Dict[int, List[Bid]] = {}
-        for bid in bids:
-            by_output.setdefault(bid.out_port, []).append(bid)
+    def grant(
+        self, bidders: List[Bidder], free: Sequence[Sequence[int]], now_tick: int
+    ) -> List[Bidder]:
+        """Grant at most one bidder per output port; return the winners."""
+        if not self._locking:
+            outputs = 0
+            for bidder in bidders:
+                bit = 1 << bidder[2].out_port
+                if outputs & bit:
+                    break
+                outputs |= bit
+            else:
+                # Every bidder targets its own output and nothing locks:
+                # each grant is forced, in bidder order.
+                arbiters = self._arbiters
+                num_vcs = self.num_vcs
+                grants = []
+                for bidder in bidders:
+                    in_port, in_vc, state = bidder
+                    out_port = state.out_port
+                    if free[out_port][state.out_vc] >= 1:
+                        arbiters[out_port].forced(
+                            in_port * num_vcs + in_vc, state.packet, now_tick
+                        )
+                        grants.append(bidder)
+                return grants
+        return self._arbitrate(bidders, free, now_tick)
 
-        grants: List[Bid] = []
-        if self._locks:
-            # Outputs locked by owners that did not bid this cycle still
-            # need WTA unlock processing, so visit all locked outputs too.
-            outputs = sorted(set(by_output) | set(self._locks))
-        else:
-            outputs = sorted(by_output)
-        schedule_output = self._schedule_output
-        get_bids = by_output.get
-        for out_port in outputs:
-            granted = schedule_output(out_port, get_bids(out_port, ()), now_tick)
-            if granted is not None:
-                grants.append(granted)
-        return grants
-
-    def _schedule_output(
-        self, out_port: int, bids: List[Bid], now_tick: int
-    ) -> Optional[Bid]:
-        owner = self._locks.get(out_port) if self._locks else None
-
-        if owner is not None:
-            owner_bid = next((b for b in bids if b.key() == owner), None)
-            if self.flow_control == PACKET_BUFFER:
-                # Locked until the tail enters the crossbar, full stop.
-                if owner_bid is None:
-                    return None  # upstream gap: output idles, lock holds
-                if self.credits_available(out_port, owner_bid.out_vc) < 1:
-                    raise RuntimeError(
-                        "packet-buffer flow control credit-stalled: the "
-                        "full-packet reservation was violated"
-                    )
-                return self._grant(out_port, owner_bid)
-            if self.flow_control == WINNER_TAKE_ALL:
-                can_stream = (
-                    owner_bid is not None
-                    and self.credits_available(out_port, owner_bid.out_vc) >= 1
-                )
-                if can_stream:
-                    return self._grant(out_port, owner_bid)
-                # Owner stalled: unlock and let others compete this cycle.
-                del self._locks[out_port]
-                owner = None
-            # FLIT_BUFFER never locks, so owner is never set for it.
-
-        credits_available = self.credits_available
+    def _arbitrate(
+        self, bidders: List[Bidder], free: Sequence[Sequence[int]], now_tick: int
+    ) -> List[Bidder]:
+        """Each output port, in ascending order, grants its lock owner or
+        its arbiter's pick among the bidders with space downstream."""
+        by_output: Dict[int, List[Bidder]] = {}
+        for bidder in bidders:
+            by_output.setdefault(bidder[2].out_port, []).append(bidder)
+        locks = self._locks
+        # Outputs locked by owners that did not bid this cycle still
+        # need WTA unlock processing, so visit all locked outputs too.
+        outputs = sorted(by_output.keys() | locks.keys() if locks else by_output)
+        packet_buffer = self.flow_control == PACKET_BUFFER
         num_vcs = self.num_vcs
-        if self.flow_control == PACKET_BUFFER:
-            # Enough space for the whole remaining packet up front.
-            eligible = [
-                b for b in bids
-                if credits_available(out_port, b.out_vc) >= b.remaining_flits
-            ]
-        else:
-            eligible = [
-                b for b in bids if credits_available(out_port, b.out_vc) >= 1
-            ]
-        if not eligible:
-            return None
-        if len(eligible) == 1:
-            # Uncontested: the winner is forced, but the arbiter still
-            # sees the request so its rotation/priority state advances
-            # exactly as with the general path.
-            winner = eligible[0]
-            self._arbiters[out_port].arbitrate(
-                [(winner.in_port * num_vcs + winner.in_vc, winner.packet)],
-                now_tick,
-            )
-        else:
-            requests = [
-                (b.in_port * num_vcs + b.in_vc, b.packet) for b in eligible
-            ]
-            winner_index = self._arbiters[out_port].arbitrate(requests, now_tick)
-            winner = next(
-                b for b in eligible
-                if b.in_port * num_vcs + b.in_vc == winner_index
-            )
-        if self.flow_control in (PACKET_BUFFER, WINNER_TAKE_ALL):
-            self._locks[out_port] = winner.key()
-        return self._grant(out_port, winner)
-
-    def _grant(self, out_port: int, bid: Bid) -> Bid:
-        if bid.is_tail and self._locks.get(out_port) == bid.key():
-            del self._locks[out_port]
-        return bid
+        grants: List[Bidder] = []
+        for out_port in outputs:
+            bids = by_output.get(out_port, ())
+            space = free[out_port]
+            owner = locks.get(out_port)
+            winner = None
+            if owner is not None:
+                winner = next((b for b in bids if (b[0], b[1]) == owner), None)
+                if packet_buffer:
+                    # Locked until the tail enters the crossbar, full stop.
+                    if winner is None:
+                        continue  # upstream gap: output idles, lock holds
+                    if space[winner[2].out_vc] < 1:
+                        raise RuntimeError(
+                            "packet-buffer flow control credit-stalled: the "
+                            "full-packet reservation was violated"
+                        )
+                elif winner is None or space[winner[2].out_vc] < 1:
+                    # Winner-take-all owner stalled: unlock and let the
+                    # others compete this cycle.
+                    del locks[out_port]
+                    winner = None
+            if winner is None:
+                if packet_buffer:
+                    # Enough space for the whole remaining packet up front.
+                    eligible = [
+                        b for b in bids
+                        if space[b[2].out_vc]
+                        >= b[2].packet.num_flits - b[2].buffer._flits[0].index
+                    ]
+                else:
+                    eligible = [b for b in bids if space[b[2].out_vc] >= 1]
+                if not eligible:
+                    continue
+                arbiter = self._arbiters[out_port]
+                if len(eligible) == 1:
+                    winner = eligible[0]
+                    arbiter.forced(
+                        winner[0] * num_vcs + winner[1], winner[2].packet, now_tick
+                    )
+                else:
+                    index = arbiter.arbitrate(
+                        [(b[0] * num_vcs + b[1], b[2].packet) for b in eligible],
+                        now_tick,
+                    )
+                    winner = next(
+                        b for b in eligible if b[0] * num_vcs + b[1] == index
+                    )
+                if self._locking:
+                    locks[out_port] = (winner[0], winner[1])
+            if winner[2].buffer._flits[0].tail and (
+                locks.get(out_port) == (winner[0], winner[1])
+            ):
+                del locks[out_port]
+            grants.append(winner)
+        return grants

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 from repro import factory
 from repro.core.event import Event
-from repro.net.buffer import BufferOverrunError
-from repro.router.arbiter import RoundRobinArbiter
 from repro.router.base import Router
 from repro.router.congestion import PENDING_LIMIT
-from repro.router.crossbar_scheduler import FLIT_BUFFER, Bid, CrossbarScheduler
+from repro.router.crossbar_scheduler import CrossbarScheduler
 from repro.router.output_queued import OutputQueuedRouter
 
 
@@ -47,23 +45,18 @@ class InputOutputQueuedRouter(OutputQueuedRouter):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.output_queue_depth = self.settings.get_uint("output_queue_depth", 64)
         scheduler_settings = self.settings.child("crossbar_scheduler", default={})
         self.scheduler = CrossbarScheduler(
             self.num_ports,
             self.num_vcs,
             scheduler_settings,
-            credits_available=self._output_queue_credits,
+            self.random,
+            f"{self.full_name}.crossbar",
         )
-        # Flit-buffer flow control never locks, which unlocks a slim
-        # uncontested-grant path in _run_crossbar.
-        self._fb_mode = self.scheduler.flow_control == FLIT_BUFFER
-        # Recycled single-request list (arbiters never retain it).
-        self._one_request: list = [None]
 
-    def _output_queue_credits(self, out_port: int, out_vc: int) -> int:
-        """Free output-queue slots (not queued, not in the core)."""
-        return self.output_queue_depth - self._committed[out_port][out_vc]
+    def _read_queue_depth(self) -> int:
+        super()._read_queue_depth()  # the OQ check: an integer >= 1 or null
+        return self.settings.get_uint("output_queue_depth", 64)
 
     # -- per-cycle behaviour ------------------------------------------------------
 
@@ -96,68 +89,31 @@ class InputOutputQueuedRouter(OutputQueuedRouter):
             self._step_scheduled = False
 
     def _run_crossbar(self) -> None:
-        bidders = []
         input_vcs = self._input_vcs
+        bidders = []
         for port, vc in self._occupied_inputs:
             state = input_vcs[port][vc]
-            if not state.allocated:
-                continue
-            flits = state.buffer._flits
-            if not flits:
-                continue
-            bidders.append((port, vc, state, flits[0]))
+            if state.allocated and state.buffer._flits:
+                bidders.append((port, vc, state))
         scheduler = self.scheduler
-        locks = scheduler._locks
-        if not bidders and not locks:
+        if not bidders and not scheduler._locks:
             return
         now = self.simulator.tick
-        committed = self._committed
-        if len(bidders) == 1 and not locks and self._fb_mode:
-            # Uncontested flit-buffer grant: same decision the scheduler
-            # would make, without Bid/schedule overhead.  The output
-            # arbiter still sees the request so rotation state stays
-            # bit-identical with the general path.
-            port, vc, state, flit = bidders[0]
-            out_port, out_vc = state.out_port, state.out_vc
-            if committed[out_port][out_vc] >= self.output_queue_depth:
-                return
-            # The arbiter still rotates exactly as its single-request
-            # path would, without the per-event request-list allocation.
-            arbiter = scheduler._arbiters[out_port]
-            if type(arbiter) is RoundRobinArbiter:
-                arbiter._pointer = (
-                    port * scheduler.num_vcs + vc + 1
-                ) % arbiter.size
-            else:
-                request = self._one_request
-                request[0] = (port * scheduler.num_vcs + vc, state.packet)
-                arbiter.arbitrate(request, now)
-            grants = ((port, vc, out_port, out_vc),)
-        else:
-            bids = [
-                Bid(port, vc, state.packet, flit, state.out_port, state.out_vc)
-                for port, vc, state, flit in bidders
-            ]
-            grants = [
-                (g.in_port, g.in_vc, g.out_port, g.out_vc)
-                for g in scheduler.schedule(bids, now)
-            ]
-            if not grants:
-                return
+        # The free-space table is the output queues' free slots.
+        queue_free = self._queue_free
+        granted = scheduler.grant(bidders, queue_free, now)
         pop_input_flit = self._pop_input_flit
         out_slots = self._out_slots
         sensed = self._sensed
         due = now + self._sense_latency
         enter_core = self._core_fifo.append
         arrival_tick = now + self.core_latency
-        for in_port, in_vc, out_port, out_vc in grants:
-            if committed[out_port][out_vc] >= self.output_queue_depth:
-                raise BufferOverrunError(  # §IV-D: queues never overrun
-                    f"{self.full_name}.oq{out_port}.vc{out_vc}: buffer overrun"
-                )
-            flit = pop_input_flit(in_port, in_vc)
-            committed[out_port][out_vc] += 1
-            self._committed_total += 1
+        for port, vc, state in granted:
+            out_port = state.out_port
+            out_vc = state.out_vc
+            flit = pop_input_flit(port, vc)
+            queue_free[out_port][out_vc] -= 1
             if out_slots is not None:
                 sensed.append((due, out_slots[out_port][out_vc], +1))
             enter_core((arrival_tick, flit, out_port, out_vc))
+        self._committed_total += len(granted)

@@ -28,8 +28,7 @@ from repro.core.event import Event
 from repro.net.flit import Flit
 from repro.router.base import Router
 from repro.router.congestion import PENDING_LIMIT
-from repro.router.arbiter import RoundRobinArbiter
-from repro.router.crossbar_scheduler import FLIT_BUFFER, Bid, CrossbarScheduler
+from repro.router.crossbar_scheduler import CrossbarScheduler
 
 
 @factory.register(Router, "input_queued")
@@ -55,11 +54,12 @@ class InputQueuedRouter(Router):
             self.num_ports,
             self.num_vcs,
             scheduler_settings,
-            credits_available=self._downstream_credits,
+            self.random,
+            f"{self.full_name}.crossbar",
         )
-        # Flit-buffer flow control never locks, which unlocks a slim
-        # uncontested-grant path in _run_crossbar.
-        self._fb_mode = self.scheduler.flow_control == FLIT_BUFFER
+        # The scheduler's free-space table: downstream credits per
+        # (port, VC), the trackers' own lists (set at finalize).
+        self._down_credits: List[List[int]] = []
         self._staging: List[Deque[Flit]] = [deque() for _ in range(self.num_ports)]
         # Committed staging slots per port: staged + in flight through core.
         self._staging_committed = [0] * self.num_ports
@@ -73,11 +73,12 @@ class InputQueuedRouter(Router):
         self._staged_ports: List[int] = []
         # Recycled by the drain stage: no per-event list garbage.
         self._staged_ports_spare: List[int] = []
-        # Crossbar-bidder scratch; consumed within _run_crossbar only.
-        self._xbar_bidders: list = []
 
-    def _downstream_credits(self, out_port: int, out_vc: int) -> int:
-        return self.output_credit_tracker(out_port).available(out_vc)
+    def _finalize_arch(self) -> None:
+        self._down_credits = [
+            tracker._credits if tracker is not None else []
+            for tracker in self._output_credits
+        ]
 
     # -- per-cycle behaviour ---------------------------------------------------
 
@@ -150,107 +151,38 @@ class InputQueuedRouter(Router):
         input_vcs = self._input_vcs
         committed = self._staging_committed
         staging_limit = self._staging_limit
-        bidders = self._xbar_bidders
-        bidders.clear()
-        out_mask = 0
-        contested = False
+        bidders = []
         for port, vc in self._occupied_inputs:
             state = input_vcs[port][vc]
-            if not state.allocated:
-                continue
-            if not state.buffer._flits:
-                continue
-            out_port = state.out_port
-            if committed[out_port] >= staging_limit:
-                continue
-            bit = 1 << out_port
-            if out_mask & bit:
-                contested = True
-            out_mask |= bit
-            bidders.append((port, vc, state))
+            if (
+                state.allocated
+                and state.buffer._flits
+                and committed[state.out_port] < staging_limit
+            ):
+                bidders.append((port, vc, state))
         scheduler = self.scheduler
-        locks = scheduler._locks
-        if not bidders and not locks:
+        if not bidders and not scheduler._locks:
             return
         now = self.simulator.tick
+        granted = scheduler.grant(bidders, self._down_credits, now)
         trackers = self._output_credits
         down_slots = self._down_slots
         sensed = self._sensed
         due = now + self._sense_latency
         enter_core = self._core_fifo.append
         arrival_tick = now + self.core_latency
-        if contested or locks or not self._fb_mode:
-            # Contested outputs (or locking flow control): the full
-            # scheduler decides.
-            bids = [
-                Bid(port, vc, state.packet, state.buffer._flits[0],
-                    state.out_port, state.out_vc)
-                for port, vc, state in bidders
-            ]
-            granted = scheduler.schedule(bids, now)
-            if not granted:
-                return
-            pop_input_flit = self._pop_input_flit
-            for g in granted:
-                out_port, out_vc = g.out_port, g.out_vc
-                flit = pop_input_flit(g.in_port, g.in_vc)
-                # Consume the downstream credit now; the flit is prepaid.
-                trackers[out_port].take(out_vc)
-                if down_slots is not None:
-                    sensed.append((due, down_slots[out_port][out_vc], +1))
-                committed[out_port] += 1
-                self._committed_total += 1
-                enter_core((arrival_tick, flit, out_port, out_vc))
-            return
-        # Flit-buffer flow control with every bidder targeting a distinct
-        # output: each output arbiter sees exactly one request, so every
-        # decision the scheduler would make is forced.  Grant inline,
-        # with _pop_input_flit unrolled (the state is already in hand).
-        arbiters = scheduler._arbiters
-        num_vcs = scheduler.num_vcs
-        send_credit = self.send_credit
-        occupied = self._occupied_inputs
-        owner_table = self._output_vc_owner
-        for port, vc, state in bidders:
+        pop_input_flit = self._pop_input_flit
+        for port, vc, state in granted:
             out_port = state.out_port
             out_vc = state.out_vc
-            tracker = trackers[out_port]
-            if tracker._credits[out_vc] < 1:
-                continue
-            # The arbiter still rotates exactly as its single-request
-            # path would, keeping contested rounds bit-identical.
-            arbiter = arbiters[out_port]
-            if type(arbiter) is RoundRobinArbiter:
-                arbiter._pointer = (port * num_vcs + vc + 1) % arbiter.size
-            else:
-                arbiter.arbitrate([(port * num_vcs + vc, state.packet)], now)
-            flits = state.buffer._flits
-            flit = flits.popleft()
-            if not flits:
-                occupied.discard((port, vc))
-            flit.vc = out_vc
-            send_credit(port, vc)
-            if flit.tail:  # release the output VC
-                owner_key = (out_port, out_vc)
-                owner = owner_table.get(owner_key)
-                if owner != (port, vc):
-                    raise RuntimeError(
-                        f"{self.full_name}: tail flit released VC {owner_key} "
-                        f"owned by {owner}, expected ({port}, {vc})"
-                    )
-                del owner_table[owner_key]
-                flit.packet.hop_count += 1
-                state.reset()
-                if flits:
-                    # The next queued packet's head is now at the front.
-                    self._route_pending.append((port, vc))
+            flit = pop_input_flit(port, vc)
             # Consume the downstream credit now; the flit is prepaid.
-            tracker.take(out_vc)
+            trackers[out_port].take(out_vc)
             if down_slots is not None:
                 sensed.append((due, down_slots[out_port][out_vc], +1))
             committed[out_port] += 1
-            self._committed_total += 1
             enter_core((arrival_tick, flit, out_port, out_vc))
+        self._committed_total += len(granted)
 
     def _land_core_arrivals(self) -> None:
         """Stage every flit whose core traversal is over."""

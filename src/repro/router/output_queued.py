@@ -24,6 +24,7 @@ resident in the output queues" that Singh's UGAL work used.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from typing import Deque, List, Optional
 
@@ -43,6 +44,38 @@ class OutputQueuedRouter(Router):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        depth = self.output_queue_depth = self._read_queue_depth()
+        # Output queues are unbounded deques: _queue_free enforces the depth.
+        self._queues: List[List[Deque[Flit]]] = [
+            [deque() for _ in range(self.num_vcs)] for _ in range(self.num_ports)
+        ]
+        # Free slots per (port, vc): the depth less the flits queued or in
+        # flight through the core; an infinite queue starts at maxsize.
+        self._queue_capacity = depth if depth is not None else sys.maxsize
+        self._queue_free: List[List[int]] = [
+            [self._queue_capacity] * self.num_vcs for _ in range(self.num_ports)
+        ]
+        # Committed flits over all queues: work remains while non-zero.
+        self._committed_total = 0
+        # Flits sitting in queues per port; bitmask of the non-zero ports.
+        self._queued_count = [0] * self.num_ports
+        self._queued_ports = 0
+        arbiter_settings = self.settings.child("output_arbiter", default={})
+        self._output_arbiters: List[Arbiter] = [
+            create_arbiter(
+                arbiter_settings,
+                self.num_vcs,
+                self.random,
+                f"{self.full_name}.output_arbiter.out{port}",
+            )
+            for port in range(self.num_ports)
+        ]
+        # Recycled drain request list (arbiters never retain it).
+        self._drain_requests: list = []
+        self._out_slots: Optional[List[Optional[List[int]]]] = None
+
+    def _read_queue_depth(self) -> Optional[int]:
+        """The ``output_queue_depth`` setting; null or absent: infinite."""
         depth = self.settings.get("output_queue_depth", None)
         # bool is an int subclass: ``true`` would act as a depth of 1.
         if depth is not None and (
@@ -52,28 +85,7 @@ class OutputQueuedRouter(Router):
                 f"output_queue_depth: setting must be a non-negative integer, "
                 f"got {depth!r} (minimum 1; null = infinite)"
             )
-        self.output_queue_depth: Optional[int] = depth
-        # Output queues are unbounded deques: _committed enforces the depth.
-        self._queues: List[List[Deque[Flit]]] = [
-            [deque() for _ in range(self.num_vcs)] for _ in range(self.num_ports)
-        ]
-        # Committed slots per (port, vc): queued + in flight through the core.
-        self._committed: List[List[int]] = [
-            [0] * self.num_vcs for _ in range(self.num_ports)
-        ]
-        # Sum over _committed: work remains while it is non-zero.
-        self._committed_total = 0
-        # Flits sitting in queues per port; bitmask of the non-zero ports.
-        self._queued_count = [0] * self.num_ports
-        self._queued_ports = 0
-        arbiter_settings = self.settings.child("output_arbiter", default={})
-        self._output_arbiters: List[Arbiter] = [
-            create_arbiter(arbiter_settings, self.num_vcs)
-            for _ in range(self.num_ports)
-        ]
-        # Recycled drain request list (arbiters never retain it).
-        self._drain_requests: list = []
-        self._out_slots: Optional[List[Optional[List[int]]]] = None
+        return depth
 
     def _finalize_arch(self) -> None:
         for port in range(self.num_ports):
@@ -121,7 +133,7 @@ class OutputQueuedRouter(Router):
         flit_out = self._flit_out
         queues = self._queues
         queued_count = self._queued_count
-        committed = self._committed
+        queue_free = self._queue_free
         trackers = self._output_credits
         arbiters = self._output_arbiters
         out_slots = self._out_slots
@@ -162,7 +174,7 @@ class OutputQueuedRouter(Router):
                 vc = arbiters[port].arbitrate(requests, now)
                 flits = port_queues[vc]
             flit = flits.popleft()
-            committed[port][vc] -= 1
+            queue_free[port][vc] += 1
             self._committed_total -= 1
             queued_count[port] -= 1
             if not queued_count[port]:
@@ -215,9 +227,8 @@ class OutputQueuedRouter(Router):
             order = flat[start:] + flat[:start] if start else flat
         owner_table = self._output_vc_owner
         input_vcs = self._input_vcs
-        committed = self._committed
-        depth = self.output_queue_depth
-        send_credit = self.send_credit
+        queue_free = self._queue_free
+        pop_input_flit = self._pop_input_flit
         out_slots = self._out_slots
         sensed = self._sensed
         due = self.simulator.tick + self._sense_latency
@@ -240,31 +251,14 @@ class OutputQueuedRouter(Router):
                     break
                 else:
                     continue
-            flits = state.buffer._flits
-            if not flits:
+            if not state.buffer._flits:
                 continue
             out_port, out_vc = state.out_port, state.out_vc
-            if depth is not None and committed[out_port][out_vc] >= depth:
+            free = queue_free[out_port]
+            if free[out_vc] < 1:
                 continue  # finite queue full: flit waits in the input
-            flit = flits.popleft()  # inlined _pop_input_flit
-            if not flits:
-                occupied.discard((port, vc))
-            flit.vc = out_vc
-            send_credit(port, vc)
-            if flit.tail:
-                owner_key = (out_port, out_vc)
-                owner = owner_table.get(owner_key)
-                if owner != (port, vc):
-                    raise RuntimeError(
-                        f"{self.full_name}: tail flit released VC {owner_key} "
-                        f"owned by {owner}, expected ({port}, {vc})"
-                    )
-                del owner_table[owner_key]
-                flit.packet.hop_count += 1
-                state.reset()
-                if flits:  # the next packet's head is at the front
-                    self._route_pending.append((port, vc))
-            committed[out_port][out_vc] += 1
+            flit = pop_input_flit(port, vc)
+            free[out_vc] -= 1
             moved += 1
             if out_slots is not None:
                 sensed.append((due, out_slots[out_port][out_vc], +1))
@@ -275,4 +269,4 @@ class OutputQueuedRouter(Router):
 
     def output_queue_occupancy(self, port: int, vc: int) -> int:
         """Committed flits (queued + in flight) for one output VC."""
-        return self._committed[port][vc]
+        return self._queue_capacity - self._queue_free[port][vc]

@@ -12,7 +12,6 @@ configurations::
     sslint experiment.json --layer shard        # shard-purity S-rules
     sslint --import my_models my_models.py --layer shard
     sslint src/repro --layer perf               # hot-path H-rules
-    sslint src/repro --layer perf --profile profile.pstats
     sslint src/ --write-baseline lint-baseline.json
     sslint src/ --baseline lint-baseline.json   # new findings only
     sslint --list-rules
@@ -233,12 +232,6 @@ def sslint_main(argv: Optional[List[str]] = None) -> int:
         help="minimum acceptable shard lookahead for P003 (default 1)",
     )
     parser.add_argument(
-        "--profile", metavar="PSTATS", default=None,
-        help="correlate perf-layer findings with this cProfile dump "
-        "(supersim --profile PATH writes one); "
-        "statically-hot-but-measured-cold findings demote to info",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
     )
@@ -259,9 +252,6 @@ def sslint_main(argv: Optional[List[str]] = None) -> int:
             for rule_id, info in sorted(catalog.items()):
                 print(f"{rule_id}  [{info['layer']}]  {info['description']}")
         return 0
-
-    if args.profile is not None and not pathlib.Path(args.profile).exists():
-        parser.error(f"no such profile dump: {args.profile}")
 
     partition_mode = args.partition is not None or args.manifest is not None
     if args.partition is not None and args.manifest is not None:
@@ -355,7 +345,6 @@ def sslint_main(argv: Optional[List[str]] = None) -> int:
                     max_pairs=args.max_pairs,
                     subject=subject,
                     layers=args.layer,
-                    profile_path=args.profile,
                 )
             )
 
@@ -369,7 +358,6 @@ def sslint_main(argv: Optional[List[str]] = None) -> int:
                 [str(path) for path in source_files],
                 subject="sources",
                 layers=args.layer,
-                profile_path=args.profile,
             )
         )
 

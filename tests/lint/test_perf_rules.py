@@ -1,6 +1,6 @@
 """The hot-path perf analyzer (H-rules) and its consumers.
 
-Four layers of coverage:
+Three layers of coverage:
 
 * the heat-propagation pass: per-event entry points seed the weights,
   helpers inherit them interprocedurally, construction-time code never
@@ -8,16 +8,13 @@ Four layers of coverage:
 * one mutation fixture per H-rule (``fixtures/perf_hazards.py``),
   asserted rule-by-rule -- proof each rule actually fires, with the
   evidence chain naming the entry point;
-* profile correlation: a real cProfile dump re-ranks findings and
-  demotes statically-hot-but-measured-cold ones to INFO;
 * the consumers: the ``perf`` layer in ``sslint`` (``--layer perf``,
-  ``--profile``, ``--list-rules``) and SARIF fingerprint stability for
+  ``--list-rules``) and SARIF fingerprint stability for
   H-findings.
 """
 
 from __future__ import annotations
 
-import cProfile
 import pathlib
 
 import pytest
@@ -29,7 +26,6 @@ from repro.lint.perf_rules import (
     HEAT_ENTRIES,
     HOT_THRESHOLD,
     analyze_class_perf,
-    load_profile_times,
 )
 from repro.lint.sarif import fingerprint
 from repro.tools.sslint import sslint_main
@@ -200,73 +196,6 @@ def test_lint_sources_perf_layer_finds_fixture_hazards():
     assert "rank" in sample.message
 
 
-# -- profile correlation -----------------------------------------------------
-
-
-def _fixture_profile(tmp_path) -> str:
-    """A real cProfile dump in which only route() is measurably hot.
-
-    The profiled function is compiled with the fixture file's own
-    filename, so ``load_profile_times``'s (basename, funcname) keys
-    match the analyzer's hazards exactly as a real run's would.
-    """
-    source = (
-        "def route(reps):\n"
-        "    total = 0\n"
-        "    for i in range(reps):\n"
-        "        total += i\n"
-        "    return total\n"
-    )
-    namespace: dict = {}
-    exec(compile(source, FIXTURE_PATH, "exec"), namespace)
-    profile = cProfile.Profile()
-    profile.enable()
-    namespace["route"](200_000)
-    profile.disable()
-    path = tmp_path / "fixture.pstats"
-    profile.dump_stats(str(path))
-    return str(path)
-
-
-def test_load_profile_times_keys_by_basename(tmp_path):
-    times, total = load_profile_times(_fixture_profile(tmp_path))
-    assert total > 0.0
-    assert ("perf_hazards.py", "route") in times
-
-
-def test_profile_correlation_demotes_measured_cold_findings(tmp_path):
-    pstats_path = _fixture_profile(tmp_path)
-    report = lint_sources(
-        [FIXTURE_PATH], layers=(PERF_LAYER,), profile_path=pstats_path
-    )
-    findings = report.findings
-    hot = [
-        f for f in findings
-        if f.config_path.split(":")[1].split("->")[-1] == "route"
-    ]
-    cold = [
-        f for f in findings
-        if f.config_path.split(":")[1].split("->")[-1] != "route"
-    ]
-    assert hot and cold
-    # route() dominates the profile: its findings keep WARNING and
-    # carry the measured share.
-    assert all(f.severity == Severity.WARNING for f in hot)
-    assert all("measured" in f.message for f in hot)
-    # _note_hop (and every other non-route method) never appears in
-    # the profile: statically hot, measured cold, demoted to INFO.
-    assert all(f.severity == Severity.INFO for f in cold)
-    assert all("measured cold here" in f.message for f in cold)
-
-
-def test_without_profile_nothing_is_demoted():
-    report = lint_sources([FIXTURE_PATH], layers=(PERF_LAYER,))
-    findings = report.findings
-    assert findings
-    assert all(f.severity == Severity.WARNING for f in findings)
-    assert not any("measured" in f.message for f in findings)
-
-
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -275,23 +204,6 @@ def test_sslint_perf_layer_on_sources(capsys):
     out = capsys.readouterr().out
     assert "H001" in out
     assert "heat" in out
-
-
-def test_sslint_profile_flag(tmp_path, capsys):
-    pstats_path = _fixture_profile(tmp_path)
-    assert sslint_main(
-        [FIXTURE_PATH, "--layer", "perf", "--profile", pstats_path]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "measured cold here" in out
-
-
-def test_sslint_profile_flag_requires_existing_file(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        sslint_main(
-            [FIXTURE_PATH, "--layer", "perf",
-             "--profile", str(tmp_path / "missing.pstats")]
-        )
 
 
 def test_list_rules_perf_layer(capsys):

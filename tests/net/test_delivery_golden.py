@@ -17,6 +17,11 @@ The two-phase (Valiant/UGAL) cells on HyperX and dragonfly were
 recorded at cdd43b6, where each topology still had its own two-phase
 implementation: they pin the random intermediate draws and the UGAL
 source decisions of the shared core.
+
+The packet-buffer, winner-take-all and age-based cells were recorded at
+7b2f905, where the IQ and IOQ routers still granted uncontested flits
+in their own inline copies of the crossbar scheduler: they pin the
+locking flow-control grants and the age-based arbiter.
 """
 
 from __future__ import annotations
@@ -119,6 +124,21 @@ def _pin(digest, deliveries, flits, messages, hops) -> dict:
             _invariants_cell("dragonfly_ugal"), 400_000,
             _pin("6b9147e9", 24296, 3028, 1514, 9120),
             id="dragonfly_ugal",
+        ),
+        pytest.param(
+            _invariants_cell("torus_iq_packet_buffer"), 400_000,
+            _pin("56cfae13", 11316, 1812, 302, 3846),
+            id="torus_iq_packet_buffer",
+        ),
+        pytest.param(
+            _invariants_cell("torus_ioq_wta"), 400_000,
+            _pin("b8bf132f", 11316, 1812, 302, 3846),
+            id="torus_ioq_wta",
+        ),
+        pytest.param(
+            _invariants_cell("parking_lot_age_based"), 400_000,
+            _pin("0be3d766", 4544, 640, 320, 1632),
+            id="parking_lot_age_based",
         ),
     ],
 )

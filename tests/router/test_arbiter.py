@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import Simulation
 from repro.config.settings import Settings
+from repro.core.rng import RandomManager
 from repro.net.message import Message
 from repro.router.arbiter import (
     AgeBasedArbiter,
@@ -13,6 +15,8 @@ from repro.router.arbiter import (
     RoundRobinArbiter,
     create_arbiter,
 )
+
+from tests.conftest import small_torus_config
 
 
 def packet_with_age(injection_tick):
@@ -101,18 +105,73 @@ class TestFixedPriority:
 
 class TestFactory:
     def test_create_by_settings(self):
-        arbiter = create_arbiter(Settings.from_dict({"type": "age_based"}), 4)
+        arbiter = create_arbiter(
+            Settings.from_dict({"type": "age_based"}), 4, RandomManager(0), "arb"
+        )
         assert isinstance(arbiter, AgeBasedArbiter)
 
     def test_default_is_round_robin(self):
-        arbiter = create_arbiter(Settings.from_dict({}), 4)
+        arbiter = create_arbiter(Settings.from_dict({}), 4, RandomManager(0), "arb")
         assert isinstance(arbiter, RoundRobinArbiter)
 
     def test_random_gets_rng(self):
-        rng = np.random.default_rng(7)
-        arbiter = create_arbiter(Settings.from_dict({"type": "random"}), 4, rng)
+        random = RandomManager(7)
+        arbiter = create_arbiter(
+            Settings.from_dict({"type": "random"}), 4, random, "arb"
+        )
         assert isinstance(arbiter, RandomArbiter)
+        assert arbiter._rng.integers(1 << 30) == random.generator("arb").integers(
+            1 << 30
+        )
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             RoundRobinArbiter(0)
+
+
+def _random_arbiter_draws(seed):
+    """First draws of random crossbar, VC and output arbiters on two
+    ports of two routers of a 4x4x4 IOQ torus run at ``seed``."""
+    random_arbiter = {"arbiter": {"type": "random"}}
+    config = small_torus_config()
+    config["simulator"]["seed"] = seed
+    config["network"]["dimension_widths"] = [4, 4, 4]
+    config["network"]["router"].update({
+        "architecture": "input_output_queued",
+        "crossbar_scheduler": random_arbiter,
+        "vc_scheduler": random_arbiter,
+        "output_arbiter": {"type": "random"},
+    })
+    routers = Simulation(Settings.from_dict(config)).network.routers
+    packet = Message(0, 0, 1, 1).packetize(1)[0]
+    draws = {}
+    for router_id in (0, 5):
+        router = routers[router_id]
+        for port in (0, 1):
+            # Two input VCs claim output VC (port, 0): the router builds
+            # that VC arbiter and arbitrates once.
+            claimants = [router._input_vcs[in_port][0] for in_port in (2, 3)]
+            for in_port, state in zip((2, 3), claimants):
+                state.packet = packet
+                state.candidates = ((port, 0),)
+                router._alloc_pending.append((in_port, 0))
+            router._allocate_vcs()
+            for state in claimants:
+                state.reset()
+            arbiters = {
+                "crossbar": router.scheduler._arbiters[port],
+                "vc": router._vc_arbiters[(port, 0)],
+                "output": router._output_arbiters[port],
+            }
+            for role, arbiter in arbiters.items():
+                draws[(router_id, role, port)] = int(arbiter._rng.integers(1 << 62))
+    return draws
+
+
+def test_random_arbiters_draw_from_per_router_role_port_streams():
+    """Each random arbiter has its own stream of the run's seed: no two
+    ports, roles or routers share one, and the seed moves them all."""
+    first = _random_arbiter_draws(seed=1)
+    second = _random_arbiter_draws(seed=2)
+    assert len(set(first.values())) == len(first)
+    assert all(first[key] != second[key] for key in first)

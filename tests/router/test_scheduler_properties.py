@@ -1,19 +1,40 @@
 """Property-based tests of the crossbar scheduler's invariants."""
 
+from collections import namedtuple
+
+import numpy as np
+import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from repro.config.settings import Settings
+from repro.core.rng import RandomManager
+from repro.net.buffer import FlitBuffer
 from repro.net.message import Message
+from repro.router.arbiter import create_arbiter
+from repro.router.base import InputVcState
 from repro.router.crossbar_scheduler import (
     FLIT_BUFFER,
     PACKET_BUFFER,
     WINNER_TAKE_ALL,
-    Bid,
     CrossbarScheduler,
 )
 
 MODES = (FLIT_BUFFER, PACKET_BUFFER, WINNER_TAKE_ALL)
+ARBITERS = ("round_robin", "age_based", "random", "fixed_priority")
+
+Granted = namedtuple("Granted", "in_port in_vc out_port out_vc packet flit")
+
+
+def input_vc(packet, out_port, out_vc):
+    """An input VC holding all of ``packet``, allocated to (out_port, out_vc)."""
+    state = InputVcState(FlitBuffer(None))
+    state.buffer._flits.extend(packet.flits)
+    state.packet = packet
+    state.allocated = True
+    state.out_port = out_port
+    state.out_vc = out_vc
+    return state
 
 
 class Workbench:
@@ -24,45 +45,46 @@ class Workbench:
         self.scheduler = CrossbarScheduler(
             num_ports, num_vcs,
             Settings.from_dict({"flow_control": mode}),
-            lambda port, vc: self.credits[(port, vc)],
+            RandomManager(0), "xbar",
         )
         self.num_vcs = num_vcs
-        self.credits = {
-            (p, v): credits for p in range(num_ports) for v in range(num_vcs)
-        }
-        # stream id -> (packet, next flit index, in_port, in_vc, out_port,
-        # out_vc)
+        self.free = [[credits] * num_vcs for _ in range(num_ports)]
+        # stream id -> [packet, next flit index, in_port, in_vc, state]
         self.streams = {}
 
     def add_stream(self, stream_id, num_flits, in_port, in_vc, out_port,
                    out_vc):
         packet = Message(0, 0, 1, num_flits).packetize(num_flits)[0]
-        self.streams[stream_id] = [packet, 0, in_port, in_vc, out_port, out_vc]
+        self.streams[stream_id] = [
+            packet, 0, in_port, in_vc, input_vc(packet, out_port, out_vc)
+        ]
 
     def step(self, now):
-        bids = []
-        for packet, index, in_port, in_vc, out_port, out_vc in (
-            self.streams.values()
-        ):
-            if index < packet.num_flits:
-                bids.append(Bid(in_port, in_vc, packet,
-                                packet.flits[index], out_port, out_vc))
-        grants = self.scheduler.schedule(bids, now)
+        bidders = [
+            (in_port, in_vc, state)
+            for _packet, _index, in_port, in_vc, state in self.streams.values()
+            if state.buffer._flits
+        ]
+        grants = self.scheduler.grant(bidders, self.free, now)
         # Invariant: at most one grant per output port.
-        out_ports = [g.out_port for g in grants]
+        out_ports = [state.out_port for _p, _v, state in grants]
         assert len(out_ports) == len(set(out_ports))
         # Invariant: at most one grant per input VC.
-        in_keys = [(g.in_port, g.in_vc) for g in grants]
+        in_keys = [(in_port, in_vc) for in_port, in_vc, _state in grants]
         assert len(in_keys) == len(set(in_keys))
-        for grant in grants:
+        granted = []
+        for in_port, in_vc, state in grants:
             # Invariant: grants only go to actual bidders with credits.
-            assert self.credits[(grant.out_port, grant.out_vc)] >= 1
-            self.credits[(grant.out_port, grant.out_vc)] -= 1
+            assert self.free[state.out_port][state.out_vc] >= 1
+            self.free[state.out_port][state.out_vc] -= 1
             for entry in self.streams.values():
-                if entry[0] is grant.packet:
-                    assert entry[0].flits[entry[1]] is grant.flit
+                if entry[4] is state:
+                    flit = state.buffer._flits.popleft()
+                    assert entry[0].flits[entry[1]] is flit
                     entry[1] += 1
-        return grants
+                    granted.append(Granted(in_port, in_vc, state.out_port,
+                                           state.out_vc, entry[0], flit))
+        return granted
 
 
 stream_strategy = st.tuples(
@@ -137,3 +159,82 @@ def test_packet_buffer_never_interleaves_an_output(stream_specs):
                 active_packet[grant.out_port] = grant.packet
         if granted == total:
             break
+
+
+def arbiter_state(arbiter):
+    """Everything an arbiter carries from one decision to the next."""
+    return {
+        name: value.bit_generator.state
+        if isinstance(value, np.random.Generator) else value
+        for name, value in vars(arbiter).items()
+    }
+
+
+def make_arbiter(kind, size=8):
+    return create_arbiter(
+        Settings.from_dict({"type": kind}), size, RandomManager(3), "arb"
+    )
+
+
+# A cycle's bidders on distinct outputs: (in_port, in_vc, out_vc, free)
+# for each output port drawn, plus the packet's injection tick.
+distinct_round = st.dictionaries(
+    st.integers(min_value=0, max_value=3),  # out_port
+    st.tuples(
+        st.integers(min_value=0, max_value=3),  # in_port
+        st.integers(min_value=0, max_value=1),  # in_vc
+        st.integers(min_value=0, max_value=1),  # out_vc
+        st.integers(min_value=0, max_value=2),  # free slots
+        st.integers(min_value=0, max_value=50),  # injection tick
+    ),
+    max_size=4,
+)
+
+
+@given(st.sampled_from(ARBITERS), st.lists(distinct_round, max_size=6))
+@hyp_settings(max_examples=80, deadline=None)
+def test_forced_branch_matches_the_per_output_path(kind, rounds):
+    """On bidders that target distinct outputs under flit-buffer flow
+    control, the forced branch grants what the per-output path grants
+    and leaves every arbiter in the same state."""
+    settings = Settings.from_dict({"arbiter": {"type": kind}})
+    forced = CrossbarScheduler(4, 2, settings, RandomManager(5), "xbar")
+    general = CrossbarScheduler(4, 2, settings, RandomManager(5), "xbar")
+
+    def no_arbitration(*_args):
+        raise AssertionError("distinct outputs took the per-output path")
+
+    forced._arbitrate = no_arbitration
+    for now, outputs in enumerate(rounds, start=60):
+        bidders = []
+        free = [[0, 0] for _ in range(4)]
+        for out_port, (in_port, in_vc, out_vc, space, injected) in outputs.items():
+            packet = Message(0, 0, 1, 2).packetize(2)[0]
+            packet.injection_tick = injected
+            bidders.append((in_port, in_vc, input_vc(packet, out_port, out_vc)))
+            free[out_port][out_vc] = space
+        granted = forced.grant(bidders, free, now)
+        expected = general._arbitrate(bidders, free, now)
+        assert sorted(granted, key=lambda b: b[2].out_port) == expected
+        assert [arbiter_state(a) for a in forced._arbiters] == [
+            arbiter_state(a) for a in general._arbiters
+        ]
+
+
+@pytest.mark.parametrize("kind", ARBITERS)
+def test_forced_leaves_the_state_of_a_one_request_arbitrate(kind):
+    """``Arbiter.forced`` moves each arbiter type exactly as a one-request
+    ``arbitrate`` would, with contested rounds in between to show it."""
+    forced, arbitrated = make_arbiter(kind), make_arbiter(kind)
+    packets = [Message(0, 0, 1, 1).packetize(1)[0] for _ in range(8)]
+    for index, packet in enumerate(packets):
+        packet.injection_tick = 7 * index % 5
+    contested = [(index, packets[index]) for index in (1, 4, 6)]
+    for now, index in enumerate((5, 0, 7, 2, 2, 3), start=10):
+        forced.forced(index, packets[index], now)
+        assert arbitrated.arbitrate([(index, packets[index])], now) == index
+        assert arbiter_state(forced) == arbiter_state(arbitrated)
+        assert forced.arbitrate(contested, now) == arbitrated.arbitrate(
+            contested, now
+        )
+        assert arbiter_state(forced) == arbiter_state(arbitrated)
