@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate.  Eight gates:
+# CI gate.  Nine gates:
 #   1. tier-1    pytest over tests/ (the behavioural gate; see ROADMAP.md)
 #   2. ruff      style over the cleaned packages (SKIPPED when absent)
 #   3. mypy      types over the packages pyproject declares (SKIPPED when absent)
@@ -11,9 +11,13 @@
 #                (the OQ router, adaptive routing and congestion sensor path)
 #   8. bench     one short sweep16_hyperx_ioq run must reproduce bench/pins.json
 #                (IOQ routers, hyperx_ugal and the 2x channel clock)
+#   9. cdg pins  the lint dependency trace reproduces every pinned channel
+#                dependency graph (tests/lint/test_cdg_pins.py); the sslint
+#                gate only looks for error findings
 #
 # Usage: scripts/ci_check.sh [--fast]
-#   --fast  run only sslint and the four bench smokes (~7 s on 2 cores)
+#   --fast  run only sslint, the four bench smokes and the CDG pins
+#           (~16 s on 2 cores, ~3 s of it the CDG pins)
 #
 # Exit status is non-zero if any executed gate fails.  ruff and mypy
 # are optional: their configuration lives in pyproject.toml and applies
@@ -72,6 +76,8 @@ run_gate "bench smoke (clos_oq_adaptive pins)" \
     python3 bench/run.py --workload clos_oq_adaptive --reps 1 --seconds 2
 run_gate "bench smoke (sweep16_hyperx_ioq pins)" \
     python3 bench/run.py --workload sweep16_hyperx_ioq --reps 1 --seconds 2
+run_gate "cdg pins (lint dependency trace)" \
+    python -m pytest -q tests/lint/test_cdg_pins.py
 
 echo
 if [ "${FAILURES}" -ne 0 ]; then

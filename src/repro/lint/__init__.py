@@ -37,16 +37,15 @@ one call-graph core and model-target discovery (:mod:`.callgraph`).
   --partition-plan``, and ``sssweep --partition`` all gate on it) and
   on demand via ``--layer shard``; it is not part of the default
   source layers.
-* **perf** (H001..H008) -- interprocedural hot-path audit of the model
+* **perf** (H001..H007) -- interprocedural hot-path audit of the model
   classes a configuration selects (or defined in given source files):
   heat weights propagated from the per-event entry points through each
   class's call graph, flagging per-event allocation, repeated
   attribute-chain loads in loops, unguarded formatting, missing
-  ``__slots__``, try/except in hot loops, monomorphic-dispatchable
-  ``isinstance``, and recomputed pure subexpressions -- only on
-  provably hot paths, each with an evidence chain.  Opt-in like
-  shard (``--layer perf``).  See docs/LINTING.md and
-  docs/PERFORMANCE.md "Profiling workflow".
+  ``__slots__``, try/except in hot loops, and monomorphic-dispatchable
+  ``isinstance`` -- only on provably hot paths, each with an evidence
+  chain.  Opt-in like shard (``--layer perf``).  See docs/LINTING.md
+  and docs/PERFORMANCE.md "Profiling workflow".
 
 Entry points: ``sslint`` (CLI), ``supersim --lint`` /
 ``--partition-plan``, and ``sssweep``'s pre-fan-out gate.  See
@@ -71,6 +70,7 @@ from repro.lint.rules import (
     LintContext,
     LintRule,
     all_rule_ids,
+    require_max_pairs,
     rule_catalog,
     run_rules,
 )
@@ -195,6 +195,7 @@ def lint_config_dict(
     subject: Optional[str] = None,
 ) -> LintReport:
     """Lint an in-memory config dict (resolving overrides first)."""
+    require_max_pairs(max_pairs)
     try:
         settings = Settings.from_dict(config, overrides=overrides)
     except SettingsError as exc:

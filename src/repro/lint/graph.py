@@ -27,18 +27,19 @@ criterion).
 
 from __future__ import annotations
 
-import copy
 import itertools
-from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro import factory, models
-from repro.config.settings import Settings, SettingsError
+from repro.config.settings import Settings
 from repro.core.rng import RandomManager
 from repro.core.simulator import Simulator
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import GRAPH_LAYER, LintContext, LintRule
 from repro.net.interface import Interface
+from repro.net.message import Message
 from repro.net.network import Network
+from repro.net.packet import Packet, preserve_packet_ids
 from repro.router.base import Router
 from repro.routing.base import RoutingError
 
@@ -65,7 +66,7 @@ class ChannelRecord(NamedTuple):
     latency: int       # ticks, post-override (see docstring)
 
 
-def _state_signature(packet) -> Tuple:
+def _state_signature(packet: Packet) -> Tuple:
     """Hashable digest of the routing-relevant packet state."""
     return (
         packet.destination,
@@ -73,6 +74,15 @@ def _state_signature(packet) -> Tuple:
         packet.non_minimal,
         tuple(sorted(packet.routing_state.items())),
     )
+
+
+def _copy_packet(packet: Packet) -> Packet:
+    """Slot-wise copy of ``packet`` with its own ``routing_state``."""
+    clone = Packet.__new__(Packet)
+    for slot in Packet.__slots__:
+        setattr(clone, slot, getattr(packet, slot))
+    clone.routing_state = dict(packet.routing_state)
+    return clone
 
 
 def scan_channels(network) -> List[ChannelRecord]:
@@ -134,8 +144,6 @@ class GraphAnalysis:
     # -- construction --------------------------------------------------------
 
     def _run(self, settings: Settings, max_pairs: int) -> None:
-        from repro.net.packet import preserve_packet_ids
-
         # Tracing creates Message/Packet objects, which advance the
         # module-global id counters that feed deterministic VC rotation
         # (e.g. DOR's ``global_id % len(vcs)``).  Restore them so a lint
@@ -212,34 +220,39 @@ class GraphAnalysis:
             self.pairs_traced += 1
 
     def _trace_pair(self, src: int, dst: int, budget: int) -> None:
-        from repro.net.message import Message
+        """Depth-first replay of ``respond()`` from ``src`` toward ``dst``.
 
+        Each queued state owns one packet copy, which its expansion hands
+        to ``respond()`` to update in place.  The routing-state signature
+        is taken once per expansion and carried by the children, and a
+        child whose key is already visited is dropped before it is
+        copied (it would be skipped at pop anyway).  So an expanded
+        state costs one ``respond()`` and one copy.
+        """
         network = self.network
         assert network is not None
         interface = network.interfaces[src]
         packet = Message(0, src, dst, 1).packetize(1)[0]
         channel = interface._flit_out[0]
-        if channel is None or channel.sink is None:
+        if channel is None or not isinstance(channel.sink, Router):
             return  # construction already validates terminal wiring
-        router = channel.sink
-        in_port = channel.sink_port
         injection_vcs = list(
             getattr(interface, "injection_vcs", None)
             or network.routing_class.injection_vcs(network.num_vcs)
         )
-
+        signature = _state_signature(packet)
+        queue: List[Tuple[Router, int, int, Packet, Tuple, Node]] = [
+            (channel.sink, channel.sink_port, vc, _copy_packet(packet),
+             signature, (channel.full_name, vc))
+            for vc in injection_vcs
+        ]
         visited: Set[Tuple] = set()
-        queue: List[Tuple[Any, int, int, Any, Node]] = []
-        for vc in injection_vcs:
-            node = (channel.full_name, vc)
-            queue.append((router, in_port, vc, self._clone(packet), node))
-
+        full_edges = self.full_edges
+        escape_edges = self.escape_edges
         expansions = 0
         while queue:
-            device, port, vc, pkt, cur_node = queue.pop()
-            if not isinstance(device, Router):
-                continue
-            key = (device.full_name, port, vc, _state_signature(pkt))
+            router, in_port, in_vc, pkt, signature, cur_node = queue.pop()
+            key = (router, in_port, in_vc, signature)
             if key in visited:
                 continue
             visited.add(key)
@@ -252,66 +265,52 @@ class GraphAnalysis:
                     f"incomplete"
                 )
                 return
-            self._expand(device, port, vc, pkt, cur_node, queue)
-
-    def _expand(
-        self,
-        router: Router,
-        in_port: int,
-        in_vc: int,
-        pkt,
-        cur_node: Node,
-        queue: List,
-    ) -> None:
-        probe = self._clone(pkt)
-        try:
-            engine = router.routing_algorithm(in_port)
-            response = engine.respond(probe, in_vc)
-        except RoutingError as exc:
-            self.response_errors.append(str(exc))
-            return
-        if not response:
-            self.response_errors.append(
-                f"{router.full_name}: routing returned no candidates for "
-                f"packet to terminal {probe.destination} on port {in_port} "
-                f"vc {in_vc}"
-            )
-            return
-        # The escape resource is the single least-preferred candidate:
-        # the (port, vc) a blocked packet can always fall back to.
-        escape = response[-1]
-        for out_port, out_vc in response:
-            out_channel = router._flit_out[out_port]
-            if out_channel is None or out_channel.sink is None:
-                # respond() validates wiring; only reachable with a
-                # bypassed validation, but stay safe.
+            try:
+                response = router.routing_algorithm(in_port).respond(pkt, in_vc)
+            except RoutingError as exc:
+                self.response_errors.append(str(exc))
+                continue
+            if not response:
                 self.response_errors.append(
-                    f"{router.full_name}: routing selected unwired port "
-                    f"{out_port}"
+                    f"{router.full_name}: routing returned no candidates for "
+                    f"packet to terminal {pkt.destination} on port {in_port} "
+                    f"vc {in_vc}"
                 )
                 continue
-            node = (out_channel.full_name, out_vc)
-            self.full_edges.setdefault(cur_node, set()).add(node)
-            if (out_port, out_vc) == escape:
-                self.escape_edges.setdefault(cur_node, set()).add(node)
-            sink = out_channel.sink
-            if isinstance(sink, Interface):
-                if sink.interface_id != probe.destination:
-                    self.trace_warnings.append(
-                        f"{router.full_name}: packet for terminal "
-                        f"{probe.destination} would eject at interface "
-                        f"{sink.interface_id} via port {out_port}"
+            signature = _state_signature(pkt)
+            # The escape resource is the single least-preferred candidate:
+            # the (port, vc) a blocked packet can always fall back to.
+            escape = response[-1]
+            for out_port, out_vc in response:
+                out_channel = router._flit_out[out_port]
+                if out_channel is None or out_channel.sink is None:
+                    # respond() validates wiring; only reachable with a
+                    # bypassed validation, but stay safe.
+                    self.response_errors.append(
+                        f"{router.full_name}: routing selected unwired port "
+                        f"{out_port}"
                     )
-                continue
-            hop = self._clone(probe)
-            hop.hop_count += 1
-            queue.append((sink, out_channel.sink_port, out_vc, hop, node))
-
-    @staticmethod
-    def _clone(packet):
-        clone = copy.copy(packet)
-        clone.routing_state = dict(packet.routing_state)
-        return clone
+                    continue
+                node = (out_channel.full_name, out_vc)
+                full_edges.setdefault(cur_node, set()).add(node)
+                if (out_port, out_vc) == escape:
+                    escape_edges.setdefault(cur_node, set()).add(node)
+                sink = out_channel.sink
+                if not isinstance(sink, Router):
+                    if (isinstance(sink, Interface)
+                            and sink.interface_id != pkt.destination):
+                        self.trace_warnings.append(
+                            f"{router.full_name}: packet for terminal "
+                            f"{pkt.destination} would eject at interface "
+                            f"{sink.interface_id} via port {out_port}"
+                        )
+                    continue
+                sink_port = out_channel.sink_port
+                if (sink, sink_port, out_vc, signature) in visited:
+                    continue
+                hop = _copy_packet(pkt)
+                hop.hop_count += 1
+                queue.append((sink, sink_port, out_vc, hop, signature, node))
 
 
 # ---------------------------------------------------------------------------

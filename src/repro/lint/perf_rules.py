@@ -39,9 +39,6 @@ chain:
   factory registry proves the call site monomorphic for the current
   configuration (exactly one registered/selected implementation), the
   branch can be hoisted to construction time.
-* **H008** the same pure subexpression (subscript/arithmetic over
-  attribute loads) recomputed three or more times inside one hot
-  method.
 
 Findings are ranked hottest-first by static heat.  Fingerprints
 (docs/LINTING.md "Baselines") hash the evidence chain plus a per-hazard
@@ -64,7 +61,6 @@ from repro.lint.callgraph import (
     model_bases,
     model_targets,
     propagate_heat,
-    unparse,
 )
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import (
@@ -140,13 +136,6 @@ _LOG_METHOD_CALLS = frozenset({
     "debug", "info", "warning", "error", "critical", "log",
 })
 
-#: AST node types allowed inside a "pure" expression (H008).
-_PURE_NODES = (
-    ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.Attribute,
-    ast.Subscript, ast.Name, ast.Constant, ast.operator, ast.unaryop,
-    ast.boolop, ast.cmpop, ast.expr_context, ast.Load,
-)
-
 
 class PerfSite:
     """One hazard occurrence inside a hot method."""
@@ -176,7 +165,7 @@ class PerfScan(ast.NodeVisitor):
         self.module_name = module_name
         self.sites: Dict[str, List[PerfSite]] = {
             "H001": [], "H002": [], "H003": [], "H004": [],
-            "H005": [], "H006": [], "H007": [], "H008": [],
+            "H005": [], "H006": [], "H007": [],
         }
         self._loop_depth = 0
         self._guard_depth = 0
@@ -185,15 +174,11 @@ class PerfScan(ast.NodeVisitor):
         self._loop_chain_stack: List[Dict[str, List[ast.AST]]] = []
         #: names (re)bound inside each enclosing loop.
         self._loop_bound_stack: List[Set[str]] = []
-        #: maximal pure subexpressions (H008).
-        self._pure_counts: Dict[str, List[ast.AST]] = {}
-        self._in_pure = False
         #: escaping allocation node ids (assigned while walking parents)
         self._escapes: Dict[int, str] = {}
         body = getattr(method_node, "body", [])
         for stmt in body:
             self.visit(stmt)
-        self._flush_h008()
 
     # -- statement context -------------------------------------------------
 
@@ -455,16 +440,7 @@ class PerfScan(ast.NodeVisitor):
                 "unguarded %-format on a hot path",
                 "percent",
             ))
-        if not self._maybe_pure(node):
-            self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        if not self._maybe_pure(node):
-            self.generic_visit(node)
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        if not self._maybe_pure(node):
-            self.generic_visit(node)
+        self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if isinstance(node.ctx, ast.Load):
@@ -507,49 +483,6 @@ class PerfScan(ast.NodeVisitor):
             outer = self._loop_chain_stack[-1]
             for chain, nodes in chains.items():
                 outer.setdefault(chain, []).extend(nodes)
-
-    # -- H008: recomputed pure subexpressions ------------------------------
-
-    def _maybe_pure(self, node: ast.AST) -> bool:
-        """Record ``node`` if it is a maximal pure expression.
-
-        Returns True when the subtree was walked here (the caller must
-        then skip its own generic_visit, or every child -- H003 chain
-        loads included -- would be counted twice).
-        """
-        if self._in_pure or self._raise_depth:
-            return False
-        for sub in ast.walk(node):
-            if not isinstance(sub, _PURE_NODES):
-                return False
-        rendered = unparse(node)
-        self._pure_counts.setdefault(rendered, []).append(node)
-        # Walk children exactly once: generic_visit still records H003
-        # chains, while _in_pure keeps nested pure nodes from being
-        # re-counted as separate maximal expressions.
-        self._in_pure = True
-        self.generic_visit(node)
-        self._in_pure = False
-        return True
-
-    def _flush_h008(self) -> None:
-        for rendered, nodes in self._pure_counts.items():
-            if len(nodes) < 3:
-                continue
-            if not any(
-                isinstance(sub, ast.Subscript)
-                for node in nodes[:1]
-                for sub in ast.walk(node)
-            ) and not isinstance(nodes[0], (ast.BinOp, ast.Compare,
-                                            ast.BoolOp)):
-                continue
-            self.sites["H008"].append(PerfSite(
-                nodes[0],
-                f"recomputes pure subexpression `{rendered}` "
-                f"{len(nodes)}x in one call; compute it once into a "
-                f"local",
-                f"expr:{rendered}",
-            ))
 
 
 # -- analysis ----------------------------------------------------------------
@@ -772,7 +705,5 @@ declare_rules(PERF_LAYER, lambda rule, ctx: ctx.perf().findings(rule), [
                  "method"),
         ("H007", "isinstance()/hasattr() dispatch on a hot path; hoist the "
                  "branch when the registry proves the site monomorphic"),
-        ("H008", "same pure subexpression recomputed 3+ times in one hot "
-                 "method; compute it once into a local"),
     )
 ])

@@ -111,6 +111,17 @@ def declare_rules(
         factory.register(LintRule, rule_id)(rule_cls)
 
 
+def require_max_pairs(max_pairs: int) -> None:
+    """Reject a pair budget that would trace nothing: with no pair
+    traced the CDG is empty, so G004/G005 could never fire and a
+    deadlock-prone config would lint clean."""
+    if max_pairs < 1:
+        raise ValueError(
+            f"max_pairs must be at least 1 (got {max_pairs}); the "
+            f"dependency trace needs a terminal pair to find cycles"
+        )
+
+
 class LintContext:
     """Inputs plus memoized shared analyses for one lint run."""
 
@@ -125,6 +136,7 @@ class LintContext:
         partition_tolerance: Optional[float] = None,
         lookahead_threshold: int = 1,
     ):
+        require_max_pairs(max_pairs)
         self.settings = settings
         self.source_paths = list(source_paths or [])
         self.max_pairs = max_pairs

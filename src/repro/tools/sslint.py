@@ -89,6 +89,13 @@ def _collect_targets(
     return configs, sources
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _builtin_configs(
     name: str, parser: argparse.ArgumentParser
 ) -> List[Tuple[str, str, dict]]:
@@ -198,8 +205,8 @@ def sslint_main(argv: Optional[List[str]] = None) -> int:
         help="import a module first (registers user models; repeatable)",
     )
     parser.add_argument(
-        "--max-pairs", type=int, default=512,
-        help="terminal pairs sampled by the dependency trace",
+        "--max-pairs", type=_positive_int, default=512,
+        help="terminal pairs sampled by the dependency trace (at least 1)",
     )
     parser.add_argument(
         "--layer", action="append", choices=ALL_LAYERS, default=None,

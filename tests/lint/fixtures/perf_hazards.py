@@ -134,20 +134,6 @@ class TypeSniffRouting(TorusDimensionOrderRouting):
         return candidates
 
 
-@factory.register(RoutingAlgorithm, "table_thrash_routing")
-class TableThrashRouting(TorusDimensionOrderRouting):
-    """H008: recomputes ``self.bias_table[input_vc]`` three times."""
-
-    topology = "torus"
-
-    def route(self, packet, input_vc: int):
-        candidates = super().route(packet, input_vc)
-        low = min(input_vc, self.bias_table[input_vc])
-        high = max(input_vc, self.bias_table[input_vc])
-        self._bias = self.bias_table[input_vc]
-        return candidates[low:high] or candidates
-
-
 @factory.register(RoutingAlgorithm, "cold_setup_routing")
 class ColdSetupRouting(TorusDimensionOrderRouting):
     """Hazards only in construction-time code: must never be flagged.

@@ -29,6 +29,15 @@ def test_clean_config_exits_zero(tmp_path, capsys):
     assert "0 error(s)" in out
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_pairs_below_one_is_a_usage_error(tmp_path, capsys, value):
+    path = _write_config(tmp_path, blast_pulse_config())
+    with pytest.raises(SystemExit) as exit_info:
+        sslint_main([path, "--max-pairs", value])
+    assert exit_info.value.code == 2
+    assert "--max-pairs" in capsys.readouterr().err
+
+
 def test_error_finding_exits_one(tmp_path, capsys):
     config = copy.deepcopy(blast_pulse_config())
     config["network"]["router"]["crossbar_scheduler"] = {

@@ -10,9 +10,10 @@ import repro.net.message as message_mod
 import repro.net.packet as packet_mod
 from repro.config.settings import Settings
 from repro.configs import blast_pulse_config
-from repro.lint import lint_config_dict
+from repro.lint import lint_config_dict, lint_partition, lint_settings
 from repro.lint.graph import GraphAnalysis, _find_cycle
 from repro.lint.rules import GRAPH_LAYER, LintContext, run_rules
+from tests.integration.test_delivery_invariants import CONFIGS
 
 from .fixtures import naive_routing  # noqa: F401 - registers the algorithm
 
@@ -112,3 +113,17 @@ def test_find_cycle_detects_sccs_and_self_loops():
 def test_pair_sampling_is_bounded(torus_config):
     analysis = GraphAnalysis(Settings.from_dict(torus_config), max_pairs=10)
     assert analysis.pairs_traced == 10
+
+
+@pytest.mark.parametrize("max_pairs", [0, -3])
+def test_max_pairs_below_one_is_rejected(max_pairs):
+    """Tracing no pair would drop this config's G005 (and any G004):
+    refuse rather than lint it clean."""
+    config = copy.deepcopy(CONFIGS["torus_3d_adaptive"])
+    settings = Settings.from_dict(config)
+    with pytest.raises(ValueError, match="max_pairs"):
+        lint_config_dict(config, max_pairs=max_pairs)
+    with pytest.raises(ValueError, match="max_pairs"):
+        lint_settings(settings, max_pairs=max_pairs)
+    with pytest.raises(ValueError, match="max_pairs"):
+        lint_partition(settings, k=2, max_pairs=max_pairs)

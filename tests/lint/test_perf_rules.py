@@ -122,8 +122,6 @@ RULE_FIXTURES = [
     (fx.NotefulRouting, "H005", "route", "new:HopNote"),
     (fx.FlakyProbeRouting, "H006", "route", "try-in-loop"),
     (fx.TypeSniffRouting, "H007", "route", "isinstance:dict"),
-    (fx.TableThrashRouting, "H008", "route",
-     "expr:self.bias_table[input_vc]"),
 ]
 
 
@@ -184,7 +182,7 @@ def test_lint_sources_perf_layer_finds_fixture_hazards():
     assert findings
     rule_ids = {f.rule_id for f in findings}
     assert {"H001", "H002", "H003", "H004",
-            "H005", "H006", "H007", "H008"} <= rule_ids
+            "H005", "H006", "H007"} <= rule_ids
     # Perf findings advise; they never gate on severity alone.
     assert all(
         f.severity in (Severity.WARNING, Severity.INFO) for f in findings
@@ -210,7 +208,7 @@ def test_list_rules_perf_layer(capsys):
     assert sslint_main(["--list-rules", "--layer", "perf"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("H001", "H002", "H003", "H004",
-                    "H005", "H006", "H007", "H008"):
+                    "H005", "H006", "H007"):
         assert rule_id in out
     assert "C001" not in out
 
