@@ -56,13 +56,11 @@ class TorusRandomDirectionRouting(TorusDimensionOrderRouting):
     # a subclass inherits it, so this line restates the parent's.
     topology = "torus"
 
-    def __init__(self, network, router, input_port, settings):
-        super().__init__(network, router, input_port, settings)
-        self._rng = network.random.generator(
-            f"user_routing.{router.full_name}.{input_port}"
-        )
+    def __init__(self, network, router, settings):
+        super().__init__(network, router, settings)
+        self._rng = network.random.generator(f"user_routing.{router.full_name}")
 
-    def route(self, packet, input_vc) -> List[Candidate]:
+    def route(self, packet, input_port, input_vc) -> List[Candidate]:
         dst_router = self.network.terminal_router(packet.destination)
         if dst_router != self.router.router_id:
             dst_coords = self.network.router_coords(dst_router)
@@ -79,7 +77,7 @@ class TorusRandomDirectionRouting(TorusDimensionOrderRouting):
                 vcs = [vc for vc in range(self.router.num_vcs)
                        if vc % 2 == vc_class]
                 return [(port, vc) for vc in vcs]
-        return super().route(packet, input_vc)
+        return super().route(packet, input_port, input_vc)
 
 
 CONFIG = {

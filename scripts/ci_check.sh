@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate.  Nine gates:
+# CI gate.  Ten gates:
 #   1. tier-1    pytest over tests/ (the behavioural gate; see ROADMAP.md)
 #   2. ruff      style over the cleaned packages (SKIPPED when absent)
 #   3. mypy      types over the packages pyproject declares (SKIPPED when absent)
@@ -14,10 +14,14 @@
 #   9. cdg pins  the lint dependency trace reproduces every pinned channel
 #                dependency graph (tests/lint/test_cdg_pins.py); the sslint
 #                gate only looks for error findings
+#  10. delivery  the delivery goldens (tests/net/test_delivery_golden.py):
+#                the only fast gate over dragonfly, adaptive torus,
+#                Valiant/UGAL and parking-lot routing
 #
 # Usage: scripts/ci_check.sh [--fast]
-#   --fast  run only sslint, the four bench smokes and the CDG pins
-#           (~16 s on 2 cores, ~3 s of it the CDG pins)
+#   --fast  run only sslint, the four bench smokes, the CDG pins and the
+#           delivery goldens (~25 s on 2 cores, ~3 s of it the CDG pins
+#           and ~7 s the delivery goldens)
 #
 # Exit status is non-zero if any executed gate fails.  ruff and mypy
 # are optional: their configuration lives in pyproject.toml and applies
@@ -78,6 +82,8 @@ run_gate "bench smoke (sweep16_hyperx_ioq pins)" \
     python3 bench/run.py --workload sweep16_hyperx_ioq --reps 1 --seconds 2
 run_gate "cdg pins (lint dependency trace)" \
     python -m pytest -q tests/lint/test_cdg_pins.py
+run_gate "delivery goldens (every packaged routing family)" \
+    python -m pytest -q tests/net/test_delivery_golden.py
 
 echo
 if [ "${FAILURES}" -ne 0 ]; then

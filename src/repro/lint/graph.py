@@ -2,7 +2,7 @@
 
 Network construction in this code base is entirely event-free (the
 Network constructor builds every router, interface, and channel and
-``finalize()`` builds the per-port routing engines), so the linter can
+hands each router its routing engine at ``finalize()``), so the linter can
 instantiate the full machine, probe its wiring, and exercise the
 routing algorithms *statically* -- no simulation events ever fire.
 
@@ -266,7 +266,7 @@ class GraphAnalysis:
                 )
                 return
             try:
-                response = router.routing_algorithm(in_port).respond(pkt, in_vc)
+                response = router.routing.respond(pkt, in_port, in_vc)
             except RoutingError as exc:
                 self.response_errors.append(str(exc))
                 continue

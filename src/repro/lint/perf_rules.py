@@ -35,10 +35,6 @@ chain:
 * **H006** ``try``/``except`` inside a hot loop body or ``global``
   declared in a hot method (exception-handler setup and global-scope
   writes per iteration).
-* **H007** ``isinstance``/``hasattr`` dispatch on a hot path; when the
-  factory registry proves the call site monomorphic for the current
-  configuration (exactly one registered/selected implementation), the
-  branch can be hoisted to construction time.
 
 Findings are ranked hottest-first by static heat.  Fingerprints
 (docs/LINTING.md "Baselines") hash the evidence chain plus a per-hazard
@@ -165,7 +161,7 @@ class PerfScan(ast.NodeVisitor):
         self.module_name = module_name
         self.sites: Dict[str, List[PerfSite]] = {
             "H001": [], "H002": [], "H003": [], "H004": [],
-            "H005": [], "H006": [], "H007": [],
+            "H005": [], "H006": [],
         }
         self._loop_depth = 0
         self._guard_depth = 0
@@ -374,15 +370,6 @@ class PerfScan(ast.NodeVisitor):
             name = func.id
             if name in _CONTAINER_CALLS:
                 self._alloc(node, name)
-            elif name in ("isinstance", "hasattr") and not self._raise_depth:
-                target = ""
-                if name == "isinstance" and len(node.args) == 2:
-                    target = dotted_name(node.args[1]) or ""
-                self.sites["H007"].append(PerfSite(
-                    node,
-                    f"{name}() dispatch on a hot path",
-                    f"{name}:{target}",
-                ))
             elif name in _LOG_CALLS and not self._raise_depth \
                     and not self._guard_depth:
                 self.sites["H004"].append(PerfSite(
@@ -703,7 +690,5 @@ declare_rules(PERF_LAYER, lambda rule, ctx: ctx.perf().findings(rule), [
                  "MRO; every instance allocates an attribute dict"),
         ("H006", "try/except inside a hot loop body, or `global` in a hot "
                  "method"),
-        ("H007", "isinstance()/hasattr() dispatch on a hot path; hoist the "
-                 "branch when the registry proves the site monomorphic"),
     )
 ])

@@ -3,16 +3,17 @@
 A Network component defines the topology and the routing algorithm used
 in it.  It does not define the architecture of the Router or the
 Interface -- it instantiates them through the object factory and
-connects them with Channel components.  When constructing a Network, the
-Network provides a routing-algorithm factory closure to each Router it
-creates; the router uses it to build RoutingAlgorithm instances per
-input port.  In this way the router microarchitecture and the topology
-with its accompanying routing algorithm are modeled independently.
+connects them with Channel components.  Once a Router is wired and
+addressed, the Network builds its one RoutingAlgorithm and hands it
+over at ``finalize``; the router asks it to route each packet at any of
+its input ports.  In this way the router microarchitecture and the
+topology with its accompanying routing algorithm are modeled
+independently.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, List, Optional, Tuple, Type
 
 from repro import factory
 from repro.core.clock import Clock
@@ -166,7 +167,9 @@ class Network(Component):
         restriction = _FINALIZE_RESTRICTION
         for router in self.routers:
             if restriction is None or router.full_name in restriction:
-                router.finalize()
+                router.finalize(
+                    self.routing_class(self, router, self.routing_settings)
+                )
         self._check_fully_wired()
 
     # -- subclass contract -------------------------------------------------------
@@ -186,14 +189,6 @@ class Network(Component):
         self._link_count += 1
         return index
 
-    def _routing_factory(self) -> Callable[[Router, int], RoutingAlgorithm]:
-        def build(router: Router, input_port: int) -> RoutingAlgorithm:
-            return self.routing_class(
-                self, router, input_port, self.routing_settings
-            )
-
-        return build
-
     def _create_router(self, name: str, router_id: int, num_ports: int) -> Router:
         architecture = self.router_settings.get_str("architecture")
         router = factory.create(
@@ -206,7 +201,6 @@ class Network(Component):
             num_ports,
             self.num_vcs,
             self.router_settings,
-            self._routing_factory(),
             self.core_clock,
             self.channel_clock,
         )

@@ -5,15 +5,15 @@ All three packaged router microarchitectures (OQ, IQ, IOQ -- paper
 share:
 
 * per-(port, VC) input buffers with credit-returning pop,
-* a routing engine per input port, built through the factory closure
-  the Network provides (§IV-B),
+* one routing engine, built by the Network and handed over at
+  ``finalize``, that decides for every input port (§IV-B),
 * the input-VC state machine: route at the packet head, claim an
   output VC, stream, release at the tail,
 * output VC ownership (wormhole: one packet streams on a given
   (output port, VC) at a time),
 * a congestion sensor fed through its delay line: slots resolved at
   ``finalize``, ``(due, slot, delta)`` appended by the hot paths -- only
-  when one of the router's routing engines reads congestion,
+  when the router's routing engine reads congestion,
 * the in-core pipeline FIFO: flits traversing the core for
   ``core_latency`` ticks wait in one per-router FIFO that the step
   drains, not in one engine event each,
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (
-    TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple,
 )
 
 from repro import factory
@@ -47,14 +47,12 @@ from repro.net.packet import Packet
 from repro.net.phases import EPS_STEP
 from repro.router.arbiter import Arbiter, create_arbiter
 from repro.router.congestion import SOURCE_DOWNSTREAM, CongestionSensor
-from repro.routing.base import RoutingAlgorithm, RoutingError
+from repro.routing.base import RoutingAlgorithm
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
     from repro.core.rng import RandomManager
     from repro.core.simulator import Simulator
-
-RoutingFactory = Callable[["Router", int], RoutingAlgorithm]
 
 
 class InputVcState:
@@ -101,14 +99,12 @@ class Router(PortedDevice):
         num_ports: int,
         num_vcs: int,
         settings: "Settings",
-        routing_factory: RoutingFactory,
         core_clock: Clock,
         channel_clock: Clock,
     ):
         super().__init__(simulator, name, parent, num_ports, num_vcs)
         self.router_id = router_id
         self.settings = settings
-        self.routing_factory = routing_factory
         self.core_clock = core_clock
         self.channel_clock = channel_clock
         self.address: Optional[Tuple[int, ...]] = None  # set by the network
@@ -130,10 +126,8 @@ class Router(PortedDevice):
             for p in range(num_ports)
         ]
 
-        # Routing engines, one per input port (created in finalize()),
-        # and the prebuilt responses they share, O(ports x VCs) entries.
-        self._routing: List[Optional[RoutingAlgorithm]] = [None] * num_ports
-        self.route_cache: Dict[Any, Any] = {}
+        # The routing engine, handed over by finalize().
+        self.routing: Optional[RoutingAlgorithm] = None
 
         # Wormhole output VC ownership: (port, vc) -> owner (in_port, in_vc).
         self._output_vc_owner: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -209,16 +203,16 @@ class Router(PortedDevice):
     def input_buffer_capacities(self, port: int) -> List[int]:
         return [self.input_queue_depth] * self.num_vcs
 
-    def finalize(self) -> None:
+    def finalize(self, routing: RoutingAlgorithm) -> None:
         """Second construction phase, after the network wired and
-        addressed this router: build routing engines and register the
+        addressed this router: take its routing engine and register the
         sensor's per-port capacities."""
         if self._finalized:
             raise RuntimeError(f"{self.full_name}: finalize() called twice")
         self._finalized = True
+        self.routing = routing
         for port in range(self.num_ports):
             if self.port_is_wired(port):
-                self._routing[port] = self.routing_factory(self, port)
                 tracker = self.output_credit_tracker(port)
                 self.sensor.init_port(
                     port,
@@ -226,8 +220,7 @@ class Router(PortedDevice):
                         tracker.capacity(v) for v in range(tracker.num_vcs)
                     ],
                 )
-        self._sensor_fed = any(e and e.reads_congestion for e in self._routing)
-        if not self._sensor_fed:
+        if not routing.reads_congestion:
             self.sensor.mark_unfed()
         self._finalize_arch()
         self._down_slots = self._sensor_slots(SOURCE_DOWNSTREAM)
@@ -238,7 +231,8 @@ class Router(PortedDevice):
     def _sensor_slots(self, source: str) -> Optional[List[Optional[List[int]]]]:
         """Per wired port, the sensor slot of each VC for ``source``
         (``KeyError`` for an undeclared one); None when untracked or
-        when no engine reads the sensor, so the hot paths feed nothing."""
+        when the engine does not read the sensor, so the hot paths feed
+        nothing."""
         sensor = self.sensor
         rows: List[Optional[List[int]]] = [None] * self.num_ports
         tracked = False
@@ -247,13 +241,7 @@ class Router(PortedDevice):
                 row = [sensor.slot(source, port, vc) for vc in range(self.num_vcs)]
                 tracked = tracked or row[0] is not None
                 rows[port] = row  # type: ignore[assignment]
-        return rows if tracked and self._sensor_fed else None
-
-    def routing_algorithm(self, port: int) -> RoutingAlgorithm:
-        algorithm = self._routing[port]
-        if algorithm is None:
-            raise RoutingError(f"{self.full_name}: input port {port} is not wired")
-        return algorithm
+        return rows if tracked and self.routing.reads_congestion else None
 
     # -- flit / credit reception -----------------------------------------------------
 
@@ -326,6 +314,7 @@ class Router(PortedDevice):
         self._route_pending = self._route_pending_spare
         self._route_pending_spare = pending
         input_vcs = self._input_vcs
+        respond = self.routing.respond
         for port, vc in pending:
             state = input_vcs[port][vc]
             flits = state.buffer._flits
@@ -345,12 +334,7 @@ class Router(PortedDevice):
                     f"input VC {port}.{vc}: {front!r} (§IV-D order check)"
                 )
             state.packet = front.packet
-            algorithm = self._routing[port]
-            if algorithm is None:
-                raise RoutingError(
-                    f"{self.full_name}: input port {port} is not wired"
-                )
-            state.candidates = algorithm.respond(front.packet, vc)
+            state.candidates = respond(front.packet, port, vc)
             state.allocated = False
             self._alloc_pending.append((port, vc))
         pending.clear()

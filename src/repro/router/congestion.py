@@ -6,8 +6,8 @@ of real hardware that high-level simulators routinely idealize are
 modeled explicitly here:
 
 * **Propagation latency.**  Congestion information computed inside the
-  microarchitecture takes 5-20 cycles to reach all the input ports'
-  routing engines.  The sensor therefore exposes a *delayed* view:
+  microarchitecture takes 5-20 cycles to reach the routing decisions
+  at all the input ports.  The sensor therefore exposes a *delayed* view:
   changes recorded at tick T become visible at tick ``T + latency``.
   Case study A (§VI-A) sweeps this latency and shows throughput
   collapse on finite-queue routers.

@@ -1,21 +1,24 @@
 """Routing algorithm abstraction.
 
-A routing algorithm instance is attached to each router input port
-(paper §IV-B): when a packet's head flit reaches the front of an input
-VC buffer, the port's routing algorithm produces the set of admissible
-``(output port, output VC)`` pairs, ordered by preference.  The router's
-VC-allocation stage then claims the first candidate whose output VC is
-free.
+Each router owns one routing engine, and the routing decision is made
+per input port (paper §IV-B): when a packet's head flit reaches the
+front of an input VC buffer, ``route(packet, input_port, input_vc)``
+produces the set of admissible ``(output port, output VC)`` pairs,
+ordered by preference.  The router's VC-allocation stage then claims
+the first candidate whose output VC is free.  State an algorithm keeps
+per input port (two-phase routing's random streams) it indexes by port.
 
-Routing algorithms are constructed through a factory closure that the
-Network hands to each Router it builds, so the router microarchitecture
-and the topology/routing pair stay independent (§IV-B).
+The Network selects the algorithm and builds each router's engine, so
+the router microarchitecture and the topology/routing pair stay
+independent (§IV-B).
 
 Error detection (§IV-D): the base class validates every response --
 ports must be wired, VCs must be inside the set registered to the
-algorithm -- so a buggy user algorithm fails loudly and immediately.
-An algorithm that hands the same response object out again (from a
-route cache) passes it through :meth:`RoutingAlgorithm.validated` once;
+algorithm, and a response must be a sequence, not a one-shot iterator
+that validation would consume -- so a buggy user algorithm fails
+loudly and immediately.
+An algorithm that hands the same response object out again (a prebuilt
+table entry) passes it through :meth:`RoutingAlgorithm.validated` once;
 ``respond()`` then recognises it by identity instead of re-checking.
 """
 
@@ -39,7 +42,7 @@ class RoutingError(RuntimeError):
 
 
 class RoutingAlgorithm:
-    """Base class for per-input-port routing engines."""
+    """Base class for routing engines, one per router."""
 
     #: The topology factory name this algorithm runs on (e.g.
     #: ``"torus"``; ``"*"`` = any topology).  Packaged and user
@@ -48,32 +51,25 @@ class RoutingAlgorithm:
     topology: Optional[str] = None
 
     #: False declares that :meth:`route` never queries the congestion
-    #: sensor; a router whose engines all say so does not feed it.
+    #: sensor; a router whose engine says so does not feed it.
     reads_congestion = True
 
     def __init__(
         self,
         network,
         router: "Router",
-        input_port: int,
         settings: "Settings",
     ):
         self.network = network
         self.router = router
-        self.input_port = input_port
         self.settings = settings
         # The VCs this algorithm has registered itself to use.  Responses
         # using other VCs are rejected (§IV-D).
         self._registered_vcs = frozenset(range(router.num_vcs))
         # (port, vc) pairs already validated, and responses validated by
         # identity (id -> object, held so the id cannot be reused).
-        # Validity depends only on the router and the registered VCs, so
-        # the router's engines share both until one registers other VCs.
-        self._validated: set
-        self._validated_responses: Dict[int, Sequence[Candidate]]
-        self._validated, self._validated_responses = router.route_cache.setdefault(
-            "validated", (set(), {})
-        )
+        self._validated: set = set()
+        self._validated_responses: Dict[int, Sequence[Candidate]] = {}
 
     # -- VC registration ---------------------------------------------------------
 
@@ -102,17 +98,22 @@ class RoutingAlgorithm:
         """
         return list(range(num_vcs))
 
-    def route(self, packet: "Packet", input_vc: int) -> Sequence[Candidate]:
-        """Produce admissible (port, vc) candidates, best first."""
+    def route(
+        self, packet: "Packet", input_port: int, input_vc: int
+    ) -> Sequence[Candidate]:
+        """Produce admissible (port, vc) candidates, best first, for a
+        packet at the front of ``input_vc`` of ``input_port``."""
         raise NotImplementedError
 
     # -- validated entry point used by routers ---------------------------------------
 
-    def respond(self, packet: "Packet", input_vc: int) -> Sequence[Candidate]:
-        response = self.route(packet, input_vc)
+    def respond(
+        self, packet: "Packet", input_port: int, input_vc: int
+    ) -> Sequence[Candidate]:
+        response = self.route(packet, input_port, input_vc)
         if id(response) in self._validated_responses:
             return response
-        return self._check(response, packet)
+        return self._check(response, packet, input_port)
 
     def validated(
         self, response: Sequence[Candidate], packet: Optional["Packet"] = None
@@ -124,14 +125,26 @@ class RoutingAlgorithm:
         return response
 
     def _check(
-        self, response: Sequence[Candidate], packet: Optional["Packet"]
+        self,
+        response: Sequence[Candidate],
+        packet: Optional["Packet"],
+        input_port: Optional[int] = None,
     ) -> Sequence[Candidate]:
-        if not response:
-            raise RoutingError(
-                f"{type(self).__name__} at {self.router.full_name}.in"
-                f"{self.input_port} produced no route for {packet!r}"
-            )
         router = self.router
+        if iter(response) is response:
+            # Validating would consume it, leaving VC allocation nothing.
+            raise RoutingError(
+                f"{type(self).__name__} at {router.full_name} returned a "
+                f"one-shot iterator; return a list or tuple of candidates"
+            )
+        if not response:
+            where = router.full_name
+            if input_port is not None:
+                where += f".in{input_port}"
+            raise RoutingError(
+                f"{type(self).__name__} at {where} produced no route for "
+                f"{packet!r}"
+            )
         validated = self._validated
         for candidate in response:
             if candidate in validated:

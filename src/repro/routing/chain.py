@@ -20,7 +20,7 @@ class ChainRouting(RoutingAlgorithm):
 
     topology = "parking_lot"
 
-    def route(self, packet, input_vc: int) -> List[Candidate]:
+    def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:
         network = self.network
         own = self.router.address[0]
         dst_router = network.terminal_router(packet.destination)

@@ -31,8 +31,8 @@ class _DragonflyRoutingBase(HopVcRouting):
     topology = "dragonfly"
     MIN_VCS = 3
 
-    def __init__(self, network, router, input_port, settings):
-        super().__init__(network, router, input_port, settings)
+    def __init__(self, network, router, settings):
+        super().__init__(network, router, settings)
         if router.num_vcs < self.MIN_VCS:
             raise RoutingError(
                 f"{type(self).__name__} needs num_vcs >= {self.MIN_VCS}, "
@@ -60,7 +60,7 @@ class DragonflyMinimalRouting(_DragonflyRoutingBase):
     """l-g-l minimal routing."""
     reads_congestion = False
 
-    def route(self, packet, input_vc: int) -> List[Candidate]:
+    def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:
         dst_router = self.network.terminal_router(packet.destination)
         port = self._minimal_port(dst_router)
         if port is None:
@@ -72,8 +72,8 @@ class _TwoPhaseDragonflyRouting(_DragonflyRoutingBase, TwoPhaseRouting):
     """Two-phase routing whose intermediate is a group."""
     MIN_VCS = 5
 
-    def _draw_intermediate(self) -> int:
-        return int(self._rng.integers(self.network.num_groups))
+    def _draw_intermediate(self, rng) -> int:
+        return int(rng.integers(self.network.num_groups))
 
     def _region(self, router_id: int) -> int:
         return self.network.router_group(router_id)

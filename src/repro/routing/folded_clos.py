@@ -14,7 +14,7 @@ et al., "Adaptive Routing in High-Radix Clos Networks"): each packet
 chooses the *least congested* up port, as reported by the router's
 congestion sensor.  Because the sensor's view is delayed by its
 propagation latency, stale values make many input ports' routing
-engines bombard the same seemingly-good output -- the effect §VI-A
+decisions bombard the same seemingly-good output -- the effect §VI-A
 quantifies.
 
 Up*/down* routing is deadlock-free with a single VC (the channel
@@ -35,8 +35,8 @@ class _ClosRoutingBase(RoutingAlgorithm):
 
     topology = "folded_clos"
 
-    def __init__(self, network, router, input_port, settings):
-        super().__init__(network, router, input_port, settings)
+    def __init__(self, network, router, settings):
+        super().__init__(network, router, settings)
         self.level, self.index = router.address
         self.half_radix = k = network.half_radix
         self.num_levels = network.num_levels
@@ -47,20 +47,16 @@ class _ClosRoutingBase(RoutingAlgorithm):
         self._subtree = k * self._stride
         self._subtree_id = self.index // self._stride
         # Per output port, its candidate on every VC: responses are built
-        # from these, and a down response is one, validated once per router.
-        self._port_candidates: List[Tuple[Candidate, ...]] = router.route_cache.get(
-            "clos_port_candidates"
-        )
-        if self._port_candidates is None:
-            self._port_candidates = router.route_cache["clos_port_candidates"] = [
-                tuple((port, vc) for vc in range(router.num_vcs))
-                for port in range(router.num_ports)
-            ]
-            for port, candidates in enumerate(self._port_candidates):
-                if router.port_is_wired(port):
-                    self.validated(candidates)
+        # from these, and a down response is one, validated once.
+        self._port_candidates: List[Tuple[Candidate, ...]] = [
+            tuple((port, vc) for vc in range(router.num_vcs))
+            for port in range(router.num_ports)
+        ]
+        for port, candidates in enumerate(self._port_candidates):
+            if router.port_is_wired(port):
+                self.validated(candidates)
 
-    def route(self, packet, input_vc: int) -> Sequence[Candidate]:
+    def route(self, packet, input_port: int, input_vc: int) -> Sequence[Candidate]:
         dst = packet.message.destination
         candidates = self._port_candidates
         if dst // self._subtree == self._subtree_id:

@@ -32,8 +32,8 @@ from repro.routing.two_phase import HopVcRouting, TwoPhaseRouting
 class _HyperXRoutingBase(HopVcRouting):
     topology = "hyperx"
 
-    def __init__(self, network, router, input_port, settings):
-        super().__init__(network, router, input_port, settings)
+    def __init__(self, network, router, settings):
+        super().__init__(network, router, settings)
         self.coords = router.address
         self.widths = network.widths
 
@@ -51,7 +51,7 @@ class HyperXDimensionOrderRouting(_HyperXRoutingBase):
     """Minimal dimension order routing."""
     reads_congestion = False
 
-    def route(self, packet, input_vc: int) -> List[Candidate]:
+    def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:
         dst_router = self.network.terminal_router(packet.destination)
         if dst_router == self.router.router_id:
             return self._ejection(packet)
@@ -68,8 +68,8 @@ class _TwoPhaseHyperXRouting(_HyperXRoutingBase, TwoPhaseRouting):
     # UGAL decides a packet for this router without a draw.
     _ugal_draws_for_local = False
 
-    def __init__(self, network, router, input_port, settings):
-        super().__init__(network, router, input_port, settings)
+    def __init__(self, network, router, settings):
+        super().__init__(network, router, settings)
         max_hops = 2 * len(self.widths)  # valiant worst case
         if router.num_vcs < max_hops:
             raise RoutingError(
@@ -77,8 +77,8 @@ class _TwoPhaseHyperXRouting(_HyperXRoutingBase, TwoPhaseRouting):
                 f"(2 hops per dimension), got {router.num_vcs}"
             )
 
-    def _draw_intermediate(self) -> int:
-        return int(self._rng.integers(len(self.network.routers)))
+    def _draw_intermediate(self, rng) -> int:
+        return int(rng.integers(len(self.network.routers)))
 
     def _region(self, router_id: int) -> int:
         return router_id

@@ -30,18 +30,16 @@ class _TorusRoutingBase(RoutingAlgorithm):
 
     topology = "torus"
 
-    def __init__(self, network, router, input_port, settings):
-        super().__init__(network, router, input_port, settings)
+    def __init__(self, network, router, settings):
+        super().__init__(network, router, settings)
         self.coords = router.address
         self.widths = network.widths
         self.concentration = network.concentration
-        # Terminal port -> its ejection response: one per router, validated once.
-        self._eject = router.route_cache.get("torus_eject")
-        if self._eject is None:
-            self._eject = router.route_cache["torus_eject"] = [
-                self.validated([(port, vc) for vc in range(router.num_vcs)])
-                for port in range(self.concentration)
-            ]
+        # Terminal port -> its ejection response, validated once.
+        self._eject = [
+            self.validated([(port, vc) for vc in range(router.num_vcs)])
+            for port in range(self.concentration)
+        ]
 
     def _first_differing_dimension(self, dst_coords) -> int:
         for dim, (own, dst) in enumerate(zip(self.coords, dst_coords)):
@@ -84,8 +82,8 @@ class TorusDimensionOrderRouting(_TorusRoutingBase):
     """
     reads_congestion = False
 
-    def __init__(self, network, router, input_port, settings):
-        super().__init__(network, router, input_port, settings)
+    def __init__(self, network, router, settings):
+        super().__init__(network, router, settings)
         num_vcs = router.num_vcs
         if num_vcs < 2 or num_vcs % 2 != 0:
             raise RoutingError(
@@ -98,29 +96,26 @@ class TorusDimensionOrderRouting(_TorusRoutingBase):
             for dim, (width, own) in enumerate(zip(self.widths, self.coords))
         )
         # _candidates[2 * dim + (direction == -1)][dateline class][rotation]:
-        # even VCs form class 0, odd VCs class 1, rotated per packet.  It
-        # depends only on the port layout: one per router, validated once.
+        # even VCs form class 0, odd VCs class 1, rotated per packet;
+        # each validated once.
         half = self._rotations = num_vcs // 2
-        table = router.route_cache.get("torus_dor")
-        if table is None:
-            table = router.route_cache["torus_dor"] = tuple(
-                tuple(
-                    tuple(self.validated([(port, vc) for vc in vcs[rot:] + vcs[:rot]])
-                          for rot in range(half))
-                    for vcs in (list(range(0, num_vcs, 2)),
-                                list(range(1, num_vcs, 2)))
-                )
-                for dim in range(len(self.widths))
-                for port in (network.port_for(dim, +1), network.port_for(dim, -1))
+        self._candidates = tuple(
+            tuple(
+                tuple(self.validated([(port, vc) for vc in vcs[rot:] + vcs[:rot]])
+                      for rot in range(half))
+                for vcs in (list(range(0, num_vcs, 2)),
+                            list(range(1, num_vcs, 2)))
             )
-        self._candidates = table
+            for dim in range(len(self.widths))
+            for port in (network.port_for(dim, +1), network.port_for(dim, -1))
+        )
 
     @classmethod
     def injection_vcs(cls, num_vcs: int) -> List[int]:
         # Packets enter the network in dateline class 0 (even VCs).
         return [vc for vc in range(num_vcs) if vc % 2 == 0]
 
-    def route(self, packet, input_vc: int) -> List[Candidate]:
+    def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:
         destination = packet.message.destination
         dst_router = destination // self.concentration
         for dim, stride, width, own in self._digits:
@@ -146,8 +141,8 @@ class TorusMinimalAdaptiveRouting(_TorusRoutingBase):
     half is the fully adaptive class.  Needs ``num_vcs`` divisible by 4.
     """
 
-    def __init__(self, network, router, input_port, settings):
-        super().__init__(network, router, input_port, settings)
+    def __init__(self, network, router, settings):
+        super().__init__(network, router, settings)
         if router.num_vcs < 4 or router.num_vcs % 4 != 0:
             raise RoutingError(
                 "torus_minimal_adaptive needs num_vcs divisible by 4 "
@@ -159,7 +154,7 @@ class TorusMinimalAdaptiveRouting(_TorusRoutingBase):
     def injection_vcs(cls, num_vcs: int) -> List[int]:
         return [vc for vc in range(num_vcs // 2) if vc % 2 == 0]
 
-    def route(self, packet, input_vc: int) -> List[Candidate]:
+    def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:
         dst_router = self.network.terminal_router(packet.destination)
         if dst_router == self.router.router_id:
             return self._eject[self.network.terminal_port(packet.destination)]

@@ -33,8 +33,8 @@ class HopVcRouting(RoutingAlgorithm):
     """Terminal ports first, ejection on any VC and the VC = hops-taken
     discipline: what HyperX and dragonfly routing share."""
 
-    def __init__(self, network, router, input_port, settings):
-        super().__init__(network, router, input_port, settings)
+    def __init__(self, network, router, settings):
+        super().__init__(network, router, settings)
         self.concentration = network.concentration
 
     def _ejection(self, packet) -> List[Candidate]:
@@ -69,27 +69,27 @@ class TwoPhaseRouting(HopVcRouting):
     #: the input port's stream and so every later decision there.
     _ugal_draws_for_local = True
 
-    def __init__(self, network, router, input_port, settings):
-        super().__init__(network, router, input_port, settings)
-        self._rng = network.random.generator(
-            f"routing.{router.full_name}.in{input_port}"
-        )
+    def __init__(self, network, router, settings):
+        super().__init__(network, router, settings)
+        # Each terminal input port draws from its own stream.
+        self._rngs = [
+            network.random.generator(f"routing.{router.full_name}.in{port}")
+            for port in range(self.concentration)
+        ]
         if self.reads_congestion:
             self.bias = settings.get_float("ugal_bias", 0.0)
         # Per wired output port, its one-candidate response on each VC,
-        # validated once per router: a hop allocates no response.
-        self._hop_responses = router.route_cache.get("two_phase_hops")
-        if self._hop_responses is None:
-            self._hop_responses = router.route_cache["two_phase_hops"] = {
-                port: [self.validated(((port, vc),)) for vc in range(router.num_vcs)]
-                for port in range(router.num_ports)
-                if router.port_is_wired(port)
-            }
+        # validated once: a hop allocates no response.
+        self._hop_responses = {
+            port: [self.validated(((port, vc),)) for vc in range(router.num_vcs)]
+            for port in range(router.num_ports)
+            if router.port_is_wired(port)
+        }
 
     # -- what a topology supplies ------------------------------------------------
 
-    def _draw_intermediate(self) -> int:
-        """A uniformly random intermediate, from this port's stream."""
+    def _draw_intermediate(self, rng) -> int:
+        """A uniformly random intermediate, drawn from ``rng``."""
         raise NotImplementedError
 
     def _region(self, router_id: int) -> int:
@@ -110,10 +110,10 @@ class TwoPhaseRouting(HopVcRouting):
 
     # -- the core -----------------------------------------------------------------
 
-    def route(self, packet, input_vc: int) -> Sequence[Candidate]:
+    def route(self, packet, input_port: int, input_vc: int) -> Sequence[Candidate]:
         state = packet.routing_state
-        if self.input_port < self.concentration and "val_phase" not in state:
-            self._decide(packet)
+        if input_port < self.concentration and "val_phase" not in state:
+            self._decide(packet, self._rngs[input_port])
         if state.get("val_phase") == 0:
             port = self._toward_intermediate(packet.intermediate)
             if port is not None:
@@ -124,8 +124,9 @@ class TwoPhaseRouting(HopVcRouting):
             return self._ejection(packet)
         return self._hop_responses[port][self._hop_vc(packet)]
 
-    def _decide(self, packet) -> None:
-        """Commit a packet at its source: to a detour, or minimal."""
+    def _decide(self, packet, rng) -> None:
+        """Commit a packet at its source: to a detour, or minimal,
+        drawing from its terminal input port's stream ``rng``."""
         state = packet.routing_state
         state["val_phase"] = 1  # minimal unless a detour is committed below
         dst_router = self.network.terminal_router(packet.destination)
@@ -134,7 +135,7 @@ class TwoPhaseRouting(HopVcRouting):
             min_port = self._minimal_port(dst_router)
             if min_port is None and not self._ugal_draws_for_local:
                 return
-        intermediate = self._draw_intermediate()
+        intermediate = self._draw_intermediate(rng)
         if intermediate in (self._region(self.router.router_id),
                             self._region(dst_router)):
             return  # a detour through either end is no detour

@@ -2,14 +2,15 @@
 simulated time (ROADMAP item 1(c)).
 
 A ``gc`` census walks every object reachable from the network -- the
-routers' route caches, the routing engines' validated-response memos,
+routing engines' prebuilt tables and validated-response memos,
 the sensors' delay lines and per-key memos, queues, channels -- except
 the message log, which keeps one record per delivered message by
 design.  Run the same folded Clos of OQ routers for two horizons, one
 four times longer: the census must not grow with it, and the caches the
-OQ hot path keeps must sit inside their network-size bounds.  Every
-routing engine, torus and folded Clos alike, holds at most
-2 x ports x VCs cached entries, the same at both horizons.
+OQ hot path keeps must sit inside their network-size bounds.  Each
+router holds one routing engine, and every engine, torus and folded
+Clos alike, holds at most 2 x ports x VCs cached entries, the same at
+both horizons.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from repro import Settings, Simulation
 from repro.configs import flow_control_config, latent_congestion_config
 from repro.router.congestion import PENDING_LIMIT
+from repro.routing.base import RoutingAlgorithm
 
 #: Objects the census does not walk into: code, classes and modules are
 #: shared program state, not simulation state.
@@ -32,17 +34,24 @@ _SHARED = (
 )
 
 
-def census(simulation) -> int:
+def reachable(simulation) -> list:
+    """Every object reachable from the network but the message log."""
     gc.collect()
     seen = {id(simulation.message_log)}
+    found = []
     stack = [simulation.network]
     while stack:
         obj = stack.pop()
         if id(obj) in seen or isinstance(obj, _SHARED):
             continue
         seen.add(id(obj))
+        found.append(obj)
         stack.extend(gc.get_referents(obj))
-    return len(seen) - 1
+    return found
+
+
+def census(simulation) -> int:
+    return len(reachable(simulation))
 
 
 def run(window: int) -> Simulation:
@@ -64,9 +73,7 @@ def test_census_does_not_grow_with_simulated_time():
 
     assert engine_census(short) == engine_census(long)
     for router in long.network.routers:
-        for engine in router._routing:
-            if engine is not None:
-                assert len(engine._validated_responses) <= router.num_ports
+        assert len(router.routing._validated_responses) <= router.num_ports
         sensor = router.sensor
         assert len(sensor._pending) <= PENDING_LIMIT + 2 * router.num_ports * sensor.latency
         assert len(sensor._memo) == router.num_ports * router.num_vcs
@@ -82,16 +89,16 @@ def engine_entries(engine) -> int:
 
 
 def engine_census(simulation) -> list:
-    """Per routing engine, its cached entries, each checked against
-    2 x ports x VCs of its router."""
+    """Per router, its routing engine's cached entries, each checked
+    against 2 x ports x VCs of the router."""
     entries = []
     for router in simulation.network.routers:
         bound = 2 * router.num_ports * router.num_vcs
-        for engine in router._routing:
-            assert not hasattr(engine, "_dor_memo")
-            count = engine_entries(engine)
-            assert 0 < count <= bound, (router.full_name, count, bound)
-            entries.append(count)
+        engine = router.routing
+        assert not hasattr(engine, "_dor_memo")
+        count = engine_entries(engine)
+        assert 0 < count <= bound, (router.full_name, count, bound)
+        entries.append(count)
     return entries
 
 
@@ -136,3 +143,31 @@ def test_clos_engine_state_is_linear_at_full_scale():
     """The 4 096-terminal folded Clos of Table I, where the down-port
     cache reached 743 k entries."""
     routing_census(latent_congestion_config(full_scale=True), 60)
+
+
+# -- one routing engine per router -------------------------------------------
+
+
+def engines_and_routers(config: dict) -> tuple:
+    """(live routing engines, routers) of a freshly built ``config``."""
+    simulation = Simulation(Settings.from_dict(config))
+    engines = sum(isinstance(obj, RoutingAlgorithm)
+                  for obj in reachable(simulation))
+    return engines, simulation.network.num_routers
+
+
+def test_one_routing_engine_per_router():
+    """The bench folded Clos: one engine per router, not one per wired
+    input port."""
+    config = latent_congestion_config(injection_rate=0.4, warmup=50,
+                                      window=100)
+    assert engines_and_routers(config) == (48, 48)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.environ.get("REPRO_FULL_SCALE"),
+                    reason="paper-size network; set REPRO_FULL_SCALE=1")
+def test_one_routing_engine_per_router_at_full_scale():
+    """The 768-router folded Clos of Table I."""
+    assert engines_and_routers(latent_congestion_config(full_scale=True)) == (
+        768, 768)

@@ -25,8 +25,8 @@ from repro.routing.base import Candidate, RoutingAlgorithm
 class _BrokenHyperXBase(RoutingAlgorithm):
     topology = "hyperx"  # user-algorithm compatibility declaration
 
-    def __init__(self, network, router, input_port, settings):
-        super().__init__(network, router, input_port, settings)
+    def __init__(self, network, router, settings):
+        super().__init__(network, router, settings)
         self.coords = router.address
         self.widths = network.widths
 
@@ -39,7 +39,7 @@ class _BrokenHyperXBase(RoutingAlgorithm):
 class HyperXRingStepRouting(_BrokenHyperXBase):
     """Unit ring steps per dimension, one VC class: cyclic escape CDG."""
 
-    def route(self, packet, input_vc: int) -> List[Candidate]:
+    def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:
         dst_router = self.network.terminal_router(packet.destination)
         if dst_router == self.router.router_id:
             return self._ejection(packet)
@@ -57,7 +57,7 @@ class HyperXRingStepRouting(_BrokenHyperXBase):
 class HyperXWrongEjectRouting(_BrokenHyperXBase):
     """Minimal DOR, but every ejection goes to terminal port 0."""
 
-    def route(self, packet, input_vc: int) -> List[Candidate]:
+    def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:
         dst_router = self.network.terminal_router(packet.destination)
         if dst_router == self.router.router_id:
             return [(0, vc) for vc in range(self.router.num_vcs)]
@@ -73,7 +73,7 @@ class HyperXWrongEjectRouting(_BrokenHyperXBase):
 class HyperXDeadEndRouting(_BrokenHyperXBase):
     """No candidates unless the packet is already at its router."""
 
-    def route(self, packet, input_vc: int) -> List[Candidate]:
+    def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:
         dst_router = self.network.terminal_router(packet.destination)
         if dst_router == self.router.router_id:
             return self._ejection(packet)

@@ -23,12 +23,12 @@ class NaiveTorusMinimalRouting(RoutingAlgorithm):
 
     topology = "torus"  # user-algorithm compatibility declaration
 
-    def __init__(self, network, router, input_port, settings):
-        super().__init__(network, router, input_port, settings)
+    def __init__(self, network, router, settings):
+        super().__init__(network, router, settings)
         self.coords = router.address
         self.widths = network.widths
 
-    def route(self, packet, input_vc: int) -> List[Candidate]:
+    def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:
         dst_router = self.network.terminal_router(packet.destination)
         if dst_router == self.router.router_id:
             port = self.network.terminal_port(packet.destination)

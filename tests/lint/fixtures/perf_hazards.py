@@ -38,8 +38,8 @@ class AllocTrailRouting(TorusDimensionOrderRouting):
 
     topology = "torus"
 
-    def route(self, packet, input_vc: int):
-        candidates = super().route(packet, input_vc)
+    def route(self, packet, input_port: int, input_vc: int):
+        candidates = super().route(packet, input_port, input_vc)
         self._trail = [candidate.port for candidate in candidates]
         return candidates
 
@@ -50,8 +50,8 @@ class ClosureSortRouting(TorusDimensionOrderRouting):
 
     topology = "torus"
 
-    def route(self, packet, input_vc: int):
-        candidates = list(super().route(packet, input_vc))
+    def route(self, packet, input_port: int, input_vc: int):
+        candidates = list(super().route(packet, input_port, input_vc))
         candidates.sort(key=lambda candidate: candidate.vc)
         return candidates
 
@@ -62,8 +62,8 @@ class ChainHappyRouting(TorusDimensionOrderRouting):
 
     topology = "torus"
 
-    def route(self, packet, input_vc: int):
-        candidates = super().route(packet, input_vc)
+    def route(self, packet, input_port: int, input_vc: int):
+        candidates = super().route(packet, input_port, input_vc)
         usable = 0
         for candidate in candidates:
             if candidate.vc < self.router.num_vcs:
@@ -79,8 +79,8 @@ class ChattyTraceRouting(TorusDimensionOrderRouting):
 
     topology = "torus"
 
-    def route(self, packet, input_vc: int):
-        candidates = super().route(packet, input_vc)
+    def route(self, packet, input_port: int, input_vc: int):
+        candidates = super().route(packet, input_port, input_vc)
         self._note_hop(packet)
         return candidates
 
@@ -94,8 +94,8 @@ class NotefulRouting(TorusDimensionOrderRouting):
 
     topology = "torus"
 
-    def route(self, packet, input_vc: int):
-        candidates = super().route(packet, input_vc)
+    def route(self, packet, input_port: int, input_vc: int):
+        candidates = super().route(packet, input_port, input_vc)
         self._note = HopNote(candidates[0].port, candidates[0].vc)
         return candidates
 
@@ -106,8 +106,8 @@ class FlakyProbeRouting(TorusDimensionOrderRouting):
 
     topology = "torus"
 
-    def route(self, packet, input_vc: int):
-        candidates = super().route(packet, input_vc)
+    def route(self, packet, input_port: int, input_vc: int):
+        candidates = super().route(packet, input_port, input_vc)
         for candidate in candidates:
             try:
                 candidate.port
@@ -115,23 +115,10 @@ class FlakyProbeRouting(TorusDimensionOrderRouting):
                 pass
         return candidates
 
-    def respond(self, packet, input_vc: int):
+    def respond(self, packet, input_port: int, input_vc: int):
         global _ROUTE_TALLY
         _ROUTE_TALLY += 1
-        return super().respond(packet, input_vc)
-
-
-@factory.register(RoutingAlgorithm, "type_sniff_routing")
-class TypeSniffRouting(TorusDimensionOrderRouting):
-    """H007: isinstance() dispatch per route() call."""
-
-    topology = "torus"
-
-    def route(self, packet, input_vc: int):
-        candidates = super().route(packet, input_vc)
-        if isinstance(packet.message, dict):
-            return candidates[::-1]
-        return candidates
+        return super().respond(packet, input_port, input_vc)
 
 
 @factory.register(RoutingAlgorithm, "cold_setup_routing")

@@ -40,8 +40,8 @@ class SneakyHopLocalVcRouting(TorusDimensionOrderRouting):
 
     topology = "torus"
 
-    def route(self, packet, input_vc: int) -> List[Candidate]:
-        candidates = super().route(packet, input_vc)
+    def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:
+        candidates = super().route(packet, input_port, input_vc)
         # hop_count is bumped as the *tail* leaves a router; reading it
         # at head time is exactly the dragonfly/hyperx hazard.
         rotation = packet.hop_count % len(candidates)

@@ -211,9 +211,9 @@ def test_trace_makes_one_copy_per_expansion(monkeypatch):
         counts["copy"] += 1
         return copy_packet(packet)
 
-    def counting_respond(self, packet, input_vc):
+    def counting_respond(self, packet, input_port, input_vc):
         counts["respond"] += 1
-        return respond(self, packet, input_vc)
+        return respond(self, packet, input_port, input_vc)
 
     monkeypatch.setattr(graph_mod, "_copy_packet", counting_copy)
     monkeypatch.setattr(RoutingAlgorithm, "respond", counting_respond)

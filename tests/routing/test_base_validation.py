@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro import Settings, factory, models
+from repro import Settings, Simulation, factory, models
 from repro.core.rng import RandomManager
 from repro.core.simulator import Simulator
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.routing.base import RoutingAlgorithm, RoutingError
+from repro.routing.chain import ChainRouting
 
 
 class ScriptedRouting(RoutingAlgorithm):
@@ -15,7 +16,7 @@ class ScriptedRouting(RoutingAlgorithm):
 
     response = []
 
-    def route(self, packet, input_vc):
+    def route(self, packet, input_port, input_vc):
         return list(type(self).response)
 
 
@@ -48,9 +49,9 @@ def test_empty_response_rejected():
         response = []
 
     network = build_chain_with(Empty)
-    algorithm = network.routers[0].routing_algorithm(0)
+    algorithm = network.routers[0].routing
     with pytest.raises(RoutingError, match="no route"):
-        algorithm.respond(make_packet(), 0)
+        algorithm.respond(make_packet(), 0, 0)
 
 
 def test_out_of_range_port_rejected():
@@ -58,9 +59,9 @@ def test_out_of_range_port_rejected():
         response = [(99, 0)]
 
     network = build_chain_with(BadPort)
-    algorithm = network.routers[0].routing_algorithm(0)
+    algorithm = network.routers[0].routing
     with pytest.raises(RoutingError, match="out of range"):
-        algorithm.respond(make_packet(), 0)
+        algorithm.respond(make_packet(), 0, 0)
 
 
 def test_unwired_port_rejected():
@@ -72,9 +73,9 @@ def test_unwired_port_rejected():
 
     network = build_chain_with(Unwired)
     Unwired.response = [(network.down_port, 0)]
-    algorithm = network.routers[0].routing_algorithm(0)
+    algorithm = network.routers[0].routing
     with pytest.raises(RoutingError, match="unused output port"):
-        algorithm.respond(make_packet(), 0)
+        algorithm.respond(make_packet(), 0, 0)
 
 
 def test_unregistered_vc_rejected():
@@ -86,10 +87,40 @@ def test_unregistered_vc_rejected():
 
     network = build_chain_with(WrongVc)
     WrongVc.response = [(network.up_port, 1)]
-    algorithm = network.routers[0].routing_algorithm(0)
+    algorithm = network.routers[0].routing
     algorithm.register_vcs([0])  # restrict to VC 0
     with pytest.raises(RoutingError, match="not registered"):
-        algorithm.respond(make_packet(), 0)
+        algorithm.respond(make_packet(), 0, 0)
+
+
+class OneShotChainRouting(ChainRouting):
+    """Chain routing that hands out a generator instead of a sequence."""
+
+    def route(self, packet, input_port, input_vc):
+        return (c for c in super().route(packet, input_port, input_vc))
+
+
+def test_one_shot_iterator_response_rejected():
+    """Validating a generator consumes it, so VC allocation would find no
+    candidates: the network stalled, delivering nothing, with no error."""
+    if "one_shot_chain" not in factory.names(RoutingAlgorithm):
+        factory.register(RoutingAlgorithm, "one_shot_chain")(OneShotChainRouting)
+    settings = Settings.from_dict({
+        "network": {
+            "topology": "parking_lot", "length": 3, "concentration": 1,
+            "num_vcs": 1, "channel_latency": 1,
+            "router": {"architecture": "input_queued"},
+            "routing": {"algorithm": "one_shot_chain"},
+        },
+        "workload": {"applications": [{
+            "type": "blast", "injection_rate": 0.1,
+            "warmup_duration": 100, "generate_duration": 500,
+            "traffic": {"type": "uniform_random"},
+            "message_size": {"type": "constant", "size": 1},
+        }]},
+    })
+    with pytest.raises(RoutingError, match="OneShotChainRouting.*one-shot"):
+        Simulation(settings).run(max_time=5000)
 
 
 def test_register_vcs_bounds_checked():
@@ -97,7 +128,7 @@ def test_register_vcs_bounds_checked():
         response = None
 
     network = build_chain_with(Fine)
-    algorithm = network.routers[0].routing_algorithm(0)
+    algorithm = network.routers[0].routing
     with pytest.raises(RoutingError):
         algorithm.register_vcs([7])
 
@@ -108,9 +139,9 @@ def test_valid_response_passes_and_caches():
 
     network = build_chain_with(Fine)
     Fine.response = [(network.up_port, 0), (network.up_port, 1)]
-    algorithm = network.routers[0].routing_algorithm(0)
-    first = algorithm.respond(make_packet(), 0)
-    second = algorithm.respond(make_packet(), 0)
+    algorithm = network.routers[0].routing
+    first = algorithm.respond(make_packet(), 0, 0)
+    second = algorithm.respond(make_packet(), 0, 0)
     assert first == second == Fine.response
 
 
@@ -120,7 +151,7 @@ def test_congestion_helpers():
 
     network = build_chain_with(Fine)
     Fine.response = [(network.up_port, 0)]
-    algorithm = network.routers[0].routing_algorithm(0)
+    algorithm = network.routers[0].routing
     value = algorithm.congestion(network.up_port, 0)
     assert value == 0.0
     assert algorithm.port_congestion(network.up_port, [0, 1]) == 0.0

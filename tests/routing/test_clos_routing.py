@@ -38,7 +38,7 @@ def build(half_radix=2, num_levels=3, routing="clos_adaptive",
 def respond_at(network, level, index, src, dst, input_port=0):
     packet = Message(0, src, dst, 1).packetize(1)[0]
     router = network.router_at(level, index)
-    return packet, router.routing_algorithm(input_port).respond(packet, 0)
+    return packet, router.routing.respond(packet, input_port, 0)
 
 
 class TestUpDown:
@@ -94,8 +94,7 @@ class TestUpDown:
         router = network.router_at(0, 0)
         hops = 0
         while True:
-            algorithm = router.routing_algorithm(0)
-            candidates = algorithm.respond(packet, 0)
+            candidates = router.routing.respond(packet, 0, 0)
             port = candidates[0][0]
             channel = router.output_channel(port)
             nxt = channel.sink
@@ -122,7 +121,7 @@ class TestAdaptiveOrdering:
 
         def check(event):
             packet = Message(0, 0, 7, 1).packetize(1)[0]
-            candidates = leaf.routing_algorithm(0).respond(packet, 0)
+            candidates = leaf.routing.respond(packet, 0, 0)
             seen["first"] = candidates[0][0]
 
         sim.call_at(0, congest, epsilon=1)
@@ -145,7 +144,7 @@ class TestAdaptiveOrdering:
         def check(event):
             for trial in range(8):
                 packet = Message(0, 0, 7, 1).packetize(1)[0]
-                candidates = leaf.routing_algorithm(0).respond(packet, 0)
+                candidates = leaf.routing.respond(packet, 0, 0)
                 firsts.add(candidates[0][0])
 
         sim.call_at(0, congest, epsilon=1)

@@ -35,8 +35,7 @@ def walk_path(network, src, dst, max_hops=8):
     input_port = network.terminal_port(src)
     hops = 0
     while True:
-        algorithm = router.routing_algorithm(input_port)
-        candidates = algorithm.respond(packet, 0)
+        candidates = router.routing.respond(packet, input_port, 0)
         port = candidates[0][0]
         channel = router.output_channel(port)
         nxt = channel.sink
@@ -93,10 +92,10 @@ class TestValiantAndUgal:
     def test_ugal_uncongested_goes_minimal(self):
         network = build(routing="dragonfly_ugal", num_vcs=5)
         source_router = network.routers[0]
-        algorithm = source_router.routing_algorithm(0)
+        algorithm = source_router.routing
         for _ in range(16):
             packet = Message(0, 0, 17, 1).packetize(1)[0]
-            algorithm.respond(packet, 0)
+            algorithm.respond(packet, 0, 0)
             assert not packet.non_minimal
 
     def test_ugal_paths_converge(self):

@@ -45,20 +45,20 @@ class TestDimensionOrder:
     def test_direct_hop(self):
         network = build()
         packet = make_packet(0, 6)  # router 0 -> router 3
-        candidates = network.routers[0].routing_algorithm(0).respond(packet, 0)
+        candidates = network.routers[0].routing.respond(packet, 0, 0)
         assert {p for p, _v in candidates} == {network.port_for(0, 0, 3)}
 
     def test_ejection(self):
         network = build()
         packet = make_packet(0, 1)  # same router, terminal port 1
-        candidates = network.routers[0].routing_algorithm(0).respond(packet, 0)
+        candidates = network.routers[0].routing.respond(packet, 0, 0)
         assert {p for p, _v in candidates} == {1}
 
     def test_2d_dimension_order(self):
         network = build(widths=[3, 3], concentration=1)
         # (0,0) -> (2,2): dim 0 first.
         packet = make_packet(0, 8)
-        candidates = network.routers[0].routing_algorithm(0).respond(packet, 0)
+        candidates = network.routers[0].routing.respond(packet, 0, 0)
         assert {p for p, _v in candidates} == {network.port_for(0, 0, 2)}
 
 
@@ -71,11 +71,11 @@ class TestValiant:
         network = build(routing="hyperx_valiant", num_vcs=2)
         # Drive many packets; each must either go direct (degenerate
         # intermediate) or record phase state.
-        algorithm = network.routers[0].routing_algorithm(0)
+        algorithm = network.routers[0].routing
         saw_nonminimal = False
         for _ in range(32):
             packet = make_packet(0, 6)
-            algorithm.respond(packet, 0)
+            algorithm.respond(packet, 0, 0)
             if packet.non_minimal:
                 saw_nonminimal = True
                 assert packet.routing_state["val_phase"] == 0
@@ -84,17 +84,17 @@ class TestValiant:
 
     def test_hop_vc_discipline(self):
         network = build(routing="hyperx_valiant", num_vcs=2)
-        algorithm = network.routers[0].routing_algorithm(0)
+        algorithm = network.routers[0].routing
         packet = make_packet(0, 6)
-        candidates = algorithm.respond(packet, 0)
+        candidates = algorithm.respond(packet, 0, 0)
         assert all(vc == 0 for _p, vc in candidates)  # first hop: VC 0
         packet.hop_count = 1
         # At any second-hop router the VC must be 1.
         intermediate = packet.intermediate if packet.non_minimal else 1
-        algorithm2 = network.routers[intermediate].routing_algorithm(
-            network.concentration  # a router-side input port
+        algorithm2 = network.routers[intermediate].routing
+        candidates = algorithm2.respond(
+            packet, network.concentration, 0  # a router-side input port
         )
-        candidates = algorithm2.respond(packet, 0)
         if not candidates[0][0] < network.concentration:  # not ejection
             assert all(vc == 1 for _p, vc in candidates)
 
@@ -102,11 +102,11 @@ class TestValiant:
 class TestUgal:
     def test_minimal_when_uncongested(self):
         network = build(routing="hyperx_ugal", num_vcs=2)
-        algorithm = network.routers[0].routing_algorithm(0)
+        algorithm = network.routers[0].routing
         minimal = 0
         for _ in range(32):
             packet = make_packet(0, 6)
-            algorithm.respond(packet, 0)
+            algorithm.respond(packet, 0, 0)
             if not packet.non_minimal:
                 minimal += 1
         # q_min = q_val = 0 -> minimal always wins the comparison.
@@ -126,10 +126,10 @@ class TestUgal:
         outcomes = []
 
         def check(event):
-            algorithm = router.routing_algorithm(0)
+            algorithm = router.routing
             for _ in range(64):
                 packet = make_packet(0, 6)
-                algorithm.respond(packet, 0)
+                algorithm.respond(packet, 0, 0)
                 outcomes.append(packet.non_minimal)
 
         sim.call_at(0, congest, epsilon=1)
@@ -150,10 +150,10 @@ class TestUgal:
         outcomes = []
 
         def check(event):
-            algorithm = router.routing_algorithm(0)
+            algorithm = router.routing
             for _ in range(32):
                 packet = make_packet(0, 6)
-                algorithm.respond(packet, 0)
+                algorithm.respond(packet, 0, 0)
                 outcomes.append(packet.non_minimal)
 
         sim.call_at(0, congest, epsilon=1)
@@ -167,7 +167,7 @@ class TestUgal:
         # without UGAL state routes minimally and records no decision.
         packet = make_packet(0, 6)
         transit = network.routers[1]
-        algorithm = transit.routing_algorithm(network.concentration)
-        candidates = algorithm.respond(packet, 0)
+        algorithm = transit.routing
+        candidates = algorithm.respond(packet, network.concentration, 0)
         assert candidates
         assert "val_phase" not in packet.routing_state

@@ -30,8 +30,7 @@ def build(widths, num_vcs=2, routing="torus_dimension_order",
 def route_at(network, router_id, src, dst, input_port=0, input_vc=0):
     packet = Message(0, src, dst, 1).packetize(1)[0]
     router = network.routers[router_id]
-    algorithm = router.routing_algorithm(input_port)
-    return packet, algorithm.respond(packet, input_vc)
+    return packet, router.routing.respond(packet, input_port, input_vc)
 
 
 class TestDimensionOrder:
@@ -77,16 +76,13 @@ class TestDimensionOrder:
         network = build([8], num_vcs=2)
         packet = Message(0, 6, 1, 1).packetize(1)[0]
         # Hop 1: router 6 -> 7 (no wrap yet, class 0).
-        algorithm = network.routers[6].routing_algorithm(0)
-        candidates = algorithm.respond(packet, 0)
+        candidates = network.routers[6].routing.respond(packet, 0, 0)
         assert all(vc % 2 == 0 for _p, vc in candidates)
         # Hop 2: router 7 -> 0 wraps: class 1.
-        algorithm = network.routers[7].routing_algorithm(1)
-        candidates = algorithm.respond(packet, 0)
+        candidates = network.routers[7].routing.respond(packet, 1, 0)
         assert all(vc % 2 == 1 for _p, vc in candidates)
         # Hop 3: router 0 -> 1, already crossed: stays class 1.
-        algorithm = network.routers[0].routing_algorithm(1)
-        candidates = algorithm.respond(packet, 0)
+        candidates = network.routers[0].routing.respond(packet, 1, 0)
         assert all(vc % 2 == 1 for _p, vc in candidates)
 
     def test_injection_vcs_are_class0(self):
