@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate.  Ten gates:
+# CI gate.  Eleven gates:
 #   1. tier-1    pytest over tests/ (the behavioural gate; see ROADMAP.md)
 #   2. ruff      style over the cleaned packages (SKIPPED when absent)
 #   3. mypy      types over the packages pyproject declares (SKIPPED when absent)
@@ -17,10 +17,13 @@
 #  10. delivery  the delivery goldens (tests/net/test_delivery_golden.py):
 #                the only fast gate over dragonfly, adaptive torus,
 #                Valiant/UGAL and parking-lot routing
+#  11. bench     one short sharded_k2_torus run must reproduce bench/pins.json
+#                (the only fast gate that runs repro.partition, its cut
+#                channel proxies and the cross-shard record rebuild)
 #
 # Usage: scripts/ci_check.sh [--fast]
-#   --fast  run only sslint, the four bench smokes, the CDG pins and the
-#           delivery goldens (~25 s on 2 cores, ~3 s of it the CDG pins
+#   --fast  run only sslint, the five bench smokes, the CDG pins and the
+#           delivery goldens (~28 s on 2 cores, ~3 s of it the CDG pins
 #           and ~7 s the delivery goldens)
 #
 # Exit status is non-zero if any executed gate fails.  ruff and mypy
@@ -84,6 +87,8 @@ run_gate "cdg pins (lint dependency trace)" \
     python -m pytest -q tests/lint/test_cdg_pins.py
 run_gate "delivery goldens (every packaged routing family)" \
     python -m pytest -q tests/net/test_delivery_golden.py
+run_gate "bench smoke (sharded_k2_torus pins)" \
+    python3 bench/run.py --workload sharded_k2_torus --reps 1 --seconds 2
 
 echo
 if [ "${FAILURES}" -ne 0 ]; then

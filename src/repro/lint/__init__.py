@@ -37,7 +37,7 @@ one call-graph core and model-target discovery (:mod:`.callgraph`).
   --partition-plan``, and ``sssweep --partition`` all gate on it) and
   on demand via ``--layer shard``; it is not part of the default
   source layers.
-* **perf** (H001..H006) -- interprocedural hot-path audit of the model
+* **perf** (H001..H004) -- interprocedural hot-path audit of the model
   classes a configuration selects (or defined in given source files):
   heat weights propagated from the per-event entry points through each
   class's call graph, flagging per-event allocation, repeated

@@ -67,21 +67,22 @@ class ChannelRecord(NamedTuple):
 
 
 def _state_signature(packet: Packet) -> Tuple:
-    """Hashable digest of the routing-relevant packet state."""
+    """Digest of the routing-relevant packet state (hashable as long as
+    the engine kept ``routing_state`` hashable)."""
     return (
         packet.destination,
         packet.intermediate,
         packet.non_minimal,
-        tuple(sorted(packet.routing_state.items())),
+        packet.routing_state,
     )
 
 
 def _copy_packet(packet: Packet) -> Packet:
-    """Slot-wise copy of ``packet`` with its own ``routing_state``."""
+    """Slot-wise copy of ``packet``; the copies share ``routing_state``,
+    which engines replace and never mutate."""
     clone = Packet.__new__(Packet)
     for slot in Packet.__slots__:
         setattr(clone, slot, getattr(packet, slot))
-    clone.routing_state = dict(packet.routing_state)
     return clone
 
 
@@ -278,6 +279,17 @@ class GraphAnalysis:
                 )
                 continue
             signature = _state_signature(pkt)
+            try:
+                hash(signature)
+            except TypeError:
+                self.response_errors.append(
+                    f"routing engine {type(router.routing).__name__} stored "
+                    f"an unhashable routing_state "
+                    f"({type(pkt.routing_state).__name__}); the dependency "
+                    f"trace shares it between packet copies: replace the "
+                    f"value, do not mutate it"
+                )
+                return
             # The escape resource is the single least-preferred candidate:
             # the (port, vc) a blocked packet can always fall back to.
             escape = response[-1]

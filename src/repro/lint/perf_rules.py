@@ -30,11 +30,6 @@ chain:
   ``print``/logging) on the hot path -- formatting runs even when
   nobody reads the result.  Formatting inside ``raise``/``assert`` or
   under a conditional is exempt.
-* **H005** a class instantiated on the hot path lacks ``__slots__``
-  somewhere in its MRO, so every instance drags a dict.
-* **H006** ``try``/``except`` inside a hot loop body or ``global``
-  declared in a hot method (exception-handler setup and global-scope
-  writes per iteration).
 
 Findings are ranked hottest-first by static heat.  Fingerprints
 (docs/LINTING.md "Baselines") hash the evidence chain plus a per-hazard
@@ -45,7 +40,6 @@ survives analyzer evolution.
 from __future__ import annotations
 
 import ast
-import sys
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.callgraph import (
@@ -151,7 +145,7 @@ class PerfSite:
 class PerfScan(ast.NodeVisitor):
     """Single pass over one hot method body collecting H-rule sites.
 
-    Context is tracked structurally: loop depth (H003/H006), guard
+    Context is tracked structurally: loop depth (H003), guard
     depth (an ``if``/``while``-guarded site is conditional, exempting
     it from H004), and whether the site sits inside a ``raise`` or
     ``assert`` (error paths are free).
@@ -161,7 +155,6 @@ class PerfScan(ast.NodeVisitor):
         self.module_name = module_name
         self.sites: Dict[str, List[PerfSite]] = {
             "H001": [], "H002": [], "H003": [], "H004": [],
-            "H005": [], "H006": [],
         }
         self._loop_depth = 0
         self._guard_depth = 0
@@ -218,14 +211,6 @@ class PerfScan(ast.NodeVisitor):
         self._visit_loop(node, [node.test], None)
 
     def visit_Try(self, node: ast.Try) -> None:
-        if self._loop_depth:
-            self.sites["H006"].append(PerfSite(
-                node,
-                "sets up try/except inside a hot loop body; hoist the "
-                "handler out of the loop (catching is costly, and the "
-                "setup reruns every iteration)",
-                "try-in-loop",
-            ))
         for stmt in node.body:
             self.visit(stmt)
         self._guard_depth += 1  # handler bodies are error paths
@@ -245,14 +230,6 @@ class PerfScan(ast.NodeVisitor):
         self._raise_depth += 1
         self.generic_visit(node)
         self._raise_depth -= 1
-
-    def visit_Global(self, node: ast.Global) -> None:
-        self.sites["H006"].append(PerfSite(
-            node,
-            f"declares global {', '.join(node.names)} in a hot method; "
-            f"global writes are dict operations on every event",
-            "global",
-        ))
 
     # -- assignments: note loop-bound names and escaping allocations -------
 
@@ -376,13 +353,6 @@ class PerfScan(ast.NodeVisitor):
                     node,
                     f"unguarded {name}() on a hot path",
                     f"call:{name}",
-                ))
-            elif name[:1].isupper() and not self._raise_depth:
-                # CamelCase constructor: resolved against the module
-                # namespace by the analysis (H005).  Exception
-                # constructors inside a raise are error-path.
-                self.sites["H005"].append(PerfSite(
-                    node, "", f"new:{name}",
                 ))
         elif isinstance(func, ast.Attribute):
             if func.attr == "format" and not self._raise_depth \
@@ -518,22 +488,6 @@ class PerfHazard:
         return text
 
 
-def _resolve_name(module_name: str, name: str):
-    module = sys.modules.get(module_name)
-    if module is None:
-        return None
-    return getattr(module, name, None)
-
-
-def _missing_slots(cls: type) -> bool:
-    """True when instances of ``cls`` carry a ``__dict__``."""
-    return any(
-        "__slots__" not in klass.__dict__
-        for klass in cls.__mro__
-        if klass is not object
-    )
-
-
 def _framework_classes() -> List[Tuple[str, type]]:
     """Classes no configuration names but every simulation runs."""
     from repro.core.wheel import PhaseWheel
@@ -561,10 +515,6 @@ def analyze_class_perf(cls: type, kind: str) -> List[PerfHazard]:
         perf = PerfScan(scan.node, scan.module)
         for rule_id, sites in perf.sites.items():
             for site in sites:
-                if rule_id == "H005":
-                    site = _resolve_h005(site, scan)
-                    if site is None:
-                        continue
                 key = (rule_id, method, site.token)
                 if key in seen:
                     continue
@@ -574,22 +524,6 @@ def analyze_class_perf(cls: type, kind: str) -> List[PerfHazard]:
                     method, scan.filename, site,
                 ))
     return hazards
-
-
-def _resolve_h005(site: PerfSite, scan: MethodScan) -> Optional[PerfSite]:
-    """Keep an H005 site only if the constructed class lacks slots."""
-    name = site.token.split(":", 1)[1]
-    resolved = _resolve_name(scan.module, name)
-    if not isinstance(resolved, type) or resolved is type:
-        return None
-    if not _missing_slots(resolved):
-        return None
-    return PerfSite(
-        site.node,
-        f"instantiates {name} per call, and {name} (or a base) has no "
-        f"__slots__ -- every instance allocates an attribute dict",
-        site.token,
-    )
 
 
 class PerfAnalysis:
@@ -686,9 +620,5 @@ declare_rules(PERF_LAYER, lambda rule, ctx: ctx.perf().findings(rule), [
                  "body; bind it to a local before the loop"),
         ("H004", "unguarded f-string/%-format/.format()/logging on a hot "
                  "path (raise/assert and conditional branches are exempt)"),
-        ("H005", "class instantiated on a hot path lacks __slots__ in its "
-                 "MRO; every instance allocates an attribute dict"),
-        ("H006", "try/except inside a hot loop body, or `global` in a hot "
-                 "method"),
     )
 ])

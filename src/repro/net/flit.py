@@ -5,15 +5,17 @@ A flit is the smallest unit of resource allocation in a router (paper
 flits; a packet is a sequence of flits (one head, zero or more body, one
 tail -- a single-flit packet is both head and tail).
 
-A :class:`Flit` is a plain ``__slots__`` record: its
-:class:`~repro.net.packet.Packet` builds one object per flit when the
-message is packetized, routers rewrite ``vc`` hop by hop, and the
-objects die with their message.
+A :class:`Flit` is a plain ``__slots__`` record: the source interface
+builds each one through :meth:`~repro.net.packet.Packet.flit` as it
+injects it, routers rewrite ``vc`` hop by hop, and the object dies once
+the destination interface has consumed it.  Timing lives on the packet
+(``injection_tick``) and in the delivered
+:class:`~repro.stats.records.PacketRecord`, not on the flit.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
@@ -29,15 +31,9 @@ class Flit:
         tail: True for the last flit of the packet.
         vc: the virtual channel this flit currently occupies.  Rewritten
             hop by hop as the packet claims VCs.
-        send_tick: tick at which this flit first entered the network
-            (set by the source interface).
-        receive_tick: tick at which this flit arrived at the destination
-            interface.
     """
 
-    __slots__ = (
-        "packet", "index", "head", "tail", "vc", "send_tick", "receive_tick"
-    )
+    __slots__ = ("packet", "index", "head", "tail", "vc")
 
     def __init__(self, packet: "Packet", index: int, head: bool, tail: bool):
         self.packet = packet
@@ -45,8 +41,6 @@ class Flit:
         self.head = head
         self.tail = tail
         self.vc = 0
-        self.send_tick: Optional[int] = None
-        self.receive_tick: Optional[int] = None
 
     def __repr__(self):
         kind = "H" if self.head else ("T" if self.tail else "B")

@@ -2,11 +2,13 @@
 
 The interface sits between a terminal (workload side) and a router
 (network side).  On the injection path it segments messages into packets
-and flits and transmits them under credit flow control, one flit per
-channel cycle.  On the ejection path it reassembles flits into packets
-and packets into messages, performing the paper's §IV-D error detection:
-every flit delivered is checked to have arrived at the right destination
-and in the right order with respect to other flits in the packet.
+and transmits them under credit flow control, one flit per channel
+cycle, building each flit as it sends it.  On the ejection path it
+reassembles flits into packets and packets into messages, performing
+the paper's §IV-D error detection: every flit delivered is checked to
+have arrived at the right destination and in the right order with
+respect to other flits in the packet.  Each packet's tail leaves a
+:class:`~repro.stats.records.PacketRecord` on its message.
 
 Interfaces are built through the object factory so users can substitute
 their own models (``"standard"`` is the packaged implementation).
@@ -27,6 +29,7 @@ from repro.net.flit import Flit
 from repro.net.message import Message
 from repro.net.packet import Packet
 from repro.net.phases import EPS_STEP
+from repro.stats.records import PacketRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
@@ -114,7 +117,7 @@ class StandardInterface(Interface):
         self.channel_clock = channel_clock
 
         # Injection state: FIFO of packets; the head packet streams its
-        # flits in order on its assigned VC.
+        # flits in order on its ``injection_vc``.
         self._packet_queue: Deque[Packet] = deque()
         self._next_flit_index = 0
         self._next_vc_choice = 0
@@ -130,7 +133,6 @@ class StandardInterface(Interface):
 
         # Ejection state: per-VC (packet, next expected flit index).
         self._reassembly: Dict[int, Tuple[Packet, int]] = {}
-        self._packets_remaining: Dict[int, int] = {}  # message id -> count
 
         # Counters.
         self.flits_injected = 0
@@ -156,9 +158,10 @@ class StandardInterface(Interface):
         self.messages_sent += 1
         for packet in message.packetize(self.max_packet_size):
             # Assign the starting VC round-robin over the allowed set.
-            vc = self.injection_vcs[self._next_vc_choice % len(self.injection_vcs)]
+            packet.injection_vc = self.injection_vcs[
+                self._next_vc_choice % len(self.injection_vcs)
+            ]
             self._next_vc_choice += 1
-            packet.routing_state["injection_vc"] = vc
             self._packet_queue.append(packet)
         self._wake()
 
@@ -188,7 +191,7 @@ class StandardInterface(Interface):
         if not queue:
             return
         packet = queue[0]
-        vc = packet.routing_state["injection_vc"]
+        vc = packet.injection_vc
         tracker = self._tracker0
         if tracker is None:
             tracker = self._tracker0 = self.output_credit_tracker(0)
@@ -196,17 +199,19 @@ class StandardInterface(Interface):
         channel = self._channel0
         now = self.simulator.tick
         if tracker._credits[vc] > 0 and now >= channel._next_free_tick:
-            flit = packet.flits[self._next_flit_index]
+            index = self._next_flit_index
+            flit = packet.flit(index)
             flit.vc = vc
-            flit.send_tick = now
-            if flit.head:
+            if index == 0:
                 packet.injection_tick = now
             # Via the public hook: subclasses (and fault-injection
             # models) override send_flit to intercept injection.
             self.send_flit(0, flit)
             self.flits_injected += 1
-            self._next_flit_index += 1
-            if self._next_flit_index >= packet.num_flits:
+            index += 1
+            if index < packet.num_flits:
+                self._next_flit_index = index
+            else:
                 queue.popleft()
                 self._next_flit_index = 0
         if queue:
@@ -214,9 +219,7 @@ class StandardInterface(Interface):
             # arriving first: when blocked purely on credits, sleep --
             # receive_credit wakes us.  This avoids per-cycle spin at
             # saturation.
-            packet = queue[0]
-            vc = packet.routing_state["injection_vc"]
-            if tracker._credits[vc] > 0:
+            if tracker._credits[queue[0].injection_vc] > 0:
                 self._step_scheduled = True
                 if self._chan_period1:
                     tick = now + 1
@@ -267,7 +270,6 @@ class StandardInterface(Interface):
                 f"packet {expected_packet.global_id} flit {expected_index}, "
                 f"got {flit!r}"
             )
-        flit.receive_tick = self.simulator.tick
         self.flits_ejected += 1
         # The ejection buffer consumes the flit immediately: return credit.
         self.send_credit(port, vc)
@@ -278,15 +280,15 @@ class StandardInterface(Interface):
             self._reassembly[vc] = (packet, flit.index + 1)
 
     def _packet_done(self, packet: Packet) -> None:
+        """Record a packet whose tail just arrived; deliver its message
+        once every packet has a record."""
         message = packet.message
+        record = PacketRecord.of(packet, self.simulator.tick)
+        records = message.packet_records
+        if records is None:
+            records = message.packet_records = [None] * message.num_packets
+        records[packet.id] = record
         self._deliver_packet(packet)
-        remaining = self._packets_remaining.get(message.id)
-        if remaining is None:
-            remaining = message.num_packets
-        remaining -= 1
-        if remaining == 0:
-            self._packets_remaining.pop(message.id, None)
+        if None not in records:
             self.messages_delivered += 1
             self._deliver_message(message)
-        else:
-            self._packets_remaining[message.id] = remaining

@@ -6,14 +6,23 @@ packet size), and the destination interface reassembles and delivers it.
 SuperSim additionally groups messages into *transactions* for
 request/response style workloads; we carry a transaction id through for
 the same purpose.
+
+A message in flight is three kinds of object: the message, its packets
+(each pointing back at it) and the flits on the wire.  The message does
+not list its packets; the destination collects one
+:class:`~repro.stats.records.PacketRecord` per packet as its tail
+arrives, so ``packet_records`` is ``None`` until delivery begins.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.net.packet import Packet
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.stats.records import PacketRecord
 
 _global_message_ids = itertools.count()
 
@@ -31,7 +40,10 @@ class Message:
         sampled: True when generated inside the workload's sampling
             window; only sampled messages enter the statistics.
         created_tick / delivered_tick: workload-level timestamps.
-        packets: filled in by :meth:`packetize`.
+        num_packets: set by :meth:`packetize` (0 before).
+        packet_records: the delivered packets' records in packet order,
+            built by the destination interface; ``None`` before the
+            first tail arrives.
     """
 
     __slots__ = (
@@ -44,7 +56,8 @@ class Message:
         "sampled",
         "created_tick",
         "delivered_tick",
-        "packets",
+        "num_packets",
+        "packet_records",
         "opaque",
     )
 
@@ -69,27 +82,23 @@ class Message:
         self.sampled = False
         self.created_tick: Optional[int] = None
         self.delivered_tick: Optional[int] = None
-        self.packets: List[Packet] = []
+        self.num_packets = 0
+        self.packet_records: Optional[List[Optional["PacketRecord"]]] = None
         self.opaque = None  # free slot for application bookkeeping
 
     def packetize(self, max_packet_flits: int) -> List[Packet]:
         """Split the message into packets of at most ``max_packet_flits``."""
         if max_packet_flits < 1:
             raise ValueError(f"max packet size must be >= 1, got {max_packet_flits}")
-        if self.packets:
+        if self.num_packets:
             raise RuntimeError(f"message {self.id} already packetized")
-        remaining = self.num_flits
-        packet_id = 0
-        while remaining > 0:
-            size = min(remaining, max_packet_flits)
-            self.packets.append(Packet(self, packet_id, size))
-            packet_id += 1
-            remaining -= size
-        return self.packets
-
-    @property
-    def num_packets(self) -> int:
-        return len(self.packets)
+        num_flits = self.num_flits
+        packets = [
+            Packet(self, packet_id, min(max_packet_flits, num_flits - start))
+            for packet_id, start in enumerate(range(0, num_flits, max_packet_flits))
+        ]
+        self.num_packets = len(packets)
+        return packets
 
     def latency(self) -> Optional[int]:
         """End-to-end message latency in ticks, or None if undelivered."""

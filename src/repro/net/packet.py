@@ -1,16 +1,18 @@
 """Packets: the unit of routing.
 
 A packet carries a contiguous run of flits from one terminal to another.
-Routing state (the per-hop output decision, hop counts, algorithm
-scratch space) lives on the packet, because in a wormhole router the
-head flit makes decisions that all body flits follow.
+Routing state (hop count, the injection VC, an algorithm's one
+``routing_state`` value) lives on the packet, because in a wormhole
+router the head flit makes decisions that all body flits follow.  The
+packet keeps no flit list: :meth:`Packet.flit` builds a flit when the
+source interface injects it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.net.flit import Flit
 
@@ -52,26 +54,33 @@ class Packet:
     Attributes:
         message: owning message.
         id: index of this packet within its message.
-        global_id: unique id across the whole simulation (debug aid).
-        flits: the flits of this packet, index order.
+        global_id: unique id across the whole simulation; DOR VC
+            rotation and the folded-Clos up-port hash read it.
+        num_flits: the packet's length in flits.
         hop_count: number of routers traversed so far.
         non_minimal: set by adaptive routing algorithms when the packet
             took a non-minimal path (used by phantom-congestion analyses).
         intermediate: Valiant-style intermediate destination, if any.
-        routing_state: free-form scratch dict for routing algorithms.
+        routing_state: one immutable, hashable value a routing engine
+            carries across hops (the torus dateline's ``(dim, start)``,
+            the two-phase phase), ``None`` until an engine sets it.  An
+            engine replaces the value and never mutates it: the lint
+            dependency trace shares it between packet copies.
         injection_tick: when the head flit entered the network.
+        injection_vc: the VC the source interface injects the packet on.
     """
 
     __slots__ = (
         "message",
         "id",
         "global_id",
-        "flits",
+        "num_flits",
         "hop_count",
         "non_minimal",
         "intermediate",
         "routing_state",
         "injection_tick",
+        "injection_vc",
     )
 
     def __init__(self, message: "Message", packet_id: int, num_flits: int):
@@ -80,29 +89,19 @@ class Packet:
         self.message = message
         self.id = packet_id
         self.global_id = next(_global_packet_ids)
-        last = num_flits - 1
-        self.flits: List[Flit] = [
-            Flit(self, i, i == 0, i == last) for i in range(num_flits)
-        ]
+        self.num_flits = num_flits
         self.hop_count = 0
         self.non_minimal = False
         self.intermediate: Optional[int] = None
-        self.routing_state: Dict[str, Any] = {}
+        self.routing_state: Any = None
         self.injection_tick: Optional[int] = None
+        self.injection_vc = 0
+
+    def flit(self, index: int) -> Flit:
+        """Build flit ``index`` of this packet (0 is the head)."""
+        return Flit(self, index, index == 0, index == self.num_flits - 1)
 
     # -- convenience ---------------------------------------------------------
-
-    @property
-    def num_flits(self) -> int:
-        return len(self.flits)
-
-    @property
-    def head_flit(self) -> Flit:
-        return self.flits[0]
-
-    @property
-    def tail_flit(self) -> Flit:
-        return self.flits[-1]
 
     @property
     def source(self) -> int:

@@ -24,7 +24,8 @@ Flits reference packets reference messages, and none of those objects
 exist on the sink side of a cut, so the head-flit record carries a full
 snapshot of the message- and packet-level state and the
 :class:`ShardRegistry` rebuilds real :class:`~repro.net.message.Message`
-/ :class:`~repro.net.packet.Packet` objects and their flits.
+/ :class:`~repro.net.packet.Packet` objects; each landing flit is built
+by :meth:`~repro.net.packet.Packet.flit`, as at a source interface.
 Reconstruction goes through ``__new__`` -- the id counters were
 already advanced by the phantom-terminal replay (see
 :func:`make_phantom_interface`), so consuming them again would desync
@@ -34,7 +35,7 @@ a cut before the packet's body flits, so body/tail records bind by
 
 Record wire format (plain tuples; picklable for process workers):
 
-* flit:   ``(0, cut_index, due, vc, send_tick, gid, index, head|None)``
+* flit:   ``(0, cut_index, due, vc, gid, index, head|None)``
 * credit: ``(1, cut_index, due, vc)``
 
 where the last slot is ``None`` on body flits, the packet's current
@@ -114,7 +115,7 @@ class _ProxyFlitChannel(Channel):
                 packet.hop_count,
                 packet.non_minimal,
                 packet.intermediate,
-                dict(packet.routing_state),
+                packet.routing_state,
             )
         elif flit.tail:
             # Tail: routers bump ``hop_count`` as the tail leaves them,
@@ -122,8 +123,8 @@ class _ProxyFlitChannel(Channel):
             # so the tail carries the post-increment count for the
             # sink-side copy to converge with the shared single-process
             # object.  Nothing else moves between head and tail egress
-            # -- routing decisions (and their ``routing_state`` /
-            # ``non_minimal`` mutations) all happen at head time -- and
+            # -- routing decisions (and the ``routing_state`` /
+            # ``non_minimal`` they set) all happen at head time -- and
             # the sink applies the count at materialization, always
             # before any sink-side router sees this tail.
             head = packet.hop_count
@@ -132,7 +133,6 @@ class _ProxyFlitChannel(Channel):
             self._cut_index,
             due,
             flit.vc,
-            flit.send_tick,
             packet.global_id,
             flit.index,
             head,
@@ -185,24 +185,27 @@ class ShardRegistry:
 
     The coordinator broadcasts delivered message ids at every barrier;
     :meth:`release_delivered` drops the entries of those messages.
+    ``messages`` maps a message id to the first of its packets
+    registered here: the message is that packet's ``message``, and its
+    packets' global ids run on from ``global_id - id`` (packetizing
+    draws them in one run).
     """
 
     def __init__(self) -> None:
-        self.messages: Dict[int, Message] = {}
+        self.messages: Dict[int, Packet] = {}
         self.packets: Dict[int, Packet] = {}
 
     # -- egress side -------------------------------------------------------
 
     def note_egress(self, packet: Packet) -> None:
-        message = packet.message
-        self.messages.setdefault(message.id, message)
+        self.messages.setdefault(packet.message.id, packet)
         self.packets.setdefault(packet.global_id, packet)
 
     # -- ingress side ------------------------------------------------------
 
     def materialize_flit(self, record: Record) -> Flit:
         """Rebuild (or re-find) the flit a cut-channel record describes."""
-        _, _, _, vc, send_tick, gid, index, head = record
+        _, _, _, vc, gid, index, head = record
         packet = self.packets.get(gid)
         if packet is None:
             if not isinstance(head, tuple) or index != 0:
@@ -225,23 +228,24 @@ class ShardRegistry:
             packet.injection_tick = injection_tick
             packet.non_minimal = non_minimal
             packet.intermediate = intermediate
-            packet.routing_state = dict(routing_state)
+            packet.routing_state = routing_state
         elif head is not None:
             # Tail: apply the egress side's post-increment hop count
             # (see the proxy's ``send_flit``); sink-side increments for
             # this packet can only happen after this tail lands.
             packet.hop_count = head
-        flit = packet.flits[index]
+        flit = packet.flit(index)
         flit.vc = vc
-        flit.send_tick = send_tick
         return flit
 
     def _materialize_packet(self, gid: int, head: Tuple[Any, ...]) -> Packet:
         (msg_id, app_id, source, destination, msg_flits, txn_id, sampled,
          created_tick, num_packets, packet_id, pkt_flits, injection_tick,
          hop_count, non_minimal, intermediate, routing_state) = head
-        message = self.messages.get(msg_id)
-        if message is None:
+        known = self.messages.get(msg_id)
+        if known is not None:
+            message = known.message
+        else:
             # Remotely created message: rebuild without consuming the
             # message id counter (phantom replay already advanced it).
             message = Message.__new__(Message)
@@ -254,33 +258,22 @@ class ShardRegistry:
             message.sampled = sampled
             message.created_tick = created_tick
             message.delivered_tick = None
-            # Pre-sized so Message.num_packets (and the interface's
-            # packets-remaining accounting) is correct before every
-            # packet has crossed.
-            message.packets = [None] * num_packets
+            message.num_packets = num_packets
+            message.packet_records = None
             message.opaque = None
-            self.messages[msg_id] = message
-        existing = message.packets[packet_id]
-        if existing is not None:
-            # Locally created message whose packet re-enters without a
-            # prior egress note cannot happen; this is the same real
-            # packet, registered under its gid for future lookups.
-            self.packets[gid] = existing
-            return existing
         packet = Packet.__new__(Packet)
         packet.message = message
         packet.id = packet_id
         packet.global_id = gid
-        last = pkt_flits - 1
-        packet.flits = [
-            Flit(packet, i, i == 0, i == last) for i in range(pkt_flits)
-        ]
+        packet.num_flits = pkt_flits
         packet.injection_tick = injection_tick
         packet.hop_count = hop_count
         packet.non_minimal = non_minimal
         packet.intermediate = intermediate
-        packet.routing_state = dict(routing_state)
-        message.packets[packet_id] = packet
+        packet.routing_state = routing_state
+        # Read only by the source interface, which the packet has left.
+        packet.injection_vc = 0
+        self.messages.setdefault(msg_id, packet)
         self.packets[gid] = packet
         return packet
 
@@ -289,12 +282,12 @@ class ShardRegistry:
     def release_delivered(self, message_ids) -> None:
         """Drop registered state for messages delivered network-wide."""
         for msg_id in message_ids:
-            message = self.messages.pop(msg_id, None)
-            if message is None:
+            packet = self.messages.pop(msg_id, None)
+            if packet is None:
                 continue
-            for packet in message.packets:
-                if packet is not None:
-                    self.packets.pop(packet.global_id, None)
+            first = packet.global_id - packet.id
+            for gid in range(first, first + packet.message.num_packets):
+                self.packets.pop(gid, None)
 
     @property
     def outstanding(self) -> int:

@@ -8,6 +8,13 @@ ordered by preference.  The router's VC-allocation stage then claims
 the first candidate whose output VC is free.  State an algorithm keeps
 per input port (two-phase routing's random streams) it indexes by port.
 
+State an algorithm carries with a packet from hop to hop is one value,
+``packet.routing_state``: ``None`` until the algorithm first sets it,
+then an immutable, hashable value (the torus dateline's
+``(dim, start)``, the two-phase phase).  An algorithm replaces the value
+and never mutates it: the lint dependency trace (:mod:`repro.lint.graph`)
+shares it between packet copies and keys its visited set on it.
+
 The Network selects the algorithm and builds each router's engine, so
 the router microarchitecture and the topology/routing pair stay
 independent (§IV-B).

@@ -35,6 +35,9 @@ class _TorusRoutingBase(RoutingAlgorithm):
         self.coords = router.address
         self.widths = network.widths
         self.concentration = network.concentration
+        # Per dimension, the dateline state of a packet that starts
+        # traveling it here: ``(dim, start)``, shared by every packet.
+        self._dateline_starts = tuple(enumerate(self.coords))
         # Terminal port -> its ejection response, validated once.
         self._eject = [
             self.validated([(port, vc) for vc in range(router.num_vcs)])
@@ -51,17 +54,17 @@ class _TorusRoutingBase(RoutingAlgorithm):
         """0 before the dateline, 1 at or after the wrap hop.
 
         Geometric test: remember where the packet started traveling in
-        this dimension; since minimal travel within a ring is monotone,
-        it has crossed the wrap iff it moved "backwards" relative to its
-        start.  The hop that wraps itself already uses class 1.
+        this dimension (its ``routing_state`` is ``(dim, start)``);
+        since minimal travel within a ring is monotone, it has crossed
+        the wrap iff it moved "backwards" relative to its start.  The
+        hop that wraps itself already uses class 1.
         """
         own = self.coords[dim]
         width = self.widths[dim]
         state = packet.routing_state
-        if state.get("dl_dim") != dim:
-            state["dl_dim"] = dim
-            state["dl_start"] = own
-        start = state["dl_start"]
+        if state is None or state[0] != dim:
+            state = packet.routing_state = self._dateline_starts[dim]
+        start = state[1]
         crossed = (direction == +1 and own < start) or (
             direction == -1 and own > start
         )

@@ -54,6 +54,8 @@ class TwoPhaseRouting(HopVcRouting):
 
     A packet injected here is committed once: phase 0 carries it to an
     intermediate, phase 1 (or a minimal choice) to its destination.
+    The phase is the packet's ``routing_state``; ``None`` means
+    undecided.
 
     Settings (UGAL only):
         ``ugal_bias`` -- additive bias favoring the minimal path
@@ -111,14 +113,13 @@ class TwoPhaseRouting(HopVcRouting):
     # -- the core -----------------------------------------------------------------
 
     def route(self, packet, input_port: int, input_vc: int) -> Sequence[Candidate]:
-        state = packet.routing_state
-        if input_port < self.concentration and "val_phase" not in state:
+        if input_port < self.concentration and packet.routing_state is None:
             self._decide(packet, self._rngs[input_port])
-        if state.get("val_phase") == 0:
+        if packet.routing_state == 0:
             port = self._toward_intermediate(packet.intermediate)
             if port is not None:
                 return self._hop_responses[port][self._hop_vc(packet)]
-            state["val_phase"] = 1  # reached the intermediate
+            packet.routing_state = 1  # reached the intermediate
         port = self._minimal_port(self.network.terminal_router(packet.destination))
         if port is None:
             return self._ejection(packet)
@@ -127,8 +128,7 @@ class TwoPhaseRouting(HopVcRouting):
     def _decide(self, packet, rng) -> None:
         """Commit a packet at its source: to a detour, or minimal,
         drawing from its terminal input port's stream ``rng``."""
-        state = packet.routing_state
-        state["val_phase"] = 1  # minimal unless a detour is committed below
+        packet.routing_state = 1  # minimal unless a detour is committed below
         dst_router = self.network.terminal_router(packet.destination)
         ugal = self.reads_congestion
         if ugal:
@@ -148,6 +148,6 @@ class TwoPhaseRouting(HopVcRouting):
             q_val = self.congestion(self._toward_intermediate(intermediate), vc)
             if q_min * min_hops <= q_val * val_hops + self.bias:
                 return
-        state["val_phase"] = 0
+        packet.routing_state = 0
         packet.intermediate = intermediate
         packet.non_minimal = True

@@ -16,6 +16,7 @@ from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
+    from repro.net.packet import Packet
 
 
 class PacketRecord:
@@ -28,6 +29,16 @@ class PacketRecord:
         self.receive_tick = receive_tick
         self.hop_count = hop_count
         self.non_minimal = non_minimal
+
+    @classmethod
+    def of(cls, packet: "Packet", receive_tick: int) -> "PacketRecord":
+        """The record of ``packet`` whose tail arrived at ``receive_tick``.
+
+        The send tick is the head's injection tick.  ``hop_count`` is
+        final only now: routers bump it as the tail leaves them.
+        """
+        return cls(packet.injection_tick, receive_tick, packet.hop_count,
+                   packet.non_minimal)
 
     @property
     def latency(self) -> int:
@@ -70,15 +81,7 @@ class MessageRecord:
         self.created_tick = message.created_tick
         self.delivered_tick = message.delivered_tick
         self.minimal_hops = minimal_hops
-        self.packets = [
-            PacketRecord(
-                packet.head_flit.send_tick,
-                packet.tail_flit.receive_tick,
-                packet.hop_count,
-                packet.non_minimal,
-            )
-            for packet in message.packets
-        ]
+        self.packets = message.packet_records
 
     @property
     def latency(self) -> int:

@@ -11,18 +11,26 @@ OQ hot path keeps must sit inside their network-size bounds.  Each
 router holds one routing engine, and every engine, torus and folded
 Clos alike, holds at most 2 x ports x VCs cached entries, the same at
 both horizons.
+
+A second census weighs the in-flight record: a single-flit message
+still in the network is its ``Message``, ``Packet`` and ``Flit`` and
+nothing else the collector tracks, at most 400 bytes all told.
 """
 
 from __future__ import annotations
 
 import gc
 import os
+import sys
 import types
 
 import pytest
 
 from repro import Settings, Simulation
 from repro.configs import flow_control_config, latent_congestion_config
+from repro.net.flit import Flit
+from repro.net.message import Message
+from repro.net.packet import Packet
 from repro.router.congestion import PENDING_LIMIT
 from repro.routing.base import RoutingAlgorithm
 
@@ -171,3 +179,76 @@ def test_one_routing_engine_per_router_at_full_scale():
     """The 768-router folded Clos of Table I."""
     assert engines_and_routers(latent_congestion_config(full_scale=True)) == (
         768, 768)
+
+
+# -- the in-flight record: three objects per single-flit message -------------
+
+#: ``Py_TPFLAGS_HAVE_GC``: set on the types whose instances the collector
+#: tracks (lists, dicts, tuples, slotted records), clear on ints, bools,
+#: strings and ``None``.
+_HAVE_GC = 1 << 14
+
+
+def _message_of(obj) -> Message:
+    if type(obj) is Flit:
+        obj = obj.packet
+    if type(obj) is Packet:
+        obj = obj.message
+    return obj
+
+
+def record_census(simulation) -> tuple:
+    """(objects, bytes) per undelivered message the network holds.
+
+    Counts every live ``Message``, ``Packet`` and ``Flit`` of an
+    undelivered message, plus every object of a collector-tracked type
+    they reference, and sums ``sys.getsizeof`` over them.
+    """
+    in_flight = [
+        obj for obj in reachable(simulation)
+        if type(obj) in (Message, Packet, Flit)
+        and _message_of(obj).delivered_tick is None
+    ]
+    messages = sum(type(obj) is Message for obj in in_flight)
+    assert messages > 100
+    counted = {id(obj): obj for obj in in_flight}
+    for obj in in_flight:
+        for ref in gc.get_referents(obj):
+            if type(ref).__flags__ & _HAVE_GC and not isinstance(ref, _SHARED):
+                counted.setdefault(id(ref), ref)
+    size = sum(sys.getsizeof(obj) for obj in counted.values())
+    return len(counted) / messages, size / messages
+
+
+def partial_run(config: dict, max_time: int) -> Simulation:
+    simulation = Simulation(Settings.from_dict(config))
+    assert not simulation.run(max_time=max_time).drained
+    return simulation
+
+
+def test_in_flight_message_is_three_objects():
+    """The bench folded Clos, single-flit messages, part way through."""
+    config = latent_congestion_config(injection_rate=0.4, warmup=50,
+                                      window=100)
+    objects, size = record_census(partial_run(config, 120))
+    assert objects <= 3
+    assert size <= 400
+
+
+def test_in_flight_message_on_dor_torus_is_small():
+    """The DOR torus also carries the dateline state on its packets."""
+    config = flow_control_config(injection_rate=0.5, message_size=1)
+    _objects, size = record_census(partial_run(config, 120))
+    assert size <= 400
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.environ.get("REPRO_FULL_SCALE"),
+                    reason="paper-size network; set REPRO_FULL_SCALE=1")
+def test_in_flight_message_is_three_objects_at_full_scale():
+    """The 4 096-terminal folded Clos of Table I at 0.5 load, where
+    ~612 k messages are in flight after 300 ticks."""
+    objects, size = record_census(
+        partial_run(latent_congestion_config(full_scale=True), 300))
+    assert objects <= 3
+    assert size <= 400

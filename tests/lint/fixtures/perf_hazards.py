@@ -20,17 +20,6 @@ from repro import factory
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.torus import TorusDimensionOrderRouting
 
-#: module-level tally the H006 fixture writes through ``global``.
-_ROUTE_TALLY = 0
-
-
-class HopNote:
-    """A note class without ``__slots__`` -- the H005 bait."""
-
-    def __init__(self, port: int, vc: int):
-        self.port = port
-        self.vc = vc
-
 
 @factory.register(RoutingAlgorithm, "alloc_trail_routing")
 class AllocTrailRouting(TorusDimensionOrderRouting):
@@ -86,39 +75,6 @@ class ChattyTraceRouting(TorusDimensionOrderRouting):
 
     def _note_hop(self, packet) -> None:
         self.last_note = f"hop {packet.source}->{packet.destination}"
-
-
-@factory.register(RoutingAlgorithm, "noteful_routing")
-class NotefulRouting(TorusDimensionOrderRouting):
-    """H005: instantiates a dict-carrying class per route() call."""
-
-    topology = "torus"
-
-    def route(self, packet, input_port: int, input_vc: int):
-        candidates = super().route(packet, input_port, input_vc)
-        self._note = HopNote(candidates[0].port, candidates[0].vc)
-        return candidates
-
-
-@factory.register(RoutingAlgorithm, "flaky_probe_routing")
-class FlakyProbeRouting(TorusDimensionOrderRouting):
-    """H006: try/except inside a hot loop, ``global`` in respond()."""
-
-    topology = "torus"
-
-    def route(self, packet, input_port: int, input_vc: int):
-        candidates = super().route(packet, input_port, input_vc)
-        for candidate in candidates:
-            try:
-                candidate.port
-            except AttributeError:
-                pass
-        return candidates
-
-    def respond(self, packet, input_port: int, input_vc: int):
-        global _ROUTE_TALLY
-        _ROUTE_TALLY += 1
-        return super().respond(packet, input_port, input_vc)
 
 
 @factory.register(RoutingAlgorithm, "cold_setup_routing")

@@ -15,6 +15,7 @@ from repro.lint.graph import GraphAnalysis, _find_cycle
 from repro.lint.rules import GRAPH_LAYER, LintContext, run_rules
 from tests.integration.test_delivery_invariants import CONFIGS
 
+from .fixtures import mutable_state_routing  # noqa: F401 - registers it
 from .fixtures import naive_routing  # noqa: F401 - registers the algorithm
 
 
@@ -74,6 +75,15 @@ def test_deadlock_prone_routing_g004(torus_config):
     assert finding.severity.value == "error"
     assert "deadlock" in finding.message
     assert "vc" in finding.message  # names the cycle's channels
+
+
+def test_mutable_routing_state_is_a_named_g003(torus_config):
+    torus_config["network"]["routing"]["algorithm"] = "scratch_dict_torus"
+    report = lint_config_dict(torus_config)
+    (finding,) = [f for f in report.findings if f.rule_id == "G003"]
+    assert finding.severity.value == "error"
+    assert "ScratchDictTorusRouting" in finding.message
+    assert "replace the value, do not mutate it" in finding.message
 
 
 def test_adaptive_cycle_g005_is_info(torus_config):

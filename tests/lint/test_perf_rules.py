@@ -119,8 +119,6 @@ RULE_FIXTURES = [
     (fx.ClosureSortRouting, "H002", "route", "lambda"),
     (fx.ChainHappyRouting, "H003", "route", "chain:self.router.num_vcs"),
     (fx.ChattyTraceRouting, "H004", "_note_hop", "fstring"),
-    (fx.NotefulRouting, "H005", "route", "new:HopNote"),
-    (fx.FlakyProbeRouting, "H006", "route", "try-in-loop"),
 ]
 
 
@@ -151,27 +149,6 @@ def test_interprocedural_evidence_chain():
     assert hazard.chain == "ChattyTraceRouting.route -> _note_hop"
 
 
-def test_global_declaration_flagged_outside_loops():
-    tokens = {
-        h.token for h in _own_hazards(fx.FlakyProbeRouting)
-        if h.rule_id == "H006"
-    }
-    assert tokens == {"try-in-loop", "global"}
-
-
-def test_error_path_allocations_are_exempt():
-    # Stock torus routing raises RoutingError with f-strings and builds
-    # candidate lists for raise paths; none of that may surface as
-    # H005 (exception constructors) on the fixture subclasses.
-    from repro.routing.torus import TorusDimensionOrderRouting
-
-    hazards = analyze_class_perf(TorusDimensionOrderRouting, "routing")
-    assert not [
-        h for h in hazards
-        if h.rule_id == "H005" and "Error" in h.token
-    ]
-
-
 # -- lint_sources integration ------------------------------------------------
 
 
@@ -180,8 +157,7 @@ def test_lint_sources_perf_layer_finds_fixture_hazards():
     findings = report.findings
     assert findings
     rule_ids = {f.rule_id for f in findings}
-    assert {"H001", "H002", "H003", "H004",
-            "H005", "H006"} <= rule_ids
+    assert {"H001", "H002", "H003", "H004"} <= rule_ids
     # Perf findings advise; they never gate on severity alone.
     assert all(
         f.severity in (Severity.WARNING, Severity.INFO) for f in findings
@@ -206,8 +182,7 @@ def test_sslint_perf_layer_on_sources(capsys):
 def test_list_rules_perf_layer(capsys):
     assert sslint_main(["--list-rules", "--layer", "perf"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("H001", "H002", "H003", "H004",
-                    "H005", "H006"):
+    for rule_id in ("H001", "H002", "H003", "H004"):
         assert rule_id in out
     assert "C001" not in out
 

@@ -9,7 +9,7 @@ from repro.net.message import Message
 def make_flits(count):
     message = Message(0, 0, 1, count)
     packet = message.packetize(count)[0]
-    return packet.flits
+    return [packet.flit(i) for i in range(count)]
 
 
 def test_fifo_order():

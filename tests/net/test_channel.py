@@ -28,7 +28,7 @@ class SinkDevice(PortedDevice):
 
 
 def make_flit():
-    return Message(0, 0, 1, 1).packetize(1)[0].flits[0]
+    return Message(0, 0, 1, 1).packetize(1)[0].flit(0)
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ def sim():
 
 
 def make_flit():
-    return Message(0, 0, 1, 1).packetize(1)[0].flits[0]
+    return Message(0, 0, 1, 1).packetize(1)[0].flit(0)
 
 
 def test_double_wiring_rejected(sim):

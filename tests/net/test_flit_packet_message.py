@@ -54,6 +54,12 @@ class TestPacketization:
         message = Message(0, 0, 1, 3)
         assert len(message.packetize(16)) == 1
 
+    def test_num_packets_set_by_packetize(self):
+        message = Message(0, 0, 1, 10)
+        assert message.num_packets == 0
+        message.packetize(4)
+        assert message.num_packets == 3
+
     def test_double_packetize_rejected(self):
         message = Message(0, 0, 1, 4)
         message.packetize(2)
@@ -70,68 +76,71 @@ class TestPacketization:
         assert [p.id for p in packets] == [0, 1, 2]
 
 
+def all_flits(packet):
+    return [packet.flit(i) for i in range(packet.num_flits)]
+
+
 class TestFlits:
     def test_head_tail_flags(self):
         packet = Message(0, 0, 1, 4).packetize(4)[0]
-        flags = [(f.head, f.tail) for f in packet.flits]
+        flags = [(f.head, f.tail) for f in all_flits(packet)]
         assert flags == [(True, False), (False, False), (False, False),
                          (False, True)]
 
     def test_single_flit_is_head_and_tail(self):
         packet = Message(0, 0, 1, 1).packetize(1)[0]
-        flit = packet.flits[0]
+        flit = packet.flit(0)
         assert flit.head and flit.tail
 
     def test_flit_indices(self):
         packet = Message(0, 0, 1, 5).packetize(5)[0]
-        assert [f.index for f in packet.flits] == [0, 1, 2, 3, 4]
+        assert [f.index for f in all_flits(packet)] == [0, 1, 2, 3, 4]
 
     def test_head_tail_accessors(self):
         packet = Message(0, 0, 1, 3).packetize(3)[0]
-        assert packet.head_flit is packet.flits[0]
-        assert packet.tail_flit is packet.flits[-1]
+        assert packet.flit(0).head and not packet.flit(0).tail
+        assert packet.flit(2).tail and not packet.flit(2).head
 
     @pytest.mark.parametrize("num_flits", [1, 2, 7])
     def test_packet_builds_its_flits(self, num_flits):
         packet = Packet(Message(0, 0, 1, num_flits), 0, num_flits)
-        assert len(packet.flits) == num_flits
-        assert all(type(flit) is Flit for flit in packet.flits)
-        assert all(flit.packet is packet for flit in packet.flits)
-        assert [flit.head for flit in packet.flits].count(True) == 1
-        assert [flit.tail for flit in packet.flits].count(True) == 1
-        assert packet.flits[0].head and packet.flits[-1].tail
+        assert packet.num_flits == num_flits
+        flits = all_flits(packet)
+        assert all(type(flit) is Flit for flit in flits)
+        assert all(flit.packet is packet for flit in flits)
+        assert [flit.head for flit in flits].count(True) == 1
+        assert [flit.tail for flit in flits].count(True) == 1
+        assert flits[0].head and flits[-1].tail
 
     def test_plain_record_defaults(self):
         packet = Message(0, 0, 1, 2).packetize(2)[0]
-        flit = Flit(packet, 1, False, True)
-        assert Flit.__slots__ == (
-            "packet", "index", "head", "tail", "vc", "send_tick",
-            "receive_tick",
-        )
+        flit = packet.flit(1)
+        assert Flit.__slots__ == ("packet", "index", "head", "tail", "vc")
         assert not hasattr(flit, "__dict__")
         assert (flit.packet, flit.index, flit.head, flit.tail) == (
             packet, 1, False, True)
         assert flit.vc == 0
-        assert flit.send_tick is None and flit.receive_tick is None
-        flit.vc, flit.send_tick, flit.receive_tick = 3, 10, 25
-        assert (flit.vc, flit.send_tick, flit.receive_tick) == (3, 10, 25)
+        flit.vc = 3
+        assert flit.vc == 3
 
     def test_repr_names_packet_position_and_vc(self):
         packet = Message(0, 0, 1, 3).packetize(3)[0]
         gid = packet.global_id
-        packet.flits[1].vc = 2
-        assert repr(packet.flits[0]) == f"Flit(pkt={gid}, i=0, H, vc=0)"
-        assert repr(packet.flits[1]) == f"Flit(pkt={gid}, i=1, B, vc=2)"
-        assert repr(packet.flits[2]) == f"Flit(pkt={gid}, i=2, T, vc=0)"
+        flits = all_flits(packet)
+        flits[1].vc = 2
+        assert repr(flits[0]) == f"Flit(pkt={gid}, i=0, H, vc=0)"
+        assert repr(flits[1]) == f"Flit(pkt={gid}, i=1, B, vc=2)"
+        assert repr(flits[2]) == f"Flit(pkt={gid}, i=2, T, vc=0)"
         single = Message(0, 0, 1, 1).packetize(1)[0]
-        assert repr(single.flits[0]).endswith("i=0, HT, vc=0)")
+        assert repr(single.flit(0)).endswith("i=0, HT, vc=0)")
 
 
 class TestPacketState:
     def test_routing_scratch_space(self):
         packet = Message(0, 0, 1, 1).packetize(1)[0]
-        packet.routing_state["mode"] = "minimal"
-        assert packet.routing_state["mode"] == "minimal"
+        assert packet.routing_state is None
+        packet.routing_state = ("minimal",)
+        assert packet.routing_state == ("minimal",)
 
     def test_age(self):
         packet = Message(0, 3, 1, 1).packetize(1)[0]

@@ -65,20 +65,40 @@ def test_message_segmented_into_packets(sim):
     a, b = build_pair(sim, max_packet=4)
     delivered = []
     b.message_delivered_listeners.append(delivered.append)
+    packets = []
+    b.packet_delivered_listeners.append(packets.append)
     message = Message(0, 0, 1, 10)
     sim.call_at(0, lambda e: a.send_message(message))
     sim.run()
-    assert [p.num_flits for p in message.packets] == [4, 4, 2]
+    assert message.num_packets == 3
+    assert sorted(p.num_flits for p in packets) == [2, 4, 4]
+    assert sorted(p.id for p in packets) == [0, 1, 2]
     assert delivered == [message]
+
+
+def ejection_ticks(interface):
+    """(flit, tick) for every flit ``interface`` ejects, in order."""
+    seen = []
+    receive_flit = interface.receive_flit
+
+    def observe(port, flit):
+        seen.append((flit, interface.simulator.tick))
+        receive_flit(port, flit)
+
+    interface.receive_flit = observe
+    return seen
 
 
 def test_injection_respects_channel_rate(sim):
     a, b = build_pair(sim, latency=1)
+    ejected = ejection_ticks(b)
     message = Message(0, 0, 1, 5)
     sim.call_at(0, lambda e: a.send_message(message))
     sim.run()
     # One flit per cycle: 5 flits need >= 5 cycles of wire time.
-    receive_ticks = [f.receive_tick for p in message.packets for f in p.flits]
+    assert [(f.packet.id, f.index) for f, _t in ejected] == [
+        (0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
+    receive_ticks = [tick for _f, tick in ejected]
     assert sorted(receive_ticks) == receive_ticks
     assert receive_ticks[-1] - receive_ticks[0] == 4
 
@@ -145,10 +165,12 @@ def test_round_robin_over_injection_vcs(sim):
     a = StandardInterface(sim, "a", None, 0, 4, settings, clock, [0, 2])
     b = StandardInterface(sim, "b", None, 1, 4, settings, clock, [0, 2])
     wire(LoopNetworkStub(sim), a, 0, b, 0, 1, 1)
+    packets = []
+    b.packet_delivered_listeners.append(packets.append)
     msg = Message(0, 0, 1, 8)  # four packets
     sim.call_at(0, lambda e: a.send_message(msg))
     sim.run()
-    vcs = [p.routing_state["injection_vc"] for p in msg.packets]
+    vcs = [p.injection_vc for p in sorted(packets, key=lambda p: p.id)]
     assert vcs == [0, 2, 0, 2]
 
 
@@ -176,9 +198,14 @@ def test_credit_blocking_limits_inflight(sim):
 
 def test_flit_timestamps(sim):
     a, b = build_pair(sim, latency=3)
+    ejected = ejection_ticks(b)
     msg = Message(0, 0, 1, 2)
     sim.call_at(5, lambda e: a.send_message(msg))
     sim.run()
-    head = msg.packets[0].flits[0]
-    assert head.send_tick is not None
-    assert head.receive_tick == head.send_tick + 3
+    head, head_tick = ejected[0]
+    assert head.head
+    assert head.packet.injection_tick is not None
+    assert head_tick == head.packet.injection_tick + 3
+    (record,) = msg.packet_records
+    assert record.send_tick == head.packet.injection_tick
+    assert record.receive_tick == ejected[-1][1]

@@ -85,8 +85,8 @@ def test_proxy_records_never_late():
             )
             if kind == FLIT_RECORD:
                 flit_records += 1
-                gid, index = record[5], record[6]
-                if record[7] is not None:
+                gid, index = record[4], record[5]
+                if record[6] is not None:
                     heads_seen.add(gid)
                 else:
                     # Wormhole order across the cut: a body flit only
@@ -131,7 +131,7 @@ def test_record_due_inside_an_executed_window_is_refused(lateness):
 
 def test_registry_rejects_body_before_head():
     registry = ShardRegistry()
-    body = (FLIT_RECORD, 0, 10, 0, 8, 42, 1, None)
+    body = (FLIT_RECORD, 0, 10, 0, 42, 1, None)
     with pytest.raises(ProxyError, match="wormhole"):
         registry.materialize_flit(body)
 

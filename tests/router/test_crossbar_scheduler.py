@@ -33,7 +33,8 @@ def bid_for(packet, flit_index, in_port=0, in_vc=0, out_port=0, out_vc=0):
     """A bidder whose input VC holds ``packet`` from ``flit_index`` on,
     allocated to output VC (out_port, out_vc)."""
     state = InputVcState(FlitBuffer(None))
-    state.buffer._flits.extend(packet.flits[flit_index:])
+    state.buffer._flits.extend(
+        packet.flit(i) for i in range(flit_index, packet.num_flits))
     state.packet = packet
     state.allocated = True
     state.out_port = out_port

@@ -29,7 +29,7 @@ Granted = namedtuple("Granted", "in_port in_vc out_port out_vc packet flit")
 def input_vc(packet, out_port, out_vc):
     """An input VC holding all of ``packet``, allocated to (out_port, out_vc)."""
     state = InputVcState(FlitBuffer(None))
-    state.buffer._flits.extend(packet.flits)
+    state.buffer._flits.extend(packet.flit(i) for i in range(packet.num_flits))
     state.packet = packet
     state.allocated = True
     state.out_port = out_port
@@ -80,7 +80,8 @@ class Workbench:
             for entry in self.streams.values():
                 if entry[4] is state:
                     flit = state.buffer._flits.popleft()
-                    assert entry[0].flits[entry[1]] is flit
+                    assert flit.packet is entry[0]
+                    assert flit.index == entry[1]
                     entry[1] += 1
                     granted.append(Granted(in_port, in_vc, state.out_port,
                                            state.out_vc, entry[0], flit))

@@ -78,7 +78,7 @@ class TestValiant:
             algorithm.respond(packet, 0, 0)
             if packet.non_minimal:
                 saw_nonminimal = True
-                assert packet.routing_state["val_phase"] == 0
+                assert packet.routing_state == 0
                 assert packet.intermediate not in (0, 3)
         assert saw_nonminimal
 
@@ -170,4 +170,4 @@ class TestUgal:
         algorithm = transit.routing
         candidates = algorithm.respond(packet, network.concentration, 0)
         assert candidates
-        assert "val_phase" not in packet.routing_state
+        assert packet.routing_state is None

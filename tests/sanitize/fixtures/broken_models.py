@@ -103,12 +103,12 @@ class HeadResendInterface(StandardInterface):
 
     Credit and channel accounting stay perfectly balanced (same number
     of flits cross the link), so only a per-VC stream-order check can
-    see that the packet's second flit is the head object again.
+    see that the packet's second flit is its head again.
     """
 
     def send_flit(self, port: int, flit: Flit) -> None:
         if not flit.head and flit.index == 1:
-            resent = flit.packet.flits[0]
+            resent = flit.packet.flit(0)
             resent.vc = flit.vc
             flit = resent
         super().send_flit(port, flit)
