@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate.  Eleven gates:
+# CI gate.  Twelve gates:
 #   1. tier-1    pytest over tests/ (the behavioural gate; see ROADMAP.md)
 #   2. ruff      style over the cleaned packages (SKIPPED when absent)
 #   3. mypy      types over the packages pyproject declares (SKIPPED when absent)
@@ -20,11 +20,18 @@
 #  11. bench     one short sharded_k2_torus run must reproduce bench/pins.json
 #                (the only fast gate that runs repro.partition, its cut
 #                channel proxies and the cross-shard record rebuild)
+#  12. crossbar  the crossbar scheduler and router step-order tests
+#                (tests/router/test_scheduler_properties.py,
+#                test_crossbar_scheduler.py, test_iq_step_order.py,
+#                test_oq_ioq_step_order.py): grant() reads the routers'
+#                flat input tables, and no other fast gate drives it
+#                with contested, locked or stalled bidders
 #
 # Usage: scripts/ci_check.sh [--fast]
-#   --fast  run only sslint, the five bench smokes, the CDG pins and the
-#           delivery goldens (~28 s on 2 cores, ~3 s of it the CDG pins
-#           and ~7 s the delivery goldens)
+#   --fast  run only sslint, the five bench smokes, the CDG pins, the
+#           delivery goldens and the crossbar tests (~38 s on 2 cores,
+#           ~3 s of it the CDG pins, ~7 s the delivery goldens and ~3 s
+#           the crossbar tests)
 #
 # Exit status is non-zero if any executed gate fails.  ruff and mypy
 # are optional: their configuration lives in pyproject.toml and applies
@@ -89,6 +96,10 @@ run_gate "delivery goldens (every packaged routing family)" \
     python -m pytest -q tests/net/test_delivery_golden.py
 run_gate "bench smoke (sharded_k2_torus pins)" \
     python3 bench/run.py --workload sharded_k2_torus --reps 1 --seconds 2
+run_gate "crossbar scheduler and router step order" \
+    python -m pytest -q tests/router/test_scheduler_properties.py \
+    tests/router/test_crossbar_scheduler.py tests/router/test_iq_step_order.py \
+    tests/router/test_oq_ioq_step_order.py
 
 echo
 if [ "${FAILURES}" -ne 0 ]; then

@@ -23,13 +23,6 @@ chain:
   returned, or passed onward) -- one garbage object per event.
 * **H002** closure or lambda defined per call -- a fresh function
   object (and cell vars) per event.
-* **H003** the same attribute chain loaded repeatedly inside a loop
-  body -- bind it to a local before the loop (the classic CPython
-  dict-lookup tax; see the IQ ``_step`` drain for the fixed idiom).
-* **H004** unguarded string formatting (f-string, ``%``, ``.format``,
-  ``print``/logging) on the hot path -- formatting runs even when
-  nobody reads the result.  Formatting inside ``raise``/``assert`` or
-  under a conditional is exempt.
 
 Findings are ranked hottest-first by static heat.  Fingerprints
 (docs/LINTING.md "Baselines") hash the evidence chain plus a per-hazard
@@ -47,7 +40,6 @@ from repro.lint.callgraph import (
     Heat,
     MethodScan,
     ModelTarget,
-    dotted_name,
     model_bases,
     model_targets,
     propagate_heat,
@@ -120,12 +112,6 @@ _CONTAINER_CALLS = frozenset({
     "OrderedDict", "Counter", "bytearray",
 })
 
-#: Logging-ish call names treated as formatting sinks (H004).
-_LOG_CALLS = frozenset({"print"})
-_LOG_METHOD_CALLS = frozenset({
-    "debug", "info", "warning", "error", "critical", "log",
-})
-
 
 class PerfSite:
     """One hazard occurrence inside a hot method."""
@@ -145,81 +131,21 @@ class PerfSite:
 class PerfScan(ast.NodeVisitor):
     """Single pass over one hot method body collecting H-rule sites.
 
-    Context is tracked structurally: loop depth (H003), guard
-    depth (an ``if``/``while``-guarded site is conditional, exempting
-    it from H004), and whether the site sits inside a ``raise`` or
-    ``assert`` (error paths are free).
+    An allocation inside a ``raise`` or ``assert`` is on an error path
+    and exempt.
     """
 
     def __init__(self, method_node: ast.AST, module_name: str):
         self.module_name = module_name
-        self.sites: Dict[str, List[PerfSite]] = {
-            "H001": [], "H002": [], "H003": [], "H004": [],
-        }
-        self._loop_depth = 0
-        self._guard_depth = 0
+        self.sites: Dict[str, List[PerfSite]] = {"H001": [], "H002": []}
         self._raise_depth = 0
-        #: chains loaded per enclosing loop: list of per-loop Counters.
-        self._loop_chain_stack: List[Dict[str, List[ast.AST]]] = []
-        #: names (re)bound inside each enclosing loop.
-        self._loop_bound_stack: List[Set[str]] = []
         #: escaping allocation node ids (assigned while walking parents)
         self._escapes: Dict[int, str] = {}
         body = getattr(method_node, "body", [])
         for stmt in body:
             self.visit(stmt)
 
-    # -- statement context -------------------------------------------------
-
-    def visit_If(self, node: ast.If) -> None:
-        self.visit(node.test)
-        self._guard_depth += 1
-        for stmt in node.body:
-            self.visit(stmt)
-        for stmt in node.orelse:
-            self.visit(stmt)
-        self._guard_depth -= 1
-
-    def _visit_loop(self, node, iter_nodes, target: Optional[ast.AST]) -> None:
-        for sub in iter_nodes:
-            self.visit(sub)
-        self._loop_depth += 1
-        self._loop_chain_stack.append({})
-        bound: Set[str] = set()
-        if target is not None:
-            for name_node in ast.walk(target):
-                if isinstance(name_node, ast.Name):
-                    bound.add(name_node.id)
-        self._loop_bound_stack.append(bound)
-        for stmt in node.body:
-            self.visit(stmt)
-        for stmt in node.orelse:
-            self.visit(stmt)
-        self._loop_depth -= 1
-        chains = self._loop_chain_stack.pop()
-        bound = self._loop_bound_stack.pop()
-        self._flush_h003(chains, bound)
-
-    def visit_For(self, node: ast.For) -> None:
-        self._visit_loop(node, [node.iter], node.target)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._visit_loop(node, [node.iter], node.target)
-
-    def visit_While(self, node: ast.While) -> None:
-        # The test guards nothing permanently; treat body as looped.
-        self._visit_loop(node, [node.test], None)
-
-    def visit_Try(self, node: ast.Try) -> None:
-        for stmt in node.body:
-            self.visit(stmt)
-        self._guard_depth += 1  # handler bodies are error paths
-        for handler in node.handlers:
-            for stmt in handler.body:
-                self.visit(stmt)
-        self._guard_depth -= 1
-        for stmt in node.orelse + node.finalbody:
-            self.visit(stmt)
+    # -- error paths -------------------------------------------------------
 
     def visit_Raise(self, node: ast.Raise) -> None:
         self._raise_depth += 1
@@ -231,25 +157,15 @@ class PerfScan(ast.NodeVisitor):
         self.generic_visit(node)
         self._raise_depth -= 1
 
-    # -- assignments: note loop-bound names and escaping allocations -------
+    # -- assignments: escaping allocations -----------------------------------
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
-            self._note_binding(target)
             if self._is_self_store(target):
                 self._mark_escape(node.value, "stored on self")
         self.generic_visit(node)
 
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._note_binding(node.target)
-        # An aug-assigned attribute chain is a load AND a store per
-        # iteration -- count it toward H003 like a load.
-        if isinstance(node.target, ast.Attribute):
-            self._record_chain(node.target)
-        self.visit(node.value)
-
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._note_binding(node.target)
         if node.value is not None:
             if self._is_self_store(node.target):
                 self._mark_escape(node.value, "stored on self")
@@ -259,12 +175,6 @@ class PerfScan(ast.NodeVisitor):
         if node.value is not None:
             self._mark_escape(node.value, "returned")
         self.generic_visit(node)
-
-    def _note_binding(self, target: ast.AST) -> None:
-        if self._loop_bound_stack:
-            for name_node in ast.walk(target):
-                if isinstance(name_node, ast.Name):
-                    self._loop_bound_stack[-1].add(name_node.id)
 
     @staticmethod
     def _is_self_store(target: ast.AST) -> bool:
@@ -343,103 +253,9 @@ class PerfScan(ast.NodeVisitor):
             self._mark_escape(arg, "passed to a call")
         for kw in node.keywords:
             self._mark_escape(kw.value, "passed to a call")
-        if isinstance(func, ast.Name):
-            name = func.id
-            if name in _CONTAINER_CALLS:
-                self._alloc(node, name)
-            elif name in _LOG_CALLS and not self._raise_depth \
-                    and not self._guard_depth:
-                self.sites["H004"].append(PerfSite(
-                    node,
-                    f"unguarded {name}() on a hot path",
-                    f"call:{name}",
-                ))
-        elif isinstance(func, ast.Attribute):
-            if func.attr == "format" and not self._raise_depth \
-                    and not self._guard_depth:
-                self.sites["H004"].append(PerfSite(
-                    node,
-                    "unguarded str.format() on a hot path",
-                    "format",
-                ))
-            elif func.attr in _LOG_METHOD_CALLS and not self._raise_depth \
-                    and not self._guard_depth:
-                chain = dotted_name(func) or func.attr
-                root = chain.split(".")[0]
-                if root in ("logging", "logger", "log") or ".log." in chain \
-                        or chain.startswith("self.log"):
-                    self.sites["H004"].append(PerfSite(
-                        node,
-                        f"unguarded logging call {chain}() on a hot path",
-                        f"log:{func.attr}",
-                    ))
+        if isinstance(func, ast.Name) and func.id in _CONTAINER_CALLS:
+            self._alloc(node, func.id)
         self.generic_visit(node)
-
-    def visit_JoinedStr(self, node: ast.JoinedStr) -> None:
-        if not self._raise_depth and not self._guard_depth and any(
-            isinstance(part, ast.FormattedValue) for part in node.values
-        ):
-            self.sites["H004"].append(PerfSite(
-                node,
-                "unguarded f-string on a hot path; the formatting runs "
-                "on every event even when nothing consumes it",
-                "fstring",
-            ))
-        self.generic_visit(node)
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if (isinstance(node.op, ast.Mod)
-                and isinstance(node.left, ast.Constant)
-                and isinstance(node.left.value, str)
-                and not self._raise_depth and not self._guard_depth):
-            self.sites["H004"].append(PerfSite(
-                node,
-                "unguarded %-format on a hot path",
-                "percent",
-            ))
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self._record_chain(node)
-        self.generic_visit(node)
-
-    # -- H003: attribute chains in loops -----------------------------------
-
-    def _record_chain(self, node: ast.Attribute) -> None:
-        if not self._loop_chain_stack:
-            return
-        chain = dotted_name(node)
-        if chain is None:
-            return
-        # Record in the innermost loop only; outer loops see the inner
-        # loop's flushed result through their own occurrences.
-        self._loop_chain_stack[-1].setdefault(chain, []).append(node)
-
-    def _flush_h003(
-        self, chains: Dict[str, List[ast.AST]], bound: Set[str]
-    ) -> None:
-        for chain, nodes in chains.items():
-            root, _, rest = chain.partition(".")
-            if not rest:
-                continue
-            if root in bound:
-                continue
-            segments = rest.count(".") + 1
-            count = len(nodes)
-            if (segments >= 2 and count >= 2) or count >= 4:
-                self.sites["H003"].append(PerfSite(
-                    nodes[0],
-                    f"loads {chain} {count}x inside a loop body; bind "
-                    f"it to a local before the loop",
-                    f"chain:{chain}",
-                ))
-        # Propagate surviving chains outward: a chain loaded once in an
-        # inner loop still runs per outer-loop iteration.
-        if self._loop_chain_stack:
-            outer = self._loop_chain_stack[-1]
-            for chain, nodes in chains.items():
-                outer.setdefault(chain, []).extend(nodes)
 
 
 # -- analysis ----------------------------------------------------------------
@@ -616,9 +432,5 @@ declare_rules(PERF_LAYER, lambda rule, ctx: ctx.perf().findings(rule), [
                  "returned, or passed on) -- one garbage object per event"),
         ("H002", "closure or lambda created per call on a hot path (fresh "
                  "function object per event)"),
-        ("H003", "same attribute chain loaded repeatedly inside a hot loop "
-                 "body; bind it to a local before the loop"),
-        ("H004", "unguarded f-string/%-format/.format()/logging on a hot "
-                 "path (raise/assert and conditional branches are exempt)"),
     )
 ])

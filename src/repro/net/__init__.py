@@ -1,7 +1,7 @@
 """Network primitives: flits, packets, messages, channels, credits,
-buffers, interfaces, and the Network base class."""
+interfaces, and the Network base class."""
 
-from repro.net.buffer import BufferOverrunError, FlitBuffer
+from repro.net.buffer import BufferOverrunError
 from repro.net.channel import Channel, ChannelError, CreditChannel
 from repro.net.credit import Credit, CreditError, CreditTracker
 from repro.net.device import PortedDevice, WiringError
@@ -20,7 +20,6 @@ __all__ = [
     "CreditError",
     "CreditTracker",
     "Flit",
-    "FlitBuffer",
     "Interface",
     "InterfaceError",
     "Message",

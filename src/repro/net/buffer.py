@@ -1,88 +1,11 @@
-"""Flit buffers.
+"""Input buffer overrun.
 
-An input port of a router holds one FIFO flit buffer per virtual
-channel.  Buffers enforce their capacity: pushing into a full buffer
-raises immediately (§IV-D -- buffers never silently overrun).  A
-capacity of ``None`` models an infinite buffer (used by the idealized
-output-queued router, §IV-C).
+A router's input VC holds at most ``input_queue_depth`` flits
+(:mod:`repro.router.base` keeps them in flat per-router tables).  A flit
+arriving at a full input VC raises immediately (§IV-D -- buffers never
+silently overrun): upstream sent it without a credit.
 """
-
-from __future__ import annotations
-
-from collections import deque
-from typing import Deque, Iterable, Optional
-
-from repro.net.flit import Flit
 
 
 class BufferOverrunError(RuntimeError):
-    """Raised when a flit is pushed into a full buffer."""
-
-
-class FlitBuffer:
-    """A FIFO queue of flits with an optional capacity bound."""
-
-    __slots__ = ("_flits", "_capacity", "_name")
-
-    def __init__(self, capacity: Optional[int], name: str = "?"):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"buffer capacity must be >= 1 or None, got {capacity}")
-        self._flits: Deque[Flit] = deque()
-        self._capacity = capacity
-        self._name = name
-
-    @property
-    def capacity(self) -> Optional[int]:
-        return self._capacity
-
-    @property
-    def infinite(self) -> bool:
-        return self._capacity is None
-
-    def __len__(self) -> int:
-        return len(self._flits)
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._flits)
-
-    @property
-    def space(self) -> Optional[int]:
-        """Free slots, or None when infinite."""
-        if self._capacity is None:
-            return None
-        return self._capacity - len(self._flits)
-
-    def is_empty(self) -> bool:
-        return not self._flits
-
-    def is_full(self) -> bool:
-        return self._capacity is not None and len(self._flits) >= self._capacity
-
-    def has_space(self, count: int = 1) -> bool:
-        if self._capacity is None:
-            return True
-        return len(self._flits) + count <= self._capacity
-
-    def push(self, flit: Flit) -> None:
-        if self.is_full():
-            raise BufferOverrunError(
-                f"{self._name}: buffer overrun (capacity {self._capacity})"
-            )
-        self._flits.append(flit)
-
-    def front(self) -> Optional[Flit]:
-        """Peek the flit at the head, or None when empty."""
-        return self._flits[0] if self._flits else None
-
-    def pop(self) -> Flit:
-        if not self._flits:
-            raise IndexError(f"{self._name}: pop from empty buffer")
-        return self._flits.popleft()
-
-    def __iter__(self) -> Iterable[Flit]:
-        return iter(self._flits)
-
-    def __repr__(self):
-        cap = "inf" if self._capacity is None else str(self._capacity)
-        return f"FlitBuffer({self._name}: {len(self._flits)}/{cap})"
+    """Raised when a flit arrives at a full input buffer."""

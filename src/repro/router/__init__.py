@@ -8,7 +8,7 @@ from repro.router.arbiter import (
     RoundRobinArbiter,
     create_arbiter,
 )
-from repro.router.base import InputVcState, Router
+from repro.router.base import Router
 from repro.router.congestion import (
     GRANULARITY_PORT,
     GRANULARITY_VC,
@@ -40,7 +40,6 @@ __all__ = [
     "GRANULARITY_VC",
     "InputOutputQueuedRouter",
     "InputQueuedRouter",
-    "InputVcState",
     "OutputQueuedRouter",
     "PACKET_BUFFER",
     "RandomArbiter",

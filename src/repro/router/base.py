@@ -4,7 +4,10 @@ All three packaged router microarchitectures (OQ, IQ, IOQ -- paper
 §IV-C) derive from :class:`Router`, which provides the structure they
 share:
 
-* per-(port, VC) input buffers with credit-returning pop,
+* the input side as flat per-router lists indexed by input VC
+  ``i = port * num_vcs + vc``: each VC's flit deque, front packet,
+  route candidates and allocated output VC, with a credit-returning
+  pop,
 * one routing engine, built by the Network and handed over at
   ``finalize``, that decides for every input port (§IV-B),
 * the input-VC state machine: route at the packet head, claim an
@@ -32,14 +35,15 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (
-    TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro import factory
 from repro.core.clock import Clock
 from repro.core.component import Component
 from repro.core.event import Event
-from repro.net.buffer import FlitBuffer
+from repro.config.settings import SettingsError
+from repro.net.buffer import BufferOverrunError
 from repro.net.credit import Credit
 from repro.net.device import PortedDevice
 from repro.net.flit import Flit
@@ -53,27 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
     from repro.core.rng import RandomManager
     from repro.core.simulator import Simulator
-
-
-class InputVcState:
-    """State machine for the packet at the front of one input VC buffer."""
-
-    __slots__ = ("buffer", "packet", "candidates", "allocated", "out_port", "out_vc")
-
-    def __init__(self, buffer: FlitBuffer):
-        self.buffer = buffer
-        self.packet: Optional[Packet] = None
-        self.candidates: Sequence[Tuple[int, int]] = ()
-        self.allocated = False
-        self.out_port = -1
-        self.out_vc = -1
-
-    def reset(self) -> None:
-        self.packet = None
-        self.candidates = ()
-        self.allocated = False
-        self.out_port = -1
-        self.out_vc = -1
 
 
 class Router(PortedDevice):
@@ -112,25 +95,31 @@ class Router(PortedDevice):
         # one per router, role and port.
         self.random: "RandomManager" = parent.random  # type: ignore[union-attr]
 
-        self.input_queue_depth = settings.get_uint("input_queue_depth", 16)
+        depth = settings.get_uint("input_queue_depth", 16)
+        if depth < 1:
+            raise SettingsError(
+                f"{self.full_name}: input_queue_depth: setting must be at "
+                f"least 1 flit per input VC, got {depth}"
+            )
+        self.input_queue_depth = depth
         self.core_latency = settings.get_uint("core_latency", 1)
 
-        # Input buffers and their front-packet state machines.
-        self._input_vcs: List[List[InputVcState]] = [
-            [
-                InputVcState(
-                    FlitBuffer(self.input_queue_depth, f"{self.full_name}.in{p}.vc{v}")
-                )
-                for v in range(num_vcs)
-            ]
-            for p in range(num_ports)
-        ]
+        # The input side, one entry per input VC i = port * num_vcs + vc:
+        # its flits (at most input_queue_depth), the packet at the front
+        # once routed, that packet's route candidates and the output VC
+        # it claimed (-1 while unallocated).
+        num_inputs = num_ports * num_vcs
+        self._in_flits: List[Deque[Flit]] = [deque() for _ in range(num_inputs)]
+        self._in_packet: List[Optional[Packet]] = [None] * num_inputs
+        self._in_candidates: List[Sequence[Tuple[int, int]]] = [()] * num_inputs
+        self._in_out_port: List[int] = [-1] * num_inputs
+        self._in_out_vc: List[int] = [-1] * num_inputs
 
         # The routing engine, handed over by finalize().
         self.routing: Optional[RoutingAlgorithm] = None
 
-        # Wormhole output VC ownership: (port, vc) -> owner (in_port, in_vc).
-        self._output_vc_owner: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        # Wormhole output VC ownership: (port, vc) -> owning input VC.
+        self._output_vc_owner: Dict[Tuple[int, int], int] = {}
 
         # VC scheduler: per-(output port, VC) arbitration among the input
         # VCs requesting it each cycle (created lazily).
@@ -173,21 +162,21 @@ class Router(PortedDevice):
         self._step_wheel = simulator.wheel(EPS_STEP)
         self._finalized = False
         self._alloc_rotor = 0  # rotating start for VC allocation fairness
-        # (port, vc) pairs whose input buffer holds at least one flit;
-        # per-cycle stages scan only these instead of all ports x VCs.
-        self._occupied_inputs: set = set()
-        # (port, vc) pairs that *may* have a new packet at the buffer
-        # front: fed by head-flit arrivals and tail pops, consumed by
+        # Input VCs holding at least one flit; per-cycle stages scan only
+        # these instead of all ports x VCs.
+        self._occupied_inputs: Set[int] = set()
+        # Input VCs that *may* have a new packet at the buffer front:
+        # fed by head-flit arrivals and tail pops, consumed by
         # _update_input_vcs, so the routing stage touches only inputs
         # with actual state changes instead of rescanning every cycle.
-        self._route_pending: List[Tuple[int, int]] = []
+        self._route_pending: List[int] = []
         # Recycled by _update_input_vcs: the drained list is reused
         # instead of reallocated every routing pass (no per-event
         # list garbage).
-        self._route_pending_spare: List[Tuple[int, int]] = []
-        # (port, vc) pairs routed but not yet granted an output VC;
-        # losers stay queued for the next allocation cycle.
-        self._alloc_pending: List[Tuple[int, int]] = []
+        self._route_pending_spare: List[int] = []
+        # Input VCs routed but not yet granted an output VC; losers stay
+        # queued for the next allocation cycle.
+        self._alloc_pending: List[int] = []
 
         # Hot-path dispatch: _wake/_step run once per arrival/cycle, so
         # the core-clock edge math is inlined for the ubiquitous
@@ -248,18 +237,20 @@ class Router(PortedDevice):
     def receive_flit(self, port: int, flit: Flit) -> None:
         self.flits_received += 1
         vc = flit.vc
-        state = self._input_vcs[port][vc]
-        buffer = state.buffer
-        flits = buffer._flits
-        if buffer._capacity is not None and len(flits) >= buffer._capacity:
-            buffer.push(flit)  # raises BufferOverrunError with context
+        i = port * self.num_vcs + vc
+        flits = self._in_flits[i]
+        if len(flits) >= self.input_queue_depth:
+            raise BufferOverrunError(
+                f"{self.full_name}.in{port}.vc{vc}: buffer overrun "
+                f"(capacity {self.input_queue_depth})"
+            )
         flits.append(flit)
-        self._occupied_inputs.add((port, vc))
-        if flit.head or state.packet is None:
+        self._occupied_inputs.add(i)
+        if flit.head or self._in_packet[i] is None:
             # A new packet may now be at the buffer front (or a protocol
             # violation needs flagging); either way the routing stage
             # must look at this input.
-            self._route_pending.append((port, vc))
+            self._route_pending.append(i)
         if not self._step_scheduled:
             self._wake()
 
@@ -313,30 +304,36 @@ class Router(PortedDevice):
         # land in the spare; the drained list becomes next call's spare.
         self._route_pending = self._route_pending_spare
         self._route_pending_spare = pending
-        input_vcs = self._input_vcs
+        in_flits = self._in_flits
+        in_packet = self._in_packet
+        in_candidates = self._in_candidates
+        alloc_pending = self._alloc_pending
         respond = self.routing.respond
-        for port, vc in pending:
-            state = input_vcs[port][vc]
-            flits = state.buffer._flits
-            front = flits[0] if flits else None
-            if front is None or state.packet is front.packet:
+        num_vcs = self.num_vcs
+        for i in pending:
+            flits = in_flits[i]
+            if not flits:
                 continue
-            if state.packet is not None:
+            front = flits[0]
+            packet = in_packet[i]
+            if packet is front.packet:
+                continue
+            if packet is not None:
                 # The previous packet's tail has been popped but the
-                # state was not reset -- a logic bug.
+                # input was not reset -- a logic bug.
                 raise RuntimeError(
-                    f"{self.full_name}: input VC {port}.{vc} front changed "
-                    f"while a packet was in flight"
+                    f"{self.full_name}: input VC {i // num_vcs}.{i % num_vcs} "
+                    f"front changed while a packet was in flight"
                 )
             if not front.head:
                 raise RuntimeError(
                     f"{self.full_name}: non-head flit at front of an idle "
-                    f"input VC {port}.{vc}: {front!r} (§IV-D order check)"
+                    f"input VC {i // num_vcs}.{i % num_vcs}: {front!r} "
+                    f"(§IV-D order check)"
                 )
-            state.packet = front.packet
-            state.candidates = respond(front.packet, port, vc)
-            state.allocated = False
-            self._alloc_pending.append((port, vc))
+            packet = in_packet[i] = front.packet
+            in_candidates[i] = respond(packet, i // num_vcs, i % num_vcs)
+            alloc_pending.append(i)
         pending.clear()
 
     def _allocate_vcs(self) -> None:
@@ -356,88 +353,88 @@ class Router(PortedDevice):
         # routing stage, granted entries leave below, losers stay for
         # the next cycle.  Most cycles the list is empty and the whole
         # stage is one truth test.
-        input_vcs = self._input_vcs
+        in_packet = self._in_packet
+        in_candidates = self._in_candidates
+        in_out_port = self._in_out_port
+        in_out_vc = self._in_out_vc
         owner_table = self._output_vc_owner
         routable = []
-        requests: Dict[Tuple[int, int], list] = {}
-        for port, vc in pending:
-            state = input_vcs[port][vc]
-            if state.packet is None or state.allocated:
+        requests: Dict[Tuple[int, int], List[int]] = {}
+        for i in pending:
+            if in_packet[i] is None or in_out_port[i] >= 0:
                 continue
-            routable.append((port, vc, state))
-            for out_port, out_vc in state.candidates:
+            routable.append(i)
+            for out_port, out_vc in in_candidates[i]:
                 key = (out_port, out_vc)
                 if key in owner_table:
                     continue
                 claimants = requests.get(key)
                 if claimants is None:
-                    requests[key] = [(port, vc, state)]
+                    requests[key] = [i]
                 else:
-                    claimants.append((port, vc, state))
+                    claimants.append(i)
                 break  # one request per input VC per cycle
         pending.clear()
         now = self.simulator.tick
-        num_vcs = self.num_vcs
         for key in sorted(requests):
             claimants = requests[key]
             if len(claimants) == 1:
-                port, vc, state = claimants[0]
+                i = claimants[0]
             else:
                 arbiter = self._vc_arbiters.get(key)
                 if arbiter is None:
                     arbiter = create_arbiter(
                         self._vc_arbiter_settings,
-                        self.num_ports * num_vcs,
+                        self.num_ports * self.num_vcs,
                         self.random,
                         f"{self.full_name}.vc_scheduler.out{key[0]}.vc{key[1]}",
                     )
                     self._vc_arbiters[key] = arbiter
                 arbitrated = self._vc_requests
                 arbitrated.clear()
-                for in_port, in_vc, in_state in claimants:
-                    arbitrated.append((in_port * num_vcs + in_vc, in_state.packet))
-                index = arbiter.arbitrate(arbitrated, now)
-                port, vc, state = next(
-                    c for c in claimants if c[0] * num_vcs + c[1] == index
-                )
-            out_port, out_vc = key
-            owner_table[key] = (port, vc)
-            state.allocated = True
-            state.out_port = out_port
-            state.out_vc = out_vc
+                for c in claimants:
+                    arbitrated.append((c, in_packet[c]))
+                i = arbiter.arbitrate(arbitrated, now)
+            owner_table[key] = i
+            in_out_port[i], in_out_vc[i] = key
         # Winners leave the queue; losers retry next cycle.
-        for port, vc, state in routable:
-            if not state.allocated:
-                pending.append((port, vc))
+        for i in routable:
+            if in_out_port[i] < 0:
+                pending.append(i)
 
-    def _pop_input_flit(self, port: int, vc: int) -> Flit:
-        """Dequeue the front flit, return its credit upstream, and manage
-        ownership release at the tail."""
-        state = self._input_vcs[port][vc]
-        flits = state.buffer._flits
-        flit = flits.popleft()  # IndexError on misuse, like FlitBuffer.pop
+    def _pop_input_flit(self, i: int) -> Flit:
+        """Dequeue input VC ``i``'s front flit, return its credit
+        upstream, and release the output VC at the tail."""
+        flits = self._in_flits[i]
+        flit = flits.popleft()  # IndexError when the input VC is empty
         empty = not flits
         if empty:
-            self._occupied_inputs.discard((port, vc))
-        flit.vc = state.out_vc
+            self._occupied_inputs.discard(i)
+        out_port = self._in_out_port[i]
+        out_vc = flit.vc = self._in_out_vc[i]
         # Via the public hook: subclasses (and fault-injection models)
         # override send_credit to intercept the upstream credit return.
-        self.send_credit(port, vc)
+        num_vcs = self.num_vcs
+        self.send_credit(i // num_vcs, i % num_vcs)
         if flit.tail:
-            owner_key = (state.out_port, state.out_vc)
+            owner_key = (out_port, out_vc)
             owner = self._output_vc_owner.get(owner_key)
-            if owner != (port, vc):
+            if owner != i:
                 raise RuntimeError(
-                    f"{self.full_name}: tail flit released VC {owner_key} "
-                    f"owned by {owner}, expected ({port}, {vc})"
+                    f"{self.full_name}: tail flit of input VC "
+                    f"{i // num_vcs}.{i % num_vcs} released output VC "
+                    f"{owner_key} owned by input VC {owner}"
                 )
             del self._output_vc_owner[owner_key]
             flit.packet.hop_count += 1
-            state.reset()
+            self._in_packet[i] = None
+            self._in_candidates[i] = ()
+            self._in_out_port[i] = -1
+            self._in_out_vc[i] = -1
             if not empty:
                 # The next queued packet's head is now at the front.
-                self._route_pending.append((port, vc))
+                self._route_pending.append(i)
         return flit
 
     def input_occupancy(self, port: int, vc: int) -> int:
-        return self._input_vcs[port][vc].buffer.occupancy
+        return len(self._in_flits[port * self.num_vcs + vc])

@@ -21,11 +21,13 @@ Towles [11]:
 
 The scheduler is the only code that grants a crossbar slot, and it is
 microarchitecture-agnostic.  Each cycle the owning router calls
-``grant`` with its bidders -- ``(in_port, in_vc, state)`` for each input
-VC whose front flit may move, ``state`` being its ``InputVcState`` --
-and a free-space table ``free[out_port][out_vc]``: downstream credits
-for the IQ router, free output-queue slots for the IOQ router.  The
-router pops the flits of the bidders it gets back.
+``grant`` with its bidders -- the flat index ``i = in_port * num_vcs +
+in_vc`` of each input VC whose front flit may move, the index its
+arbiters already use -- and a free-space table ``free[out_port][out_vc]``:
+downstream credits for the IQ router, free output-queue slots for the
+IOQ router.  The scheduler reads each bidder's flits, packet and output
+VC from the router's input tables; the router pops the flits of the
+bidders it gets back.
 """
 
 from __future__ import annotations
@@ -37,16 +39,13 @@ from repro.router.arbiter import Arbiter, create_arbiter
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
     from repro.core.rng import RandomManager
-    from repro.router.base import InputVcState
+    from repro.router.base import Router
 
 FLIT_BUFFER = "flit_buffer"
 PACKET_BUFFER = "packet_buffer"
 WINNER_TAKE_ALL = "winner_take_all"
 
 _FLOW_CONTROL_MODES = (FLIT_BUFFER, PACKET_BUFFER, WINNER_TAKE_ALL)
-
-#: One input VC's request to move its front flit: (in_port, in_vc, state).
-Bidder = Tuple[int, int, "InputVcState"]
 
 
 class CrossbarScheduler:
@@ -62,14 +61,18 @@ class CrossbarScheduler:
 
     def __init__(
         self,
-        num_ports: int,
-        num_vcs: int,
+        router: "Router",
         settings: "Settings",
         random: "RandomManager",
         label: str,
     ):
-        self.num_ports = num_ports
-        self.num_vcs = num_vcs
+        num_ports = self.num_ports = router.num_ports
+        num_vcs = self.num_vcs = router.num_vcs
+        # The router's input tables, indexed by bidder.
+        self._flits = router._in_flits
+        self._packet = router._in_packet
+        self._out_port = router._in_out_port
+        self._out_vc = router._in_out_vc
         self.flow_control = settings.get_str("flow_control", FLIT_BUFFER)
         if self.flow_control not in _FLOW_CONTROL_MODES:
             raise ValueError(
@@ -84,24 +87,27 @@ class CrossbarScheduler:
             )
             for port in range(num_ports)
         ]
-        # Lock table: out_port -> (in_port, in_vc) of the streaming owner.
-        self._locks: Dict[int, Tuple[int, int]] = {}
+        # Lock table: out_port -> the streaming owner's input VC.
+        self._locks: Dict[int, int] = {}
 
     # -- introspection ---------------------------------------------------------
 
     def locked_owner(self, out_port: int) -> Optional[Tuple[int, int]]:
-        return self._locks.get(out_port)
+        """The (in_port, in_vc) holding ``out_port``'s lock, if any."""
+        owner = self._locks.get(out_port)
+        return None if owner is None else divmod(owner, self.num_vcs)
 
     # -- the per-cycle decision ---------------------------------------------------
 
     def grant(
-        self, bidders: List[Bidder], free: Sequence[Sequence[int]], now_tick: int
-    ) -> List[Bidder]:
+        self, bidders: List[int], free: Sequence[Sequence[int]], now_tick: int
+    ) -> List[int]:
         """Grant at most one bidder per output port; return the winners."""
+        out_port_of = self._out_port
         if not self._locking:
             outputs = 0
-            for bidder in bidders:
-                bit = 1 << bidder[2].out_port
+            for i in bidders:
+                bit = 1 << out_port_of[i]
                 if outputs & bit:
                     break
                 outputs |= bit
@@ -109,51 +115,53 @@ class CrossbarScheduler:
                 # Every bidder targets its own output and nothing locks:
                 # each grant is forced, in bidder order.
                 arbiters = self._arbiters
-                num_vcs = self.num_vcs
+                out_vc_of = self._out_vc
+                packet_of = self._packet
                 grants = []
-                for bidder in bidders:
-                    in_port, in_vc, state = bidder
-                    out_port = state.out_port
-                    if free[out_port][state.out_vc] >= 1:
-                        arbiters[out_port].forced(
-                            in_port * num_vcs + in_vc, state.packet, now_tick
-                        )
-                        grants.append(bidder)
+                for i in bidders:
+                    out_port = out_port_of[i]
+                    if free[out_port][out_vc_of[i]] >= 1:
+                        arbiters[out_port].forced(i, packet_of[i], now_tick)
+                        grants.append(i)
                 return grants
         return self._arbitrate(bidders, free, now_tick)
 
     def _arbitrate(
-        self, bidders: List[Bidder], free: Sequence[Sequence[int]], now_tick: int
-    ) -> List[Bidder]:
+        self, bidders: List[int], free: Sequence[Sequence[int]], now_tick: int
+    ) -> List[int]:
         """Each output port, in ascending order, grants its lock owner or
         its arbiter's pick among the bidders with space downstream."""
-        by_output: Dict[int, List[Bidder]] = {}
-        for bidder in bidders:
-            by_output.setdefault(bidder[2].out_port, []).append(bidder)
+        out_port_of = self._out_port
+        out_vc_of = self._out_vc
+        packet_of = self._packet
+        flits_of = self._flits
+        by_output: Dict[int, List[int]] = {}
+        for i in bidders:
+            by_output.setdefault(out_port_of[i], []).append(i)
         locks = self._locks
         # Outputs locked by owners that did not bid this cycle still
         # need WTA unlock processing, so visit all locked outputs too.
         outputs = sorted(by_output.keys() | locks.keys() if locks else by_output)
         packet_buffer = self.flow_control == PACKET_BUFFER
-        num_vcs = self.num_vcs
-        grants: List[Bidder] = []
+        grants: List[int] = []
         for out_port in outputs:
             bids = by_output.get(out_port, ())
             space = free[out_port]
             owner = locks.get(out_port)
             winner = None
             if owner is not None:
-                winner = next((b for b in bids if (b[0], b[1]) == owner), None)
+                if owner in bids:
+                    winner = owner
                 if packet_buffer:
                     # Locked until the tail enters the crossbar, full stop.
                     if winner is None:
                         continue  # upstream gap: output idles, lock holds
-                    if space[winner[2].out_vc] < 1:
+                    if space[out_vc_of[winner]] < 1:
                         raise RuntimeError(
                             "packet-buffer flow control credit-stalled: the "
                             "full-packet reservation was violated"
                         )
-                elif winner is None or space[winner[2].out_vc] < 1:
+                elif winner is None or space[out_vc_of[winner]] < 1:
                     # Winner-take-all owner stalled: unlock and let the
                     # others compete this cycle.
                     del locks[out_port]
@@ -162,33 +170,25 @@ class CrossbarScheduler:
                 if packet_buffer:
                     # Enough space for the whole remaining packet up front.
                     eligible = [
-                        b for b in bids
-                        if space[b[2].out_vc]
-                        >= b[2].packet.num_flits - b[2].buffer._flits[0].index
+                        i for i in bids
+                        if space[out_vc_of[i]]
+                        >= packet_of[i].num_flits - flits_of[i][0].index
                     ]
                 else:
-                    eligible = [b for b in bids if space[b[2].out_vc] >= 1]
+                    eligible = [i for i in bids if space[out_vc_of[i]] >= 1]
                 if not eligible:
                     continue
                 arbiter = self._arbiters[out_port]
                 if len(eligible) == 1:
                     winner = eligible[0]
-                    arbiter.forced(
-                        winner[0] * num_vcs + winner[1], winner[2].packet, now_tick
-                    )
+                    arbiter.forced(winner, packet_of[winner], now_tick)
                 else:
-                    index = arbiter.arbitrate(
-                        [(b[0] * num_vcs + b[1], b[2].packet) for b in eligible],
-                        now_tick,
-                    )
-                    winner = next(
-                        b for b in eligible if b[0] * num_vcs + b[1] == index
+                    winner = arbiter.arbitrate(
+                        [(i, packet_of[i]) for i in eligible], now_tick
                     )
                 if self._locking:
-                    locks[out_port] = (winner[0], winner[1])
-            if winner[2].buffer._flits[0].tail and (
-                locks.get(out_port) == (winner[0], winner[1])
-            ):
+                    locks[out_port] = winner
+            if flits_of[winner][0].tail and locks.get(out_port) == winner:
                 del locks[out_port]
             grants.append(winner)
         return grants

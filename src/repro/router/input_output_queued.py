@@ -47,11 +47,7 @@ class InputOutputQueuedRouter(OutputQueuedRouter):
         super().__init__(*args, **kwargs)
         scheduler_settings = self.settings.child("crossbar_scheduler", default={})
         self.scheduler = CrossbarScheduler(
-            self.num_ports,
-            self.num_vcs,
-            scheduler_settings,
-            self.random,
-            f"{self.full_name}.crossbar",
+            self, scheduler_settings, self.random, f"{self.full_name}.crossbar"
         )
 
     def _read_queue_depth(self) -> int:
@@ -89,12 +85,8 @@ class InputOutputQueuedRouter(OutputQueuedRouter):
             self._step_scheduled = False
 
     def _run_crossbar(self) -> None:
-        input_vcs = self._input_vcs
-        bidders = []
-        for port, vc in self._occupied_inputs:
-            state = input_vcs[port][vc]
-            if state.allocated and state.buffer._flits:
-                bidders.append((port, vc, state))
+        out_ports = self._in_out_port
+        bidders = [i for i in self._occupied_inputs if out_ports[i] >= 0]
         scheduler = self.scheduler
         if not bidders and not scheduler._locks:
             return
@@ -102,16 +94,17 @@ class InputOutputQueuedRouter(OutputQueuedRouter):
         # The free-space table is the output queues' free slots.
         queue_free = self._queue_free
         granted = scheduler.grant(bidders, queue_free, now)
+        out_vcs = self._in_out_vc
         pop_input_flit = self._pop_input_flit
         out_slots = self._out_slots
         sensed = self._sensed
         due = now + self._sense_latency
         enter_core = self._core_fifo.append
         arrival_tick = now + self.core_latency
-        for port, vc, state in granted:
-            out_port = state.out_port
-            out_vc = state.out_vc
-            flit = pop_input_flit(port, vc)
+        for i in granted:
+            out_port = out_ports[i]
+            out_vc = out_vcs[i]
+            flit = pop_input_flit(i)
             queue_free[out_port][out_vc] -= 1
             if out_slots is not None:
                 sensed.append((due, out_slots[out_port][out_vc], +1))

@@ -51,11 +51,7 @@ class InputQueuedRouter(Router):
         self._staging_limit = self.core_latency + self.output_staging_depth
         scheduler_settings = self.settings.child("crossbar_scheduler", default={})
         self.scheduler = CrossbarScheduler(
-            self.num_ports,
-            self.num_vcs,
-            scheduler_settings,
-            self.random,
-            f"{self.full_name}.crossbar",
+            self, scheduler_settings, self.random, f"{self.full_name}.crossbar"
         )
         # The scheduler's free-space table: downstream credits per
         # (port, VC), the trackers' own lists (set at finalize).
@@ -148,23 +144,20 @@ class InputQueuedRouter(Router):
             self._step_scheduled = False
 
     def _run_crossbar(self) -> None:
-        input_vcs = self._input_vcs
+        out_ports = self._in_out_port
         committed = self._staging_committed
         staging_limit = self._staging_limit
         bidders = []
-        for port, vc in self._occupied_inputs:
-            state = input_vcs[port][vc]
-            if (
-                state.allocated
-                and state.buffer._flits
-                and committed[state.out_port] < staging_limit
-            ):
-                bidders.append((port, vc, state))
+        for i in self._occupied_inputs:
+            out_port = out_ports[i]
+            if out_port >= 0 and committed[out_port] < staging_limit:
+                bidders.append(i)
         scheduler = self.scheduler
         if not bidders and not scheduler._locks:
             return
         now = self.simulator.tick
         granted = scheduler.grant(bidders, self._down_credits, now)
+        out_vcs = self._in_out_vc
         trackers = self._output_credits
         down_slots = self._down_slots
         sensed = self._sensed
@@ -172,10 +165,10 @@ class InputQueuedRouter(Router):
         enter_core = self._core_fifo.append
         arrival_tick = now + self.core_latency
         pop_input_flit = self._pop_input_flit
-        for port, vc, state in granted:
-            out_port = state.out_port
-            out_vc = state.out_vc
-            flit = pop_input_flit(port, vc)
+        for i in granted:
+            out_port = out_ports[i]
+            out_vc = out_vcs[i]
+            flit = pop_input_flit(i)
             # Consume the downstream credit now; the flit is prepaid.
             trackers[out_port].take(out_vc)
             if down_slots is not None:

@@ -226,7 +226,10 @@ class OutputQueuedRouter(Router):
             self._alloc_rotor += 1
             order = flat[start:] + flat[:start] if start else flat
         owner_table = self._output_vc_owner
-        input_vcs = self._input_vcs
+        in_packet = self._in_packet
+        in_candidates = self._in_candidates
+        out_ports = self._in_out_port
+        out_vcs = self._in_out_vc
         queue_free = self._queue_free
         pop_input_flit = self._pop_input_flit
         out_slots = self._out_slots
@@ -235,29 +238,29 @@ class OutputQueuedRouter(Router):
         enter_core = self._core_fifo.append
         arrival_tick = self.simulator.tick + self.core_latency
         moved = 0
-        for port, vc in order:
-            state = input_vcs[port][vc]
-            if state.packet is None:
+        # Every input in ``order`` holds a flit: each is visited once
+        # and popped at most once.
+        for i in order:
+            if in_packet[i] is None:
                 continue
-            if not state.allocated:
-                for out_port, out_vc in state.candidates:
+            out_port = out_ports[i]
+            if out_port < 0:
+                for out_port, out_vc in in_candidates[i]:
                     key = (out_port, out_vc)
                     if key in owner_table:
                         continue
-                    owner_table[key] = (port, vc)
-                    state.allocated = True
-                    state.out_port = out_port
-                    state.out_vc = out_vc
+                    owner_table[key] = i
+                    out_ports[i] = out_port
+                    out_vcs[i] = out_vc
                     break
                 else:
                     continue
-            if not state.buffer._flits:
-                continue
-            out_port, out_vc = state.out_port, state.out_vc
+            else:
+                out_vc = out_vcs[i]
             free = queue_free[out_port]
             if free[out_vc] < 1:
                 continue  # finite queue full: flit waits in the input
-            flit = pop_input_flit(port, vc)
+            flit = pop_input_flit(i)
             free[out_vc] -= 1
             moved += 1
             if out_slots is not None:

@@ -28,8 +28,7 @@ def flits_in_network(network) -> int:
     count = sum(len(channel._inflight) for channel in network.flit_channels)
     for router in network.routers:
         count += len(router._core_fifo)
-        for port_vcs in router._input_vcs:
-            count += sum(len(state.buffer._flits) for state in port_vcs)
+        count += sum(len(flits) for flits in router._in_flits)
         for port_queues in router._queues:
             count += sum(len(queue) for queue in port_queues)
     return count

@@ -15,6 +15,9 @@ both horizons.
 A second census weighs the in-flight record: a single-flit message
 still in the network is its ``Message``, ``Packet`` and ``Flit`` and
 nothing else the collector tracks, at most 400 bytes all told.
+
+A third counts the routers' input side after build: flat per-router
+tables with one flit deque per input VC, and no object per input VC.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import gc
 import os
 import sys
 import types
+from collections import deque
 
 import pytest
 
@@ -252,3 +256,28 @@ def test_in_flight_message_is_three_objects_at_full_scale():
         partial_run(latent_congestion_config(full_scale=True), 300))
     assert objects <= 3
     assert size <= 400
+
+
+# -- the router input side: flat tables, one deque per input VC --------------
+
+
+def test_router_input_side_is_one_deque_per_input_vc():
+    """The bench 4x4x4 torus after build: 64 routers x 7 ports x 2 VCs =
+    896 input VCs, none of which is an object of its own (a per-VC
+    state machine or buffer wrapper)."""
+    simulation = Simulation(Settings.from_dict(
+        flow_control_config(message_size=4, injection_rate=0.3)))
+    per_vc_objects = sum(
+        type(obj).__name__ in ("InputVcState", "FlitBuffer")
+        for obj in reachable(simulation)
+    )
+    assert per_vc_objects == 0
+    input_vcs = 0
+    for router in simulation.network.routers:
+        num_inputs = router.num_ports * router.num_vcs
+        flits = router._in_flits
+        assert len(flits) == num_inputs
+        assert all(type(queue) is deque and not queue for queue in flits)
+        assert len({id(queue) for queue in flits}) == num_inputs
+        input_vcs += num_inputs
+    assert input_vcs == 896

@@ -23,14 +23,18 @@ from repro.routing.torus import TorusDimensionOrderRouting
 
 @factory.register(RoutingAlgorithm, "alloc_trail_routing")
 class AllocTrailRouting(TorusDimensionOrderRouting):
-    """H001: stores a fresh list on ``self`` per route() call."""
+    """H001: stores a fresh list on ``self`` per route() call, one
+    helper deep."""
 
     topology = "torus"
 
     def route(self, packet, input_port: int, input_vc: int):
         candidates = super().route(packet, input_port, input_vc)
-        self._trail = [candidate.port for candidate in candidates]
+        self._note_trail(candidates)
         return candidates
+
+    def _note_trail(self, candidates) -> None:
+        self._trail = [candidate.port for candidate in candidates]
 
 
 @factory.register(RoutingAlgorithm, "closure_sort_routing")
@@ -45,49 +49,16 @@ class ClosureSortRouting(TorusDimensionOrderRouting):
         return candidates
 
 
-@factory.register(RoutingAlgorithm, "chain_happy_routing")
-class ChainHappyRouting(TorusDimensionOrderRouting):
-    """H003: reloads ``self.router.num_vcs`` on every loop iteration."""
-
-    topology = "torus"
-
-    def route(self, packet, input_port: int, input_vc: int):
-        candidates = super().route(packet, input_port, input_vc)
-        usable = 0
-        for candidate in candidates:
-            if candidate.vc < self.router.num_vcs:
-                usable += 1
-            elif candidate.port < self.router.num_vcs:
-                usable -= 1
-        return candidates
-
-
-@factory.register(RoutingAlgorithm, "chatty_trace_routing")
-class ChattyTraceRouting(TorusDimensionOrderRouting):
-    """H004: builds an f-string per event, two helpers deep."""
-
-    topology = "torus"
-
-    def route(self, packet, input_port: int, input_vc: int):
-        candidates = super().route(packet, input_port, input_vc)
-        self._note_hop(packet)
-        return candidates
-
-    def _note_hop(self, packet) -> None:
-        self.last_note = f"hop {packet.source}->{packet.destination}"
-
-
 @factory.register(RoutingAlgorithm, "cold_setup_routing")
 class ColdSetupRouting(TorusDimensionOrderRouting):
     """Hazards only in construction-time code: must never be flagged.
 
-    ``_build_bias``'s allocations and f-strings would trip H001/H004 in
-    a hot method, but no per-event entry point reaches it -- the heat
-    analysis must leave it out of the audit entirely.
+    ``_build_bias``'s allocation would trip H001 in a hot method, but no
+    per-event entry point reaches it -- the heat analysis must leave it
+    out of the audit entirely.
     """
 
     topology = "torus"
 
     def _build_bias(self) -> None:
         self._bias_rows = [list(range(8)) for _ in range(8)]
-        self._bias_label = f"bias[{len(self._bias_rows)}]"

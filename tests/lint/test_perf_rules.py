@@ -114,11 +114,9 @@ def test_cold_fixture_is_never_flagged():
 # -- one fixture per rule ----------------------------------------------------
 
 RULE_FIXTURES = [
-    (fx.AllocTrailRouting, "H001", "route",
+    (fx.AllocTrailRouting, "H001", "_note_trail",
      "alloc:list comprehension:stored"),
     (fx.ClosureSortRouting, "H002", "route", "lambda"),
-    (fx.ChainHappyRouting, "H003", "route", "chain:self.router.num_vcs"),
-    (fx.ChattyTraceRouting, "H004", "_note_hop", "fstring"),
 ]
 
 
@@ -142,11 +140,11 @@ def test_rule_fires_on_its_fixture(cls, rule_id, method, token):
 
 def test_interprocedural_evidence_chain():
     (hazard,) = [
-        h for h in _own_hazards(fx.ChattyTraceRouting)
-        if h.rule_id == "H004"
+        h for h in _own_hazards(fx.AllocTrailRouting)
+        if h.rule_id == "H001"
     ]
-    assert hazard.path == ("route", "_note_hop")
-    assert hazard.chain == "ChattyTraceRouting.route -> _note_hop"
+    assert hazard.path == ("route", "_note_trail")
+    assert hazard.chain == "AllocTrailRouting.route -> _note_trail"
 
 
 # -- lint_sources integration ------------------------------------------------
@@ -157,14 +155,14 @@ def test_lint_sources_perf_layer_finds_fixture_hazards():
     findings = report.findings
     assert findings
     rule_ids = {f.rule_id for f in findings}
-    assert {"H001", "H002", "H003", "H004"} <= rule_ids
+    assert {"H001", "H002"} <= rule_ids
     # Perf findings advise; they never gate on severity alone.
     assert all(
         f.severity in (Severity.WARNING, Severity.INFO) for f in findings
     )
     # Every message carries an evidence chain and a heat annotation.
-    sample = [f for f in findings if f.rule_id == "H004"][0]
-    assert "route -> _note_hop" in sample.message
+    sample = [f for f in findings if f.rule_id == "H001"][0]
+    assert "route -> _note_trail" in sample.message
     assert "heat" in sample.message
     assert "rank" in sample.message
 
@@ -182,8 +180,10 @@ def test_sslint_perf_layer_on_sources(capsys):
 def test_list_rules_perf_layer(capsys):
     assert sslint_main(["--list-rules", "--layer", "perf"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("H001", "H002", "H003", "H004"):
+    for rule_id in ("H001", "H002"):
         assert rule_id in out
+    for rule_id in ("H003", "H004"):
+        assert rule_id not in out
     assert "C001" not in out
 
 

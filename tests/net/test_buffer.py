@@ -1,80 +1,81 @@
-"""Flit buffers: FIFO order, capacity enforcement, infinite mode."""
+"""A router's input buffers: FIFO order, capacity enforcement and the
+``input_queue_depth`` setting, on every packaged architecture.
+
+Each input VC is one deque in the router's flat input tables; flits
+arrive through ``receive_flit`` and leave through ``_pop_input_flit``.
+"""
 
 import pytest
 
-from repro.net.buffer import BufferOverrunError, FlitBuffer
+from repro import Settings, Simulation
+from repro.config.settings import SettingsError
+from repro.net.buffer import BufferOverrunError
 from repro.net.message import Message
 
+from tests.conftest import small_torus_config
 
-def make_flits(count):
+ARCHITECTURES = ("input_queued", "output_queued", "input_output_queued")
+
+
+def build_router(architecture="input_queued", depth=4):
+    config = small_torus_config()
+    config["network"]["router"].update(
+        architecture=architecture, input_queue_depth=depth
+    )
+    return Simulation(Settings.from_dict(config)).network.routers[5]
+
+
+def make_flits(count, vc=1):
     message = Message(0, 0, 1, count)
     packet = message.packetize(count)[0]
-    return [packet.flit(i) for i in range(count)]
+    flits = [packet.flit(i) for i in range(count)]
+    for flit in flits:
+        flit.vc = vc
+    return flits
 
 
 def test_fifo_order():
-    buffer = FlitBuffer(4)
-    flits = make_flits(3)
-    for flit in flits:
-        buffer.push(flit)
-    assert [buffer.pop() for _ in range(3)] == flits
-
-
-def test_front_peeks_without_removing():
-    buffer = FlitBuffer(4)
-    flits = make_flits(2)
-    buffer.push(flits[0])
-    assert buffer.front() is flits[0]
-    assert len(buffer) == 1
-
-
-def test_front_on_empty_is_none():
-    assert FlitBuffer(2).front() is None
+    """Each input VC hands its flits back in arrival order."""
+    for architecture in ARCHITECTURES:
+        router = build_router(architecture)
+        flits = make_flits(4)
+        for flit in flits[:3]:
+            router.receive_flit(2, flit)
+        i = 2 * router.num_vcs + 1
+        assert router.input_occupancy(2, 1) == 3
+        assert router._occupied_inputs == {i}
+        assert [router._pop_input_flit(i) for _ in range(3)] == flits[:3]
+        assert router.input_occupancy(2, 1) == 0
+        assert not router._occupied_inputs
 
 
 def test_overrun_raises():
-    buffer = FlitBuffer(2)
-    flits = make_flits(3)
-    buffer.push(flits[0])
-    buffer.push(flits[1])
-    assert buffer.is_full()
-    with pytest.raises(BufferOverrunError):
-        buffer.push(flits[2])
+    """A flit arriving at a full input VC names the router, port and VC."""
+    for architecture in ARCHITECTURES:
+        router = build_router(architecture, depth=2)
+        flits = make_flits(3)
+        router.receive_flit(2, flits[0])
+        router.receive_flit(2, flits[1])
+        with pytest.raises(BufferOverrunError) as error:
+            router.receive_flit(2, flits[2])
+        assert str(error.value) == (
+            f"{router.full_name}.in2.vc1: buffer overrun (capacity 2)"
+        )
+        assert router.input_occupancy(2, 1) == 2
+        assert router.input_occupancy(2, 0) == 0
 
 
 def test_pop_empty_raises():
+    router = build_router()
     with pytest.raises(IndexError):
-        FlitBuffer(2).pop()
-
-
-def test_space_accounting():
-    buffer = FlitBuffer(3)
-    assert buffer.space == 3
-    buffer.push(make_flits(1)[0])
-    assert buffer.space == 2
-    assert buffer.has_space(2)
-    assert not buffer.has_space(3)
-
-
-def test_infinite_buffer():
-    buffer = FlitBuffer(None)
-    assert buffer.infinite
-    assert buffer.space is None
-    for flit in make_flits(100):
-        buffer.push(flit)
-    assert not buffer.is_full()
-    assert buffer.has_space(10**9)
-    assert buffer.occupancy == 100
+        router._pop_input_flit(2 * router.num_vcs + 1)
 
 
 def test_invalid_capacity():
-    with pytest.raises(ValueError):
-        FlitBuffer(0)
-
-
-def test_iteration_preserves_order():
-    buffer = FlitBuffer(8)
-    flits = make_flits(4)
-    for flit in flits:
-        buffer.push(flit)
-    assert list(buffer) == flits
+    """``input_queue_depth: 0`` fails at build, naming the setting and
+    the router."""
+    for architecture in ARCHITECTURES:
+        with pytest.raises(
+            SettingsError, match=r"^network\.router0: input_queue_depth: "
+        ):
+            build_router(architecture, depth=0)

@@ -150,14 +150,16 @@ def _random_arbiter_draws(seed):
         for port in (0, 1):
             # Two input VCs claim output VC (port, 0): the router builds
             # that VC arbiter and arbitrates once.
-            claimants = [router._input_vcs[in_port][0] for in_port in (2, 3)]
-            for in_port, state in zip((2, 3), claimants):
-                state.packet = packet
-                state.candidates = ((port, 0),)
-                router._alloc_pending.append((in_port, 0))
+            claimants = [in_port * router.num_vcs for in_port in (2, 3)]
+            for i in claimants:
+                router._in_packet[i] = packet
+                router._in_candidates[i] = ((port, 0),)
+                router._alloc_pending.append(i)
             router._allocate_vcs()
-            for state in claimants:
-                state.reset()
+            for i in claimants:
+                router._in_packet[i] = None
+                router._in_out_port[i] = router._in_out_vc[i] = -1
+            del router._output_vc_owner[(port, 0)]
             arbiters = {
                 "crossbar": router.scheduler._arbiters[port],
                 "vc": router._vc_arbiters[(port, 0)],

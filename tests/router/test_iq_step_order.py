@@ -69,7 +69,7 @@ class StepTrace:
         def traced_grant(bidders, free, now):
             granted = grant(bidders, free, now)
             self.steps[-1]["bids"] = (
-                sorted(state.out_port for _port, _vc, state in bidders),
+                sorted(router._in_out_port[i] for i in bidders),
                 len(granted),
             )
             return granted

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from repro.config.settings import Settings
 from repro.core.rng import RandomManager
-from repro.net.buffer import FlitBuffer
 from repro.net.message import Message
 from repro.router.arbiter import create_arbiter
-from repro.router.base import InputVcState
 from repro.router.crossbar_scheduler import (
     FLIT_BUFFER,
     PACKET_BUFFER,
@@ -20,21 +18,12 @@ from repro.router.crossbar_scheduler import (
     CrossbarScheduler,
 )
 
+from tests.router.input_tables import InputTables
+
 MODES = (FLIT_BUFFER, PACKET_BUFFER, WINNER_TAKE_ALL)
 ARBITERS = ("round_robin", "age_based", "random", "fixed_priority")
 
 Granted = namedtuple("Granted", "in_port in_vc out_port out_vc packet flit")
-
-
-def input_vc(packet, out_port, out_vc):
-    """An input VC holding all of ``packet``, allocated to (out_port, out_vc)."""
-    state = InputVcState(FlitBuffer(None))
-    state.buffer._flits.extend(packet.flit(i) for i in range(packet.num_flits))
-    state.packet = packet
-    state.allocated = True
-    state.out_port = out_port
-    state.out_vc = out_vc
-    return state
 
 
 class Workbench:
@@ -42,49 +31,46 @@ class Workbench:
     or progress stops, checking invariants each cycle."""
 
     def __init__(self, mode, num_ports=3, num_vcs=2, credits=64):
+        self.inputs = InputTables(num_ports, num_vcs)
         self.scheduler = CrossbarScheduler(
-            num_ports, num_vcs,
+            self.inputs,
             Settings.from_dict({"flow_control": mode}),
             RandomManager(0), "xbar",
         )
         self.num_vcs = num_vcs
         self.free = [[credits] * num_vcs for _ in range(num_ports)]
-        # stream id -> [packet, next flit index, in_port, in_vc, state]
+        # input VC index -> [packet, next flit index]
         self.streams = {}
 
-    def add_stream(self, stream_id, num_flits, in_port, in_vc, out_port,
-                   out_vc):
+    def add_stream(self, num_flits, in_port, in_vc, out_port, out_vc):
         packet = Message(0, 0, 1, num_flits).packetize(num_flits)[0]
-        self.streams[stream_id] = [
-            packet, 0, in_port, in_vc, input_vc(packet, out_port, out_vc)
-        ]
+        i = self.inputs.load(packet, 0, in_port, in_vc, out_port, out_vc)
+        self.streams[i] = [packet, 0]
 
     def step(self, now):
-        bidders = [
-            (in_port, in_vc, state)
-            for _packet, _index, in_port, in_vc, state in self.streams.values()
-            if state.buffer._flits
-        ]
+        inputs = self.inputs
+        bidders = [i for i in self.streams if inputs._in_flits[i]]
         grants = self.scheduler.grant(bidders, self.free, now)
         # Invariant: at most one grant per output port.
-        out_ports = [state.out_port for _p, _v, state in grants]
+        out_ports = inputs.out_ports(grants)
         assert len(out_ports) == len(set(out_ports))
         # Invariant: at most one grant per input VC.
-        in_keys = [(in_port, in_vc) for in_port, in_vc, _state in grants]
-        assert len(in_keys) == len(set(in_keys))
+        assert len(grants) == len(set(grants))
         granted = []
-        for in_port, in_vc, state in grants:
+        for i in grants:
+            out_port = inputs._in_out_port[i]
+            out_vc = inputs._in_out_vc[i]
             # Invariant: grants only go to actual bidders with credits.
-            assert self.free[state.out_port][state.out_vc] >= 1
-            self.free[state.out_port][state.out_vc] -= 1
-            for entry in self.streams.values():
-                if entry[4] is state:
-                    flit = state.buffer._flits.popleft()
-                    assert flit.packet is entry[0]
-                    assert flit.index == entry[1]
-                    entry[1] += 1
-                    granted.append(Granted(in_port, in_vc, state.out_port,
-                                           state.out_vc, entry[0], flit))
+            assert i in bidders
+            assert self.free[out_port][out_vc] >= 1
+            self.free[out_port][out_vc] -= 1
+            entry = self.streams[i]
+            flit = inputs._in_flits[i].popleft()
+            assert flit.packet is entry[0]
+            assert flit.index == entry[1]
+            entry[1] += 1
+            granted.append(Granted(i // self.num_vcs, i % self.num_vcs,
+                                   out_port, out_vc, entry[0], flit))
         return granted
 
 
@@ -106,7 +92,6 @@ def test_all_flits_eventually_granted_in_order(mode, stream_specs):
     bench = Workbench(mode)
     used_inputs = set()
     used_outputs = set()
-    stream_id = 0
     for flits, in_port, in_vc, out_port, out_vc in stream_specs:
         # One stream per input VC and per output VC (wormhole ownership
         # is the router's job; the scheduler assumes it).
@@ -114,8 +99,7 @@ def test_all_flits_eventually_granted_in_order(mode, stream_specs):
             continue
         used_inputs.add((in_port, in_vc))
         used_outputs.add((out_port, out_vc))
-        bench.add_stream(stream_id, flits, in_port, in_vc, out_port, out_vc)
-        stream_id += 1
+        bench.add_stream(flits, in_port, in_vc, out_port, out_vc)
     if not bench.streams:
         return
     total_flits = sum(e[0].num_flits for e in bench.streams.values())
@@ -134,14 +118,12 @@ def test_packet_buffer_never_interleaves_an_output(stream_specs):
     granted on that port until the first one's tail."""
     bench = Workbench(PACKET_BUFFER)
     used_inputs, used_outputs = set(), set()
-    stream_id = 0
     for flits, in_port, in_vc, out_port, out_vc in stream_specs:
         if (in_port, in_vc) in used_inputs or (out_port, out_vc) in used_outputs:
             continue
         used_inputs.add((in_port, in_vc))
         used_outputs.add((out_port, out_vc))
-        bench.add_stream(stream_id, flits, in_port, in_vc, out_port, out_vc)
-        stream_id += 1
+        bench.add_stream(flits, in_port, in_vc, out_port, out_vc)
     if not bench.streams:
         return
     active_packet = {}
@@ -199,8 +181,9 @@ def test_forced_branch_matches_the_per_output_path(kind, rounds):
     control, the forced branch grants what the per-output path grants
     and leaves every arbiter in the same state."""
     settings = Settings.from_dict({"arbiter": {"type": kind}})
-    forced = CrossbarScheduler(4, 2, settings, RandomManager(5), "xbar")
-    general = CrossbarScheduler(4, 2, settings, RandomManager(5), "xbar")
+    inputs = InputTables(4, 2)
+    forced = CrossbarScheduler(inputs, settings, RandomManager(5), "xbar")
+    general = CrossbarScheduler(inputs, settings, RandomManager(5), "xbar")
 
     def no_arbitration(*_args):
         raise AssertionError("distinct outputs took the per-output path")
@@ -212,11 +195,14 @@ def test_forced_branch_matches_the_per_output_path(kind, rounds):
         for out_port, (in_port, in_vc, out_vc, space, injected) in outputs.items():
             packet = Message(0, 0, 1, 2).packetize(2)[0]
             packet.injection_tick = injected
-            bidders.append((in_port, in_vc, input_vc(packet, out_port, out_vc)))
+            i = in_port * inputs.num_vcs + in_vc
+            if i in bidders:
+                continue  # an input VC bids for one output at a time
+            bidders.append(inputs.load(packet, 0, in_port, in_vc, out_port, out_vc))
             free[out_port][out_vc] = space
         granted = forced.grant(bidders, free, now)
         expected = general._arbitrate(bidders, free, now)
-        assert sorted(granted, key=lambda b: b[2].out_port) == expected
+        assert sorted(granted, key=inputs._in_out_port.__getitem__) == expected
         assert [arbiter_state(a) for a in forced._arbiters] == [
             arbiter_state(a) for a in general._arbiters
         ]
