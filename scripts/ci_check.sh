@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate.  Twelve gates:
+# CI gate.  Thirteen gates:
 #   1. tier-1    pytest over tests/ (the behavioural gate; see ROADMAP.md)
 #   2. ruff      style over the cleaned packages (SKIPPED when absent)
 #   3. mypy      types over the packages pyproject declares (SKIPPED when absent)
@@ -26,12 +26,19 @@
 #                test_oq_ioq_step_order.py): grant() reads the routers'
 #                flat input tables, and no other fast gate drives it
 #                with contested, locked or stalled bidders
+#  13. credits   credit accounting (tests/net/test_credit.py, the
+#                sanitizers' pinned check counts on the builtin configs
+#                and their detach test, and the output-side census in
+#                tests/integration/test_live_objects_bounded.py):
+#                take_credit/give_credit are CreditSan's hook points,
+#                so a hot path that bypasses them changes a pinned count
 #
 # Usage: scripts/ci_check.sh [--fast]
 #   --fast  run only sslint, the five bench smokes, the CDG pins, the
-#           delivery goldens and the crossbar tests (~38 s on 2 cores,
-#           ~3 s of it the CDG pins, ~7 s the delivery goldens and ~3 s
-#           the crossbar tests)
+#           delivery goldens, the crossbar tests and the credit
+#           accounting tests (~52 s on 2 cores, ~3 s of it the CDG pins,
+#           ~7 s the delivery goldens, ~3 s the crossbar tests and ~14 s
+#           the credit accounting tests)
 #
 # Exit status is non-zero if any executed gate fails.  ruff and mypy
 # are optional: their configuration lives in pyproject.toml and applies
@@ -100,6 +107,14 @@ run_gate "crossbar scheduler and router step order" \
     python -m pytest -q tests/router/test_scheduler_properties.py \
     tests/router/test_crossbar_scheduler.py tests/router/test_iq_step_order.py \
     tests/router/test_oq_ioq_step_order.py
+credit_accounting() {
+    python -m pytest -q tests/net/test_credit.py \
+        tests/integration/test_live_objects_bounded.py &&
+    python -m pytest -q tests/sanitize/test_sanitizers.py \
+        -k "builtin_configs or detach"
+}
+run_gate "credit accounting (credit API, CreditSan counts, census)" \
+    credit_accounting
 
 echo
 if [ "${FAILURES}" -ne 0 ]; then

@@ -37,12 +37,11 @@ one call-graph core and model-target discovery (:mod:`.callgraph`).
   --partition-plan``, and ``sssweep --partition`` all gate on it) and
   on demand via ``--layer shard``; it is not part of the default
   source layers.
-* **perf** (H001..H002) -- interprocedural hot-path audit of the model
+* **perf** (H001) -- interprocedural hot-path audit of the model
   classes a configuration selects (or defined in given source files):
   heat weights propagated from the per-event entry points through each
-  class's call graph, flagging per-event escaping allocations and
-  closures -- only on provably hot paths, each with an evidence
-  chain.  Opt-in like shard (``--layer perf``).  See docs/LINTING.md
+  class's call graph, flagging per-event escaping allocations -- only
+  on provably hot paths, each with an evidence chain.  Opt-in like shard (``--layer perf``).  See docs/LINTING.md
   and docs/PERFORMANCE.md "Profiling workflow".
 
 Entry points: ``sslint`` (CLI), ``supersim --lint`` /

@@ -21,8 +21,6 @@ chain:
 * **H001** container allocation that escapes the call (list/dict/set/
   tuple displays, comprehensions, constructor calls stored on ``self``,
   returned, or passed onward) -- one garbage object per event.
-* **H002** closure or lambda defined per call -- a fresh function
-  object (and cell vars) per event.
 
 Findings are ranked hottest-first by static heat.  Fingerprints
 (docs/LINTING.md "Baselines") hash the evidence chain plus a per-hazard
@@ -137,7 +135,7 @@ class PerfScan(ast.NodeVisitor):
 
     def __init__(self, method_node: ast.AST, module_name: str):
         self.module_name = module_name
-        self.sites: Dict[str, List[PerfSite]] = {"H001": [], "H002": []}
+        self.sites: Dict[str, List[PerfSite]] = {"H001": []}
         self._raise_depth = 0
         #: escaping allocation node ids (assigned while walking parents)
         self._escapes: Dict[int, str] = {}
@@ -188,25 +186,10 @@ class PerfScan(ast.NodeVisitor):
 
     # -- expressions -------------------------------------------------------
 
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self.sites["H002"].append(PerfSite(
-            node,
-            "creates a lambda per call; the function object (and its "
-            "closure cells) are allocated on every event",
-            "lambda",
-        ))
-        # Don't descend: the body runs later, not on this path.
+    def visit_Lambda(self, node: ast.AST) -> None:
+        """Don't descend: a nested body runs later, not on this path."""
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.sites["H002"].append(PerfSite(
-            node,
-            f"defines nested function {node.name}() per call; the "
-            f"function object (and its closure cells) are allocated on "
-            f"every event",
-            f"def:{node.name}",
-        ))
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda
 
     def _alloc(self, node: ast.AST, kind: str) -> None:
         if self._raise_depth:
@@ -430,7 +413,5 @@ declare_rules(PERF_LAYER, lambda rule, ctx: ctx.perf().findings(rule), [
     for rule_id, description in (
         ("H001", "container allocated per event escapes the call (stored, "
                  "returned, or passed on) -- one garbage object per event"),
-        ("H002", "closure or lambda created per call on a hot path (fresh "
-                 "function object per event)"),
     )
 ])

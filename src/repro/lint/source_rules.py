@@ -20,8 +20,8 @@ wherever the pattern has legitimate uses) for zero-setup coverage.
 * **Dataflow** -- static twins of the :mod:`repro.sanitize` checks:
   E001 a file that does not parse (reported once, skipped by every
   other rule), E003 scheduling at ``*.tick`` with default/zero epsilon,
-  E004 a constant epsilon outside ``[0, 2**20)``, E005 ``CreditTracker``
-  internals written from outside the tracker, E006 the engine-owned
+  E004 a constant epsilon outside ``[0, 2**20)``, E005 a device's flat
+  credit lists written from outside the device, E006 the engine-owned
   ``Event.fired``/``cancelled`` written outside ``repro/core``.
 * **Shard isolation** -- P006 a component method reaching into a peer
   by direct reference (``channel.sink.x``, ``network.routers[j].x``),
@@ -94,8 +94,8 @@ _SCHED_ARGS = {
 
 _EPSILON_LIMIT = 1 << 20  # mirrors core/simulator.py EPSILON_BITS
 
-#: CreditTracker internals (E005) and Event engine fields (E006).
-_CREDIT_INTERNALS = {"_credits", "_capacity"}
+#: A device's flat credit lists (E005) and Event engine fields (E006).
+_CREDIT_INTERNALS = {"_credits", "_credit_capacity"}
 _EVENT_ENGINE_FIELDS = {"fired", "cancelled"}
 #: the engine package owns the Event fields it polices.
 _ENGINE_PACKAGE = ("repro", "core")
@@ -310,7 +310,7 @@ class SourceFile:
             self._fact("P008", call.lineno, unparse(handler))
 
     def _store(self, target: ast.expr, line: int, in_method: bool) -> None:
-        # `tracker._credits[vc] = x` writes through a Subscript whose
+        # `device._credits[o] = x` writes through a Subscript whose
         # value is the protected Attribute; unwrap to find it.
         node = target
         while isinstance(node, ast.Subscript):
@@ -401,9 +401,9 @@ declare_rules(DATAFLOW_LAYER, _check, [
      "the simulator raises SimulationError on this at runtime (epsilons "
      "order phases within a tick, they do not carry time)"),
     ("E005", _ERROR,
-     "Credit counts mutated outside the repro.net.credit API; use "
-     "CreditTracker.take()/give()",
-     "write to `{}` bypasses CreditTracker.take()/give(); direct "
+     "Credit counts mutated outside the owning device; use "
+     "take_credit()/give_credit()",
+     "write to `{}` bypasses take_credit()/give_credit(); direct "
      "mutation of credit internals skips the underflow/overflow checks "
      "and silently breaks per-link credit conservation (the CreditSan "
      "invariant)"),

@@ -3,7 +3,7 @@ interfaces, and the Network base class."""
 
 from repro.net.buffer import BufferOverrunError
 from repro.net.channel import Channel, ChannelError, CreditChannel
-from repro.net.credit import Credit, CreditError, CreditTracker
+from repro.net.credit import Credit, CreditError
 from repro.net.device import PortedDevice, WiringError
 from repro.net.flit import Flit
 from repro.net.interface import Interface, InterfaceError, StandardInterface
@@ -18,7 +18,6 @@ __all__ = [
     "Credit",
     "CreditChannel",
     "CreditError",
-    "CreditTracker",
     "Flit",
     "Interface",
     "InterfaceError",

@@ -4,8 +4,9 @@ Credits are the reverse flow matching every forward flit flow: when a
 downstream buffer frees a flit slot it returns one credit to the
 upstream sender, which may only transmit while it holds credits.  The
 paper's error-detection framework (§IV-D) guarantees that "buffers never
-silently overrun and credits never go negative"; :class:`CreditTracker`
-enforces both invariants with assertions that raise immediately.
+silently overrun and credits never go negative";
+:meth:`~repro.net.device.PortedDevice.take_credit` and ``give_credit``
+enforce both invariants, raising :class:`CreditError` immediately.
 """
 
 from __future__ import annotations
@@ -49,77 +50,3 @@ class Credit:
 
 class CreditError(RuntimeError):
     """Raised when credit accounting would go negative or overflow."""
-
-
-class CreditTracker:
-    """Per-VC credit counters for one output port.
-
-    The tracker is initialized with the downstream buffer's per-VC
-    capacity.  ``take`` consumes one credit when a flit is sent;
-    ``give`` restores one when a credit message returns.  The count can
-    never go below zero (would mean a buffer overrun downstream) nor
-    above the initial capacity (would mean duplicated credits).
-    """
-
-    __slots__ = ("_capacity", "_credits", "_owner_name")
-
-    def __init__(self, capacities: List[int], owner_name: str = "?"):
-        if not capacities:
-            raise ValueError("credit tracker needs at least one VC")
-        for vc, cap in enumerate(capacities):
-            if cap < 1:
-                raise ValueError(f"VC {vc} capacity must be >= 1, got {cap}")
-        self._capacity = list(capacities)
-        self._credits = list(capacities)
-        self._owner_name = owner_name
-
-    @property
-    def num_vcs(self) -> int:
-        return len(self._capacity)
-
-    def capacity(self, vc: int) -> int:
-        return self._capacity[vc]
-
-    def available(self, vc: int) -> int:
-        """Credits currently available on ``vc``."""
-        return self._credits[vc]
-
-    def occupancy(self, vc: int) -> int:
-        """Flit slots currently consumed downstream on ``vc``."""
-        return self._capacity[vc] - self._credits[vc]
-
-    def total_available(self) -> int:
-        return sum(self._credits)
-
-    def total_capacity(self) -> int:
-        return sum(self._capacity)
-
-    def total_occupancy(self) -> int:
-        return self.total_capacity() - self.total_available()
-
-    def has_credit(self, vc: int, count: int = 1) -> bool:
-        return self._credits[vc] >= count
-
-    def take(self, vc: int, count: int = 1) -> None:
-        """Consume ``count`` credits on ``vc`` (a flit was sent)."""
-        if self._credits[vc] < count:
-            raise CreditError(
-                f"{self._owner_name}: credit underflow on VC {vc}: "
-                f"{self._credits[vc]} available, {count} requested"
-            )
-        self._credits[vc] -= count
-
-    def give(self, vc: int, count: int = 1) -> None:
-        """Restore ``count`` credits on ``vc`` (a downstream slot freed)."""
-        if self._credits[vc] + count > self._capacity[vc]:
-            raise CreditError(
-                f"{self._owner_name}: credit overflow on VC {vc}: "
-                f"{self._credits[vc]}+{count} > capacity {self._capacity[vc]}"
-            )
-        self._credits[vc] += count
-
-    def __repr__(self):
-        pairs = ",".join(
-            f"{avail}/{cap}" for avail, cap in zip(self._credits, self._capacity)
-        )
-        return f"CreditTracker({self._owner_name}: {pairs})"

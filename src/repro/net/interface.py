@@ -126,9 +126,8 @@ class StandardInterface(Interface):
         # Unit-period channel clocks (the common case) take arithmetic
         # fast paths instead of Clock edge calls in the injection loop.
         self._chan_period1 = channel_clock.period == 1 and channel_clock.phase == 0
-        # Port-0 tracker/channel, cached lazily (wiring happens after
+        # Port-0 channel, cached lazily (wiring happens after
         # construction).
-        self._tracker0 = None
         self._channel0 = None
 
         # Ejection state: per-VC (packet, next expected flit index).
@@ -192,13 +191,13 @@ class StandardInterface(Interface):
             return
         packet = queue[0]
         vc = packet.injection_vc
-        tracker = self._tracker0
-        if tracker is None:
-            tracker = self._tracker0 = self.output_credit_tracker(0)
-            self._channel0 = self.output_channel(0)
         channel = self._channel0
+        if channel is None:
+            channel = self._channel0 = self.output_channel(0)
+        # One port: output VC o = vc.
+        credits = self._credits
         now = self.simulator.tick
-        if tracker._credits[vc] > 0 and now >= channel._next_free_tick:
+        if credits[vc] > 0 and now >= channel._next_free_tick:
             index = self._next_flit_index
             flit = packet.flit(index)
             flit.vc = vc
@@ -219,7 +218,7 @@ class StandardInterface(Interface):
             # arriving first: when blocked purely on credits, sleep --
             # receive_credit wakes us.  This avoids per-cycle spin at
             # saturation.
-            if tracker._credits[queue[0].injection_vc] > 0:
+            if credits[queue[0].injection_vc] > 0:
                 self._step_scheduled = True
                 if self._chan_period1:
                     tick = now + 1
@@ -234,7 +233,7 @@ class StandardInterface(Interface):
                 self._step_wheel.add(tick, self._inject_step)
 
     def receive_credit(self, port: int, credit: Credit) -> None:
-        self.output_credit_tracker(port).give(credit.vc)
+        self.give_credit(port, credit.vc)
         self._wake()
 
     # -- ejection path -------------------------------------------------------------

@@ -534,9 +534,10 @@ class ShardWorker:
             for entry, channel in self._egress_flit_cuts:
                 device = self.simulator.find_component(entry["source"])
                 port = device._flit_out.index(channel)
-                tracker = device._output_credits[port]
-                for vc in range(tracker.num_vcs):
-                    occupancy = tracker.occupancy(vc)
+                first = port * device.num_vcs
+                for vc in range(device.num_vcs):
+                    o = first + vc
+                    occupancy = device._credit_capacity[o] - device._credits[o]
                     if occupancy:
                         errors.append(
                             f"cut {entry['name']}: {occupancy} credits for "

@@ -12,8 +12,10 @@ share:
   ``finalize``, that decides for every input port (§IV-B),
 * the input-VC state machine: route at the packet head, claim an
   output VC, stream, release at the tail,
-* output VC ownership (wormhole: one packet streams on a given
-  (output port, VC) at a time),
+* the output side as flat per-router lists indexed by output VC
+  ``o = port * num_vcs + vc``: the device's credits, output VC
+  ownership (wormhole: one packet streams on a given output VC at a
+  time), the VC arbiters and the sensor slots,
 * a congestion sensor fed through its delay line: slots resolved at
   ``finalize``, ``(due, slot, delta)`` appended by the hot paths -- only
   when the router's routing engine reads congestion,
@@ -118,16 +120,17 @@ class Router(PortedDevice):
         # The routing engine, handed over by finalize().
         self.routing: Optional[RoutingAlgorithm] = None
 
-        # Wormhole output VC ownership: (port, vc) -> owning input VC.
-        self._output_vc_owner: Dict[Tuple[int, int], int] = {}
-
-        # VC scheduler: per-(output port, VC) arbitration among the input
-        # VCs requesting it each cycle (created lazily).
+        # The output side, one entry per output VC o = port * num_vcs + vc
+        # (as many as input VCs; the credits are the device's): the
+        # input VC owning it (-1: free; wormhole ownership) and its VC
+        # scheduler arbiter, which picks among the input VCs requesting
+        # it in one cycle (None until the first contest).
+        self._output_vc_owner: List[int] = [-1] * num_inputs
         vc_scheduler_settings = settings.child("vc_scheduler", default={})
         self._vc_arbiter_settings = vc_scheduler_settings.child(
             "arbiter", default={}
         )
-        self._vc_arbiters: Dict[Tuple[int, int], "Arbiter"] = {}
+        self._vc_arbiters: List[Optional[Arbiter]] = [None] * num_inputs
         # Recycled arbitration request list (arbiters never retain it).
         self._vc_requests: list = []
 
@@ -144,11 +147,11 @@ class Router(PortedDevice):
             num_vcs,
             sensor_settings,
         )
-        # The sensor's delay line; _down_slots[port][vc] is the downstream
-        # source's slot, resolved at finalize (None: not tracked).
+        # The sensor's delay line; _down_slots[o] is output VC o's
+        # downstream source slot, resolved at finalize (None: not tracked).
         self._sensed = self.sensor._pending
         self._sense_latency = self.sensor.latency
-        self._down_slots: Optional[List[Optional[List[int]]]] = None
+        self._down_slots: Optional[List[Optional[int]]] = None
 
         # In-core pipeline: flits traversing the core, in grant order as
         # (arrival_tick, flit, out_port, out_vc); core_latency is constant,
@@ -200,14 +203,14 @@ class Router(PortedDevice):
             raise RuntimeError(f"{self.full_name}: finalize() called twice")
         self._finalized = True
         self.routing = routing
+        num_vcs = self.num_vcs
         for port in range(self.num_ports):
             if self.port_is_wired(port):
-                tracker = self.output_credit_tracker(port)
+                first = port * num_vcs
                 self.sensor.init_port(
                     port,
-                    downstream_capacity=[
-                        tracker.capacity(v) for v in range(tracker.num_vcs)
-                    ],
+                    downstream_capacity=self._credit_capacity[
+                        first:first + num_vcs],
                 )
         if not routing.reads_congestion:
             self.sensor.mark_unfed()
@@ -217,20 +220,19 @@ class Router(PortedDevice):
     def _finalize_arch(self) -> None:
         """Architecture hook: register extra sensor sources, queues, ..."""
 
-    def _sensor_slots(self, source: str) -> Optional[List[Optional[List[int]]]]:
-        """Per wired port, the sensor slot of each VC for ``source``
-        (``KeyError`` for an undeclared one); None when untracked or
-        when the engine does not read the sensor, so the hot paths feed
-        nothing."""
+    def _sensor_slots(self, source: str) -> Optional[List[Optional[int]]]:
+        """Per output VC, its sensor slot for ``source`` (None on an
+        unwired port, ``KeyError`` for an undeclared one); None when
+        untracked or when the engine does not read the sensor, so the
+        hot paths feed nothing."""
         sensor = self.sensor
-        rows: List[Optional[List[int]]] = [None] * self.num_ports
-        tracked = False
+        slots: List[Optional[int]] = []
         for port in range(self.num_ports):
-            if self.port_is_wired(port):
-                row = [sensor.slot(source, port, vc) for vc in range(self.num_vcs)]
-                tracked = tracked or row[0] is not None
-                rows[port] = row  # type: ignore[assignment]
-        return rows if tracked and self.routing.reads_congestion else None
+            wired = self.port_is_wired(port)
+            for vc in range(self.num_vcs):
+                slots.append(sensor.slot(source, port, vc) if wired else None)
+        tracked = any(slot is not None for slot in slots)
+        return slots if tracked and self.routing.reads_congestion else None
 
     # -- flit / credit reception -----------------------------------------------------
 
@@ -256,16 +258,16 @@ class Router(PortedDevice):
 
     def receive_credit(self, port: int, credit: Credit) -> None:
         vc = credit.vc
-        # Inlined CreditTracker.give: a landed credit is an increment.
-        tracker = self._output_credits[port]
-        credits = tracker._credits
-        if credits[vc] >= tracker._capacity[vc]:
-            tracker.give(vc)  # raises CreditError with context
-        credits[vc] += 1
+        o = port * self.num_vcs + vc
+        # Inlined give_credit: a landed credit is an increment.
+        credits = self._credits
+        if credits[o] >= self._credit_capacity[o]:
+            self.give_credit(port, vc)  # raises CreditError with context
+        credits[o] += 1
         slots = self._down_slots
         if slots is not None:
             self._sensed.append(
-                (self.simulator.tick + self._sense_latency, slots[port][vc], -1)
+                (self.simulator.tick + self._sense_latency, slots[o], -1)
             )
         if not self._step_scheduled:
             self._wake()
@@ -340,8 +342,8 @@ class Router(PortedDevice):
         """Claim output VCs for routed packets (VC allocation stage).
 
         Each unallocated input VC requests its best *currently free*
-        candidate; requests for the same (output port, VC) are resolved
-        by that output VC's arbiter (the VC scheduler, configurable via
+        candidate; requests for the same output VC are resolved by that
+        output VC's arbiter (the VC scheduler, configurable via
         the ``vc_scheduler.arbiter`` settings block -- round robin by
         default, age-based for parking-lot fairness, ...).  Losers try
         again next cycle.
@@ -358,45 +360,47 @@ class Router(PortedDevice):
         in_out_port = self._in_out_port
         in_out_vc = self._in_out_vc
         owner_table = self._output_vc_owner
+        num_vcs = self.num_vcs
         routable = []
-        requests: Dict[Tuple[int, int], List[int]] = {}
+        requests: Dict[int, List[int]] = {}
         for i in pending:
             if in_packet[i] is None or in_out_port[i] >= 0:
                 continue
             routable.append(i)
             for out_port, out_vc in in_candidates[i]:
-                key = (out_port, out_vc)
-                if key in owner_table:
+                o = out_port * num_vcs + out_vc
+                if owner_table[o] >= 0:
                     continue
-                claimants = requests.get(key)
+                claimants = requests.get(o)
                 if claimants is None:
-                    requests[key] = [i]
+                    requests[o] = [i]
                 else:
                     claimants.append(i)
                 break  # one request per input VC per cycle
         pending.clear()
         now = self.simulator.tick
-        for key in sorted(requests):
-            claimants = requests[key]
+        for o in sorted(requests):
+            claimants = requests[o]
+            out_port, out_vc = divmod(o, num_vcs)
             if len(claimants) == 1:
                 i = claimants[0]
             else:
-                arbiter = self._vc_arbiters.get(key)
+                arbiter = self._vc_arbiters[o]
                 if arbiter is None:
-                    arbiter = create_arbiter(
+                    arbiter = self._vc_arbiters[o] = create_arbiter(
                         self._vc_arbiter_settings,
-                        self.num_ports * self.num_vcs,
+                        self.num_ports * num_vcs,
                         self.random,
-                        f"{self.full_name}.vc_scheduler.out{key[0]}.vc{key[1]}",
+                        f"{self.full_name}.vc_scheduler.out{out_port}.vc{out_vc}",
                     )
-                    self._vc_arbiters[key] = arbiter
                 arbitrated = self._vc_requests
                 arbitrated.clear()
                 for c in claimants:
                     arbitrated.append((c, in_packet[c]))
                 i = arbiter.arbitrate(arbitrated, now)
-            owner_table[key] = i
-            in_out_port[i], in_out_vc[i] = key
+            owner_table[o] = i
+            in_out_port[i] = out_port
+            in_out_vc[i] = out_vc
         # Winners leave the queue; losers retry next cycle.
         for i in routable:
             if in_out_port[i] < 0:
@@ -417,15 +421,15 @@ class Router(PortedDevice):
         num_vcs = self.num_vcs
         self.send_credit(i // num_vcs, i % num_vcs)
         if flit.tail:
-            owner_key = (out_port, out_vc)
-            owner = self._output_vc_owner.get(owner_key)
-            if owner != i:
+            owners = self._output_vc_owner
+            o = out_port * num_vcs + out_vc
+            if owners[o] != i:
                 raise RuntimeError(
                     f"{self.full_name}: tail flit of input VC "
                     f"{i // num_vcs}.{i % num_vcs} released output VC "
-                    f"{owner_key} owned by input VC {owner}"
+                    f"{out_port}.{out_vc} owned by input VC {owners[o]}"
                 )
-            del self._output_vc_owner[owner_key]
+            owners[o] = -1
             flit.packet.hop_count += 1
             self._in_packet[i] = None
             self._in_candidates[i] = ()

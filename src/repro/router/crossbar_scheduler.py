@@ -23,11 +23,12 @@ The scheduler is the only code that grants a crossbar slot, and it is
 microarchitecture-agnostic.  Each cycle the owning router calls
 ``grant`` with its bidders -- the flat index ``i = in_port * num_vcs +
 in_vc`` of each input VC whose front flit may move, the index its
-arbiters already use -- and a free-space table ``free[out_port][out_vc]``:
-downstream credits for the IQ router, free output-queue slots for the
-IOQ router.  The scheduler reads each bidder's flits, packet and output
-VC from the router's input tables; the router pops the flits of the
-bidders it gets back.
+arbiters already use -- and a free-space table ``free[o]`` indexed by
+output VC ``o = out_port * num_vcs + out_vc``: the downstream credits
+for the IQ router, the free output-queue slots for the IOQ router.
+The scheduler reads each bidder's flits, packet and output VC from the
+router's input tables; the router pops the flits of the bidders it
+gets back.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class CrossbarScheduler:
     # -- the per-cycle decision ---------------------------------------------------
 
     def grant(
-        self, bidders: List[int], free: Sequence[Sequence[int]], now_tick: int
+        self, bidders: List[int], free: Sequence[int], now_tick: int
     ) -> List[int]:
         """Grant at most one bidder per output port; return the winners."""
         out_port_of = self._out_port
@@ -117,17 +118,18 @@ class CrossbarScheduler:
                 arbiters = self._arbiters
                 out_vc_of = self._out_vc
                 packet_of = self._packet
+                num_vcs = self.num_vcs
                 grants = []
                 for i in bidders:
                     out_port = out_port_of[i]
-                    if free[out_port][out_vc_of[i]] >= 1:
+                    if free[out_port * num_vcs + out_vc_of[i]] >= 1:
                         arbiters[out_port].forced(i, packet_of[i], now_tick)
                         grants.append(i)
                 return grants
         return self._arbitrate(bidders, free, now_tick)
 
     def _arbitrate(
-        self, bidders: List[int], free: Sequence[Sequence[int]], now_tick: int
+        self, bidders: List[int], free: Sequence[int], now_tick: int
     ) -> List[int]:
         """Each output port, in ascending order, grants its lock owner or
         its arbiter's pick among the bidders with space downstream."""
@@ -135,6 +137,7 @@ class CrossbarScheduler:
         out_vc_of = self._out_vc
         packet_of = self._packet
         flits_of = self._flits
+        num_vcs = self.num_vcs
         by_output: Dict[int, List[int]] = {}
         for i in bidders:
             by_output.setdefault(out_port_of[i], []).append(i)
@@ -146,7 +149,7 @@ class CrossbarScheduler:
         grants: List[int] = []
         for out_port in outputs:
             bids = by_output.get(out_port, ())
-            space = free[out_port]
+            first = out_port * num_vcs
             owner = locks.get(out_port)
             winner = None
             if owner is not None:
@@ -156,12 +159,12 @@ class CrossbarScheduler:
                     # Locked until the tail enters the crossbar, full stop.
                     if winner is None:
                         continue  # upstream gap: output idles, lock holds
-                    if space[out_vc_of[winner]] < 1:
+                    if free[first + out_vc_of[winner]] < 1:
                         raise RuntimeError(
                             "packet-buffer flow control credit-stalled: the "
                             "full-packet reservation was violated"
                         )
-                elif winner is None or space[out_vc_of[winner]] < 1:
+                elif winner is None or free[first + out_vc_of[winner]] < 1:
                     # Winner-take-all owner stalled: unlock and let the
                     # others compete this cycle.
                     del locks[out_port]
@@ -171,11 +174,11 @@ class CrossbarScheduler:
                     # Enough space for the whole remaining packet up front.
                     eligible = [
                         i for i in bids
-                        if space[out_vc_of[i]]
+                        if free[first + out_vc_of[i]]
                         >= packet_of[i].num_flits - flits_of[i][0].index
                     ]
                 else:
-                    eligible = [i for i in bids if space[out_vc_of[i]] >= 1]
+                    eligible = [i for i in bids if free[first + out_vc_of[i]] >= 1]
                 if not eligible:
                     continue
                 arbiter = self._arbiters[out_port]

@@ -95,6 +95,7 @@ class InputOutputQueuedRouter(OutputQueuedRouter):
         queue_free = self._queue_free
         granted = scheduler.grant(bidders, queue_free, now)
         out_vcs = self._in_out_vc
+        num_vcs = self.num_vcs
         pop_input_flit = self._pop_input_flit
         out_slots = self._out_slots
         sensed = self._sensed
@@ -104,9 +105,10 @@ class InputOutputQueuedRouter(OutputQueuedRouter):
         for i in granted:
             out_port = out_ports[i]
             out_vc = out_vcs[i]
+            o = out_port * num_vcs + out_vc
             flit = pop_input_flit(i)
-            queue_free[out_port][out_vc] -= 1
+            queue_free[o] -= 1
             if out_slots is not None:
-                sensed.append((due, out_slots[out_port][out_vc], +1))
+                sensed.append((due, out_slots[o], +1))
             enter_core((arrival_tick, flit, out_port, out_vc))
         self._committed_total += len(granted)

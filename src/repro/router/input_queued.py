@@ -53,9 +53,6 @@ class InputQueuedRouter(Router):
         self.scheduler = CrossbarScheduler(
             self, scheduler_settings, self.random, f"{self.full_name}.crossbar"
         )
-        # The scheduler's free-space table: downstream credits per
-        # (port, VC), the trackers' own lists (set at finalize).
-        self._down_credits: List[List[int]] = []
         self._staging: List[Deque[Flit]] = [deque() for _ in range(self.num_ports)]
         # Committed staging slots per port: staged + in flight through core.
         self._staging_committed = [0] * self.num_ports
@@ -69,12 +66,6 @@ class InputQueuedRouter(Router):
         self._staged_ports: List[int] = []
         # Recycled by the drain stage: no per-event list garbage.
         self._staged_ports_spare: List[int] = []
-
-    def _finalize_arch(self) -> None:
-        self._down_credits = [
-            tracker._credits if tracker is not None else []
-            for tracker in self._output_credits
-        ]
 
     # -- per-cycle behaviour ---------------------------------------------------
 
@@ -156,9 +147,11 @@ class InputQueuedRouter(Router):
         if not bidders and not scheduler._locks:
             return
         now = self.simulator.tick
-        granted = scheduler.grant(bidders, self._down_credits, now)
+        # The free-space table is the downstream credits.
+        granted = scheduler.grant(bidders, self._credits, now)
         out_vcs = self._in_out_vc
-        trackers = self._output_credits
+        take_credit = self.take_credit
+        num_vcs = self.num_vcs
         down_slots = self._down_slots
         sensed = self._sensed
         due = now + self._sense_latency
@@ -170,9 +163,9 @@ class InputQueuedRouter(Router):
             out_vc = out_vcs[i]
             flit = pop_input_flit(i)
             # Consume the downstream credit now; the flit is prepaid.
-            trackers[out_port].take(out_vc)
+            take_credit(out_port, out_vc)
             if down_slots is not None:
-                sensed.append((due, down_slots[out_port][out_vc], +1))
+                sensed.append((due, down_slots[out_port * num_vcs + out_vc], +1))
             committed[out_port] += 1
             enter_core((arrival_tick, flit, out_port, out_vc))
         self._committed_total += len(granted)

@@ -45,16 +45,14 @@ class OutputQueuedRouter(Router):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         depth = self.output_queue_depth = self._read_queue_depth()
-        # Output queues are unbounded deques: _queue_free enforces the depth.
-        self._queues: List[List[Deque[Flit]]] = [
-            [deque() for _ in range(self.num_vcs)] for _ in range(self.num_ports)
-        ]
-        # Free slots per (port, vc): the depth less the flits queued or in
-        # flight through the core; an infinite queue starts at maxsize.
+        # One output queue per output VC o = port * num_vcs + vc: an
+        # unbounded deque, whose depth _queue_free[o] enforces -- the
+        # free slots, the depth less the flits queued or in flight
+        # through the core (an infinite queue starts at maxsize).
+        num_outputs = self.num_ports * self.num_vcs
+        self._queues: List[Deque[Flit]] = [deque() for _ in range(num_outputs)]
         self._queue_capacity = depth if depth is not None else sys.maxsize
-        self._queue_free: List[List[int]] = [
-            [self._queue_capacity] * self.num_vcs for _ in range(self.num_ports)
-        ]
+        self._queue_free: List[int] = [self._queue_capacity] * num_outputs
         # Committed flits over all queues: work remains while non-zero.
         self._committed_total = 0
         # Flits sitting in queues per port; bitmask of the non-zero ports.
@@ -72,7 +70,7 @@ class OutputQueuedRouter(Router):
         ]
         # Recycled drain request list (arbiters never retain it).
         self._drain_requests: list = []
-        self._out_slots: Optional[List[Optional[List[int]]]] = None
+        self._out_slots: Optional[List[Optional[int]]] = None
 
     def _read_queue_depth(self) -> Optional[int]:
         """The ``output_queue_depth`` setting; null or absent: infinite."""
@@ -134,13 +132,14 @@ class OutputQueuedRouter(Router):
         queues = self._queues
         queued_count = self._queued_count
         queue_free = self._queue_free
-        trackers = self._output_credits
+        credits = self._credits
         arbiters = self._output_arbiters
         out_slots = self._out_slots
         down_slots = self._down_slots
         sensed = self._sensed
         due = now + self._sense_latency
-        single_vc = self.num_vcs == 1
+        num_vcs = self.num_vcs
+        single_vc = num_vcs == 1
         requests = self._drain_requests
         while mask:
             low = mask & -mask
@@ -149,42 +148,43 @@ class OutputQueuedRouter(Router):
             channel = flit_out[port]
             if now < channel._next_free_tick:
                 continue
-            tracker = trackers[port]
-            credits = tracker._credits
-            port_queues = queues[port]
             if single_vc:
-                # One VC: the single-entry arbitration is forced (and
-                # leaves a round-robin pointer unmoved).
-                if credits[0] < 1:
+                # One VC: o == port, and the single-entry arbitration is
+                # forced (it leaves a round-robin pointer unmoved).
+                if credits[port] < 1:
                     continue
                 vc = 0
-                flits = port_queues[0]
+                o = port
+                flits = queues[o]
                 arbiter = arbiters[port]
                 if type(arbiter) is not RoundRobinArbiter:
                     requests.clear()
                     requests.append((0, flits[0].packet))
                     arbiter.arbitrate(requests, now)
             else:
+                first = port * num_vcs
                 requests.clear()
-                for vc, flits in enumerate(port_queues):
-                    if flits and credits[vc] > 0:
-                        requests.append((vc, flits[0].packet))
+                for o in range(first, first + num_vcs):
+                    flits = queues[o]
+                    if flits and credits[o] > 0:
+                        requests.append((o - first, flits[0].packet))
                 if not requests:
                     continue
                 vc = arbiters[port].arbitrate(requests, now)
-                flits = port_queues[vc]
+                o = first + vc
+                flits = queues[o]
             flit = flits.popleft()
-            queue_free[port][vc] += 1
+            queue_free[o] += 1
             self._committed_total -= 1
             queued_count[port] -= 1
             if not queued_count[port]:
                 self._queued_ports ^= low
             if out_slots is not None:
-                sensed.append((due, out_slots[port][vc], -1))
-            tracker.take(vc)  # take, then send: CreditSan's contract
+                sensed.append((due, out_slots[o], -1))
+            self.take_credit(port, vc)  # take, then send: CreditSan's contract
             channel.send_flit(flit)
             if down_slots is not None:
-                sensed.append((due, down_slots[port][vc], +1))
+                sensed.append((due, down_slots[o], +1))
             self.flits_sent += 1
 
     def _land_core_arrivals(self) -> None:
@@ -194,9 +194,10 @@ class OutputQueuedRouter(Router):
         queues = self._queues
         queued_count = self._queued_count
         mask = self._queued_ports
+        num_vcs = self.num_vcs
         while fifo and fifo[0][0] <= now:
             _arrival, flit, out_port, out_vc = fifo.popleft()
-            queues[out_port][out_vc].append(flit)
+            queues[out_port * num_vcs + out_vc].append(flit)
             queued_count[out_port] += 1
             mask |= 1 << out_port
         self._queued_ports = mask
@@ -226,6 +227,7 @@ class OutputQueuedRouter(Router):
             self._alloc_rotor += 1
             order = flat[start:] + flat[:start] if start else flat
         owner_table = self._output_vc_owner
+        num_vcs = self.num_vcs
         in_packet = self._in_packet
         in_candidates = self._in_candidates
         out_ports = self._in_out_port
@@ -246,10 +248,10 @@ class OutputQueuedRouter(Router):
             out_port = out_ports[i]
             if out_port < 0:
                 for out_port, out_vc in in_candidates[i]:
-                    key = (out_port, out_vc)
-                    if key in owner_table:
+                    o = out_port * num_vcs + out_vc
+                    if owner_table[o] >= 0:
                         continue
-                    owner_table[key] = i
+                    owner_table[o] = i
                     out_ports[i] = out_port
                     out_vcs[i] = out_vc
                     break
@@ -257,14 +259,14 @@ class OutputQueuedRouter(Router):
                     continue
             else:
                 out_vc = out_vcs[i]
-            free = queue_free[out_port]
-            if free[out_vc] < 1:
+                o = out_port * num_vcs + out_vc
+            if queue_free[o] < 1:
                 continue  # finite queue full: flit waits in the input
             flit = pop_input_flit(i)
-            free[out_vc] -= 1
+            queue_free[o] -= 1
             moved += 1
             if out_slots is not None:
-                sensed.append((due, out_slots[out_port][out_vc], +1))
+                sensed.append((due, out_slots[o], +1))
             enter_core((arrival_tick, flit, out_port, out_vc))
         self._committed_total += moved
 
@@ -272,4 +274,4 @@ class OutputQueuedRouter(Router):
 
     def output_queue_occupancy(self, port: int, vc: int) -> int:
         """Committed flits (queued + in flight) for one output VC."""
-        return self._queue_capacity - self._queue_free[port][vc]
+        return self._queue_capacity - self._queue_free[port * self.num_vcs + vc]

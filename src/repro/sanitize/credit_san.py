@@ -3,19 +3,22 @@
 The paper's case-study bug class is the *credit accounting gap*: a model
 that leaks (or double-returns) credits type-checks and runs, and the
 network limps along at reduced throughput -- no assertion trips, the
-results are just quietly wrong.  The built-in :class:`CreditTracker`
-checks only its local bounds (never negative, never above capacity);
-a credit that is simply *never sent* satisfies both forever.
+results are just quietly wrong.  The built-in credit checks
+(``PortedDevice.take_credit``/``give_credit``) see only local bounds
+(never negative, never above capacity); a credit that is simply *never
+sent* satisfies both forever.
 
 CreditSan closes the loop around each directed link.  For the link from
 device ``u`` port ``p`` to device ``d`` port ``q``, with flit channel
-``F``, returning credit channel ``C``, and ``u``'s credit tracker ``T``
-(sized from ``d``'s input buffer), conservation demands at all times::
+``F``, returning credit channel ``C``, and ``u``'s credits on output VC
+``o = p * num_vcs + vc`` (sized from ``d``'s input buffer), where
+``T(vc) = u._credit_capacity[o] - u._credits[o]`` is the number of
+slots ``u`` believes are consumed, conservation demands at all times::
 
-    T.occupancy(vc) == claimed(vc)               # taken, not yet on F
-                       + flits in flight on F carrying vc
-                       + d.input_occupancy(q, vc)
-                       + credits in flight on C for vc
+    T(vc) == claimed(vc)                 # taken, not yet on F
+             + flits in flight on F carrying vc
+             + d.input_occupancy(q, vc)
+             + credits in flight on C for vc
 
 i.e. every slot the sender believes is consumed downstream is accounted
 for by a prepaid flit still inside the sender (the IQ router takes the
@@ -24,10 +27,11 @@ flit reaches the wire), a flit on the wire, a buffered flit, or a
 credit on its way home.
 
 The four terms move only inside six shimmed methods
-(``CreditTracker.take``/``give``, ``Channel.send_flit``/``_deliver_item``,
+(``PortedDevice.take_credit``/``give_credit``,
+``Channel.send_flit``/``_deliver_item``,
 ``CreditChannel.send_credit``/``_deliver_item``), and the equation is
 checked after each of them -- the exact instants at which it is stable,
-because devices mutate tracker/buffer/channel state atomically within
+because devices mutate credit/buffer/channel state atomically within
 one handler.  :meth:`finish` sweeps every link once more, catching
 leaks on links that went quiet (all terms must still balance, and at
 quiescence they must all be zero).
@@ -35,11 +39,11 @@ quiescence they must all be zero).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro import factory
 from repro.net.channel import Channel, CreditChannel
-from repro.net.credit import CreditTracker
+from repro.net.device import PortedDevice
 from repro.sanitize.base import MethodPatch, Sanitizer
 
 
@@ -48,7 +52,8 @@ class _Link:
 
     __slots__ = (
         "name",
-        "tracker",
+        "upstream",
+        "first",
         "downstream",
         "down_port",
         "claimed",
@@ -56,9 +61,11 @@ class _Link:
         "inflight_credits",
     )
 
-    def __init__(self, name, tracker, downstream, down_port, num_vcs):
+    def __init__(self, name, upstream, port, downstream, down_port):
+        num_vcs = upstream.num_vcs
         self.name = name
-        self.tracker = tracker
+        self.upstream = upstream
+        self.first = port * num_vcs  # the output VC index of VC 0
         self.downstream = downstream
         self.down_port = down_port
         self.claimed: List[int] = [0] * num_vcs
@@ -82,7 +89,8 @@ class CreditSan(Sanitizer):
         self._links: List[_Link] = []
         self._by_flit_channel: Dict[int, _Link] = {}
         self._by_credit_channel: Dict[int, _Link] = {}
-        self._by_tracker: Dict[int, _Link] = {}
+        # id(device) -> its links by output port (None: not checked).
+        self._by_device: Dict[int, List[Optional[_Link]]] = {}
 
     def _install(self, simulation) -> None:
         network = simulation.network
@@ -105,43 +113,46 @@ class CreditSan(Sanitizer):
                     credit_channel, "shard_proxy", False
                 ):
                     continue
-                tracker = device._output_credits[port]
                 link = _Link(
                     f"{device.full_name}.out{port} -> "
                     f"{downstream.full_name}.in{down_port}",
-                    tracker,
+                    device,
+                    port,
                     downstream,
                     down_port,
-                    tracker.num_vcs,
                 )
                 self._links.append(link)
                 self._by_flit_channel[id(flit_channel)] = link
                 self._by_credit_channel[id(credit_channel)] = link
-                self._by_tracker[id(tracker)] = link
+                self._by_device.setdefault(
+                    id(device), [None] * device.num_ports
+                )[port] = link
 
         by_flit = self._by_flit_channel
         by_credit = self._by_credit_channel
-        by_tracker = self._by_tracker
+        by_device = self._by_device
         check = self._check
 
-        def wrap_take(original):
-            def take(tracker, vc, count=1):
-                original(tracker, vc, count)
-                link = by_tracker.get(id(tracker))
+        def wrap_take_credit(original):
+            def take_credit(device, port, vc):
+                original(device, port, vc)
+                links = by_device.get(id(device))
+                link = links[port] if links is not None else None
                 if link is not None:
-                    link.claimed[vc] += count
+                    link.claimed[vc] += 1
                     check(link, vc)
 
-            return take
+            return take_credit
 
-        def wrap_give(original):
-            def give(tracker, vc, count=1):
-                original(tracker, vc, count)
-                link = by_tracker.get(id(tracker))
+        def wrap_give_credit(original):
+            def give_credit(device, port, vc):
+                original(device, port, vc)
+                links = by_device.get(id(device))
+                link = links[port] if links is not None else None
                 if link is not None:
                     check(link, vc)
 
-            return give
+            return give_credit
 
         def wrap_send_flit(original):
             def send_flit(channel, flit):
@@ -197,8 +208,8 @@ class CreditSan(Sanitizer):
             return _deliver_item
 
         self._patches = [
-            MethodPatch(CreditTracker, "take", wrap_take),
-            MethodPatch(CreditTracker, "give", wrap_give),
+            MethodPatch(PortedDevice, "take_credit", wrap_take_credit),
+            MethodPatch(PortedDevice, "give_credit", wrap_give_credit),
             MethodPatch(Channel, "send_flit", wrap_send_flit),
             MethodPatch(Channel, "_deliver_item", wrap_deliver_flit),
             MethodPatch(CreditChannel, "send_credit", wrap_send_credit),
@@ -207,7 +218,9 @@ class CreditSan(Sanitizer):
 
     def _check(self, link: _Link, vc: int) -> None:
         self.checks += 1
-        outstanding = link.tracker.occupancy(vc)
+        upstream = link.upstream
+        o = link.first + vc
+        outstanding = upstream._credit_capacity[o] - upstream._credits[o]
         claimed = link.claimed[vc]
         on_wire = link.inflight_flits[vc]
         buffered = link.downstream.input_occupancy(link.down_port, vc)
@@ -217,7 +230,7 @@ class CreditSan(Sanitizer):
                 f"link {link.name} VC {vc}: negative in-flight count "
                 f"(prepaid {claimed}, flits in flight {on_wire}, credits "
                 f"in flight {returning}); a flit or credit crossed the "
-                f"link without going through the channel/tracker API"
+                f"link without going through the channel/credit API"
             )
         if outstanding != claimed + on_wire + buffered + returning:
             self.violation(
@@ -226,13 +239,13 @@ class CreditSan(Sanitizer):
                 f"{claimed} prepaid + {on_wire} flits in flight + "
                 f"{buffered} buffered downstream + {returning} credits "
                 f"in flight = {claimed + on_wire + buffered + returning}; "
-                f"a model leaked or duplicated a credit outside the "
-                f"repro.net.credit API"
+                f"a model leaked or duplicated a credit outside "
+                f"take_credit()/give_credit()"
             )
 
     def finish(self) -> None:
         for link in self._links:
-            for vc in range(link.tracker.num_vcs):
+            for vc in range(len(link.claimed)):
                 self._check(link, vc)
 
     def report(self):

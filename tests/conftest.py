@@ -64,19 +64,17 @@ def assert_network_quiescent(network) -> None:
         for port in range(router.num_ports):
             if not router.port_is_wired(port):
                 continue
-            tracker = router.output_credit_tracker(port)
-            for vc in range(tracker.num_vcs):
-                assert tracker.available(vc) == tracker.capacity(vc), (
-                    f"{router.full_name} port {port} vc {vc}: "
-                    f"{tracker.available(vc)}/{tracker.capacity(vc)}"
-                )
             for vc in range(router.num_vcs):
+                o = port * router.num_vcs + vc
+                assert router._credits[o] == router._credit_capacity[o], (
+                    f"{router.full_name} port {port} vc {vc}: "
+                    f"{router._credits[o]}/{router._credit_capacity[o]}"
+                )
                 assert router.input_occupancy(port, vc) == 0
     for interface in network.interfaces:
         assert interface.pending_flits() == 0
-        tracker = interface.output_credit_tracker(0)
-        for vc in range(tracker.num_vcs):
-            assert tracker.available(vc) == tracker.capacity(vc)
+        assert interface.port_is_wired(0)
+        assert interface._credits == interface._credit_capacity
 
 
 def assert_flit_conservation(network) -> None:

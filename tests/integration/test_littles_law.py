@@ -29,8 +29,7 @@ def flits_in_network(network) -> int:
     for router in network.routers:
         count += len(router._core_fifo)
         count += sum(len(flits) for flits in router._in_flits)
-        for port_queues in router._queues:
-            count += sum(len(queue) for queue in port_queues)
+        count += sum(len(queue) for queue in router._queues)
     return count
 
 

@@ -18,6 +18,9 @@ nothing else the collector tracks, at most 400 bytes all told.
 
 A third counts the routers' input side after build: flat per-router
 tables with one flit deque per input VC, and no object per input VC.
+A fourth does the same for the output side: credits, VC owners, VC
+arbiters, sensor slots and OQ output queues are flat lists with one
+entry per output VC, and no credit object per port.
 """
 
 from __future__ import annotations
@@ -281,3 +284,69 @@ def test_router_input_side_is_one_deque_per_input_vc():
         assert len({id(queue) for queue in flits}) == num_inputs
         input_vcs += num_inputs
     assert input_vcs == 896
+
+
+# -- the output side: flat tables, one entry per output VC -------------------
+
+
+def output_side(config: dict):
+    """The network of a freshly built ``config``, after checking that no
+    per-port credit object is reachable and that every device (router
+    and interface) holds its credits in two flat lists of one entry per
+    output VC, all credits home."""
+    simulation = Simulation(Settings.from_dict(config))
+    trackers = sum(
+        type(obj).__name__ == "CreditTracker" for obj in reachable(simulation)
+    )
+    assert trackers == 0
+    network = simulation.network
+    for device in [*network.routers, *network.interfaces]:
+        num_outputs = device.num_ports * device.num_vcs
+        assert len(device._credits) == num_outputs
+        assert len(device._credit_capacity) == num_outputs
+        assert all(type(count) is int for count in device._credits)
+        assert device._credits == device._credit_capacity
+    return network
+
+
+def flat_rows(router, *names) -> None:
+    """Each named router table has one scalar entry per output VC."""
+    num_outputs = router.num_ports * router.num_vcs
+    for name in names:
+        table = getattr(router, name)
+        if table is None:  # an untracked sensor source
+            continue
+        assert len(table) == num_outputs, name
+        assert not any(isinstance(entry, list) for entry in table), name
+
+
+def test_router_output_side_is_flat_on_the_iq_torus():
+    """The bench 4x4x4 torus of IQ routers: 64 routers x 7 ports x 2 VCs
+    = 896 output VCs, whose credits, owners, VC arbiters and sensor
+    slots are flat per-router lists."""
+    network = output_side(flow_control_config(message_size=4, injection_rate=0.3))
+    for router in network.routers:
+        flat_rows(router, "_credits", "_output_vc_owner", "_vc_arbiters",
+                  "_down_slots")
+        assert set(router._output_vc_owner) == {-1}
+    assert sum(len(router._credits) for router in network.routers) == 896
+
+
+def test_oq_router_has_one_deque_per_output_vc():
+    """The bench folded Clos of 48 OQ routers, 320 output VCs: one
+    output queue deque and one free-slot count per output VC, no
+    per-port rows."""
+    network = output_side(latent_congestion_config(
+        injection_rate=0.4, warmup=50, window=100))
+    output_vcs = 0
+    for router in network.routers:
+        num_outputs = router.num_ports * router.num_vcs
+        queues = router._queues
+        assert len(queues) == num_outputs
+        assert all(type(queue) is deque and not queue for queue in queues)
+        assert len({id(queue) for queue in queues}) == num_outputs
+        flat_rows(router, "_queue_free", "_output_vc_owner", "_vc_arbiters",
+                  "_down_slots", "_out_slots")
+        assert set(router._queue_free) == {router._queue_capacity}
+        output_vcs += num_outputs
+    assert output_vcs == 320

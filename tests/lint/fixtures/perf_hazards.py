@@ -37,18 +37,6 @@ class AllocTrailRouting(TorusDimensionOrderRouting):
         self._trail = [candidate.port for candidate in candidates]
 
 
-@factory.register(RoutingAlgorithm, "closure_sort_routing")
-class ClosureSortRouting(TorusDimensionOrderRouting):
-    """H002: allocates a lambda per route() call."""
-
-    topology = "torus"
-
-    def route(self, packet, input_port: int, input_vc: int):
-        candidates = list(super().route(packet, input_port, input_vc))
-        candidates.sort(key=lambda candidate: candidate.vc)
-        return candidates
-
-
 @factory.register(RoutingAlgorithm, "cold_setup_routing")
 class ColdSetupRouting(TorusDimensionOrderRouting):
     """Hazards only in construction-time code: must never be flagged.

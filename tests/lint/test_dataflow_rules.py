@@ -24,10 +24,9 @@ MUTATIONS = {
         """,
     "E005": """
         class CreditPokingRouter:
-            def refund(self, port, vc):
-                tracker = self.output_credit_tracker(port)
-                tracker._credits[vc] += 1
-                tracker._capacity = [99, 99]
+            def refund(self, upstream, port, vc):
+                upstream._credits[port * upstream.num_vcs + vc] += 1
+                upstream._credit_capacity = [99, 99]
         """,
     "E006": """
         class ResurrectingModel:
@@ -61,7 +60,11 @@ CLEAN_SOURCE = """
             self.fired = True
 
         def refund(self, port, vc):
-            self.output_credit_tracker(port).give(vc)
+            self.give_credit(port, vc)
+
+        def land_credit(self, port, vc):
+            # A device incrementing its own credits is the API's fast path.
+            self._credits[port * self.num_vcs + vc] += 1
 
         def stop(self, event):
             event.cancel()

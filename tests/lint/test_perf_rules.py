@@ -116,7 +116,6 @@ def test_cold_fixture_is_never_flagged():
 RULE_FIXTURES = [
     (fx.AllocTrailRouting, "H001", "_note_trail",
      "alloc:list comprehension:stored"),
-    (fx.ClosureSortRouting, "H002", "route", "lambda"),
 ]
 
 
@@ -155,7 +154,7 @@ def test_lint_sources_perf_layer_finds_fixture_hazards():
     findings = report.findings
     assert findings
     rule_ids = {f.rule_id for f in findings}
-    assert {"H001", "H002"} <= rule_ids
+    assert "H001" in rule_ids
     # Perf findings advise; they never gate on severity alone.
     assert all(
         f.severity in (Severity.WARNING, Severity.INFO) for f in findings
@@ -180,9 +179,8 @@ def test_sslint_perf_layer_on_sources(capsys):
 def test_list_rules_perf_layer(capsys):
     assert sslint_main(["--list-rules", "--layer", "perf"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("H001", "H002"):
-        assert rule_id in out
-    for rule_id in ("H003", "H004"):
+    assert "H001" in out
+    for rule_id in ("H002", "H003", "H004"):
         assert rule_id not in out
     assert "C001" not in out
 

@@ -134,12 +134,15 @@ def test_tail_pop_releases_output_vc():
         router._allocate_vcs()
         owner_key = (router._in_out_port[i], router._in_out_vc[i])
         assert owner_key[0] >= 0 and owner_key[1] >= 0
-        assert router._output_vc_owner == {owner_key: i}
+        o = owner_key[0] * router.num_vcs + owner_key[1]
+        owners = router._output_vc_owner
+        assert owners[o] == i
+        assert owners.count(-1) == len(owners) - 1
         hops = flits[0].packet.hop_count
         popped = [router._pop_input_flit(i) for _ in range(3)]
         assert popped == flits
         assert all(flit.vc == owner_key[1] for flit in popped)
-        assert not router._output_vc_owner
+        assert set(owners) == {-1}
         assert router._in_packet[i] is None
         assert router._in_out_port[i] == -1 and router._in_out_vc[i] == -1
         assert flits[0].packet.hop_count == hops + 1

@@ -78,7 +78,8 @@ def test_send_flit_consumes_credit(sim):
 
     def go(event):
         source.send_flit(0, flit)
-        assert source.output_credit_tracker(0).available(0) == 0
+        assert source._credits[0] == 0  # output VC o = 0 * 2 + 0
+        assert source._credits[1] == 1
 
     sim.call_at(0, go, epsilon=1)
     sim.run()

@@ -1,5 +1,5 @@
 """A router's input side without the router, for driving a
-``CrossbarScheduler`` directly."""
+``CrossbarScheduler`` directly against a flat free-space table."""
 
 from collections import deque
 
@@ -28,6 +28,15 @@ class InputTables:
         self._in_out_port[i] = out_port
         self._in_out_vc[i] = out_vc
         return i
+
+    def output_vc(self, out_port, out_vc):
+        """The flat index ``o`` of output VC (out_port, out_vc) in the
+        free-space table ``grant`` reads."""
+        return out_port * self.num_vcs + out_vc
+
+    def free_table(self, space):
+        """A free-space table granting ``space`` on every output VC."""
+        return [space] * (self.num_ports * self.num_vcs)
 
     def in_ports(self, indices):
         return [i // self.num_vcs for i in indices]

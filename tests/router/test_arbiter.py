@@ -159,10 +159,12 @@ def _random_arbiter_draws(seed):
             for i in claimants:
                 router._in_packet[i] = None
                 router._in_out_port[i] = router._in_out_vc[i] = -1
-            del router._output_vc_owner[(port, 0)]
+            o = port * router.num_vcs + 0
+            assert router._output_vc_owner[o] in claimants
+            router._output_vc_owner[o] = -1
             arbiters = {
                 "crossbar": router.scheduler._arbiters[port],
-                "vc": router._vc_arbiters[(port, 0)],
+                "vc": router._vc_arbiters[o],
                 "output": router._output_arbiters[port],
             }
             for role, arbiter in arbiters.items():

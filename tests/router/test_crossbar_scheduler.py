@@ -19,8 +19,8 @@ def make_scheduler(mode, num_ports=4, num_vcs=2):
     """A scheduler, the free-space table it is granted against and the
     input tables it reads its bidders from."""
     settings = Settings.from_dict({"flow_control": mode})
-    free = [[8] * num_vcs for _ in range(num_ports)]
     inputs = InputTables(num_ports, num_vcs)
+    free = inputs.free_table(8)
     scheduler = CrossbarScheduler(inputs, settings, RandomManager(0), "xbar")
     return scheduler, free, inputs
 
@@ -55,10 +55,10 @@ class TestFlitBuffer:
 
     def test_requires_one_credit(self):
         scheduler, free, inputs = make_scheduler(FLIT_BUFFER)
-        free[0][0] = 0
+        free[inputs.output_vc(0, 0)] = 0
         packet = make_packet(2)
         assert scheduler.grant([inputs.load(packet, 0)], free, 0) == []
-        free[0][0] = 1
+        free[inputs.output_vc(0, 0)] = 1
         assert len(scheduler.grant([inputs.load(packet, 0)], free, 1)) == 1
 
     def test_never_locks(self):
@@ -71,10 +71,10 @@ class TestFlitBuffer:
 class TestPacketBuffer:
     def test_needs_credits_for_whole_packet(self):
         scheduler, free, inputs = make_scheduler(PACKET_BUFFER)
-        free[0][0] = 3
+        free[inputs.output_vc(0, 0)] = 3
         packet = make_packet(4)
         assert scheduler.grant([inputs.load(packet, 0)], free, 0) == []
-        free[0][0] = 4
+        free[inputs.output_vc(0, 0)] = 4
         assert len(scheduler.grant([inputs.load(packet, 0)], free, 1)) == 1
 
     def test_locks_until_tail(self):
@@ -110,7 +110,7 @@ class TestPacketBuffer:
         scheduler, free, inputs = make_scheduler(PACKET_BUFFER)
         packet = make_packet(2)
         scheduler.grant([inputs.load(packet, 0)], free, 0)
-        free[0][0] = 0  # violate the invariant from outside
+        free[inputs.output_vc(0, 0)] = 0  # violate the invariant from outside
         with pytest.raises(RuntimeError):
             scheduler.grant([inputs.load(packet, 1)], free, 1)
 
@@ -118,7 +118,7 @@ class TestPacketBuffer:
 class TestWinnerTakeAll:
     def test_starts_without_full_packet_credits(self):
         scheduler, free, inputs = make_scheduler(WINNER_TAKE_ALL)
-        free[0][0] = 1  # only 1 credit for a 4-flit packet
+        free[inputs.output_vc(0, 0)] = 1  # only 1 credit for a 4-flit packet
         packet = make_packet(4)
         assert len(scheduler.grant([inputs.load(packet, 0)], free, 0)) == 1
 
@@ -139,10 +139,10 @@ class TestWinnerTakeAll:
         scheduler, free, inputs = make_scheduler(WINNER_TAKE_ALL)
         a = make_packet(4)
         b = make_packet(2)
-        free[0][0] = 8
-        free[0][1] = 8
+        free[inputs.output_vc(0, 0)] = 8
+        free[inputs.output_vc(0, 1)] = 8
         scheduler.grant([inputs.load(a, 0, in_port=0, out_vc=0)], free, 0)
-        free[0][0] = 0  # a's VC runs out of credits
+        free[inputs.output_vc(0, 0)] = 0  # a's VC runs out of credits
         grants = scheduler.grant(
             [inputs.load(a, 1, in_port=0, out_vc=0),
              inputs.load(b, 0, in_port=1, out_vc=1)], free, 1

@@ -143,7 +143,7 @@ class TestInputOutputQueued:
             for port in range(router.num_ports):
                 for vc in range(router.num_vcs):
                     assert router.output_queue_occupancy(port, vc) == 0
-                    assert router._queue_free[port][vc] == 16
+                    assert router._queue_free[port * router.num_vcs + vc] == 16
 
     def test_queued_counts_zero_after_drain(self):
         simulation, results = run_config(self._config())

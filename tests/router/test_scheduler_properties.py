@@ -38,7 +38,7 @@ class Workbench:
             RandomManager(0), "xbar",
         )
         self.num_vcs = num_vcs
-        self.free = [[credits] * num_vcs for _ in range(num_ports)]
+        self.free = self.inputs.free_table(credits)
         # input VC index -> [packet, next flit index]
         self.streams = {}
 
@@ -62,8 +62,9 @@ class Workbench:
             out_vc = inputs._in_out_vc[i]
             # Invariant: grants only go to actual bidders with credits.
             assert i in bidders
-            assert self.free[out_port][out_vc] >= 1
-            self.free[out_port][out_vc] -= 1
+            o = inputs.output_vc(out_port, out_vc)
+            assert self.free[o] >= 1
+            self.free[o] -= 1
             entry = self.streams[i]
             flit = inputs._in_flits[i].popleft()
             assert flit.packet is entry[0]
@@ -191,7 +192,7 @@ def test_forced_branch_matches_the_per_output_path(kind, rounds):
     forced._arbitrate = no_arbitration
     for now, outputs in enumerate(rounds, start=60):
         bidders = []
-        free = [[0, 0] for _ in range(4)]
+        free = inputs.free_table(0)
         for out_port, (in_port, in_vc, out_vc, space, injected) in outputs.items():
             packet = Message(0, 0, 1, 2).packetize(2)[0]
             packet.injection_tick = injected
@@ -199,7 +200,7 @@ def test_forced_branch_matches_the_per_output_path(kind, rounds):
             if i in bidders:
                 continue  # an input VC bids for one output at a time
             bidders.append(inputs.load(packet, 0, in_port, in_vc, out_port, out_vc))
-            free[out_port][out_vc] = space
+            free[inputs.output_vc(out_port, out_vc)] = space
         granted = forced.grant(bidders, free, now)
         expected = general._arbitrate(bidders, free, now)
         assert sorted(granted, key=inputs._in_out_port.__getitem__) == expected

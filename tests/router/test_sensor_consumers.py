@@ -111,7 +111,13 @@ def test_congestion_readers_get_a_fed_delay_line(algorithm, monkeypatch):
     simulation.run(max_time=600)
     assert flit_hops(simulation) > 100
     for router in simulation.network.routers:
-        assert router._down_slots is not None
+        slots = router._down_slots
+        assert slots is not None
+        # One slot per output VC o = port * num_vcs + vc, None on an
+        # unwired port.
+        assert len(slots) == router.num_ports * router.num_vcs
+        for o, slot in enumerate(slots):
+            assert (slot is None) == (not router.port_is_wired(o // router.num_vcs))
     # Queried, and the fed view moved off zero.
     assert seen and max(seen) > 0.0
 

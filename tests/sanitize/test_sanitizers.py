@@ -195,7 +195,7 @@ def test_sanitizers_clean_across_router_architectures(architecture):
 
 #: Per-sanitizer check counts over 300 ticks, recorded at commit 954bf29
 #: (fresh id counters).  Sanitizers count calls of the hooks they patch
-#: (``CreditTracker.take``/``give``, ``Channel.send_flit``,
+#: (``PortedDevice.take_credit``/``give_credit``, ``Channel.send_flit``,
 #: ``CreditChannel.send_credit``, both ``_deliver_item``), so a hot path
 #: that bypasses one changes its sanitizer's count.
 BUILTIN_CHECKS = {
@@ -260,22 +260,22 @@ def test_det_san_diff_locates_divergence():
 def test_detach_restores_patched_methods():
     from repro.core.event import Event
     from repro.net.channel import Channel, CreditChannel
-    from repro.net.credit import CreditTracker
+    from repro.net.device import PortedDevice
 
     originals = (
         Channel.send_flit,
         Channel._deliver_item,
         CreditChannel.send_credit,
         CreditChannel._deliver_item,
-        CreditTracker.take,
-        CreditTracker.give,
+        PortedDevice.take_credit,
+        PortedDevice.give_credit,
         Event.cancel,
     )
     simulation = torus_simulation()
     with attach_sanitizers(simulation, "all"):
         patched = (
             Channel.send_flit,
-            CreditTracker.take,
+            PortedDevice.take_credit,
             Event.cancel,
         )
         assert all(now is not before for now, before in
@@ -285,8 +285,8 @@ def test_detach_restores_patched_methods():
         Channel._deliver_item,
         CreditChannel.send_credit,
         CreditChannel._deliver_item,
-        CreditTracker.take,
-        CreditTracker.give,
+        PortedDevice.take_credit,
+        PortedDevice.give_credit,
         Event.cancel,
     ) == originals
 

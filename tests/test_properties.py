@@ -3,6 +3,7 @@ invariants."""
 
 import heapq
 
+import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,8 @@ from repro.config.settings import Settings, apply_override, parse_override
 from repro.core.clock import Clock
 from repro.core.simtime import TimeStep
 from repro.core.simulator import Simulator
-from repro.net.credit import CreditTracker
+from repro.net.credit import CreditError
+from repro.net.device import PortedDevice
 from repro.router.arbiter import RoundRobinArbiter
 from repro.stats.latency import LatencyDistribution
 from repro.topology.util import coords_to_index, index_to_coords, ring_distance
@@ -90,20 +92,34 @@ class TestCoordProperties:
         assert all(0 <= c < w for c, w in zip(coords, widths))
 
 
-class TestCreditTrackerProperties:
+class TestCreditProperties:
     @given(st.integers(min_value=1, max_value=32),
            st.lists(st.booleans(), max_size=200))
     def test_never_negative_never_over_capacity(self, capacity, ops):
-        tracker = CreditTracker([capacity])
+        device = PortedDevice(Simulator(), "dev", None, 2, 2)
+        device.init_output_credits(1, [capacity, capacity])
+        o = 1 * device.num_vcs + 0
+        taken = 0
         for take in ops:
             if take:
-                if tracker.has_credit(0):
-                    tracker.take(0)
+                if device._credits[o] >= 1:
+                    device.take_credit(1, 0)
+                    taken += 1
+                else:
+                    with pytest.raises(CreditError):
+                        device.take_credit(1, 0)
             else:
-                if tracker.occupancy(0) > 0:
-                    tracker.give(0)
-            assert 0 <= tracker.available(0) <= capacity
-            assert tracker.available(0) + tracker.occupancy(0) == capacity
+                if taken:
+                    device.give_credit(1, 0)
+                    taken -= 1
+                else:
+                    with pytest.raises(CreditError):
+                        device.give_credit(1, 0)
+            assert 0 <= device._credits[o] <= capacity
+            assert device._credits[o] + taken == capacity
+            # No other output VC moves.
+            assert device._credits[:o] == [0, 0]
+            assert device._credits[o + 1] == capacity
 
 
 class TestArbiterProperties:
