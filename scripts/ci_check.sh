@@ -11,9 +11,12 @@
 #                (the OQ router, adaptive routing and congestion sensor path)
 #   8. bench     one short sweep16_hyperx_ioq run must reproduce bench/pins.json
 #                (IOQ routers, hyperx_ugal and the 2x channel clock)
-#   9. cdg pins  the lint dependency trace reproduces every pinned channel
-#                dependency graph (tests/lint/test_cdg_pins.py); the sslint
-#                gate only looks for error findings
+#   9. lint pins the lint dependency trace reproduces every pinned channel
+#                dependency graph (tests/lint/test_cdg_pins.py), the call-graph
+#                reach its tests (tests/lint/test_callgraph.py) and the shard
+#                layer its pinned verdicts, fingerprints and bench partition
+#                (tests/lint/test_shard_pins.py); the sslint gate only looks
+#                for error findings
 #  10. delivery  the delivery goldens (tests/net/test_delivery_golden.py):
 #                the only fast gate over dragonfly, adaptive torus,
 #                Valiant/UGAL and parking-lot routing
@@ -34,9 +37,9 @@
 #                so a hot path that bypasses them changes a pinned count
 #
 # Usage: scripts/ci_check.sh [--fast]
-#   --fast  run only sslint, the five bench smokes, the CDG pins, the
+#   --fast  run only sslint, the five bench smokes, the lint pins, the
 #           delivery goldens, the crossbar tests and the credit
-#           accounting tests (~52 s on 2 cores, ~3 s of it the CDG pins,
+#           accounting tests (~57 s on 2 cores, ~4 s of it the lint pins,
 #           ~7 s the delivery goldens, ~3 s the crossbar tests and ~14 s
 #           the credit accounting tests)
 #
@@ -97,8 +100,9 @@ run_gate "bench smoke (clos_oq_adaptive pins)" \
     python3 bench/run.py --workload clos_oq_adaptive --reps 1 --seconds 2
 run_gate "bench smoke (sweep16_hyperx_ioq pins)" \
     python3 bench/run.py --workload sweep16_hyperx_ioq --reps 1 --seconds 2
-run_gate "cdg pins (lint dependency trace)" \
-    python -m pytest -q tests/lint/test_cdg_pins.py
+run_gate "lint pins (dependency trace, call-graph reach, shard layer)" \
+    python -m pytest -q tests/lint/test_cdg_pins.py \
+    tests/lint/test_callgraph.py tests/lint/test_shard_pins.py
 run_gate "delivery goldens (every packaged routing family)" \
     python -m pytest -q tests/net/test_delivery_golden.py
 run_gate "bench smoke (sharded_k2_torus pins)" \

@@ -1,6 +1,6 @@
 """repro.lint: static analysis of experiments before they run.
 
-Seven layers of checks, all runnable without simulating a single tick:
+Six layers of checks, all runnable without simulating a single tick:
 
 * **config** (C001..C009) -- validates the Settings tree against a
   declarative schema (types, ranges, unknown keys with did-you-mean)
@@ -25,8 +25,8 @@ Seven layers of checks, all runnable without simulating a single tick:
   docs/PARTITIONING.md.
 
 The source layers above share one parsed-and-walked model of each file
-(:mod:`repro.lint.source_rules`); the class-level layers below share
-one call-graph core and model-target discovery (:mod:`.callgraph`).
+(:mod:`repro.lint.source_rules`); the class-level layer below reads
+one call graph per model class (:mod:`.callgraph`).
 
 * **shard** (S001..S005) -- interprocedural shard-purity analysis of
   the registered model classes a configuration selects (or of model
@@ -37,12 +37,6 @@ one call-graph core and model-target discovery (:mod:`.callgraph`).
   --partition-plan``, and ``sssweep --partition`` all gate on it) and
   on demand via ``--layer shard``; it is not part of the default
   source layers.
-* **perf** (H001) -- interprocedural hot-path audit of the model
-  classes a configuration selects (or defined in given source files):
-  heat weights propagated from the per-event entry points through each
-  class's call graph, flagging per-event escaping allocations -- only
-  on provably hot paths, each with an evidence chain.  Opt-in like shard (``--layer perf``).  See docs/LINTING.md
-  and docs/PERFORMANCE.md "Profiling workflow".
 
 Entry points: ``sslint`` (CLI), ``supersim --lint`` /
 ``--partition-plan``, and ``sssweep``'s pre-fan-out gate.  See
@@ -62,7 +56,6 @@ from repro.lint.rules import (
     DETERMINISM_LAYER,
     GRAPH_LAYER,
     PARTITION_LAYER,
-    PERF_LAYER,
     SHARD_LAYER,
     LintContext,
     LintRule,
@@ -79,7 +72,6 @@ ALL_LAYERS = (
     DATAFLOW_LAYER,
     PARTITION_LAYER,
     SHARD_LAYER,
-    PERF_LAYER,
 )
 
 #: Layers that run over Python source files (vs. config trees).  The
@@ -95,7 +87,6 @@ __all__ = [
     "DETERMINISM_LAYER",
     "GRAPH_LAYER",
     "PARTITION_LAYER",
-    "PERF_LAYER",
     "SHARD_LAYER",
     "SOURCE_LAYERS",
     "Finding",
@@ -114,6 +105,19 @@ __all__ = [
 ]
 
 
+def _layer_tuple(layers: Iterable[str]) -> Tuple[str, ...]:
+    """``layers`` read once into a tuple; ValueError on an unknown name
+    (a typo must not lint clean)."""
+    wanted = tuple(layers)
+    unknown = [layer for layer in wanted if layer not in ALL_LAYERS]
+    if unknown:
+        raise ValueError(
+            f"unknown lint layer(s) {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(ALL_LAYERS)}"
+        )
+    return wanted
+
+
 def lint_settings(
     settings: Settings,
     graph: bool = True,
@@ -126,10 +130,14 @@ def lint_settings(
     The graph layer is skipped automatically when the config layer
     reports errors: constructing a network from a config that is
     already known-broken would only duplicate those errors as a G001.
-    ``layers`` restricts the run to a subset of (config, graph); the
-    config-errors-gate-graph rule still applies within the subset.
+    ``layers`` restricts the run to a subset of (config, graph,
+    shard); the config-errors-gate-graph rule still applies within the
+    subset.
     """
-    wanted = set(layers) if layers is not None else {CONFIG_LAYER, GRAPH_LAYER}
+    wanted = (
+        _layer_tuple(layers) if layers is not None
+        else (CONFIG_LAYER, GRAPH_LAYER)
+    )
     ctx = LintContext(settings=settings, max_pairs=max_pairs)
     report = LintReport(subject=subject)
     if CONFIG_LAYER in wanted:
@@ -138,8 +146,6 @@ def lint_settings(
         report.merge(run_rules(ctx, [GRAPH_LAYER], subject=subject))
     if SHARD_LAYER in wanted and not report.has_errors():
         report.merge(run_rules(ctx, [SHARD_LAYER], subject=subject))
-    if PERF_LAYER in wanted and not report.has_errors():
-        report.merge(run_rules(ctx, [PERF_LAYER], subject=subject))
     return report
 
 
@@ -218,17 +224,18 @@ def lint_sources(
     """Run the source-file AST layers (determinism/dataflow/partition).
 
     ``layers`` restricts the run; non-source layers in it are ignored.
-    The shard and perf layers join only on explicit request (``--layer
-    shard`` / ``--layer perf``) -- they classify registered model
-    classes defined in the files, so the caller must have imported
-    them (``sslint --import``).
+    The shard layer joins only on explicit request (``--layer shard``)
+    -- it classifies registered model classes defined in the files, so
+    the caller must have imported them (``sslint --import``).
     """
-    source_ok = SOURCE_LAYERS + (SHARD_LAYER, PERF_LAYER)
-    wanted = (
-        [layer for layer in source_ok if layer in set(layers)]
-        if layers is not None
-        else list(SOURCE_LAYERS)
-    )
+    if layers is None:
+        wanted = list(SOURCE_LAYERS)
+    else:
+        requested = _layer_tuple(layers)
+        wanted = [
+            layer for layer in SOURCE_LAYERS + (SHARD_LAYER,)
+            if layer in requested
+        ]
     ctx = LintContext(source_paths=list(paths))
     source_layers = set(wanted) & set(SOURCE_LAYERS)
     if source_layers:

@@ -17,14 +17,13 @@ builds that picture from source, one class at a time:
   method that the event loop will invoke later, so a bare Load of
   ``self._check`` is an edge too ("Escape from Callback Hell": the
   handler chain is the real control flow).
-* :func:`propagate_heat` relaxes weighted entry points along the call
-  edges and returns, per reached method, its heat, the evidence path
-  (``on_init -> _warmup_check``) and the smallest set of evaluable
-  configuration conditions guarding it; :func:`reachable` is its
-  unit-weight case.
+* :func:`reachable` walks the call edges from the entry points and
+  returns, per reached method, the evidence path (``on_init ->
+  _warmup_check``) and the smallest set of evaluable configuration
+  conditions guarding it.
 * :func:`model_targets` resolves which model classes a lint run is
   about -- the ones a configuration selects, or the registered ones
-  defined in given source files -- for both class-level layers.
+  defined in given source files.
 
 Conditions are deliberately modest: only comparisons of a
 settings-derived ``self`` attribute against a literal are captured
@@ -45,8 +44,7 @@ import sys
 import weakref
 from collections import deque
 from typing import (
-    Dict, Iterable, List, MutableMapping, NamedTuple, Optional, Sequence,
-    Set, Tuple,
+    Dict, List, MutableMapping, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
 from repro import factory
@@ -605,95 +603,56 @@ class ClassGraph:
                     self.settings_attrs[attr] = (key, default)
 
 
-class Heat(NamedTuple):
-    """How hot one method is and the hottest way it is reached.
+class Reach(NamedTuple):
+    """The best way one method is reached from the entry points:
+    ``path`` is the evidence chain (``on_init -> _warmup_check``),
+    ``conds`` the guard conditions along it."""
 
-    ``weight`` is in *calls per flit-hop* units: the entry-point
-    weights encode the measured handler census (docs/PERFORMANCE.md),
-    and heat propagates along call edges without attenuation -- a
-    helper called from a per-item handler runs just as often as the
-    handler.  ``path`` is the evidence chain from the hottest entry
-    point (``_step -> _run_crossbar -> ...``), ``conds`` the guard
-    conditions along it.
-    """
-
-    weight: float
     path: Tuple[str, ...]
     conds: Tuple[Cond, ...]
 
 
-def _relax(
-    graph: ClassGraph, seeds: Sequence[Tuple[str, float]]
-) -> Dict[str, Heat]:
-    """Worklist over the call edges from weighted ``seeds``.
-
-    All entries are seeded first, in the order given (an entry's own
-    heat is its declared weight, never a longer path through another
-    entry), then call edges are relaxed until no method can be made
-    hotter or reached by a strictly better path: fewer guard
-    conditions, then shorter -- the least-conditional way to reach a
-    method decides whether a hazard in it applies to a configuration.
-    """
-    entry_weights = dict(seeds)
-    heat: Dict[str, Heat] = {}
-    queue: deque = deque()
-    for entry, weight in seeds:
-        if entry in graph.methods:
-            heat[entry] = Heat(weight, (entry,), ())
-            queue.append(entry)
-    while queue:
-        name = queue.popleft()
-        base = heat[name]
-        for edge in graph.scans[name].edges:
-            target = edge.target
-            if target in entry_weights and target in heat:
-                # Entries keep their seeded identity.
-                if entry_weights[target] >= base.weight:
-                    continue
-            current = heat.get(target)
-            path = base.path + (target,)
-            conds = merge_conds(base.conds, edge.conds)
-            if current is None or (
-                current.weight < base.weight
-                or (current.weight == base.weight
-                    and (len(conds), len(path))
-                    < (len(current.conds), len(current.path)))
-            ):
-                heat[target] = Heat(base.weight, path, conds)
-                queue.append(target)
-    return heat
-
-
-def propagate_heat(
-    graph: ClassGraph, entry_weights: Dict[str, float]
-) -> Dict[str, Heat]:
-    """Per-method heat from weighted entry points.
-
-    Every method reachable from an entry point inherits that entry's
-    weight undiminished (it executes once per entry invocation on the
-    evidence path); a method reachable from several entries gets the
-    *maximum* weight, with ties broken toward the shortest evidence
-    path.  Methods not reachable from any entry (construction helpers,
-    diagnostics) are absent from the result -- provably cold.
-    """
-    return _relax(graph, sorted(
-        entry_weights.items(), key=lambda item: (-item[1], item[0])
-    ))
-
-
 def reachable(
     graph: ClassGraph, entries: Sequence[str]
-) -> Dict[str, Heat]:
-    """Methods reachable from ``entries`` with their best paths: every
-    entry weighs the same, so only conditions and path length rank."""
-    return _relax(graph, [(entry, 1.0) for entry in entries])
+) -> Dict[str, Reach]:
+    """Methods reachable from ``entries`` with their best paths.
+
+    A worklist over the call edges.  Each entry is reached by itself
+    and keeps that identity; every other method keeps the strictly
+    better path -- fewer guard conditions, then shorter -- since the
+    least-conditional way to reach a method decides whether a hazard in
+    it applies to a configuration.  Methods no entry reaches
+    (construction helpers, diagnostics) are absent.
+    """
+    reach: Dict[str, Reach] = {}
+    queue: deque = deque()
+    for entry in entries:
+        if entry in graph.methods:
+            reach[entry] = Reach((entry,), ())
+            queue.append(entry)
+    seeded = set(reach)
+    while queue:
+        name = queue.popleft()
+        base = reach[name]
+        for edge in graph.scans[name].edges:
+            target = edge.target
+            if target in seeded:
+                continue
+            path = base.path + (target,)
+            conds = merge_conds(base.conds, edge.conds)
+            current = reach.get(target)
+            if current is None or (len(conds), len(path)) < (
+                    len(current.conds), len(current.path)):
+                reach[target] = Reach(path, conds)
+                queue.append(target)
+    return reach
 
 
 # -- model-target discovery --------------------------------------------------
 
 
 class ModelTarget(NamedTuple):
-    """One model class a class-level layer (shard, perf) inspects."""
+    """One model class the shard layer inspects."""
 
     kind: str
     origin: str
@@ -727,7 +686,6 @@ _SELECTIONS = (
     ("routing", "network.routing", "algorithm", None),
     ("router", "network.router", "architecture", None),
     ("interface", "network.interface", "type", "standard"),
-    ("sensor", "network.router.congestion_sensor", "type", "credit"),
 )
 
 
@@ -743,27 +701,17 @@ def _defining_files(cls: type) -> Set[str]:
     return files
 
 
-def model_targets(
-    ctx,
-    bases: Dict[str, type],
-    framework: Iterable[Tuple[str, type]] = (),
-) -> List[ModelTarget]:
+def model_targets(ctx, bases: Dict[str, type]) -> List[ModelTarget]:
     """The model classes one lint run is about.
 
     With settings, the models the configuration selects among the
     kinds in ``bases``, each with its configuration block (unknown
     model names are the config layer's to report).  With source paths
     instead, every model registered under ``bases`` that is defined in
-    one of the files.  ``framework`` lists ``(kind, class)`` pairs no
-    configuration names but every simulation runs: targets with
-    settings, and with source paths when defined in one of them.
+    one of the files.
     """
     from repro.factory.registry import FactoryError
 
-    always_run = [
-        ModelTarget(kind, "framework", cls.__name__, cls, None)
-        for kind, cls in framework
-    ]
     if ctx.settings is None:
         wanted = {os.path.realpath(path) for path in ctx.source_paths}
         registered = [
@@ -773,7 +721,7 @@ def model_targets(
             for name in factory.names(base)
         ]
         return [
-            target for target in registered + always_run
+            target for target in registered
             if wanted and _defining_files(target.cls) & wanted
         ]
     raw = ctx.raw
@@ -798,4 +746,4 @@ def model_targets(
             except FactoryError:
                 continue
             targets.append(ModelTarget(kind, origin, name, cls, block))
-    return targets + always_run
+    return targets

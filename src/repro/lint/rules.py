@@ -30,11 +30,6 @@ Each rule belongs to one *layer*:
   registered model classes a configuration selects: per-class call
   graphs from the framework entry points, attribute-reach dataflow,
   and a shard-safe/shard-unsafe/unknown verdict with evidence chains.
-* ``perf`` -- interprocedural hot-path audit (H-rules): heat weights
-  propagated from the per-event entry points through each model
-  class's call graph, flagging per-event allocation, repeated
-  attribute-chain loads, unguarded formatting, missing ``__slots__``
-  and friends only on provably hot paths.
 
 A :class:`LintContext` carries the inputs and memoizes the expensive
 shared work (the schema walk, the network construction and channel
@@ -56,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.callgraph import ModelTarget
     from repro.lint.graph import GraphAnalysis
     from repro.lint.partition_rules import PartitionAnalysis
-    from repro.lint.perf_rules import PerfAnalysis
     from repro.lint.source_rules import SourceFile
 
 CONFIG_LAYER = "config"
@@ -65,7 +59,6 @@ DETERMINISM_LAYER = "determinism"
 DATAFLOW_LAYER = "dataflow"
 PARTITION_LAYER = "partition"
 SHARD_LAYER = "shard"
-PERF_LAYER = "perf"
 
 
 class LintRule:
@@ -86,8 +79,8 @@ class LintRule:
         raise NotImplementedError
 
 
-#: message frame of the class-level layers (shard, perf): where the
-#: model was selected, then the hazard with its evidence chain.
+#: message frame of the shard layer: where the model was selected,
+#: then the hazard with its evidence chain.
 TARGET_FRAME = "[{origin}={name}] {prefix}{hazard}"
 
 
@@ -153,7 +146,6 @@ class LintContext:
         self._sources: Optional[List["SourceFile"]] = None
         self._partition: Optional["PartitionAnalysis"] = None
         self._shard: Optional[List["ModelTarget"]] = None
-        self._perf: Optional["PerfAnalysis"] = None
 
     # -- memoized analyses ---------------------------------------------------
 
@@ -201,21 +193,12 @@ class LintContext:
             self._shard = model_targets(self, model_bases())
         return self._shard
 
-    def perf(self) -> "PerfAnalysis":
-        """Hot-path hazard audit of the configured model classes."""
-        if self._perf is None:
-            from repro.lint.perf_rules import PerfAnalysis
-
-            self._perf = PerfAnalysis(self)
-        return self._perf
-
 
 def all_rule_ids(layer: Optional[str] = None) -> List[str]:
     """Every registered rule id, optionally restricted to one layer."""
     import repro.lint.config_rules  # noqa: F401 - registration side effects
     import repro.lint.graph  # noqa: F401
     import repro.lint.partition_rules  # noqa: F401
-    import repro.lint.perf_rules  # noqa: F401
     import repro.lint.shard_rules  # noqa: F401
     import repro.lint.source_rules  # noqa: F401
 

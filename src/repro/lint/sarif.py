@@ -26,13 +26,12 @@ as the planner or topology parameters evolve; a baseline should pin
 "this config has a P003 at partition.lookahead", not the exact numbers
 of one planner version.
 
-Shard-layer (S-rule) and perf-layer (H-rule) findings always
-fingerprint as ``rule_id|subject|config_path`` -- even though they
-carry a source location -- because their ``config_path`` holds the
-evidence chain (``Class:entry->...->method`` plus, for H-rules, a
-per-hazard token).  That triple is the identity of the hazard;
-messages, heat weights, measured-time ranks, and line numbers evolve
-with the analyzer, and a baseline must survive that evolution.
+Shard-layer (S-rule) findings always fingerprint as
+``rule_id|subject|config_path`` -- even though they carry a source
+location -- because their ``config_path`` holds the evidence chain
+(``Class:entry->...->method``).  That triple is the identity of the
+hazard; messages, severities and line numbers evolve with the analyzer
+and the configuration, and a baseline must survive that evolution.
 """
 
 from __future__ import annotations
@@ -89,13 +88,13 @@ def fingerprint(finding: Finding, subject: Optional[str] = None) -> str:
     """A stable content hash of a finding, insensitive to line drift.
 
     Location-less graph/partition findings hash without the message so
-    the fingerprint survives planner/topology evolution; shard- and
-    perf-layer findings hash rule|subject|evidence-chain regardless of
-    location (see module docstring).
+    the fingerprint survives planner/topology evolution; shard-layer
+    findings hash rule|subject|evidence-chain regardless of location
+    (see module docstring).
     """
     layer = _rule_layer(finding.rule_id)
     uri, _line = _split_location(finding.location)
-    if layer in ("shard", "perf") or (
+    if layer == "shard" or (
             uri is None and layer in _CONTENT_FREE_LAYERS):
         material = "|".join([
             finding.rule_id,

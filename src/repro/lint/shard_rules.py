@@ -54,8 +54,8 @@ from repro.lint.callgraph import (
     REGISTRY_ATTRS,
     ClassGraph,
     Cond,
-    Heat,
     MethodScan,
+    Reach,
     merge_conds,
     model_bases,
     module_state,
@@ -195,7 +195,7 @@ def _entries(graph: ClassGraph, kind: str) -> Tuple[str, ...]:
 
 
 def _delivery_written_attrs(
-    graph: ClassGraph, delivery_reach: Dict[str, Heat]
+    graph: ClassGraph, delivery_reach: Dict[str, Reach]
 ) -> Dict[str, str]:
     """self attributes written on the delivery path -> writing method."""
     written: Dict[str, str] = {}

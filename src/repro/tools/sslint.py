@@ -11,7 +11,6 @@ configurations::
     sslint experiment.json --import my_models   # user models (§III-D)
     sslint experiment.json --layer shard        # shard-purity S-rules
     sslint --import my_models my_models.py --layer shard
-    sslint src/repro --layer perf               # hot-path H-rules
     sslint src/ --write-baseline lint-baseline.json
     sslint src/ --baseline lint-baseline.json   # new findings only
     sslint --list-rules
@@ -48,7 +47,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.config.settings import Settings, SettingsError
 from repro.lint import (
     ALL_LAYERS,
-    PERF_LAYER,
     SHARD_LAYER,
     SOURCE_LAYERS,
     Finding,
@@ -357,7 +355,7 @@ def sslint_main(argv: Optional[List[str]] = None) -> int:
 
     if source_files and (
         args.layer is None
-        or any(layer in SOURCE_LAYERS + (SHARD_LAYER, PERF_LAYER)
+        or any(layer in SOURCE_LAYERS + (SHARD_LAYER,)
                for layer in args.layer)
     ):
         reports.append(

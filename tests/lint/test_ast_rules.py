@@ -96,21 +96,17 @@ def test_unparseable_file_is_reported_not_raised(tmp_path):
 
 
 def test_each_target_is_parsed_once_per_run(hazard_path, monkeypatch):
-    """Every source layer plus both class-level layers share one parse
-    of each target -- including the files that define registered model
-    classes, which the call-graph core reads too."""
+    """Every source layer plus the shard layer share one parse of each
+    target -- including the files that define registered model classes,
+    which the call-graph core reads too."""
     import ast
     import collections
     import pathlib
 
-    from tests.lint.fixtures import perf_hazards, shard_hazards  # noqa: F401
+    from tests.lint.fixtures import shard_hazards  # noqa: F401
 
     fixtures = pathlib.Path(__file__).parent / "fixtures"
-    paths = [
-        hazard_path,
-        str(fixtures / "perf_hazards.py"),
-        str(fixtures / "shard_hazards.py"),
-    ]
+    paths = [hazard_path, str(fixtures / "shard_hazards.py")]
     parsed = collections.Counter()
     real_parse = ast.parse
 
@@ -119,15 +115,38 @@ def test_each_target_is_parsed_once_per_run(hazard_path, monkeypatch):
         return real_parse(source, filename, *args, **kwargs)
 
     monkeypatch.setattr(ast, "parse", counting_parse)
-    layers = ["determinism", "dataflow", "partition", "shard", "perf"]
+    layers = ["determinism", "dataflow", "partition", "shard"]
     for _run in range(2):
         parsed.clear()
         report = lint_sources(paths, layers=layers)
         assert {path: parsed[path] for path in paths} == dict.fromkeys(
             paths, 1
         )
-    # The class-level layers did run over those trees.
-    assert {"S", "H"} <= {f.rule_id[0] for f in report.findings}
+    # The shard layer did run over those trees.
+    assert {"S"} <= {f.rule_id[0] for f in report.findings}
+
+
+def test_lint_sources_reads_layers_once():
+    """A generator of layers runs every layer it names, like a list."""
+    import pathlib
+
+    from tests.lint.fixtures import naive_routing, shard_hazards  # noqa: F401
+
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    paths = [str(fixtures / "shard_hazards.py"),
+             str(fixtures / "naive_routing.py")]
+    layers = ["shard", "determinism"]
+    listed = lint_sources(paths, layers=layers)
+    generated = lint_sources(paths, layers=iter(layers))
+    assert len(listed.findings) > 1
+    assert generated.to_json() == listed.to_json()
+
+
+def test_lint_sources_rejects_an_unknown_layer(hazard_path):
+    with pytest.raises(ValueError, match="'bogus'.*known: config"):
+        lint_sources([hazard_path], layers=["determinism", "bogus"])
+    with pytest.raises(ValueError, match="'perf'"):
+        lint_sources([hazard_path], layers=["perf"])
 
 
 def test_unpicklable_collect_fails_d005():

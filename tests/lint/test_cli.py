@@ -91,6 +91,15 @@ def test_list_rules_covers_all_layers(capsys):
         assert rule_id in out
 
 
+def test_list_rules_perf_layer():
+    """``perf`` names no layer: asking for it is a usage error."""
+    for argv in (["--list-rules", "--layer", "perf"],
+                 ["src/repro", "--layer", "perf"]):
+        with pytest.raises(SystemExit) as excinfo:
+            sslint_main(argv)
+        assert excinfo.value.code == 2
+
+
 def test_py_targets_use_determinism_layer(tmp_path, capsys):
     source = tmp_path / "model.py"
     source.write_text("import random\nrandom.random()\n")

@@ -225,6 +225,23 @@ def test_shard_layer_flags_configured_unsafe_routing():
     )
 
 
+def test_lint_settings_reads_layers_once():
+    """A generator of layers runs every layer it names, like a list."""
+    settings = Settings.from_dict(credit_accounting_config())
+    listed = lint_settings(settings, layers=["config", SHARD_LAYER])
+    generated = lint_settings(settings, layers=iter(["config", SHARD_LAYER]))
+    assert "S001" in {f.rule_id for f in listed.findings}
+    assert generated.to_json() == listed.to_json()
+
+
+def test_lint_settings_rejects_an_unknown_layer():
+    settings = Settings.from_dict(small_torus_config())
+    with pytest.raises(ValueError, match="'bogus'.*known: config"):
+        lint_settings(settings, layers=["config", "bogus"])
+    with pytest.raises(ValueError, match="'perf'"):
+        lint_settings(settings, layers=["perf"])
+
+
 def test_shard_layer_demotes_dormant_hazards_to_info():
     # blast with fixed warmup: the S002 hazard exists but its guard
     # (warmup_mode == 'auto') is provably false for this config.
@@ -275,7 +292,7 @@ def test_shard_fingerprints_pin_rule_class_and_chain():
         location="src/repro/routing/dragonfly.py:49",
     )
     drifted = Finding(
-        "S001", Severity.ERROR,
+        "S001", Severity.WARNING,  # demoted: severity is not identity
         "a reworded message from a newer analyzer",
         config_path="DragonflyUgalRouting:route->_decide->_hop_vc",
         location="src/repro/routing/dragonfly.py:63",  # line drift
