@@ -14,12 +14,18 @@
 #   9. lint pins the lint dependency trace reproduces every pinned channel
 #                dependency graph (tests/lint/test_cdg_pins.py), the call-graph
 #                reach its tests (tests/lint/test_callgraph.py) and the shard
-#                layer its pinned verdicts, fingerprints and bench partition
-#                (tests/lint/test_shard_pins.py); the sslint gate only looks
-#                for error findings
+#                layer (S002-S005) its pinned verdicts, fingerprints and bench
+#                partition (tests/lint/test_shard_pins.py); the sslint gate
+#                only looks for error findings
 #  10. delivery  the delivery goldens (tests/net/test_delivery_golden.py):
 #                the only fast gate over dragonfly, adaptive torus,
-#                Valiant/UGAL and parking-lot routing
+#                Valiant/UGAL and parking-lot routing; the head-hop VC
+#                tests (tests/integration/test_head_hop_vcs.py): every
+#                head hop on HyperX/dragonfly takes the hop-count VC, and
+#                every dependency a run takes is a certified lint edge;
+#                and the sharded two-phase runs, which match single-process
+#                with multi-flit packets (hop_count crosses the cut in the
+#                head record)
 #  11. bench     one short sharded_k2_torus run must reproduce bench/pins.json
 #                (the only fast gate that runs repro.partition, its cut
 #                channel proxies and the cross-shard record rebuild)
@@ -38,10 +44,10 @@
 #
 # Usage: scripts/ci_check.sh [--fast]
 #   --fast  run only sslint, the five bench smokes, the lint pins, the
-#           delivery goldens, the crossbar tests and the credit
-#           accounting tests (~57 s on 2 cores, ~4 s of it the lint pins,
-#           ~7 s the delivery goldens, ~3 s the crossbar tests and ~14 s
-#           the credit accounting tests)
+#           delivery tests, the crossbar tests and the credit
+#           accounting tests (~37 s on 2 idle cores, ~2 s of it the lint
+#           pins, ~14 s the delivery tests, ~1.5 s the crossbar tests and
+#           ~7 s the credit accounting tests; a loaded host takes ~2x)
 #
 # Exit status is non-zero if any executed gate fails.  ruff and mypy
 # are optional: their configuration lives in pyproject.toml and applies
@@ -103,8 +109,10 @@ run_gate "bench smoke (sweep16_hyperx_ioq pins)" \
 run_gate "lint pins (dependency trace, call-graph reach, shard layer)" \
     python -m pytest -q tests/lint/test_cdg_pins.py \
     tests/lint/test_callgraph.py tests/lint/test_shard_pins.py
-run_gate "delivery goldens (every packaged routing family)" \
-    python -m pytest -q tests/net/test_delivery_golden.py
+run_gate "delivery (goldens, head-hop VCs, sharded two-phase)" \
+    python -m pytest -q tests/net/test_delivery_golden.py \
+    tests/integration/test_head_hop_vcs.py \
+    tests/partition/test_sharded_golden.py::test_sharded_two_phase_matches_single_process
 run_gate "bench smoke (sharded_k2_torus pins)" \
     python3 bench/run.py --workload sharded_k2_torus --reps 1 --seconds 2
 run_gate "crossbar scheduler and router step order" \

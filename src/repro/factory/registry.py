@@ -38,9 +38,11 @@ class ObjectFactory:
         """Class decorator registering an implementation of ``base``.
 
         Registering two different classes under the same (base, name)
-        pair is an error; re-registering the *same* class is idempotent
-        (it happens when a module is imported twice under different
-        names, e.g. in test runners).
+        pair is an error.  A class with the qualified name of the
+        registered one is the same class: a module imported twice under
+        different names (e.g. in test runners) defines it twice, and the
+        first registration stands, so lookups do not depend on import
+        order.
         """
 
         def decorator(cls: Type[T]) -> Type[T]:
@@ -50,13 +52,12 @@ class ObjectFactory:
                     f"to register as a {base.__name__} model"
                 )
             key = (base, name)
-            existing = self._registry.get(key)
-            if existing is not None and existing.__qualname__ != cls.__qualname__:
+            existing = self._registry.setdefault(key, cls)
+            if existing.__qualname__ != cls.__qualname__:
                 raise FactoryError(
                     f"{base.__name__} model {name!r} already registered "
                     f"as {existing.__name__}"
                 )
-            self._registry[key] = cls
             return cls
 
         return decorator

@@ -28,7 +28,7 @@ The source layers above share one parsed-and-walked model of each file
 (:mod:`repro.lint.source_rules`); the class-level layer below reads
 one call graph per model class (:mod:`.callgraph`).
 
-* **shard** (S001..S005) -- interprocedural shard-purity analysis of
+* **shard** (S002..S005) -- interprocedural shard-purity analysis of
   the registered model classes a configuration selects (or of model
   classes defined in given source files): per-class call graphs from
   the framework entry points, classifying each model shard-safe /

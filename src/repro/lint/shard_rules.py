@@ -9,10 +9,6 @@ from a name blocklist: :func:`analyze_class` builds the class's call
 graph (:mod:`repro.lint.callgraph`), walks the methods reachable from
 its framework entry points, and applies the S-rules:
 
-* **S001** head-time read of tail-bumped packet state: VC/route
-  selection reading ``packet.hop_count``, which routers bump as the
-  *tail* leaves -- a sharded copy only learns of remote bumps at the
-  next tail crossing (the dragonfly/hyperx divergence, now detected).
 * **S002** control decision fed by locally observed deliveries: a
   delivery-handler path that signals Ready/Complete, schedules events,
   or injects traffic; or a Ready/Complete decision reading state
@@ -75,10 +71,6 @@ SHARD_SAFE = "shard-safe"
 SHARD_UNSAFE = "shard-unsafe"
 CONDITIONAL = "conditional"
 UNKNOWN = "unknown"
-
-#: packet attributes bumped as the *tail* crosses a router, read at
-#: head time by adaptive VC/route selection (S001).
-TAIL_BUMPED_ATTRS = frozenset({"hop_count"})
 
 #: ``self.<name>()`` calls that steer the workload handshake or inject
 #: traffic; forbidden on delivery-handler paths (S002).  ``done`` is
@@ -203,24 +195,6 @@ def _delivery_written_attrs(
         for attr in graph.scans[name].self_writes:
             written.setdefault(attr, name)
     return written
-
-
-def _check_s001(graph, kind, reach, hazards) -> None:
-    if kind not in ("routing", "router", "interface"):
-        return
-    for name, info in reach.items():
-        scan = graph.scans[name]
-        for attr, site, _owner in scan.attr_loads:
-            if attr in TAIL_BUMPED_ATTRS:
-                hazards.append(Hazard(
-                    "S001", graph.class_name, info.path,
-                    _location(scan, site.lineno),
-                    f"reads packet.{attr} at head time, but routers "
-                    f"bump it as the tail leaves; a sharded copy only "
-                    f"learns of remote bumps at the next tail "
-                    f"crossing, so VC/route choices can diverge",
-                    merge_conds(info.conds, site.conds),
-                ))
 
 
 def _check_s002(graph, kind, reach, delivery_reach, hazards) -> None:
@@ -366,7 +340,6 @@ def analyze_class(cls: type, kind: str) -> ClassVerdict:
         graph, [e for e in DELIVERY_ENTRIES if e in graph.methods]
     )
     hazards: List[Hazard] = []
-    _check_s001(graph, kind, reach, hazards)
     _check_s002(graph, kind, reach, delivery_reach, hazards)
     _check_s003(graph, reach, hazards)
     _check_s004(graph, reach, hazards)
@@ -416,9 +389,9 @@ def _findings(rule: LintRule, ctx: LintContext) -> List[Finding]:
     for target in ctx.shard():
         verdict = analyze_class(target.cls, target.kind)
         if verdict.classification == UNKNOWN:
-            if rule.rule_id == "S001":  # report unknowns exactly once
+            if rule.rule_id == "S002":  # report unknowns exactly once
                 findings.append(Finding(
-                    "S001", Severity.WARNING,
+                    "S002", Severity.WARNING,
                     f"[{target.origin}={target.name}] source of "
                     f"{verdict.class_name} is unavailable; cannot "
                     f"prove shard-safety",
@@ -451,8 +424,6 @@ def _findings(rule: LintRule, ctx: LintContext) -> List[Finding]:
 declare_rules(SHARD_LAYER, _findings, [
     (rule_id, Severity.ERROR, description, TARGET_FRAME)
     for rule_id, description in (
-        ("S001", "VC/route selection reads tail-bumped packet state "
-                 "(packet.hop_count) at head time; diverges across shards"),
         ("S002", "workload control (Ready/Complete/scheduling/injection) "
                  "decided from locally observed deliveries or delivery-fed "
                  "state"),

@@ -57,7 +57,7 @@ class Packet:
         global_id: unique id across the whole simulation; DOR VC
             rotation and the folded-Clos up-port hash read it.
         num_flits: the packet's length in flits.
-        hop_count: number of routers traversed so far.
+        hop_count: number of routers the head has left so far.
         non_minimal: set by adaptive routing algorithms when the packet
             took a non-minimal path (used by phantom-congestion analyses).
         intermediate: Valiant-style intermediate destination, if any.

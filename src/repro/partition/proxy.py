@@ -38,9 +38,8 @@ Record wire format (plain tuples; picklable for process workers):
 * flit:   ``(0, cut_index, due, vc, gid, index, head|None)``
 * credit: ``(1, cut_index, due, vc)``
 
-where the last slot is ``None`` on body flits, the packet's current
-``hop_count`` (an int) on tail flits -- routers bump it as the tail
-leaves them, after the head already crossed -- and on head flits::
+where the last slot is ``None`` on body and tail flits -- routers change
+packet state only as the head leaves them -- and on head flits is::
 
     (msg_id, app_id, source, destination, msg_flits, txn_id, sampled,
      created_tick, num_packets, packet_id, pkt_flits, injection_tick,
@@ -117,17 +116,6 @@ class _ProxyFlitChannel(Channel):
                 packet.intermediate,
                 packet.routing_state,
             )
-        elif flit.tail:
-            # Tail: routers bump ``hop_count`` as the tail leaves them,
-            # i.e. *after* the head (and its snapshot) already crossed,
-            # so the tail carries the post-increment count for the
-            # sink-side copy to converge with the shared single-process
-            # object.  Nothing else moves between head and tail egress
-            # -- routing decisions (and the ``routing_state`` /
-            # ``non_minimal`` they set) all happen at head time -- and
-            # the sink applies the count at materialization, always
-            # before any sink-side router sees this tail.
-            head = packet.hop_count
         self._shard_outbox.append((
             FLIT_RECORD,
             self._cut_index,
@@ -208,32 +196,24 @@ class ShardRegistry:
         _, _, _, vc, gid, index, head = record
         packet = self.packets.get(gid)
         if packet is None:
-            if not isinstance(head, tuple) or index != 0:
+            if head is None or index != 0:
                 raise ProxyError(
                     f"non-head flit of unknown packet g{gid} crossed the "
                     f"cut before its head (wormhole order violated)"
                 )
             packet = self._materialize_packet(gid, head)
-        elif isinstance(head, tuple):
+        elif head is not None:
             # Head re-entry: the packet was routed through other shards
             # since it left; refresh the head-driven state it
-            # accumulated there (routing decisions happen at head
-            # time).  ``hop_count`` is deliberately NOT taken from a
-            # head snapshot: it is tail-driven, so the local copy can
-            # be *ahead* of the remote one while the tail still trails
-            # through local routers; the authoritative count rides the
-            # tail records, which follow the head through every cut.
+            # accumulated there (routers change packet state only as
+            # the head leaves them).
             (_, _, _, _, _, _, _, _, _, _, _, injection_tick,
-             _, non_minimal, intermediate, routing_state) = head
+             hop_count, non_minimal, intermediate, routing_state) = head
             packet.injection_tick = injection_tick
+            packet.hop_count = hop_count
             packet.non_minimal = non_minimal
             packet.intermediate = intermediate
             packet.routing_state = routing_state
-        elif head is not None:
-            # Tail: apply the egress side's post-increment hop count
-            # (see the proxy's ``send_flit``); sink-side increments for
-            # this packet can only happen after this tail lands.
-            packet.hop_count = head
         flit = packet.flit(index)
         flit.vc = vc
         return flit

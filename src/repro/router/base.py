@@ -408,7 +408,8 @@ class Router(PortedDevice):
 
     def _pop_input_flit(self, i: int) -> Flit:
         """Dequeue input VC ``i``'s front flit, return its credit
-        upstream, and release the output VC at the tail."""
+        upstream, count the hop at the head and release the output VC
+        at the tail."""
         flits = self._in_flits[i]
         flit = flits.popleft()  # IndexError when the input VC is empty
         empty = not flits
@@ -420,6 +421,8 @@ class Router(PortedDevice):
         # override send_credit to intercept the upstream credit return.
         num_vcs = self.num_vcs
         self.send_credit(i // num_vcs, i % num_vcs)
+        if flit.head:
+            flit.packet.hop_count += 1
         if flit.tail:
             owners = self._output_vc_owner
             o = out_port * num_vcs + out_vc
@@ -430,7 +433,6 @@ class Router(PortedDevice):
                     f"{out_port}.{out_vc} owned by input VC {owners[o]}"
                 )
             owners[o] = -1
-            flit.packet.hop_count += 1
             self._in_packet[i] = None
             self._in_candidates[i] = ()
             self._in_out_port[i] = -1

@@ -19,7 +19,8 @@ queries.
 
 VC discipline: the VC index equals the number of router-to-router hops
 already taken, clamped to the top VC, so every hop moves to a strictly
-higher VC until the clamp.
+higher VC until the clamp.  ``packet.hop_count`` is that number when
+the head is routed: routers bump it as the head leaves them.
 """
 
 from __future__ import annotations

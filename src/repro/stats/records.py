@@ -35,7 +35,7 @@ class PacketRecord:
         """The record of ``packet`` whose tail arrived at ``receive_tick``.
 
         The send tick is the head's injection tick.  ``hop_count`` is
-        final only now: routers bump it as the tail leaves them.
+        final: routers bump it as the head leaves them.
         """
         return cls(packet.injection_tick, receive_tick, packet.hop_count,
                    packet.non_minimal)

@@ -19,33 +19,12 @@ from typing import List
 
 from repro import factory
 from repro.net.message import Message
-from repro.routing.base import Candidate, RoutingAlgorithm
-from repro.routing.torus import TorusDimensionOrderRouting
 from repro.workload.application import Application
 
 #: module-level id counter and event log: per-process state that S004
 #: must catch when a handler path touches it.
 _PACKET_SERIALS = itertools.count(0)
 _DELIVERY_LOG: List[int] = []
-
-
-@factory.register(RoutingAlgorithm, "sneaky_hop_local_vc")
-class SneakyHopLocalVcRouting(TorusDimensionOrderRouting):
-    """S001: reads packet.hop_count at head time for VC selection.
-
-    The name deliberately shares no prefix with dragonfly/hyperx: the
-    old blocklist (``algorithm.startswith(("dragonfly", "hyperx"))``)
-    would have admitted it, silently diverging under sharding.
-    """
-
-    topology = "torus"
-
-    def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:
-        candidates = super().route(packet, input_port, input_vc)
-        # hop_count is bumped as the *tail* leaves a router; reading it
-        # at head time is exactly the dragonfly/hyperx hazard.
-        rotation = packet.hop_count % len(candidates)
-        return candidates[rotation:] + candidates[:rotation]
 
 
 @factory.register(Application, "delivery_gated_app")

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import json
 import pathlib
 import sys
 
 import pytest
 
+from repro import factory
 from repro.__main__ import main as supersim_main
 from repro.configs import blast_pulse_config
+from repro.factory.registry import ObjectFactory
+from repro.routing.base import RoutingAlgorithm
 from repro.tools.sslint import sslint_main
+
+from .fixtures import naive_routing
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -77,6 +83,25 @@ def test_import_registers_user_models(tmp_path, capsys, monkeypatch):
     path = _write_config(tmp_path, config)
     assert sslint_main([path, "--import", "naive_routing"]) == 1
     assert "G004" in capsys.readouterr().out
+
+
+def test_reimported_fixture_keeps_its_first_class(monkeypatch):
+    """``--import naive_routing`` imports the fixture a second time,
+    under its bare module name.  The first registration stands in
+    either order, so what a lookup returns does not depend on which
+    test imported the fixture first."""
+    monkeypatch.syspath_prepend(str(FIXTURES))
+    bare = importlib.import_module("naive_routing")
+    classes = (naive_routing.NaiveTorusMinimalRouting,
+               bare.NaiveTorusMinimalRouting)
+    assert classes[0] is not classes[1]
+    assert factory.lookup(RoutingAlgorithm, "naive_torus_minimal") is classes[0]
+    for order in (classes, classes[::-1]):
+        registry = ObjectFactory()
+        for cls in order:
+            registry.register(RoutingAlgorithm, "naive_torus_minimal")(cls)
+            assert registry.lookup(
+                RoutingAlgorithm, "naive_torus_minimal") is order[0]
 
 
 def test_builtin_configs_lint_clean(capsys):
@@ -155,15 +180,15 @@ def test_sslint_partition_plans_and_summarizes(tmp_path, capsys):
 
 
 def test_sslint_partition_all_builtins(capsys):
-    # credit_accounting routes with hyperx_ugal, which the shard-purity
-    # analyzer (rightly) flags S001 -- so "all builtins" now exits 1,
-    # with the other three configs still planning cleanly.
+    # Every builtin config plans cleanly, credit_accounting's hyperx_ugal
+    # routing included; blast's auto-warmup S002 hazard is dormant.
     assert sslint_main(
         ["--builtin", "all", "--partition", "4", "--max-pairs", "64"]
-    ) == 1
+    ) == 0
     out = capsys.readouterr().out
     assert out.count("partition: k=4") == 4
-    assert "S001" in out and "hop_count" in out
+    assert out.count("0 error(s)") == 4
+    assert out.count("dormant here: S002") == 4
 
 
 def test_sslint_manifest_out_is_deterministic(tmp_path, capsys):
@@ -182,13 +207,10 @@ def test_sslint_manifest_out_is_deterministic(tmp_path, capsys):
 
 def test_sslint_manifest_out_directory_for_many(tmp_path, capsys):
     out_dir = tmp_path / "plans"
-    # Exit 1 for credit_accounting's S001 (see above); S-findings are
-    # verdicts about model code, not the shard assignment, so all four
-    # manifests must still be written.
     assert sslint_main(
         ["--builtin", "all", "--partition", "2", "--max-pairs", "64",
          "--manifest-out", str(out_dir)]
-    ) == 1
+    ) == 0
     capsys.readouterr()
     written = sorted(p.name for p in out_dir.iterdir())
     assert len(written) == 4

@@ -2,11 +2,9 @@
 
 Three layers of coverage:
 
-* the interprocedural engine's verdicts on every *builtin* model (the
-  derived classifications must match the old hand-maintained scope
-  list: dragonfly/hyperx hop-adaptive routing unsafe with hop_count
-  evidence chains, blast conditional on auto-warmup, everything else
-  clean);
+* the interprocedural engine's verdicts on every *builtin* model
+  (blast conditional on auto-warmup, request_reply unsafe, everything
+  else clean);
 * one mutation fixture per S-rule (``fixtures/shard_hazards.py``),
   asserted rule-by-rule -- proof each rule actually fires;
 * the consumers: ``validate_sharded_scope`` (verdict-driven, no name
@@ -23,7 +21,6 @@ import pathlib
 import pytest
 
 from repro import Settings, factory
-from repro.configs import credit_accounting_config
 from repro.lint import SHARD_LAYER, lint_settings
 from repro.lint.findings import Finding, Severity
 from repro.lint.sarif import fingerprint
@@ -54,8 +51,10 @@ def _write_config(tmp_path, config, name="config.json"):
 
 # -- builtin classifications -------------------------------------------------
 
-#: What the analyzer must derive for every shipped model -- the same
-#: judgments the old hard-coded scope list encoded, now with evidence.
+#: What the analyzer must derive for every shipped model.  HyperX and
+#: dragonfly routing read ``packet.hop_count``, which routers bump as
+#: the head leaves and the head-flit record carries across a cut, so
+#: they are clean.
 BUILTIN_EXPECTATIONS = {
     ("application", "blast"): CONDITIONAL,
     ("application", "pulse"): SHARD_SAFE,
@@ -63,12 +62,12 @@ BUILTIN_EXPECTATIONS = {
     ("routing", "chain"): SHARD_SAFE,
     ("routing", "clos_adaptive"): SHARD_SAFE,
     ("routing", "clos_deterministic"): SHARD_SAFE,
-    ("routing", "dragonfly_minimal"): SHARD_UNSAFE,
-    ("routing", "dragonfly_ugal"): SHARD_UNSAFE,
-    ("routing", "dragonfly_valiant"): SHARD_UNSAFE,
+    ("routing", "dragonfly_minimal"): SHARD_SAFE,
+    ("routing", "dragonfly_ugal"): SHARD_SAFE,
+    ("routing", "dragonfly_valiant"): SHARD_SAFE,
     ("routing", "hyperx_dimension_order"): SHARD_SAFE,
-    ("routing", "hyperx_ugal"): SHARD_UNSAFE,
-    ("routing", "hyperx_valiant"): SHARD_UNSAFE,
+    ("routing", "hyperx_ugal"): SHARD_SAFE,
+    ("routing", "hyperx_valiant"): SHARD_SAFE,
     ("routing", "torus_dimension_order"): SHARD_SAFE,
     ("routing", "torus_minimal_adaptive"): SHARD_SAFE,
     ("router", "input_output_queued"): SHARD_SAFE,
@@ -100,19 +99,6 @@ def test_builtin_classifications_match_expectations():
     assert not unlisted, f"unlisted builtin models not shard-safe: {unlisted}"
 
 
-def test_hop_adaptive_routing_carries_evidence_chain():
-    verdict = analyze_registered("routing", "dragonfly_ugal")
-    assert verdict.classification == SHARD_UNSAFE
-    (hazard,) = [h for h in verdict.hazards if h.rule_id == "S001"]
-    # The read happens in a helper of the two-phase core the class
-    # inherits; the chain must show the path from the framework entry
-    # point to the offending method, and the location its file.
-    assert hazard.path == ("route", "_hop_vc")
-    assert "hop_count" in hazard.detail
-    assert "two_phase.py" in hazard.location
-    assert not hazard.conditions  # unconditional: fires for any config
-
-
 def test_blast_is_conditional_on_auto_warmup():
     verdict = analyze_registered("application", "blast")
     assert verdict.classification == CONDITIONAL
@@ -138,7 +124,6 @@ def test_blast_is_conditional_on_auto_warmup():
 @pytest.mark.parametrize(
     "cls,kind,rule_id",
     [
-        (shard_hazards.SneakyHopLocalVcRouting, "routing", "S001"),
         (shard_hazards.DeliveryGatedApplication, "application", "S002"),
         (shard_hazards.NetworkSnoopApplication, "application", "S003"),
         (shard_hazards.ModuleStateApplication, "application", "S004"),
@@ -165,23 +150,6 @@ def test_module_state_fixture_flags_counter_and_mutation():
 
 
 # -- validate_sharded_scope: verdicts, not name lists ------------------------
-
-
-def test_scope_rejects_custom_hop_count_routing():
-    """The regression the blocklist could never catch.
-
-    ``sneaky_hop_local_vc`` shares no name prefix with dragonfly or
-    hyperx; the old ``startswith`` check would have admitted it and the
-    sharded run would silently diverge.  The verdict-driven scope must
-    reject it with the analyzer's hop_count evidence.
-    """
-    config = small_torus_config()
-    config["network"]["routing"]["algorithm"] = "sneaky_hop_local_vc"
-    with pytest.raises(PartitionRuntimeError, match="hop_count") as excinfo:
-        validate_sharded_scope(config)
-    message = str(excinfo.value)
-    assert "S001" in message
-    assert "SneakyHopLocalVcRouting.route" in message
 
 
 def test_scope_admits_hyperx_dimension_order():
@@ -216,21 +184,22 @@ def test_scope_rejects_unsafe_fixture_applications(app_type, rule_id):
 # -- lint-layer integration --------------------------------------------------
 
 
-def test_shard_layer_flags_configured_unsafe_routing():
-    settings = Settings.from_dict(credit_accounting_config())
+def test_shard_layer_flags_configured_unsafe_model():
+    settings = Settings.from_dict(small_torus_config(warmup_mode="auto"))
     report = lint_settings(settings, layers=[SHARD_LAYER])
     errors = [f for f in report.findings if f.severity == Severity.ERROR]
     assert any(
-        f.rule_id == "S001" and "hop_count" in f.message for f in errors
+        f.rule_id == "S002" and "warmup_mode == 'auto'" in f.message
+        for f in errors
     )
 
 
 def test_lint_settings_reads_layers_once():
     """A generator of layers runs every layer it names, like a list."""
-    settings = Settings.from_dict(credit_accounting_config())
+    settings = Settings.from_dict(small_torus_config(warmup_mode="auto"))
     listed = lint_settings(settings, layers=["config", SHARD_LAYER])
     generated = lint_settings(settings, layers=iter(["config", SHARD_LAYER]))
-    assert "S001" in {f.rule_id for f in listed.findings}
+    assert "S002" in {f.rule_id for f in listed.findings}
     assert generated.to_json() == listed.to_json()
 
 
@@ -258,17 +227,18 @@ def test_shard_layer_demotes_dormant_hazards_to_info():
 def test_sslint_list_rules_shows_shard_layer(capsys):
     assert sslint_main(["--list-rules", "--layer", "shard"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("S001", "S002", "S003", "S004", "S005"):
+    for rule_id in ("S002", "S003", "S004", "S005"):
         assert rule_id in out
+    assert "S001" not in out
     assert "C001" not in out
 
 
 def test_sslint_partition_gates_on_shard_verdicts(tmp_path, capsys):
-    config = credit_accounting_config()  # hyperx_ugal routing
+    config = small_torus_config(warmup_mode="auto")
     path = _write_config(tmp_path, config)
     assert sslint_main([path, "--partition", "4"]) == 1
     out = capsys.readouterr().out
-    assert "S001" in out and "hop_count" in out
+    assert "S002" in out and "warmup_mode == 'auto'" in out
 
 
 def test_sslint_shard_layer_over_sources(capsys):
@@ -277,7 +247,7 @@ def test_sslint_shard_layer_over_sources(capsys):
     )
     assert sslint_main([fixture, "--layer", "shard"]) == 1
     out = capsys.readouterr().out
-    for rule_id in ("S001", "S002", "S003", "S004", "S005"):
+    for rule_id in ("S002", "S003", "S004", "S005"):
         assert rule_id in out
 
 
@@ -286,21 +256,21 @@ def test_sslint_shard_layer_over_sources(capsys):
 
 def test_shard_fingerprints_pin_rule_class_and_chain():
     base = Finding(
-        "S001", Severity.ERROR,
-        "[network.routing.algorithm=dragonfly_ugal] S001 ...",
-        config_path="DragonflyUgalRouting:route->_decide->_hop_vc",
-        location="src/repro/routing/dragonfly.py:49",
+        "S002", Severity.ERROR,
+        "[workload.applications[0]=blast] S002 ...",
+        config_path="BlastApplication:on_init->_warmup_check",
+        location="src/repro/workload/blast.py:84",
     )
     drifted = Finding(
-        "S001", Severity.WARNING,  # demoted: severity is not identity
+        "S002", Severity.WARNING,  # demoted: severity is not identity
         "a reworded message from a newer analyzer",
-        config_path="DragonflyUgalRouting:route->_decide->_hop_vc",
-        location="src/repro/routing/dragonfly.py:63",  # line drift
+        config_path="BlastApplication:on_init->_warmup_check",
+        location="src/repro/workload/blast.py:91",  # line drift
     )
     other_chain = Finding(
-        "S001", Severity.ERROR,
+        "S002", Severity.ERROR,
         base.message,
-        config_path="DragonflyUgalRouting:route->_hop_vc",
+        config_path="BlastApplication:on_message_delivered",
         location=base.location,
     )
     subject = "partition:test"

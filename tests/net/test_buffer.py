@@ -122,8 +122,9 @@ def test_space_accounting():
 
 
 def test_tail_pop_releases_output_vc():
-    """Popping a packet's tail frees the output VC it claimed and resets
-    the input VC for the next packet."""
+    """Popping a packet's head counts its hop; popping its tail frees
+    the output VC it claimed and resets the input VC for the next
+    packet."""
     for architecture in ARCHITECTURES:
         router = build_router(architecture)
         flits = make_flits(3)
@@ -138,14 +139,19 @@ def test_tail_pop_releases_output_vc():
         owners = router._output_vc_owner
         assert owners[o] == i
         assert owners.count(-1) == len(owners) - 1
-        hops = flits[0].packet.hop_count
-        popped = [router._pop_input_flit(i) for _ in range(3)]
+        packet = flits[0].packet
+        hops = packet.hop_count
+        popped, counts = [], []
+        for _ in flits:
+            popped.append(router._pop_input_flit(i))
+            counts.append(packet.hop_count)
+        # Counted once as the head leaves, not again on body and tail.
+        assert counts == [hops + 1] * 3
         assert popped == flits
         assert all(flit.vc == owner_key[1] for flit in popped)
         assert set(owners) == {-1}
         assert router._in_packet[i] is None
         assert router._in_out_port[i] == -1 and router._in_out_vc[i] == -1
-        assert flits[0].packet.hop_count == hops + 1
         assert not router._route_pending
 
 

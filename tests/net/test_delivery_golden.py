@@ -16,7 +16,12 @@ disjoint send paths, and only the last paces channels at period 2.
 The two-phase (Valiant/UGAL) cells on HyperX and dragonfly were
 recorded at cdd43b6, where each topology still had its own two-phase
 implementation: they pin the random intermediate draws and the UGAL
-source decisions of the shared core.
+source decisions of the shared core.  The three with 2-flit packets
+(``hyperx_valiant``, ``dragonfly_valiant``, ``dragonfly_ugal``) were
+re-recorded when routers moved the hop count from the tail's departure
+to the head's: a head routed while its previous router still held the
+tail took the previous hop's VC.  Only their digests moved, which
+cover each flit's VC; every count is equal.
 
 The packet-buffer, winner-take-all and age-based cells were recorded at
 7b2f905, where the IQ and IOQ routers still granted uncontested flits
@@ -107,7 +112,7 @@ def _pin(digest, deliveries, flits, messages, hops) -> dict:
         ),
         pytest.param(
             _invariants_cell("hyperx_2d_valiant"), 400_000,
-            _pin("986a5c12", 18996, 2046, 1023, 7452),
+            _pin("76908eb5", 18996, 2046, 1023, 7452),
             id="hyperx_valiant",
         ),
         pytest.param(
@@ -117,12 +122,12 @@ def _pin(digest, deliveries, flits, messages, hops) -> dict:
         ),
         pytest.param(
             _invariants_cell("dragonfly_valiant"), 400_000,
-            _pin("c2304c6b", 52324, 4648, 2324, 21514),
+            _pin("039e7e69", 52324, 4648, 2324, 21514),
             id="dragonfly_valiant",
         ),
         pytest.param(
             _invariants_cell("dragonfly_ugal"), 400_000,
-            _pin("6b9147e9", 24296, 3028, 1514, 9120),
+            _pin("c934d3f4", 24296, 3028, 1514, 9120),
             id="dragonfly_ugal",
         ),
         pytest.param(

@@ -198,13 +198,6 @@ def test_scope_rejects_auto_warmup():
         validate_sharded_scope(config)
 
 
-def test_scope_rejects_hop_adaptive_vc_selection():
-    config = _small_config()
-    config["network"]["routing"]["algorithm"] = "dragonfly_ugal"
-    with pytest.raises(PartitionRuntimeError, match="hop_count"):
-        validate_sharded_scope(config)
-
-
 def test_scope_rejects_progress_monitor():
     config = _small_config()
     config["simulator"]["monitor"] = {"period": 100}

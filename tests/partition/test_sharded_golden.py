@@ -9,8 +9,9 @@ the merged message log is compared record-for-record on top.
 
 Covered on torus/IQ and folded-Clos/OQ (disjoint router send paths),
 with a mixed blast+pulse workload (exercises the coordinator's static
-stop schedule and delivery-driven kill replay), and with real worker
-processes (pickled record streams), forked and spawned.
+stop schedule and delivery-driven kill replay), on HyperX and dragonfly
+two-phase routing with multi-flit packets (hop-count VCs), and with
+real worker processes (pickled record streams), forked and spawned.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.partition.runtime import run_sharded
 from repro.sanitize import attach_sanitizers
 
 from tests.conftest import small_torus_config
+from tests.integration.test_head_hop_vcs import flit_cell
 
 
 def _torus_config() -> dict:
@@ -104,6 +106,23 @@ def test_sharded_matches_single_process(name, config, max_time):
     )
     merged = [r.to_dict() for r in results.records]
     assert merged == base["records"], f"{name}: message logs diverged"
+
+
+@pytest.mark.parametrize("flits", [2, 8])
+@pytest.mark.parametrize(
+    "name", ["hyperx_2d_valiant", "dragonfly_valiant", "dragonfly_ugal"]
+)
+def test_sharded_two_phase_matches_single_process(name, flits):
+    """Hop-VC routing reads ``packet.hop_count`` when a head is routed.
+    Routers bump it as the head leaves, so the head's record carries
+    every bump made in another shard; multi-flit packets show it."""
+    config = flit_cell(name, flits)
+    base = _single_process(config, 400_000)
+    config["simulator"]["max_time"] = 400_000
+    results = run_sharded(config, k=2, sanitize="det")
+    assert results.drained and results.records_exchanged > 0
+    assert results.delivery_digest == base["digest"]
+    assert [r.to_dict() for r in results.records] == base["records"]
 
 
 @pytest.mark.parametrize("max_time", [1000, 1001, 1003])
