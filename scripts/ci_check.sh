@@ -23,9 +23,12 @@
 #                tests (tests/integration/test_head_hop_vcs.py): every
 #                head hop on HyperX/dragonfly takes the hop-count VC, and
 #                every dependency a run takes is a certified lint edge;
-#                and the sharded two-phase runs, which match single-process
+#                the sharded two-phase runs, which match single-process
 #                with multi-flit packets (hop_count crosses the cut in the
-#                head record)
+#                head record); and run identity: one config run twice in
+#                a process, with other work between, and a sweep at 1 and
+#                4 workers give equal results (routing reads packet ids,
+#                which each simulation's network numbers from zero)
 #  11. bench     one short sharded_k2_torus run must reproduce bench/pins.json
 #                (the only fast gate that runs repro.partition, its cut
 #                channel proxies and the cross-shard record rebuild)
@@ -45,8 +48,8 @@
 # Usage: scripts/ci_check.sh [--fast]
 #   --fast  run only sslint, the five bench smokes, the lint pins, the
 #           delivery tests, the crossbar tests and the credit
-#           accounting tests (~37 s on 2 idle cores, ~2 s of it the lint
-#           pins, ~14 s the delivery tests, ~1.5 s the crossbar tests and
+#           accounting tests (~49 s on 2 idle cores, ~2 s of it the lint
+#           pins, ~26 s the delivery tests, ~1.5 s the crossbar tests and
 #           ~7 s the credit accounting tests; a loaded host takes ~2x)
 #
 # Exit status is non-zero if any executed gate fails.  ruff and mypy
@@ -109,10 +112,12 @@ run_gate "bench smoke (sweep16_hyperx_ioq pins)" \
 run_gate "lint pins (dependency trace, call-graph reach, shard layer)" \
     python -m pytest -q tests/lint/test_cdg_pins.py \
     tests/lint/test_callgraph.py tests/lint/test_shard_pins.py
-run_gate "delivery (goldens, head-hop VCs, sharded two-phase)" \
+run_gate "delivery (goldens, head-hop VCs, sharded two-phase, run identity)" \
     python -m pytest -q tests/net/test_delivery_golden.py \
     tests/integration/test_head_hop_vcs.py \
-    tests/partition/test_sharded_golden.py::test_sharded_two_phase_matches_single_process
+    tests/partition/test_sharded_golden.py::test_sharded_two_phase_matches_single_process \
+    tests/integration/test_determinism_and_scale.py::test_same_config_runs_alike_after_unrelated_work \
+    tests/tools/test_sweep_parallel.py::test_parallel_sweep_rows_byte_identical_to_serial
 run_gate "bench smoke (sharded_k2_torus pins)" \
     python3 bench/run.py --workload sharded_k2_torus --reps 1 --seconds 2
 run_gate "crossbar scheduler and router step order" \

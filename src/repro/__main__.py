@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=os.cpu_count(),
+        default=os.cpu_count() or 1,
         help="worker processes for --sweep mode (default: all cores)",
     )
     return parser

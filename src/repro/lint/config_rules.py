@@ -23,7 +23,6 @@ from repro.lint.schema import (
     factory_base,
     injection_vcs_for,
     root_schema,
-    vc_constraint_error,
 )
 
 
@@ -336,6 +335,9 @@ class VcConsistencyRule(LintRule):
                    "routing algorithm's VC discipline")
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
+        from repro.config.settings import Settings
+        from repro.routing.base import RoutingAlgorithm
+
         raw = ctx.raw
         findings: List[Finding] = []
         network = _block(raw, "network")
@@ -344,16 +346,20 @@ class VcConsistencyRule(LintRule):
         if not _is_uint(num_vcs) or num_vcs < 1:
             return []  # C002/C003 cover it
         if isinstance(algorithm, str):
-            error = vc_constraint_error(algorithm, num_vcs, network)
-            if error is not None:
-                findings.append(
-                    Finding(
-                        "C007",
-                        Severity.ERROR,
-                        error,
-                        config_path="network.num_vcs",
+            models.load_all()
+            if factory.is_registered(RoutingAlgorithm, algorithm):
+                problem = factory.lookup(
+                    RoutingAlgorithm, algorithm
+                ).vc_count_error(num_vcs, Settings(network, "network"))
+                if problem is not None:
+                    findings.append(
+                        Finding(
+                            "C007",
+                            Severity.ERROR,
+                            f"{algorithm} {problem}",
+                            config_path="network.num_vcs",
+                        )
                     )
-                )
         injection_vcs = _value(raw, "network", "interface", "injection_vcs")
         if isinstance(injection_vcs, list) and all(
             _is_uint(v) for v in injection_vcs

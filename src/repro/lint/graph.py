@@ -39,7 +39,7 @@ from repro.lint.rules import GRAPH_LAYER, LintContext, LintRule
 from repro.net.interface import Interface
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.net.packet import Packet, preserve_packet_ids
+from repro.net.packet import Packet
 from repro.router.base import Router
 from repro.routing.base import RoutingError
 
@@ -145,18 +145,13 @@ class GraphAnalysis:
     # -- construction --------------------------------------------------------
 
     def _run(self, settings: Settings, max_pairs: int) -> None:
-        # Tracing creates Message/Packet objects, which advance the
-        # module-global id counters that feed deterministic VC rotation
-        # (e.g. DOR's ``global_id % len(vcs)``).  Restore them so a lint
-        # pass before a simulation does not perturb its results.
-        with preserve_packet_ids():
-            self._build(settings)
-            if self.network is not None:
-                self._scan_ports()
-                self._scan_channels()
-                self._trace(max_pairs)
-                self.full_cycle = _find_cycle(self.full_edges)
-                self.escape_cycle = _find_cycle(self.escape_edges)
+        self._build(settings)
+        if self.network is not None:
+            self._scan_ports()
+            self._scan_channels()
+            self._trace(max_pairs)
+            self.full_cycle = _find_cycle(self.full_edges)
+            self.escape_cycle = _find_cycle(self.escape_edges)
 
     def _build(self, settings: Settings) -> None:
         models.load_all()
@@ -233,7 +228,10 @@ class GraphAnalysis:
         network = self.network
         assert network is not None
         interface = network.interfaces[src]
-        packet = Message(0, src, dst, 1).packetize(1)[0]
+        # Probe packets draw ids from the lint's own network.
+        packet = Message(next(network.message_ids), 0, src, dst, 1).packetize(
+            1, network.packet_ids
+        )[0]
         channel = interface._flit_out[0]
         if channel is None or not isinstance(channel.sink, Router):
             return  # construction already validates terminal wiring

@@ -448,46 +448,6 @@ def root_schema() -> BlockSpec:
 #: Required top-level blocks (``Simulation`` raises without them).
 REQUIRED_BLOCKS: List[str] = ["network", "workload"]
 
-#: Per-model injection-rate VC constraints used by the cross-field rules:
-#: routing algorithm name -> callable(num_vcs, network_raw) -> error or None.
-
-
-def vc_constraint_error(algorithm: str, num_vcs: int,
-                        network_raw: Dict[str, Any]) -> Optional[str]:
-    """Why ``num_vcs`` is unusable with ``algorithm``, or None if fine.
-
-    Mirrors the constructor-time checks of the packaged routing
-    algorithms so a bad pairing is reported before construction.
-    """
-    if algorithm == "torus_dimension_order":
-        if num_vcs < 2 or num_vcs % 2 != 0:
-            return (
-                "torus_dimension_order needs an even num_vcs >= 2 for the "
-                f"dateline scheme, got {num_vcs}"
-            )
-    elif algorithm == "torus_minimal_adaptive":
-        if num_vcs < 4 or num_vcs % 4 != 0:
-            return (
-                "torus_minimal_adaptive needs num_vcs divisible by 4 "
-                f"(escape pairs + adaptive class), got {num_vcs}"
-            )
-    elif algorithm in ("hyperx_valiant", "hyperx_ugal"):
-        widths = network_raw.get("dimension_widths")
-        if isinstance(widths, list) and widths:
-            needed = 2 * len(widths)
-            if num_vcs < needed:
-                return (
-                    f"{algorithm} needs num_vcs >= {needed} "
-                    f"(2 hops per dimension), got {num_vcs}"
-                )
-    elif algorithm == "dragonfly_minimal":
-        if num_vcs < 3:
-            return f"dragonfly_minimal needs num_vcs >= 3, got {num_vcs}"
-    elif algorithm in ("dragonfly_valiant", "dragonfly_ugal"):
-        if num_vcs < 5:
-            return f"{algorithm} needs num_vcs >= 5, got {num_vcs}"
-    return None
-
 
 def injection_vcs_for(algorithm: str, num_vcs: int) -> Optional[List[int]]:
     """The VC set a packaged algorithm injects on, or None if unknown."""

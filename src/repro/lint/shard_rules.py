@@ -21,7 +21,7 @@ its framework entry points, and applies the S-rules:
   allowed).
 * **S004** module-global mutable state touched from a handler path:
   ``global`` statements, mutations of module-level containers, or
-  ``next()`` on an unscoped module-level id counter.
+  ``next()`` on a module-level id counter.
 * **S005** RNG draw ordered by local-only events: drawing from a
   random stream inside a delivery-handler path (shards observe
   different delivery interleavings, so shared-stream draw order

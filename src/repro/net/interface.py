@@ -17,11 +17,12 @@ their own models (``"standard"`` is the packaged implementation).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Deque, Dict, Iterator, List, Optional, Tuple,
+)
 
 from repro import factory
 from repro.core.clock import Clock
-from repro.core.component import Component
 from repro.core.event import Event
 from repro.net.credit import Credit
 from repro.net.device import PortedDevice
@@ -34,6 +35,7 @@ from repro.stats.records import PacketRecord
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
     from repro.core.simulator import Simulator
+    from repro.net.network import Network
 
 
 class InterfaceError(RuntimeError):
@@ -41,18 +43,21 @@ class InterfaceError(RuntimeError):
 
 
 class Interface(PortedDevice):
-    """Abstract interface API: the network builds these via the factory."""
+    """Abstract interface API: the network builds these via the factory,
+    as its children, and the interface numbers its packets from the
+    network's ``packet_ids``."""
 
     def __init__(
         self,
         simulator: "Simulator",
         name: str,
-        parent: Optional[Component],
+        parent: "Network",
         interface_id: int,
         num_vcs: int,
     ):
         super().__init__(simulator, name, parent, num_ports=1, num_vcs=num_vcs)
         self.interface_id = interface_id
+        self.packet_ids: Iterator[int] = parent.packet_ids
         self.message_delivered_listeners: List[Callable[[Message], None]] = []
         self.packet_delivered_listeners: List[Callable[[Packet], None]] = []
 
@@ -93,7 +98,7 @@ class StandardInterface(Interface):
         self,
         simulator: "Simulator",
         name: str,
-        parent: Optional[Component],
+        parent: "Network",
         interface_id: int,
         num_vcs: int,
         settings: "Settings",
@@ -155,7 +160,7 @@ class StandardInterface(Interface):
         if message.created_tick is None:
             message.created_tick = self.simulator.tick
         self.messages_sent += 1
-        for packet in message.packetize(self.max_packet_size):
+        for packet in message.packetize(self.max_packet_size, self.packet_ids):
             # Assign the starting VC round-robin over the allowed set.
             packet.injection_vc = self.injection_vcs[
                 self._next_vc_choice % len(self.injection_vcs)

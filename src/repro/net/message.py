@@ -16,22 +16,20 @@ arrives, so ``packet_records`` is ``None`` until delivery begins.
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.stats.records import PacketRecord
 
-_global_message_ids = itertools.count()
-
 
 class Message:
     """A variable-length payload from one terminal to another.
 
     Attributes:
-        id: globally unique message id.
+        id: unique within its simulation; terminals draw it from the
+            network's ``message_ids``.
         application_id: index of the generating application.
         source / destination: terminal ids.
         num_flits: total payload size in flits.
@@ -63,6 +61,7 @@ class Message:
 
     def __init__(
         self,
+        message_id: int,
         application_id: int,
         source: int,
         destination: int,
@@ -73,7 +72,7 @@ class Message:
             raise ValueError(f"message must have at least 1 flit, got {num_flits}")
         if source < 0 or destination < 0:
             raise ValueError("terminal ids must be non-negative")
-        self.id = next(_global_message_ids)
+        self.id = message_id
         self.application_id = application_id
         self.source = source
         self.destination = destination
@@ -86,15 +85,19 @@ class Message:
         self.packet_records: Optional[List[Optional["PacketRecord"]]] = None
         self.opaque = None  # free slot for application bookkeeping
 
-    def packetize(self, max_packet_flits: int) -> List[Packet]:
-        """Split the message into packets of at most ``max_packet_flits``."""
+    def packetize(
+        self, max_packet_flits: int, packet_ids: Iterator[int]
+    ) -> List[Packet]:
+        """Split the message into packets of at most ``max_packet_flits``,
+        numbering them from ``packet_ids`` (the network's sequence)."""
         if max_packet_flits < 1:
             raise ValueError(f"max packet size must be >= 1, got {max_packet_flits}")
         if self.num_packets:
             raise RuntimeError(f"message {self.id} already packetized")
         num_flits = self.num_flits
         packets = [
-            Packet(self, packet_id, min(max_packet_flits, num_flits - start))
+            Packet(self, packet_id, next(packet_ids),
+                   min(max_packet_flits, num_flits - start))
             for packet_id, start in enumerate(range(0, num_flits, max_packet_flits))
         ]
         self.num_packets = len(packets)

@@ -13,6 +13,7 @@ independently.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, List, Optional, Tuple, Type
 
 from repro import factory
@@ -157,6 +158,13 @@ class Network(Component):
         problem = topology_mismatch(algorithm, settings.get_str("topology", None))
         if problem is not None:
             raise NetworkError(problem)
+
+        # The simulation's id sequences: terminals number messages from
+        # ``message_ids``, interfaces packets from ``packet_ids``.  Routing
+        # reads packet ids, so a run depends on its configuration only,
+        # not on what the process simulated before.
+        self.message_ids = itertools.count()
+        self.packet_ids = itertools.count()
 
         self.routers: List[Router] = []
         self.interfaces: List[Interface] = []

@@ -10,42 +10,12 @@ source interface injects it.
 
 from __future__ import annotations
 
-import contextlib
-import itertools
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.net.flit import Flit
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
-
-_global_packet_ids = itertools.count()
-
-
-@contextlib.contextmanager
-def preserve_packet_ids() -> Iterator[None]:
-    """Restore the process-global packet *and* message id counters on exit.
-
-    Packet ``global_id`` feeds routing decisions (DOR VC rotation, the
-    folded-Clos up-port hash), so two same-seed simulations in one
-    process only behave identically when each starts from the same
-    counter position.  Every caller that runs a throwaway or auxiliary
-    simulation (lint network construction, benchmark rounds, golden
-    digest runs, shard workers) wraps it in this context manager so the
-    counters come back to where they started.
-    """
-    global _global_packet_ids
-    from repro.net import message as message_mod
-
-    saved_packet = next(_global_packet_ids)
-    saved_message = next(message_mod._global_message_ids)
-    _global_packet_ids = itertools.count(saved_packet)
-    message_mod._global_message_ids = itertools.count(saved_message)
-    try:
-        yield
-    finally:
-        _global_packet_ids = itertools.count(saved_packet)
-        message_mod._global_message_ids = itertools.count(saved_message)
 
 
 class Packet:
@@ -54,8 +24,9 @@ class Packet:
     Attributes:
         message: owning message.
         id: index of this packet within its message.
-        global_id: unique id across the whole simulation; DOR VC
-            rotation and the folded-Clos up-port hash read it.
+        global_id: unique within its simulation, drawn from the network's
+            ``packet_ids``; DOR VC rotation and the folded-Clos up-port
+            hash read it.
         num_flits: the packet's length in flits.
         hop_count: number of routers the head has left so far.
         non_minimal: set by adaptive routing algorithms when the packet
@@ -83,12 +54,14 @@ class Packet:
         "injection_vc",
     )
 
-    def __init__(self, message: "Message", packet_id: int, num_flits: int):
+    def __init__(
+        self, message: "Message", packet_id: int, global_id: int, num_flits: int
+    ):
         if num_flits < 1:
             raise ValueError(f"packet must have at least 1 flit, got {num_flits}")
         self.message = message
         self.id = packet_id
-        self.global_id = next(_global_packet_ids)
+        self.global_id = global_id
         self.num_flits = num_flits
         self.hop_count = 0
         self.non_minimal = False

@@ -24,14 +24,12 @@ Flits reference packets reference messages, and none of those objects
 exist on the sink side of a cut, so the head-flit record carries a full
 snapshot of the message- and packet-level state and the
 :class:`ShardRegistry` rebuilds real :class:`~repro.net.message.Message`
-/ :class:`~repro.net.packet.Packet` objects; each landing flit is built
-by :meth:`~repro.net.packet.Packet.flit`, as at a source interface.
-Reconstruction goes through ``__new__`` -- the id counters were
-already advanced by the phantom-terminal replay (see
-:func:`make_phantom_interface`), so consuming them again would desync
-every subsequent id.  Wormhole routing guarantees the head flit crosses
-a cut before the packet's body flits, so body/tail records bind by
-``global_id`` lookup alone.
+/ :class:`~repro.net.packet.Packet` objects under the ids the record
+carries; each landing flit is built by
+:meth:`~repro.net.packet.Packet.flit`, as at a source interface.
+Wormhole routing guarantees the head flit crosses a cut before the
+packet's body flits, so body/tail records bind by ``global_id`` lookup
+alone.
 
 Record wire format (plain tuples; picklable for process workers):
 
@@ -226,33 +224,17 @@ class ShardRegistry:
         if known is not None:
             message = known.message
         else:
-            # Remotely created message: rebuild without consuming the
-            # message id counter (phantom replay already advanced it).
-            message = Message.__new__(Message)
-            message.id = msg_id
-            message.application_id = app_id
-            message.source = source
-            message.destination = destination
-            message.num_flits = msg_flits
-            message.transaction_id = txn_id
+            message = Message(msg_id, app_id, source, destination, msg_flits,
+                              transaction_id=txn_id)
             message.sampled = sampled
             message.created_tick = created_tick
-            message.delivered_tick = None
             message.num_packets = num_packets
-            message.packet_records = None
-            message.opaque = None
-        packet = Packet.__new__(Packet)
-        packet.message = message
-        packet.id = packet_id
-        packet.global_id = gid
-        packet.num_flits = pkt_flits
+        packet = Packet(message, packet_id, gid, pkt_flits)
         packet.injection_tick = injection_tick
         packet.hop_count = hop_count
         packet.non_minimal = non_minimal
         packet.intermediate = intermediate
         packet.routing_state = routing_state
-        # Read only by the source interface, which the packet has left.
-        packet.injection_vc = 0
         self.messages.setdefault(msg_id, packet)
         self.packets[gid] = packet
         return packet
@@ -283,18 +265,18 @@ def make_phantom_interface(interface: Interface) -> None:
 
     Every worker runs *all* terminals -- including those of foreign
     shards -- so the shared per-application RNG streams (traffic
-    destination, message size) and the global message/packet id counters
-    advance in exactly the creation order of the single-process run.
-    Terminals attached to foreign interfaces must therefore packetize
-    (consuming packet ids) but must not enqueue, wake the injection
-    pipeline, or touch the local network.
+    destination, message size) and the network's message and packet id
+    sequences advance in exactly the creation order of the
+    single-process run.  Terminals attached to foreign interfaces must
+    therefore packetize (drawing packet ids) but must not enqueue, wake
+    the injection pipeline, or touch the local network.
     """
 
     def phantom_send_message(message: Message) -> None:
         if message.created_tick is None:
             message.created_tick = interface.simulator.tick
         interface.messages_sent += 1
-        message.packetize(interface.max_packet_size)
+        message.packetize(interface.max_packet_size, interface.packet_ids)
 
     interface.send_message = phantom_send_message
     interface.shard_phantom = True

@@ -77,10 +77,6 @@ every window is posted to all shards before any reply is read, and the
   lowest id if several failed); the surviving workers are terminated,
   not asked to close.
 
-Every worker, under either executor, is built and served inside its own
-:class:`_IdScope`, so it sees the global message and packet id counters
-start from zero whatever the coordinator's counters read.
-
 :meth:`ShardedResults.timing` reports where the wall time went: start-up,
 and per shard the seconds computing windows, serializing replies, and
 keeping the coordinator blocked at the barrier.
@@ -89,7 +85,6 @@ keeping the coordinator blocked at the barrier.
 from __future__ import annotations
 
 import gc
-import itertools
 import pickle
 import sys
 import threading
@@ -99,8 +94,6 @@ from multiprocessing import get_context as _mp_get_context
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-import repro.net.message as _message_mod
-import repro.net.packet as _packet_mod
 from repro.config.settings import Settings
 from repro.net.credit import Credit
 from repro.net.network import shard_build_scope
@@ -586,39 +579,6 @@ class ShardWorker:
 # -- in-process executor -----------------------------------------------------
 
 
-class _IdScope:
-    """Virtualizes the global message/packet id counters per worker.
-
-    Every worker must observe the id sequences of a fresh interpreter:
-    starting at zero and advancing only with its own (identical)
-    replay.  In-process workers share one interpreter and a forked one
-    inherits the coordinator's counters, wherever earlier simulations
-    left them.  Entering the scope installs the worker's private
-    counters; leaving records their position and restores whatever was
-    installed before, so the surrounding session (and the other
-    workers) are unaffected.
-    """
-
-    def __init__(self) -> None:
-        self._message_next = 0
-        self._packet_next = 0
-        self._saved_message = None
-        self._saved_packet = None
-
-    def __enter__(self) -> "_IdScope":
-        self._saved_message = _message_mod._global_message_ids
-        self._saved_packet = _packet_mod._global_packet_ids
-        _message_mod._global_message_ids = itertools.count(self._message_next)
-        _packet_mod._global_packet_ids = itertools.count(self._packet_next)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._message_next = next(_message_mod._global_message_ids)
-        self._packet_next = next(_packet_mod._global_packet_ids)
-        _message_mod._global_message_ids = self._saved_message
-        _packet_mod._global_packet_ids = self._saved_packet
-
-
 def _serve(worker: ShardWorker, command: tuple) -> dict:
     """Execute one coordinator command against ``worker``."""
     op = command[0]
@@ -644,21 +604,18 @@ class _InProcessHandle:
         # keeps a directly built handle refusing an out-of-scope config.
         validate_sharded_scope(config, sanitize)
         self.shard_id = shard_id
-        self._scope = _IdScope()
-        with self._scope:
-            self.worker = ShardWorker(
-                config,
-                manifest,
-                shard_id,
-                sanitize=sanitize,
-                crash_mode="raise" if crash else None,
-            )
+        self.worker = ShardWorker(
+            config,
+            manifest,
+            shard_id,
+            sanitize=sanitize,
+            crash_mode="raise" if crash else None,
+        )
         self._reply = self.worker.hello()
 
     def post(self, command: tuple) -> None:
         try:
-            with self._scope:
-                self._reply = _serve(self.worker, command)
+            self._reply = _serve(self.worker, command)
         except PartitionRuntimeError:
             raise
         except Exception as exc:
@@ -705,41 +662,38 @@ def _worker_main(conn, payload, inherited) -> None:
     shards started before it; empty when spawned).  They are closed
     first: a worker holding a copy of another shard's coordinator end
     would keep that shard from reading EOF when the coordinator goes.
-    The worker is built and served inside a fresh :class:`_IdScope`, so
-    its ids do not depend on what the coordinator simulated before.
     The coordinator validated the scope of the very config it hands
     over, so the worker is built directly.
     """
     for end in inherited:
         end.close()
-    with _IdScope():
+    try:
+        worker = ShardWorker(
+            payload["config"],
+            payload["manifest"],
+            payload["shard"],
+            sanitize=payload["sanitize"],
+            crash_mode="exit" if payload["crash"] else None,
+        )
+        conn.send(("ok", worker.hello()))
+    except Exception:
+        conn.send(("error", traceback.format_exc()))
+        return
+    while True:
         try:
-            worker = ShardWorker(
-                payload["config"],
-                payload["manifest"],
-                payload["shard"],
-                sanitize=payload["sanitize"],
-                crash_mode="exit" if payload["crash"] else None,
-            )
-            conn.send(("ok", worker.hello()))
-        except Exception:
-            conn.send(("error", traceback.format_exc()))
+            command = conn.recv()
+        except EOFError:
             return
-        while True:
-            try:
-                command = conn.recv()
-            except EOFError:
-                return
-            if command[0] == "close":
-                return
-            try:
-                reply = _serve(worker, command)
-                pickling = perf_counter()
-                body = pickle.dumps(("ok", reply), pickle.HIGHEST_PROTOCOL)
-                worker.serialize_s += perf_counter() - pickling
-            except Exception:
-                body = pickle.dumps(("error", traceback.format_exc()))
-            conn.send_bytes(body)
+        if command[0] == "close":
+            return
+        try:
+            reply = _serve(worker, command)
+            pickling = perf_counter()
+            body = pickle.dumps(("ok", reply), pickle.HIGHEST_PROTOCOL)
+            worker.serialize_s += perf_counter() - pickling
+        except Exception:
+            body = pickle.dumps(("error", traceback.format_exc()))
+        conn.send_bytes(body)
 
 
 class _ProcessHandle:

@@ -67,6 +67,10 @@ class RoutingAlgorithm:
         router: "Router",
         settings: "Settings",
     ):
+        problem = self.vc_count_error(router.num_vcs, network.settings)
+        if problem is not None:
+            name = settings.get("algorithm", type(self).__name__)
+            raise RoutingError(f"{name} {problem}")
         self.network = network
         self.router = router
         self.settings = settings
@@ -104,6 +108,20 @@ class RoutingAlgorithm:
         dateline VC 0).
         """
         return list(range(num_vcs))
+
+    @classmethod
+    def vc_count_error(
+        cls, num_vcs: int, network_settings: "Settings"
+    ) -> Optional[str]:
+        """Why ``num_vcs`` VCs cannot carry this algorithm on the network
+        ``network_settings`` configures, or None.
+
+        The one statement of an algorithm's VC requirement: the
+        constructor raises it as a :class:`RoutingError` and lint rule
+        C007 reports it before construction, both after the algorithm's
+        name.
+        """
+        return None
 
     def route(
         self, packet: "Packet", input_port: int, input_vc: int

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro import factory
-from repro.routing.base import Candidate, RoutingAlgorithm, RoutingError
+from repro.routing.base import Candidate, RoutingAlgorithm
 from repro.routing.two_phase import HopVcRouting, TwoPhaseRouting
 
 
@@ -33,12 +33,13 @@ class _DragonflyRoutingBase(HopVcRouting):
 
     def __init__(self, network, router, settings):
         super().__init__(network, router, settings)
-        if router.num_vcs < self.MIN_VCS:
-            raise RoutingError(
-                f"{type(self).__name__} needs num_vcs >= {self.MIN_VCS}, "
-                f"got {router.num_vcs}"
-            )
         self.group, self.local = router.address
+
+    @classmethod
+    def vc_count_error(cls, num_vcs: int, network_settings) -> Optional[str]:
+        if num_vcs < cls.MIN_VCS:
+            return f"needs num_vcs >= {cls.MIN_VCS}, got {num_vcs}"
+        return None
 
     def _minimal_port(self, dst_router: int) -> Optional[int]:
         """Next minimal hop toward a router, or None if we are there."""

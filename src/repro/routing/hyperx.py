@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro import factory
-from repro.routing.base import Candidate, RoutingAlgorithm, RoutingError
+from repro.routing.base import Candidate, RoutingAlgorithm
 from repro.routing.two_phase import HopVcRouting, TwoPhaseRouting
 
 
@@ -68,14 +68,16 @@ class _TwoPhaseHyperXRouting(_HyperXRoutingBase, TwoPhaseRouting):
     # UGAL decides a packet for this router without a draw.
     _ugal_draws_for_local = False
 
-    def __init__(self, network, router, settings):
-        super().__init__(network, router, settings)
-        max_hops = 2 * len(self.widths)  # valiant worst case
-        if router.num_vcs < max_hops:
-            raise RoutingError(
-                f"{type(self).__name__} needs num_vcs >= {max_hops} "
-                f"(2 hops per dimension), got {router.num_vcs}"
-            )
+    @classmethod
+    def vc_count_error(cls, num_vcs: int, network_settings) -> Optional[str]:
+        widths = network_settings.get("dimension_widths", None)
+        if not isinstance(widths, list):
+            return None  # the topology rejects it
+        max_hops = 2 * len(widths)  # valiant worst case
+        if num_vcs < max_hops:
+            return (f"needs num_vcs >= {max_hops} (2 hops per dimension), "
+                    f"got {num_vcs}")
+        return None
 
     def _draw_intermediate(self, rng) -> int:
         return int(rng.integers(len(self.network.routers)))

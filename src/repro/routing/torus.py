@@ -18,7 +18,7 @@ The escape class keeps the network deadlock-free; the adaptive class
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro import factory
 from repro.routing.base import Candidate, RoutingAlgorithm, RoutingError
@@ -88,11 +88,6 @@ class TorusDimensionOrderRouting(_TorusRoutingBase):
     def __init__(self, network, router, settings):
         super().__init__(network, router, settings)
         num_vcs = router.num_vcs
-        if num_vcs < 2 or num_vcs % 2 != 0:
-            raise RoutingError(
-                "torus_dimension_order needs an even number of VCs >= 2 "
-                f"for the dateline scheme, got {num_vcs}"
-            )
         # (dimension, digit stride, width, own digit), in routing order.
         self._digits = tuple(
             (dim, product(self.widths[:dim]), width, own)
@@ -112,6 +107,13 @@ class TorusDimensionOrderRouting(_TorusRoutingBase):
             for dim in range(len(self.widths))
             for port in (network.port_for(dim, +1), network.port_for(dim, -1))
         )
+
+    @classmethod
+    def vc_count_error(cls, num_vcs: int, network_settings) -> Optional[str]:
+        if num_vcs < 2 or num_vcs % 2 != 0:
+            return ("needs an even num_vcs >= 2 for the dateline scheme, "
+                    f"got {num_vcs}")
+        return None
 
     @classmethod
     def injection_vcs(cls, num_vcs: int) -> List[int]:
@@ -146,12 +148,14 @@ class TorusMinimalAdaptiveRouting(_TorusRoutingBase):
 
     def __init__(self, network, router, settings):
         super().__init__(network, router, settings)
-        if router.num_vcs < 4 or router.num_vcs % 4 != 0:
-            raise RoutingError(
-                "torus_minimal_adaptive needs num_vcs divisible by 4 "
-                f"(escape pairs + adaptive class), got {router.num_vcs}"
-            )
         self.escape_vcs = router.num_vcs // 2
+
+    @classmethod
+    def vc_count_error(cls, num_vcs: int, network_settings) -> Optional[str]:
+        if num_vcs < 4 or num_vcs % 4 != 0:
+            return ("needs num_vcs divisible by 4 (escape pairs + adaptive "
+                    f"class), got {num_vcs}")
+        return None
 
     @classmethod
     def injection_vcs(cls, num_vcs: int) -> List[int]:

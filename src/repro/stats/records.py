@@ -137,17 +137,14 @@ class MessageRecord:
 class MessageLog:
     """Observes a network's interfaces and records every delivery."""
 
-    def __init__(self, network: "Network", compute_minimal_hops: bool = True):
+    def __init__(self, network: "Network"):
         self.network = network
         self.records: List[MessageRecord] = []
-        self._compute_minimal_hops = compute_minimal_hops
         for interface in network.interfaces:
             interface.message_delivered_listeners.append(self._on_delivery)
 
     def _on_delivery(self, message: Message) -> None:
-        minimal = None
-        if self._compute_minimal_hops:
-            minimal = self.network.minimal_hops(message.source, message.destination)
+        minimal = self.network.minimal_hops(message.source, message.destination)
         self.records.append(MessageRecord(message, minimal))
 
     # -- queries -----------------------------------------------------------------

@@ -173,7 +173,7 @@ def sssweep_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--workers",
         type=int,
-        default=os.cpu_count(),
+        default=os.cpu_count() or 1,
         help="worker processes (default: all cores)",
     )
     parser.add_argument("--max-time", type=int, default=None,

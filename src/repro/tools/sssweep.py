@@ -127,13 +127,11 @@ class Sweep:
         name: str = "sweep",
         collect: CollectFn = default_collect,
         max_time: Optional[int] = None,
-        num_workers: int = 1,
     ):
         self.base_config = base_config
         self.name = name
         self.collect = collect
         self.max_time = max_time
-        self.num_workers = num_workers
         self.variables: List[SweepVariable] = []
         self.jobs: List[SweepJob] = []
 
@@ -190,13 +188,12 @@ class Sweep:
     def run(
         self,
         observer: Optional[Callable[[SweepJob], None]] = None,
-        workers: Optional[int] = None,
+        workers: int = 1,
         job_timeout: Optional[float] = None,
     ) -> None:
         """Execute every job; ``workers > 1`` fans out across processes.
 
-        ``workers`` defaults to the sweep's ``num_workers`` (itself 1 by
-        default).  Every job is one :func:`_execute_sweep_job` task, run
+        Every job is one :func:`_execute_sweep_job` task, run
         in this process (:class:`~repro.tools.taskrun.TaskManager`) or,
         with more workers, in spawned worker processes
         (:class:`~repro.tools.taskrun.ParallelTaskManager`) that rebuild
@@ -204,8 +201,11 @@ class Sweep:
         the collected result; a ``collect`` that does not pickle makes
         its jobs run inline.  Results and ``observer`` calls land in
         cross-product order, each once every earlier job has ended, and
-        ``to_rows()`` is identical for any worker count (simulations are
-        independently seeded from their settings).
+        ``to_rows()`` is identical for any worker count: a simulation's
+        seeds and id sequences come from its own settings and network,
+        not from the process it runs in
+        (``tests/tools/test_sweep_parallel.py::``
+        ``test_parallel_sweep_rows_byte_identical_to_serial``).
 
         ``job_timeout`` (seconds) fails any job that runs too long
         instead of hanging the sweep (only a worker process is actually
@@ -213,8 +213,6 @@ class Sweep:
         """
         if not self.jobs:
             self.generate_jobs()
-        if workers is None:
-            workers = self.num_workers
         workers = max(workers, 1)
         pairs: List[Tuple[FunctionTask, SweepJob]] = []
         reported: List[SweepJob] = []

@@ -265,6 +265,7 @@ class Terminal(Component):
         destination = application.traffic.destination(self.terminal_id)
         size = application.size_distribution.sample()
         message = Message(
+            next(application.network.message_ids),
             application.application_id,
             self.terminal_id,
             destination,

@@ -39,6 +39,7 @@ class RequestReplyTerminal(Terminal):
     def send_response(self, request: Message) -> None:
         application = self.application
         response = Message(
+            next(application.network.message_ids),
             application.application_id,
             self.terminal_id,
             request.source,

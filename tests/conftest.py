@@ -2,15 +2,33 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro import Settings, Simulation
 from repro.core.simulator import Simulator
+from repro.net.message import Message
 
 
 @pytest.fixture
 def simulator():
     return Simulator()
+
+
+def make_message(source=0, destination=1, num_flits=1, network=None):
+    """A message of application 0, numbered by ``network`` (message 0
+    when built outside any network)."""
+    message_id = 0 if network is None else next(network.message_ids)
+    return Message(message_id, 0, source, destination, num_flits)
+
+
+def make_packet(source=0, destination=1, num_flits=1, network=None):
+    """The one packet of a ``num_flits`` message, numbered by ``network``
+    (packet 0 when built outside any network)."""
+    packet_ids = itertools.count() if network is None else network.packet_ids
+    message = make_message(source, destination, num_flits, network)
+    return message.packetize(num_flits, packet_ids)[0]
 
 
 def small_torus_config(**workload_overrides) -> dict:

@@ -3,7 +3,41 @@
 import pytest
 
 from repro import Settings, Simulation
-from tests.conftest import run_config, small_torus_config
+from repro.configs import flow_control_config, latent_congestion_config
+from repro.sanitize import attach_sanitizers
+from tests.conftest import make_packet, run_config, small_torus_config
+
+#: Configs whose routing reads packet ids: DOR rotates each packet's VC
+#: order by its id (four VCs, two per dateline class), the Clos up-port
+#: rotation starts at it.
+SAME_CONFIG_CELLS = {
+    "torus_dor_4vc": lambda: flow_control_config(
+        num_vcs=4, message_size=4, injection_rate=0.3, warmup=100,
+        window=200, seed=7),
+    "clos_adaptive": lambda: latent_congestion_config(
+        injection_rate=0.4, warmup=50, window=100, seed=7),
+}
+
+
+def _summary_and_digest(config):
+    simulation = Simulation(Settings.from_dict(config))
+    with attach_sanitizers(simulation, "det") as suite:
+        results = simulation.run()
+        suite.finish()
+        digest = suite.report()["det"]["delivery_digest"]
+    return results.summary(), digest
+
+
+@pytest.mark.parametrize("cell", sorted(SAME_CONFIG_CELLS))
+def test_same_config_runs_alike_after_unrelated_work(cell):
+    """A run is a function of its configuration: a stray packet and a
+    whole other simulation, made in the same process between two runs
+    of one config, change neither the summary nor the delivery digest."""
+    config = SAME_CONFIG_CELLS[cell]()
+    first = _summary_and_digest(config)
+    make_packet()
+    Simulation(Settings.from_dict(small_torus_config())).run(max_time=500)
+    assert _summary_and_digest(config) == first
 
 
 def test_bitwise_deterministic_event_counts():

@@ -21,18 +21,14 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import itertools
 
 import pytest
 
-import repro.net.message as message_mod
-import repro.net.packet as packet_mod
 from repro import configs as builders
 from repro.config.settings import Settings
 from repro.configs import blast_pulse_config, latent_congestion_config
 from repro.lint import graph as graph_mod
 from repro.lint.graph import GraphAnalysis
-from repro.net.packet import preserve_packet_ids
 from repro.routing.base import RoutingAlgorithm
 from tests.integration.test_delivery_invariants import CONFIGS
 
@@ -41,17 +37,9 @@ from .test_graph_topologies import hyperx_config
 
 
 def analyse(config: dict, max_pairs: int = 512) -> GraphAnalysis:
-    """``GraphAnalysis`` with both id counters at zero.
-
-    Packet and message ids are process-global: they appear in G003
-    messages and feed id-hashed routing choices.  The pins were
-    recorded in a fresh process, so the counters restart from zero here
-    (and are put back afterwards).
-    """
-    with preserve_packet_ids():
-        packet_mod._global_packet_ids = itertools.count()
-        message_mod._global_message_ids = itertools.count()
-        return GraphAnalysis(Settings.from_dict(config), max_pairs=max_pairs)
+    """``GraphAnalysis`` of ``config``; its probe packets are numbered
+    from zero by the analysis's own network."""
+    return GraphAnalysis(Settings.from_dict(config), max_pairs=max_pairs)
 
 
 def cdg_digest(analysis: GraphAnalysis) -> str:
@@ -191,10 +179,7 @@ def test_cdg_pin(case):
 def test_truncated_trace_pin():
     analysis = analyse(copy.deepcopy(CONFIGS["dragonfly_valiant"]), 0)
     src, dst, budget = TRUNCATED_PAIR
-    with preserve_packet_ids():
-        packet_mod._global_packet_ids = itertools.count()
-        message_mod._global_message_ids = itertools.count()
-        analysis._trace_pair(src, dst, budget)
+    analysis._trace_pair(src, dst, budget)
     assert analysis.truncated
     assert cdg_digest(analysis) == TRUNCATED_PIN
 

@@ -6,13 +6,19 @@ import copy
 
 import pytest
 
+from repro import Settings, factory, models
 from repro.configs import (
     blast_pulse_config,
     credit_accounting_config,
     flow_control_config,
     latent_congestion_config,
 )
+from repro.core.rng import RandomManager
+from repro.core.simulator import Simulator
 from repro.lint import lint_config_dict
+from repro.net.network import Network
+from repro.routing.base import RoutingAlgorithm, RoutingError
+from tests.integration.test_delivery_invariants import CONFIGS
 
 
 def _rule_ids(report):
@@ -112,6 +118,61 @@ def test_vc_discipline_c007(torus_config):
     (finding,) = [f for f in report.findings if f.rule_id == "C007"]
     assert finding.config_path == "network.num_vcs"
     assert "even" in finding.message
+
+
+def _packaged_routing():
+    models.load_all()
+    return [
+        name for name in factory.names(RoutingAlgorithm)
+        if factory.lookup(RoutingAlgorithm, name).__module__.startswith(
+            "repro.routing.")
+    ]
+
+
+def _network_config(algorithm: str) -> dict:
+    """A delivery-invariants network block on ``algorithm``'s topology."""
+    topology = factory.lookup(RoutingAlgorithm, algorithm).topology
+    cell = next(cell for cell in CONFIGS.values()
+                if cell["network"]["topology"] == topology)
+    config = copy.deepcopy(cell)
+    config["network"]["routing"] = {"algorithm": algorithm}
+    return config
+
+
+def _construction_error(config: dict):
+    try:
+        factory.create(Network, config["network"]["topology"], Simulator(),
+                       "network", None, Settings(config["network"], "network"),
+                       RandomManager(1))
+    except RoutingError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("algorithm", _packaged_routing())
+def test_c007_fires_exactly_when_construction_raises(algorithm):
+    """Each algorithm states its VC requirement once
+    (``RoutingAlgorithm.vc_count_error``): below, at and just above its
+    smallest usable VC count, C007 reports what the constructor raises,
+    word for word, and nothing where construction succeeds."""
+    config = _network_config(algorithm)
+    routing_class = factory.lookup(RoutingAlgorithm, algorithm)
+    bound = next(
+        n for n in range(1, 17)
+        if routing_class.vc_count_error(n, Settings(config["network"])) is None
+    )
+    for num_vcs in sorted({max(bound - 1, 1), bound, bound + 1}):
+        config["network"]["num_vcs"] = num_vcs
+        raised = _construction_error(config)
+        findings = [
+            f.message for f in _lint(config).findings
+            if f.rule_id == "C007" and f.config_path == "network.num_vcs"
+        ]
+        assert findings == ([] if raised is None else [raised]), num_vcs
+        if num_vcs == bound:
+            assert raised is None
+        elif num_vcs < bound:
+            assert raised is not None
 
 
 def test_injection_vcs_out_of_range_c007(torus_config):

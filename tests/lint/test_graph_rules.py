@@ -6,13 +6,13 @@ import copy
 
 import pytest
 
-import repro.net.message as message_mod
-import repro.net.packet as packet_mod
+from repro import Simulation
 from repro.config.settings import Settings
-from repro.configs import blast_pulse_config
+from repro.configs import blast_pulse_config, flow_control_config
 from repro.lint import lint_config_dict, lint_partition, lint_settings
 from repro.lint.graph import GraphAnalysis, _find_cycle
 from repro.lint.rules import GRAPH_LAYER, LintContext, run_rules
+from repro.sanitize import attach_sanitizers
 from tests.integration.test_delivery_invariants import CONFIGS
 
 from .fixtures import mutable_state_routing  # noqa: F401 - registers it
@@ -102,14 +102,25 @@ def test_dateline_dor_cdg_is_acyclic(torus_config):
     assert analysis.escape_cycle is None
 
 
-def test_trace_restores_global_id_counters(torus_config):
-    before_packet = next(packet_mod._global_packet_ids)
-    before_message = next(message_mod._global_message_ids)
-    GraphAnalysis(Settings.from_dict(torus_config))
-    # The trace created hundreds of probe packets; the counters the
-    # simulator's VC rotation depends on must be exactly as before.
-    assert next(packet_mod._global_packet_ids) == before_packet + 1
-    assert next(message_mod._global_message_ids) == before_message + 1
+def test_lint_pass_leaves_the_next_simulation_unchanged():
+    # Four VCs, so DOR rotates each packet's VC order by its id.
+    config = flow_control_config(num_vcs=4, message_size=4,
+                                 injection_rate=0.3, warmup=100, window=200,
+                                 seed=7)
+
+    def delivery_digest():
+        simulation = Simulation(Settings.from_dict(config))
+        with attach_sanitizers(simulation, "det") as suite:
+            simulation.run()
+            suite.finish()
+            return suite.report()["det"]["delivery_digest"]
+
+    before = delivery_digest()
+    report = lint_config_dict(config)
+    # The trace built hundreds of probe packets from its own network;
+    # the next simulation still numbers its packets from zero.
+    assert not report.errors
+    assert delivery_digest() == before
 
 
 def test_find_cycle_detects_sccs_and_self_loops():

@@ -10,9 +10,8 @@ import pytest
 from repro import Settings, Simulation
 from repro.config.settings import SettingsError
 from repro.net.buffer import BufferOverrunError
-from repro.net.message import Message
 
-from tests.conftest import small_torus_config
+from tests.conftest import make_packet, small_torus_config
 
 ARCHITECTURES = ("input_queued", "output_queued", "input_output_queued")
 
@@ -26,8 +25,7 @@ def build_router(architecture="input_queued", depth=4):
 
 
 def make_flits(count, vc=1):
-    message = Message(0, 0, 1, count)
-    packet = message.packetize(count)[0]
+    packet = make_packet(0, 1, count)
     flits = [packet.flit(i) for i in range(count)]
     for flit in flits:
         flit.vc = vc

@@ -6,7 +6,8 @@ from repro.core.simulator import Simulator
 from repro.net.channel import Channel, ChannelError, CreditChannel
 from repro.net.credit import Credit
 from repro.net.device import PortedDevice
-from repro.net.message import Message
+
+from tests.conftest import make_packet
 
 
 class SinkDevice(PortedDevice):
@@ -28,7 +29,7 @@ class SinkDevice(PortedDevice):
 
 
 def make_flit():
-    return Message(0, 0, 1, 1).packetize(1)[0].flit(0)
+    return make_packet(0, 1).flit(0)
 
 
 @pytest.fixture

@@ -31,15 +31,10 @@ locking flow-control grants and the age-based arbiter.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-import repro.net.message as message_mod
-import repro.net.packet as packet_mod
 from repro import Settings, Simulation
 from repro.configs import credit_accounting_config, latent_congestion_config
-from repro.net.packet import preserve_packet_ids
 from repro.sanitize import attach_sanitizers
 
 from tests.conftest import small_torus_config
@@ -51,31 +46,22 @@ def _invariants_cell(name: str) -> dict:
 
 
 def _digest_run(config: dict, max_time: int) -> dict:
-    """Run once under DetSan; return the state the pins cover.
-
-    Packet and message ids are process-global, feed routing decisions
-    and are part of every item fingerprint; the pins were recorded in a
-    fresh process, so the counters restart from zero here (and are put
-    back afterwards).
-    """
-    with preserve_packet_ids():
-        packet_mod._global_packet_ids = itertools.count()
-        message_mod._global_message_ids = itertools.count()
-        simulation = Simulation(Settings.from_dict(config))
-        with attach_sanitizers(simulation, "det") as suite:
-            results = simulation.run(max_time=max_time)
-            suite.finish()
-            det = suite.report()["det"]
-        network = simulation.network
-        return {
-            "delivery_digest": det["delivery_digest"],
-            "deliveries": det["deliveries"],
-            "drained": results.drained,
-            "injected": sum(i.flits_injected for i in network.interfaces),
-            "ejected": sum(i.flits_ejected for i in network.interfaces),
-            "messages": sum(i.messages_delivered for i in network.interfaces),
-            "hops": sum(r.flits_received for r in network.routers),
-        }
+    """Run once under DetSan; return the state the pins cover."""
+    simulation = Simulation(Settings.from_dict(config))
+    with attach_sanitizers(simulation, "det") as suite:
+        results = simulation.run(max_time=max_time)
+        suite.finish()
+        det = suite.report()["det"]
+    network = simulation.network
+    return {
+        "delivery_digest": det["delivery_digest"],
+        "deliveries": det["deliveries"],
+        "drained": results.drained,
+        "injected": sum(i.flits_injected for i in network.interfaces),
+        "ejected": sum(i.flits_ejected for i in network.interfaces),
+        "messages": sum(i.messages_delivered for i in network.interfaces),
+        "hops": sum(r.flits_received for r in network.routers),
+    }
 
 
 def _pin(digest, deliveries, flits, messages, hops) -> dict:

@@ -5,7 +5,8 @@ import pytest
 from repro.core.simulator import Simulator
 from repro.net.channel import Channel, CreditChannel
 from repro.net.device import PortedDevice, WiringError
-from repro.net.message import Message
+
+from tests.conftest import make_packet
 
 
 class BareDevice(PortedDevice):
@@ -29,7 +30,7 @@ def sim():
 
 
 def make_flit():
-    return Message(0, 0, 1, 1).packetize(1)[0].flit(0)
+    return make_packet(0, 1).flit(0)
 
 
 def test_double_wiring_rejected(sim):

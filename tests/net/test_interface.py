@@ -1,6 +1,8 @@
 """Interfaces: packetization, injection pacing, reassembly, §IV-D
 error detection."""
 
+import itertools
+
 import pytest
 
 from repro.core.clock import Clock
@@ -9,21 +11,25 @@ from repro.config.settings import Settings
 from repro.net.channel import Channel, CreditChannel
 from repro.net.device import PortedDevice
 from repro.net.interface import InterfaceError, StandardInterface
-from repro.net.message import Message
 from repro.net.network import wire
 
 
 from repro.core.component import Component
 
+from tests.conftest import make_message
+
 _stub_count = [0]
 
 
 class LoopNetworkStub(Component):
-    """Just enough of a Network for wire(): simulator + link counter."""
+    """Just enough of a Network for its interfaces and wire(): simulator,
+    id sequences + link counter."""
 
     def __init__(self, simulator):
         _stub_count[0] += 1
         super().__init__(simulator, f"netstub{_stub_count[0]}", None)
+        self.message_ids = itertools.count()
+        self.packet_ids = itertools.count()
         self._links = 0
         self.flit_channels = []
 
@@ -36,9 +42,9 @@ def build_pair(sim, latency=2, num_vcs=2, max_packet=4):
     """Two interfaces wired back to back (0 <-> 1)."""
     clock = Clock(sim, period=1)
     settings = Settings.from_dict({"max_packet_size": max_packet})
-    a = StandardInterface(sim, "ifaceA", None, 0, num_vcs, settings, clock, [0])
-    b = StandardInterface(sim, "ifaceB", None, 1, num_vcs, settings, clock, [0])
     stub = LoopNetworkStub(sim)
+    a = StandardInterface(sim, "ifaceA", stub, 0, num_vcs, settings, clock, [0])
+    b = StandardInterface(sim, "ifaceB", stub, 1, num_vcs, settings, clock, [0])
     wire(stub, a, 0, b, 0, latency, 1)
     return a, b
 
@@ -52,7 +58,7 @@ def test_single_message_delivery(sim):
     a, b = build_pair(sim)
     delivered = []
     b.message_delivered_listeners.append(delivered.append)
-    message = Message(0, 0, 1, 3)
+    message = make_message(0, 1, 3)
     sim.call_at(0, lambda e: a.send_message(message))
     sim.run()
     assert delivered == [message]
@@ -67,7 +73,7 @@ def test_message_segmented_into_packets(sim):
     b.message_delivered_listeners.append(delivered.append)
     packets = []
     b.packet_delivered_listeners.append(packets.append)
-    message = Message(0, 0, 1, 10)
+    message = make_message(0, 1, 10)
     sim.call_at(0, lambda e: a.send_message(message))
     sim.run()
     assert message.num_packets == 3
@@ -92,7 +98,7 @@ def ejection_ticks(interface):
 def test_injection_respects_channel_rate(sim):
     a, b = build_pair(sim, latency=1)
     ejected = ejection_ticks(b)
-    message = Message(0, 0, 1, 5)
+    message = make_message(0, 1, 5)
     sim.call_at(0, lambda e: a.send_message(message))
     sim.run()
     # One flit per cycle: 5 flits need >= 5 cycles of wire time.
@@ -107,7 +113,7 @@ def test_packet_delivered_listener(sim):
     a, b = build_pair(sim, max_packet=2)
     packets = []
     b.packet_delivered_listeners.append(packets.append)
-    message = Message(0, 0, 1, 4)
+    message = make_message(0, 1, 4)
     sim.call_at(0, lambda e: a.send_message(message))
     sim.run()
     assert len(packets) == 2
@@ -115,7 +121,7 @@ def test_packet_delivered_listener(sim):
 
 def test_wrong_source_rejected(sim):
     a, _b = build_pair(sim)
-    message = Message(0, 5, 1, 1)  # source is not interface 0
+    message = make_message(5, 1, 1)  # source is not interface 0
     with pytest.raises(InterfaceError):
         a.send_message(message)
 
@@ -123,7 +129,7 @@ def test_wrong_source_rejected(sim):
 def test_wrong_destination_detected(sim):
     """§IV-D: every flit is checked to arrive at the right destination."""
     a, b = build_pair(sim)
-    message = Message(0, 0, 7, 1)  # destination 7, but wired to 1
+    message = make_message(0, 7, 1)  # destination 7, but wired to 1
     sim.call_at(0, lambda e: a.send_message(message))
     with pytest.raises(InterfaceError):
         sim.run()
@@ -133,8 +139,8 @@ def test_multiple_messages_fifo(sim):
     a, b = build_pair(sim)
     delivered = []
     b.message_delivered_listeners.append(delivered.append)
-    first = Message(0, 0, 1, 2)
-    second = Message(0, 0, 1, 2)
+    first = make_message(0, 1, 2, a.parent)
+    second = make_message(0, 1, 2, a.parent)
 
     def send(event):
         a.send_message(first)
@@ -150,7 +156,7 @@ def test_pending_flits(sim):
     counts = []
 
     def send(event):
-        a.send_message(Message(0, 0, 1, 6))
+        a.send_message(make_message(0, 1, 6))
         counts.append(a.pending_flits())
 
     sim.call_at(0, send)
@@ -162,12 +168,13 @@ def test_pending_flits(sim):
 def test_round_robin_over_injection_vcs(sim):
     clock = Clock(sim, period=1)
     settings = Settings.from_dict({"max_packet_size": 2})
-    a = StandardInterface(sim, "a", None, 0, 4, settings, clock, [0, 2])
-    b = StandardInterface(sim, "b", None, 1, 4, settings, clock, [0, 2])
-    wire(LoopNetworkStub(sim), a, 0, b, 0, 1, 1)
+    stub = LoopNetworkStub(sim)
+    a = StandardInterface(sim, "a", stub, 0, 4, settings, clock, [0, 2])
+    b = StandardInterface(sim, "b", stub, 1, 4, settings, clock, [0, 2])
+    wire(stub, a, 0, b, 0, 1, 1)
     packets = []
     b.packet_delivered_listeners.append(packets.append)
-    msg = Message(0, 0, 1, 8)  # four packets
+    msg = make_message(0, 1, 8)  # four packets
     sim.call_at(0, lambda e: a.send_message(msg))
     sim.run()
     vcs = [p.injection_vc for p in sorted(packets, key=lambda p: p.id)]
@@ -178,7 +185,8 @@ def test_injection_vc_out_of_range_rejected(sim):
     clock = Clock(sim, period=1)
     settings = Settings.from_dict({})
     with pytest.raises(InterfaceError):
-        StandardInterface(sim, "a", None, 0, 2, settings, clock, [5])
+        StandardInterface(sim, "a", LoopNetworkStub(sim), 0, 2, settings,
+                          clock, [5])
 
 
 def test_credit_blocking_limits_inflight(sim):
@@ -187,10 +195,11 @@ def test_credit_blocking_limits_inflight(sim):
     clock = Clock(sim, period=1)
     settings = Settings.from_dict({"max_packet_size": 16,
                                    "ejection_buffer_size": 2})
-    a = StandardInterface(sim, "a", None, 0, 1, settings, clock, [0])
-    b = StandardInterface(sim, "b", None, 1, 1, settings, clock, [0])
-    wire(LoopNetworkStub(sim), a, 0, b, 0, 10, 1)
-    msg = Message(0, 0, 1, 12)
+    stub = LoopNetworkStub(sim)
+    a = StandardInterface(sim, "a", stub, 0, 1, settings, clock, [0])
+    b = StandardInterface(sim, "b", stub, 1, 1, settings, clock, [0])
+    wire(stub, a, 0, b, 0, 10, 1)
+    msg = make_message(0, 1, 12)
     sim.call_at(0, lambda e: a.send_message(msg))
     sim.run()  # would raise BufferOverrun or Credit errors if broken
     assert b.flits_ejected == 12
@@ -199,7 +208,7 @@ def test_credit_blocking_limits_inflight(sim):
 def test_flit_timestamps(sim):
     a, b = build_pair(sim, latency=3)
     ejected = ejection_ticks(b)
-    msg = Message(0, 0, 1, 2)
+    msg = make_message(0, 1, 2)
     sim.call_at(5, lambda e: a.send_message(msg))
     sim.run()
     head, head_tick = ejected[0]

@@ -13,20 +13,16 @@ several times fewer engine events.
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import pytest
 
-import repro.net.message as message_mod
-import repro.net.packet as packet_mod
 from repro import Settings, Simulation
 from repro.configs import credit_accounting_config, latent_congestion_config
 from repro.core.clock import Clock
 from repro.core.wheel import PhaseWheel
 from repro.net.channel import Channel, CreditChannel
 from repro.net.interface import StandardInterface
-from repro.net.packet import preserve_packet_ids
 from repro.router.input_output_queued import InputOutputQueuedRouter
 from repro.router.input_queued import InputQueuedRouter
 from repro.router.output_queued import OutputQueuedRouter
@@ -68,9 +64,7 @@ def _observe(config, max_time, core_period, reference: bool) -> dict:
 
         return handler
 
-    with pytest.MonkeyPatch.context() as patch, preserve_packet_ids():
-        packet_mod._global_packet_ids = itertools.count()
-        message_mod._global_message_ids = itertools.count()
+    with pytest.MonkeyPatch.context() as patch:
         if reference:
             patch.setattr(PhaseWheel, "add", per_event_add)
         simulation = Simulation(Settings.from_dict(config))

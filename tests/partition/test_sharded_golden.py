@@ -16,15 +16,10 @@ real worker processes (pickled record streams), forked and spawned.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-import repro.net.message as message_mod
-import repro.net.packet as packet_mod
 from repro import Settings, Simulation
 from repro.configs import flow_control_config, latent_congestion_config
-from repro.net.packet import preserve_packet_ids
 from repro.partition import runtime
 from repro.partition.runtime import run_sharded
 from repro.sanitize import attach_sanitizers
@@ -59,30 +54,23 @@ def _blast_pulse_config() -> dict:
 
 
 def _single_process(config: dict, max_time: int) -> dict:
-    """Reference run; id counters forced to zero like a fresh process.
-
-    Shard workers count message/packet ids from zero (each inside its
-    own id scope), and packet ids feed routing decisions, so the
-    baseline must too.
-    """
-    with preserve_packet_ids():
-        packet_mod._global_packet_ids = itertools.count(0)
-        message_mod._global_message_ids = itertools.count(0)
-        simulation = Simulation(Settings.from_dict(config))
-        with attach_sanitizers(simulation, "det") as suite:
-            results = simulation.run(max_time=max_time)
-            suite.finish()
-            det = suite.report()["det"]
-        records = sorted(
-            (r.to_dict() for r in simulation.message_log.records),
-            key=lambda d: (d["delivered"], d["id"]),
-        )
-        return {
-            "digest": det["delivery_digest"],
-            "deliveries": det["deliveries"],
-            "drained": results.drained,
-            "records": records,
-        }
+    """Reference run under DetSan, with the merged state the sharded
+    runs must reproduce."""
+    simulation = Simulation(Settings.from_dict(config))
+    with attach_sanitizers(simulation, "det") as suite:
+        results = simulation.run(max_time=max_time)
+        suite.finish()
+        det = suite.report()["det"]
+    records = sorted(
+        (r.to_dict() for r in simulation.message_log.records),
+        key=lambda d: (d["delivered"], d["id"]),
+    )
+    return {
+        "digest": det["delivery_digest"],
+        "deliveries": det["deliveries"],
+        "drained": results.drained,
+        "records": records,
+    }
 
 
 @pytest.mark.parametrize(
@@ -162,18 +150,18 @@ def test_sharded_spawn_matches_single_process(monkeypatch, start_method, seed):
 
 
 def test_forked_workers_ignore_the_coordinators_id_counters(monkeypatch):
-    """A forked worker inherits the coordinator's global message and
-    packet counters, wherever earlier simulations in the session left
-    them; packet ids feed routing, so it must still count from zero."""
+    """A forked worker inherits the coordinator's memory, with whatever
+    simulations ran there before; packet ids feed routing, so its own
+    simulation must still count them from zero."""
     monkeypatch.setattr(runtime, "_start_method", lambda: "fork")
     config = _torus_config()
     base = _single_process(config, 50_000)
-    with preserve_packet_ids():
-        Simulation(Settings.from_dict(_torus_config())).run(max_time=50_000)
-        assert next(packet_mod._global_packet_ids) > 0
-        assert next(message_mod._global_message_ids) > 0
-        config["simulator"]["max_time"] = 50_000
-        results = run_sharded(config, k=2, shard_workers=2, sanitize="det")
+    earlier = Simulation(Settings.from_dict(_torus_config()))
+    earlier.run(max_time=50_000)
+    assert next(earlier.network.packet_ids) > 0
+    assert next(earlier.network.message_ids) > 0
+    config["simulator"]["max_time"] = 50_000
+    results = run_sharded(config, k=2, shard_workers=2, sanitize="det")
     assert results.mode == "fork"
     assert results.delivery_digest == base["digest"]
     assert [r.to_dict() for r in results.records] == base["records"]

@@ -6,7 +6,6 @@ import pytest
 from repro import Simulation
 from repro.config.settings import Settings
 from repro.core.rng import RandomManager
-from repro.net.message import Message
 from repro.router.arbiter import (
     AgeBasedArbiter,
     Arbiter,
@@ -16,11 +15,11 @@ from repro.router.arbiter import (
     create_arbiter,
 )
 
-from tests.conftest import small_torus_config
+from tests.conftest import make_packet, small_torus_config
 
 
 def packet_with_age(injection_tick):
-    packet = Message(0, 0, 1, 1).packetize(1)[0]
+    packet = make_packet(0, 1)
     packet.injection_tick = injection_tick
     return packet
 
@@ -143,7 +142,7 @@ def _random_arbiter_draws(seed):
         "output_arbiter": {"type": "random"},
     })
     routers = Simulation(Settings.from_dict(config)).network.routers
-    packet = Message(0, 0, 1, 1).packetize(1)[0]
+    packet = make_packet(0, 1)
     draws = {}
     for router_id in (0, 5):
         router = routers[router_id]

@@ -18,20 +18,16 @@ construction.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 import pytest
 
-import repro.net.message as message_mod
-import repro.net.packet as packet_mod
 from repro import Settings, Simulation
 from repro.core.clock import Clock
 from repro.core.simulator import Simulator
 from repro.core.wheel import PhaseWheel
 from repro.net.channel import _LandingWheel, _Link
 from repro.net.interface import Interface
-from repro.net.packet import preserve_packet_ids
 from repro.router.base import Router
 from repro.sanitize import attach_sanitizers
 
@@ -79,19 +75,9 @@ def _simulation(architecture: str, core_latency: int, period: int) -> Simulation
     return simulation
 
 
-@pytest.fixture
-def fresh_ids():
-    """Packet and message ids are process-global and part of every item
-    fingerprint; the pins were recorded from a fresh process."""
-    with preserve_packet_ids():
-        packet_mod._global_packet_ids = itertools.count()
-        message_mod._global_message_ids = itertools.count()
-        yield
-
-
 @pytest.mark.parametrize("architecture,core_latency,period", sorted(PINS))
 def test_delivery_digest_matches_per_flit_event_pins(
-    architecture, core_latency, period, fresh_ids
+    architecture, core_latency, period
 ):
     simulation = _simulation(architecture, core_latency, period)
     with attach_sanitizers(simulation, "det") as suite:

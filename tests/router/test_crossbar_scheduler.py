@@ -4,7 +4,6 @@ import pytest
 
 from repro.config.settings import Settings
 from repro.core.rng import RandomManager
-from repro.net.message import Message
 from repro.router.crossbar_scheduler import (
     FLIT_BUFFER,
     PACKET_BUFFER,
@@ -13,6 +12,8 @@ from repro.router.crossbar_scheduler import (
 )
 
 from tests.router.input_tables import InputTables
+
+from tests.conftest import make_packet
 
 
 def make_scheduler(mode, num_ports=4, num_vcs=2):
@@ -25,16 +26,12 @@ def make_scheduler(mode, num_ports=4, num_vcs=2):
     return scheduler, free, inputs
 
 
-def make_packet(num_flits):
-    return Message(0, 0, 1, num_flits).packetize(num_flits)[0]
-
-
 class TestFlitBuffer:
     def test_interleaves_two_packets(self):
         """FB: contending packets alternate, each taking 50% (paper)."""
         scheduler, free, inputs = make_scheduler(FLIT_BUFFER)
-        a = make_packet(4)
-        b = make_packet(4)
+        a = make_packet(num_flits=4)
+        b = make_packet(num_flits=4)
         winners = []
         ai = bi = 0
         for _cycle in range(8):
@@ -56,14 +53,14 @@ class TestFlitBuffer:
     def test_requires_one_credit(self):
         scheduler, free, inputs = make_scheduler(FLIT_BUFFER)
         free[inputs.output_vc(0, 0)] = 0
-        packet = make_packet(2)
+        packet = make_packet(num_flits=2)
         assert scheduler.grant([inputs.load(packet, 0)], free, 0) == []
         free[inputs.output_vc(0, 0)] = 1
         assert len(scheduler.grant([inputs.load(packet, 0)], free, 1)) == 1
 
     def test_never_locks(self):
         scheduler, free, inputs = make_scheduler(FLIT_BUFFER)
-        packet = make_packet(3)
+        packet = make_packet(num_flits=3)
         scheduler.grant([inputs.load(packet, 0)], free, 0)
         assert scheduler.locked_owner(0) is None
 
@@ -72,15 +69,15 @@ class TestPacketBuffer:
     def test_needs_credits_for_whole_packet(self):
         scheduler, free, inputs = make_scheduler(PACKET_BUFFER)
         free[inputs.output_vc(0, 0)] = 3
-        packet = make_packet(4)
+        packet = make_packet(num_flits=4)
         assert scheduler.grant([inputs.load(packet, 0)], free, 0) == []
         free[inputs.output_vc(0, 0)] = 4
         assert len(scheduler.grant([inputs.load(packet, 0)], free, 1)) == 1
 
     def test_locks_until_tail(self):
         scheduler, free, inputs = make_scheduler(PACKET_BUFFER)
-        a = make_packet(3)
-        b = make_packet(3)
+        a = make_packet(num_flits=3)
+        b = make_packet(num_flits=3)
         # a wins the initial arbitration; b keeps bidding.
         grants = scheduler.grant(
             [inputs.load(a, 0, in_port=0), inputs.load(b, 0, in_port=1)], free, 0
@@ -98,8 +95,8 @@ class TestPacketBuffer:
     def test_output_idles_on_upstream_gap(self):
         """PB keeps the lock even when the owner has no flit this cycle."""
         scheduler, free, inputs = make_scheduler(PACKET_BUFFER)
-        a = make_packet(3)
-        b = make_packet(1)
+        a = make_packet(num_flits=3)
+        b = make_packet(num_flits=1)
         scheduler.grant([inputs.load(a, 0, in_port=0)], free, 0)
         # Owner (a) missing; challenger (b) present: nothing is granted.
         assert scheduler.grant([inputs.load(b, 0, in_port=1)], free, 1) == []
@@ -108,7 +105,7 @@ class TestPacketBuffer:
     def test_no_credit_stall_once_streaming(self):
         """The reservation guarantees credits; a stall is a hard error."""
         scheduler, free, inputs = make_scheduler(PACKET_BUFFER)
-        packet = make_packet(2)
+        packet = make_packet(num_flits=2)
         scheduler.grant([inputs.load(packet, 0)], free, 0)
         free[inputs.output_vc(0, 0)] = 0  # violate the invariant from outside
         with pytest.raises(RuntimeError):
@@ -119,13 +116,13 @@ class TestWinnerTakeAll:
     def test_starts_without_full_packet_credits(self):
         scheduler, free, inputs = make_scheduler(WINNER_TAKE_ALL)
         free[inputs.output_vc(0, 0)] = 1  # only 1 credit for a 4-flit packet
-        packet = make_packet(4)
+        packet = make_packet(num_flits=4)
         assert len(scheduler.grant([inputs.load(packet, 0)], free, 0)) == 1
 
     def test_lock_holds_while_streaming(self):
         scheduler, free, inputs = make_scheduler(WINNER_TAKE_ALL)
-        a = make_packet(3)
-        b = make_packet(3)
+        a = make_packet(num_flits=3)
+        b = make_packet(num_flits=3)
         scheduler.grant(
             [inputs.load(a, 0, in_port=0), inputs.load(b, 0, in_port=1)], free, 0
         )
@@ -137,8 +134,8 @@ class TestWinnerTakeAll:
     def test_credit_stall_unlocks_and_hands_over(self):
         """WTA: a stalled streamer loses the output to a ready packet."""
         scheduler, free, inputs = make_scheduler(WINNER_TAKE_ALL)
-        a = make_packet(4)
-        b = make_packet(2)
+        a = make_packet(num_flits=4)
+        b = make_packet(num_flits=2)
         free[inputs.output_vc(0, 0)] = 8
         free[inputs.output_vc(0, 1)] = 8
         scheduler.grant([inputs.load(a, 0, in_port=0, out_vc=0)], free, 0)
@@ -152,8 +149,8 @@ class TestWinnerTakeAll:
 
     def test_upstream_gap_unlocks(self):
         scheduler, free, inputs = make_scheduler(WINNER_TAKE_ALL)
-        a = make_packet(3)
-        b = make_packet(1)
+        a = make_packet(num_flits=3)
+        b = make_packet(num_flits=1)
         scheduler.grant([inputs.load(a, 0, in_port=0)], free, 0)
         # Owner absent this cycle: B takes over immediately.
         grants = scheduler.grant([inputs.load(b, 0, in_port=1)], free, 1)
@@ -164,7 +161,7 @@ class TestGeneralBehaviour:
     def test_one_grant_per_output(self):
         scheduler, free, inputs = make_scheduler(FLIT_BUFFER)
         bids = [
-            inputs.load(make_packet(1), 0, in_port=i, out_port=i % 2)
+            inputs.load(make_packet(num_flits=1), 0, in_port=i, out_port=i % 2)
             for i in range(4)
         ]
         grants = scheduler.grant(bids, free, 0)
@@ -175,8 +172,8 @@ class TestGeneralBehaviour:
         """Two VCs of the same input port can win different outputs."""
         scheduler, free, inputs = make_scheduler(FLIT_BUFFER)
         bids = [
-            inputs.load(make_packet(1), 0, in_port=0, in_vc=0, out_port=0),
-            inputs.load(make_packet(1), 0, in_port=0, in_vc=1, out_port=1),
+            inputs.load(make_packet(num_flits=1), 0, in_port=0, in_vc=0, out_port=0),
+            inputs.load(make_packet(num_flits=1), 0, in_port=0, in_vc=1, out_port=1),
         ]
         grants = scheduler.grant(bids, free, 0)
         assert len(grants) == 2
@@ -188,7 +185,7 @@ class TestGeneralBehaviour:
         for mode in (FLIT_BUFFER, PACKET_BUFFER, WINNER_TAKE_ALL):
             scheduler, free, inputs = make_scheduler(mode)
             history = []
-            packets = {0: make_packet(1), 1: make_packet(1), 2: make_packet(1)}
+            packets = {i: make_packet() for i in range(3)}
             pending = dict(packets)
             for cycle in range(6):
                 bids = [

@@ -20,9 +20,10 @@ from repro import factory, models
 from repro.config.settings import Settings
 from repro.core.rng import RandomManager
 from repro.core.simulator import Simulator
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.router.input_queued import InputQueuedRouter
+
+from tests.conftest import make_message
 
 STAGES = ("land", "drain", "route", "alloc", "xbar")
 
@@ -114,8 +115,8 @@ def test_iq_step_stage_order_through_contested_and_stalled_cycles():
     # Both messages head for terminal 0, i.e. out of router 1's down
     # port: one arrives from up the chain, one from the local terminal,
     # timed so their flits overlap in router 1's input buffers.
-    from_chain = Message(0, 2, 0, 4)
-    from_local = Message(0, 1, 0, 4)
+    from_chain = make_message(2, 0, 4, network)
+    from_local = make_message(1, 0, 4, network)
     simulator.call_at(0, lambda e: network.interfaces[2].send_message(from_chain))
     simulator.call_at(3, lambda e: network.interfaces[1].send_message(from_local))
     simulator.run()

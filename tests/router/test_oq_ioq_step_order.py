@@ -25,8 +25,9 @@ from repro import factory, models
 from repro.config.settings import Settings
 from repro.core.rng import RandomManager
 from repro.core.simulator import Simulator
-from repro.net.message import Message
 from repro.net.network import Network
+
+from tests.conftest import make_message
 
 #: Canonical stage order per architecture.
 STAGES = {
@@ -136,7 +137,8 @@ def test_step_stage_order_with_two_way_traffic(architecture, monkeypatch):
         interface.message_delivered_listeners.append(delivered.append)
     # Down the chain, up the chain and from the local terminal, timed so
     # router 1 holds flits for both of its chain ports at once.
-    messages = [Message(0, 2, 0, 8), Message(0, 0, 2, 8), Message(0, 1, 0, 8)]
+    messages = [make_message(2, 0, 8, network), make_message(0, 2, 8, network),
+                make_message(1, 0, 8, network)]
     for tick, (message, source) in zip((0, 0, 2), zip(messages, (2, 0, 1))):
         simulator.call_at(
             tick,

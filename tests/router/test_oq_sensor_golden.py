@@ -15,15 +15,10 @@ changes the delivery digest.  The constants were recorded at commit
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-import repro.net.message as message_mod
-import repro.net.packet as packet_mod
 from repro import Settings, Simulation
 from repro.configs import latent_congestion_config
-from repro.net.packet import preserve_packet_ids
 from repro.sanitize import attach_sanitizers
 
 #: (num_vcs, sensor latency, granularity, source) -> (digest, deliveries)
@@ -94,16 +89,12 @@ def clos_config(num_vcs, latency, granularity, source, message_size=1) -> dict:
 
 
 def digest(config: dict):
-    """(delivery digest, deliveries) of one drained run under DetSan;
-    the id counters restart from zero as in the recording process."""
-    with preserve_packet_ids():
-        packet_mod._global_packet_ids = itertools.count()
-        message_mod._global_message_ids = itertools.count()
-        simulation = Simulation(Settings.from_dict(config))
-        with attach_sanitizers(simulation, "det") as suite:
-            results = simulation.run(max_time=5000)
-            suite.finish()
-            det = suite.report()["det"]
+    """(delivery digest, deliveries) of one drained run under DetSan."""
+    simulation = Simulation(Settings.from_dict(config))
+    with attach_sanitizers(simulation, "det") as suite:
+        results = simulation.run(max_time=5000)
+        suite.finish()
+        det = suite.report()["det"]
     assert results.drained
     return det["delivery_digest"], det["deliveries"]
 

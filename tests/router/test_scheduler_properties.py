@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.config.settings import Settings
 from repro.core.rng import RandomManager
-from repro.net.message import Message
 from repro.router.arbiter import create_arbiter
 from repro.router.crossbar_scheduler import (
     FLIT_BUFFER,
@@ -19,6 +18,8 @@ from repro.router.crossbar_scheduler import (
 )
 
 from tests.router.input_tables import InputTables
+
+from tests.conftest import make_packet
 
 MODES = (FLIT_BUFFER, PACKET_BUFFER, WINNER_TAKE_ALL)
 ARBITERS = ("round_robin", "age_based", "random", "fixed_priority")
@@ -43,7 +44,7 @@ class Workbench:
         self.streams = {}
 
     def add_stream(self, num_flits, in_port, in_vc, out_port, out_vc):
-        packet = Message(0, 0, 1, num_flits).packetize(num_flits)[0]
+        packet = make_packet(0, 1, num_flits)
         i = self.inputs.load(packet, 0, in_port, in_vc, out_port, out_vc)
         self.streams[i] = [packet, 0]
 
@@ -194,7 +195,7 @@ def test_forced_branch_matches_the_per_output_path(kind, rounds):
         bidders = []
         free = inputs.free_table(0)
         for out_port, (in_port, in_vc, out_vc, space, injected) in outputs.items():
-            packet = Message(0, 0, 1, 2).packetize(2)[0]
+            packet = make_packet(0, 1, 2)
             packet.injection_tick = injected
             i = in_port * inputs.num_vcs + in_vc
             if i in bidders:
@@ -214,7 +215,7 @@ def test_forced_leaves_the_state_of_a_one_request_arbitrate(kind):
     """``Arbiter.forced`` moves each arbiter type exactly as a one-request
     ``arbitrate`` would, with contested rounds in between to show it."""
     forced, arbitrated = make_arbiter(kind), make_arbiter(kind)
-    packets = [Message(0, 0, 1, 1).packetize(1)[0] for _ in range(8)]
+    packets = [make_packet(0, 1) for _ in range(8)]
     for index, packet in enumerate(packets):
         packet.injection_tick = 7 * index % 5
     contested = [(index, packets[index]) for index in (1, 4, 6)]

@@ -5,10 +5,11 @@ import pytest
 from repro import Settings, Simulation, factory, models
 from repro.core.rng import RandomManager
 from repro.core.simulator import Simulator
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.routing.base import RoutingAlgorithm, RoutingError
 from repro.routing.chain import ChainRouting
+
+from tests.conftest import make_packet
 
 
 class ScriptedRouting(RoutingAlgorithm):
@@ -38,10 +39,6 @@ def build_chain_with(routing_cls):
     })
     return factory.create(Network, "parking_lot", Simulator(), "network",
                           None, settings, RandomManager(1))
-
-
-def make_packet():
-    return Message(0, 0, 1, 1).packetize(1)[0]
 
 
 def test_empty_response_rejected():

@@ -5,9 +5,10 @@ import pytest
 from repro import Settings, factory, models
 from repro.core.rng import RandomManager
 from repro.core.simulator import Simulator
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.router.congestion import SOURCE_OUTPUT
+
+from tests.conftest import make_packet
 
 
 def build(half_radix=2, num_levels=3, routing="clos_adaptive",
@@ -36,7 +37,7 @@ def build(half_radix=2, num_levels=3, routing="clos_adaptive",
 
 
 def respond_at(network, level, index, src, dst, input_port=0):
-    packet = Message(0, src, dst, 1).packetize(1)[0]
+    packet = make_packet(src, dst, network=network)
     router = network.router_at(level, index)
     return packet, router.routing.respond(packet, input_port, 0)
 
@@ -90,7 +91,7 @@ class TestUpDown:
         """Walk a packet hop by hop from source to destination."""
         network = build(half_radix=2, num_levels=3)
         src, dst = 0, 7
-        packet = Message(0, src, dst, 1).packetize(1)[0]
+        packet = make_packet(src, dst, network=network)
         router = network.router_at(0, 0)
         hops = 0
         while True:
@@ -120,7 +121,7 @@ class TestAdaptiveOrdering:
         seen = {}
 
         def check(event):
-            packet = Message(0, 0, 7, 1).packetize(1)[0]
+            packet = make_packet(0, 7, network=network)
             candidates = leaf.routing.respond(packet, 0, 0)
             seen["first"] = candidates[0][0]
 
@@ -143,7 +144,7 @@ class TestAdaptiveOrdering:
 
         def check(event):
             for trial in range(8):
-                packet = Message(0, 0, 7, 1).packetize(1)[0]
+                packet = make_packet(0, 7, network=network)
                 candidates = leaf.routing.respond(packet, 0, 0)
                 firsts.add(candidates[0][0])
 

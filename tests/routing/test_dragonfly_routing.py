@@ -5,9 +5,10 @@ import pytest
 from repro import Settings, factory, models
 from repro.core.rng import RandomManager
 from repro.core.simulator import Simulator
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.routing.base import RoutingError
+
+from tests.conftest import make_packet
 
 
 def build(group_size=4, global_links=1, concentration=1, num_vcs=5,
@@ -30,7 +31,7 @@ def build(group_size=4, global_links=1, concentration=1, num_vcs=5,
 
 def walk_path(network, src, dst, max_hops=8):
     """Follow first-candidate routing from src to dst; returns hops."""
-    packet = Message(0, src, dst, 1).packetize(1)[0]
+    packet = make_packet(src, dst, network=network)
     router = network.routers[network.terminal_router(src)]
     input_port = network.terminal_port(src)
     hops = 0
@@ -94,7 +95,7 @@ class TestValiantAndUgal:
         source_router = network.routers[0]
         algorithm = source_router.routing
         for _ in range(16):
-            packet = Message(0, 0, 17, 1).packetize(1)[0]
+            packet = make_packet(0, 17, network=network)
             algorithm.respond(packet, 0, 0)
             assert not packet.non_minimal
 

@@ -5,10 +5,11 @@ import pytest
 from repro import Settings, factory, models
 from repro.core.rng import RandomManager
 from repro.core.simulator import Simulator
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.router.congestion import SOURCE_OUTPUT
 from repro.routing.base import RoutingError
+
+from tests.conftest import make_packet
 
 
 def build(widths=[4], concentration=2, num_vcs=2,
@@ -37,27 +38,23 @@ def build(widths=[4], concentration=2, num_vcs=2,
                           settings, RandomManager(1))
 
 
-def make_packet(src, dst):
-    return Message(0, src, dst, 1).packetize(1)[0]
-
-
 class TestDimensionOrder:
     def test_direct_hop(self):
         network = build()
-        packet = make_packet(0, 6)  # router 0 -> router 3
+        packet = make_packet(0, 6, network=network)  # router 0 -> router 3
         candidates = network.routers[0].routing.respond(packet, 0, 0)
         assert {p for p, _v in candidates} == {network.port_for(0, 0, 3)}
 
     def test_ejection(self):
         network = build()
-        packet = make_packet(0, 1)  # same router, terminal port 1
+        packet = make_packet(0, 1, network=network)  # same router, terminal port 1
         candidates = network.routers[0].routing.respond(packet, 0, 0)
         assert {p for p, _v in candidates} == {1}
 
     def test_2d_dimension_order(self):
         network = build(widths=[3, 3], concentration=1)
         # (0,0) -> (2,2): dim 0 first.
-        packet = make_packet(0, 8)
+        packet = make_packet(0, 8, network=network)
         candidates = network.routers[0].routing.respond(packet, 0, 0)
         assert {p for p, _v in candidates} == {network.port_for(0, 0, 2)}
 
@@ -74,7 +71,7 @@ class TestValiant:
         algorithm = network.routers[0].routing
         saw_nonminimal = False
         for _ in range(32):
-            packet = make_packet(0, 6)
+            packet = make_packet(0, 6, network=network)
             algorithm.respond(packet, 0, 0)
             if packet.non_minimal:
                 saw_nonminimal = True
@@ -85,7 +82,7 @@ class TestValiant:
     def test_hop_vc_discipline(self):
         network = build(routing="hyperx_valiant", num_vcs=2)
         algorithm = network.routers[0].routing
-        packet = make_packet(0, 6)
+        packet = make_packet(0, 6, network=network)
         candidates = algorithm.respond(packet, 0, 0)
         assert all(vc == 0 for _p, vc in candidates)  # first hop: VC 0
         packet.hop_count = 1
@@ -105,7 +102,7 @@ class TestUgal:
         algorithm = network.routers[0].routing
         minimal = 0
         for _ in range(32):
-            packet = make_packet(0, 6)
+            packet = make_packet(0, 6, network=network)
             algorithm.respond(packet, 0, 0)
             if not packet.non_minimal:
                 minimal += 1
@@ -128,7 +125,7 @@ class TestUgal:
         def check(event):
             algorithm = router.routing
             for _ in range(64):
-                packet = make_packet(0, 6)
+                packet = make_packet(0, 6, network=network)
                 algorithm.respond(packet, 0, 0)
                 outcomes.append(packet.non_minimal)
 
@@ -152,7 +149,7 @@ class TestUgal:
         def check(event):
             algorithm = router.routing
             for _ in range(32):
-                packet = make_packet(0, 6)
+                packet = make_packet(0, 6, network=network)
                 algorithm.respond(packet, 0, 0)
                 outcomes.append(packet.non_minimal)
 
@@ -165,7 +162,7 @@ class TestUgal:
         network = build(routing="hyperx_ugal", num_vcs=2)
         # A packet arriving at a transit router (non-terminal input)
         # without UGAL state routes minimally and records no decision.
-        packet = make_packet(0, 6)
+        packet = make_packet(0, 6, network=network)
         transit = network.routers[1]
         algorithm = transit.routing
         candidates = algorithm.respond(packet, network.concentration, 0)

@@ -5,9 +5,10 @@ import pytest
 from repro import Settings, factory, models
 from repro.core.rng import RandomManager
 from repro.core.simulator import Simulator
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.routing.base import RoutingError
+
+from tests.conftest import make_packet
 
 
 def build(widths, num_vcs=2, routing="torus_dimension_order",
@@ -28,7 +29,7 @@ def build(widths, num_vcs=2, routing="torus_dimension_order",
 
 
 def route_at(network, router_id, src, dst, input_port=0, input_vc=0):
-    packet = Message(0, src, dst, 1).packetize(1)[0]
+    packet = make_packet(src, dst, network=network)
     router = network.routers[router_id]
     return packet, router.routing.respond(packet, input_port, input_vc)
 
@@ -74,7 +75,7 @@ class TestDimensionOrder:
 
     def test_class1_persists_after_crossing(self):
         network = build([8], num_vcs=2)
-        packet = Message(0, 6, 1, 1).packetize(1)[0]
+        packet = make_packet(6, 1, network=network)
         # Hop 1: router 6 -> 7 (no wrap yet, class 0).
         candidates = network.routers[6].routing.respond(packet, 0, 0)
         assert all(vc % 2 == 0 for _p, vc in candidates)

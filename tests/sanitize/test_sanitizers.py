@@ -9,15 +9,10 @@ and one that fires on correct models is unusable.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
-import repro.net.message as message_mod
-import repro.net.packet as packet_mod
 from repro import Settings, Simulation, configs
 from repro.core.simulator import Simulator
-from repro.net.packet import preserve_packet_ids
 from repro.sanitize import (
     SANITIZER_NAMES,
     SanitizerError,
@@ -212,14 +207,11 @@ BUILTIN_CHECKS = {
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CHECKS))
 def test_sanitizers_clean_on_builtin_configs(name):
-    with preserve_packet_ids():
-        packet_mod._global_packet_ids = itertools.count()
-        message_mod._global_message_ids = itertools.count()
-        simulation = Simulation(Settings.from_dict(getattr(configs, name)()))
-        with attach_sanitizers(simulation, "all") as suite:
-            simulation.run(max_time=300)
-            suite.finish()
-            report = suite.report()
+    simulation = Simulation(Settings.from_dict(getattr(configs, name)()))
+    with attach_sanitizers(simulation, "all") as suite:
+        simulation.run(max_time=300)
+        suite.finish()
+        report = suite.report()
     for sanitizer in SANITIZER_NAMES:
         assert report[sanitizer]["checks"] > 0, f"{sanitizer} checked nothing"
     checks = {sanitizer: report[sanitizer]["checks"] for sanitizer in report}

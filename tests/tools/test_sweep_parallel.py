@@ -14,8 +14,17 @@ from repro.tools.sssweep import Sweep
 from tests.conftest import small_torus_config
 
 
-def _make_sweep():
-    sweep = Sweep(small_torus_config(), name="det", max_time=1_500)
+def _small_torus_8vc():
+    """Four VCs per dateline class: DOR rotates each packet's VC order by
+    its id, so a worker that numbered packets on from an earlier job
+    would route them differently."""
+    config = small_torus_config()
+    config["network"]["num_vcs"] = 8
+    return config
+
+
+def _make_sweep(base=small_torus_config):
+    sweep = Sweep(base(), name="det", max_time=1_500)
     sweep.add_variable(
         "InjectionRate", "IR", [0.1, 0.2],
         lambda rate: f"workload.applications[0].injection_rate=float={rate}")
@@ -25,10 +34,11 @@ def _make_sweep():
     return sweep
 
 
-def test_parallel_sweep_rows_byte_identical_to_serial():
-    serial = _make_sweep()
+@pytest.mark.parametrize("base", [small_torus_config, _small_torus_8vc])
+def test_parallel_sweep_rows_byte_identical_to_serial(base):
+    serial = _make_sweep(base)
     serial.run(workers=1)
-    parallel = _make_sweep()
+    parallel = _make_sweep(base)
     parallel.run(workers=4)
     assert json.dumps(serial.to_rows(), sort_keys=True) == json.dumps(
         parallel.to_rows(), sort_keys=True
