@@ -32,12 +32,16 @@
 #  11. bench     one short sharded_k2_torus run must reproduce bench/pins.json
 #                (the only fast gate that runs repro.partition, its cut
 #                channel proxies and the cross-shard record rebuild)
-#  12. crossbar  the crossbar scheduler and router step-order tests
+#  12. crossbar  the crossbar scheduler, arbiter and router step-order tests
 #                (tests/router/test_scheduler_properties.py,
-#                test_crossbar_scheduler.py, test_iq_step_order.py,
-#                test_oq_ioq_step_order.py): grant() reads the routers'
-#                flat input tables, and no other fast gate drives it
-#                with contested, locked or stalled bidders
+#                test_crossbar_scheduler.py, test_arbiter.py,
+#                test_iq_step_order.py, test_oq_ioq_step_order.py) and the
+#                arbiter census (test_one_arbiter_per_router_and_role in
+#                tests/integration/test_live_objects_bounded.py): grant()
+#                reads the routers' flat input tables, each router holds
+#                one arbiter per role with a slot per output port or VC,
+#                and no other fast gate drives them with contested,
+#                locked or stalled bidders
 #  13. credits   credit accounting (tests/net/test_credit.py, the
 #                sanitizers' pinned check counts on the builtin configs
 #                and their detach test, and the output-side census in
@@ -48,9 +52,9 @@
 # Usage: scripts/ci_check.sh [--fast]
 #   --fast  run only sslint, the five bench smokes, the lint pins, the
 #           delivery tests, the crossbar tests and the credit
-#           accounting tests (~49 s on 2 idle cores, ~2 s of it the lint
-#           pins, ~26 s the delivery tests, ~1.5 s the crossbar tests and
-#           ~7 s the credit accounting tests; a loaded host takes ~2x)
+#           accounting tests (~51 s on 2 idle cores, ~2 s of it the lint
+#           pins, ~25 s the delivery tests, ~4 s the crossbar tests and
+#           ~11 s the credit accounting tests; a loaded host takes ~2x)
 #
 # Exit status is non-zero if any executed gate fails.  ruff and mypy
 # are optional: their configuration lives in pyproject.toml and applies
@@ -120,10 +124,11 @@ run_gate "delivery (goldens, head-hop VCs, sharded two-phase, run identity)" \
     tests/tools/test_sweep_parallel.py::test_parallel_sweep_rows_byte_identical_to_serial
 run_gate "bench smoke (sharded_k2_torus pins)" \
     python3 bench/run.py --workload sharded_k2_torus --reps 1 --seconds 2
-run_gate "crossbar scheduler and router step order" \
+run_gate "crossbar scheduler, arbiters and router step order" \
     python -m pytest -q tests/router/test_scheduler_properties.py \
-    tests/router/test_crossbar_scheduler.py tests/router/test_iq_step_order.py \
-    tests/router/test_oq_ioq_step_order.py
+    tests/router/test_crossbar_scheduler.py tests/router/test_arbiter.py \
+    tests/router/test_iq_step_order.py tests/router/test_oq_ioq_step_order.py \
+    tests/integration/test_live_objects_bounded.py::test_one_arbiter_per_router_and_role
 credit_accounting() {
     python -m pytest -q tests/net/test_credit.py \
         tests/integration/test_live_objects_bounded.py &&

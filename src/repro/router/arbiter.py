@@ -12,15 +12,17 @@ object factory so router models can be configured with any of them:
 * ``random`` -- uniformly random among requesters.
 * ``fixed_priority`` -- lowest index wins; useful in tests.
 
-A request is ``(index, packet_or_None)``; ``arbitrate`` returns the
-winning index or ``None`` when there are no requests.  ``forced``
-records an uncontested grant: it leaves the arbiter in the state a
-one-request ``arbitrate`` would.
+A router holds one arbiter per role, serving each output port or output
+VC as a *slot* with its own state, one flat list entry per slot.  A
+request is ``(index, packet_or_None)``; ``arbitrate(slot, ...)`` returns
+the winning index or ``None`` when there are no requests.
+``forced(slot, ...)`` records an uncontested grant: it leaves the slot
+in the state a one-request ``arbitrate`` would.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,20 +37,24 @@ Request = Tuple[int, Optional[Packet]]
 
 
 class Arbiter:
-    """Abstract arbiter over a fixed number of request indices."""
+    """Abstract arbiter: ``slots`` arbitration points, each over a fixed
+    number of request indices."""
 
-    def __init__(self, size: int):
-        if size < 1:
-            raise ValueError(f"arbiter size must be >= 1, got {size}")
+    def __init__(self, slots: int, size: int):
+        if slots < 1 or size < 1:
+            raise ValueError(f"arbiter slots and size must be >= 1: {slots}, {size}")
+        self.slots = slots
         self.size = size
 
-    def arbitrate(self, requests: List[Request], now_tick: int = 0) -> Optional[int]:
-        """Pick a winner among ``requests``; None when empty."""
+    def arbitrate(self, slot: int, requests: List[Request],
+                  now_tick: int = 0) -> Optional[int]:
+        """Pick ``slot``'s winner among ``requests``; None when empty."""
         raise NotImplementedError
 
-    def forced(self, index: int, packet: Optional[Packet], now_tick: int) -> None:
-        """Record a grant to the only requester ``index``."""
-        self.arbitrate([(index, packet)], now_tick)
+    def forced(self, slot: int, index: int, packet: Optional[Packet],
+               now_tick: int) -> None:
+        """Record a grant at ``slot`` to the only requester ``index``."""
+        self.arbitrate(slot, [(index, packet)], now_tick)
 
     @staticmethod
     def _check(requests: List[Request], size: int) -> None:
@@ -57,50 +63,50 @@ class Arbiter:
                 raise ValueError(f"request index {index} out of range [0, {size})")
 
 
-def create_arbiter(
-    settings: "Settings", size: int, random: "RandomManager", label: str
-) -> Arbiter:
+def create_arbiter(settings: "Settings", slots: int, size: int,
+                   random: "RandomManager", label: Callable[[int], str]) -> Arbiter:
     """Build an arbiter from a settings block with a ``type`` key; a
-    random arbiter draws from the run's ``label`` stream."""
+    random arbiter's slot ``s`` draws from the run's ``label(s)`` stream."""
     kind = settings.get_str("type", "round_robin")
     if kind == "random":
-        return factory.create(Arbiter, kind, size, random.generator(label))
-    return factory.create(Arbiter, kind, size)
+        return factory.create(Arbiter, kind, slots, size, random, label)
+    return factory.create(Arbiter, kind, slots, size)
 
 
 @factory.register(Arbiter, "round_robin")
 class RoundRobinArbiter(Arbiter):
     """Rotating-priority arbiter: the winner becomes lowest priority."""
 
-    def __init__(self, size: int):
-        super().__init__(size)
-        self._pointer = 0
+    def __init__(self, slots: int, size: int):
+        super().__init__(slots, size)
+        self._pointer = [0] * slots
 
-    def arbitrate(self, requests: List[Request], now_tick: int = 0) -> Optional[int]:
+    def arbitrate(self, slot: int, requests: List[Request],
+                  now_tick: int = 0) -> Optional[int]:
         if not requests:
             return None
+        size = self.size
         if len(requests) == 1:
             # One requester wins; the pointer rotates exactly as the
             # general path would set it.
             best = requests[0][0]
-            if not 0 <= best < self.size:
-                self._check(requests, self.size)
-            self._pointer = (best + 1) % self.size
+            if not 0 <= best < size:
+                self._check(requests, size)
+            self._pointer[slot] = (best + 1) % size
             return best
-        self._check(requests, self.size)
-        pointer = self._pointer
-        size = self.size
-        best = None
-        best_rank = None
+        self._check(requests, size)
+        pointer = self._pointer[slot]
+        best, best_rank = None, size  # every rank is below size
         for index, _meta in requests:
             rank = (index - pointer) % size
-            if best_rank is None or rank < best_rank:
+            if rank < best_rank:
                 best, best_rank = index, rank
-        self._pointer = (best + 1) % size
+        self._pointer[slot] = (best + 1) % size
         return best
 
-    def forced(self, index: int, packet: Optional[Packet], now_tick: int) -> None:
-        self._pointer = (index + 1) % self.size
+    def forced(self, slot: int, index: int, packet: Optional[Packet],
+               now_tick: int) -> None:
+        self._pointer[slot] = (index + 1) % self.size
 
 
 @factory.register(Arbiter, "age_based")
@@ -111,7 +117,8 @@ class AgeBasedArbiter(Arbiter):
     lowest index, keeping the arbiter deterministic.
     """
 
-    def arbitrate(self, requests: List[Request], now_tick: int = 0) -> Optional[int]:
+    def arbitrate(self, slot: int, requests: List[Request],
+                  now_tick: int = 0) -> Optional[int]:
         if not requests:
             return None
         self._check(requests, self.size)
@@ -126,17 +133,29 @@ class AgeBasedArbiter(Arbiter):
 
 @factory.register(Arbiter, "random")
 class RandomArbiter(Arbiter):
-    """Uniformly random winner, drawn from the given numpy Generator."""
+    """Uniformly random winner.  Each slot draws from its own numpy
+    Generator, the run's ``label(slot)`` stream, built on its first draw."""
 
-    def __init__(self, size: int, rng: np.random.Generator):
-        super().__init__(size)
-        self._rng = rng
+    def __init__(self, slots: int, size: int, random: "RandomManager",
+                 label: Callable[[int], str]):
+        super().__init__(slots, size)
+        self._random = random
+        self._label = label
+        self._rngs: List[Optional[np.random.Generator]] = [None] * slots
 
-    def arbitrate(self, requests: List[Request], now_tick: int = 0) -> Optional[int]:
+    def generator(self, slot: int) -> np.random.Generator:
+        """``slot``'s generator."""
+        rng = self._rngs[slot]
+        if rng is None:
+            rng = self._rngs[slot] = self._random.generator(self._label(slot))
+        return rng
+
+    def arbitrate(self, slot: int, requests: List[Request],
+                  now_tick: int = 0) -> Optional[int]:
         if not requests:
             return None
         self._check(requests, self.size)
-        pick = int(self._rng.integers(len(requests)))
+        pick = int(self.generator(slot).integers(len(requests)))
         return requests[pick][0]
 
 
@@ -144,7 +163,8 @@ class RandomArbiter(Arbiter):
 class FixedPriorityArbiter(Arbiter):
     """Lowest request index always wins (intentionally unfair)."""
 
-    def arbitrate(self, requests: List[Request], now_tick: int = 0) -> Optional[int]:
+    def arbitrate(self, slot: int, requests: List[Request],
+                  now_tick: int = 0) -> Optional[int]:
         if not requests:
             return None
         self._check(requests, self.size)

@@ -15,7 +15,8 @@ share:
 * the output side as flat per-router lists indexed by output VC
   ``o = port * num_vcs + vc``: the device's credits, output VC
   ownership (wormhole: one packet streams on a given output VC at a
-  time), the VC arbiters and the sensor slots,
+  time), the sensor slots and, where VCs are allocated (IQ, IOQ), the
+  VC scheduler's arbiter with one slot per output VC,
 * a congestion sensor fed through its delay line: slots resolved at
   ``finalize``, ``(due, slot, delta)`` appended by the hot paths -- only
   when the router's routing engine reads congestion,
@@ -53,6 +54,7 @@ from repro.net.packet import Packet
 from repro.net.phases import EPS_STEP
 from repro.router.arbiter import Arbiter, create_arbiter
 from repro.router.congestion import SOURCE_DOWNSTREAM, CongestionSensor
+from repro.router.crossbar_scheduler import CrossbarScheduler
 from repro.routing.base import RoutingAlgorithm
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,7 +96,7 @@ class Router(PortedDevice):
         self.channel_clock = channel_clock
         self.address: Optional[Tuple[int, ...]] = None  # set by the network
         # The network's named random streams: a random arbiter draws from
-        # one per router, role and port.
+        # one per router, role and slot.
         self.random: "RandomManager" = parent.random  # type: ignore[union-attr]
 
         depth = settings.get_uint("input_queue_depth", 16)
@@ -122,17 +124,8 @@ class Router(PortedDevice):
 
         # The output side, one entry per output VC o = port * num_vcs + vc
         # (as many as input VCs; the credits are the device's): the
-        # input VC owning it (-1: free; wormhole ownership) and its VC
-        # scheduler arbiter, which picks among the input VCs requesting
-        # it in one cycle (None until the first contest).
+        # input VC owning it (-1: free; wormhole ownership).
         self._output_vc_owner: List[int] = [-1] * num_inputs
-        vc_scheduler_settings = settings.child("vc_scheduler", default={})
-        self._vc_arbiter_settings = vc_scheduler_settings.child(
-            "arbiter", default={}
-        )
-        self._vc_arbiters: List[Optional[Arbiter]] = [None] * num_inputs
-        # Recycled arbitration request list (arbiters never retain it).
-        self._vc_requests: list = []
 
         # Congestion sensor.
         sensor_settings = settings.child("congestion_sensor", default={})
@@ -216,6 +209,19 @@ class Router(PortedDevice):
             self.sensor.mark_unfed()
         self._finalize_arch()
         self._down_slots = self._sensor_slots(SOURCE_DOWNSTREAM)
+
+    def _build_schedulers(self) -> None:
+        """Build the crossbar scheduler and the VC scheduler's arbiter (a
+        slot per output VC) of the routers that call ``_allocate_vcs``."""
+        settings, name, num_vcs = self.settings, self.full_name, self.num_vcs
+        self.scheduler = CrossbarScheduler(
+            self, settings.child("crossbar_scheduler", default={}), self.random,
+            f"{name}.crossbar")
+        num_outputs = self.num_ports * num_vcs
+        self._vc_arbiter: Arbiter = create_arbiter(
+            settings.child("vc_scheduler", default={}).child("arbiter", default={}),
+            num_outputs, num_outputs, self.random,
+            lambda o: f"{name}.vc_scheduler.out{o // num_vcs}.vc{o % num_vcs}")
 
     def _finalize_arch(self) -> None:
         """Architecture hook: register extra sensor sources, queues, ..."""
@@ -345,8 +351,8 @@ class Router(PortedDevice):
         candidate; requests for the same output VC are resolved by that
         output VC's arbiter (the VC scheduler, configurable via
         the ``vc_scheduler.arbiter`` settings block -- round robin by
-        default, age-based for parking-lot fairness, ...).  Losers try
-        again next cycle.
+        default, age-based for parking-lot fairness, ...), at its slot
+        ``o``.  Losers try again next cycle.
         """
         pending = self._alloc_pending
         if not pending:
@@ -385,19 +391,8 @@ class Router(PortedDevice):
             if len(claimants) == 1:
                 i = claimants[0]
             else:
-                arbiter = self._vc_arbiters[o]
-                if arbiter is None:
-                    arbiter = self._vc_arbiters[o] = create_arbiter(
-                        self._vc_arbiter_settings,
-                        self.num_ports * num_vcs,
-                        self.random,
-                        f"{self.full_name}.vc_scheduler.out{out_port}.vc{out_vc}",
-                    )
-                arbitrated = self._vc_requests
-                arbitrated.clear()
-                for c in claimants:
-                    arbitrated.append((c, in_packet[c]))
-                i = arbiter.arbitrate(arbitrated, now)
+                i = self._vc_arbiter.arbitrate(
+                    o, [(c, in_packet[c]) for c in claimants], now)
             owner_table[o] = i
             in_out_port[i] = out_port
             in_out_vc[i] = out_vc

@@ -23,7 +23,7 @@ The scheduler is the only code that grants a crossbar slot, and it is
 microarchitecture-agnostic.  Each cycle the owning router calls
 ``grant`` with its bidders -- the flat index ``i = in_port * num_vcs +
 in_vc`` of each input VC whose front flit may move, the index its
-arbiters already use -- and a free-space table ``free[o]`` indexed by
+arbiter already uses -- and a free-space table ``free[o]`` indexed by
 output VC ``o = out_port * num_vcs + out_vc``: the downstream credits
 for the IQ router, the free output-queue slots for the IOQ router.
 The scheduler reads each bidder's flits, packet and output VC from the
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.router.arbiter import Arbiter, create_arbiter
+from repro.router.arbiter import create_arbiter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
@@ -55,9 +55,9 @@ class CrossbarScheduler:
     Settings:
         ``flow_control`` -- one of ``flit_buffer`` (default),
             ``packet_buffer``, ``winner_take_all``.
-        ``arbiter`` -- sub-block for the per-output arbiter
-            (``type`` defaults to ``round_robin``); a random arbiter of
-            output ``p`` draws from the ``{label}.out{p}`` stream.
+        ``arbiter`` -- sub-block for the arbiter, one slot per output
+            port (``type`` defaults to ``round_robin``); a random
+            arbiter's slot ``p`` draws from the ``{label}.out{p}`` stream.
     """
 
     def __init__(
@@ -81,13 +81,9 @@ class CrossbarScheduler:
                 f"expected one of {_FLOW_CONTROL_MODES}"
             )
         self._locking = self.flow_control != FLIT_BUFFER
-        arbiter_settings = settings.child("arbiter", default={})
-        self._arbiters: List[Arbiter] = [
-            create_arbiter(
-                arbiter_settings, num_ports * num_vcs, random, f"{label}.out{port}"
-            )
-            for port in range(num_ports)
-        ]
+        self.arbiter = create_arbiter(
+            settings.child("arbiter", default={}), num_ports, num_ports * num_vcs,
+            random, f"{label}.out{{}}".format)
         # Lock table: out_port -> the streaming owner's input VC.
         self._locks: Dict[int, int] = {}
 
@@ -115,7 +111,7 @@ class CrossbarScheduler:
             else:
                 # Every bidder targets its own output and nothing locks:
                 # each grant is forced, in bidder order.
-                arbiters = self._arbiters
+                arbiter = self.arbiter
                 out_vc_of = self._out_vc
                 packet_of = self._packet
                 num_vcs = self.num_vcs
@@ -123,7 +119,7 @@ class CrossbarScheduler:
                 for i in bidders:
                     out_port = out_port_of[i]
                     if free[out_port * num_vcs + out_vc_of[i]] >= 1:
-                        arbiters[out_port].forced(i, packet_of[i], now_tick)
+                        arbiter.forced(out_port, i, packet_of[i], now_tick)
                         grants.append(i)
                 return grants
         return self._arbitrate(bidders, free, now_tick)
@@ -181,13 +177,12 @@ class CrossbarScheduler:
                     eligible = [i for i in bids if free[first + out_vc_of[i]] >= 1]
                 if not eligible:
                     continue
-                arbiter = self._arbiters[out_port]
                 if len(eligible) == 1:
                     winner = eligible[0]
-                    arbiter.forced(winner, packet_of[winner], now_tick)
+                    self.arbiter.forced(out_port, winner, packet_of[winner], now_tick)
                 else:
-                    winner = arbiter.arbitrate(
-                        [(i, packet_of[i]) for i in eligible], now_tick
+                    winner = self.arbiter.arbitrate(
+                        out_port, [(i, packet_of[i]) for i in eligible], now_tick
                     )
                 if self._locking:
                     locks[out_port] = winner

@@ -24,7 +24,6 @@ from repro import factory
 from repro.core.event import Event
 from repro.router.base import Router
 from repro.router.congestion import PENDING_LIMIT
-from repro.router.crossbar_scheduler import CrossbarScheduler
 from repro.router.output_queued import OutputQueuedRouter
 
 
@@ -36,23 +35,18 @@ class InputOutputQueuedRouter(OutputQueuedRouter):
 
     Extra settings:
         ``output_queue_depth`` -- per-(port, VC) output queue capacity
-            in flits (default 64).
+            in flits (default 64; no null).
         ``crossbar_scheduler`` -- flow control + arbiter configuration
             for the input-to-output-queue crossbar.
         ``output_arbiter`` -- arbiter choosing among VCs at each output
-            each channel cycle (default round robin).
+            each channel cycle (default round robin), one slot per port.
     """
+
+    _default_queue_depth = 64
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        scheduler_settings = self.settings.child("crossbar_scheduler", default={})
-        self.scheduler = CrossbarScheduler(
-            self, scheduler_settings, self.random, f"{self.full_name}.crossbar"
-        )
-
-    def _read_queue_depth(self) -> int:
-        super()._read_queue_depth()  # the OQ check: an integer >= 1 or null
-        return self.settings.get_uint("output_queue_depth", 64)
+        self._build_schedulers()
 
     # -- per-cycle behaviour ------------------------------------------------------
 

@@ -28,7 +28,6 @@ from repro.core.event import Event
 from repro.net.flit import Flit
 from repro.router.base import Router
 from repro.router.congestion import PENDING_LIMIT
-from repro.router.crossbar_scheduler import CrossbarScheduler
 
 
 @factory.register(Router, "input_queued")
@@ -49,10 +48,7 @@ class InputQueuedRouter(Router):
         # itself.  Gating grants below this ceiling only throttles when
         # the channel (not the core) is the bottleneck.
         self._staging_limit = self.core_latency + self.output_staging_depth
-        scheduler_settings = self.settings.child("crossbar_scheduler", default={})
-        self.scheduler = CrossbarScheduler(
-            self, scheduler_settings, self.random, f"{self.full_name}.crossbar"
-        )
+        self._build_schedulers()
         self._staging: List[Deque[Flit]] = [deque() for _ in range(self.num_ports)]
         # Committed staging slots per port: staged + in flight through core.
         self._staging_committed = [0] * self.num_ports

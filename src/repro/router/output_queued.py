@@ -32,7 +32,7 @@ from repro import factory
 from repro.config.settings import SettingsError
 from repro.core.event import Event
 from repro.net.flit import Flit
-from repro.router.arbiter import Arbiter, RoundRobinArbiter, create_arbiter
+from repro.router.arbiter import RoundRobinArbiter, create_arbiter
 from repro.router.base import Router
 from repro.router.congestion import PENDING_LIMIT, SOURCE_OUTPUT
 
@@ -41,6 +41,9 @@ from repro.router.congestion import PENDING_LIMIT, SOURCE_OUTPUT
 class OutputQueuedRouter(Router):
     """The idealized OQ router model (and the output-queue stages the
     IOQ router inherits)."""
+
+    #: ``output_queue_depth`` when absent; null (infinite) only if this is.
+    _default_queue_depth: Optional[int] = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -58,30 +61,28 @@ class OutputQueuedRouter(Router):
         # Flits sitting in queues per port; bitmask of the non-zero ports.
         self._queued_count = [0] * self.num_ports
         self._queued_ports = 0
-        arbiter_settings = self.settings.child("output_arbiter", default={})
-        self._output_arbiters: List[Arbiter] = [
-            create_arbiter(
-                arbiter_settings,
-                self.num_vcs,
-                self.random,
-                f"{self.full_name}.output_arbiter.out{port}",
-            )
-            for port in range(self.num_ports)
-        ]
+        # One output arbiter, slot p choosing among port p's VCs.
+        self._output_arbiter = create_arbiter(
+            self.settings.child("output_arbiter", default={}), self.num_ports,
+            self.num_vcs, self.random,
+            f"{self.full_name}.output_arbiter.out{{}}".format)
         # Recycled drain request list (arbiters never retain it).
         self._drain_requests: list = []
         self._out_slots: Optional[List[Optional[int]]] = None
 
     def _read_queue_depth(self) -> Optional[int]:
-        """The ``output_queue_depth`` setting; null or absent: infinite."""
-        depth = self.settings.get("output_queue_depth", None)
+        """The ``output_queue_depth`` setting."""
+        default = self._default_queue_depth
+        depth = self.settings.get("output_queue_depth", default)
+        if depth is None and default is None:
+            return None
         # bool is an int subclass: ``true`` would act as a depth of 1.
-        if depth is not None and (
-            isinstance(depth, bool) or not isinstance(depth, int) or depth < 1
-        ):
+        if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
+            rule = ("null = infinite" if default is None
+                    else f"default {default}; no null")
             raise SettingsError(
                 f"output_queue_depth: setting must be a non-negative integer, "
-                f"got {depth!r} (minimum 1; null = infinite)"
+                f"got {depth!r} (minimum 1; {rule})"
             )
         return depth
 
@@ -133,7 +134,7 @@ class OutputQueuedRouter(Router):
         queued_count = self._queued_count
         queue_free = self._queue_free
         credits = self._credits
-        arbiters = self._output_arbiters
+        arbiter = self._output_arbiter
         out_slots = self._out_slots
         down_slots = self._down_slots
         sensed = self._sensed
@@ -156,11 +157,10 @@ class OutputQueuedRouter(Router):
                 vc = 0
                 o = port
                 flits = queues[o]
-                arbiter = arbiters[port]
                 if type(arbiter) is not RoundRobinArbiter:
                     requests.clear()
                     requests.append((0, flits[0].packet))
-                    arbiter.arbitrate(requests, now)
+                    arbiter.arbitrate(port, requests, now)
             else:
                 first = port * num_vcs
                 requests.clear()
@@ -170,7 +170,7 @@ class OutputQueuedRouter(Router):
                         requests.append((o - first, flits[0].packet))
                 if not requests:
                     continue
-                vc = arbiters[port].arbitrate(requests, now)
+                vc = arbiter.arbitrate(port, requests, now)
                 o = first + vc
                 flits = queues[o]
             flit = flits.popleft()

@@ -18,9 +18,10 @@ nothing else the collector tracks, at most 400 bytes all told.
 
 A third counts the routers' input side after build: flat per-router
 tables with one flit deque per input VC, and no object per input VC.
-A fourth does the same for the output side: credits, VC owners, VC
-arbiters, sensor slots and OQ output queues are flat lists with one
-entry per output VC, and no credit object per port.
+A fourth does the same for the output side: credits, VC owners, sensor
+slots and OQ output queues are flat lists with one entry per output
+VC, and no credit object per port.  A fifth counts arbiters: one per
+router and role, with per-slot state, before and after a run.
 """
 
 from __future__ import annotations
@@ -34,10 +35,13 @@ from collections import deque
 import pytest
 
 from repro import Settings, Simulation
-from repro.configs import flow_control_config, latent_congestion_config
+from repro.configs import (
+    credit_accounting_config, flow_control_config, latent_congestion_config,
+)
 from repro.net.flit import Flit
 from repro.net.message import Message
 from repro.net.packet import Packet
+from repro.router.arbiter import Arbiter
 from repro.router.congestion import PENDING_LIMIT
 from repro.routing.base import RoutingAlgorithm
 
@@ -320,14 +324,24 @@ def flat_rows(router, *names) -> None:
         assert not any(isinstance(entry, list) for entry in table), name
 
 
+def per_slot(arbiter, slots: int) -> None:
+    """``arbiter`` serves ``slots`` slots, and every list of state it
+    keeps has one entry per slot."""
+    assert arbiter.slots == slots
+    for name, table in vars(arbiter).items():
+        if isinstance(table, list):
+            assert len(table) == slots, name
+
+
 def test_router_output_side_is_flat_on_the_iq_torus():
     """The bench 4x4x4 torus of IQ routers: 64 routers x 7 ports x 2 VCs
-    = 896 output VCs, whose credits, owners, VC arbiters and sensor
-    slots are flat per-router lists."""
+    = 896 output VCs, whose credits, owners and sensor slots are flat
+    per-router lists, and whose VC arbiter keeps one entry per output
+    VC."""
     network = output_side(flow_control_config(message_size=4, injection_rate=0.3))
     for router in network.routers:
-        flat_rows(router, "_credits", "_output_vc_owner", "_vc_arbiters",
-                  "_down_slots")
+        flat_rows(router, "_credits", "_output_vc_owner", "_down_slots")
+        per_slot(router._vc_arbiter, router.num_ports * router.num_vcs)
         assert set(router._output_vc_owner) == {-1}
     assert sum(len(router._credits) for router in network.routers) == 896
 
@@ -345,8 +359,47 @@ def test_oq_router_has_one_deque_per_output_vc():
         assert len(queues) == num_outputs
         assert all(type(queue) is deque and not queue for queue in queues)
         assert len({id(queue) for queue in queues}) == num_outputs
-        flat_rows(router, "_queue_free", "_output_vc_owner", "_vc_arbiters",
-                  "_down_slots", "_out_slots")
+        flat_rows(router, "_queue_free", "_output_vc_owner", "_down_slots",
+                  "_out_slots")
+        # OQ claims output VCs without a VC scheduler: no VC arbiter.
+        assert not hasattr(router, "_vc_arbiter")
+        per_slot(router._output_arbiter, router.num_ports)
         assert set(router._queue_free) == {router._queue_capacity}
         output_vcs += num_outputs
     assert output_vcs == 320
+
+
+# -- arbiters: one per router and role ---------------------------------------
+
+#: Arbiter roles per architecture: the crossbar and VC schedulers (IQ),
+#: the output arbiter (OQ), all three (IOQ).
+ROLES = {"input_queued": 2, "output_queued": 1, "input_output_queued": 3}
+
+
+def arbiters(simulation) -> int:
+    return sum(isinstance(obj, Arbiter) for obj in reachable(simulation))
+
+
+@pytest.mark.parametrize("config,routers,expected", [
+    pytest.param(flow_control_config(message_size=4, injection_rate=0.3),
+                 64, 128, id="bench_torus_iq"),
+    pytest.param(latent_congestion_config(injection_rate=0.4, warmup=50,
+                                          window=100),
+                 48, 48, id="bench_clos_oq"),
+    pytest.param(credit_accounting_config(warmup=100, window=300),
+                 8, 24, id="hyperx_ioq"),
+])
+def test_one_arbiter_per_router_and_role(config, routers, expected):
+    """Each router holds one arbiter per role, which serves every output
+    port or output VC as a slot: none per port, and none built by a
+    contest (the bench torus held 448 after build and 687 after a run,
+    the bench Clos 320)."""
+    simulation = Simulation(Settings.from_dict(config))
+    network = simulation.network
+    assert network.num_routers == routers
+    architecture = config["network"]["router"]["architecture"]
+    assert routers * ROLES[architecture] == expected
+    assert arbiters(simulation) == expected
+    simulation.run(max_time=400)
+    assert sum(r.flits_received for r in network.routers)
+    assert arbiters(simulation) == expected

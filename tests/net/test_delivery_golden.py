@@ -27,6 +27,11 @@ The packet-buffer, winner-take-all and age-based cells were recorded at
 7b2f905, where the IQ and IOQ routers still granted uncontested flits
 in their own inline copies of the crossbar scheduler: they pin the
 locking flow-control grants and the age-based arbiter.
+
+The two random-arbiter cells were recorded at 32770d1, where every
+arbitration point was its own arbiter object with its own generator:
+they pin each random crossbar, VC-scheduler and output-arbiter draw of
+a contested run on the IQ and IOQ routers.
 """
 
 from __future__ import annotations
@@ -38,11 +43,37 @@ from repro.configs import credit_accounting_config, latent_congestion_config
 from repro.sanitize import attach_sanitizers
 
 from tests.conftest import small_torus_config
-from tests.integration.test_delivery_invariants import CONFIGS
+from tests.integration.test_delivery_invariants import CONFIGS, base_workload
 
 
 def _invariants_cell(name: str) -> dict:
     return {"simulator": {"seed": 23}, **CONFIGS[name]}
+
+
+def _random_arbiters_cell(architecture: str) -> dict:
+    """A 4x4 torus of ``architecture`` routers whose every arbiter role is
+    random, with 4-flit messages at a load that contests each role."""
+    random = {"type": "random"}
+    router = {"architecture": architecture,
+              "input_queue_depth": 16, "core_latency": 2,
+              "crossbar_scheduler": {"arbiter": random},
+              "vc_scheduler": {"arbiter": random}}
+    if architecture == "input_output_queued":
+        router.update(output_queue_depth=16, output_arbiter=random)
+    return {
+        "simulator": {"seed": 23},
+        "network": {
+            "topology": "torus",
+            "dimension_widths": [4, 4], "concentration": 2,
+            "num_vcs": 2,
+            "channel_latency": 2,
+            "channel_period": 2,
+            "router": router,
+            "interface": {"max_packet_size": 8},
+            "routing": {"algorithm": "torus_dimension_order"},
+        },
+        "workload": base_workload(rate=0.2, size=4),
+    }
 
 
 def _digest_run(config: dict, max_time: int) -> dict:
@@ -130,6 +161,16 @@ def _pin(digest, deliveries, flits, messages, hops) -> dict:
             _invariants_cell("parking_lot_age_based"), 400_000,
             _pin("0be3d766", 4544, 640, 320, 1632),
             id="parking_lot_age_based",
+        ),
+        pytest.param(
+            _random_arbiters_cell("input_queued"), 400_000,
+            _pin("88044935", 40648, 4976, 1244, 15348),
+            id="torus_iq_random",
+        ),
+        pytest.param(
+            _random_arbiters_cell("input_output_queued"), 400_000,
+            _pin("cb39b93a", 40648, 4976, 1244, 15348),
+            id="torus_ioq_random",
         ),
     ],
 )

@@ -1,6 +1,6 @@
-"""Arbiters: round robin fairness, age-based priority, validity."""
+"""Arbiters: round robin fairness, age-based priority, validity, and
+slots that arbitrate independently of each other."""
 
-import numpy as np
 import pytest
 
 from repro import Simulation
@@ -26,106 +26,107 @@ def packet_with_age(injection_tick):
 
 class TestRoundRobin:
     def test_empty_requests(self):
-        assert RoundRobinArbiter(4).arbitrate([]) is None
+        assert RoundRobinArbiter(1, 4).arbitrate(0, []) is None
 
     def test_single_request(self):
-        assert RoundRobinArbiter(4).arbitrate([(2, None)]) == 2
+        assert RoundRobinArbiter(1, 4).arbitrate(0, [(2, None)]) == 2
 
     def test_rotation_over_persistent_requesters(self):
-        arbiter = RoundRobinArbiter(3)
+        arbiter = RoundRobinArbiter(1, 3)
         requests = [(0, None), (1, None), (2, None)]
-        winners = [arbiter.arbitrate(list(requests)) for _ in range(6)]
+        winners = [arbiter.arbitrate(0, list(requests)) for _ in range(6)]
         assert winners == [0, 1, 2, 0, 1, 2]
 
     def test_fairness_under_contention(self):
-        arbiter = RoundRobinArbiter(4)
+        arbiter = RoundRobinArbiter(1, 4)
         counts = {i: 0 for i in range(4)}
         for _ in range(400):
-            winner = arbiter.arbitrate([(i, None) for i in range(4)])
+            winner = arbiter.arbitrate(0, [(i, None) for i in range(4)])
             counts[winner] += 1
         assert all(count == 100 for count in counts.values())
 
     def test_skips_non_requesters(self):
-        arbiter = RoundRobinArbiter(4)
-        assert arbiter.arbitrate([(1, None), (3, None)]) == 1
-        assert arbiter.arbitrate([(1, None), (3, None)]) == 3
-        assert arbiter.arbitrate([(1, None), (3, None)]) == 1
+        arbiter = RoundRobinArbiter(1, 4)
+        assert arbiter.arbitrate(0, [(1, None), (3, None)]) == 1
+        assert arbiter.arbitrate(0, [(1, None), (3, None)]) == 3
+        assert arbiter.arbitrate(0, [(1, None), (3, None)]) == 1
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            RoundRobinArbiter(2).arbitrate([(5, None)])
+            RoundRobinArbiter(1, 2).arbitrate(0, [(5, None)])
 
 
 class TestAgeBased:
     def test_oldest_wins(self):
-        arbiter = AgeBasedArbiter(4)
+        arbiter = AgeBasedArbiter(1, 4)
         old = packet_with_age(10)
         young = packet_with_age(90)
-        winner = arbiter.arbitrate([(0, young), (1, old)], now_tick=100)
+        winner = arbiter.arbitrate(0, [(0, young), (1, old)], now_tick=100)
         assert winner == 1
 
     def test_tie_breaks_by_index(self):
-        arbiter = AgeBasedArbiter(4)
+        arbiter = AgeBasedArbiter(1, 4)
         a = packet_with_age(50)
         b = packet_with_age(50)
-        assert arbiter.arbitrate([(3, a), (1, b)], now_tick=100) == 1
+        assert arbiter.arbitrate(0, [(3, a), (1, b)], now_tick=100) == 1
 
     def test_missing_packet_is_age_zero(self):
-        arbiter = AgeBasedArbiter(4)
+        arbiter = AgeBasedArbiter(1, 4)
         old = packet_with_age(0)
-        assert arbiter.arbitrate([(0, None), (1, old)], now_tick=50) == 1
+        assert arbiter.arbitrate(0, [(0, None), (1, old)], now_tick=50) == 1
 
     def test_empty(self):
-        assert AgeBasedArbiter(2).arbitrate([]) is None
+        assert AgeBasedArbiter(1, 2).arbitrate(0, []) is None
 
 
 class TestRandom:
     def test_winner_is_a_requester(self):
-        arbiter = RandomArbiter(8, np.random.default_rng(0))
+        arbiter = RandomArbiter(1, 8, RandomManager(0), str)
         for _ in range(50):
-            winner = arbiter.arbitrate([(2, None), (5, None), (7, None)])
+            winner = arbiter.arbitrate(0, [(2, None), (5, None), (7, None)])
             assert winner in (2, 5, 7)
 
     def test_covers_all_requesters(self):
-        arbiter = RandomArbiter(4, np.random.default_rng(1))
+        arbiter = RandomArbiter(1, 4, RandomManager(1), str)
         winners = {
-            arbiter.arbitrate([(i, None) for i in range(4)]) for _ in range(200)
+            arbiter.arbitrate(0, [(i, None) for i in range(4)]) for _ in range(200)
         }
         assert winners == {0, 1, 2, 3}
 
 
 class TestFixedPriority:
     def test_lowest_index_wins(self):
-        arbiter = FixedPriorityArbiter(4)
-        assert arbiter.arbitrate([(3, None), (1, None), (2, None)]) == 1
+        arbiter = FixedPriorityArbiter(1, 4)
+        assert arbiter.arbitrate(0, [(3, None), (1, None), (2, None)]) == 1
         # And it keeps winning: intentionally unfair.
-        assert arbiter.arbitrate([(3, None), (1, None)]) == 1
+        assert arbiter.arbitrate(0, [(3, None), (1, None)]) == 1
 
 
 class TestFactory:
     def test_create_by_settings(self):
         arbiter = create_arbiter(
-            Settings.from_dict({"type": "age_based"}), 4, RandomManager(0), "arb"
+            Settings.from_dict({"type": "age_based"}), 1, 4, RandomManager(0), str
         )
         assert isinstance(arbiter, AgeBasedArbiter)
 
     def test_default_is_round_robin(self):
-        arbiter = create_arbiter(Settings.from_dict({}), 4, RandomManager(0), "arb")
+        arbiter = create_arbiter(Settings.from_dict({}), 1, 4, RandomManager(0), str)
         assert isinstance(arbiter, RoundRobinArbiter)
 
     def test_random_gets_rng(self):
         random = RandomManager(7)
         arbiter = create_arbiter(
-            Settings.from_dict({"type": "random"}), 4, random, "arb"
+            Settings.from_dict({"type": "random"}), 2, 4, random, "arb{}".format
         )
         assert isinstance(arbiter, RandomArbiter)
-        assert arbiter._rng.integers(1 << 30) == random.generator("arb").integers(
-            1 << 30
-        )
+        assert arbiter.generator(1).integers(1 << 30) == random.generator(
+            "arb1").integers(1 << 30)
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            RoundRobinArbiter(0)
+            RoundRobinArbiter(1, 0)
+        with pytest.raises(ValueError):
+            RoundRobinArbiter(0, 4)
 
 
 def _random_arbiter_draws(seed):
@@ -147,8 +148,8 @@ def _random_arbiter_draws(seed):
     for router_id in (0, 5):
         router = routers[router_id]
         for port in (0, 1):
-            # Two input VCs claim output VC (port, 0): the router builds
-            # that VC arbiter and arbitrates once.
+            # Two input VCs claim output VC (port, 0): the VC arbiter's
+            # slot for it builds its generator and draws once.
             claimants = [in_port * router.num_vcs for in_port in (2, 3)]
             for i in claimants:
                 router._in_packet[i] = packet
@@ -161,19 +162,20 @@ def _random_arbiter_draws(seed):
             o = port * router.num_vcs + 0
             assert router._output_vc_owner[o] in claimants
             router._output_vc_owner[o] = -1
-            arbiters = {
-                "crossbar": router.scheduler._arbiters[port],
-                "vc": router._vc_arbiters[o],
-                "output": router._output_arbiters[port],
+            generators = {
+                "crossbar": router.scheduler.arbiter.generator(port),
+                "vc": router._vc_arbiter.generator(o),
+                "output": router._output_arbiter.generator(port),
             }
-            for role, arbiter in arbiters.items():
-                draws[(router_id, role, port)] = int(arbiter._rng.integers(1 << 62))
+            for role, rng in generators.items():
+                draws[(router_id, role, port)] = int(rng.integers(1 << 62))
     return draws
 
 
 def test_random_arbiters_draw_from_per_router_role_port_streams():
-    """Each random arbiter has its own stream of the run's seed: no two
-    ports, roles or routers share one, and the seed moves them all."""
+    """Each slot of a random arbiter has its own stream of the run's
+    seed: no two ports, roles or routers share one, and the seed moves
+    them all."""
     first = _random_arbiter_draws(seed=1)
     second = _random_arbiter_draws(seed=2)
     assert len(set(first.values())) == len(first)

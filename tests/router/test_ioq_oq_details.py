@@ -150,3 +150,25 @@ class TestInputOutputQueued:
         for router in simulation.network.routers:
             assert all(count == 0 for count in router._queued_count)
             assert not router._core_fifo
+
+
+@pytest.mark.parametrize("depth", [True, 0, None])
+@pytest.mark.parametrize("architecture", ["output_queued", "input_output_queued"])
+def test_output_queue_depth_error_states_its_architectures_contract(
+        architecture, depth):
+    """OQ takes an integer >= 1 or null (infinite); IOQ an integer >= 1,
+    64 when absent, and no null: each refusal says its own contract."""
+    config = clos_oq_config(depth=depth)
+    config["network"]["router"]["architecture"] = architecture
+    if architecture == "output_queued":
+        if depth is None:
+            router = Simulation(Settings.from_dict(config)).network.routers[0]
+            assert router.output_queue_depth is None
+            return
+        rule = "null = infinite"
+    else:
+        rule = "default 64; no null"
+    contract = (f"must be a non-negative integer, got {depth!r} "
+                rf"\(minimum 1; {rule}\)")
+    with pytest.raises(SettingsError, match=contract):
+        Simulation(Settings.from_dict(config))

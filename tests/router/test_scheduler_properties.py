@@ -146,18 +146,29 @@ def test_packet_buffer_never_interleaves_an_output(stream_specs):
             break
 
 
+def _state(value):
+    return (value.bit_generator.state
+            if isinstance(value, np.random.Generator) else value)
+
+
 def arbiter_state(arbiter):
-    """Everything an arbiter carries from one decision to the next."""
+    """Everything an arbiter carries from one decision to the next: its
+    per-slot lists, a generator as its state."""
     return {
-        name: value.bit_generator.state
-        if isinstance(value, np.random.Generator) else value
-        for name, value in vars(arbiter).items()
+        name: [_state(value) for value in values]
+        for name, values in vars(arbiter).items() if isinstance(values, list)
     }
 
 
-def make_arbiter(kind, size=8):
+def slot_states(arbiter):
+    """``arbiter_state`` split by slot: per slot, its entry of each list."""
+    rows = arbiter_state(arbiter).values()
+    return [[row[slot] for row in rows] for slot in range(arbiter.slots)]
+
+
+def make_arbiter(kind, slots=4, size=8, label="arb{}".format):
     return create_arbiter(
-        Settings.from_dict({"type": kind}), size, RandomManager(3), "arb"
+        Settings.from_dict({"type": kind}), slots, size, RandomManager(3), label
     )
 
 
@@ -205,25 +216,55 @@ def test_forced_branch_matches_the_per_output_path(kind, rounds):
         granted = forced.grant(bidders, free, now)
         expected = general._arbitrate(bidders, free, now)
         assert sorted(granted, key=inputs._in_out_port.__getitem__) == expected
-        assert [arbiter_state(a) for a in forced._arbiters] == [
-            arbiter_state(a) for a in general._arbiters
-        ]
+        assert arbiter_state(forced.arbiter) == arbiter_state(general.arbiter)
 
 
-@pytest.mark.parametrize("kind", ARBITERS)
-def test_forced_leaves_the_state_of_a_one_request_arbitrate(kind):
-    """``Arbiter.forced`` moves each arbiter type exactly as a one-request
-    ``arbitrate`` would, with contested rounds in between to show it."""
-    forced, arbitrated = make_arbiter(kind), make_arbiter(kind)
+def aged_packets():
     packets = [make_packet(0, 1) for _ in range(8)]
     for index, packet in enumerate(packets):
         packet.injection_tick = 7 * index % 5
+    return packets
+
+
+@pytest.mark.parametrize("slot", (0, 3))
+@pytest.mark.parametrize("kind", ARBITERS)
+def test_forced_leaves_the_state_of_a_one_request_arbitrate(kind, slot):
+    """``Arbiter.forced`` moves each arbiter type exactly as a one-request
+    ``arbitrate`` would, with contested rounds in between to show it."""
+    forced, arbitrated = make_arbiter(kind), make_arbiter(kind)
+    packets = aged_packets()
     contested = [(index, packets[index]) for index in (1, 4, 6)]
     for now, index in enumerate((5, 0, 7, 2, 2, 3), start=10):
-        forced.forced(index, packets[index], now)
-        assert arbitrated.arbitrate([(index, packets[index])], now) == index
+        forced.forced(slot, index, packets[index], now)
+        assert arbitrated.arbitrate(slot, [(index, packets[index])], now) == index
         assert arbiter_state(forced) == arbiter_state(arbitrated)
-        assert forced.arbitrate(contested, now) == arbitrated.arbitrate(
-            contested, now
+        assert forced.arbitrate(slot, contested, now) == arbitrated.arbitrate(
+            slot, contested, now
         )
         assert arbiter_state(forced) == arbiter_state(arbitrated)
+
+
+@pytest.mark.parametrize("kind", ARBITERS)
+def test_a_slot_decides_alone_and_leaves_the_others_alone(kind):
+    """Arbitrating or forcing slot ``s`` leaves every other slot's state
+    unchanged, and ``s`` decides as a one-slot arbiter of its own fed
+    only ``s``'s requests would."""
+    shared = make_arbiter(kind)
+    own = [make_arbiter(kind, slots=1, label=lambda _, s=s: f"arb{s}")
+           for s in range(shared.slots)]
+    packets = aged_packets()
+    contested = [(index, packets[index]) for index in (1, 4, 6, 7)]
+    moved = False
+    for now, (slot, index) in enumerate(
+            [(0, 5), (2, 1), (0, 3), (3, 7), (1, 0), (2, 6), (3, 2)], start=10):
+        before = slot_states(shared)
+        shared.forced(slot, index, packets[index], now)
+        own[slot].forced(0, index, packets[index], now)
+        winner = shared.arbitrate(slot, contested[slot % 2:], now)
+        assert winner == own[slot].arbitrate(0, contested[slot % 2:], now)
+        after = slot_states(shared)
+        assert [row for s, row in enumerate(after) if s != slot] == [
+            row for s, row in enumerate(before) if s != slot]
+        assert after[slot] == slot_states(own[slot])[0]
+        moved |= after[slot] != before[slot]
+    assert moved == (kind in ("round_robin", "random"))

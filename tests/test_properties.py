@@ -125,14 +125,15 @@ class TestCreditProperties:
 class TestArbiterProperties:
     @given(st.integers(min_value=1, max_value=16), st.data())
     def test_round_robin_always_grants_a_requester(self, size, data):
-        arbiter = RoundRobinArbiter(size)
+        arbiter = RoundRobinArbiter(3, size)
         for _round in range(10):
+            slot = data.draw(st.integers(min_value=0, max_value=2))
             indices = data.draw(
                 st.lists(st.integers(min_value=0, max_value=size - 1),
                          unique=True, max_size=size)
             )
             requests = [(i, None) for i in indices]
-            winner = arbiter.arbitrate(requests)
+            winner = arbiter.arbitrate(slot, requests)
             if indices:
                 assert winner in indices
             else:
@@ -142,10 +143,10 @@ class TestArbiterProperties:
            st.integers(min_value=1, max_value=20))
     def test_round_robin_starvation_freedom(self, size, rounds):
         """Under persistent full contention, every requester wins within
-        `size` consecutive grants."""
-        arbiter = RoundRobinArbiter(size)
+        `size` consecutive grants of a slot."""
+        arbiter = RoundRobinArbiter(2, size)
         requests = [(i, None) for i in range(size)]
-        wins = [arbiter.arbitrate(list(requests)) for _ in range(size * rounds)]
+        wins = [arbiter.arbitrate(1, list(requests)) for _ in range(size * rounds)]
         for start in range(0, len(wins) - size + 1, size):
             assert set(wins[start:start + size]) == set(range(size))
 
