@@ -12,7 +12,9 @@ user code:
 
 Both register with the object factory at import time and are then
 selected purely by name from the JSON configuration -- the simulator
-core is untouched.
+core is untouched.  The traffic pattern declares its settings, so
+``sslint --import custom_model`` checks its block like a packaged
+one's; the routing algorithm declares none, so its block stays open.
 
 Run:  python examples/custom_model.py
 """
@@ -20,6 +22,7 @@ Run:  python examples/custom_model.py
 from typing import List
 
 from repro import Settings, Simulation, factory
+from repro.config.spec import KeySpec
 from repro.routing.base import Candidate, RoutingAlgorithm
 from repro.routing.torus import TorusDimensionOrderRouting
 from repro.topology.util import ring_distance
@@ -33,10 +36,18 @@ class HotspotTraffic(TrafficPattern):
     """``fraction`` of traffic targets the first ``num_hot`` terminals;
     the rest is uniform random."""
 
+    # Declared once: construction reads through it, and sslint checks a
+    # config against it (a misspelled key is reported, a negative
+    # fraction refused).
+    SETTINGS = {
+        "fraction": KeySpec("float", 0.2, minimum=0.0),
+        "num_hot": KeySpec("uint", 1, minimum=1),
+    }
+
     def __init__(self, settings, num_terminals, network, rng):
         super().__init__(settings, num_terminals, network, rng)
-        self.fraction = settings.get_float("fraction", 0.2)
-        self.num_hot = settings.get_uint("num_hot", 1)
+        self.fraction = settings.read(type(self), "fraction")
+        self.num_hot = settings.read(type(self), "num_hot")
 
     def destination(self, source):
         if self.rng.random() < self.fraction:

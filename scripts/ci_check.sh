@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate.  Thirteen gates:
+# CI gate.  Fourteen gates:
 #   1. tier-1    pytest over tests/ (the behavioural gate; see ROADMAP.md)
 #   2. ruff      style over the cleaned packages (SKIPPED when absent)
 #   3. mypy      types over the packages pyproject declares (SKIPPED when absent)
@@ -48,13 +48,20 @@
 #                tests/integration/test_live_objects_bounded.py):
 #                take_credit/give_credit are CreditSan's hook points,
 #                so a hot path that bypasses them changes a pinned count
+#  14. settings  declaration/construction agreement
+#                (tests/config/test_declarations.py and
+#                tests/lint/test_config_rules.py): for every declared
+#                key, lint reports a value exactly when construction
+#                refuses it; the builtin configs read only declared
+#                keys; docs/CONFIGURATION.md states the declared defaults
 #
 # Usage: scripts/ci_check.sh [--fast]
 #   --fast  run only sslint, the five bench smokes, the lint pins, the
-#           delivery tests, the crossbar tests and the credit
-#           accounting tests (~51 s on 2 idle cores, ~2 s of it the lint
-#           pins, ~25 s the delivery tests, ~4 s the crossbar tests and
-#           ~11 s the credit accounting tests; a loaded host takes ~2x)
+#           delivery tests, the crossbar tests, the credit accounting
+#           tests and the settings agreement tests (~54 s on 2 idle
+#           cores, ~2 s of it the lint pins, ~25 s the delivery tests,
+#           ~4 s the crossbar tests, ~11 s the credit accounting tests
+#           and ~3 s the settings tests; a loaded host takes ~2x)
 #
 # Exit status is non-zero if any executed gate fails.  ruff and mypy
 # are optional: their configuration lives in pyproject.toml and applies
@@ -137,6 +144,9 @@ credit_accounting() {
 }
 run_gate "credit accounting (credit API, CreditSan counts, census)" \
     credit_accounting
+run_gate "settings: declaration/construction agreement" \
+    python -m pytest -q tests/config/test_declarations.py \
+    tests/lint/test_config_rules.py
 
 echo
 if [ "${FAILURES}" -ne 0 ]; then

@@ -27,7 +27,7 @@ import sys
 from typing import List, Optional
 
 from repro.config.settings import Settings
-from repro.sim import Simulation
+from repro.sim import Simulation, output_paths
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,8 +215,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"supersim: --partition: {exc}", file=sys.stderr)
             return 2
         summary = results.summary()
-        output = settings.child("output", default={})
-        log_path = output.get("message_log", None)
+        output = output_paths(settings)
+        log_path = output["message_log"]
         if log_path:
             with open(log_path, "w", encoding="utf-8") as handle:
                 for record in results.records:
@@ -226,7 +226,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "path": log_path,
                 "records": len(results.records),
             }
-        summary_path = output.get("summary", None)
+        summary_path = output["summary"]
         if summary_path:
             with open(summary_path, "w", encoding="utf-8") as handle:
                 json.dump(summary, handle, indent=2)
@@ -285,12 +285,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             stats.dump_stats(args.profile)
             print(f"pstats dump written to {args.profile}", file=sys.stderr)
 
-    output = settings.child("output", default={})
-    log_path = output.get("message_log", None)
+    log_path = simulation.output["message_log"]
     if log_path:
         count = simulation.message_log.write_jsonl(log_path)
         summary["message_log"] = {"path": log_path, "records": count}
-    summary_path = output.get("summary", None)
+    summary_path = simulation.output["summary"]
     if summary_path:
         with open(summary_path, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2)

@@ -29,6 +29,7 @@ import pathlib
 import re
 from typing import Any, Iterable, List, Optional, Tuple, Union
 
+from repro.config.spec import REQUIRED, Block, Declaration, KeySpec, spec_of
 from repro.config.suggest import did_you_mean
 
 _INCLUDE_RE = re.compile(r"^\$include\((?P<path>[^)]+)\)$")
@@ -291,62 +292,58 @@ class Settings:
             )
         return default
 
-    def get_int(self, key: str, default: Any = _MISSING) -> int:
-        value = self.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SettingsError(
-                f"setting {self._where(key)!r} must be an int, got {value!r}"
-            )
+    def read(self, declaration: Declaration, key: str) -> Any:
+        """``key`` as ``declaration`` (a model class or a dict) declares it.
+
+        A leaf comes back checked, its default filled in (a float as a
+        float); a refused value raises :class:`SettingsError` naming the
+        dotted path, with the message lint reports for it.  A block
+        comes back as a child view (a list of them for a ``many``
+        block); a missing required key or block raises.
+        """
+        spec = spec_of(declaration, key)
+        if isinstance(spec, Block):
+            if spec.many:
+                return self.child_list(key)
+            return self.child(key) if spec.required else self.child(key, {})
+        if key not in self._data:
+            if spec.required:
+                return self.get(key)  # raises, with a did-you-mean
+            return spec.default
+        value = self._data[key]
+        problem = spec.problem(value)
+        if problem is not None:
+            raise SettingsError(f"{self._where(key)}: {problem[1]}")
+        if spec.kind == "float" and value is not None:
+            return float(value)
         return value
+
+    def _get(self, key: str, kind: str, default: Any) -> Any:
+        return self.read(
+            {key: KeySpec(kind, REQUIRED if default is self._MISSING else default)},
+            key,
+        )
+
+    def get_int(self, key: str, default: Any = _MISSING) -> int:
+        return self._get(key, "int", default)
 
     def get_uint(self, key: str, default: Any = _MISSING) -> int:
-        value = self.get_int(key, default)
-        if value < 0:
-            raise SettingsError(
-                f"setting {self._where(key)!r} must be non-negative, got {value}"
-            )
-        return value
+        return self._get(key, "uint", default)
 
     def get_float(self, key: str, default: Any = _MISSING) -> float:
-        value = self.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SettingsError(
-                f"setting {self._where(key)!r} must be a number, got {value!r}"
-            )
-        return float(value)
+        return self._get(key, "float", default)
 
     def get_str(self, key: str, default: Any = _MISSING) -> str:
-        value = self.get(key, default)
-        if not isinstance(value, str):
-            raise SettingsError(
-                f"setting {self._where(key)!r} must be a string, got {value!r}"
-            )
-        return value
+        return self._get(key, "str", default)
 
     def get_bool(self, key: str, default: Any = _MISSING) -> bool:
-        value = self.get(key, default)
-        if not isinstance(value, bool):
-            raise SettingsError(
-                f"setting {self._where(key)!r} must be a bool, got {value!r}"
-            )
-        return value
+        return self._get(key, "bool", default)
 
     def get_list(self, key: str, default: Any = _MISSING) -> list:
-        value = self.get(key, default)
-        if not isinstance(value, list):
-            raise SettingsError(
-                f"setting {self._where(key)!r} must be a list, got {value!r}"
-            )
-        return value
+        return self._get(key, "list", default)
 
     def get_int_list(self, key: str, default: Any = _MISSING) -> List[int]:
-        value = self.get_list(key, default)
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise SettingsError(
-                    f"setting {self._where(key)!r} must be a list of ints"
-                )
-        return list(value)
+        return list(self._get(key, "int_list", default))
 
     # -- hierarchy -----------------------------------------------------------
 

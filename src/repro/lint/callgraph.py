@@ -27,7 +27,9 @@ builds that picture from source, one class at a time:
 
 Conditions are deliberately modest: only comparisons of a
 settings-derived ``self`` attribute against a literal are captured
-(``self.warmup_mode == "auto"``, ``self.injection_rate > 0.0``).
+(``self.warmup_mode == "auto"``, ``self.injection_rate > 0.0``); the
+attribute's default is the class's declared one
+(:mod:`repro.config.spec`), or a getter's literal default.
 Anything else contributes no condition, which errs on the side of
 reporting a hazard as unconditionally reachable -- the sound direction
 for a gate.  When several paths reach a method, the path with the
@@ -48,6 +50,7 @@ from typing import (
 )
 
 from repro import factory
+from repro.config.spec import KeySpec, declared, spec_of
 
 #: sentinel: a settings key with no recorded literal default.
 MISSING = object()
@@ -568,7 +571,8 @@ class ClassGraph:
 
     def _collect_settings_attrs(self) -> None:
         getters = {"get_str", "get_int", "get_uint", "get_float",
-                   "get_bool"}
+                   "get_bool", "read"}
+        entries = declared(self.cls)
         for node in self._all_defs:
             for stmt in ast.walk(node):
                 if not isinstance(stmt, ast.Assign):
@@ -593,11 +597,18 @@ class ClassGraph:
                 if not receiver_ok:
                     continue
                 args = stmt.value.args
+                if func.attr == "read":
+                    # settings.read(declaration, "key")
+                    args = args[1:]
                 if not args or not isinstance(args[0], ast.Constant):
                     continue
                 key = args[0].value
                 default = MISSING
-                if len(args) > 1 and isinstance(args[1], ast.Constant):
+                spec = entries.get(key)
+                if func.attr == "read":
+                    if isinstance(spec, KeySpec) and not spec.required:
+                        default = spec.default
+                elif len(args) > 1 and isinstance(args[1], ast.Constant):
                     default = args[1].value
                 if attr not in self.settings_attrs:
                     self.settings_attrs[attr] = (key, default)
@@ -680,15 +691,6 @@ def model_bases() -> Dict[str, type]:
     }
 
 
-#: where a configuration selects each one-per-network model kind:
-#: (kind, dotted path of its block, selecting key, model when omitted).
-_SELECTIONS = (
-    ("routing", "network.routing", "algorithm", None),
-    ("router", "network.router", "architecture", None),
-    ("interface", "network.interface", "type", "standard"),
-)
-
-
 def _defining_files(cls: type) -> Set[str]:
     """Real paths of the files holding ``cls`` and its live methods."""
     files = {
@@ -732,12 +734,15 @@ def model_targets(ctx, bases: Dict[str, type]) -> List[ModelTarget]:
             raw.get("workload", {}).get("applications", ())
         )
     ]
-    for kind, path, key, default in _SELECTIONS:
-        block = raw
-        for part in path.split("."):
-            block = block.get(part, {})
-        selected.append((kind, f"{path}.{key}", block,
-                         block.get(key, default)))
+    from repro.net.network import Network
+
+    # The one-per-network models, each selected in the network block
+    # named after its kind.
+    for kind in ("routing", "router", "interface"):
+        spec = spec_of(Network, kind)
+        block = raw.get("network", {}).get(kind, {})
+        selected.append((kind, f"network.{kind}.{spec.selector}", block,
+                         block.get(spec.selector, spec.default)))
     targets = []
     for kind, origin, block, name in selected:
         if kind in bases and isinstance(name, str):

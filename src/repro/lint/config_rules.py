@@ -14,16 +14,10 @@ import math
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro import factory, models
+from repro.config.spec import Block, KeySpec, declared, declares, spec_of
 from repro.config.suggest import closest
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import CONFIG_LAYER, LintContext, LintRule
-from repro.lint.schema import (
-    BlockSpec,
-    KeySpec,
-    factory_base,
-    injection_vcs_for,
-    root_schema,
-)
 
 
 def _join(path: str, key: Any) -> str:
@@ -36,18 +30,21 @@ def _join(path: str, key: Any) -> str:
 
 
 def walk_schema(raw: dict) -> Iterator[Finding]:
-    """Validate ``raw`` against the declarative schema.
+    """Validate ``raw`` against the models' settings declarations,
+    from :class:`~repro.sim.Simulation` down through the factory.
 
     Yields findings tagged C001 (unknown key), C002 (wrong type),
     C003 (bad value), C004 (missing required setting/block), and
     C005 (unknown model name).
     """
+    from repro.sim import Simulation
+
     models.load_all()  # populate the factory before validating selectors
-    yield from _walk_block(root_schema(), raw, "")
+    yield from _walk_block(Block(Simulation), raw, "")
 
 
-def _walk_block(spec: BlockSpec, data: Any, path: str) -> Iterator[Finding]:
-    if spec.list_item is not None:
+def _walk_block(block: Block, data: Any, path: str) -> Iterator[Finding]:
+    if block.many:
         if not isinstance(data, list):
             yield Finding(
                 "C002",
@@ -57,9 +54,12 @@ def _walk_block(spec: BlockSpec, data: Any, path: str) -> Iterator[Finding]:
             )
             return
         for index, item in enumerate(data):
-            yield from _walk_block(spec.list_item, item, _join(path, index))
+            yield from _walk_one(block, item, _join(path, index))
         return
+    yield from _walk_one(block, data, path)
 
+
+def _walk_one(block: Block, data: Any, path: str) -> Iterator[Finding]:
     if not isinstance(data, dict):
         yield Finding(
             "C002",
@@ -69,55 +69,45 @@ def _walk_block(spec: BlockSpec, data: Any, path: str) -> Iterator[Finding]:
         )
         return
 
-    known = set(spec.keys) | set(spec.children)
-    variant: Optional[BlockSpec] = None
-    open_block = spec.open
-
-    if spec.selector is not None:
-        selector_key, base_name = spec.selector
-        known.add(selector_key)
-        model = data.get(selector_key, spec.selector_default)
+    entries = declared(block.model)
+    known = set(entries)
+    open_block = False
+    if block.selector is not None:
+        selector, base = block.selector, block.model
+        known.add(selector)
+        model = data.get(selector, block.default)
         if model is None:
             yield Finding(
                 "C004",
                 Severity.ERROR,
-                f"missing required setting {_join(path, selector_key)!r} "
-                f"(selects the {base_name} model)",
-                config_path=_join(path, selector_key),
+                f"missing required setting {_join(path, selector)!r} "
+                f"(selects the {base.__name__} model)",
+                config_path=_join(path, selector),
             )
         elif not isinstance(model, str):
             yield Finding(
                 "C002",
                 Severity.ERROR,
                 f"model selector must be a string, got {model!r}",
-                config_path=_join(path, selector_key),
+                config_path=_join(path, selector),
+            )
+        elif not factory.is_registered(base, model):
+            registered = factory.names(base)
+            match = closest(model, registered)
+            yield Finding(
+                "C005",
+                Severity.ERROR,
+                f"unknown {base.__name__} model {model!r}; "
+                f"known: {registered}",
+                config_path=_join(path, selector),
+                suggestion=f"did you mean {match!r}?" if match else None,
             )
         else:
-            base = factory_base(base_name)
-            registered = factory.names(base)
-            if not factory.is_registered(base, model):
-                match = closest(model, registered)
-                yield Finding(
-                    "C005",
-                    Severity.ERROR,
-                    f"unknown {base_name} model {model!r}; "
-                    f"known: {registered}",
-                    config_path=_join(path, selector_key),
-                    suggestion=f"did you mean {match!r}?" if match else None,
-                )
-            else:
-                variant = spec.variant_for(model)
-                if variant is None:
-                    # A registered user model: its keys are unknowable.
-                    open_block = True
-
-    merged_keys: Dict[str, KeySpec] = dict(spec.keys)
-    merged_children: Dict[str, BlockSpec] = dict(spec.children)
-    if variant is not None:
-        merged_keys.update(variant.keys)
-        merged_children.update(variant.children)
-        known |= set(variant.keys) | set(variant.children)
-        open_block = open_block or variant.open
+            cls = factory.lookup(base, model)
+            entries = declared(cls)
+            known |= set(entries)
+            # A model that declares nothing: its keys are unknowable.
+            open_block = not declares(cls)
 
     if not open_block:
         for key in data:
@@ -132,18 +122,21 @@ def _walk_block(spec: BlockSpec, data: Any, path: str) -> Iterator[Finding]:
                     suggestion=f"did you mean {match!r}?" if match else None,
                 )
 
-    for name in spec.required_children:
-        if name not in data:
+    blocks = {k: v for k, v in entries.items() if isinstance(v, Block)}
+    for key, child in blocks.items():
+        if child.required and key not in data:
             yield Finding(
                 "C004",
                 Severity.ERROR,
-                f"missing required settings block {_join(path, name)!r}",
-                config_path=_join(path, name),
+                f"missing required settings block {_join(path, key)!r}",
+                config_path=_join(path, key),
             )
 
-    for key, key_spec in merged_keys.items():
+    for key, spec in entries.items():
+        if isinstance(spec, Block):
+            continue
         if key not in data:
-            if key_spec.required:
+            if spec.required:
                 yield Finding(
                     "C004",
                     Severity.ERROR,
@@ -151,75 +144,24 @@ def _walk_block(spec: BlockSpec, data: Any, path: str) -> Iterator[Finding]:
                     config_path=_join(path, key),
                 )
             continue
-        yield from _check_value(key_spec, data[key], _join(path, key))
+        yield from _check_value(spec, data[key], _join(path, key))
 
-    for key, child in merged_children.items():
+    for key, child in blocks.items():
         if key in data:
             yield from _walk_block(child, data[key], _join(path, key))
 
 
-_KIND_LABEL = {
-    "uint": "a non-negative integer",
-    "int": "an integer",
-    "float": "a number",
-    "str": "a string",
-    "bool": "a boolean",
-    "int_list": "a list of integers",
-    "list": "a list",
-    "any": "a value",
-}
-
-
 def _check_value(spec: KeySpec, value: Any, path: str) -> Iterator[Finding]:
-    if not spec.type_ok(value):
-        yield Finding(
-            "C002",
-            Severity.ERROR,
-            f"setting must be {_KIND_LABEL.get(spec.kind, spec.kind)}, "
-            f"got {value!r}",
-            config_path=path,
-        )
+    problem = spec.problem(value)
+    if problem is None:
         return
-    if value is None:
-        return
-    if spec.choices is not None and value not in spec.choices:
+    kind, message = problem
+    suggestion = None
+    if spec.choices is not None and kind == "value":
         match = closest(str(value), spec.choices)
-        yield Finding(
-            "C003",
-            Severity.ERROR,
-            f"setting value {value!r} not in {list(spec.choices)}",
-            config_path=path,
-            suggestion=f"did you mean {match!r}?" if match else None,
-        )
-        return
-    minimum = spec.minimum
-    if spec.kind == "uint" and minimum is None:
-        minimum = 0
-    if spec.kind in ("uint", "int", "float") and minimum is not None:
-        if value < minimum:
-            yield Finding(
-                "C003",
-                Severity.ERROR,
-                f"setting value {value!r} below minimum {minimum}",
-                config_path=path,
-            )
-    if spec.kind in ("uint", "int", "float") and spec.maximum is not None:
-        if value > spec.maximum:
-            yield Finding(
-                "C003",
-                Severity.ERROR,
-                f"setting value {value!r} above maximum {spec.maximum}",
-                config_path=path,
-            )
-    if spec.kind == "int_list" and spec.minimum is not None:
-        for index, item in enumerate(value):
-            if item < spec.minimum:
-                yield Finding(
-                    "C003",
-                    Severity.ERROR,
-                    f"element {index} ({item}) below minimum {spec.minimum}",
-                    config_path=path,
-                )
+        suggestion = f"did you mean {match!r}?" if match else None
+    yield Finding("C002" if kind == "type" else "C003", Severity.ERROR, message,
+                  config_path=path, suggestion=suggestion)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +189,26 @@ def _value(raw: dict, *path: str, default: Any = None) -> Any:
     return node.get(path[-1], default)
 
 
+def _setting(block: dict, model: type, key: str) -> Any:
+    """``block``'s value for ``key``, else ``model``'s declared default."""
+    return block.get(key, spec_of(model, key).default)
+
+
 def _is_uint(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def injection_vcs_for(algorithm: str, num_vcs: int) -> Optional[List[int]]:
+    """The VC set a packaged algorithm injects on, or None if unknown."""
+    from repro.routing.base import RoutingAlgorithm
+
+    if not factory.is_registered(RoutingAlgorithm, algorithm):
+        return None
+    cls = factory.lookup(RoutingAlgorithm, algorithm)
+    try:
+        return list(cls.injection_vcs(num_vcs))
+    except Exception:  # noqa: BLE001 - a broken classmethod is not our finding
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +296,13 @@ class VcConsistencyRule(LintRule):
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
         from repro.config.settings import Settings
+        from repro.net.network import Network
         from repro.routing.base import RoutingAlgorithm
 
         raw = ctx.raw
         findings: List[Finding] = []
         network = _block(raw, "network")
-        num_vcs = network.get("num_vcs", 1)
+        num_vcs = _setting(network, Network, "num_vcs")
         algorithm = _value(raw, "network", "routing", "algorithm")
         if not _is_uint(num_vcs) or num_vcs < 1:
             return []  # C002/C003 cover it
@@ -403,18 +364,23 @@ class CreditBufferDepthRule(LintRule):
                    "buffer depth (paper §VI-B/§VI-C as a static check)")
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
+        from repro.net.interface import StandardInterface
+        from repro.router.base import Router
+        from repro.router.crossbar_scheduler import (
+            PACKET_BUFFER,
+            CrossbarScheduler,
+        )
+        from repro.router.input_output_queued import InputOutputQueuedRouter
+
         raw = ctx.raw
         router = _block(raw, "network", "router")
-        flow_control = _value(
-            raw, "network", "router", "crossbar_scheduler", "flow_control",
-            default="flit_buffer",
-        )
-        if flow_control != "packet_buffer":
+        interface = _block(raw, "network", "interface")
+        flow_control = _setting(_block(router, "crossbar_scheduler"),
+                                CrossbarScheduler, "flow_control")
+        if flow_control != PACKET_BUFFER:
             return []
         architecture = router.get("architecture")
-        max_packet = _value(
-            raw, "network", "interface", "max_packet_size", default=16
-        )
+        max_packet = _setting(interface, StandardInterface, "max_packet_size")
         if not _is_uint(max_packet):
             return []
         # The credit pool the crossbar checks against a whole packet:
@@ -423,14 +389,13 @@ class CreditBufferDepthRule(LintRule):
         # drain into the router's own output queue.
         pools: List[tuple] = []
         if architecture == "input_output_queued":
-            depth = router.get("output_queue_depth", 64)
+            depth = _setting(router, InputOutputQueuedRouter, "output_queue_depth")
             pools.append(("network.router.output_queue_depth", depth))
         else:
-            depth = router.get("input_queue_depth", 16)
+            depth = _setting(router, Router, "input_queue_depth")
             pools.append(("network.router.input_queue_depth", depth))
-            ejection = _value(
-                raw, "network", "interface", "ejection_buffer_size", default=64
-            )
+            ejection = _setting(interface, StandardInterface,
+                                "ejection_buffer_size")
             pools.append(("network.interface.ejection_buffer_size", ejection))
         findings: List[Finding] = []
         for path, depth in pools:
@@ -459,19 +424,17 @@ class EjectionBandwidthDelayRule(LintRule):
                    "bandwidth-delay product caps throughput below line rate")
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
-        raw = ctx.raw
-        interface_type = _value(
-            raw, "network", "interface", "type", default="standard"
-        )
-        if interface_type != "standard":
+        from repro.net.interface import StandardInterface
+        from repro.net.network import Network
+
+        network = _block(ctx.raw, "network")
+        interface = _block(network, "interface")
+        block = spec_of(Network, "interface")
+        if interface.get(block.selector, block.default) != "standard":
             return []
-        ejection = _value(
-            raw, "network", "interface", "ejection_buffer_size", default=64
-        )
-        latency = _value(
-            raw, "network", "terminal_channel_latency", default=1
-        )
-        period = _value(raw, "network", "channel_period", default=1)
+        ejection = _setting(interface, StandardInterface, "ejection_buffer_size")
+        latency = _setting(network, Network, "terminal_channel_latency")
+        period = _setting(network, Network, "channel_period")
         if not (_is_uint(ejection) and _is_uint(latency) and _is_uint(period)):
             return []
         if period < 1:

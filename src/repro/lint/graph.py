@@ -32,6 +32,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro import factory, models
 from repro.config.settings import Settings
+from repro.config.spec import spec_of
 from repro.core.rng import RandomManager
 from repro.core.simulator import Simulator
 from repro.lint.findings import Finding, Severity
@@ -42,6 +43,7 @@ from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.router.base import Router
 from repro.routing.base import RoutingError
+from repro.sim import SIMULATOR, Simulation
 
 Node = Tuple[str, int]  # (channel full name, vc)
 
@@ -156,22 +158,11 @@ class GraphAnalysis:
     def _build(self, settings: Settings) -> None:
         models.load_all()
         try:
-            network_settings = settings.child("network")
-            topology = network_settings.get_str("topology")
-            seed = settings.child("simulator", default={}).get_uint(
-                "seed", 12345
-            )
-            simulator = Simulator()
-            random_manager = RandomManager(seed)
-            self.network = factory.create(
-                Network,
-                topology,
-                simulator,
-                "network",
-                None,
-                network_settings,
-                random_manager,
-            )
+            network_settings = settings.read(Simulation, "network")
+            model = spec_of(Simulation, "network").select(network_settings)
+            seed = settings.read(Simulation, "simulator").read(SIMULATOR, "seed")
+            self.network = model(Simulator(), "network", None, network_settings,
+                                 RandomManager(seed))
             self.constructed = True
         except Exception as exc:  # construction must never crash the linter
             self.construction_error = f"{type(exc).__name__}: {exc}"

@@ -22,6 +22,7 @@ from typing import (
 )
 
 from repro import factory
+from repro.config.spec import KeySpec
 from repro.core.clock import Clock
 from repro.core.event import Event
 from repro.net.credit import Credit
@@ -94,6 +95,12 @@ class StandardInterface(Interface):
             routing algorithm declares.
     """
 
+    SETTINGS = {
+        "max_packet_size": KeySpec("uint", 16, minimum=1),
+        "ejection_buffer_size": KeySpec("uint", 64, minimum=1),
+        "injection_vcs": KeySpec("int_list", None),
+    }
+
     def __init__(
         self,
         simulator: "Simulator",
@@ -106,10 +113,11 @@ class StandardInterface(Interface):
         injection_vcs: Optional[List[int]] = None,
     ):
         super().__init__(simulator, name, parent, interface_id, num_vcs)
-        self.max_packet_size = settings.get_uint("max_packet_size", 16)
-        self.ejection_buffer_size = settings.get_uint("ejection_buffer_size", 64)
+        model = type(self)
+        self.max_packet_size = settings.read(model, "max_packet_size")
+        self.ejection_buffer_size = settings.read(model, "ejection_buffer_size")
         if "injection_vcs" in settings:
-            injection_vcs = settings.get_int_list("injection_vcs")
+            injection_vcs = settings.read(model, "injection_vcs")
         if not injection_vcs:
             injection_vcs = list(range(num_vcs))
         for vc in injection_vcs:

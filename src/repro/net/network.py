@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, List, Optional, Tuple, Type
 
-from repro import factory
+from repro.config.spec import Block, KeySpec
 from repro.core.clock import Clock
 from repro.core.component import Component
 from repro.net.channel import Channel, CreditChannel
@@ -111,11 +111,16 @@ def wire(
     b.init_output_credits(port_b, a.input_buffer_capacities(port_a))
 
 
+_ROUTER = Block(Router, "architecture", required=True)
+_INTERFACE = Block(Interface, "type", "standard")
+_ROUTING = Block(RoutingAlgorithm, "algorithm", required=True)
+
+
 class Network(Component):
     """Abstract base: builds routers, interfaces, and channels.
 
     Common settings:
-        ``num_vcs`` -- virtual channels per port (default 1).
+        ``num_vcs`` -- virtual channels per port.
         ``channel_latency`` -- router-to-router latency in ticks.
         ``terminal_channel_latency`` -- interface-to-router latency.
         ``channel_period`` -- ticks per flit on every channel (a period
@@ -123,10 +128,19 @@ class Network(Component):
             speedup, §III-B).
         ``router`` -- settings block for the router architecture
             (``architecture`` selects the factory model).
-        ``interface`` -- settings block for the interface model
-            (``type`` defaults to ``standard``).
+        ``interface`` -- settings block for the interface model.
         ``routing`` -- settings block; ``algorithm`` selects the model.
     """
+
+    SETTINGS = {
+        "num_vcs": KeySpec("uint", 1, minimum=1),
+        "channel_latency": KeySpec("uint", 1, minimum=1),
+        "terminal_channel_latency": KeySpec("uint", 1, minimum=1),
+        "channel_period": KeySpec("uint", 1, minimum=1),
+        "router": _ROUTER,
+        "interface": _INTERFACE,
+        "routing": _ROUTING,
+    }
 
     def __init__(
         self,
@@ -139,23 +153,25 @@ class Network(Component):
         super().__init__(simulator, name, parent)
         self.settings = settings
         self.random = random_manager
-        self.num_vcs = settings.get_uint("num_vcs", 1)
-        self.channel_latency = settings.get_uint("channel_latency", 1)
-        self.terminal_channel_latency = settings.get_uint(
-            "terminal_channel_latency", 1
-        )
-        self.channel_period = settings.get_uint("channel_period", 1)
+        model = type(self)
+        self.num_vcs = settings.read(model, "num_vcs")
+        self.channel_latency = settings.read(model, "channel_latency")
+        self.terminal_channel_latency = settings.read(
+            model, "terminal_channel_latency")
+        self.channel_period = settings.read(model, "channel_period")
         self.core_clock = Clock(simulator, period=1)
         self.channel_clock = Clock(simulator, period=self.channel_period)
 
-        self.router_settings = settings.child("router")
-        self.interface_settings = settings.child("interface", default={})
-        self.routing_settings = settings.child("routing")
-        algorithm = self.routing_settings.get_str("algorithm")
-        self.routing_class: Type[RoutingAlgorithm] = factory.lookup(
-            RoutingAlgorithm, algorithm
-        )
-        problem = topology_mismatch(algorithm, settings.get_str("topology", None))
+        self.router_settings = settings.read(model, "router")
+        self.router_class: Type[Router] = _ROUTER.select(self.router_settings)
+        self.interface_settings = settings.read(model, "interface")
+        self.interface_class: Type[Interface] = _INTERFACE.select(
+            self.interface_settings)
+        self.routing_settings = settings.read(model, "routing")
+        self.routing_class: Type[RoutingAlgorithm] = _ROUTING.select(
+            self.routing_settings)
+        problem = topology_mismatch(self.routing_settings.get("algorithm"),
+                                    settings.get("topology", None))
         if problem is not None:
             raise NetworkError(problem)
 
@@ -198,10 +214,7 @@ class Network(Component):
         return index
 
     def _create_router(self, name: str, router_id: int, num_ports: int) -> Router:
-        architecture = self.router_settings.get_str("architecture")
-        router = factory.create(
-            Router,
-            architecture,
+        router = self.router_class(
             self.simulator,
             name,
             self,
@@ -216,11 +229,8 @@ class Network(Component):
         return router
 
     def _create_interface(self, interface_id: int) -> Interface:
-        kind = self.interface_settings.get_str("type", "standard")
         injection_vcs = self.routing_class.injection_vcs(self.num_vcs)
-        interface = factory.create(
-            Interface,
-            kind,
+        interface = self.interface_class(
             self.simulator,
             f"interface{interface_id}",
             self,

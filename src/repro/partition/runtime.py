@@ -197,21 +197,22 @@ def validate_sharded_scope(config: dict, sanitize: str = "") -> None:
             network.get("routing", {}),
             f"routing algorithm {algorithm!r}",
         )
-    from repro.net.interface import Interface
-    from repro.router.base import Router
+    from repro.config.spec import spec_of
+    from repro.net.network import Network
+    from repro.sim import SIMULATOR
 
-    for base, lint_kind, block, label in (
-        (Router, "router", network.get("router", {}), "architecture"),
-        (Interface, "interface", network.get("interface", {}), "type"),
-    ):
-        name = block.get(label, "standard" if base is Interface else "")
+    for kind in ("router", "interface"):
+        spec = spec_of(Network, kind)
+        block = network.get(kind, {})
+        name = block.get(spec.selector, spec.default or "")
         try:
-            cls = factory.lookup(base, name)
+            cls = factory.lookup(spec.model, name)
         except FactoryError:
             continue  # the settings layer reports unknown names
-        vet(cls, lint_kind, block, f"{lint_kind} {name!r}")
+        vet(cls, kind, block, f"{kind} {name!r}")
     monitor = config.get("simulator", {}).get("monitor", {})
-    if monitor.get("period", 0) > 0:
+    monitor_spec = SIMULATOR["monitor"].model
+    if monitor.get("period", spec_of(monitor_spec, "period").default) > 0:
         problems.append(
             "simulator.monitor.period > 0: the progress monitor samples "
             "whole-network state a shard does not have; disable it"

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 import numpy as np
 
 from repro import factory
+from repro.config.spec import Block
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,19 +64,25 @@ class Arbiter:
                 raise ValueError(f"request index {index} out of range [0, {size})")
 
 
+#: An arbiter settings block: ``type`` selects the model.
+ARBITER = Block(Arbiter, "type", "round_robin")
+
+
 def create_arbiter(settings: "Settings", slots: int, size: int,
                    random: "RandomManager", label: Callable[[int], str]) -> Arbiter:
-    """Build an arbiter from a settings block with a ``type`` key; a
-    random arbiter's slot ``s`` draws from the run's ``label(s)`` stream."""
-    kind = settings.get_str("type", "round_robin")
-    if kind == "random":
-        return factory.create(Arbiter, kind, slots, size, random, label)
-    return factory.create(Arbiter, kind, slots, size)
+    """Build an arbiter from an :data:`ARBITER` block; a random
+    arbiter's slot ``s`` draws from the run's ``label(s)`` stream."""
+    cls = ARBITER.select(settings)
+    if issubclass(cls, RandomArbiter):
+        return cls(slots, size, random, label)
+    return cls(slots, size)
 
 
 @factory.register(Arbiter, "round_robin")
 class RoundRobinArbiter(Arbiter):
     """Rotating-priority arbiter: the winner becomes lowest priority."""
+
+    SETTINGS = {}
 
     def __init__(self, slots: int, size: int):
         super().__init__(slots, size)
@@ -117,6 +124,8 @@ class AgeBasedArbiter(Arbiter):
     lowest index, keeping the arbiter deterministic.
     """
 
+    SETTINGS = {}
+
     def arbitrate(self, slot: int, requests: List[Request],
                   now_tick: int = 0) -> Optional[int]:
         if not requests:
@@ -135,6 +144,8 @@ class AgeBasedArbiter(Arbiter):
 class RandomArbiter(Arbiter):
     """Uniformly random winner.  Each slot draws from its own numpy
     Generator, the run's ``label(slot)`` stream, built on its first draw."""
+
+    SETTINGS = {}
 
     def __init__(self, slots: int, size: int, random: "RandomManager",
                  label: Callable[[int], str]):
@@ -155,13 +166,23 @@ class RandomArbiter(Arbiter):
         if not requests:
             return None
         self._check(requests, self.size)
+        if len(requests) == 1:
+            # A draw over one request returns 0 and leaves the generator
+            # as it was, so the slot's stream is not touched.
+            return requests[0][0]
         pick = int(self.generator(slot).integers(len(requests)))
         return requests[pick][0]
+
+    def forced(self, slot: int, index: int, packet: Optional[Packet],
+               now_tick: int) -> None:
+        """An uncontested grant draws nothing."""
 
 
 @factory.register(Arbiter, "fixed_priority")
 class FixedPriorityArbiter(Arbiter):
     """Lowest request index always wins (intentionally unfair)."""
+
+    SETTINGS = {}
 
     def arbitrate(self, slot: int, requests: List[Request],
                   now_tick: int = 0) -> Optional[int]:

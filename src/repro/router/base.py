@@ -41,19 +41,18 @@ from typing import (
     TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
-from repro import factory
+from repro.config.spec import Block, KeySpec
 from repro.core.clock import Clock
 from repro.core.component import Component
 from repro.core.event import Event
-from repro.config.settings import SettingsError
 from repro.net.buffer import BufferOverrunError
 from repro.net.credit import Credit
 from repro.net.device import PortedDevice
 from repro.net.flit import Flit
 from repro.net.packet import Packet
 from repro.net.phases import EPS_STEP
-from repro.router.arbiter import Arbiter, create_arbiter
-from repro.router.congestion import SOURCE_DOWNSTREAM, CongestionSensor
+from repro.router.arbiter import ARBITER, Arbiter, create_arbiter
+from repro.router.congestion import SENSOR, SOURCE_DOWNSTREAM, CongestionSensor
 from repro.router.crossbar_scheduler import CrossbarScheduler
 from repro.routing.base import RoutingAlgorithm
 
@@ -61,6 +60,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
     from repro.core.rng import RandomManager
     from repro.core.simulator import Simulator
+
+
+_VC_SCHEDULER = {"arbiter": ARBITER}
 
 
 class Router(PortedDevice):
@@ -72,7 +74,16 @@ class Router(PortedDevice):
             in ticks.
         ``congestion_sensor`` -- sub-block for the sensor model
             (``type`` defaults to ``"credit"``).
+        ``vc_scheduler.arbiter`` -- the VC allocation arbiter of the
+            architectures that allocate VCs (IQ, IOQ).
     """
+
+    SETTINGS = {
+        "input_queue_depth": KeySpec("uint", 16, minimum=1),
+        "core_latency": KeySpec("uint", 1),
+        "congestion_sensor": SENSOR,
+        "vc_scheduler": Block(_VC_SCHEDULER),
+    }
 
     #: One fused core-clock cycle, defined by each architecture.
     _step: Callable[[Event], None]
@@ -99,14 +110,9 @@ class Router(PortedDevice):
         # one per router, role and slot.
         self.random: "RandomManager" = parent.random  # type: ignore[union-attr]
 
-        depth = settings.get_uint("input_queue_depth", 16)
-        if depth < 1:
-            raise SettingsError(
-                f"{self.full_name}: input_queue_depth: setting must be at "
-                f"least 1 flit per input VC, got {depth}"
-            )
-        self.input_queue_depth = depth
-        self.core_latency = settings.get_uint("core_latency", 1)
+        model = type(self)
+        self.input_queue_depth = settings.read(model, "input_queue_depth")
+        self.core_latency = settings.read(model, "core_latency")
 
         # The input side, one entry per input VC i = port * num_vcs + vc:
         # its flits (at most input_queue_depth), the packet at the front
@@ -128,18 +134,9 @@ class Router(PortedDevice):
         self._output_vc_owner: List[int] = [-1] * num_inputs
 
         # Congestion sensor.
-        sensor_settings = settings.child("congestion_sensor", default={})
-        sensor_type = sensor_settings.get_str("type", "credit")
-        self.sensor: CongestionSensor = factory.create(
-            CongestionSensor,
-            sensor_type,
-            simulator,
-            "sensor",
-            self,
-            num_ports,
-            num_vcs,
-            sensor_settings,
-        )
+        sensor_settings = settings.read(model, "congestion_sensor")
+        self.sensor: CongestionSensor = SENSOR.select(sensor_settings)(
+            simulator, "sensor", self, num_ports, num_vcs, sensor_settings)
         # The sensor's delay line; _down_slots[o] is output VC o's
         # downstream source slot, resolved at finalize (None: not tracked).
         self._sensed = self.sensor._pending
@@ -214,12 +211,13 @@ class Router(PortedDevice):
         """Build the crossbar scheduler and the VC scheduler's arbiter (a
         slot per output VC) of the routers that call ``_allocate_vcs``."""
         settings, name, num_vcs = self.settings, self.full_name, self.num_vcs
+        model = type(self)
         self.scheduler = CrossbarScheduler(
-            self, settings.child("crossbar_scheduler", default={}), self.random,
+            self, settings.read(model, "crossbar_scheduler"), self.random,
             f"{name}.crossbar")
         num_outputs = self.num_ports * num_vcs
         self._vc_arbiter: Arbiter = create_arbiter(
-            settings.child("vc_scheduler", default={}).child("arbiter", default={}),
+            settings.read(model, "vc_scheduler").read(_VC_SCHEDULER, "arbiter"),
             num_outputs, num_outputs, self.random,
             lambda o: f"{name}.vc_scheduler.out{o // num_vcs}.vc{o % num_vcs}")
 

@@ -37,6 +37,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro import factory
+from repro.config.spec import Block, KeySpec
 from repro.core.component import Component
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,7 +67,23 @@ class UnfedSensorError(RuntimeError):
 
 
 class CongestionSensor(Component):
-    """Congestion sensor API around the delay line ``_pending``."""
+    """Congestion sensor API around the delay line ``_pending``.
+
+    Settings:
+        ``latency`` -- propagation delay in ticks before a recorded
+            change becomes visible.
+        ``granularity`` -- per ``"vc"`` or per ``"port"``.
+        ``source`` -- which credits count: ``"output"``,
+            ``"downstream"``, or ``"both"``.
+    """
+
+    SETTINGS = {
+        "latency": KeySpec("uint", 1),
+        "granularity": KeySpec("str", GRANULARITY_VC,
+                               choices=(GRANULARITY_VC, GRANULARITY_PORT)),
+        "source": KeySpec("str", SOURCE_DOWNSTREAM,
+                          choices=(SOURCE_OUTPUT, SOURCE_DOWNSTREAM, SOURCE_BOTH)),
+    }
 
     def __init__(self, simulator, name, parent, num_ports: int, num_vcs: int,
                  latency: int = 0):
@@ -123,17 +140,15 @@ class CongestionSensor(Component):
         raise NotImplementedError
 
 
+#: A congestion sensor settings block: ``type`` selects the model.
+SENSOR = Block(CongestionSensor, "type", "credit")
+
+
 @factory.register(CongestionSensor, "credit")
 class CreditSensor(CongestionSensor):
-    """The packaged credit-counting sensor.
+    """The packaged credit-counting sensor."""
 
-    Settings:
-        ``latency`` -- propagation delay in ticks before a recorded
-            change becomes visible (default 1).
-        ``granularity`` -- ``"vc"`` or ``"port"`` (default ``"vc"``).
-        ``source`` -- ``"output"``, ``"downstream"``, or ``"both"``
-            (default ``"downstream"``).
-    """
+    SETTINGS = {}
 
     def __init__(
         self,
@@ -144,14 +159,11 @@ class CreditSensor(CongestionSensor):
         num_vcs: int,
         settings: "Settings",
     ):
+        model = type(self)
         super().__init__(simulator, name, parent, num_ports, num_vcs,
-                         settings.get_uint("latency", 1))
-        self.granularity = settings.get_str("granularity", GRANULARITY_VC)
-        if self.granularity not in (GRANULARITY_VC, GRANULARITY_PORT):
-            raise ValueError(f"bad congestion granularity {self.granularity!r}")
-        self.source = settings.get_str("source", SOURCE_DOWNSTREAM)
-        if self.source not in (SOURCE_OUTPUT, SOURCE_DOWNSTREAM, SOURCE_BOTH):
-            raise ValueError(f"bad congestion source {self.source!r}")
+                         settings.read(model, "latency"))
+        self.granularity = settings.read(model, "granularity")
+        self.source = settings.read(model, "source")
         # Sources never queried under this configuration have no slots.
         if self.source == SOURCE_BOTH:
             tracked: Tuple[str, ...] = (SOURCE_OUTPUT, SOURCE_DOWNSTREAM)

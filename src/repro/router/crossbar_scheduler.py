@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.router.arbiter import create_arbiter
+from repro.config.spec import Block, KeySpec
+from repro.router.arbiter import ARBITER, create_arbiter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
@@ -45,8 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
 FLIT_BUFFER = "flit_buffer"
 PACKET_BUFFER = "packet_buffer"
 WINNER_TAKE_ALL = "winner_take_all"
-
-_FLOW_CONTROL_MODES = (FLIT_BUFFER, PACKET_BUFFER, WINNER_TAKE_ALL)
 
 
 class CrossbarScheduler:
@@ -59,6 +58,13 @@ class CrossbarScheduler:
             port (``type`` defaults to ``round_robin``); a random
             arbiter's slot ``p`` draws from the ``{label}.out{p}`` stream.
     """
+
+    SETTINGS = {
+        "flow_control": KeySpec(
+            "str", FLIT_BUFFER,
+            choices=(FLIT_BUFFER, PACKET_BUFFER, WINNER_TAKE_ALL)),
+        "arbiter": ARBITER,
+    }
 
     def __init__(
         self,
@@ -74,16 +80,11 @@ class CrossbarScheduler:
         self._packet = router._in_packet
         self._out_port = router._in_out_port
         self._out_vc = router._in_out_vc
-        self.flow_control = settings.get_str("flow_control", FLIT_BUFFER)
-        if self.flow_control not in _FLOW_CONTROL_MODES:
-            raise ValueError(
-                f"unknown flow control {self.flow_control!r}; "
-                f"expected one of {_FLOW_CONTROL_MODES}"
-            )
+        self.flow_control = settings.read(CrossbarScheduler, "flow_control")
         self._locking = self.flow_control != FLIT_BUFFER
         self.arbiter = create_arbiter(
-            settings.child("arbiter", default={}), num_ports, num_ports * num_vcs,
-            random, f"{label}.out{{}}".format)
+            settings.read(CrossbarScheduler, "arbiter"), num_ports,
+            num_ports * num_vcs, random, f"{label}.out{{}}".format)
         # Lock table: out_port -> the streaming owner's input VC.
         self._locks: Dict[int, int] = {}
 
@@ -190,3 +191,7 @@ class CrossbarScheduler:
                 del locks[out_port]
             grants.append(winner)
         return grants
+
+
+#: A crossbar scheduler settings block.
+CROSSBAR = Block(CrossbarScheduler)

@@ -21,9 +21,11 @@ cycle, which is what gives the architecture its output speedup.
 from __future__ import annotations
 
 from repro import factory
+from repro.config.spec import KeySpec
 from repro.core.event import Event
 from repro.router.base import Router
 from repro.router.congestion import PENDING_LIMIT
+from repro.router.crossbar_scheduler import CROSSBAR
 from repro.router.output_queued import OutputQueuedRouter
 
 
@@ -35,14 +37,17 @@ class InputOutputQueuedRouter(OutputQueuedRouter):
 
     Extra settings:
         ``output_queue_depth`` -- per-(port, VC) output queue capacity
-            in flits (default 64; no null).
+            in flits (finite: no null).
         ``crossbar_scheduler`` -- flow control + arbiter configuration
             for the input-to-output-queue crossbar.
         ``output_arbiter`` -- arbiter choosing among VCs at each output
-            each channel cycle (default round robin), one slot per port.
+            each channel cycle, one slot per port.
     """
 
-    _default_queue_depth = 64
+    SETTINGS = {
+        "output_queue_depth": KeySpec("uint", 64, minimum=1),
+        "crossbar_scheduler": CROSSBAR,
+    }
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

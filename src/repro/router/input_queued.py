@@ -24,10 +24,12 @@ from collections import deque
 from typing import Deque, List
 
 from repro import factory
+from repro.config.spec import KeySpec
 from repro.core.event import Event
 from repro.net.flit import Flit
 from repro.router.base import Router
 from repro.router.congestion import PENDING_LIMIT
+from repro.router.crossbar_scheduler import CROSSBAR
 
 
 @factory.register(Router, "input_queued")
@@ -37,12 +39,18 @@ class InputQueuedRouter(Router):
     Extra settings:
         ``crossbar_scheduler`` -- flow control + arbiter configuration.
         ``output_staging_depth`` -- per-port staging register depth
-            decoupling the core clock from the channel clock (default 2).
+            decoupling the core clock from the channel clock.
     """
+
+    SETTINGS = {
+        "output_staging_depth": KeySpec("uint", 2, minimum=1),
+        "crossbar_scheduler": CROSSBAR,
+    }
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.output_staging_depth = self.settings.get_uint("output_staging_depth", 2)
+        self.output_staging_depth = self.settings.read(
+            type(self), "output_staging_depth")
         # The core is pipelined: up to core_latency flits are legitimately
         # in flight to each output at once, plus the staging register
         # itself.  Gating grants below this ceiling only throttles when

@@ -29,10 +29,10 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from repro import factory
-from repro.config.settings import SettingsError
+from repro.config.spec import KeySpec
 from repro.core.event import Event
 from repro.net.flit import Flit
-from repro.router.arbiter import RoundRobinArbiter, create_arbiter
+from repro.router.arbiter import ARBITER, RoundRobinArbiter, create_arbiter
 from repro.router.base import Router
 from repro.router.congestion import PENDING_LIMIT, SOURCE_OUTPUT
 
@@ -42,12 +42,16 @@ class OutputQueuedRouter(Router):
     """The idealized OQ router model (and the output-queue stages the
     IOQ router inherits)."""
 
-    #: ``output_queue_depth`` when absent; null (infinite) only if this is.
-    _default_queue_depth: Optional[int] = None
+    SETTINGS = {
+        "output_queue_depth": KeySpec("uint", None, minimum=1, allow_null=True),
+        "output_arbiter": ARBITER,
+    }
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        depth = self.output_queue_depth = self._read_queue_depth()
+        model = type(self)
+        depth = self.output_queue_depth = self.settings.read(
+            model, "output_queue_depth")
         # One output queue per output VC o = port * num_vcs + vc: an
         # unbounded deque, whose depth _queue_free[o] enforces -- the
         # free slots, the depth less the flits queued or in flight
@@ -63,28 +67,12 @@ class OutputQueuedRouter(Router):
         self._queued_ports = 0
         # One output arbiter, slot p choosing among port p's VCs.
         self._output_arbiter = create_arbiter(
-            self.settings.child("output_arbiter", default={}), self.num_ports,
+            self.settings.read(model, "output_arbiter"), self.num_ports,
             self.num_vcs, self.random,
             f"{self.full_name}.output_arbiter.out{{}}".format)
         # Recycled drain request list (arbiters never retain it).
         self._drain_requests: list = []
         self._out_slots: Optional[List[Optional[int]]] = None
-
-    def _read_queue_depth(self) -> Optional[int]:
-        """The ``output_queue_depth`` setting."""
-        default = self._default_queue_depth
-        depth = self.settings.get("output_queue_depth", default)
-        if depth is None and default is None:
-            return None
-        # bool is an int subclass: ``true`` would act as a depth of 1.
-        if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
-            rule = ("null = infinite" if default is None
-                    else f"default {default}; no null")
-            raise SettingsError(
-                f"output_queue_depth: setting must be a non-negative integer, "
-                f"got {depth!r} (minimum 1; {rule})"
-            )
-        return depth
 
     def _finalize_arch(self) -> None:
         for port in range(self.num_ports):

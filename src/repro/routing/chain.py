@@ -18,6 +18,8 @@ from repro.routing.base import Candidate, RoutingAlgorithm
 class ChainRouting(RoutingAlgorithm):
     """Left/right routing on a bidirectional chain."""
 
+    SETTINGS = {}
+
     topology = "parking_lot"
 
     def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:

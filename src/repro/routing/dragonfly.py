@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 from repro import factory
 from repro.routing.base import Candidate, RoutingAlgorithm
-from repro.routing.two_phase import HopVcRouting, TwoPhaseRouting
+from repro.routing.two_phase import UGAL_SETTINGS, HopVcRouting, TwoPhaseRouting
 
 
 class _DragonflyRoutingBase(HopVcRouting):
@@ -59,6 +59,9 @@ class _DragonflyRoutingBase(HopVcRouting):
 @factory.register(RoutingAlgorithm, "dragonfly_minimal")
 class DragonflyMinimalRouting(_DragonflyRoutingBase):
     """l-g-l minimal routing."""
+
+    SETTINGS = {}
+
     reads_congestion = False
 
     def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:
@@ -101,8 +104,13 @@ class _TwoPhaseDragonflyRouting(_DragonflyRoutingBase, TwoPhaseRouting):
 class DragonflyValiantRouting(_TwoPhaseDragonflyRouting):
     """Always detour through a random intermediate group."""
 
+    SETTINGS = {}
+
 
 @factory.register(RoutingAlgorithm, "dragonfly_ugal")
 class DragonflyUgalRouting(_TwoPhaseDragonflyRouting):
     """UGAL-L over group-level Valiant paths."""
+
+    SETTINGS = UGAL_SETTINGS
+
     reads_congestion = True

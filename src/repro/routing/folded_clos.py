@@ -74,6 +74,9 @@ class _ClosRoutingBase(RoutingAlgorithm):
 @factory.register(RoutingAlgorithm, "clos_deterministic")
 class ClosDeterministicRouting(_ClosRoutingBase):
     """Hash-based deterministic uprouting (in-order per src/dst pair)."""
+
+    SETTINGS = {}
+
     reads_congestion = False
 
     def _ordered_up_ports(self, packet) -> List[int]:
@@ -90,6 +93,8 @@ class ClosDeterministicRouting(_ClosRoutingBase):
 @factory.register(RoutingAlgorithm, "clos_adaptive")
 class ClosAdaptiveRouting(_ClosRoutingBase):
     """Least-congested uprouting driven by the (delayed) sensor."""
+
+    SETTINGS = {}
 
     def _ordered_up_ports(self, packet) -> List[int]:
         k = self.half_radix

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from repro import factory
 from repro.routing.base import Candidate, RoutingAlgorithm
-from repro.routing.two_phase import HopVcRouting, TwoPhaseRouting
+from repro.routing.two_phase import UGAL_SETTINGS, HopVcRouting, TwoPhaseRouting
 
 
 class _HyperXRoutingBase(HopVcRouting):
@@ -49,6 +49,9 @@ class _HyperXRoutingBase(HopVcRouting):
 @factory.register(RoutingAlgorithm, "hyperx_dimension_order")
 class HyperXDimensionOrderRouting(_HyperXRoutingBase):
     """Minimal dimension order routing."""
+
+    SETTINGS = {}
+
     reads_congestion = False
 
     def route(self, packet, input_port: int, input_vc: int) -> List[Candidate]:
@@ -107,8 +110,13 @@ def _differing(a, b) -> int:
 class HyperXValiantRouting(_TwoPhaseHyperXRouting):
     """Valiant load balancing: always via a random intermediate."""
 
+    SETTINGS = {}
+
 
 @factory.register(RoutingAlgorithm, "hyperx_ugal")
 class HyperXUgalRouting(_TwoPhaseHyperXRouting):
     """UGAL: per-packet source-routed choice of minimal vs Valiant."""
+
+    SETTINGS = UGAL_SETTINGS
+
     reads_congestion = True

@@ -83,6 +83,9 @@ class TorusDimensionOrderRouting(_TorusRoutingBase):
     offset the direction; every response is prebuilt and validated at
     construction, so ``route`` keeps no per-destination state.
     """
+
+    SETTINGS = {}
+
     reads_congestion = False
 
     def __init__(self, network, router, settings):
@@ -145,6 +148,8 @@ class TorusMinimalAdaptiveRouting(_TorusRoutingBase):
     dateline pairs, exactly as ``torus_dimension_order``); the upper
     half is the fully adaptive class.  Needs ``num_vcs`` divisible by 4.
     """
+
+    SETTINGS = {}
 
     def __init__(self, network, router, settings):
         super().__init__(network, router, settings)

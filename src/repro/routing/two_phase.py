@@ -27,7 +27,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.config.spec import KeySpec
 from repro.routing.base import Candidate, RoutingAlgorithm
+
+#: The UGAL variants' settings: ``ugal_bias``, an additive bias
+#: favoring the minimal path, in sensed-congestion units.
+UGAL_SETTINGS = {"ugal_bias": KeySpec("float", 0.0)}
 
 
 class HopVcRouting(RoutingAlgorithm):
@@ -58,9 +63,7 @@ class TwoPhaseRouting(HopVcRouting):
     The phase is the packet's ``routing_state``; ``None`` means
     undecided.
 
-    Settings (UGAL only):
-        ``ugal_bias`` -- additive bias favoring the minimal path
-            (default 0.0, in sensed-congestion units).
+    Settings (UGAL only): :data:`UGAL_SETTINGS`.
     """
 
     #: Valiant never reads the congestion sensor; UGAL does, so a
@@ -80,7 +83,7 @@ class TwoPhaseRouting(HopVcRouting):
             for port in range(self.concentration)
         ]
         if self.reads_congestion:
-            self.bias = settings.get_float("ugal_bias", 0.0)
+            self.bias = settings.read(UGAL_SETTINGS, "ugal_bias")
         # Per wired output port, its one-candidate response on each VC,
         # validated once: a hop allocates no response.
         self._hop_responses = {

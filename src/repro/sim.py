@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro import factory, models
+from repro import models
 from repro.config.settings import Settings
+from repro.config.spec import Block, KeySpec
 from repro.core.rng import RandomManager
 from repro.core.simulator import Simulator
 from repro.net.network import Network
@@ -32,23 +33,53 @@ from repro.stats.records import MessageLog
 from repro.workload.workload import Workload
 
 
+_MONITOR = {
+    "period": KeySpec("uint", 0),
+    "print": KeySpec("bool", False),
+}
+
+#: The ``simulator`` block.
+SIMULATOR = {
+    "seed": KeySpec("uint", 12345),
+    "max_time": KeySpec("uint", None, minimum=1, allow_null=True),
+    "monitor": Block(_MONITOR),
+}
+
+#: The ``output`` block, written by the command line tools.
+OUTPUT = {
+    "message_log": KeySpec("str", None),
+    "summary": KeySpec("str", None),
+}
+
+_NETWORK = Block(Network, "topology", required=True)
+
+
 class Simulation:
-    """Builds the simulator, network, workload, and statistics."""
+    """Builds the simulator, network, workload, and statistics.
+
+    ``SETTINGS`` is the root of the configuration tree: every other
+    declaration hangs below it.
+    """
+
+    SETTINGS = {
+        "simulator": Block(SIMULATOR),
+        "network": _NETWORK,
+        "workload": Block(Workload, required=True),
+        "output": Block(OUTPUT),
+    }
 
     def __init__(self, settings: Settings):
         models.load_all()
         self.settings = settings
-        sim_settings = settings.child("simulator", default={})
-        self.seed = sim_settings.get_uint("seed", 12345)
-        self.default_max_time = sim_settings.get("max_time", None)
+        sim_settings = settings.read(Simulation, "simulator")
+        self.seed = sim_settings.read(SIMULATOR, "seed")
+        self.default_max_time = sim_settings.read(SIMULATOR, "max_time")
+        self.output = output_paths(settings)
 
         self.simulator = Simulator()
         self.random = RandomManager(self.seed)
-        network_settings = settings.child("network")
-        topology = network_settings.get_str("topology")
-        self.network: Network = factory.create(
-            Network,
-            topology,
+        network_settings = settings.read(Simulation, "network")
+        self.network: Network = _NETWORK.select(network_settings)(
             self.simulator,
             "network",
             None,
@@ -60,13 +91,14 @@ class Simulation:
             self.simulator,
             "workload",
             None,
-            settings.child("workload"),
+            settings.read(Simulation, "workload"),
             self.network,
             self.random,
         )
         self.monitor = None
-        monitor_settings = sim_settings.child("monitor", default={})
-        period = monitor_settings.get_uint("period", 0)
+        monitor_settings = sim_settings.read(SIMULATOR, "monitor")
+        period = monitor_settings.read(_MONITOR, "period")
+        print_samples = monitor_settings.read(_MONITOR, "print")
         if period > 0:
             from repro.stats.monitor import ProgressMonitor
 
@@ -75,7 +107,7 @@ class Simulation:
                 "monitor",
                 self.network,
                 period,
-                print_samples=monitor_settings.get_bool("print", False),
+                print_samples=print_samples,
             )
 
     def run(
@@ -95,6 +127,12 @@ class Simulation:
             max_time=max_time, max_events=max_events, max_seconds=max_seconds
         )
         return SimulationResults(self)
+
+
+def output_paths(settings: Settings) -> Dict[str, Optional[str]]:
+    """The ``output`` block's paths (None: not written)."""
+    output = settings.read(Simulation, "output")
+    return {key: output.read(OUTPUT, key) for key in OUTPUT}
 
 
 class SimulationResults:

@@ -29,25 +29,33 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro import factory
+from repro.config.spec import KeySpec
 from repro.net.network import Network, wire
+from repro.topology.util import CONCENTRATION
 
 
 @factory.register(Network, "dragonfly")
 class DragonflyNetwork(Network):
     """Balanced dragonfly with single global channels between groups."""
 
+    SETTINGS = {
+        "group_size": KeySpec("uint", minimum=2),
+        "global_links": KeySpec("uint", minimum=1),
+        "concentration": CONCENTRATION,
+        "num_groups": KeySpec("uint", None, minimum=2),
+        "global_latency": KeySpec("uint", None, minimum=1),
+    }
+
     def _build(self) -> None:
-        self.group_size = self.settings.get_uint("group_size")
-        self.global_links = self.settings.get_uint("global_links")
-        self.concentration = self.settings.get_uint("concentration", 1)
+        model = type(self)
+        self.group_size = self.settings.read(model, "group_size")
+        self.global_links = self.settings.read(model, "global_links")
+        self.concentration = self.settings.read(model, "concentration")
         max_groups = self.group_size * self.global_links + 1
-        self.num_groups = self.settings.get_uint("num_groups", max_groups)
-        self.global_latency = self.settings.get_uint(
-            "global_latency", self.channel_latency
-        )
-        if self.group_size < 2:
-            raise ValueError("group_size must be >= 2")
-        if self.num_groups < 2 or self.num_groups > max_groups:
+        self.num_groups = self.settings.read(model, "num_groups") or max_groups
+        self.global_latency = (self.settings.read(model, "global_latency")
+                               or self.channel_latency)
+        if self.num_groups > max_groups:
             raise ValueError(
                 f"num_groups must be in [2, {max_groups}], got {self.num_groups}"
             )

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro import factory
+from repro.config.spec import KeySpec
 from repro.net.network import Network
 
 
@@ -36,13 +37,15 @@ from repro.net.network import Network
 class FoldedClosNetwork(Network):
     """k-ary n-tree folded Clos."""
 
+    SETTINGS = {
+        "half_radix": KeySpec("uint", minimum=2),
+        "num_levels": KeySpec("uint", minimum=2),
+    }
+
     def _build(self) -> None:
-        self.half_radix = self.settings.get_uint("half_radix")
-        self.num_levels = self.settings.get_uint("num_levels")
-        if self.half_radix < 2:
-            raise ValueError("half_radix must be >= 2")
-        if self.num_levels < 2:
-            raise ValueError("num_levels must be >= 2")
+        model = type(self)
+        self.half_radix = self.settings.read(model, "half_radix")
+        self.num_levels = self.settings.read(model, "num_levels")
         k, n = self.half_radix, self.num_levels
         self.routers_per_level = k ** (n - 1)
         num_terminals = k**n

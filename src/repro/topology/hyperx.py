@@ -28,20 +28,30 @@ from __future__ import annotations
 
 from repro import factory
 from repro.net.network import Network
-from repro.topology.util import coords_to_index, index_to_coords, product
+from repro.topology.util import (
+    CONCENTRATION,
+    DIMENSION_WIDTHS,
+    coords_to_index,
+    index_to_coords,
+    product,
+)
 
 
 @factory.register(Network, "hyperx")
 class HyperXNetwork(Network):
     """n-dimensional HyperX / flattened butterfly."""
 
+    SETTINGS = {
+        "dimension_widths": DIMENSION_WIDTHS,
+        "concentration": CONCENTRATION,
+    }
+
     def _build(self) -> None:
-        self.widths = self.settings.get_int_list("dimension_widths")
-        if not self.widths or any(w < 2 for w in self.widths):
-            raise ValueError(f"dimension_widths must be >= 2 each, got {self.widths}")
-        self.concentration = self.settings.get_uint("concentration", 1)
-        if self.concentration < 1:
-            raise ValueError("concentration must be >= 1")
+        model = type(self)
+        self.widths = self.settings.read(model, "dimension_widths")
+        if not self.widths:
+            raise ValueError("dimension_widths must not be empty")
+        self.concentration = self.settings.read(model, "concentration")
         self.num_dimensions = len(self.widths)
         num_routers = product(self.widths)
         num_ports = self.concentration + sum(w - 1 for w in self.widths)

@@ -9,7 +9,7 @@ ships this topology specifically to stress-test arbitration features.
 
 Settings:
     ``length`` -- number of routers in the chain (>= 2).
-    ``concentration`` -- terminals per router (default 1).
+    ``concentration`` -- terminals per router.
 
 Port layout: terminal ports ``0 .. c-1``, port ``c`` toward router
 ``i-1`` (down-chain, toward terminal 0), port ``c+1`` toward ``i+1``.
@@ -18,18 +18,24 @@ Port layout: terminal ports ``0 .. c-1``, port ``c`` toward router
 from __future__ import annotations
 
 from repro import factory
+from repro.config.spec import KeySpec
 from repro.net.network import Network
+from repro.topology.util import CONCENTRATION
 
 
 @factory.register(Network, "parking_lot")
 class ParkingLotNetwork(Network):
     """A bidirectional chain of routers."""
 
+    SETTINGS = {
+        "length": KeySpec("uint", minimum=2),
+        "concentration": CONCENTRATION,
+    }
+
     def _build(self) -> None:
-        self.length = self.settings.get_uint("length")
-        if self.length < 2:
-            raise ValueError("chain length must be >= 2")
-        self.concentration = self.settings.get_uint("concentration", 1)
+        model = type(self)
+        self.length = self.settings.read(model, "length")
+        self.concentration = self.settings.read(model, "concentration")
         num_ports = self.concentration + 2
 
         for rid in range(self.length):

@@ -7,7 +7,7 @@ two ports per dimension (one per direction).
 Settings:
     ``dimension_widths`` -- list of ints, e.g. ``[8, 8, 8, 8]`` for the
         paper's 4-D torus (case study C).
-    ``concentration`` -- terminals per router (default 1).
+    ``concentration`` -- terminals per router.
 
 Port layout on every router::
 
@@ -24,6 +24,8 @@ from __future__ import annotations
 from repro import factory
 from repro.net.network import Network
 from repro.topology.util import (
+    CONCENTRATION,
+    DIMENSION_WIDTHS,
     coords_to_index,
     index_to_coords,
     product,
@@ -35,15 +37,17 @@ from repro.topology.util import (
 class TorusNetwork(Network):
     """k-ary n-cube with wrap-around links."""
 
+    SETTINGS = {
+        "dimension_widths": DIMENSION_WIDTHS,
+        "concentration": CONCENTRATION,
+    }
+
     def _build(self) -> None:
-        self.widths = self.settings.get_int_list("dimension_widths")
-        if not self.widths or any(w < 2 for w in self.widths):
-            raise ValueError(
-                f"dimension_widths must be >= 2 each, got {self.widths}"
-            )
-        self.concentration = self.settings.get_uint("concentration", 1)
-        if self.concentration < 1:
-            raise ValueError("concentration must be >= 1")
+        model = type(self)
+        self.widths = self.settings.read(model, "dimension_widths")
+        if not self.widths:
+            raise ValueError("dimension_widths must not be empty")
+        self.concentration = self.settings.read(model, "concentration")
         self.num_dimensions = len(self.widths)
         num_routers = product(self.widths)
         num_ports = self.concentration + 2 * self.num_dimensions

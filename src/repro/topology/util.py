@@ -4,6 +4,14 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from repro.config.spec import KeySpec
+
+#: Terminals per router, for the topologies that concentrate them.
+CONCENTRATION = KeySpec("uint", 1, minimum=1)
+
+#: Routers per dimension of a torus or HyperX.
+DIMENSION_WIDTHS = KeySpec("int_list", minimum=2)
+
 
 def index_to_coords(index: int, widths: Sequence[int]) -> Tuple[int, ...]:
     """Decompose a flat index into mixed-radix coordinates.

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.config.spec import KeySpec
 from repro.core.component import Component
 from repro.core.event import Event
 from repro.net.message import Message
 from repro.net.phases import EPS_GENERATE
-from repro.workload.injection import create_injection_process
-from repro.workload.size import create_size_distribution
-from repro.workload.traffic import create_traffic_pattern
+from repro.workload.injection import INJECTION, InjectionProcess
+from repro.workload.size import MESSAGE_SIZE, create_size_distribution
+from repro.workload.traffic import TRAFFIC, create_traffic_pattern
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
@@ -41,6 +42,13 @@ class Application(Component):
         ``injection`` -- injection process block.
     """
 
+    SETTINGS = {
+        "injection_rate": KeySpec("float", 0.0, minimum=0.0),
+        "traffic": TRAFFIC,
+        "message_size": MESSAGE_SIZE,
+        "injection": INJECTION,
+    }
+
     def __init__(
         self,
         simulator: "Simulator",
@@ -59,18 +67,20 @@ class Application(Component):
         self.workload = workload
         self.random = random_manager
 
-        self.injection_rate = settings.get_float("injection_rate", 0.0)
+        model = type(self)
+        self.injection_rate = settings.read(model, "injection_rate")
         self.traffic = create_traffic_pattern(
-            settings.child("traffic", default={}),
+            settings.read(model, "traffic"),
             network.num_terminals,
             network,
             random_manager.generator(f"{name}.traffic"),
         )
         self.size_distribution = create_size_distribution(
-            settings.child("message_size", default={}),
+            settings.read(model, "message_size"),
             random_manager.generator(f"{name}.size"),
         )
-        self.injection_settings = settings.child("injection", default={})
+        self.injection_settings = settings.read(model, "injection")
+        self.injection_class = INJECTION.select(self.injection_settings)
 
         # Delivery accounting (drives the Done signal).
         self.messages_created = 0
@@ -217,9 +227,9 @@ class Terminal(Component):
         self.application = application
         self.interface = application.network.interface(terminal_id)
         rate = application.injection_rate
-        self.injection: Optional[object] = None
+        self.injection: Optional[InjectionProcess] = None
         if rate > 0.0:
-            self.injection = create_injection_process(
+            self.injection = application.injection_class(
                 application.injection_settings,
                 rate,
                 application.size_distribution.mean(),

@@ -19,6 +19,8 @@ it receives the Kill command.  Its timeline (Fig. 5):
 from __future__ import annotations
 
 from repro import factory
+from repro.config.settings import Settings
+from repro.config.spec import KeySpec
 from repro.core.event import Event
 from repro.net.message import Message
 from repro.net.phases import EPS_CONTROL
@@ -30,12 +32,11 @@ class BlastApplication(Application):
     """Constant-rate traffic with a sampled measurement window.
 
     Extra settings:
-        ``warmup_duration`` -- ticks of unsampled warmup (default 0:
-            Ready immediately).  In ``auto`` mode this is the hard cap.
+        ``warmup_duration`` -- ticks of unsampled warmup (0: Ready
+            immediately).  In ``auto`` mode this is the hard cap.
         ``generate_duration`` -- ticks of sampled generation before
-            signalling Complete (default 0: Complete immediately after
-            Start).
-        ``warmup_mode`` -- ``"fixed"`` (default) signals Ready after
+            signalling Complete (0: Complete immediately after Start).
+        ``warmup_mode`` -- ``"fixed"`` signals Ready after
             ``warmup_duration``; ``"auto"`` detects steady state by
             watching the delivered-message mean latency over consecutive
             ``warmup_check_period``-tick windows and signalling Ready
@@ -43,20 +44,24 @@ class BlastApplication(Application):
             (relative) for two consecutive checks.
     """
 
+    SETTINGS = {
+        "warmup_duration": KeySpec("uint", 0),
+        "generate_duration": KeySpec("uint", 0),
+        "warmup_mode": KeySpec("str", "fixed", choices=("fixed", "auto")),
+        "warmup_check_period": KeySpec("uint", 500, minimum=1),
+        "warmup_tolerance": KeySpec("float", 0.05, minimum=0.0),
+    }
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.warmup_duration = self.settings.get_uint("warmup_duration", 0)
-        self.generate_duration = self.settings.get_uint("generate_duration", 0)
-        self.warmup_mode = self.settings.get_str("warmup_mode", "fixed")
-        if self.warmup_mode not in ("fixed", "auto"):
-            raise ValueError(f"bad warmup_mode {self.warmup_mode!r}")
+        model = type(self)
+        self.warmup_duration = self.settings.read(model, "warmup_duration")
+        self.generate_duration = self.settings.read(model, "generate_duration")
+        self.warmup_mode = self.settings.read(model, "warmup_mode")
         # Auto warmup detection knobs.
-        self.warmup_check_period = self.settings.get_uint(
-            "warmup_check_period", 500
-        )
-        self.warmup_tolerance = self.settings.get_float(
-            "warmup_tolerance", 0.05
-        )
+        self.warmup_check_period = self.settings.read(
+            model, "warmup_check_period")
+        self.warmup_tolerance = self.settings.read(model, "warmup_tolerance")
         self._finishing = False
         self._warmup_window_latencies = []
         self._previous_warmup_mean = None
@@ -127,11 +132,12 @@ class BlastApplication(Application):
 
     @classmethod
     def shard_schedule(cls, app_config: dict):
-        if app_config.get("warmup_mode", "fixed") == "auto":
+        settings = Settings(app_config)
+        if settings.read(cls, "warmup_mode") == "auto":
             return None  # Ready depends on observed latencies
         return (
-            int(app_config.get("warmup_duration", 0)),
-            int(app_config.get("generate_duration", 0)),
+            settings.read(cls, "warmup_duration"),
+            settings.read(cls, "generate_duration"),
         )
 
     def shard_force_done(self) -> None:

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import factory
+from repro.config.spec import Block
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
@@ -48,21 +49,24 @@ class InjectionProcess:
         raise NotImplementedError
 
 
+#: An injection process settings block: ``type`` selects the model.
+INJECTION = Block(InjectionProcess, "type", "bernoulli")
+
+
 def create_injection_process(
     settings: "Settings",
     rate: float,
     mean_message_size: float,
     rng: np.random.Generator,
 ) -> InjectionProcess:
-    kind = settings.get_str("type", "bernoulli")
-    return factory.create(
-        InjectionProcess, kind, settings, rate, mean_message_size, rng
-    )
+    return INJECTION.select(settings)(settings, rate, mean_message_size, rng)
 
 
 @factory.register(InjectionProcess, "bernoulli")
 class BernoulliInjection(InjectionProcess):
     """Independent per-cycle coin flips (geometric gaps)."""
+
+    SETTINGS = {}
 
     def next_gap(self) -> int:
         p = self.message_probability
@@ -76,6 +80,8 @@ class BernoulliInjection(InjectionProcess):
 @factory.register(InjectionProcess, "periodic")
 class PeriodicInjection(InjectionProcess):
     """Deterministic arrivals every round(1/p) cycles."""
+
+    SETTINGS = {}
 
     def __init__(self, settings, rate, mean_message_size, rng):
         super().__init__(settings, rate, mean_message_size, rng)

@@ -12,6 +12,8 @@ perturbs the network.
 from __future__ import annotations
 
 from repro import factory
+from repro.config.settings import Settings
+from repro.config.spec import KeySpec
 from repro.core.event import Event
 from repro.net.message import Message
 from repro.net.phases import EPS_CONTROL
@@ -23,25 +25,29 @@ class PulseApplication(Application):
     """A fixed-duration traffic burst inside the sampling window.
 
     Extra settings:
-        ``delay`` -- ticks after Start before the burst begins
-            (default 0).
-        ``duration`` -- burst length in ticks (required).
+        ``delay`` -- ticks after Start before the burst begins.
+        ``duration`` -- burst length in ticks.
         ``num_terminals`` -- restrict the burst to the first N
-            endpoints (default: all).
+            endpoints (absent: all).
     """
+
+    SETTINGS = {
+        "delay": KeySpec("uint", 0),
+        "duration": KeySpec("uint", minimum=1),
+        "num_terminals": KeySpec("uint", None, minimum=1),
+    }
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.delay = self.settings.get_uint("delay", 0)
-        self.duration = self.settings.get_uint("duration")
+        self.delay = self.settings.read(type(self), "delay")
+        self.duration = self.settings.read(type(self), "duration")
         self._bursting = False
         self._done_sent = False
 
     def _terminal_ids(self):
-        count = self.settings.get_uint(
-            "num_terminals", self.network.num_terminals
-        )
-        if not 1 <= count <= self.network.num_terminals:
+        total = self.network.num_terminals
+        count = self.settings.read(type(self), "num_terminals") or total
+        if count > total:
             raise ValueError(f"pulse num_terminals {count} out of range")
         return list(range(count))
 
@@ -60,7 +66,7 @@ class PulseApplication(Application):
     def _begin_burst(self, event: Event) -> None:
         self._bursting = True
         self.start_terminals()
-        self.schedule(self._end_burst, max(self.duration, 1), EPS_CONTROL)
+        self.schedule(self._end_burst, self.duration, EPS_CONTROL)
 
     def _end_burst(self, event: Event) -> None:
         self._bursting = False
@@ -78,14 +84,14 @@ class PulseApplication(Application):
 
     @classmethod
     def shard_schedule(cls, app_config: dict):
-        if float(app_config.get("injection_rate", 0.0)) <= 0.0:
+        settings = Settings(app_config)
+        if settings.read(cls, "injection_rate") <= 0.0:
             return (0, 0)  # Ready at init, Complete right at Start
         # on_start schedules the burst max(delay,1) ticks out; the burst
-        # runs max(duration,1) ticks before _end_burst signals Complete.
+        # runs duration ticks before _end_burst signals Complete.
         return (
             0,
-            max(int(app_config.get("delay", 0)), 1)
-            + max(int(app_config.get("duration", 1)), 1),
+            max(settings.read(cls, "delay"), 1) + settings.read(cls, "duration"),
         )
 
     def shard_force_done(self) -> None:

@@ -22,10 +22,12 @@ from __future__ import annotations
 from typing import Dict
 
 from repro import factory
+from repro.config.spec import KeySpec
 from repro.core.event import Event
 from repro.net.message import Message
 from repro.net.phases import EPS_CONTROL, EPS_GENERATE
 from repro.workload.application import Application, Terminal
+from repro.workload.blast import BlastApplication
 
 
 class RequestReplyTerminal(Terminal):
@@ -58,19 +60,24 @@ class RequestReplyApplication(Application):
     """Request/response transactions at a constant request rate.
 
     Extra settings:
-        ``response_size`` -- response message size in flits (default:
-            same as the request's size distribution mean, rounded up).
+        ``response_size`` -- response message size in flits (absent:
+            the request size distribution's mean, rounded).
         ``warmup_duration`` / ``generate_duration`` -- as in Blast.
     """
 
+    SETTINGS = {
+        "response_size": KeySpec("uint", None, minimum=1),
+        "warmup_duration": BlastApplication.SETTINGS["warmup_duration"],
+        "generate_duration": BlastApplication.SETTINGS["generate_duration"],
+    }
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        default_response = max(1, round(self.size_distribution.mean()))
-        self.response_size = self.settings.get_uint(
-            "response_size", default_response
-        )
-        self.warmup_duration = self.settings.get_uint("warmup_duration", 0)
-        self.generate_duration = self.settings.get_uint("generate_duration", 0)
+        model = type(self)
+        self.response_size = (self.settings.read(model, "response_size")
+                              or max(1, round(self.size_distribution.mean())))
+        self.warmup_duration = self.settings.read(model, "warmup_duration")
+        self.generate_duration = self.settings.read(model, "generate_duration")
         self._finishing = False
         # transaction id -> request creation tick (open transactions).
         self._open: Dict[int, int] = {}

@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, List
 import numpy as np
 
 from repro import factory
+from repro.config.spec import Block, KeySpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
@@ -31,22 +32,25 @@ class MessageSizeDistribution:
         raise NotImplementedError
 
 
+#: A message size settings block: ``type`` selects the model.
+MESSAGE_SIZE = Block(MessageSizeDistribution, "type", "constant")
+
+
 def create_size_distribution(
     settings: "Settings", rng: np.random.Generator
 ) -> MessageSizeDistribution:
-    kind = settings.get_str("type", "constant")
-    return factory.create(MessageSizeDistribution, kind, settings, rng)
+    return MESSAGE_SIZE.select(settings)(settings, rng)
 
 
 @factory.register(MessageSizeDistribution, "constant")
 class ConstantSize(MessageSizeDistribution):
-    """Every message is ``size`` flits (default 1)."""
+    """Every message is ``size`` flits."""
+
+    SETTINGS = {"size": KeySpec("uint", 1, minimum=1)}
 
     def __init__(self, settings, rng):
         super().__init__(settings, rng)
-        self.size = settings.get_uint("size", 1)
-        if self.size < 1:
-            raise ValueError("message size must be >= 1 flit")
+        self.size = settings.read(type(self), "size")
 
     def sample(self) -> int:
         return self.size
@@ -59,11 +63,16 @@ class ConstantSize(MessageSizeDistribution):
 class UniformSize(MessageSizeDistribution):
     """Uniform integer size in [``min_size``, ``max_size``]."""
 
+    SETTINGS = {
+        "min_size": KeySpec("uint", 1, minimum=1),
+        "max_size": KeySpec("uint", minimum=1),
+    }
+
     def __init__(self, settings, rng):
         super().__init__(settings, rng)
-        self.min_size = settings.get_uint("min_size", 1)
-        self.max_size = settings.get_uint("max_size")
-        if not 1 <= self.min_size <= self.max_size:
+        self.min_size = settings.read(type(self), "min_size")
+        self.max_size = settings.read(type(self), "max_size")
+        if self.min_size > self.max_size:
             raise ValueError(
                 f"need 1 <= min_size <= max_size, got "
                 f"[{self.min_size}, {self.max_size}]"
@@ -84,14 +93,17 @@ class ProbabilitySize(MessageSizeDistribution):
     10% 16-flit writes).
     """
 
+    SETTINGS = {
+        "sizes": KeySpec("int_list", minimum=1),
+        "weights": KeySpec("list"),
+    }
+
     def __init__(self, settings, rng):
         super().__init__(settings, rng)
-        self.sizes: List[int] = settings.get_int_list("sizes")
-        weights = settings.get_list("weights")
+        self.sizes: List[int] = settings.read(type(self), "sizes")
+        weights = settings.read(type(self), "weights")
         if len(weights) != len(self.sizes) or not self.sizes:
             raise ValueError("sizes and weights must be equal-length, non-empty")
-        if any(s < 1 for s in self.sizes):
-            raise ValueError("all sizes must be >= 1 flit")
         total = float(sum(weights))
         if total <= 0:
             raise ValueError("weights must sum to a positive value")

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro import factory
+from repro.config.spec import Block, KeySpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.settings import Settings
@@ -63,25 +64,28 @@ class TrafficPattern:
             raise TrafficError(f"source {source} out of range")
 
 
+#: A traffic pattern settings block: ``type`` selects the model.
+TRAFFIC = Block(TrafficPattern, "type", "uniform_random")
+
+
 def create_traffic_pattern(
     settings: "Settings",
     num_terminals: int,
     network: "Network",
     rng: np.random.Generator,
 ) -> TrafficPattern:
-    kind = settings.get_str("type", "uniform_random")
-    return factory.create(
-        TrafficPattern, kind, settings, num_terminals, network, rng
-    )
+    return TRAFFIC.select(settings)(settings, num_terminals, network, rng)
 
 
 @factory.register(TrafficPattern, "uniform_random")
 class UniformRandomTraffic(TrafficPattern):
-    """Uniform over all terminals; ``allow_self`` (default false)."""
+    """Uniform over all terminals; ``allow_self`` (else excluded)."""
+
+    SETTINGS = {"allow_self": KeySpec("bool", False)}
 
     def __init__(self, settings, num_terminals, network, rng):
         super().__init__(settings, num_terminals, network, rng)
-        self.allow_self = settings.get_bool("allow_self", False)
+        self.allow_self = settings.read(type(self), "allow_self")
         if num_terminals < 2 and not self.allow_self:
             raise TrafficError("uniform_random without self needs >= 2 terminals")
 
@@ -97,6 +101,8 @@ class UniformRandomTraffic(TrafficPattern):
 class BitComplementTraffic(TrafficPattern):
     """dst = N-1-src: every terminal pairs with its complement."""
 
+    SETTINGS = {}
+
     def destination(self, source: int) -> int:
         self._check_source(source)
         return self.num_terminals - 1 - source
@@ -109,6 +115,8 @@ class TornadoTraffic(TrafficPattern):
     Requires a network exposing ``widths`` and ``concentration`` (torus
     or HyperX).
     """
+
+    SETTINGS = {}
 
     def __init__(self, settings, num_terminals, network, rng):
         super().__init__(settings, num_terminals, network, rng)
@@ -136,6 +144,8 @@ class TornadoTraffic(TrafficPattern):
 class TransposeTraffic(TrafficPattern):
     """Matrix transpose: requires N to be a perfect square."""
 
+    SETTINGS = {}
+
     def __init__(self, settings, num_terminals, network, rng):
         super().__init__(settings, num_terminals, network, rng)
         root = int(round(num_terminals**0.5))
@@ -154,6 +164,8 @@ class TransposeTraffic(TrafficPattern):
 @factory.register(TrafficPattern, "bit_reverse")
 class BitReverseTraffic(TrafficPattern):
     """Reverse the binary representation; N must be a power of two."""
+
+    SETTINGS = {}
 
     def __init__(self, settings, num_terminals, network, rng):
         super().__init__(settings, num_terminals, network, rng)
@@ -175,11 +187,13 @@ class BitReverseTraffic(TrafficPattern):
 
 @factory.register(TrafficPattern, "neighbor")
 class NeighborTraffic(TrafficPattern):
-    """dst = (src + offset) mod N; ``offset`` defaults to 1."""
+    """dst = (src + offset) mod N."""
+
+    SETTINGS = {"offset": KeySpec("int", 1)}
 
     def __init__(self, settings, num_terminals, network, rng):
         super().__init__(settings, num_terminals, network, rng)
-        self.offset = settings.get_int("offset", 1)
+        self.offset = settings.read(type(self), "offset")
 
     def destination(self, source: int) -> int:
         self._check_source(source)
@@ -189,6 +203,8 @@ class NeighborTraffic(TrafficPattern):
 @factory.register(TrafficPattern, "random_permutation")
 class RandomPermutationTraffic(TrafficPattern):
     """A fixed permutation drawn once from the pattern's RNG."""
+
+    SETTINGS = {}
 
     def __init__(self, settings, num_terminals, network, rng):
         super().__init__(settings, num_terminals, network, rng)
@@ -201,11 +217,13 @@ class RandomPermutationTraffic(TrafficPattern):
 
 @factory.register(TrafficPattern, "all_to_one")
 class AllToOneTraffic(TrafficPattern):
-    """Everything converges on ``target`` (default terminal 0)."""
+    """Everything converges on terminal ``target``."""
+
+    SETTINGS = {"target": KeySpec("uint", 0)}
 
     def __init__(self, settings, num_terminals, network, rng):
         super().__init__(settings, num_terminals, network, rng)
-        self.target = settings.get_uint("target", 0)
+        self.target = settings.read(type(self), "target")
         if self.target >= num_terminals:
             raise TrafficError(f"target {self.target} out of range")
 
@@ -222,6 +240,8 @@ class UniformToRootTraffic(TrafficPattern):
     source's, so the up*/down* path must ascend to the top level --
     case study A's "uniform random to root" pattern.
     """
+
+    SETTINGS = {}
 
     def __init__(self, settings, num_terminals, network, rng):
         super().__init__(settings, num_terminals, network, rng)

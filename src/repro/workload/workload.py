@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro import factory
+from repro.config.spec import Block
 from repro.core.component import Component
 from repro.core.event import Event
 from repro.net.phases import EPS_CONTROL
@@ -48,6 +48,9 @@ class WorkloadError(RuntimeError):
     """Raised on handshake protocol violations."""
 
 
+_APPLICATIONS = Block(Application, "type", required=True, many=True)
+
+
 class Workload(Component):
     """Builds the applications and runs the four-phase handshake.
 
@@ -55,6 +58,8 @@ class Workload(Component):
         ``applications`` -- list of application blocks; each block's
             ``type`` selects the factory model (``blast``, ``pulse``, ...).
     """
+
+    SETTINGS = {"applications": _APPLICATIONS}
 
     def __init__(
         self,
@@ -77,11 +82,9 @@ class Workload(Component):
         self.stop_tick: Optional[int] = None
         self.kill_tick: Optional[int] = None
 
-        for app_id, app_settings in enumerate(settings.child_list("applications")):
-            kind = app_settings.get_str("type")
-            application = factory.create(
-                Application,
-                kind,
+        for app_id, app_settings in enumerate(
+                settings.read(Workload, "applications")):
+            application = _APPLICATIONS.select(app_settings)(
                 simulator,
                 f"app{app_id}",
                 self,

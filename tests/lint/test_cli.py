@@ -20,6 +20,7 @@ from repro.tools.sslint import sslint_main
 from .fixtures import naive_routing
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+EXAMPLES = pathlib.Path(__file__).parents[2] / "examples"
 
 
 def _write_config(tmp_path, config, name="config.json"):
@@ -83,6 +84,26 @@ def test_import_registers_user_models(tmp_path, capsys, monkeypatch):
     path = _write_config(tmp_path, config)
     assert sslint_main([path, "--import", "naive_routing"]) == 1
     assert "G004" in capsys.readouterr().out
+
+
+def test_import_checks_a_user_models_declared_settings(
+        tmp_path, capsys, monkeypatch):
+    """The example's ``hotspot`` pattern declares its settings, so a
+    misspelled key in its block is reported; its routing algorithm
+    declares none, so a key lint cannot know about passes."""
+    monkeypatch.syspath_prepend(str(EXAMPLES))
+    config = copy.deepcopy(importlib.import_module("custom_model").CONFIG)
+    traffic = config["workload"]["applications"][0]["traffic"]
+    traffic["fracton"] = traffic.pop("fraction")
+    config["network"]["routing"]["tie_break"] = "random"
+    path = _write_config(tmp_path, config)
+    assert sslint_main([path, "--import", "custom_model", "--format",
+                        "json"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    (finding,) = report["findings"]
+    assert finding["rule_id"] == "C001"
+    assert finding["config_path"] == "workload.applications.0.traffic.fracton"
+    assert "fraction" in finding["suggestion"]
 
 
 def test_reimported_fixture_keeps_its_first_class(monkeypatch):

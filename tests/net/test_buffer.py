@@ -154,11 +154,13 @@ def test_tail_pop_releases_output_vc():
 
 
 def test_invalid_capacity():
-    """``input_queue_depth: 0`` fails at build, naming the setting and
-    the router."""
+    """``input_queue_depth: 0`` fails at build, naming the setting's
+    dotted path."""
     for architecture in ARCHITECTURES:
         with pytest.raises(
-            SettingsError, match=r"^network\.router0: input_queue_depth: "
+            SettingsError,
+            match=r"^network\.router\.input_queue_depth: setting value 0 "
+                  r"below minimum 1$",
         ):
             build_router(architecture, depth=0)
 

@@ -93,6 +93,19 @@ class TestRandom:
         }
         assert winners == {0, 1, 2, 3}
 
+    def test_one_request_and_forced_never_touch_the_generator(self):
+        """An uncontested grant draws nothing: the slot's generator is
+        never built, and its first contested draw is the stream's first."""
+        arbiter = RandomArbiter(2, 4, RandomManager(3), "slot{}".format)
+        for _ in range(5):
+            assert arbiter.arbitrate(1, [(2, None)]) == 2
+            arbiter.forced(1, 3, None, 0)
+        assert arbiter._rngs == [None, None]
+        stream = RandomManager(3).generator("slot1")
+        requests = [(index, None) for index in range(4)]
+        assert ([arbiter.arbitrate(1, requests) for _ in range(20)]
+                == [int(stream.integers(4)) for _ in range(20)])
+
 
 class TestFixedPriority:
     def test_lowest_index_wins(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Settings, Simulation
 from repro.config.settings import SettingsError
+from repro.lint import lint_config_dict
 from repro.router.congestion import SOURCE_OUTPUT
 from tests.conftest import run_config
 
@@ -157,18 +158,22 @@ class TestInputOutputQueued:
 def test_output_queue_depth_error_states_its_architectures_contract(
         architecture, depth):
     """OQ takes an integer >= 1 or null (infinite); IOQ an integer >= 1,
-    64 when absent, and no null: each refusal says its own contract."""
+    64 when absent, and no null: each architecture's declaration refuses
+    at build what lint reports for it, in the same words."""
     config = clos_oq_config(depth=depth)
     config["network"]["router"]["architecture"] = architecture
-    if architecture == "output_queued":
-        if depth is None:
-            router = Simulation(Settings.from_dict(config)).network.routers[0]
-            assert router.output_queue_depth is None
-            return
-        rule = "null = infinite"
-    else:
-        rule = "default 64; no null"
-    contract = (f"must be a non-negative integer, got {depth!r} "
-                rf"\(minimum 1; {rule}\)")
-    with pytest.raises(SettingsError, match=contract):
+    path = "network.router.output_queue_depth"
+    findings = [f for f in lint_config_dict(config, graph=False).findings
+                if f.config_path == path]
+    if architecture == "output_queued" and depth is None:
+        router = Simulation(Settings.from_dict(config)).network.routers[0]
+        assert router.output_queue_depth is None
+        assert findings == []
+        return
+    (finding,) = findings
+    expected = ("below minimum 1" if depth == 0
+                else f"must be a non-negative integer, got {depth!r}")
+    assert expected in finding.message
+    with pytest.raises(SettingsError) as raised:
         Simulation(Settings.from_dict(config))
+    assert str(raised.value) == f"{path}: {finding.message}"
