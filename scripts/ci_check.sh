@@ -16,13 +16,16 @@
 #                reach its tests (tests/lint/test_callgraph.py) and the shard
 #                layer (S002-S005) its pinned verdicts, fingerprints and bench
 #                partition (tests/lint/test_shard_pins.py); the sslint gate
-#                only looks for error findings
+#                only looks for error findings.  The two-phase pins
+#                (HyperX/dragonfly Valiant and UGAL, credit_accounting)
+#                are of the trace that follows every source choice
 #  10. delivery  the delivery goldens (tests/net/test_delivery_golden.py):
 #                the only fast gate over dragonfly, adaptive torus,
 #                Valiant/UGAL and parking-lot routing; the head-hop VC
 #                tests (tests/integration/test_head_hop_vcs.py): every
 #                head hop on HyperX/dragonfly takes the hop-count VC, and
-#                every dependency a run takes is a certified lint edge;
+#                on every traced family, two-phase included, every
+#                dependency a run takes is a certified lint edge;
 #                the sharded two-phase runs, which match single-process
 #                with multi-flit packets (hop_count crosses the cut in the
 #                head record); and run identity: one config run twice in

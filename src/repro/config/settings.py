@@ -324,26 +324,11 @@ class Settings:
             key,
         )
 
-    def get_int(self, key: str, default: Any = _MISSING) -> int:
-        return self._get(key, "int", default)
-
-    def get_uint(self, key: str, default: Any = _MISSING) -> int:
-        return self._get(key, "uint", default)
-
-    def get_float(self, key: str, default: Any = _MISSING) -> float:
-        return self._get(key, "float", default)
-
     def get_str(self, key: str, default: Any = _MISSING) -> str:
         return self._get(key, "str", default)
 
-    def get_bool(self, key: str, default: Any = _MISSING) -> bool:
-        return self._get(key, "bool", default)
-
     def get_list(self, key: str, default: Any = _MISSING) -> list:
         return self._get(key, "list", default)
-
-    def get_int_list(self, key: str, default: Any = _MISSING) -> List[int]:
-        return list(self._get(key, "int_list", default))
 
     # -- hierarchy -----------------------------------------------------------
 

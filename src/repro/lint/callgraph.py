@@ -570,8 +570,7 @@ class ClassGraph:
             ]
 
     def _collect_settings_attrs(self) -> None:
-        getters = {"get_str", "get_int", "get_uint", "get_float",
-                   "get_bool", "read"}
+        getters = {"get_str", "read"}
         entries = declared(self.cls)
         for node in self._all_defs:
             for stmt in ast.walk(node):

@@ -11,7 +11,8 @@ of Dally & Seitz: nodes are ``(channel, vc)`` pairs and an edge A->B
 means a packet holding A may next request B.  The linter derives the
 edges by replaying each routing algorithm's ``respond()`` over a
 sampled set of source/destination pairs, following every candidate the
-algorithm may return.  Two graphs are kept:
+algorithm may return and every state its source decision may commit
+(``source_choices``).  Two graphs are kept:
 
 * the *full* graph over every candidate, and
 * the *escape* graph over only the least-preferred (fallback)
@@ -66,17 +67,6 @@ class ChannelRecord(NamedTuple):
     sink: str          # sink device full name
     sink_port: int
     latency: int       # ticks, post-override (see docstring)
-
-
-def _state_signature(packet: Packet) -> Tuple:
-    """Digest of the routing-relevant packet state (hashable as long as
-    the engine kept ``routing_state`` hashable)."""
-    return (
-        packet.destination,
-        packet.intermediate,
-        packet.non_minimal,
-        packet.routing_state,
-    )
 
 
 def _copy_packet(packet: Packet) -> Packet:
@@ -209,12 +199,14 @@ class GraphAnalysis:
     def _trace_pair(self, src: int, dst: int, budget: int) -> None:
         """Depth-first replay of ``respond()`` from ``src`` toward ``dst``.
 
-        Each queued state owns one packet copy, which its expansion hands
-        to ``respond()`` to update in place.  The routing-state signature
-        is taken once per expansion and carried by the children, and a
+        One branch starts per state the injection router's engine may
+        commit (``source_choices``, set through its ``commit``), so no
+        choice is drawn.  A state is ``(router, in_port, in_vc,
+        routing_state)``.  Each queued state owns one packet copy, which
+        its expansion hands to ``respond()`` to update in place, and a
         child whose key is already visited is dropped before it is
-        copied (it would be skipped at pop anyway).  So an expanded
-        state costs one ``respond()`` and one copy.
+        copied.  So an expanded state costs one ``respond()`` and one
+        copy.
         """
         network = self.network
         assert network is not None
@@ -230,19 +222,22 @@ class GraphAnalysis:
             getattr(interface, "injection_vcs", None)
             or network.routing_class.injection_vcs(network.num_vcs)
         )
-        signature = _state_signature(packet)
-        queue: List[Tuple[Router, int, int, Packet, Tuple, Node]] = [
-            (channel.sink, channel.sink_port, vc, _copy_packet(packet),
-             signature, (channel.full_name, vc))
-            for vc in injection_vcs
-        ]
+        source = channel.sink
+        queue: List[Tuple[Router, int, int, Packet, Node]] = []
+        for state in source.routing.source_choices(packet) or (None,):
+            for vc in injection_vcs:
+                pkt = _copy_packet(packet)
+                if state is not None:
+                    source.routing.commit(pkt, state)
+                queue.append((source, channel.sink_port, vc, pkt,
+                              (channel.full_name, vc)))
         visited: Set[Tuple] = set()
         full_edges = self.full_edges
         escape_edges = self.escape_edges
         expansions = 0
         while queue:
-            router, in_port, in_vc, pkt, signature, cur_node = queue.pop()
-            key = (router, in_port, in_vc, signature)
+            router, in_port, in_vc, pkt, cur_node = queue.pop()
+            key = (router, in_port, in_vc, pkt.routing_state)
             if key in visited:
                 continue
             visited.add(key)
@@ -267,14 +262,14 @@ class GraphAnalysis:
                     f"vc {in_vc}"
                 )
                 continue
-            signature = _state_signature(pkt)
+            state = pkt.routing_state
             try:
-                hash(signature)
+                hash(state)
             except TypeError:
                 self.response_errors.append(
                     f"routing engine {type(router.routing).__name__} stored "
                     f"an unhashable routing_state "
-                    f"({type(pkt.routing_state).__name__}); the dependency "
+                    f"({type(state).__name__}); the dependency "
                     f"trace shares it between packet copies: replace the "
                     f"value, do not mutate it"
                 )
@@ -307,11 +302,11 @@ class GraphAnalysis:
                         )
                     continue
                 sink_port = out_channel.sink_port
-                if (sink, sink_port, out_vc, signature) in visited:
+                if (sink, sink_port, out_vc, state) in visited:
                     continue
                 hop = _copy_packet(pkt)
                 hop.hop_count += 1
-                queue.append((sink, sink_port, out_vc, hop, signature, node))
+                queue.append((sink, sink_port, out_vc, hop, node))
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,10 @@ class Packet:
         hop_count: number of routers the head has left so far.
         non_minimal: set by adaptive routing algorithms when the packet
             took a non-minimal path (used by phantom-congestion analyses).
-        intermediate: Valiant-style intermediate destination, if any.
         routing_state: one immutable, hashable value a routing engine
             carries across hops (the torus dateline's ``(dim, start)``,
-            the two-phase phase), ``None`` until an engine sets it.  An
+            the two-phase intermediate a packet heads for, or
+            ``MINIMAL``), ``None`` until an engine sets it.  An
             engine replaces the value and never mutates it: the lint
             dependency trace shares it between packet copies.
         injection_tick: when the head flit entered the network.
@@ -48,7 +48,6 @@ class Packet:
         "num_flits",
         "hop_count",
         "non_minimal",
-        "intermediate",
         "routing_state",
         "injection_tick",
         "injection_vc",
@@ -65,7 +64,6 @@ class Packet:
         self.num_flits = num_flits
         self.hop_count = 0
         self.non_minimal = False
-        self.intermediate: Optional[int] = None
         self.routing_state: Any = None
         self.injection_tick: Optional[int] = None
         self.injection_vc = 0

@@ -41,7 +41,7 @@ packet state only as the head leaves them -- and on head flits is::
 
     (msg_id, app_id, source, destination, msg_flits, txn_id, sampled,
      created_tick, num_packets, packet_id, pkt_flits, injection_tick,
-     hop_count, non_minimal, intermediate, routing_state)
+     hop_count, non_minimal, routing_state)
 """
 
 from __future__ import annotations
@@ -111,7 +111,6 @@ class _ProxyFlitChannel(Channel):
                 packet.injection_tick,
                 packet.hop_count,
                 packet.non_minimal,
-                packet.intermediate,
                 packet.routing_state,
             )
         self._shard_outbox.append((
@@ -206,11 +205,10 @@ class ShardRegistry:
             # accumulated there (routers change packet state only as
             # the head leaves them).
             (_, _, _, _, _, _, _, _, _, _, _, injection_tick,
-             hop_count, non_minimal, intermediate, routing_state) = head
+             hop_count, non_minimal, routing_state) = head
             packet.injection_tick = injection_tick
             packet.hop_count = hop_count
             packet.non_minimal = non_minimal
-            packet.intermediate = intermediate
             packet.routing_state = routing_state
         flit = packet.flit(index)
         flit.vc = vc
@@ -219,7 +217,7 @@ class ShardRegistry:
     def _materialize_packet(self, gid: int, head: Tuple[Any, ...]) -> Packet:
         (msg_id, app_id, source, destination, msg_flits, txn_id, sampled,
          created_tick, num_packets, packet_id, pkt_flits, injection_tick,
-         hop_count, non_minimal, intermediate, routing_state) = head
+         hop_count, non_minimal, routing_state) = head
         known = self.messages.get(msg_id)
         if known is not None:
             message = known.message
@@ -233,7 +231,6 @@ class ShardRegistry:
         packet.injection_tick = injection_tick
         packet.hop_count = hop_count
         packet.non_minimal = non_minimal
-        packet.intermediate = intermediate
         packet.routing_state = routing_state
         self.messages.setdefault(msg_id, packet)
         self.packets[gid] = packet

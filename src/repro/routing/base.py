@@ -11,9 +11,12 @@ per input port (two-phase routing's random streams) it indexes by port.
 State an algorithm carries with a packet from hop to hop is one value,
 ``packet.routing_state``: ``None`` until the algorithm first sets it,
 then an immutable, hashable value (the torus dateline's
-``(dim, start)``, the two-phase phase).  An algorithm replaces the value
-and never mutates it: the lint dependency trace (:mod:`repro.lint.graph`)
-shares it between packet copies and keys its visited set on it.
+``(dim, start)``, the two-phase intermediate).  An algorithm replaces
+the value and never mutates it: the lint dependency trace
+(:mod:`repro.lint.graph`) shares it between packet copies and keys its
+visited set on it.  A choice made at the source router (two-phase
+routing's detour) is declared by ``source_choices`` and set by
+``commit``, and the trace follows every declared state.
 
 The Network selects the algorithm and builds each router's engine, so
 the router microarchitecture and the topology/routing pair stay
@@ -31,7 +34,7 @@ table entry) passes it through :meth:`RoutingAlgorithm.validated` once;
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import factory
 
@@ -129,6 +132,15 @@ class RoutingAlgorithm:
         """Produce admissible (port, vc) candidates, best first, for a
         packet at the front of ``input_vc`` of ``input_port``."""
         raise NotImplementedError
+
+    def source_choices(self, packet: "Packet") -> Sequence[Any]:
+        """Every ``routing_state`` a decision at ``packet``'s source
+        router (this one) can commit; ``()`` if it decides nothing."""
+        return ()
+
+    def commit(self, packet: "Packet", state: Any) -> None:
+        """Commit ``packet`` to ``state``, one of its source choices."""
+        packet.routing_state = state
 
     # -- validated entry point used by routers ---------------------------------------
 

@@ -76,8 +76,8 @@ class _TwoPhaseDragonflyRouting(_DragonflyRoutingBase, TwoPhaseRouting):
     """Two-phase routing whose intermediate is a group."""
     MIN_VCS = 5
 
-    def _draw_intermediate(self, rng) -> int:
-        return int(rng.integers(self.network.num_groups))
+    def _region_count(self) -> int:
+        return self.network.num_groups
 
     def _region(self, router_id: int) -> int:
         return self.network.router_group(router_id)

@@ -82,8 +82,8 @@ class _TwoPhaseHyperXRouting(_HyperXRoutingBase, TwoPhaseRouting):
                     f"got {num_vcs}")
         return None
 
-    def _draw_intermediate(self, rng) -> int:
-        return int(rng.integers(len(self.network.routers)))
+    def _region_count(self) -> int:
+        return len(self.network.routers)
 
     def _region(self, router_id: int) -> int:
         return router_id

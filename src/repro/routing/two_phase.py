@@ -13,9 +13,9 @@ credit accounting style and the sensing latency shape UGAL's decisions
 -- which is what case study B (§VI-B) studies.
 
 A topology supplies only what differs: what an intermediate is (a
-router on HyperX, a group on a dragonfly) and its draw, the next hop
-toward it and toward a router, the hop estimates, and the VC that UGAL
-queries.
+router on HyperX, a group on a dragonfly) and how many there are, the
+next hop toward it and toward a router, the hop estimates, and the VC
+that UGAL queries.
 
 VC discipline: the VC index equals the number of router-to-router hops
 already taken, clamped to the top VC, so every hop moves to a strictly
@@ -33,6 +33,11 @@ from repro.routing.base import Candidate, RoutingAlgorithm
 #: The UGAL variants' settings: ``ugal_bias``, an additive bias
 #: favoring the minimal path, in sensed-congestion units.
 UGAL_SETTINGS = {"ugal_bias": KeySpec("float", 0.0)}
+
+#: The ``routing_state`` of a packet routed minimally to its
+#: destination: it chose no detour, or has reached its intermediate.
+#: Any other committed value is the intermediate region it heads for.
+MINIMAL = -1
 
 
 class HopVcRouting(RoutingAlgorithm):
@@ -58,10 +63,9 @@ class HopVcRouting(RoutingAlgorithm):
 class TwoPhaseRouting(HopVcRouting):
     """Valiant; UGAL when a subclass sets ``reads_congestion``.
 
-    A packet injected here is committed once: phase 0 carries it to an
-    intermediate, phase 1 (or a minimal choice) to its destination.
-    The phase is the packet's ``routing_state``; ``None`` means
-    undecided.
+    A packet injected here is committed once, and its ``routing_state``
+    is the whole commitment: ``None`` while undecided, the intermediate
+    region it heads for, or :data:`MINIMAL`.
 
     Settings (UGAL only): :data:`UGAL_SETTINGS`.
     """
@@ -94,8 +98,8 @@ class TwoPhaseRouting(HopVcRouting):
 
     # -- what a topology supplies ------------------------------------------------
 
-    def _draw_intermediate(self, rng) -> int:
-        """A uniformly random intermediate, drawn from ``rng``."""
+    def _region_count(self) -> int:
+        """How many intermediates there are; a draw picks one uniformly."""
         raise NotImplementedError
 
     def _region(self, router_id: int) -> int:
@@ -117,41 +121,53 @@ class TwoPhaseRouting(HopVcRouting):
     # -- the core -----------------------------------------------------------------
 
     def route(self, packet, input_port: int, input_vc: int) -> Sequence[Candidate]:
-        if input_port < self.concentration and packet.routing_state is None:
-            self._decide(packet, self._rngs[input_port])
-        if packet.routing_state == 0:
-            port = self._toward_intermediate(packet.intermediate)
+        state = packet.routing_state
+        if state is None and input_port < self.concentration:
+            state = self._decide(packet, self._rngs[input_port])
+            self.commit(packet, state)
+        if state != MINIMAL and state is not None:
+            port = self._toward_intermediate(state)
             if port is not None:
                 return self._hop_responses[port][self._hop_vc(packet)]
-            packet.routing_state = 1  # reached the intermediate
+            packet.routing_state = MINIMAL  # reached the intermediate
         port = self._minimal_port(self.network.terminal_router(packet.destination))
         if port is None:
             return self._ejection(packet)
         return self._hop_responses[port][self._hop_vc(packet)]
 
-    def _decide(self, packet, rng) -> None:
-        """Commit a packet at its source: to a detour, or minimal,
-        drawing from its terminal input port's stream ``rng``."""
-        packet.routing_state = 1  # minimal unless a detour is committed below
+    def source_choices(self, packet) -> Tuple[int, ...]:
+        dst_router = self.network.terminal_router(packet.destination)
+        if self.reads_congestion and self._minimal_port(dst_router) is None:
+            return (MINIMAL,)
+        ends = (self._region(self.router.router_id), self._region(dst_router))
+        return (MINIMAL,) + tuple(
+            region for region in range(self._region_count()) if region not in ends
+        )
+
+    def commit(self, packet, state: int) -> None:
+        packet.routing_state = state
+        packet.non_minimal = state != MINIMAL
+
+    def _decide(self, packet, rng) -> int:
+        """A packet's commitment at its source, one of its
+        :meth:`source_choices`, drawn from its input port's ``rng``."""
         dst_router = self.network.terminal_router(packet.destination)
         ugal = self.reads_congestion
         if ugal:
             min_port = self._minimal_port(dst_router)
             if min_port is None and not self._ugal_draws_for_local:
-                return
-        intermediate = self._draw_intermediate(rng)
+                return MINIMAL
+        intermediate = int(rng.integers(self._region_count()))
         if intermediate in (self._region(self.router.router_id),
                             self._region(dst_router)):
-            return  # a detour through either end is no detour
+            return MINIMAL  # a detour through either end is no detour
         if ugal:
             if min_port is None:
-                return
+                return MINIMAL
             min_hops, val_hops = self._hop_estimates(dst_router, intermediate)
             vc = self._ugal_vc(packet)
             q_min = self.congestion(min_port, vc)
             q_val = self.congestion(self._toward_intermediate(intermediate), vc)
             if q_min * min_hops <= q_val * val_hops + self.bias:
-                return
-        packet.routing_state = 0
-        packet.intermediate = intermediate
-        packet.non_minimal = True
+                return MINIMAL
+        return intermediate

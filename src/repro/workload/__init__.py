@@ -4,7 +4,7 @@ terminals, traffic patterns, size distributions, injection processes
 
 from repro.workload.application import Application, Terminal
 from repro.workload.blast import BlastApplication
-from repro.workload.injection import InjectionProcess, create_injection_process
+from repro.workload.injection import InjectionProcess
 from repro.workload.pulse import PulseApplication
 from repro.workload.request_reply import (
     RequestReplyApplication,
@@ -27,7 +27,6 @@ __all__ = [
     "TrafficPattern",
     "Workload",
     "WorkloadError",
-    "create_injection_process",
     "create_size_distribution",
     "create_traffic_pattern",
 ]

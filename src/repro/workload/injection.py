@@ -53,15 +53,6 @@ class InjectionProcess:
 INJECTION = Block(InjectionProcess, "type", "bernoulli")
 
 
-def create_injection_process(
-    settings: "Settings",
-    rate: float,
-    mean_message_size: float,
-    rng: np.random.Generator,
-) -> InjectionProcess:
-    return INJECTION.select(settings)(settings, rate, mean_message_size, rng)
-
-
 @factory.register(InjectionProcess, "bernoulli")
 class BernoulliInjection(InjectionProcess):
     """Independent per-cycle coin flips (geometric gaps)."""

@@ -11,6 +11,7 @@ from repro.config.settings import (
     apply_override,
     parse_override,
 )
+from repro.config.spec import KeySpec
 
 
 class TestParseOverride:
@@ -168,31 +169,33 @@ class TestTypedAccessors:
     def test_get_default(self):
         assert Settings.from_dict({}).get("absent", 3) == 3
 
-    def test_get_int_rejects_bool(self):
+    def test_read_int_rejects_bool(self):
         settings = Settings.from_dict({"flag": True})
         with pytest.raises(SettingsError):
-            settings.get_int("flag")
+            settings.read({"flag": KeySpec("int")}, "flag")
 
-    def test_get_uint_rejects_negative(self):
+    def test_read_uint_rejects_negative(self):
         settings = Settings.from_dict({"n": -2})
         with pytest.raises(SettingsError):
-            settings.get_uint("n")
+            settings.read({"n": KeySpec("uint")}, "n")
 
-    def test_get_float_accepts_int(self):
-        assert Settings.from_dict({"r": 1}).get_float("r") == 1.0
+    def test_read_float_accepts_int(self):
+        value = Settings.from_dict({"r": 1}).read({"r": KeySpec("float")}, "r")
+        assert value == 1.0 and isinstance(value, float)
 
     def test_get_str_type_checked(self):
         with pytest.raises(SettingsError):
             Settings.from_dict({"s": 5}).get_str("s")
 
-    def test_get_bool_type_checked(self):
+    def test_read_bool_type_checked(self):
         with pytest.raises(SettingsError):
-            Settings.from_dict({"b": "true"}).get_bool("b")
+            Settings.from_dict({"b": "true"}).read({"b": KeySpec("bool")}, "b")
 
-    def test_get_int_list(self):
-        assert Settings.from_dict({"xs": [1, 2]}).get_int_list("xs") == [1, 2]
+    def test_read_int_list(self):
+        spec = {"xs": KeySpec("int_list")}
+        assert Settings.from_dict({"xs": [1, 2]}).read(spec, "xs") == [1, 2]
         with pytest.raises(SettingsError):
-            Settings.from_dict({"xs": [1, "a"]}).get_int_list("xs")
+            Settings.from_dict({"xs": [1, "a"]}).read(spec, "xs")
 
     def test_contains_and_keys(self):
         settings = Settings.from_dict({"a": 1})
@@ -205,11 +208,11 @@ class TestHierarchy:
     def test_child_block(self):
         settings = Settings.from_dict({"network": {"router": {"vcs": 2}}})
         router = settings.child("network").child("router")
-        assert router.get_uint("vcs") == 2
+        assert router.get("vcs") == 2
 
     def test_child_missing_with_default(self):
         child = Settings.from_dict({}).child("router", default={"vcs": 1})
-        assert child.get_uint("vcs") == 1
+        assert child.get("vcs") == 1
 
     def test_child_missing_required(self):
         with pytest.raises(SettingsError):
@@ -237,7 +240,7 @@ class TestFromFileWithOverrides:
         settings = Settings.from_file(
             path, overrides=["network.concentration=uint=16"]
         )
-        assert settings.child("network").get_uint("concentration") == 16
+        assert settings.child("network").get("concentration") == 16
 
     def test_overrides_applied_before_refs(self):
         settings = Settings.from_dict(

@@ -9,8 +9,8 @@ wrap that pop on every router of a run and record each head's
   router-to-router head hop takes VC ``0`` from a terminal port and
   ``min(input VC + 1, top VC)`` from a network port -- the VC = hops
   taken discipline their deadlock freedom rests on;
-* **subset**: on every family whose dependency trace enumerates its
-  choices, every dependency the run takes is an edge of the G layer's
+* **subset**: on every traced family, every dependency the run takes
+  is an edge of the G layer's
   certified graph (``GraphAnalysis.full_edges``), so the deadlock
   certificate covers the run.  Edges into ejection channels are
   skipped: they close no cycle, and the trace omits self-addressed
@@ -112,7 +112,7 @@ def test_head_hops_follow_the_hop_vc_discipline(name, flits):
 
 
 #: Families whose dependency trace enumerates every choice a run can
-#: make (the two-phase trace samples one intermediate per pair).
+#: make: every candidate, and every source commitment.
 TRACED_FAMILIES = (
     "torus_iq_dor",
     "torus_3d_adaptive",
@@ -121,7 +121,11 @@ TRACED_FAMILIES = (
     "clos_oq_deterministic",
     "parking_lot_age_based",
     "hyperx_2d_dimension_order",
+    "hyperx_2d_valiant",
+    "hyperx_ioq_ugal",
     "dragonfly_minimal",
+    "dragonfly_valiant",
+    "dragonfly_ugal",
 )
 
 

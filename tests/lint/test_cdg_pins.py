@@ -5,9 +5,12 @@ Each pin is a SHA-256 over everything the G rules read off a
 cycles, ``response_errors`` and ``trace_warnings`` in order,
 ``truncated`` and ``pairs_traced``.  The pins were recorded before the
 trace was rewritten to own one packet copy per queued state, so any
-change to the traversal order, to the ``respond()`` sequence (and with
-it every Valiant/UGAL draw) or to the expansion budget fails here even
-when the G findings happen to stay the same.
+change to the traversal order, to the ``respond()`` sequence or to the
+expansion budget fails here even when the G findings happen to stay the
+same.  The two-phase pins (HyperX and dragonfly Valiant/UGAL, and
+``credit_accounting_config``, which is ``hyperx_ioq_ugal``) are of the
+trace that follows every state in ``source_choices``; none of those
+graphs has a full or escape cycle.
 
 The configs: every ``test_delivery_invariants.CONFIGS`` entry, every
 ``repro.configs.*_config()`` builtin, the deadlock-prone
@@ -92,13 +95,14 @@ def _config(case: str) -> dict:
     return hyperx_config("hyperx_wrong_eject", concentration=2)
 
 
-#: Recorded at 81e830b, before the trace rewrite.
+#: Recorded at 81e830b, before the trace rewrite; the two-phase pins
+#: since source choices are enumerated.
 PINS = {
     "builtin:blast_pulse_config": (
         "da6767a66f273c615bfd205f483e88df074fb96c56387900e36c7787155ad2a8"
     ),
     "builtin:credit_accounting_config": (
-        "db0abe0ff4e46c2976b162a3d83ae980e84275a2fb9d9f76ff08f92d42d7d862"
+        "12c08417ef21653987165eda7deaef0bd24432049b54336b53463d8593754ae3"
     ),
     "builtin:flow_control_config": (
         "68b8546e2116d959ef461e268f7864ae9ba2752627a4db9f09795c150b6ea080"
@@ -125,16 +129,16 @@ PINS = {
         "dd17a9d43717b4cebe267ffb6ece5d7d616e448f42e2a8e7e430041f49338465"
     ),
     "invariants:dragonfly_ugal": (
-        "2452e57c3d587500d3234b4a950104be9f01a9e0019275b4cd36f8dcf31b87b2"
+        "447c38e591b0741250ada662ab33b6dfa3dd923456d684bde82c00db12e9e51c"
     ),
     "invariants:dragonfly_valiant": (
-        "d66898ce58ce16f67696fbc380314d69aea400d15329e3cabab75202d5f571dc"
+        "bcb5bfd6fbfa37feb2926680fee080ea2861b9c6e1c0d137760585eb0db63cd5"
     ),
     "invariants:hyperx_2d_valiant": (
-        "7823a739d93fbd5a74e59c2862a0dd31f53c8ea8e28063e658615ca8da194c5f"
+        "849455ccfccf35fb2988cd3a9160fbfc94e69e512fda8310a7e590591634234b"
     ),
     "invariants:hyperx_ioq_ugal": (
-        "db0abe0ff4e46c2976b162a3d83ae980e84275a2fb9d9f76ff08f92d42d7d862"
+        "12c08417ef21653987165eda7deaef0bd24432049b54336b53463d8593754ae3"
     ),
     "invariants:parking_lot_age_based": (
         "6234e55a3742f28081607ce965bbcd52f776a87e197cf9250bb7dc890900c3f4"
@@ -156,7 +160,7 @@ PINS = {
 #: (src, dst, budget) of the truncated dragonfly_valiant trace.
 TRUNCATED_PAIR = (0, 11, 8)
 TRUNCATED_PIN = (
-    "c1d8e50598ccd84d5aaead34e86b31df4de8732bccd0a3a48fe6608a8ecb941e"
+    "9dad961d78dc3a60b7a7e709290eb6fdebd08d5fabe9eb5f46898af29c8c7810"
 )
 
 

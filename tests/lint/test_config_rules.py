@@ -16,6 +16,7 @@ from repro.configs import (
 from repro.core.rng import RandomManager
 from repro.core.simulator import Simulator
 from repro.lint import lint_config_dict
+from repro.net.interface import Interface, StandardInterface
 from repro.net.network import Network
 from repro.routing.base import RoutingAlgorithm, RoutingError
 from tests.integration.test_delivery_invariants import CONFIGS
@@ -97,11 +98,18 @@ def test_unknown_model_c005_with_did_you_mean(torus_config):
     assert "torus_dimension_order" in (finding.suggestion or "")
 
 
-def test_registered_custom_model_opens_block(torus_config):
-    # A registered user model makes its block schema-open: custom keys
-    # must not produce C001 noise.
-    torus_config["network"]["interface"]["type"] = "standard"
-    torus_config["network"]["interface"]["ejection_buffer_size"] = 64
+def test_registered_custom_model_opens_block(torus_config, monkeypatch):
+    # A registered user model whose class body declares no SETTINGS
+    # makes its block schema-open: custom keys must not produce C001
+    # noise.
+    class UndeclaredInterface(StandardInterface):
+        pass
+
+    monkeypatch.setitem(factory.GLOBAL_FACTORY._registry,
+                        (Interface, "undeclared_interface"),
+                        UndeclaredInterface)
+    torus_config["network"]["interface"]["type"] = "undeclared_interface"
+    torus_config["network"]["interface"]["custom_knob"] = 3
     report = _lint(torus_config)
     assert _rule_ids(report) == []
 

@@ -8,6 +8,7 @@ from repro.core.simulator import Simulator
 from repro.net.network import Network
 from repro.router.congestion import SOURCE_OUTPUT
 from repro.routing.base import RoutingError
+from repro.routing.two_phase import MINIMAL
 
 from tests.conftest import make_packet
 
@@ -67,7 +68,7 @@ class TestValiant:
     def test_phase_transition(self):
         network = build(routing="hyperx_valiant", num_vcs=2)
         # Drive many packets; each must either go direct (degenerate
-        # intermediate) or record phase state.
+        # intermediate) or commit to the intermediate it heads for.
         algorithm = network.routers[0].routing
         saw_nonminimal = False
         for _ in range(32):
@@ -75,9 +76,17 @@ class TestValiant:
             algorithm.respond(packet, 0, 0)
             if packet.non_minimal:
                 saw_nonminimal = True
-                assert packet.routing_state == 0
-                assert packet.intermediate not in (0, 3)
+                assert packet.routing_state not in (MINIMAL, 0, 3)
+            else:
+                assert packet.routing_state == MINIMAL
         assert saw_nonminimal
+        # At the intermediate the packet turns minimal.
+        intermediate = network.routers[1].routing
+        packet = make_packet(0, 6, network=network)
+        algorithm.commit(packet, 1)
+        intermediate.respond(packet, network.concentration, 0)
+        assert packet.routing_state == MINIMAL
+        assert packet.non_minimal
 
     def test_hop_vc_discipline(self):
         network = build(routing="hyperx_valiant", num_vcs=2)
@@ -87,7 +96,7 @@ class TestValiant:
         assert all(vc == 0 for _p, vc in candidates)  # first hop: VC 0
         packet.hop_count = 1
         # At any second-hop router the VC must be 1.
-        intermediate = packet.intermediate if packet.non_minimal else 1
+        intermediate = packet.routing_state if packet.non_minimal else 1
         algorithm2 = network.routers[intermediate].routing
         candidates = algorithm2.respond(
             packet, network.concentration, 0  # a router-side input port

@@ -73,7 +73,7 @@ class TestJobGeneration:
                            lambda v: f"network.channel_latency=uint={v}")
         job = sweep.generate_jobs()[0]
         settings = sweep.settings_for(job)
-        assert settings.child("network").get_uint("channel_latency") == 9
+        assert settings.child("network").get("channel_latency") == 9
 
 
 class TestExecution:

@@ -5,9 +5,9 @@ import pytest
 
 from repro import Settings
 from repro.workload.injection import (
+    INJECTION,
     BernoulliInjection,
     PeriodicInjection,
-    create_injection_process,
 )
 from repro.workload.size import (
     ConstantSize,
@@ -117,11 +117,13 @@ class TestPeriodicInjection:
 
 class TestFactory:
     def test_default_is_bernoulli(self):
-        process = create_injection_process(settings(), 0.5, 1.0,
+        config = settings()
+        process = INJECTION.select(config)(config, 0.5, 1.0,
                                            np.random.default_rng(0))
         assert isinstance(process, BernoulliInjection)
 
     def test_periodic_by_name(self):
-        process = create_injection_process(settings(type="periodic"), 0.5,
-                                           1.0, np.random.default_rng(0))
+        config = settings(type="periodic")
+        process = INJECTION.select(config)(config, 0.5, 1.0,
+                                           np.random.default_rng(0))
         assert isinstance(process, PeriodicInjection)
